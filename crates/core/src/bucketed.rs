@@ -357,23 +357,6 @@ pub fn gradient_csr_spmv_bucketed<V: DoseScalar, I: ColIndex, X: VecScalar>(
     vector_csr_spmv_bucketed(gpu, t, r, g, threads_per_block, gplan, widths)
 }
 
-/// Multi-residual bucketed back-projection: `gs[v] = A^T rs[v]` for
-/// every `v`, the gradient-direction counterpart of
-/// [`vector_csr_spmm_bucketed`]. Per-vector arithmetic is identical to
-/// an unbatched [`gradient_csr_spmv_bucketed`] launch with the same
-/// widths.
-pub fn gradient_csr_spmm_bucketed<V: DoseScalar, I: ColIndex, X: VecScalar>(
-    gpu: &Gpu,
-    t: &GpuCsrMatrix<V, I>,
-    rs: &[&DeviceBuffer<X>],
-    gs: &[&DeviceOutBuffer<X>],
-    threads_per_block: u32,
-    gplan: &GpuRowPlan,
-    widths: BucketWidths,
-) -> GroupStats {
-    vector_csr_spmm_bucketed(gpu, t, rs, gs, threads_per_block, gplan, widths)
-}
-
 /// Host-side reference of the exact arithmetic the bucketed dispatch
 /// performs: each row is reduced with the truncated halving tree of its
 /// bucket's width, empty rows are zero. Mirrors

@@ -7,8 +7,8 @@
 //! CLI-loaded snapshot) surface as typed errors.
 
 use crate::bucketed::{
-    bucketed_group_report, gradient_csr_spmv_bucketed, vector_csr_spmm_bucketed,
-    vector_csr_spmv_bucketed, BucketWidths, GpuRowPlan,
+    bucketed_group_report, vector_csr_spmm_bucketed, vector_csr_spmv_bucketed, BucketWidths,
+    GpuRowPlan,
 };
 use crate::error::RtError;
 use crate::tiled::{vector_csr_spmm_tiled, vector_csr_spmv_tiled};
@@ -20,6 +20,7 @@ use rt_gpusim::{
     LaunchReport, TimeEstimate, TILE_WIDTHS,
 };
 use rt_sparse::{Csr, RowPlan};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Which calibrated report profile the timing model uses (the arithmetic
@@ -86,7 +87,7 @@ pub struct DoseCalculatorBuilder<'m> {
     threads_per_block: u32,
     scale: f64,
     row_scale: Option<f64>,
-    transpose: bool,
+    grad_matrix: Option<Cow<'m, Csr<f64, u32>>>,
     profile: PrecisionProfile,
     tile_width: u32,
     grad_tile_width: Option<u32>,
@@ -102,7 +103,7 @@ impl<'m> DoseCalculatorBuilder<'m> {
             threads_per_block: 512,
             scale: 1.0,
             row_scale: None,
-            transpose: false,
+            grad_matrix: None,
             profile: PrecisionProfile::HalfDouble,
             tile_width: 32,
             grad_tile_width: None,
@@ -138,9 +139,22 @@ impl<'m> DoseCalculatorBuilder<'m> {
     }
 
     /// Also upload the transpose so gradient back-projections are
-    /// available (costs a second copy of the matrix, as on real GPUs).
+    /// available (costs a second copy of the matrix, as on real GPUs) —
+    /// shorthand for [`DoseCalculatorBuilder::gradient_matrix`] with the
+    /// whole transpose.
     pub fn with_transpose(mut self) -> Self {
-        self.transpose = true;
+        self.grad_matrix = Some(Cow::Owned(self.matrix.transpose()));
+        self
+    }
+
+    /// The matrix gradient back-projections run a forward SpMV over:
+    /// `g = T r`, with `r` as long as `t.ncols()` and `g` as long as
+    /// `t.nrows()`. Usually the whole transpose
+    /// ([`DoseCalculatorBuilder::with_transpose`]); the serving engine
+    /// passes a row shard of the transpose, so one device holds dose
+    /// shard *s* and gradient shard *s* side by side.
+    pub fn gradient_matrix(mut self, t: &'m Csr<f64, u32>) -> Self {
+        self.grad_matrix = Some(Cow::Borrowed(t));
         self
     }
 
@@ -196,8 +210,9 @@ impl<'m> DoseCalculatorBuilder<'m> {
     /// partition of the *transpose*: empty beamlet-rows are eliminated
     /// and each length bucket launches at its `widths` entry. The
     /// transpose [`RowPlan`] is built at
-    /// [`DoseCalculatorBuilder::build`]; requires
-    /// [`DoseCalculatorBuilder::with_transpose`].
+    /// [`DoseCalculatorBuilder::build`]; requires a gradient matrix
+    /// ([`DoseCalculatorBuilder::with_transpose`] or
+    /// [`DoseCalculatorBuilder::gradient_matrix`]).
     pub fn grad_partitioned(mut self, widths: BucketWidths) -> Self {
         self.grad_partition = Some((None, widths));
         self
@@ -205,15 +220,15 @@ impl<'m> DoseCalculatorBuilder<'m> {
 
     /// Like [`DoseCalculatorBuilder::grad_partitioned`], reusing a
     /// transpose row plan built once elsewhere (the serving engine caches
-    /// one per registered matrix). The plan must describe this matrix's
-    /// transpose.
+    /// one per registered matrix). The plan must describe the gradient
+    /// matrix.
     pub fn grad_partitioned_with_plan(mut self, plan: Arc<RowPlan>, widths: BucketWidths) -> Self {
         self.grad_partition = Some((Some(plan), widths));
         self
     }
 
     /// Validates the configuration, converts the matrix to binary16 and
-    /// uploads it (plus the transpose if requested) to a fresh simulated
+    /// uploads it (plus the gradient matrix, if any) to a fresh simulated
     /// device.
     pub fn build(self) -> Result<DoseCalculator, RtError> {
         let m = self.matrix;
@@ -252,45 +267,28 @@ impl<'m> DoseCalculatorBuilder<'m> {
                 return Err(RtError::InvalidTileWidth(bad));
             }
         }
-        if self.grad_partition.is_some() && !self.transpose {
-            // A gradient partition without the transpose resident can
+        if self.grad_partition.is_some() && self.grad_matrix.is_none() {
+            // A gradient partition without a gradient matrix resident can
             // never dispatch.
             return Err(RtError::TransposeUnavailable);
         }
 
         let gpu = Gpu::new(self.device);
-        let m16: Csr<F16, u32> = m.convert_values();
-        let gm = GpuCsrMatrix::upload(&gpu, &m16);
-        let transposed = if self.transpose || self.grad_partition.is_some() {
-            Some(m.transpose())
-        } else {
-            None
-        };
-        let transpose = transposed.as_ref().map(|t| {
-            let t16: Csr<F16, u32> = t.convert_values();
-            GpuCsrMatrix::upload(&gpu, &t16)
-        });
-        let partition = self.partition.map(|(plan, widths)| {
-            // Value conversion preserves the sparsity structure, so a plan
-            // built from the f64 matrix serves the f16 upload.
-            let plan = plan.unwrap_or_else(|| Arc::new(RowPlan::from_csr(m)));
-            (GpuRowPlan::upload(&gpu, plan), widths)
-        });
-        let grad_partition = self.grad_partition.map(|(plan, widths)| {
-            let plan = plan.unwrap_or_else(|| {
-                Arc::new(RowPlan::from_csr(
-                    transposed.as_ref().expect("transpose built above"),
-                ))
-            });
-            (GpuRowPlan::upload(&gpu, plan), widths)
-        });
+        let upload = |m: &Csr<f64, u32>| GpuCsrMatrix::upload(&gpu, &m.convert_values::<F16>());
+        // Both matrices upload before either row plan: the simulated
+        // allocator is monotone, so this order fixes the address layout
+        // the L2 model sees.
+        let dose_matrix = upload(m);
+        let grad_matrix = self.grad_matrix.as_deref().map(|t| (upload(t), t));
+        let dose = Operator::new(&gpu, dose_matrix, m, self.partition, self.tile_width);
+        let grad_width = self.grad_tile_width.unwrap_or(self.tile_width);
+        let grad =
+            grad_matrix.map(|(gm, t)| Operator::new(&gpu, gm, t, self.grad_partition, grad_width));
         let y = gpu.alloc_out::<f64>(m.nrows());
         Ok(DoseCalculator {
             gpu,
-            matrix: gm,
-            transpose,
-            partition,
-            grad_partition,
+            dose,
+            grad,
             y,
             profile: match self.profile {
                 PrecisionProfile::HalfDouble => profile_half_double(),
@@ -299,34 +297,121 @@ impl<'m> DoseCalculatorBuilder<'m> {
             threads_per_block: tpb,
             scale: self.scale,
             row_scale: self.row_scale,
-            tile_width: self.tile_width,
-            grad_tile_width: self.grad_tile_width.unwrap_or(self.tile_width),
         })
+    }
+}
+
+/// One direction's resident SpMV operator: the uploaded matrix, its
+/// optional bucketed row partition, and the whole-matrix tile width.
+/// A [`DoseCalculator`] holds one for doses (`A`) and optionally one for
+/// gradients (`A^T`, or a row shard of it); both run the same forward
+/// kernels on the calculator's one device.
+struct Operator {
+    matrix: GpuCsrMatrix<F16, u32>,
+    /// Uploaded row plan plus per-bucket widths. When present, SpMV
+    /// dispatches through the bucketed partition
+    /// ([`vector_csr_spmv_bucketed`]).
+    partition: Option<(GpuRowPlan, BucketWidths)>,
+    /// Cooperative-group tile width of whole-matrix dispatch: 32 runs
+    /// the classic warp-per-row kernels, narrower widths the tiled
+    /// family.
+    width: u32,
+}
+
+impl Operator {
+    /// Wraps an uploaded matrix; a partition without a cached plan
+    /// builds one from `source` (value conversion preserves the sparsity
+    /// structure, so a plan of the f64 matrix serves the f16 upload).
+    fn new(
+        gpu: &Gpu,
+        matrix: GpuCsrMatrix<F16, u32>,
+        source: &Csr<f64, u32>,
+        partition: Option<(Option<Arc<RowPlan>>, BucketWidths)>,
+        width: u32,
+    ) -> Self {
+        let partition = partition.map(|(plan, widths)| {
+            let plan = plan.unwrap_or_else(|| Arc::new(RowPlan::from_csr(source)));
+            (GpuRowPlan::upload(gpu, plan), widths)
+        });
+        Operator {
+            matrix,
+            partition,
+            width,
+        }
+    }
+
+    /// Rejects an input that is not `ncols` long.
+    fn check(&self, what: &'static str, len: usize) -> Result<(), RtError> {
+        if len == self.matrix.ncols() {
+            Ok(())
+        } else {
+            Err(RtError::DimensionMismatch {
+                what,
+                expected: self.matrix.ncols(),
+                actual: len,
+            })
+        }
+    }
+
+    /// One SpMV launch `y = M x`: bucketed when partitioned (returning
+    /// the per-bucket counters too), else the whole-matrix kernel at
+    /// `width` (32 keeps the warp-per-row kernel and its exact golden
+    /// counters).
+    fn spmv(
+        &self,
+        gpu: &Gpu,
+        tpb: u32,
+        x: &DeviceBuffer<f64>,
+        y: &DeviceOutBuffer<f64>,
+    ) -> (KernelStats, Option<GroupStats>) {
+        let m = &self.matrix;
+        match &self.partition {
+            Some((gplan, widths)) => {
+                let g = vector_csr_spmv_bucketed(gpu, m, x, y, tpb, gplan, *widths);
+                (g.merged.clone(), Some(g))
+            }
+            None if self.width == 32 => (vector_csr_spmv(gpu, m, x, y, tpb), None),
+            None => (vector_csr_spmv_tiled(gpu, m, x, y, tpb, self.width), None),
+        }
+    }
+
+    /// The multi-vector counterpart of [`Operator::spmv`]: `ys[v] = M
+    /// xs[v]` in one launch sequence sharing the matrix traffic.
+    fn spmm(
+        &self,
+        gpu: &Gpu,
+        tpb: u32,
+        xs: &[&DeviceBuffer<f64>],
+        ys: &[&DeviceOutBuffer<f64>],
+    ) -> (KernelStats, Option<GroupStats>) {
+        let m = &self.matrix;
+        match &self.partition {
+            Some((gplan, widths)) => {
+                let g = vector_csr_spmm_bucketed(gpu, m, xs, ys, tpb, gplan, *widths);
+                (g.merged.clone(), Some(g))
+            }
+            None if self.width == 32 => (vector_csr_spmm(gpu, m, xs, ys, tpb), None),
+            None => (vector_csr_spmm_tiled(gpu, m, xs, ys, tpb, self.width), None),
+        }
     }
 }
 
 /// A dose calculator holding one beam's dose deposition matrix on the
 /// (simulated) GPU in the paper's production configuration: matrix in
 /// binary16, vectors in binary64, warp-per-row kernel, 512 threads per
-/// block. Optionally also holds the transpose for gradient computations.
+/// block. Optionally also holds a gradient-direction matrix (the
+/// transpose, or a row shard of it) on the same device.
 ///
 /// Guarantee: [`DoseCalculator::compute_dose`] is bitwise reproducible —
 /// same weights, same matrix, same result, regardless of host thread
 /// scheduling, batching, or device assignment (§II-D requirement).
 pub struct DoseCalculator {
     gpu: Gpu,
-    matrix: GpuCsrMatrix<F16, u32>,
-    transpose: Option<GpuCsrMatrix<F16, u32>>,
-    /// Bucketed row-partition dispatch state: the uploaded plan plus
-    /// per-bucket widths. When present, dose SpMV runs through
-    /// [`vector_csr_spmv_bucketed`].
-    partition: Option<(GpuRowPlan, BucketWidths)>,
-    /// Gradient-direction counterpart of `partition`: a row plan of the
-    /// *transpose* plus its own per-bucket widths. When present,
-    /// back-projections run through
-    /// [`gradient_csr_spmv_bucketed`](crate::bucketed::gradient_csr_spmv_bucketed);
-    /// otherwise they keep the whole-matrix kernel at `grad_tile_width`.
-    grad_partition: Option<(GpuRowPlan, BucketWidths)>,
+    /// The dose direction: `dose = A w`.
+    dose: Operator,
+    /// The gradient direction: `g = A^T r` as a forward SpMV over the
+    /// gradient matrix (`None` without one).
+    grad: Option<Operator>,
     y: DeviceOutBuffer<f64>,
     profile: rt_gpusim::KernelProfile,
     threads_per_block: u32,
@@ -336,13 +421,6 @@ pub struct DoseCalculator {
     /// Extrapolation factor for warp/block counts (rows scale, since the
     /// kernel is warp-per-row). Defaults to `scale`.
     row_scale: Option<f64>,
-    /// Cooperative-group tile width: 32 dispatches to the classic
-    /// warp-per-row kernels, narrower widths to the tiled family.
-    tile_width: u32,
-    /// Tile width for the gradient (transpose) direction, selected
-    /// independently because the transpose has its own row-length
-    /// distribution. Defaults to `tile_width`.
-    grad_tile_width: u32,
 }
 
 impl std::fmt::Debug for DoseCalculator {
@@ -351,7 +429,7 @@ impl std::fmt::Debug for DoseCalculator {
             .field("device", &self.gpu.spec().name)
             .field("nrows", &self.nrows())
             .field("ncols", &self.ncols())
-            .field("transpose", &self.transpose.is_some())
+            .field("transpose", &self.grad.is_some())
             .field("threads_per_block", &self.threads_per_block)
             .finish()
     }
@@ -365,12 +443,12 @@ impl DoseCalculator {
 
     #[inline]
     pub fn nrows(&self) -> usize {
-        self.matrix.nrows()
+        self.dose.matrix.nrows()
     }
 
     #[inline]
     pub fn ncols(&self) -> usize {
-        self.matrix.ncols()
+        self.dose.matrix.ncols()
     }
 
     #[inline]
@@ -379,77 +457,64 @@ impl DoseCalculator {
     }
 
     /// Device-resident bytes this calculator pins: the uploaded matrix
-    /// plus (when gradients are enabled) its transpose. The serving
+    /// plus (when gradients are enabled) the gradient matrix. The serving
     /// engine sums this per device so sharded residency's ~K× memory
     /// saving is visible in `EngineReport`.
     pub fn resident_bytes(&self) -> u64 {
-        let mut bytes = self.matrix.size_bytes() as u64;
-        if let Some(t) = &self.transpose {
-            bytes += t.size_bytes() as u64;
-        }
-        bytes
+        let grad = self.grad.as_ref().map_or(0, |g| g.matrix.size_bytes());
+        (self.dose.matrix.size_bytes() + grad) as u64
     }
 
-    /// Whether gradients are available (built `with_transpose`).
+    /// Whether gradients are available (built with a gradient matrix).
     #[inline]
     pub fn has_transpose(&self) -> bool {
-        self.transpose.is_some()
+        self.grad.is_some()
     }
 
     /// The cooperative-group tile width the whole-matrix dose SpMV
     /// kernels run at.
     #[inline]
     pub fn tile_width(&self) -> u32 {
-        self.tile_width
+        self.dose.width
     }
 
-    /// The tile width the gradient (transpose) kernels run at — selected
+    /// The tile width the gradient kernels run at — selected
     /// independently of the dose direction; equals
-    /// [`DoseCalculator::tile_width`] unless overridden at build.
+    /// [`DoseCalculator::tile_width`] unless overridden at build (or
+    /// when there is no gradient matrix).
     #[inline]
     pub fn grad_tile_width(&self) -> u32 {
-        self.grad_tile_width
+        self.grad.as_ref().map_or(self.dose.width, |g| g.width)
     }
 
     /// Whether dose SpMV dispatches through the bucketed row partition.
     #[inline]
     pub fn is_partitioned(&self) -> bool {
-        self.partition.is_some()
+        self.dose.partition.is_some()
     }
 
     /// Whether gradient back-projections dispatch through the bucketed
-    /// partition of the transpose.
+    /// partition of the gradient matrix.
     #[inline]
     pub fn is_grad_partitioned(&self) -> bool {
-        self.grad_partition.is_some()
+        self.grad.as_ref().is_some_and(|g| g.partition.is_some())
     }
 
     /// The per-bucket widths of a partitioned calculator.
     #[inline]
     pub fn bucket_widths(&self) -> Option<BucketWidths> {
-        self.partition.as_ref().map(|(_, w)| *w)
+        self.dose.partition.as_ref().map(|(_, w)| *w)
     }
 
-    /// The per-bucket widths of the gradient (transpose) partition.
+    /// The per-bucket widths of the gradient partition.
     #[inline]
     pub fn grad_bucket_widths(&self) -> Option<BucketWidths> {
-        self.grad_partition.as_ref().map(|(_, w)| *w)
+        self.grad.as_ref()?.partition.as_ref().map(|(_, w)| *w)
     }
 
-    /// Dispatches one SpMV launch at `width` (32 keeps the classic
-    /// warp-per-row kernel and its exact golden counters).
-    fn spmv(
-        &self,
-        matrix: &GpuCsrMatrix<F16, u32>,
-        x: &DeviceBuffer<f64>,
-        y: &DeviceOutBuffer<f64>,
-        width: u32,
-    ) -> KernelStats {
-        if width == 32 {
-            vector_csr_spmv(&self.gpu, matrix, x, y, self.threads_per_block)
-        } else {
-            vector_csr_spmv_tiled(&self.gpu, matrix, x, y, self.threads_per_block, width)
-        }
+    /// The gradient operator, or [`RtError::TransposeUnavailable`].
+    fn grad(&self) -> Result<&Operator, RtError> {
+        self.grad.as_ref().ok_or(RtError::TransposeUnavailable)
     }
 
     /// Scales counters and builds the launch report for one (possibly
@@ -470,40 +535,26 @@ impl DoseCalculator {
         .with_tile_width(width)
     }
 
+    /// The per-bucket report of an operator's accumulated group counters.
+    fn group_report(&self, op: &Operator, group: Option<GroupStats>) -> Option<GroupReport> {
+        let (gplan, _) = op.partition.as_ref()?;
+        group.map(|g| bucketed_group_report(self.gpu.spec(), &self.profile, gplan.plan(), &g))
+    }
+
     /// Computes `dose = A w` with the Half/double kernel. Partitioned
     /// calculators dispatch through the bucketed row partition (bitwise
     /// identical per row to the fixed-width kernel at the row's bucket
     /// width) and attach the per-bucket [`GroupReport`].
     pub fn compute_dose(&self, weights: &[f64]) -> Result<DoseResult, RtError> {
-        if weights.len() != self.ncols() {
-            return Err(RtError::DimensionMismatch {
-                what: "weights",
-                expected: self.ncols(),
-                actual: weights.len(),
-            });
-        }
+        self.dose.check("weights", weights.len())?;
         let dx: DeviceBuffer<f64> = self.gpu.upload(weights);
-        let (stats, group) = match &self.partition {
-            Some((gplan, widths)) => {
-                let g = vector_csr_spmv_bucketed(
-                    &self.gpu,
-                    &self.matrix,
-                    &dx,
-                    &self.y,
-                    self.threads_per_block,
-                    gplan,
-                    *widths,
-                );
-                let report =
-                    bucketed_group_report(self.gpu.spec(), &self.profile, gplan.plan(), &g);
-                (g.merged, Some(report))
-            }
-            None => (self.spmv(&self.matrix, &dx, &self.y, self.tile_width), None),
-        };
+        let (stats, group) = self
+            .dose
+            .spmv(&self.gpu, self.threads_per_block, &dx, &self.y);
         Ok(DoseResult {
             dose: self.y.to_vec(),
-            report: self.report_for(&stats, self.tile_width),
-            group,
+            report: self.report_for(&stats, self.dose.width),
+            group: self.group_report(&self.dose, group),
         })
     }
 
@@ -517,60 +568,21 @@ impl DoseCalculator {
     /// [`DoseCalculator::compute_dose`] call (see
     /// [`vector_csr_spmm`]'s determinism contract).
     pub fn compute_dose_batch(&self, weights: &[&[f64]]) -> Result<BatchDoseResult, RtError> {
-        for w in weights {
-            if w.len() != self.ncols() {
-                return Err(RtError::DimensionMismatch {
-                    what: "weights",
-                    expected: self.ncols(),
-                    actual: w.len(),
-                });
-            }
-        }
-        self.batched_spmm(
-            &self.matrix,
-            self.nrows(),
-            weights,
-            self.partition.as_ref(),
-            self.tile_width,
-        )
+        self.batched(&self.dose, "weights", weights)
     }
 
     /// Computes `g = A^T r` (the optimizer's gradient back-projection).
-    /// Requires construction via
-    /// [`DoseCalculatorBuilder::with_transpose`]. Grad-partitioned
+    /// Requires a gradient matrix
+    /// ([`DoseCalculatorBuilder::with_transpose`]). Grad-partitioned
     /// calculators dispatch through the bucketed partition of the
     /// transpose (bitwise identical per beamlet-row to the fixed-width
     /// kernel at the row's bucket width).
     pub fn compute_gradient_term(&self, residual: &[f64]) -> Result<Vec<f64>, RtError> {
-        let t = self
-            .transpose
-            .as_ref()
-            .ok_or(RtError::TransposeUnavailable)?;
-        if residual.len() != self.nrows() {
-            return Err(RtError::DimensionMismatch {
-                what: "residual",
-                expected: self.nrows(),
-                actual: residual.len(),
-            });
-        }
+        let op = self.grad()?;
+        op.check("residual", residual.len())?;
         let dr: DeviceBuffer<f64> = self.gpu.upload(residual);
-        let g = self.gpu.alloc_out::<f64>(self.ncols());
-        match &self.grad_partition {
-            Some((gplan, widths)) => {
-                gradient_csr_spmv_bucketed(
-                    &self.gpu,
-                    t,
-                    &dr,
-                    &g,
-                    self.threads_per_block,
-                    gplan,
-                    *widths,
-                );
-            }
-            None => {
-                self.spmv(t, &dr, &g, self.grad_tile_width);
-            }
-        }
+        let g = self.gpu.alloc_out::<f64>(op.matrix.nrows());
+        op.spmv(&self.gpu, self.threads_per_block, &dr, &g);
         Ok(g.to_vec())
     }
 
@@ -578,42 +590,22 @@ impl DoseCalculator {
     /// sequence, with a merged [`LaunchReport`] (the gradient counterpart
     /// of [`DoseCalculator::compute_dose_batch`]).
     pub fn compute_gradient_batch(&self, residuals: &[&[f64]]) -> Result<BatchDoseResult, RtError> {
-        let t = self
-            .transpose
-            .as_ref()
-            .ok_or(RtError::TransposeUnavailable)?;
-        for r in residuals {
-            if r.len() != self.nrows() {
-                return Err(RtError::DimensionMismatch {
-                    what: "residual",
-                    expected: self.nrows(),
-                    actual: r.len(),
-                });
-            }
-        }
-        self.batched_spmm(
-            t,
-            self.ncols(),
-            residuals,
-            self.grad_partition.as_ref(),
-            self.grad_tile_width,
-        )
+        self.batched(self.grad()?, "residual", residuals)
     }
 
-    /// Shared batched-launch path: runs `inputs` through `matrix` in
-    /// [`MAX_SPMM_BATCH`]-sized chunks and merges the counters.
-    /// `partition` selects the bucketed dispatch for the direction being
-    /// run (the dose partition of `A` or the gradient partition of
-    /// `A^T`); `width` is that direction's whole-matrix tile width and is
-    /// carried on the merged [`LaunchReport`].
-    fn batched_spmm(
+    /// Shared batched-launch path of both directions: runs `inputs`
+    /// through `op` in [`MAX_SPMM_BATCH`]-sized chunks and merges the
+    /// counters; the merged [`LaunchReport`] carries the operator's
+    /// whole-matrix tile width.
+    fn batched(
         &self,
-        matrix: &GpuCsrMatrix<F16, u32>,
-        out_len: usize,
+        op: &Operator,
+        what: &'static str,
         inputs: &[&[f64]],
-        partition: Option<&(GpuRowPlan, BucketWidths)>,
-        width: u32,
     ) -> Result<BatchDoseResult, RtError> {
+        for x in inputs {
+            op.check(what, x.len())?;
+        }
         let mut outputs = Vec::with_capacity(inputs.len());
         let mut merged = KernelStats::default();
         let mut group_acc: Option<GroupStats> = None;
@@ -621,51 +613,24 @@ impl DoseCalculator {
             let dxs: Vec<DeviceBuffer<f64>> = chunk.iter().map(|x| self.gpu.upload(x)).collect();
             let dys: Vec<DeviceOutBuffer<f64>> = chunk
                 .iter()
-                .map(|_| self.gpu.alloc_out::<f64>(out_len))
+                .map(|_| self.gpu.alloc_out::<f64>(op.matrix.nrows()))
                 .collect();
             let xr: Vec<&DeviceBuffer<f64>> = dxs.iter().collect();
             let yr: Vec<&DeviceOutBuffer<f64>> = dys.iter().collect();
-            let stats = match partition {
-                Some((gplan, widths)) => {
-                    let g = vector_csr_spmm_bucketed(
-                        &self.gpu,
-                        matrix,
-                        &xr,
-                        &yr,
-                        self.threads_per_block,
-                        gplan,
-                        *widths,
-                    );
-                    let stats = g.merged.clone();
-                    match &mut group_acc {
-                        Some(acc) => acc.accumulate(&g),
-                        None => group_acc = Some(g),
-                    }
-                    stats
+            let (stats, group) = op.spmm(&self.gpu, self.threads_per_block, &xr, &yr);
+            if let Some(g) = group {
+                match &mut group_acc {
+                    Some(acc) => acc.accumulate(&g),
+                    None => group_acc = Some(g),
                 }
-                None if width == 32 => {
-                    vector_csr_spmm(&self.gpu, matrix, &xr, &yr, self.threads_per_block)
-                }
-                None => vector_csr_spmm_tiled(
-                    &self.gpu,
-                    matrix,
-                    &xr,
-                    &yr,
-                    self.threads_per_block,
-                    width,
-                ),
-            };
+            }
             merged.accumulate(&stats);
             outputs.extend(dys.iter().map(|y| y.to_vec()));
         }
-        let group = group_acc.map(|g| {
-            let (gplan, _) = partition.expect("partitioned dispatch ran");
-            bucketed_group_report(self.gpu.spec(), &self.profile, gplan.plan(), &g)
-        });
         Ok(BatchDoseResult {
             outputs,
-            report: self.report_for(&merged, width),
-            group,
+            report: self.report_for(&merged, op.width),
+            group: self.group_report(op, group_acc),
         })
     }
 }

@@ -33,9 +33,8 @@ pub mod vector_csr;
 
 pub use baseline::{rs_baseline_gpu_spmv, GpuRsMatrix};
 pub use bucketed::{
-    bucket_label, bucketed_group_report, gradient_csr_spmm_bucketed, gradient_csr_spmv_bucketed,
-    vector_csr_bucketed_reference, vector_csr_spmm_bucketed, vector_csr_spmv_bucketed,
-    BucketWidths, GpuRowPlan,
+    bucket_label, bucketed_group_report, gradient_csr_spmv_bucketed, vector_csr_bucketed_reference,
+    vector_csr_spmm_bucketed, vector_csr_spmv_bucketed, BucketWidths, GpuRowPlan,
 };
 pub use calculator::{
     BatchDoseResult, DoseCalculator, DoseCalculatorBuilder, DoseResult, PrecisionProfile,

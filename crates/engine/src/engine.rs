@@ -9,6 +9,16 @@
 //! ([`DoseCalculator::compute_dose_batch`]), so concurrent traffic for
 //! the same matrix shares its bytes.
 //!
+//! Every request takes one path. Each plan is *placed* as `R` replica
+//! groups × `K` row-range shards, and a shard unit is one calculator on
+//! one device holding dose shard *s* and gradient shard *s*. The
+//! dispatching worker picks the least-loaded group, queues the shards
+//! homed on other devices as device-pinned sub-tasks, and runs the
+//! shards homed on its own device in place; whichever shard lands last
+//! merges the outputs and replies. The default policy resolves to `R` =
+//! the live pool and `K = 1` — every device holds the whole plan — so a
+//! batch runs entirely on the worker that popped it.
+//!
 //! Exactly one worker drives each device, and each worker owns that
 //! device's calculators exclusively — launches for one device never
 //! interleave, matching the one-stream-per-GPU execution model.
@@ -19,9 +29,11 @@
 //! requests share its batch, and which device executes them all vary run
 //! to run. The *dose does not*: the batched kernel performs per-vector
 //! arithmetic identical to the single-vector kernel (fixed reduction
-//! tree, fixed traversal order), and no functional result depends on the
-//! `DeviceSpec`. The integration tests assert bitwise-identical doses
-//! across pool sizes 1/4/8 and shuffled submission orders.
+//! tree, fixed traversal order), widths are pinned from the whole
+//! matrix before any shard split, shards scatter disjoint row ranges,
+//! and no functional result depends on the `DeviceSpec`. The
+//! integration tests assert bitwise-identical doses across pool sizes,
+//! placements, drains and shuffled submission orders.
 //!
 //! [`BoundedQueue`]: crate::queue::BoundedQueue
 //! [`DoseCalculator::compute_dose_batch`]: rt_core::DoseCalculator::compute_dose_batch
@@ -39,7 +51,7 @@ use rt_core::{
 use rt_gpusim::{
     gather_estimate, snake_partition_subset, DeviceSpec, LaunchReport, ShardReport, ShardedReport,
 };
-use rt_sparse::{Csr, RowPlan, ShardPlan};
+use rt_sparse::{Csr, RowPlan, RowShard, ShardPlan};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -70,10 +82,11 @@ pub struct EngineResponse {
     pub batch_size: usize,
     /// Milliseconds this request waited in the queue before dispatch.
     pub queue_ms: f64,
-    /// Per-shard breakdown when the plan ran row-sharded across the
-    /// pool: per-device counters, the modeled gather cost of landing
-    /// each shard's rows, and the critical-path modeled time. `None`
-    /// for fully-resident plans.
+    /// Per-shard breakdown of the fan-out: per-device counters, the
+    /// modeled gather cost of landing each shard's rows, and the
+    /// critical-path modeled time. Every reply carries one (a `K = 1`
+    /// plan reports its single shard); the `Option` is kept for
+    /// existing readers of the field.
     pub shards: Option<ShardedReport>,
 }
 
@@ -167,9 +180,9 @@ struct FanOut {
     /// the per-plan, per-epoch load table).
     group: usize,
     /// The placement epoch this fan-out was dealt under. Shard indices
-    /// resolve against *these* groups even if a rebalance swaps the
-    /// plan's current epoch mid-flight — the `Arc` keeps the old
-    /// generation's calculators alive until the last shard retires.
+    /// resolve against *these* groups even if a re-deal swaps the plan's
+    /// current epoch mid-flight — the `Arc` keeps the old generation's
+    /// calculators alive until the last shard retires.
     epoch: Arc<PlacementEpoch>,
     kind: RequestKind,
     /// The batch members with their queue-wait at fan-out time.
@@ -220,14 +233,6 @@ impl Gate {
     }
 }
 
-/// EWMA smoothing factor for the per-group served-share tracker.
-const SKEW_EWMA_ALPHA: f64 = 0.25;
-/// Completed fan-outs an epoch must accumulate before a skew verdict.
-const SKEW_MIN_COMPLETIONS: u64 = 16;
-/// A group whose served share falls below `SKEW_SHARE_FLOOR / R` while
-/// still holding outstanding work is starved behind a slow member.
-const SKEW_SHARE_FLOOR: f64 = 0.1;
-
 /// Replica-group load counters for one placement epoch.
 struct GroupLoads {
     /// Fan-outs currently in flight per replica group.
@@ -237,44 +242,23 @@ struct GroupLoads {
     served: Vec<u64>,
 }
 
-/// Per-plan replica-group load tracking for one serve session, keyed by
-/// placement epoch: an in-flight fan-out retires against the epoch that
-/// dispatched it even after a rebalance swaps the plan's current
-/// generation. One mutex per plan: group selection and the outstanding
-/// increment happen in a single critical section, so two workers
-/// dispatching the same plan concurrently can never both pick the
-/// "idle" group.
-struct PlanLoads {
-    epochs: HashMap<u64, GroupLoads>,
-    /// EWMA of each group's share of completed fan-outs on
-    /// `ewma_epoch` (indicator update): least-loaded routing bounds the
-    /// *outstanding* skew at one fan-out, so sustained starvation shows
-    /// up in the served share — a group stuck behind a slow device
-    /// decays toward zero here while it still holds outstanding work.
-    ewma_served: Vec<f64>,
-    /// The newest epoch this plan has dispatched on; the EWMA resets
-    /// when a rebalance moves dispatch to a new generation.
-    ewma_epoch: u64,
-    /// Completed fan-outs on `ewma_epoch` (hysteresis for the skew
-    /// verdict).
-    epoch_completions: u64,
-}
-
 struct ServeState {
     queue: BoundedQueue<WorkItem>,
     gate: Gate,
     metrics: Metrics,
-    /// One entry per registered plan (empty vectors for unplaced plans).
-    loads: Vec<Mutex<PlanLoads>>,
+    /// Per-plan replica-group load tallies for this serve session, keyed
+    /// by placement epoch: an in-flight fan-out retires against the
+    /// epoch that dispatched it even after a re-deal swaps the plan's
+    /// current generation. One mutex per plan: group selection and the
+    /// outstanding increment happen in a single critical section, so two
+    /// workers dispatching the same plan concurrently can never both
+    /// pick the "idle" group.
+    loads: Vec<Mutex<HashMap<u64, GroupLoads>>>,
 }
 
-/// One row-range shard's residency: a calculator holding just the
-/// sub-matrix (no transpose — the gradient direction has its own shard
-/// set), pinned to its home device.
-struct ShardUnit {
-    /// Home device index into the *pool* (shard `s` of a replica group
-    /// lives on the group's `s % group_size`-th member).
-    device: usize,
+/// One contiguous row range of one direction's matrix: where its rows
+/// land in the output and what landing them costs.
+struct ShardRows {
     row_start: usize,
     row_end: usize,
     nnz: u64,
@@ -282,133 +266,161 @@ struct ShardUnit {
     /// interconnect at gather time (8 bytes per non-empty row; empty
     /// rows scatter nothing).
     gather_bytes: u64,
+}
+
+impl ShardRows {
+    fn of(shard: &RowShard<f64, u32>) -> Self {
+        ShardRows {
+            row_start: shard.row_start,
+            row_end: shard.row_end,
+            nnz: shard.nnz() as u64,
+            gather_bytes: shard.gather_bytes(),
+        }
+    }
+}
+
+/// Shard `s` of a replica group in both directions: dose shard `s` (rows
+/// of the matrix) and gradient shard `s` (rows of the transpose), held
+/// by one calculator on one device. With `K = 1` this is a whole-plan
+/// calculator. A forced `K` above the transpose's row count leaves the
+/// trailing units with no gradient shard.
+struct ShardUnit {
+    /// Home device index into the *pool* (shard `s` of a replica group
+    /// lives on the group's `s % group_size`-th member).
+    device: usize,
+    dose: ShardRows,
+    grad: Option<ShardRows>,
     calc: DoseCalculator,
 }
 
-/// One replica group of a placed plan: a disjoint device subset holding
-/// a full copy of the plan as `K` row-range shards (dose direction) plus
-/// `K` transpose shards (gradient direction).
+impl ShardUnit {
+    /// This unit's rows for `kind`, or `None` when it holds no shard of
+    /// that direction.
+    fn rows(&self, kind: RequestKind) -> Option<&ShardRows> {
+        match kind {
+            RequestKind::Dose => Some(&self.dose),
+            RequestKind::Gradient => self.grad.as_ref(),
+        }
+    }
+}
+
+/// One replica group: a disjoint device subset holding a full copy of
+/// the plan as `K` shard units.
 struct ReplicaGroup {
     /// Absolute pool device indices, fastest (highest modeled bandwidth)
     /// first — `devices[0]` is the group's reference device for the
     /// break-even model.
     devices: Vec<usize>,
-    /// Row-range shards of the dose matrix, in row order.
-    dose_shards: Vec<ShardUnit>,
-    /// Row-range shards of the transpose, sharded by *its* rows (= spot
-    /// columns of the dose matrix) so gradient outputs are disjoint too.
-    grad_shards: Vec<ShardUnit>,
+    /// Shard units in row order.
+    units: Vec<ShardUnit>,
     /// Break-even evidence table ([`ShardSpec::Auto`] only): the modeled
     /// single-request seconds at every candidate shard count.
     breakeven: Vec<BreakEvenPoint>,
 }
 
 impl ReplicaGroup {
-    fn shards_for(&self, kind: RequestKind) -> &[ShardUnit] {
-        match kind {
-            RequestKind::Dose => &self.dose_shards,
-            RequestKind::Gradient => &self.grad_shards,
-        }
+    /// The units holding a shard of `kind`, with their indices.
+    fn shards_for(&self, kind: RequestKind) -> impl Iterator<Item = (usize, &ShardUnit)> {
+        self.units
+            .iter()
+            .enumerate()
+            .filter(move |(_, u)| u.rows(kind).is_some())
     }
 }
 
-/// One immutable generation of a placed plan's resolved placement: `R`
-/// disjoint replica groups, each serving whole requests independently.
-/// Fan-outs pin the epoch they were dispatched under (`Arc`), so a live
-/// rebalance never pulls shard calculators out from under an in-flight
-/// batch.
+/// One immutable generation of a plan's resolved placement: `R` disjoint
+/// replica groups, each serving whole requests independently. Fan-outs
+/// pin the epoch they were dispatched under (`Arc`), so a re-deal never
+/// pulls shard calculators out from under an in-flight batch.
 struct PlacementEpoch {
     /// Monotone generation counter (0 = the registration-time deal).
     epoch: u64,
     groups: Vec<ReplicaGroup>,
 }
 
-/// A placed plan's placement slot: the current epoch behind a mutex'd
-/// `Arc` (the lock is held only to clone or swap the pointer — never
-/// across a shard build), plus the rebalance event counter reported as
-/// `placement.rebalances`.
-struct PlacementCell {
-    /// Whether the per-group shard counts came from the break-even model
-    /// rather than being forced.
-    auto_shards: bool,
-    current: Mutex<Arc<PlacementEpoch>>,
-    rebalances: AtomicU64,
-}
-
-impl PlacementCell {
-    fn snapshot(&self) -> Arc<PlacementEpoch> {
-        Arc::clone(&self.current.lock().unwrap())
-    }
-}
-
-/// Host-side copies of a placed plan's matrices, kept so a live
-/// rebalance (drain, undrain, or sustained load skew) can rebuild shard
-/// calculators over a new device subset. The autotuned widths are
-/// pinned on the [`Plan`] from the whole matrix/transpose, so a re-deal
-/// can never change the arithmetic — only where it runs.
-struct PlacementSource {
+/// One direction of a registered plan: the host matrix a re-deal
+/// rebuilds shards from, and the autotuner decision pinned from it at
+/// registration.
+struct Direction {
     matrix: Csr<f64, u32>,
-    transpose: Csr<f64, u32>,
-    widths: Option<BucketWidths>,
-    grad_widths: Option<BucketWidths>,
+    /// Every shard calculator runs at `choice.tile_width` (or, for
+    /// partitioned plans, at the per-bucket widths in `choice.buckets`).
+    /// Width pinning is what keeps placed outputs bitwise identical to a
+    /// single device: every shard inherits the whole-matrix decision, so
+    /// each row's arithmetic is a function of its length alone, not of
+    /// the shard or replica it landed in.
+    choice: KernelChoice,
+    /// Row-partition plan of the whole matrix (partitioned plans only).
+    row_plan: Option<Arc<RowPlan>>,
+}
+
+impl Direction {
+    /// Runs `select` on `matrix` against the reference device.
+    fn new(
+        reference: &DeviceSpec,
+        matrix: Csr<f64, u32>,
+        select: KernelSelect,
+        tpb: u32,
+    ) -> Result<Self, RtError> {
+        let choice = select.choose(reference, &matrix, tpb)?;
+        let row_plan = matches!(select, KernelSelect::Partitioned(_))
+            .then(|| Arc::new(RowPlan::from_csr(&matrix)));
+        Ok(Direction {
+            matrix,
+            choice,
+            row_plan,
+        })
+    }
+
+    /// Per-bucket widths every shard applies to its own row plan
+    /// (partitioned plans only). Bucket membership is a function of row
+    /// length, so sub-matrices reuse the whole matrix's widths.
+    fn widths(&self) -> Option<BucketWidths> {
+        self.row_plan.as_ref().map(|_| self.choice.bucket_widths())
+    }
 }
 
 struct Plan {
     name: String,
     nrows: usize,
     ncols: usize,
-    /// One calculator per pool device (`calcs[i]` lives on `devices[i]`),
-    /// each holding the matrix and its transpose. Empty for placed
-    /// plans — those hold only their per-group shards, cutting
-    /// per-device residency.
-    calcs: Vec<DoseCalculator>,
-    /// Replica × shard placement (`None` for the classic fully-resident
-    /// path — [`ShardSpec::Off`] with [`ReplicaSpec::Auto`]).
-    placement: Option<PlacementCell>,
-    /// Matrices a rebalance rebuilds shards from (placed plans only).
-    source: Option<PlacementSource>,
+    /// The dose direction: the matrix itself.
+    dose: Direction,
+    /// The gradient direction: the transpose, with its own decision —
+    /// the same strategy run on the transpose, whose row-length
+    /// distribution (beamlet rows) is unrelated to the dose direction's.
+    grad: Direction,
     /// The policy this plan was registered under.
     policy: ExecPolicy,
-    /// The autotuner's decision for this plan, made once at
-    /// registration; every calculator runs at `choice.tile_width` (or,
-    /// for partitioned plans, at the per-bucket widths in
-    /// `choice.buckets`). Width pinning is what keeps placed doses
-    /// bitwise identical to unsharded: every shard calculator inherits
-    /// the whole-matrix decision, so each row's arithmetic is a function
-    /// of its length alone, not of the shard or replica it landed in.
-    choice: KernelChoice,
-    /// The autotuner's independent decision for the gradient direction,
-    /// made once at registration by running the same strategy on the
-    /// transpose. Pinned from the whole transpose before any shard
-    /// split, so sharded gradients stay bitwise identical to unsharded
-    /// for any R/K/pool/completion order — the backward mirror of
-    /// `choice`.
-    grad_choice: KernelChoice,
-    /// Row-partition execution plan, built once at registration and
-    /// shared by every per-device calculator (partitioned plans only).
-    row_plan: Option<Arc<RowPlan>>,
-    /// Row-partition plan of the **transpose** (empty beamlet rows
-    /// dropped, length-bucketed), built once at registration and shared
-    /// by every per-device calculator's gradient path (partitioned plans
-    /// only).
-    grad_row_plan: Option<Arc<RowPlan>>,
+    /// The current placement epoch. The lock is held only to clone or
+    /// swap the pointer — never across a shard build.
+    placement: Mutex<Arc<PlacementEpoch>>,
+    /// Re-deals (drain or undrain) this plan's placement has absorbed.
+    rebalances: AtomicU64,
 }
 
 impl Plan {
+    fn direction(&self, kind: RequestKind) -> &Direction {
+        match kind {
+            RequestKind::Dose => &self.dose,
+            RequestKind::Gradient => &self.grad,
+        }
+    }
+
+    fn snapshot(&self) -> Arc<PlacementEpoch> {
+        Arc::clone(&self.placement.lock().unwrap())
+    }
+
     /// Device bytes this plan pins on pool device `dev` under its
     /// current placement epoch.
     fn resident_bytes_on(&self, dev: usize) -> u64 {
-        match &self.placement {
-            Some(cell) => cell
-                .snapshot()
-                .groups
-                .iter()
-                .flat_map(|g| g.dose_shards.iter().chain(&g.grad_shards))
-                .filter(|u| u.device == dev)
-                .map(|u| u.calc.resident_bytes())
-                .sum(),
-            None => self.calcs[dev].resident_bytes(),
-        }
+        self.snapshot()
+            .groups
+            .iter()
+            .flat_map(|g| &g.units)
+            .filter(|u| u.device == dev)
+            .map(|u| u.calc.resident_bytes())
+            .sum()
     }
 }
 
@@ -496,8 +508,8 @@ impl EngineBuilder {
     }
 
     /// Execution policy applied to plans registered through
-    /// [`Engine::register_plan`] (default [`ExecPolicy::default`]: the
-    /// classic fully-resident engine). Per-plan policies via
+    /// [`Engine::register_plan`] (default [`ExecPolicy::default`]: one
+    /// whole-plan replica per device). Per-plan policies via
     /// [`Engine::register_plan_with`] override this.
     pub fn default_policy(mut self, policy: ExecPolicy) -> Self {
         self.default_policy = policy;
@@ -505,7 +517,7 @@ impl EngineBuilder {
     }
 
     /// Test hook: delays worker `device` by `delay_ms` before it serves
-    /// each popped shard sub-task, simulating a slow pool member so
+    /// each shard sub-task, simulating a slow pool member so
     /// deadline-cancellation under fan-out is deterministic to test.
     #[doc(hidden)]
     pub fn debug_device_delay_ms(mut self, device: usize, delay_ms: f64) -> Self {
@@ -577,7 +589,7 @@ pub struct Engine {
     /// shard sub-tasks pinned to it by an older epoch — in-flight
     /// fan-outs finish where they started.
     drained: Vec<AtomicBool>,
-    /// Serializes drain/undrain/skew re-deals so two triggers can never
+    /// Serializes drain/undrain re-deals so two triggers can never
     /// interleave their build-then-swap sequences.
     rebalance_lock: Mutex<()>,
     queue_capacity: usize,
@@ -630,36 +642,36 @@ impl Engine {
 
     /// The tile width a registered plan's kernels run at.
     pub fn plan_tile_width(&self, name: &str) -> Option<u32> {
-        self.plan(name).map(|p| p.choice.tile_width)
+        self.plan(name).map(|p| p.dose.choice.tile_width)
     }
 
     /// The full autotuner decision recorded for a registered plan.
     pub fn plan_choice(&self, name: &str) -> Option<&KernelChoice> {
-        self.plan(name).map(|p| &p.choice)
+        self.plan(name).map(|p| &p.dose.choice)
     }
 
     /// The row-partition plan a registered plan dispatches through, if
     /// the engine was built with [`KernelSelect::Partitioned`].
     pub fn plan_row_plan(&self, name: &str) -> Option<&Arc<RowPlan>> {
-        self.plan(name).and_then(|p| p.row_plan.as_ref())
+        self.plan(name).and_then(|p| p.dose.row_plan.as_ref())
     }
 
     /// The tile width a registered plan's gradient (transpose) kernels
     /// run at — selected independently of the dose direction.
     pub fn plan_grad_tile_width(&self, name: &str) -> Option<u32> {
-        self.plan(name).map(|p| p.grad_choice.tile_width)
+        self.plan(name).map(|p| p.grad.choice.tile_width)
     }
 
     /// The autotuner decision recorded for a registered plan's gradient
     /// direction (the same strategy run on the transpose).
     pub fn plan_grad_choice(&self, name: &str) -> Option<&KernelChoice> {
-        self.plan(name).map(|p| &p.grad_choice)
+        self.plan(name).map(|p| &p.grad.choice)
     }
 
     /// The transpose row-partition plan a registered plan's gradients
     /// dispatch through, if the policy selects [`KernelSelect::Partitioned`].
     pub fn plan_grad_row_plan(&self, name: &str) -> Option<&Arc<RowPlan>> {
-        self.plan(name).and_then(|p| p.grad_row_plan.as_ref())
+        self.plan(name).and_then(|p| p.grad.row_plan.as_ref())
     }
 
     /// The default execution policy plans registered through
@@ -675,57 +687,43 @@ impl Engine {
 
     /// Dose-direction shards per replica group a registered plan
     /// actually got under its current placement epoch (forced counts
-    /// are clamped to the plan's rows); `None` when the plan runs the
-    /// classic fully-resident path.
+    /// are clamped to the plan's rows).
     pub fn plan_shard_count(&self, name: &str) -> Option<usize> {
-        self.plan(name)
-            .and_then(|p| p.placement.as_ref())
-            .map(|cell| cell.snapshot().groups[0].dose_shards.len())
+        self.plan(name).map(|p| p.snapshot().groups[0].units.len())
     }
 
-    /// Replica groups a registered plan is currently dealt across;
-    /// `None` when the plan runs the classic fully-resident path.
+    /// Replica groups a registered plan is currently dealt across.
     pub fn plan_replica_count(&self, name: &str) -> Option<usize> {
-        self.plan(name)
-            .and_then(|p| p.placement.as_ref())
-            .map(|cell| cell.snapshot().groups.len())
+        self.plan(name).map(|p| p.snapshot().groups.len())
     }
 
-    /// Rebalance events (drain, undrain, or skew-triggered re-deals) a
-    /// registered plan's placement has absorbed; `None` for unplaced
-    /// plans.
+    /// Re-deals (drain or undrain) a registered plan's placement has
+    /// absorbed.
     pub fn plan_rebalances(&self, name: &str) -> Option<u64> {
-        self.plan(name)
-            .and_then(|p| p.placement.as_ref())
-            .map(|cell| cell.rebalances.load(Ordering::SeqCst))
+        self.plan(name).map(|p| p.rebalances.load(Ordering::SeqCst))
     }
 
     /// The break-even evidence table recorded for a registered plan's
     /// first replica group under its current placement epoch
-    /// ([`ShardSpec::Auto`] plans only; empty for forced shard counts,
-    /// `None` for unplaced plans).
+    /// ([`ShardSpec::Auto`] plans only; empty for other policies).
     pub fn plan_breakeven(&self, name: &str) -> Option<Vec<BreakEvenPoint>> {
         self.plan(name)
-            .and_then(|p| p.placement.as_ref())
-            .map(|cell| cell.snapshot().groups[0].breakeven.clone())
+            .map(|p| p.snapshot().groups[0].breakeven.clone())
     }
 
     /// Interior shard cut points of a registered plan's first replica
-    /// group (`K - 1` row indices; empty for `K = 1`, `None` for
-    /// unplaced plans). These are what
+    /// group (`K - 1` row indices; empty for `K = 1`). These are what
     /// [`rt_sparse::save_csr_with_cuts`] persists so a snapshot cold
     /// start can skip re-sharding.
     pub fn plan_shard_cuts(&self, name: &str) -> Option<Vec<usize>> {
-        self.plan(name)
-            .and_then(|p| p.placement.as_ref())
-            .map(|cell| {
-                cell.snapshot().groups[0]
-                    .dose_shards
-                    .iter()
-                    .skip(1)
-                    .map(|u| u.row_start)
-                    .collect()
-            })
+        self.plan(name).map(|p| {
+            p.snapshot().groups[0]
+                .units
+                .iter()
+                .skip(1)
+                .map(|u| u.dose.row_start)
+                .collect()
+        })
     }
 
     /// Registers `matrix` under the plan name `name` with the engine's
@@ -739,21 +737,21 @@ impl Engine {
     /// execution policy.
     ///
     /// Registration is when the engine autotunes. The policy's
-    /// [`KernelSelect`] picks the plan's tile width once (from row
-    /// statistics, or by probing candidate widths on the first pool
-    /// device); every per-device or per-shard calculator is built to
-    /// run at it — pinned widths are what make placed doses bitwise
-    /// identical to unsharded ones.
+    /// [`KernelSelect`] picks the plan's tile width once per direction
+    /// (from row statistics, or by probing candidate widths on the first
+    /// pool device); every shard calculator is built to run at it —
+    /// pinned widths are what make placed doses bitwise identical to a
+    /// single device's.
     ///
-    /// An unplaced policy ([`ShardSpec::Off`] + [`ReplicaSpec::Auto`],
-    /// the default) uploads the matrix and its transpose to every
-    /// device. Any other combination *places* the plan: the pool is
-    /// snake-dealt by modeled bandwidth into `R` disjoint replica
-    /// groups, and each group holds the plan as `K` throughput-weighted
-    /// row-range shards (`K` per the policy, or the break-even model
-    /// under [`ShardSpec::Auto`]). Returns
-    /// [`RtError::InvalidPlacement`] when a forced replica count
-    /// exceeds the pool.
+    /// Every plan is *placed*: the pool is snake-dealt by modeled
+    /// bandwidth into `R` disjoint replica groups, and each group holds
+    /// the plan as `K` throughput-weighted row-range shards (`K` per the
+    /// policy, or the break-even model under [`ShardSpec::Auto`]). The
+    /// default policy ([`ShardSpec::Off`] + [`ReplicaSpec::Auto`])
+    /// resolves to `R` = the live pool and `K = 1`: every device holds
+    /// the whole matrix and its transpose. Returns
+    /// [`RtError::InvalidPlacement`] when a forced replica count exceeds
+    /// the pool.
     pub fn register_plan_with(
         &mut self,
         name: &str,
@@ -774,128 +772,45 @@ impl Engine {
             return Err(RtError::DuplicatePlan(name.to_string()));
         }
         policy.validate()?;
-        let choice =
-            policy
-                .kernel_select
-                .choose(&self.devices[0], matrix, self.threads_per_block)?;
-        // Partitioned strategies: build the row plan once, apply the
-        // per-bucket widths the autotuner picked, and share the plan
-        // across every per-device calculator. (Bucket membership is a
-        // function of row length, so sharded sub-matrices reuse the same
-        // widths against their own row plans.)
-        let partition = if matches!(policy.kernel_select, KernelSelect::Partitioned(_)) {
-            Some((Arc::new(RowPlan::from_csr(matrix)), choice.bucket_widths()))
-        } else {
-            None
-        };
-        // The gradient direction gets its own decision: the same
-        // strategy run on the transpose, whose row-length distribution
-        // (beamlet rows) is unrelated to the dose direction's. Built
-        // once here so the widths — and, for partitioned strategies, the
-        // transpose RowPlan — are pinned from the whole transpose before
-        // any shard split.
-        let transposed = matrix.transpose();
-        let grad_choice =
-            policy
-                .kernel_select
-                .choose(&self.devices[0], &transposed, self.threads_per_block)?;
-        let grad_partition = if matches!(policy.kernel_select, KernelSelect::Partitioned(_)) {
-            Some((
-                Arc::new(RowPlan::from_csr(&transposed)),
-                grad_choice.bucket_widths(),
-            ))
-        } else {
-            None
-        };
-        let unplaced = policy.shards == ShardSpec::Off && policy.replicas == ReplicaSpec::Auto;
-        let (calcs, placement, source) = if unplaced {
-            let calcs = self
-                .devices
-                .iter()
-                .map(|d| {
-                    let mut b = DoseCalculator::builder(matrix)
-                        .device(d.clone())
-                        .threads_per_block(self.threads_per_block)
-                        .tile_width(choice.tile_width)
-                        .grad_tile_width(grad_choice.tile_width)
-                        .with_transpose();
-                    if let Some((plan, widths)) = &partition {
-                        b = b.partitioned_with_plan(plan.clone(), *widths);
-                    }
-                    if let Some((plan, widths)) = &grad_partition {
-                        b = b.grad_partitioned_with_plan(plan.clone(), *widths);
-                    }
-                    b.build()
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            (calcs, None, None)
-        } else {
-            let widths = partition.as_ref().map(|(_, w)| *w);
-            let grad_widths = grad_partition.as_ref().map(|(_, w)| *w);
-            let groups = self.place_groups(
-                matrix,
-                &transposed,
-                &policy,
-                &choice,
-                &grad_choice,
-                widths,
-                grad_widths,
-                stored_cuts,
-                &self.live_devices(),
-            )?;
-            let cell = PlacementCell {
-                auto_shards: policy.shards == ShardSpec::Auto,
-                current: Mutex::new(Arc::new(PlacementEpoch { epoch: 0, groups })),
-                rebalances: AtomicU64::new(0),
-            };
-            let source = PlacementSource {
-                matrix: matrix.clone(),
-                transpose: transposed.clone(),
-                widths,
-                grad_widths,
-            };
-            (Vec::new(), Some(cell), Some(source))
-        };
+        // Both directions' decisions are pinned here, from the whole
+        // matrix and the whole transpose, before any shard split.
+        let reference = &self.devices[0];
+        let tpb = self.threads_per_block;
+        let dose = Direction::new(reference, matrix.clone(), policy.kernel_select, tpb)?;
+        let grad = Direction::new(reference, matrix.transpose(), policy.kernel_select, tpb)?;
+        let groups = self.place_groups(&dose, &grad, &policy, stored_cuts, &self.live_devices())?;
         self.plan_index.insert(name.to_string(), self.plans.len());
         self.plans.push(Plan {
             name: name.to_string(),
             nrows: matrix.nrows(),
             ncols: matrix.ncols(),
-            calcs,
-            placement,
-            source,
+            dose,
+            grad,
             policy,
-            choice,
-            grad_choice,
-            row_plan: partition.map(|(plan, _)| plan),
-            grad_row_plan: grad_partition.map(|(plan, _)| plan),
+            placement: Mutex::new(Arc::new(PlacementEpoch { epoch: 0, groups })),
+            rebalances: AtomicU64::new(0),
         });
         Ok(())
     }
 
-    /// Resolves a placed policy into replica groups with resident shard
-    /// calculators, dealt over the `live` device subset (the whole pool
-    /// at registration; the surviving members during a drain re-deal).
+    /// Resolves a policy into replica groups with resident shard units,
+    /// dealt over the `live` device subset (the whole pool at
+    /// registration; the surviving members during a drain re-deal).
     /// The break-even model re-runs against the live members, so a
     /// shrunken group may legitimately pick a smaller `K` than the full
     /// pool would have.
-    #[allow(clippy::too_many_arguments)] // both directions' pinned decisions
     fn place_groups(
         &self,
-        matrix: &Csr<f64, u32>,
-        transpose: &Csr<f64, u32>,
+        dose: &Direction,
+        grad: &Direction,
         policy: &ExecPolicy,
-        choice: &KernelChoice,
-        grad_choice: &KernelChoice,
-        widths: Option<BucketWidths>,
-        grad_widths: Option<BucketWidths>,
         stored_cuts: Option<&[usize]>,
         live: &[usize],
     ) -> Result<Vec<ReplicaGroup>, RtError> {
         let pool = self.devices.len();
         let live_n = live.len();
         let weights: Vec<f64> = self.devices.iter().map(|d| d.effective_dram_bw()).collect();
-        let nonempty = nonempty_rows(matrix);
+        let nonempty = nonempty_rows(&dose.matrix);
         let r = match policy.replicas {
             ReplicaSpec::Fixed(r) => {
                 if r > pool {
@@ -921,7 +836,7 @@ impl Engine {
                             .into_iter()
                             .map(|d| self.devices[d].clone())
                             .collect();
-                        let whole = self.whole_seconds_for(&sorted[0], matrix, choice);
+                        let whole = self.whole_seconds_for(&sorted[0], dose);
                         choose_shard_count(&sorted, whole, nonempty, live_n).k
                     }
                 };
@@ -932,12 +847,6 @@ impl Engine {
         // groups are matched in strength; each group lists its members
         // fastest first.
         let memberships = snake_partition_subset(&weights, live, r);
-        // The gradient runs `A^T r` as a forward SpMV on the transpose,
-        // so the transpose shards by its own rows and the gradient
-        // outputs stay disjoint. It runs at the gradient direction's own
-        // pinned decision (width table chosen on the whole transpose,
-        // never the dose partition — the transpose has its own shape),
-        // matching the fully-resident gradient path bit for bit.
         let mut groups = Vec::with_capacity(memberships.len());
         for members in memberships {
             let (k, breakeven) = match policy.shards {
@@ -946,19 +855,15 @@ impl Engine {
                 ShardSpec::Auto => {
                     let specs: Vec<DeviceSpec> =
                         members.iter().map(|&d| self.devices[d].clone()).collect();
-                    let whole = self.whole_seconds_for(&specs[0], matrix, choice);
+                    let whole = self.whole_seconds_for(&specs[0], dose);
                     let be = choose_shard_count(&specs, whole, nonempty, specs.len());
                     (be.k, be.candidates)
                 }
             };
-            let dose_shards =
-                self.build_group_units(matrix, &members, k, choice, widths, stored_cuts)?;
-            let grad_shards =
-                self.build_group_units(transpose, &members, k, grad_choice, grad_widths, None)?;
+            let units = self.build_group_units(dose, grad, &members, k, stored_cuts)?;
             groups.push(ReplicaGroup {
                 devices: members,
-                dose_shards,
-                grad_shards,
+                units,
                 breakeven,
             });
         }
@@ -981,11 +886,11 @@ impl Engine {
 
     /// Marks pool device `d` ineligible for new work: its worker stops
     /// popping requests, no new placement epoch homes shards on it, and
-    /// every placed plan currently holding shards there is re-dealt
-    /// over the surviving devices. Shard sub-tasks already pinned by an
-    /// older epoch still execute, so in-flight fan-outs finish where
-    /// they started — and because every epoch's widths are pinned from
-    /// the whole matrix, the dose bytes are identical either way.
+    /// every plan currently holding shards there is re-dealt over the
+    /// surviving devices. Shard sub-tasks already pinned by an older
+    /// epoch still execute, so in-flight fan-outs finish where they
+    /// started — and because every epoch's widths are pinned from the
+    /// whole matrix, the dose bytes are identical either way.
     ///
     /// Idempotent. Fails with [`RtError::InvalidPlacement`] when `d` is
     /// out of range or draining it would leave the pool empty.
@@ -1009,22 +914,21 @@ impl Engine {
             )));
         }
         self.drained[d].store(true, Ordering::SeqCst);
-        for idx in 0..self.plans.len() {
-            let uses_d = self.plans[idx].placement.as_ref().is_some_and(|cell| {
-                cell.snapshot()
-                    .groups
-                    .iter()
-                    .any(|g| g.devices.contains(&d))
-            });
-            if uses_d {
-                self.redeal_plan(idx, &live)?;
+        for plan in &self.plans {
+            if plan
+                .snapshot()
+                .groups
+                .iter()
+                .any(|g| g.devices.contains(&d))
+            {
+                self.redeal_plan(plan, &live)?;
             }
         }
         Ok(())
     }
 
-    /// Returns a drained device to service and re-deals every placed
-    /// plan over the grown pool. Idempotent; fails with
+    /// Returns a drained device to service and re-deals every plan over
+    /// the grown pool. Idempotent; fails with
     /// [`RtError::InvalidPlacement`] when `d` is out of range.
     pub fn undrain_device(&self, d: usize) -> Result<(), RtError> {
         if d >= self.devices.len() {
@@ -1038,99 +942,79 @@ impl Engine {
             return Ok(());
         }
         let live = self.live_devices();
-        for idx in 0..self.plans.len() {
-            if self.plans[idx].placement.is_some() {
-                self.redeal_plan(idx, &live)?;
-            }
+        for plan in &self.plans {
+            self.redeal_plan(plan, &live)?;
         }
         Ok(())
     }
 
-    /// Skew-triggered re-deal: `try_lock` so a worker thread never
-    /// blocks behind a drain already in progress (the drain's own
-    /// re-deal supersedes this one anyway).
-    fn rebalance_plan(&self, plan_idx: usize) {
-        let Ok(_serialize) = self.rebalance_lock.try_lock() else {
-            return;
-        };
-        let live = self.live_devices();
-        // Build errors can't reach here (the same inputs placed cleanly
-        // at registration), but a worker must never panic.
-        let _ = self.redeal_plan(plan_idx, &live);
-    }
-
-    /// Re-deals one placed plan's replica groups over `live` and swaps
-    /// the new epoch in. The shard build runs *before* the cell lock is
+    /// Re-deals one plan's replica groups over `live` and swaps the new
+    /// epoch in. The shard build runs *before* the placement lock is
     /// taken, so dispatchers are never blocked behind calculator
     /// construction; callers hold `rebalance_lock`.
-    fn redeal_plan(&self, plan_idx: usize, live: &[usize]) -> Result<(), RtError> {
-        let plan = &self.plans[plan_idx];
-        let (Some(cell), Some(src)) = (&plan.placement, &plan.source) else {
-            return Ok(());
-        };
-        let groups = self.place_groups(
-            &src.matrix,
-            &src.transpose,
-            &plan.policy,
-            &plan.choice,
-            &plan.grad_choice,
-            src.widths,
-            src.grad_widths,
-            None,
-            live,
-        )?;
-        let mut cur = cell.current.lock().unwrap();
+    fn redeal_plan(&self, plan: &Plan, live: &[usize]) -> Result<(), RtError> {
+        let groups = self.place_groups(&plan.dose, &plan.grad, &plan.policy, None, live)?;
+        let mut cur = plan.placement.lock().unwrap();
         *cur = Arc::new(PlacementEpoch {
             epoch: cur.epoch + 1,
             groups,
         });
-        cell.rebalances.fetch_add(1, Ordering::SeqCst);
+        plan.rebalances.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
 
-    /// Splits `matrix` into `k` row-range shards weighted by each home
-    /// device's modeled bandwidth (shard `s` homes on the group's
-    /// `s % group_size`-th member) and builds one calculator per shard.
-    /// Stored snapshot cuts short-circuit the split when they match the
-    /// resolved shard count. With `widths`, each shard dispatches
-    /// through the bucketed partition of its own sub-matrix at the
-    /// plan's pinned per-bucket widths.
+    /// Splits both directions into `k` row-range shards weighted by each
+    /// home device's modeled bandwidth (shard `s` homes on the group's
+    /// `s % group_size`-th member) and builds one calculator per shard
+    /// index holding dose shard `s` and gradient shard `s`. The
+    /// transpose shards by its own rows, so gradient outputs stay
+    /// disjoint; it gets at most as many shards as the matrix, so shard
+    /// `s` of both directions always has a home. Stored snapshot cuts
+    /// short-circuit the dose split when they match `k`. Each direction
+    /// runs at its own pinned decision — for partitioned plans, through
+    /// the bucketed partition of its own sub-matrix at the whole
+    /// matrix's per-bucket widths.
     fn build_group_units(
         &self,
-        matrix: &Csr<f64, u32>,
+        dose: &Direction,
+        grad: &Direction,
         members: &[usize],
         k: usize,
-        choice: &KernelChoice,
-        widths: Option<BucketWidths>,
         stored_cuts: Option<&[usize]>,
     ) -> Result<Vec<ShardUnit>, RtError> {
         let n = members.len();
-        let plan = match stored_cuts {
-            Some(cuts) if cuts.len() + 1 == k => ShardPlan::from_cuts(matrix, cuts),
-            _ => {
-                let group_weights: Vec<f64> = (0..k)
-                    .map(|i| self.devices[members[i % n]].effective_dram_bw())
-                    .collect();
-                ShardPlan::build_weighted(matrix, &group_weights)
-            }
+        let weights: Vec<f64> = (0..k)
+            .map(|i| self.devices[members[i % n]].effective_dram_bw())
+            .collect();
+        let dose_plan = match stored_cuts {
+            Some(cuts) if cuts.len() + 1 == k => ShardPlan::from_cuts(&dose.matrix, cuts),
+            _ => ShardPlan::build_weighted(&dose.matrix, &weights),
         };
-        plan.shards()
+        let grad_plan = ShardPlan::build_weighted(&grad.matrix, &weights[..dose_plan.num_shards()]);
+        dose_plan
+            .shards()
             .iter()
-            .map(|shard| {
-                let device = members[shard.index % n];
-                let mut b = DoseCalculator::builder(&shard.matrix)
+            .map(|ds| {
+                let device = members[ds.index % n];
+                let gs = grad_plan.shards().get(ds.index);
+                let mut b = DoseCalculator::builder(&ds.matrix)
                     .device(self.devices[device].clone())
                     .threads_per_block(self.threads_per_block)
-                    .tile_width(choice.tile_width);
-                if let Some(w) = widths {
-                    b = b.partitioned_with_plan(shard.plan.clone(), w);
+                    .tile_width(dose.choice.tile_width)
+                    .grad_tile_width(grad.choice.tile_width);
+                if let Some(w) = dose.widths() {
+                    b = b.partitioned_with_plan(ds.plan.clone(), w);
+                }
+                if let Some(gs) = gs {
+                    b = b.gradient_matrix(&gs.matrix);
+                    if let Some(w) = grad.widths() {
+                        b = b.grad_partitioned_with_plan(gs.plan.clone(), w);
+                    }
                 }
                 Ok(ShardUnit {
                     device,
-                    row_start: shard.row_start,
-                    row_end: shard.row_end,
-                    nnz: shard.nnz() as u64,
-                    gather_bytes: shard.gather_bytes(),
+                    dose: ShardRows::of(ds),
+                    grad: gs.map(ShardRows::of),
                     calc: b.build()?,
                 })
             })
@@ -1144,12 +1028,8 @@ impl Engine {
     /// reference by modeled bandwidth; other strategies fall back to the
     /// analytic traffic estimate ([`modeled_whole_seconds`], binary16
     /// values + `u32` column indices).
-    fn whole_seconds_for(
-        &self,
-        reference: &DeviceSpec,
-        matrix: &Csr<f64, u32>,
-        choice: &KernelChoice,
-    ) -> f64 {
+    fn whole_seconds_for(&self, reference: &DeviceSpec, dose: &Direction) -> f64 {
+        let (matrix, choice) = (&dose.matrix, &dose.choice);
         match choice
             .candidates
             .iter()
@@ -1208,25 +1088,7 @@ impl Engine {
             queue: BoundedQueue::new(self.queue_capacity),
             gate: Gate::new(self.start_paused),
             metrics: Metrics::new(&names),
-            loads: self
-                .plans
-                .iter()
-                .map(|p| {
-                    let (groups, epoch) = p.placement.as_ref().map_or((0, 0), |cell| {
-                        let cur = cell.snapshot();
-                        (cur.groups.len(), cur.epoch)
-                    });
-                    Mutex::new(PlanLoads {
-                        epochs: HashMap::new(),
-                        ewma_served: vec![
-                            if groups > 0 { 1.0 / groups as f64 } else { 0.0 };
-                            groups
-                        ],
-                        ewma_epoch: epoch,
-                        epoch_completions: 0,
-                    })
-                })
-                .collect(),
+            loads: self.plans.iter().map(|_| Mutex::default()).collect(),
         };
         let out = std::thread::scope(|s| {
             for dev in 0..self.devices.len() {
@@ -1247,105 +1109,84 @@ impl Engine {
         let mut report = state
             .metrics
             .report(self.queue_capacity, state.queue.max_depth());
+        let buckets = |choice: &KernelChoice| -> Vec<BucketSelection> {
+            choice
+                .buckets
+                .iter()
+                .filter(|bc| bc.rows > 0)
+                .map(|bc| BucketSelection {
+                    min_len: bc.min_len,
+                    max_len: bc.max_len,
+                    rows: bc.rows,
+                    tile_width: bc.tile_width,
+                    lanes_active_frac: bc.lanes_active_frac,
+                })
+                .collect()
+        };
         report.plans = self
             .plans
             .iter()
-            .enumerate()
-            .map(|(plan_idx, p)| {
-                let placed = p.placement.as_ref().map(|cell| cell.snapshot());
+            .zip(&state.loads)
+            .map(|(p, loads)| {
+                let pl = p.snapshot();
+                // Served tallies are per-epoch; the report shows the
+                // current epoch's row (zeros if nothing dispatched on it
+                // yet).
+                let served: Vec<u64> = loads
+                    .lock()
+                    .unwrap()
+                    .get(&pl.epoch)
+                    .map(|e| e.served.clone())
+                    .unwrap_or_else(|| vec![0; pl.groups.len()]);
                 PlanSelection {
                     name: p.name.clone(),
-                    tile_width: p.choice.tile_width,
-                    mode: p.choice.mode.to_string(),
-                    avg_nnz_nonempty: p.choice.avg_nnz_nonempty,
-                    grad_tile_width: p.grad_choice.tile_width,
-                    buckets: p
-                        .choice
-                        .buckets
+                    tile_width: p.dose.choice.tile_width,
+                    mode: p.dose.choice.mode.to_string(),
+                    avg_nnz_nonempty: p.dose.choice.avg_nnz_nonempty,
+                    grad_tile_width: p.grad.choice.tile_width,
+                    buckets: buckets(&p.dose.choice),
+                    grad_buckets: buckets(&p.grad.choice),
+                    shards: pl.groups[0]
+                        .units
                         .iter()
-                        .filter(|bc| bc.rows > 0)
-                        .map(|bc| BucketSelection {
-                            min_len: bc.min_len,
-                            max_len: bc.max_len,
-                            rows: bc.rows,
-                            tile_width: bc.tile_width,
-                            lanes_active_frac: bc.lanes_active_frac,
+                        .enumerate()
+                        .map(|(i, u)| PlanShard {
+                            shard: i,
+                            device: self.devices[u.device].name.to_string(),
+                            row_start: u.dose.row_start as u64,
+                            rows: (u.dose.row_end - u.dose.row_start) as u64,
+                            nnz: u.dose.nnz,
+                            resident_bytes: u.calc.resident_bytes(),
                         })
                         .collect(),
-                    grad_buckets: p
-                        .grad_choice
-                        .buckets
-                        .iter()
-                        .filter(|bc| bc.rows > 0)
-                        .map(|bc| BucketSelection {
-                            min_len: bc.min_len,
-                            max_len: bc.max_len,
-                            rows: bc.rows,
-                            tile_width: bc.tile_width,
-                            lanes_active_frac: bc.lanes_active_frac,
-                        })
-                        .collect(),
-                    shards: placed
-                        .as_ref()
-                        .map(|pl| {
-                            pl.groups[0]
-                                .dose_shards
-                                .iter()
-                                .enumerate()
-                                .map(|(i, u)| PlanShard {
-                                    shard: i,
-                                    device: self.devices[u.device].name.to_string(),
-                                    row_start: u.row_start as u64,
-                                    rows: (u.row_end - u.row_start) as u64,
-                                    nnz: u.nnz,
-                                    resident_bytes: u.calc.resident_bytes(),
-                                })
-                                .collect()
-                        })
-                        .unwrap_or_default(),
-                    placement: placed.as_ref().map(|pl| {
-                        // Served tallies are per-epoch; the report shows the
-                        // current epoch's row (zeros if nothing dispatched
-                        // on it yet).
-                        let served: Vec<u64> = state.loads[plan_idx]
-                            .lock()
-                            .unwrap()
-                            .epochs
-                            .get(&pl.epoch)
-                            .map(|e| e.served.clone())
-                            .unwrap_or_else(|| vec![0; pl.groups.len()]);
-                        PlacementSelection {
-                            replicas: pl.groups.len(),
-                            shards_per_replica: pl.groups[0].dose_shards.len(),
-                            auto_shards: p.placement.as_ref().is_some_and(|cell| cell.auto_shards),
-                            rebalances: p
-                                .placement
-                                .as_ref()
-                                .map_or(0, |cell| cell.rebalances.load(Ordering::SeqCst)),
-                            groups: pl
-                                .groups
-                                .iter()
-                                .enumerate()
-                                .map(|(g, grp)| ReplicaGroupSelection {
-                                    group: g,
-                                    devices: grp
-                                        .devices
-                                        .iter()
-                                        .map(|&d| self.devices[d].name.to_string())
-                                        .collect(),
-                                    shards: grp.dose_shards.len(),
-                                    served: served[g],
-                                })
-                                .collect(),
-                            breakeven: pl.groups[0]
-                                .breakeven
-                                .iter()
-                                .map(|b| BreakEvenSelection {
-                                    k: b.k,
-                                    modeled_seconds: b.modeled_seconds,
-                                })
-                                .collect(),
-                        }
+                    placement: Some(PlacementSelection {
+                        replicas: pl.groups.len(),
+                        shards_per_replica: pl.groups[0].units.len(),
+                        auto_shards: p.policy.shards == ShardSpec::Auto,
+                        rebalances: p.rebalances.load(Ordering::SeqCst),
+                        groups: pl
+                            .groups
+                            .iter()
+                            .enumerate()
+                            .map(|(g, grp)| ReplicaGroupSelection {
+                                group: g,
+                                devices: grp
+                                    .devices
+                                    .iter()
+                                    .map(|&d| self.devices[d].name.to_string())
+                                    .collect(),
+                                shards: grp.units.len(),
+                                served: served[g],
+                            })
+                            .collect(),
+                        breakeven: pl.groups[0]
+                            .breakeven
+                            .iter()
+                            .map(|b| BreakEvenSelection {
+                                k: b.k,
+                                modeled_seconds: b.modeled_seconds,
+                            })
+                            .collect(),
                     }),
                 }
             })
@@ -1378,9 +1219,12 @@ impl Engine {
         }
     }
 
-    /// Gathers batch mates, sheds expired requests, then either executes
-    /// on this device's fully-resident calculator or fans the batch out
-    /// into per-shard sub-tasks across the pool.
+    /// Gathers batch mates, sheds expired requests, picks a replica
+    /// group and fans the batch out over its shards: the other devices'
+    /// shard sub-tasks are queued first, then this worker runs the shards
+    /// homed on its own device in place. Under the default placement
+    /// (`R` = pool, `K = 1`) the group picked is this device's own, so
+    /// the whole batch runs here with no queue hop.
     fn dispatch_request(&self, dev: usize, first: EngineRequest, state: &ServeState) {
         let (plan_idx, kind) = (first.plan, first.kind);
         let mut batch = vec![first];
@@ -1411,132 +1255,86 @@ impl Engine {
                 _ => live.push((req, waited_ms)),
             }
         }
-
+        state.metrics.record_batch(sample);
         if live.is_empty() {
-            state.metrics.record_batch(sample);
             return;
         }
         let plan = &self.plans[plan_idx];
-        if let Some(cell) = &plan.placement {
-            // Pin the placement epoch for this fan-out before group
-            // selection: a rebalance swapping the cell after this point
-            // only affects *later* dispatches.
-            let epoch = cell.snapshot();
-            let r = epoch.groups.len();
-            // Least-loaded replica group, ties to the lowest index.
-            // Selection and the outstanding increment share one critical
-            // section so concurrent dispatchers never double-book the
-            // idle group.
-            let group = {
-                let mut loads = state.loads[plan_idx].lock().unwrap();
-                if epoch.epoch > loads.ewma_epoch {
-                    // First dispatch on a new generation: reset the
-                    // skew tracker to a balanced prior.
-                    loads.ewma_epoch = epoch.epoch;
-                    loads.ewma_served = vec![1.0 / r as f64; r];
-                    loads.epoch_completions = 0;
-                }
-                let entry = loads
-                    .epochs
-                    .entry(epoch.epoch)
-                    .or_insert_with(|| GroupLoads {
-                        outstanding: vec![0; r],
-                        served: vec![0; r],
-                    });
-                let g = (0..r)
-                    .min_by_key(|&g| entry.outstanding[g])
-                    .expect("a placement has at least one group");
-                entry.outstanding[g] += 1;
-                g
-            };
-            // The binding deadline is the earliest member's *true*
-            // deadline (`submitted_i + budget_i`), never the oldest
-            // submission paired with the batch's minimum budget — a
-            // mate's tight budget binds only from that mate's own,
-            // later submission time.
-            let deadline = live
-                .iter()
-                .filter_map(|(req, _)| {
-                    req.budget_ms
-                        .map(|b| (req.submitted + Duration::from_secs_f64(b / 1e3), b))
-                })
-                .min_by(|a, b| a.0.cmp(&b.0));
-            let shards = epoch.groups[group].shards_for(kind);
-            let fan = Arc::new(FanOut {
-                plan: plan_idx,
-                group,
-                epoch: Arc::clone(&epoch),
-                kind,
-                outputs: Mutex::new(vec![
-                    vec![
-                        0.0;
-                        match kind {
-                            RequestKind::Dose => plan.nrows,
-                            RequestKind::Gradient => plan.ncols,
-                        }
-                    ];
-                    live.len()
-                ]),
-                remaining: AtomicUsize::new(shards.len()),
-                cancelled: AtomicBool::new(false),
-                reports: Mutex::new(Vec::with_capacity(shards.len())),
-                deadline,
-                requests: live,
+        // Pin the placement epoch for this fan-out before group
+        // selection: a re-deal swapping the placement after this point
+        // only affects *later* dispatches.
+        let epoch = plan.snapshot();
+        let r = epoch.groups.len();
+        // Least-loaded replica group; ties go to a group homing a shard
+        // on this device (it runs here with no queue hop), then to the
+        // lowest index. Selection and the outstanding increment share one
+        // critical section so concurrent dispatchers never double-book
+        // the idle group.
+        let group = {
+            let mut loads = state.loads[plan_idx].lock().unwrap();
+            let entry = loads.entry(epoch.epoch).or_insert_with(|| GroupLoads {
+                outstanding: vec![0; r],
+                served: vec![0; r],
             });
-            // Register the fan-out *before* its sub-tasks exist so no
-            // worker can observe closed+empty and exit in between.
-            state.queue.inflight_inc();
+            let homes_here = |g: usize| {
+                epoch.groups[g]
+                    .shards_for(kind)
+                    .any(|(_, u)| u.device == dev)
+            };
+            let g = (0..r)
+                .min_by_key(|&g| (entry.outstanding[g], !homes_here(g)))
+                .expect("a placement has at least one group");
+            entry.outstanding[g] += 1;
+            g
+        };
+        // The binding deadline is the earliest member's *true* deadline
+        // (`submitted_i + budget_i`), never the oldest submission paired
+        // with the batch's minimum budget — a mate's tight budget binds
+        // only from that mate's own, later submission time.
+        let deadline = live
+            .iter()
+            .filter_map(|(req, _)| {
+                req.budget_ms
+                    .map(|b| (req.submitted + Duration::from_secs_f64(b / 1e3), b))
+            })
+            .min_by(|a, b| a.0.cmp(&b.0));
+        let (own, others): (Vec<_>, Vec<_>) = epoch.groups[group]
+            .shards_for(kind)
+            .map(|(s, u)| (s, u.device))
+            .partition(|&(_, device)| device == dev);
+        let out_len = match kind {
+            RequestKind::Dose => plan.nrows,
+            RequestKind::Gradient => plan.ncols,
+        };
+        let shards = own.len() + others.len();
+        let fan = Arc::new(FanOut {
+            plan: plan_idx,
+            group,
+            epoch: Arc::clone(&epoch),
+            kind,
+            outputs: Mutex::new(vec![vec![0.0; out_len]; live.len()]),
+            remaining: AtomicUsize::new(shards),
+            cancelled: AtomicBool::new(false),
+            reports: Mutex::new(Vec::with_capacity(shards)),
+            deadline,
+            requests: live,
+        });
+        // Register the fan-out *before* its sub-tasks exist so no worker
+        // can observe closed+empty and exit in between.
+        state.queue.inflight_inc();
+        let task = |(shard, device): (usize, usize)| ShardTask {
+            shard,
+            device,
+            fan: Arc::clone(&fan),
+        };
+        if !others.is_empty() {
             state
                 .queue
-                .push_all_internal(shards.iter().enumerate().map(|(s, u)| {
-                    WorkItem::Shard(ShardTask {
-                        shard: s,
-                        device: u.device,
-                        fan: Arc::clone(&fan),
-                    })
-                }));
-            state.metrics.record_batch(sample);
-            return;
+                .push_all_internal(others.into_iter().map(|t| WorkItem::Shard(task(t))));
         }
-
-        let calc = &plan.calcs[dev];
-        let inputs: Vec<&[f64]> = live.iter().map(|(r, _)| r.payload.as_slice()).collect();
-        let result = match kind {
-            RequestKind::Dose => calc.compute_dose_batch(&inputs),
-            RequestKind::Gradient => calc.compute_gradient_batch(&inputs),
-        };
-        match result {
-            Ok(batch_result) => {
-                sample.launches = 1;
-                sample.batches = 1;
-                sample.batch_size = live.len() as u64;
-                sample.completed = live.len() as u64;
-                sample.modeled_seconds = batch_result.report.estimate.seconds;
-                let report = batch_result.report;
-                for ((req, waited_ms), output) in live.into_iter().zip(batch_result.outputs) {
-                    sample
-                        .timings
-                        .push((waited_ms, ms(req.submitted.elapsed())));
-                    req.slot.complete(Ok(EngineResponse {
-                        output,
-                        report: report.clone(),
-                        device: self.devices[dev].name.to_string(),
-                        batch_size: sample.batch_size as usize,
-                        queue_ms: waited_ms,
-                        shards: None,
-                    }));
-                }
-            }
-            Err(e) => {
-                // Unreachable through validated admission, but a
-                // worker must never panic: fail the whole batch.
-                sample.failed = live.len() as u64;
-                for (req, _) in live {
-                    req.slot.complete(Err(e.clone()));
-                }
-            }
+        for t in own {
+            self.run_shard(dev, task(t), state);
         }
-        state.metrics.record_batch(sample);
     }
 
     /// Executes one shard sub-task on its home device: deadline check,
@@ -1549,9 +1347,12 @@ impl Engine {
         let fan = &task.fan;
         let plan = &self.plans[fan.plan];
         // Resolve the shard against the epoch this fan-out was dealt
-        // under, not the plan's current placement — a rebalance may have
-        // swapped the cell while this sub-task sat in the queue.
-        let unit = &fan.epoch.groups[fan.group].shards_for(fan.kind)[task.shard];
+        // under, not the plan's current placement — a re-deal may have
+        // swapped it while this sub-task sat in the queue.
+        let unit = &fan.epoch.groups[fan.group].units[task.shard];
+        let rows = unit
+            .rows(fan.kind)
+            .expect("fan-outs task only units holding their direction");
         let mut sample = empty_sample(dev);
 
         // A deadline that expired while sub-tasks sat behind a slow
@@ -1592,14 +1393,16 @@ impl Engine {
             .iter()
             .map(|(r, _)| r.payload.as_slice())
             .collect();
-        // Both directions run as a *forward* batched SpMV: gradient
-        // shards hold rows of the transpose.
-        match unit.calc.compute_dose_batch(&inputs) {
+        let result = match fan.kind {
+            RequestKind::Dose => unit.calc.compute_dose_batch(&inputs),
+            RequestKind::Gradient => unit.calc.compute_gradient_batch(&inputs),
+        };
+        match result {
             Ok(br) => {
                 {
                     let mut out = fan.outputs.lock().unwrap();
                     for (v, part) in br.outputs.iter().enumerate() {
-                        out[v][unit.row_start..unit.row_end].copy_from_slice(part);
+                        out[v][rows.row_start..rows.row_end].copy_from_slice(part);
                     }
                 }
                 // One *physical* launch sequence on this device; the
@@ -1608,17 +1411,18 @@ impl Engine {
                 sample.launches = 1;
                 sample.modeled_seconds = br.report.estimate.seconds;
                 let spec = &self.devices[unit.device];
-                let gather_bytes = unit.gather_bytes * inputs.len() as u64;
+                let gather_bytes = rows.gather_bytes * inputs.len() as u64;
+                let direction = plan.direction(fan.kind);
                 fan.reports.lock().unwrap().push(ShardReport {
                     shard: task.shard,
                     device: spec.name.to_string(),
-                    row_start: unit.row_start as u64,
-                    rows: (unit.row_end - unit.row_start) as u64,
-                    nnz: unit.nnz,
-                    dispatch: if unit.calc.is_partitioned() {
+                    row_start: rows.row_start as u64,
+                    rows: (rows.row_end - rows.row_start) as u64,
+                    nnz: rows.nnz,
+                    dispatch: if direction.row_plan.is_some() {
                         "bucketed".to_string()
                     } else {
-                        format!("w={}", unit.calc.tile_width())
+                        format!("w={}", direction.choice.tile_width)
                     },
                     stats: br.report.stats.clone(),
                     estimate: br.report.estimate.clone(),
@@ -1653,47 +1457,18 @@ impl Engine {
     }
 
     /// Last shard of a fan-out retired (completed, shed, or failed):
-    /// release the queue's in-flight hold and return the replica
-    /// group's load slot in the epoch it was dealt under, counting
-    /// completed fan-outs toward its served tally — and, on the current
-    /// epoch, feed the EWMA skew tracker. A group whose served share
-    /// has decayed below `SKEW_SHARE_FLOOR / R` while it still holds
-    /// outstanding work is starved behind a slow member: the plan is
-    /// re-dealt over the live devices (epoch swap), which also resets
-    /// the tracker.
+    /// release the queue's in-flight hold and return the replica group's
+    /// load slot in the epoch it was dealt under, counting completed
+    /// fan-outs toward its served tally.
     fn retire_fan(&self, fan: &FanOut, state: &ServeState, completed: bool) {
         state.queue.inflight_dec();
-        let skewed = {
-            let mut loads = state.loads[fan.plan].lock().unwrap();
-            let entry = loads
-                .epochs
-                .get_mut(&fan.epoch.epoch)
-                .expect("dispatch created this epoch's load row");
-            entry.outstanding[fan.group] -= 1;
-            if completed {
-                entry.served[fan.group] += 1;
-            }
-            if completed && fan.epoch.epoch == loads.ewma_epoch && loads.ewma_served.len() >= 2 {
-                loads.epoch_completions += 1;
-                let group = fan.group;
-                for (g, share) in loads.ewma_served.iter_mut().enumerate() {
-                    let hit = if g == group { 1.0 } else { 0.0 };
-                    *share = (1.0 - SKEW_EWMA_ALPHA) * *share + SKEW_EWMA_ALPHA * hit;
-                }
-                let r = loads.ewma_served.len() as f64;
-                let entry = &loads.epochs[&fan.epoch.epoch];
-                loads.epoch_completions >= SKEW_MIN_COMPLETIONS
-                    && loads
-                        .ewma_served
-                        .iter()
-                        .enumerate()
-                        .any(|(g, &share)| share < SKEW_SHARE_FLOOR / r && entry.outstanding[g] > 0)
-            } else {
-                false
-            }
-        };
-        if skewed {
-            self.rebalance_plan(fan.plan);
+        let mut loads = state.loads[fan.plan].lock().unwrap();
+        let entry = loads
+            .get_mut(&fan.epoch.epoch)
+            .expect("dispatch created this epoch's load row");
+        entry.outstanding[fan.group] -= 1;
+        if completed {
+            entry.served[fan.group] += 1;
         }
     }
 
@@ -1729,10 +1504,7 @@ impl Engine {
         let device = sharded.devices.join("+");
         // The merged report carries the direction-correct width: the
         // gradient direction runs at its own pinned decision.
-        let fan_width = match fan.kind {
-            RequestKind::Dose => plan.choice.tile_width,
-            RequestKind::Gradient => plan.grad_choice.tile_width,
-        };
+        let fan_width = plan.direction(fan.kind).choice.tile_width;
         let report = LaunchReport::new(kernel, device.clone(), sharded.stats.clone(), estimate)
             .with_tile_width(fan_width);
         let outputs = std::mem::take(&mut *fan.outputs.lock().unwrap());
@@ -1906,16 +1678,16 @@ impl EngineClient<'_> {
     }
 
     /// Drains pool device `d` for maintenance mid-session: no new
-    /// requests or shard homes land on it, every placed plan holding
-    /// shards there is re-dealt over the surviving devices, and
+    /// requests or shard homes land on it, every plan holding shards
+    /// there is re-dealt over the surviving devices, and
     /// in-flight fan-outs finish on their old placement epoch. See
     /// [`Engine::drain_device`].
     pub fn drain_device(&self, d: usize) -> Result<(), RtError> {
         self.engine.drain_device(d)
     }
 
-    /// Returns a drained device to service and re-deals every placed
-    /// plan over the grown pool. See [`Engine::undrain_device`].
+    /// Returns a drained device to service and re-deals every plan over
+    /// the grown pool. See [`Engine::undrain_device`].
     pub fn undrain_device(&self, d: usize) -> Result<(), RtError> {
         self.engine.undrain_device(d)
     }

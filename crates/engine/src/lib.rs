@@ -8,9 +8,9 @@
 //! * **Device pool** — one worker thread per [`DeviceSpec`]
 //!   (e.g. 2×A100 + 1×V100), each owning exclusive per-plan
 //!   [`DoseCalculator`]s for its device.
-//! * **Multi-plan registry** — [`Engine::register_plan`] uploads a dose
-//!   deposition matrix (and its transpose) to every device; requests name
-//!   their plan.
+//! * **Multi-plan registry** — [`Engine::register_plan`] places a dose
+//!   deposition matrix and its transpose on the pool (by default a whole
+//!   copy on every device); requests name their plan.
 //! * **Request batching** — a worker that dequeues a request gathers
 //!   queued compatible requests (same plan, same operation) into one
 //!   multi-vector launch, sharing the matrix bytes
@@ -18,7 +18,7 @@
 //! * **Per-plan execution policy** — [`Engine::register_plan_with`]
 //!   takes an [`ExecPolicy`] (kernel selection × sharding × replication),
 //!   so plans on the same engine can run completely different layouts.
-//! * **Replica × shard placement** — a placed plan is dealt across `R`
+//! * **Replica × shard placement** — every plan is dealt across `R`
 //!   disjoint replica groups of the pool (snake-dealt by modeled device
 //!   bandwidth, so groups are matched in strength), each holding `K`
 //!   throughput-weighted row-range shards. `K` comes from a break-even
@@ -27,7 +27,8 @@
 //!   launch + gather overhead outweighs its bandwidth. Dispatch picks
 //!   the least-loaded group per request; within a group the request fans
 //!   out into per-shard sub-tasks whose disjoint results scatter into
-//!   one bitwise-exact dose.
+//!   one bitwise-exact dose. The default policy is `R` = the live pool
+//!   and `K = 1`, so a request runs whole on the worker that popped it.
 //! * **Admission control** — a bounded queue: [`EngineClient::submit`]
 //!   blocks when full (backpressure), [`EngineClient::try_submit`] sheds
 //!   with [`RtError::QueueFull`]; per-request deadlines shed stale work

@@ -14,18 +14,17 @@ use std::time::Instant;
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DeviceReport {
     pub name: String,
-    /// Requests completed successfully on this device. For sharded plans
-    /// the completion is attributed to the device whose shard landed
-    /// last.
+    /// Requests completed successfully on this device: the device whose
+    /// shard landed last (for a `K = 1` plan, the one that ran it).
     pub requests: u64,
-    /// Batched kernel-launch sequences executed (one per shard sub-task
-    /// for sharded plans).
+    /// Batched kernel-launch sequences executed (one per shard of a
+    /// fan-out).
     pub launches: u64,
     /// Modeled GPU seconds accumulated from launch reports.
     pub modeled_seconds: f64,
-    /// Plan bytes resident on this device (matrices + transposes, or
-    /// just this device's shards for row-sharded plans). Attached by the
-    /// engine after the metrics snapshot.
+    /// Plan bytes resident on this device: the dose and gradient shards
+    /// homed here (the whole matrix and transpose for a `K = 1` plan).
+    /// Attached by the engine after the metrics snapshot.
     pub resident_bytes: u64,
     /// Whether the device was drained (out for maintenance) when the
     /// report was taken: no new requests or shard homes land on it,
@@ -59,18 +58,17 @@ pub struct PlanSelection {
     /// transpose's own row plan (partitioned plans only). Only populated
     /// buckets appear.
     pub grad_buckets: Vec<BucketSelection>,
-    /// Row-range shards of the dose matrix, in row order (placed plans
-    /// only; for replicated plans these are replica group 0's shards —
-    /// other groups may cut differently when their device mix differs).
-    /// Empty when the plan is fully resident on every device.
+    /// Row-range shards of the dose matrix, in row order (replica group
+    /// 0's shards — other groups may cut differently when their device
+    /// mix differs). One whole-matrix shard for a `K = 1` plan.
     pub shards: Vec<PlanShard>,
-    /// Replica × shard placement of the plan (placed plans only; `None`
-    /// when the plan runs the classic fully-resident path).
+    /// Replica × shard placement of the plan. Every engine-built report
+    /// fills it; `None` only in hand-built or default reports.
     pub placement: Option<PlacementSelection>,
 }
 
-/// How a placed plan was laid out across the pool and how the replica
-/// groups shared the session's traffic.
+/// How a plan was laid out across the pool and how the replica groups
+/// shared the session's traffic.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PlacementSelection {
     /// Number of replica groups.
@@ -83,9 +81,8 @@ pub struct PlacementSelection {
     ///
     /// [`ShardSpec::Auto`]: crate::ShardSpec::Auto
     pub auto_shards: bool,
-    /// Rebalance events this plan's placement absorbed over its
-    /// lifetime: drain/undrain re-deals plus skew-triggered re-deals,
-    /// each an atomic epoch swap.
+    /// Re-deals this plan's placement absorbed over its lifetime, one per
+    /// drain or undrain that moved it, each an atomic epoch swap.
     pub rebalances: u64,
     /// Per-group membership and served-request tallies (the current
     /// placement epoch's groups; served counts are per-epoch).
@@ -118,8 +115,8 @@ pub struct BreakEvenSelection {
     pub modeled_seconds: f64,
 }
 
-/// One row-range shard of a row-sharded plan: where its rows live and
-/// what it costs to keep there.
+/// One row-range shard of a plan: where its rows live and what it costs
+/// to keep there.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PlanShard {
     /// Shard index (also its position in the dose scatter).
@@ -132,7 +129,8 @@ pub struct PlanShard {
     pub rows: u64,
     /// Stored entries in the sub-matrix.
     pub nnz: u64,
-    /// Device bytes the shard pins on its home device (dose direction).
+    /// Device bytes the shard unit pins on its home device: the dose
+    /// shard plus the gradient shard of the same index.
     pub resident_bytes: u64,
 }
 
@@ -173,8 +171,7 @@ pub struct EngineReport {
     /// Requests that failed in execution with some other error.
     pub failed: u64,
     /// Physical kernel-launch sequences executed across all devices: a
-    /// fan-out contributes one per shard, an unsharded batch exactly
-    /// one.
+    /// fan-out contributes one per shard (exactly one at `K = 1`).
     pub launches: u64,
     /// Completed request *batches*: a fanned-out batch counts once (at
     /// merge), no matter how many shards executed it — the denominator

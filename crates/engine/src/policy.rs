@@ -4,9 +4,9 @@
 //! engine builder (`shards`, `kernel_select`) and applied uniformly to
 //! every plan. [`ExecPolicy`] collapses those knobs into one validated
 //! value that travels with the plan — [`crate::Engine::register_plan_with`]
-//! accepts a policy per plan, so a small prostate matrix can stay fully
-//! resident while an 800k-row liver beam on the same engine is placed as
-//! replicas × shards.
+//! accepts a policy per plan, so a small prostate matrix can keep a whole
+//! copy on every device while an 800k-row liver beam on the same engine
+//! is split as replicas × shards.
 //!
 //! The three axes:
 //!
@@ -32,8 +32,9 @@ use rt_core::{KernelSelect, RtError};
 /// How (and whether) a plan is row-sharded within each replica group.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ShardSpec {
-    /// No sharding: the plan is fully resident per device (classic
-    /// serving; each request runs on one device). The default.
+    /// No sharding (`K = 1`): each replica group holds the whole plan
+    /// on its first device, and each request runs on one device. The
+    /// default.
     #[default]
     Off,
     /// Let the break-even model pick the shard count per replica group —
@@ -46,13 +47,13 @@ pub enum ShardSpec {
     Fixed(usize),
 }
 
-/// How many replica groups a placed plan is dealt across.
+/// How many replica groups a plan is dealt across.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ReplicaSpec {
     /// Derive the group count from the resolved shard count: the pool is
     /// divided into `pool / K` groups so every group can hold a full
-    /// shard set. With [`ShardSpec::Off`] this is the classic
-    /// fully-resident engine. The default.
+    /// shard set. With [`ShardSpec::Off`] this is one whole-plan replica
+    /// per live device (`R` = live pool, `K = 1`). The default.
     #[default]
     Auto,
     /// Force exactly this many replica groups (must not exceed the
@@ -64,7 +65,7 @@ pub enum ReplicaSpec {
 ///
 /// Obtained from [`ExecPolicy::builder`]; the default policy
 /// (`ExecPolicy::default()`) is heuristic width selection, no sharding,
-/// auto replicas — exactly the pre-policy engine's behavior.
+/// auto replicas — one whole-plan replica per live device.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecPolicy {
     pub(crate) kernel_select: KernelSelect,

@@ -148,10 +148,12 @@ impl<T> BoundedQueue<T> {
 
     /// Retires a fan-out; wakes blocked poppers so workers can re-check
     /// their exit condition once the last fan-out drains after close.
+    /// Before close no popper waits on the in-flight count, so a fan-out
+    /// that queued nothing retires without waking anyone.
     pub fn inflight_dec(&self) {
         let mut g = self.inner.lock().unwrap();
         g.inflight -= 1;
-        let wake = g.inflight == 0;
+        let wake = g.inflight == 0 && g.closed;
         drop(g);
         if wake {
             self.not_empty.notify_all();

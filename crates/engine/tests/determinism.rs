@@ -571,7 +571,7 @@ fn sharded_report_exposes_shards_and_cuts_residency() {
     }
 
     // The report names each shard's home device and row range.
-    assert!(full.plans[0].shards.is_empty());
+    assert_eq!(full.plans[0].shards.len(), 1);
     let shards = &sharded.plans[0].shards;
     assert_eq!(shards.len(), 3);
     assert_eq!(
@@ -586,7 +586,7 @@ fn sharded_report_exposes_shards_and_cuts_residency() {
     }
 
     // Responses carry the per-shard breakdown only when sharded.
-    assert!(full_resp.shards.is_none());
+    assert_eq!(full_resp.shards.as_ref().map(|sh| sh.shards.len()), Some(1));
     let sh = sharded_resp.shards.as_ref().expect("sharded breakdown");
     assert_eq!(sh.shards.len(), 3);
     assert!(sh.gather_bytes > 0, "merge models inter-device gather");
@@ -1172,6 +1172,58 @@ fn partitioned_gradients_bitwise_across_replicas_and_shards() {
 }
 
 #[test]
+fn forced_shards_above_the_transpose_rows_leave_gradient_units_empty() {
+    // K clamps per direction: four shards of a 4x3 matrix give four dose
+    // shards but only three gradient shards (the transpose has three
+    // rows), so the last shard unit holds no gradient operator. Both
+    // directions must still match the single-device golden bit for bit.
+    let m = Csr::from_rows(
+        3,
+        &[
+            vec![(0, 1.0), (2, 2.0)],
+            vec![(1, 0.5)],
+            vec![(0, 0.25), (1, 1.5), (2, 0.125)],
+            vec![(2, 3.0)],
+        ],
+    )
+    .unwrap();
+    let weights = vec![0.5, 1.25, 2.0];
+    let residual = vec![1.0, -0.5, 0.25, 2.0];
+    let serve = |engine: &Engine| {
+        engine
+            .serve(|c| {
+                let d = c.call("m", RequestKind::Dose, weights.clone()).unwrap();
+                let g = c
+                    .call("m", RequestKind::Gradient, residual.clone())
+                    .unwrap();
+                (d, g)
+            })
+            .0
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+    let mut one = Engine::builder()
+        .device(DeviceSpec::a100())
+        .build()
+        .unwrap();
+    one.register_plan("m", &m).unwrap();
+    let (golden_dose, golden_grad) = serve(&one);
+
+    let mut engine = Engine::builder()
+        .devices(vec![DeviceSpec::a100(), DeviceSpec::v100()])
+        .build()
+        .unwrap();
+    engine.register_plan_with("m", &m, placed(4, 1)).unwrap();
+    assert_eq!(engine.plan_shard_count("m"), Some(4));
+    let (dose, grad) = serve(&engine);
+    assert_eq!(bits(&dose.output), bits(&golden_dose.output));
+    assert_eq!(bits(&grad.output), bits(&golden_grad.output));
+    let shards = |r: &rt_engine::EngineResponse| r.shards.as_ref().map(|s| s.shards.len());
+    assert_eq!(shards(&dose), Some(4));
+    assert_eq!(shards(&grad), Some(3));
+}
+
+#[test]
 fn mixed_budget_batch_binds_on_each_members_own_deadline() {
     // Regression for the fan-out shed deadline: it used to be built
     // from the *oldest* submission paired with the batch's *minimum*
@@ -1297,7 +1349,16 @@ fn drain_undrain_mid_traffic_keeps_doses_bitwise_identical() {
 
     let golden = run_pool(vec![DeviceSpec::a100()], &order, 1, &liver, &prostate);
 
-    for (sweep, pause_ms) in [(0u64, 0u64), (1, 2), (2, 5)] {
+    // The default policy (one whole-plan replica per device) re-deals on
+    // every drain too: its replica count follows the live pool.
+    let sweeps = [
+        (0u64, 0u64, placed(2, 2)),
+        (1, 2, placed(2, 2)),
+        (2, 5, placed(2, 2)),
+        (3, 0, ExecPolicy::default()),
+        (4, 2, ExecPolicy::default()),
+    ];
+    for (sweep, pause_ms, policy) in sweeps {
         let work = workload(
             (liver.nrows(), liver.ncols()),
             (prostate.nrows(), prostate.ncols()),
@@ -1311,12 +1372,15 @@ fn drain_undrain_mid_traffic_keeps_doses_bitwise_identical() {
             ])
             .build()
             .unwrap();
+        engine.register_plan_with("liver", &liver, policy).unwrap();
         engine
-            .register_plan_with("liver", &liver, placed(2, 2))
+            .register_plan_with("prostate", &prostate, policy)
             .unwrap();
-        engine
-            .register_plan_with("prostate", &prostate, placed(2, 2))
-            .unwrap();
+        let replicas = || engine.plan_replica_count("liver").unwrap();
+        let per_device = policy == ExecPolicy::default();
+        if per_device {
+            assert_eq!(replicas(), 4, "sweep {sweep}: one replica per device");
+        }
 
         let (outputs, report) = engine.serve(|client| {
             let results: Vec<std::sync::Mutex<Option<Vec<f64>>>> =
@@ -1370,92 +1434,14 @@ fn drain_undrain_mid_traffic_keeps_doses_bitwise_identical() {
                 placement.rebalances
             );
         }
+        if per_device {
+            // The P100 stays drained: one replica per live device, and
+            // undraining it restores the full pool.
+            assert_eq!(replicas(), 3, "sweep {sweep}: drained pool");
+            engine.undrain_device(3).unwrap();
+            assert_eq!(replicas(), 4, "sweep {sweep}: restored pool");
+        }
     }
-}
-
-#[test]
-fn sustained_skew_triggers_a_rebalance_without_changing_doses() {
-    // One replica group sits behind a stalled device; the EWMA tracker
-    // must notice the starved group and re-deal the plan (epoch bump)
-    // while every dose still matches the unsharded golden.
-    let liver = random_matrix(65, 700, 48, 32);
-    let payloads: Vec<Vec<f64>> = (0..60)
-        .map(|i| {
-            (0..liver.ncols())
-                .map(|j| ((i * 101 + j * 13) as f64 * 0.011).sin().abs())
-                .collect()
-        })
-        .collect();
-
-    let golden: Vec<Vec<u64>> = {
-        let mut engine = Engine::builder()
-            .device(DeviceSpec::a100())
-            .build()
-            .unwrap();
-        engine.register_plan("liver", &liver).unwrap();
-        let (outs, _) = engine.serve(|c| {
-            payloads
-                .iter()
-                .map(|p| {
-                    c.call("liver", RequestKind::Dose, p.clone())
-                        .unwrap()
-                        .output
-                })
-                .collect::<Vec<_>>()
-        });
-        outs.into_iter()
-            .map(|v| v.into_iter().map(f64::to_bits).collect())
-            .collect()
-    };
-
-    let mut engine = Engine::builder()
-        .devices(vec![DeviceSpec::a100(), DeviceSpec::a100()])
-        .max_batch(1)
-        .debug_device_delay_ms(1, 40.0)
-        .build()
-        .unwrap();
-    engine
-        .register_plan_with("liver", &liver, placed(1, 2))
-        .unwrap();
-
-    let (outputs, report) = engine.serve(|client| {
-        let results: Vec<std::sync::Mutex<Option<Vec<f64>>>> = payloads
-            .iter()
-            .map(|_| std::sync::Mutex::new(None))
-            .collect();
-        let ids: Vec<usize> = (0..payloads.len()).collect();
-        std::thread::scope(|s| {
-            for chunk in ids.chunks(15) {
-                let results = &results;
-                let payloads = &payloads;
-                s.spawn(move || {
-                    for &id in chunk {
-                        let r = client
-                            .call("liver", RequestKind::Dose, payloads[id].clone())
-                            .unwrap();
-                        *results[id].lock().unwrap() = Some(r.output);
-                    }
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|m| m.into_inner().unwrap().unwrap())
-            .collect::<Vec<_>>()
-    });
-
-    let bits: Vec<Vec<u64>> = outputs
-        .into_iter()
-        .map(|v| v.into_iter().map(f64::to_bits).collect())
-        .collect();
-    assert_eq!(bits, golden, "skew rebalance changed dose bytes");
-    assert_eq!(report.completed, 60);
-    let placement = report.plans[0].placement.as_ref().unwrap();
-    assert!(
-        placement.rebalances >= 1,
-        "sustained skew must trigger at least one re-deal, saw {}",
-        placement.rebalances
-    );
 }
 
 #[test]

@@ -14,11 +14,11 @@
 
 use crate::context::{Context, PreparedCase};
 use crate::render::{f1, sci, TextTable};
-use crate::runner::{run_baseline, run_half_double, run_scalar};
+use crate::runner::{run_baseline, run_half_double, run_half_double_on, run_scalar_on, sim_device};
 use rt_core::{profile_sell, sell_spmv, vector_csr_spmv, GpuCsrMatrix, GpuSellMatrix};
 use rt_f16::{Bf16, F16};
 use rt_gpusim::timing::estimate;
-use rt_gpusim::{DeviceSpec, Gpu};
+use rt_gpusim::{DeviceSpec, ExecMode, Gpu};
 use rt_sparse::{Csr, Ell, QuantizedCsr, RsCompressed, SellCSigma};
 
 /// 16-bit vs 32-bit column indices: DRAM traffic and OI.
@@ -255,8 +255,13 @@ pub fn row_mapping(ctx: &Context) -> Vec<RowMappingResult> {
     [ctx.liver1(), ctx.prostate1()]
         .into_iter()
         .map(|c| {
-            let v = run_half_double(c, &dev, 512);
-            let s = run_scalar(c, &dev, 512);
+            // Sequential launches: under the parallel executor the L2
+            // eviction order depends on thread interleaving, which moves
+            // the scalar-vs-vector DRAM gap by kilobytes run to run; the
+            // sequential executor makes both counters exact.
+            let gpu = || Gpu::with_mode(sim_device(c, &dev), ExecMode::Sequential);
+            let v = run_half_double_on(&gpu(), c, &dev, 512);
+            let s = run_scalar_on(&gpu(), c, &dev, 512);
             RowMappingResult {
                 case: c.name().to_string(),
                 vector_gflops: v.gflops(),

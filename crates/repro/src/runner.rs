@@ -97,6 +97,11 @@ impl Measured {
 /// Builds a simulated GPU whose L2 preserves the clinical capacity
 /// relations for this case (see module docs).
 pub fn sim_gpu(case: &PreparedCase, device: &DeviceSpec) -> Gpu {
+    Gpu::with_mode(sim_device(case, device), ExecMode::Parallel)
+}
+
+/// `device` with its L2 sized by the clamp rule of [`sim_gpu`].
+pub fn sim_device(case: &PreparedCase, device: &DeviceSpec) -> DeviceSpec {
     let x_bytes = 8 * case.case.matrix.ncols();
     let y_bytes = 8 * case.case.matrix.nrows();
     let matrix_bytes = 6 * case.case.matrix.nnz();
@@ -104,17 +109,26 @@ pub fn sim_gpu(case: &PreparedCase, device: &DeviceSpec) -> Gpu {
     let lo = (1.25 * (x_bytes + y_bytes) as f64).max(4096.0);
     let hi = (matrix_bytes as f64 / 2.0).max(lo + 1.0);
     let l2 = ideal.clamp(lo, hi) as usize;
-    Gpu::with_mode(device.with_l2_bytes(l2), ExecMode::Parallel)
+    device.with_l2_bytes(l2)
 }
 
 /// The Half/double kernel (the paper's contribution).
 pub fn run_half_double(case: &PreparedCase, device: &DeviceSpec, tpb: u32) -> Measured {
-    let gpu = sim_gpu(case, device);
-    let m = GpuCsrMatrix::upload(&gpu, &case.f16);
+    run_half_double_on(&sim_gpu(case, device), case, device, tpb)
+}
+
+/// [`run_half_double`] on a caller-built `gpu` (e.g. a sequential one).
+pub fn run_half_double_on(
+    gpu: &Gpu,
+    case: &PreparedCase,
+    device: &DeviceSpec,
+    tpb: u32,
+) -> Measured {
+    let m = GpuCsrMatrix::upload(gpu, &case.f16);
     let x = gpu.upload(&case.weights);
     let y = gpu.alloc_out::<f64>(case.f16.nrows());
-    vector_csr_spmv(&gpu, &m, &x, &y, tpb); // warm-up
-    let raw = vector_csr_spmv(&gpu, &m, &x, &y, tpb);
+    vector_csr_spmv(gpu, &m, &x, &y, tpb); // warm-up
+    let raw = vector_csr_spmv(gpu, &m, &x, &y, tpb);
     Measured::build(
         "Half/double",
         case,
@@ -165,12 +179,16 @@ pub fn run_baseline(case: &PreparedCase, device: &DeviceSpec, tpb: u32) -> Measu
 
 /// The scalar (thread-per-row) ablation kernel.
 pub fn run_scalar(case: &PreparedCase, device: &DeviceSpec, tpb: u32) -> Measured {
-    let gpu = sim_gpu(case, device);
-    let m = GpuCsrMatrix::upload(&gpu, &case.f16);
+    run_scalar_on(&sim_gpu(case, device), case, device, tpb)
+}
+
+/// [`run_scalar`] on a caller-built `gpu`.
+pub fn run_scalar_on(gpu: &Gpu, case: &PreparedCase, device: &DeviceSpec, tpb: u32) -> Measured {
+    let m = GpuCsrMatrix::upload(gpu, &case.f16);
     let x = gpu.upload(&case.weights);
     let y = gpu.alloc_out::<f64>(case.f16.nrows());
-    scalar_csr_spmv(&gpu, &m, &x, &y, tpb);
-    let raw = scalar_csr_spmv(&gpu, &m, &x, &y, tpb);
+    scalar_csr_spmv(gpu, &m, &x, &y, tpb);
+    let raw = scalar_csr_spmv(gpu, &m, &x, &y, tpb);
     Measured::build(
         "Scalar CSR",
         case,

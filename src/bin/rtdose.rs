@@ -35,6 +35,7 @@ use rtdose::sparse::{
 };
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 
 fn usage() -> ! {
@@ -57,7 +58,7 @@ fn usage() -> ! {
                            [--shards auto|K]   (K row shards per replica group; auto = break-even model)\n\
                            [--replicas auto|R] (R replica groups over the pool; auto = pool/K)\n\
                            [--drain-after N]   (drain the last pool device once N requests\n\
-                           \u{20}                   completed; placed plans re-deal over the rest)\n\
+                           \u{20}                   completed; every plan re-deals over the rest)\n\
          \n\
          Matrices are stored as RTDM snapshots (binary16 values, u32 indices)."
     );
@@ -82,6 +83,33 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
         }
     }
     flags
+}
+
+/// Parses the numeric flag `--name`: `Ok(None)` when it is absent, an
+/// error message when its value does not parse as a `T`.
+fn parse_num<T: FromStr>(flags: &HashMap<String, String>, name: &str) -> Result<Option<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    flags
+        .get(name)
+        .map(|s| {
+            s.parse()
+                .map_err(|e| format!("--{name} expects a number, got {s:?} ({e})"))
+        })
+        .transpose()
+}
+
+/// [`parse_num`] for command handlers: a bad value prints the error and
+/// the usage text instead of panicking.
+fn num_flag<T: FromStr>(flags: &HashMap<String, String>, name: &str) -> Option<T>
+where
+    T::Err: std::fmt::Display,
+{
+    parse_num(flags, name).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage();
+    })
 }
 
 /// `--tile`: `None` means auto (let the autotuner pick), `Some(w)` pins
@@ -176,14 +204,8 @@ fn device(name: &str) -> DeviceSpec {
 }
 
 fn generate_case(flags: &HashMap<String, String>) -> DoseCase {
-    let shrink: f64 = flags
-        .get("shrink")
-        .map(|s| s.parse().expect("--shrink"))
-        .unwrap_or(8.0);
-    let beam: usize = flags
-        .get("beam")
-        .map(|s| s.parse().expect("--beam"))
-        .unwrap_or(0);
+    let shrink: f64 = num_flag(flags, "shrink").unwrap_or(8.0);
+    let beam: usize = num_flag(flags, "beam").unwrap_or(0);
     let scale = ScaleConfig {
         shrink: shrink.max(1.0),
     };
@@ -421,14 +443,8 @@ fn run_sharded_spmv(
 fn cmd_spmv(flags: HashMap<String, String>) {
     let m = load_matrix(&flags);
     let dev = device(flags.get("device").map(String::as_str).unwrap_or("a100"));
-    let tpb: u32 = flags
-        .get("tpb")
-        .map(|s| s.parse().expect("--tpb"))
-        .unwrap_or(512);
-    let repeat: usize = flags
-        .get("repeat")
-        .map(|s| s.parse().expect("--repeat"))
-        .unwrap_or(2);
+    let tpb: u32 = num_flag(&flags, "tpb").unwrap_or(512);
+    let repeat: usize = num_flag(&flags, "repeat").unwrap_or(2);
     let kernel = flags
         .get("kernel")
         .map(String::as_str)
@@ -662,10 +678,7 @@ fn cmd_kernels(args: &[String]) {
     }
     let m = load_matrix(&flags);
     let dev = device(flags.get("device").map(String::as_str).unwrap_or("a100"));
-    let tpb: u32 = flags
-        .get("tpb")
-        .map(|s| s.parse().expect("--tpb"))
-        .unwrap_or(512);
+    let tpb: u32 = num_flag(&flags, "tpb").unwrap_or(512);
 
     let stats = RowStats::from_csr(&m);
     println!(
@@ -801,10 +814,7 @@ fn cmd_kernels(args: &[String]) {
 }
 
 fn cmd_optimize(flags: HashMap<String, String>) {
-    let iters: usize = flags
-        .get("iters")
-        .map(|s| s.parse().expect("--iters"))
-        .unwrap_or(30);
+    let iters: usize = num_flag(&flags, "iters").unwrap_or(30);
     let case = generate_case(&flags);
     let matrix = case.matrix.clone();
     let probe = {
@@ -866,19 +876,9 @@ fn cmd_optimize(flags: HashMap<String, String>) {
 /// requests for two plans (one liver beam, one prostate beam) served by
 /// a 2×A100 + 1×V100 pool, ending with the engine's JSON report.
 fn cmd_serve_demo(flags: HashMap<String, String>) {
-    let requests: usize = flags
-        .get("requests")
-        .map(|s| s.parse().expect("--requests"))
-        .unwrap_or(120);
-    let shrink: f64 = flags
-        .get("shrink")
-        .map(|s| s.parse().expect("--shrink"))
-        .unwrap_or(24.0);
-    let submitters: usize = flags
-        .get("submitters")
-        .map(|s| s.parse().expect("--submitters"))
-        .unwrap_or(4)
-        .max(1);
+    let requests: usize = num_flag(&flags, "requests").unwrap_or(120);
+    let shrink: f64 = num_flag(&flags, "shrink").unwrap_or(24.0);
+    let submitters: usize = num_flag(&flags, "submitters").unwrap_or(4).max(1);
     // --tile auto (the default) lets every plan autotune its own width
     // at registration; a pinned width applies to all plans, and
     // --partition routes every plan through the bucketed row partition
@@ -901,17 +901,11 @@ fn cmd_serve_demo(flags: HashMap<String, String>) {
         });
     // --devices N sizes the pool by cycling the paper's device mix —
     // the default 3 keeps the classic 2xA100 + 1xV100 demo pool.
-    let pool_size: usize = flags
-        .get("devices")
-        .map(|s| s.parse().expect("--devices"))
-        .unwrap_or(3)
-        .max(1);
+    let pool_size: usize = num_flag(&flags, "devices").unwrap_or(3).max(1);
     // --drain-after N takes the last pool device out for maintenance
     // once N requests have completed, mid-traffic; requires a pool of
     // at least two (the engine refuses to drain the last live device).
-    let drain_after: Option<usize> = flags
-        .get("drain-after")
-        .map(|s| s.parse().expect("--drain-after"));
+    let drain_after: Option<usize> = num_flag(&flags, "drain-after");
     if drain_after.is_some() && pool_size < 2 {
         eprintln!("--drain-after needs at least 2 devices");
         std::process::exit(2);
@@ -960,7 +954,7 @@ fn cmd_serve_demo(flags: HashMap<String, String>) {
             println!(
                 "      placed as {r} replica group(s) x {k} shard(s): throughput-weighted row ranges"
             );
-            if let Some(table) = engine.plan_breakeven(name) {
+            if let Some(table) = engine.plan_breakeven(name).filter(|t| !t.is_empty()) {
                 let picks: Vec<String> = table
                     .iter()
                     .map(|p| format!("K={} {:.1}us", p.k, p.modeled_seconds * 1e6))
@@ -1054,7 +1048,7 @@ fn cmd_serve_demo(flags: HashMap<String, String>) {
                                     match client.drain_device(drain_target) {
                                         Ok(()) => println!(
                                             "  drained device {drain_target} after {served} requests; \
-                                             placed plans re-dealt over the live pool"
+                                             every plan re-dealt over the live pool"
                                         ),
                                         Err(e) => eprintln!(
                                             "  drain of device {drain_target} failed: {e}"
@@ -1093,4 +1087,29 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn flags(pairs: &[(&str, &str)]) -> HashMap<String, String> {
+        pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn numeric_flags_parse_or_report_the_bad_value() {
+        let f = flags(&[("iters", "40"), ("shrink", "2.5"), ("tpb", "abc")]);
+        assert_eq!(parse_num::<usize>(&f, "iters"), Ok(Some(40)));
+        assert_eq!(parse_num::<f64>(&f, "shrink"), Ok(Some(2.5)));
+        assert_eq!(parse_num::<usize>(&f, "devices"), Ok(None));
+        let err = parse_num::<u32>(&f, "tpb").unwrap_err();
+        assert!(err.starts_with("--tpb expects a number"), "{err}");
+        assert!(err.contains("\"abc\""), "{err}");
+        // A negative count is a bad value, not a wrap-around.
+        assert!(parse_num::<usize>(&flags(&[("requests", "-3")]), "requests").is_err());
+    }
 }
