@@ -8,7 +8,9 @@
 //! fixed order, which is what makes the vector kernel bitwise reproducible.
 //!
 //! Blocks are distributed dynamically over host worker threads (like SMs
-//! picking up blocks); warps within a block run in a fixed order. All
+//! picking up blocks); warps within a block run in a fixed order. A launch
+//! that resolves to one worker runs its blocks in order on the calling
+//! thread instead, owning the L2 model for the whole launch. All
 //! non-atomic result stores go to disjoint indices (the kernels' own
 //! invariant, same as on real hardware), so functional results are
 //! deterministic regardless of scheduling; traffic counters can vary
@@ -17,10 +19,12 @@
 //! traffic reproducibility matters.
 
 use crate::buffer::{DeviceBuffer, DeviceOutBuffer, OutScalar};
+use crate::cache::L2Port;
 use crate::counters::{KernelStats, LocalCounters};
 use crate::device::DeviceSpec;
 use crate::mem::MemSystem;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Lanes per warp on every modeled device.
 pub const WARP_SIZE: usize = 32;
@@ -97,12 +101,16 @@ impl Grid {
 /// Worker-thread count for [`ExecMode::Parallel`]: the `RTDOSE_SIM_THREADS`
 /// environment variable if set to a positive integer (clamped to the
 /// machine's available parallelism), otherwise all available cores.
-/// Unparseable or zero values fall back to the default. Read at every
-/// launch, so tests can vary it without process restarts.
+/// Unparseable or zero values fall back to the default. The variable is
+/// read at every launch, so tests can vary it without process restarts;
+/// the available parallelism is queried once per process.
 fn parallel_workers() -> usize {
-    let avail = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    static AVAIL: OnceLock<usize> = OnceLock::new();
+    let avail = *AVAIL.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    });
     match std::env::var("RTDOSE_SIM_THREADS") {
         Ok(v) => match v.trim().parse::<usize>() {
             Ok(n) if n >= 1 => n.min(avail),
@@ -227,53 +235,68 @@ impl Gpu {
             ExecMode::Sequential => 1,
             ExecMode::Parallel => parallel_workers(),
         };
+        let run_block = |b: u64, l2: &L2Port, counters: &LocalCounters| {
+            for w in 0..grid.warps_per_block() {
+                let mut ctx = WarpCtx {
+                    warp_id: (b * grid.warps_per_block() as u64 + w as u64) as usize,
+                    block_id: b,
+                    warp_in_block: w,
+                    tile_width,
+                    grid,
+                    mem: &self.mem,
+                    l2,
+                    counters,
+                };
+                counters.add(&counters.warps, 1);
+                kernel(&mut ctx);
+            }
+            // Publish per-region tallies once per block so traffic_report()
+            // converges promptly without per-access shared-memory traffic.
+            self.mem.flush_region_counts(counters);
+        };
 
-        let next_block = AtomicU64::new(0);
-        let locals: Vec<LocalCounters> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let counters = self.mem.local_counters();
-                        loop {
-                            let b = next_block.fetch_add(1, Ordering::Relaxed);
-                            if b >= grid.blocks {
-                                break;
-                            }
-                            for w in 0..grid.warps_per_block() {
-                                let mut ctx = WarpCtx {
-                                    warp_id: (b * grid.warps_per_block() as u64 + w as u64)
-                                        as usize,
-                                    block_id: b,
-                                    warp_in_block: w,
-                                    tile_width,
-                                    grid,
-                                    mem: &self.mem,
-                                    counters: &counters,
-                                };
-                                counters.add(&counters.warps, 1);
-                                kernel(&mut ctx);
-                            }
-                            // Publish per-region tallies once per block so
-                            // traffic_report() converges promptly without
-                            // per-access shared-memory traffic.
-                            self.mem.flush_region_counts(&counters);
-                        }
-                        counters
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
-
-        // Account outstanding dirty data as written back at kernel end.
         let flush = LocalCounters::default();
-        self.mem.flush_dirty(&flush);
-        let mut all = locals;
-        all.push(flush);
-        KernelStats::merge(&all, grid.blocks, grid.threads_per_block)
+        let mut locals = if workers == 1 {
+            // The sole worker runs the blocks in order on the calling
+            // thread and owns the L2 for the whole launch: no thread spawn,
+            // no per-access lock.
+            let l2 = self.mem.l2().owned();
+            let counters = self.mem.local_counters();
+            for b in 0..grid.blocks {
+                run_block(b, &l2, &counters);
+            }
+            self.mem.flush_dirty(&l2, &flush);
+            vec![counters]
+        } else {
+            let next_block = AtomicU64::new(0);
+            let locals: Vec<LocalCounters> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let l2 = self.mem.l2().shared();
+                            let counters = self.mem.local_counters();
+                            loop {
+                                let b = next_block.fetch_add(1, Ordering::Relaxed);
+                                if b >= grid.blocks {
+                                    break;
+                                }
+                                run_block(b, &l2, &counters);
+                            }
+                            counters
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("worker panicked"))
+                    .collect()
+            });
+            self.mem.flush_dirty(&self.mem.l2().shared(), &flush);
+            locals
+        };
+        // Outstanding dirty data is accounted as written back at kernel end.
+        locals.push(flush);
+        KernelStats::merge(&locals, grid.blocks, grid.threads_per_block)
     }
 
     /// Runs a group of tiled launches back-to-back on the *same* sim state
@@ -367,17 +390,18 @@ impl GroupStats {
 /// The per-warp execution context handed to kernels: lane-collective
 /// memory operations (each traced through the L2 model) plus the
 /// cooperative-groups-style reduction.
-pub struct WarpCtx<'a> {
+pub struct WarpCtx<'a, 'p> {
     warp_id: usize,
     block_id: u64,
     warp_in_block: u32,
     tile_width: u32,
     grid: Grid,
     mem: &'a MemSystem,
+    l2: &'a L2Port<'p>,
     counters: &'a LocalCounters,
 }
 
-impl WarpCtx<'_> {
+impl WarpCtx<'_, '_> {
     /// Global warp index (`blockIdx.x * warpsPerBlock + warpIdInBlock`).
     #[inline]
     pub fn warp_id(&self) -> usize {
@@ -428,6 +452,7 @@ impl WarpCtx<'_> {
     #[inline]
     pub fn load_scalar<T: Copy>(&self, buf: &DeviceBuffer<T>, idx: usize) -> T {
         self.mem.read_contiguous(
+            self.l2,
             buf.addr_of(idx),
             core::mem::size_of::<T>() as u64,
             self.counters,
@@ -446,7 +471,7 @@ impl WarpCtx<'_> {
     ) -> &'b [T] {
         let bytes = (range.len() * core::mem::size_of::<T>()) as u64;
         self.mem
-            .read_contiguous(buf.addr_of(range.start), bytes, self.counters);
+            .read_contiguous(self.l2, buf.addr_of(range.start), bytes, self.counters);
         &buf.as_slice()[range]
     }
 
@@ -462,6 +487,7 @@ impl WarpCtx<'_> {
             out[k] = buf.as_slice()[i];
         }
         self.mem.read_gather(
+            self.l2,
             &addrs[..idxs.len()],
             core::mem::size_of::<T>() as u64,
             self.counters,
@@ -473,6 +499,7 @@ impl WarpCtx<'_> {
     #[inline]
     pub fn store_scalar<T: OutScalar>(&self, buf: &DeviceOutBuffer<T>, idx: usize, v: T) {
         self.mem.write_contiguous(
+            self.l2,
             buf.addr_of(idx),
             core::mem::size_of::<T>() as u64,
             self.counters,
@@ -489,7 +516,7 @@ impl WarpCtx<'_> {
         }
         let bytes = std::mem::size_of_val(vals) as u64;
         self.mem
-            .write_contiguous(buf.addr_of(start), bytes, self.counters);
+            .write_contiguous(self.l2, buf.addr_of(start), bytes, self.counters);
         for (k, &v) in vals.iter().enumerate() {
             buf.raw_store(start + k, v);
         }
@@ -500,6 +527,7 @@ impl WarpCtx<'_> {
     #[inline]
     pub fn atomic_add<T: OutScalar>(&self, buf: &DeviceOutBuffer<T>, idx: usize, v: T) {
         self.mem.atomic_rmw(
+            self.l2,
             buf.addr_of(idx),
             core::mem::size_of::<T>() as u64,
             self.counters,
@@ -779,14 +807,18 @@ mod tests {
 
     #[test]
     fn atomic_add_sums_under_parallelism() {
-        let gpu = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Parallel);
-        let out = gpu.alloc_out::<f64>(1);
-        let grid = Grid::new(256, 256);
-        let stats = gpu.launch(grid, |w| {
-            w.atomic_add(&out, 0, 1.0);
-        });
-        assert_eq!(out.get(0), grid.total_warps() as f64);
-        assert_eq!(stats.atomic_ops, grid.total_warps());
+        // Sequential owns the L2 for the launch: atomics must go through
+        // the owned port rather than lock the cache again.
+        for mode in [ExecMode::Parallel, ExecMode::Sequential] {
+            let gpu = Gpu::with_mode(DeviceSpec::a100(), mode);
+            let out = gpu.alloc_out::<f64>(1);
+            let grid = Grid::new(256, 256);
+            let stats = gpu.launch(grid, |w| {
+                w.atomic_add(&out, 0, 1.0);
+            });
+            assert_eq!(out.get(0), grid.total_warps() as f64, "{mode:?}");
+            assert_eq!(stats.atomic_ops, grid.total_warps(), "{mode:?}");
+        }
     }
 
     #[test]

@@ -2,19 +2,20 @@
 //! access paths that drive the L2 model and the counters.
 //!
 //! Traffic is accounted at **warp-access granularity**. Each access
-//! method models one warp-collective transaction list: the L2 is probed
-//! with the whole ordered sector batch ([`L2Cache::access_batch`]) and
-//! region attribution is resolved **once per access**, not once per
-//! sector — every access targets a single buffer (the kernel API hands
-//! one buffer per load/store), and allocations are 128-byte aligned, so
-//! all touched sector bases fall inside the same region. Workers carry a
+//! method models one warp-collective transaction list: the launch
+//! worker's L2 port is probed with the whole ordered sector batch
+//! ([`L2Port::access_batch`]) and region attribution is resolved **once
+//! per access**, not once per sector — every access targets a single
+//! buffer (the kernel API hands one buffer per load/store), and
+//! allocations are 128-byte aligned, so all touched sector bases fall
+//! inside the same region. Workers carry a
 //! region snapshot and worker-local tallies in their [`LocalCounters`]
 //! (see `local_counters`/`flush_region_counts`); in steady state no
 //! shared lock or atomic is touched on the attribution path. Detached
 //! counters (`LocalCounters::default()`) fall back to attributing into
 //! the shared per-region atomics directly.
 
-use crate::cache::{L2Cache, SECTOR_BYTES};
+use crate::cache::{L2Cache, L2Port, SECTOR_BYTES};
 use crate::counters::LocalCounters;
 use crate::device::DeviceSpec;
 use parking_lot::RwLock;
@@ -77,6 +78,38 @@ fn locate(meta: &[RegionMeta], last: &std::cell::Cell<usize>, addr: u64) -> Opti
     } else {
         None
     }
+}
+
+/// Collects the distinct sectors a warp gather touches into `out`, in
+/// first-touch order, and returns how many (an element of up to 32 bytes
+/// may straddle two sectors and a warp has at most 32 lanes, so 64 slots
+/// suffice).
+///
+/// While lane addresses never decrease — every CSR gather, since columns
+/// are sorted within a row — sectors arrive in non-decreasing order and
+/// the previous lane's sectors are all kept, so a sector is new exactly
+/// when it is past the last one kept. From the first decreasing address
+/// on, each sector is checked against the whole list.
+fn gather_sectors(addrs: &[u64], elem_bytes: u64, out: &mut [u64; 64]) -> usize {
+    let mut n = 0;
+    let mut sorted = true;
+    let mut prev = 0;
+    for &a in addrs {
+        sorted &= a >= prev;
+        prev = a;
+        for s in a / SECTOR_BYTES..=(a + elem_bytes - 1) / SECTOR_BYTES {
+            let seen = if sorted {
+                n > 0 && s <= out[n - 1]
+            } else {
+                out[..n].contains(&s)
+            };
+            if !seen {
+                out[n] = s;
+                n += 1;
+            }
+        }
+    }
+    n
 }
 
 /// Global memory: an address allocator and the shared L2 model.
@@ -232,7 +265,7 @@ impl MemSystem {
     /// Traced contiguous read of `bytes` starting at `addr`: one sector
     /// transaction per touched 32-byte sector (a fully coalesced warp
     /// access). The range must lie within one buffer.
-    pub fn read_contiguous(&self, addr: u64, bytes: u64, c: &LocalCounters) {
+    pub fn read_contiguous(&self, l2: &L2Port, addr: u64, bytes: u64, c: &LocalCounters) {
         if bytes == 0 {
             return;
         }
@@ -240,7 +273,7 @@ impl MemSystem {
         let first = addr / SECTOR_BYTES;
         let last = (addr + bytes - 1) / SECTOR_BYTES;
         let (mut hits, mut misses, mut wbs) = (0, 0, 0);
-        self.l2.access_batch(first..=last, false, |r| {
+        l2.access_batch(first..=last, false, |r| {
             if r.hit {
                 hits += 1;
             } else {
@@ -257,7 +290,7 @@ impl MemSystem {
     /// Traced contiguous write (write-allocate, no fetch-on-write-miss:
     /// GPU L2 streams full-sector stores without reading DRAM). The
     /// range must lie within one buffer.
-    pub fn write_contiguous(&self, addr: u64, bytes: u64, c: &LocalCounters) {
+    pub fn write_contiguous(&self, l2: &L2Port, addr: u64, bytes: u64, c: &LocalCounters) {
         if bytes == 0 {
             return;
         }
@@ -265,7 +298,7 @@ impl MemSystem {
         let first = addr / SECTOR_BYTES;
         let last = (addr + bytes - 1) / SECTOR_BYTES;
         let mut wbs = 0;
-        self.l2.access_batch(first..=last, true, |r| {
+        l2.access_batch(first..=last, true, |r| {
             wbs += r.writeback as u64;
         });
         c.add(&c.l2_write_sectors, last - first + 1);
@@ -278,36 +311,22 @@ impl MemSystem {
     /// same sector, so the cost is the number of *distinct* sectors —
     /// this is where the baseline kernel's column-strided access pattern
     /// pays its 16x amplification.
-    pub fn read_gather(&self, addrs: &[u64], elem_bytes: u64, c: &LocalCounters) {
+    pub fn read_gather(&self, l2: &L2Port, addrs: &[u64], elem_bytes: u64, c: &LocalCounters) {
         c.add(&c.requested_bytes, addrs.len() as u64 * elem_bytes);
-        // Collect distinct sectors touched by the warp (an element may
-        // straddle two sectors). Warp accesses are at most 32 lanes; a
-        // fixed scratch array keeps this allocation-free.
-        let mut sectors = [u64::MAX; 64];
-        let mut n = 0;
-        for &a in addrs {
-            let first = a / SECTOR_BYTES;
-            let last = (a + elem_bytes - 1) / SECTOR_BYTES;
-            for s in first..=last {
-                if !sectors[..n].contains(&s) {
-                    sectors[n] = s;
-                    n += 1;
-                }
-            }
-        }
+        let mut sectors = [0u64; 64];
+        let n = gather_sectors(addrs, elem_bytes, &mut sectors);
         if n == 0 {
             return;
         }
         let (mut hits, mut misses, mut wbs) = (0, 0, 0);
-        self.l2
-            .access_batch(sectors[..n].iter().copied(), false, |r| {
-                if r.hit {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                }
-                wbs += r.writeback as u64;
-            });
+        l2.access_batch(sectors[..n].iter().copied(), false, |r| {
+            if r.hit {
+                hits += 1;
+            } else {
+                misses += 1;
+            }
+            wbs += r.writeback as u64;
+        });
         c.add(&c.l2_read_hits, hits);
         c.add(&c.l2_read_misses, misses);
         c.add(&c.dram_writeback_sectors, wbs);
@@ -316,10 +335,10 @@ impl MemSystem {
 
     /// Traced atomic read-modify-write on one element: the sector must be
     /// resident (fetched from DRAM on miss) and becomes dirty.
-    pub fn atomic_rmw(&self, addr: u64, elem_bytes: u64, c: &LocalCounters) {
+    pub fn atomic_rmw(&self, l2: &L2Port, addr: u64, elem_bytes: u64, c: &LocalCounters) {
         c.add(&c.atomic_ops, 1);
         c.add(&c.requested_bytes, elem_bytes);
-        let r = self.l2.access(addr, true);
+        let r = l2.access(addr, true);
         if r.hit {
             c.add(&c.l2_read_hits, 1);
         } else {
@@ -332,9 +351,14 @@ impl MemSystem {
     }
 
     /// End-of-launch flush: dirty sectors cost their DRAM write-back now.
-    pub fn flush_dirty(&self, c: &LocalCounters) {
-        let n = self.l2.flush_dirty();
+    pub fn flush_dirty(&self, l2: &L2Port, c: &LocalCounters) {
+        let n = l2.flush_dirty();
         c.add(&c.dram_writeback_sectors, n);
+    }
+
+    /// The L2 model, from which each launch worker takes its port.
+    pub(crate) fn l2(&self) -> &L2Cache {
+        &self.l2
     }
 
     /// Cold-cache reset — O(shard count) via cache generation stamps.
@@ -372,7 +396,7 @@ mod tests {
         let c = LocalCounters::default();
         let base = m.alloc(1024);
         // 128 bytes from a sector-aligned base = 4 sectors, all cold.
-        m.read_contiguous(base, 128, &c);
+        m.read_contiguous(&m.l2.shared(), base, 128, &c);
         let s = stats(c);
         assert_eq!(s.l2_read_misses, 4);
         assert_eq!(s.l2_read_hits, 0);
@@ -385,9 +409,9 @@ mod tests {
         let m = mem();
         let base = m.alloc(1024);
         let c1 = LocalCounters::default();
-        m.read_contiguous(base, 128, &c1);
+        m.read_contiguous(&m.l2.shared(), base, 128, &c1);
         let c2 = LocalCounters::default();
-        m.read_contiguous(base, 128, &c2);
+        m.read_contiguous(&m.l2.shared(), base, 128, &c2);
         let s = stats(c2);
         assert_eq!(s.l2_read_hits, 4);
         assert_eq!(s.l2_read_misses, 0);
@@ -398,7 +422,7 @@ mod tests {
         let m = mem();
         let base = m.alloc(1024);
         let c = LocalCounters::default();
-        m.read_contiguous(base + 16, 32, &c); // straddles two sectors
+        m.read_contiguous(&m.l2.shared(), base + 16, 32, &c); // straddles two sectors
         let s = stats(c);
         assert_eq!(s.l2_read_misses + s.l2_read_hits, 2);
     }
@@ -410,10 +434,50 @@ mod tests {
         let c = LocalCounters::default();
         // 4 f64 lanes in the same 32-byte sector -> 1 transaction.
         let addrs: Vec<u64> = (0..4).map(|i| base + i * 8).collect();
-        m.read_gather(&addrs, 8, &c);
+        m.read_gather(&m.l2.shared(), &addrs, 8, &c);
         let s = stats(c);
         assert_eq!(s.l2_read_misses, 1);
         assert_eq!(s.requested_bytes, 32);
+    }
+
+    #[test]
+    fn gather_sectors_match_full_scan_in_order() {
+        // The reference: every sector checked against the whole list.
+        fn full_scan(addrs: &[u64], elem_bytes: u64) -> Vec<u64> {
+            let mut out = Vec::new();
+            for &a in addrs {
+                for s in a / SECTOR_BYTES..=(a + elem_bytes - 1) / SECTOR_BYTES {
+                    if !out.contains(&s) {
+                        out.push(s);
+                    }
+                }
+            }
+            out
+        }
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for case in 0..2000 {
+            let lanes = (next() % 33) as usize;
+            // Unaligned element sizes straddle sectors.
+            let elem_bytes = [2, 4, 8, 12, 24][case % 5];
+            let mut addrs: Vec<u64> = (0..lanes).map(|_| 4096 + next() % 512).collect();
+            match case % 3 {
+                0 => addrs.sort_unstable(), // the CSR case
+                1 if lanes > 2 => {
+                    addrs[..lanes / 2].sort_unstable(); // sorted, then not
+                    addrs.swap(lanes / 2, 0);
+                }
+                _ => {}
+            }
+            let mut got = [0u64; 64];
+            let n = gather_sectors(&addrs, elem_bytes, &mut got);
+            assert_eq!(got[..n], full_scan(&addrs, elem_bytes), "{addrs:?}");
+        }
     }
 
     #[test]
@@ -423,7 +487,7 @@ mod tests {
         let c = LocalCounters::default();
         // 32 f16 lanes, each 1 KB apart -> 32 sectors for 64 useful bytes.
         let addrs: Vec<u64> = (0..32).map(|i| base + i * 1024).collect();
-        m.read_gather(&addrs, 2, &c);
+        m.read_gather(&m.l2.shared(), &addrs, 2, &c);
         let s = stats(c);
         assert_eq!(s.l2_read_misses, 32);
         assert_eq!(s.requested_bytes, 64);
@@ -435,8 +499,8 @@ mod tests {
         let m = mem();
         let base = m.alloc(4096);
         let c = LocalCounters::default();
-        m.write_contiguous(base, 256, &c);
-        m.flush_dirty(&c);
+        m.write_contiguous(&m.l2.shared(), base, 256, &c);
+        m.flush_dirty(&m.l2.shared(), &c);
         let s = stats(c);
         assert_eq!(s.l2_write_sectors, 8);
         assert_eq!(s.dram_write_bytes, 256);
@@ -447,8 +511,8 @@ mod tests {
         let m = mem();
         let base = m.alloc(4096);
         let c = LocalCounters::default();
-        m.atomic_rmw(base, 8, &c);
-        m.atomic_rmw(base, 8, &c); // second op hits in L2
+        m.atomic_rmw(&m.l2.shared(), base, 8, &c);
+        m.atomic_rmw(&m.l2.shared(), base, 8, &c); // second op hits in L2
         let s = stats(c);
         assert_eq!(s.atomic_ops, 2);
         assert_eq!(s.l2_read_misses, 1);
@@ -461,9 +525,9 @@ mod tests {
         let m = MemSystem::new(&spec);
         let base = m.alloc(1 << 16); // 64 KB stream
         let c1 = LocalCounters::default();
-        m.read_contiguous(base, 1 << 16, &c1);
+        m.read_contiguous(&m.l2.shared(), base, 1 << 16, &c1);
         let c2 = LocalCounters::default();
-        m.read_contiguous(base, 1 << 16, &c2);
+        m.read_contiguous(&m.l2.shared(), base, 1 << 16, &c2);
         let s2 = stats(c2);
         // Second pass still mostly misses: the stream does not fit.
         assert!(s2.l2_hit_rate() < 0.2, "hit rate {}", s2.l2_hit_rate());
@@ -483,9 +547,9 @@ mod attribution_tests {
         let anon = m.alloc(1024);
         let c = LocalCounters::default();
 
-        m.read_contiguous(a, 256, &c); // 8 sectors
-        m.write_contiguous(b, 64, &c); // 2 sectors
-        m.read_contiguous(anon, 512, &c); // unattributed
+        m.read_contiguous(&m.l2.shared(), a, 256, &c); // 8 sectors
+        m.write_contiguous(&m.l2.shared(), b, 64, &c); // 2 sectors
+        m.read_contiguous(&m.l2.shared(), anon, 512, &c); // unattributed
 
         let report = m.traffic_report();
         assert_eq!(report.len(), 2);
@@ -503,8 +567,8 @@ mod attribution_tests {
         let m = MemSystem::new(&DeviceSpec::a100());
         let a = m.alloc_named(4096, "x");
         let c = LocalCounters::default();
-        m.read_contiguous(a, 128, &c);
-        m.read_contiguous(a, 128, &c); // warm: hits
+        m.read_contiguous(&m.l2.shared(), a, 128, &c);
+        m.read_contiguous(&m.l2.shared(), a, 128, &c); // warm: hits
         let r = &m.traffic_report()[0];
         assert_eq!(r.read_sectors, 8);
         assert_eq!(r.dram_read_sectors, 4);
@@ -516,14 +580,14 @@ mod attribution_tests {
         let m = MemSystem::new(&DeviceSpec::a100());
         let a = m.alloc_named(128, "buf");
         let c = LocalCounters::default();
-        m.read_contiguous(a, 64, &c);
+        m.read_contiguous(&m.l2.shared(), a, 64, &c);
         m.reset_traffic();
         let r = &m.traffic_report()[0];
         assert_eq!(
             (r.read_sectors, r.write_sectors, r.dram_read_sectors),
             (0, 0, 0)
         );
-        m.read_contiguous(a, 32, &c);
+        m.read_contiguous(&m.l2.shared(), a, 32, &c);
         assert_eq!(m.traffic_report()[0].read_sectors, 1);
     }
 
@@ -534,8 +598,8 @@ mod attribution_tests {
         let b = m.alloc_named(4096, "atomic");
         let c = LocalCounters::default();
         let addrs: Vec<u64> = (0..8).map(|i| a + i * 512).collect();
-        m.read_gather(&addrs, 8, &c);
-        m.atomic_rmw(b + 40, 8, &c);
+        m.read_gather(&m.l2.shared(), &addrs, 8, &c);
+        m.atomic_rmw(&m.l2.shared(), b + 40, 8, &c);
         let report = m.traffic_report();
         assert_eq!(report[0].read_sectors, 8);
         assert_eq!(report[1].write_sectors, 1);
@@ -548,7 +612,7 @@ mod attribution_tests {
         let m = MemSystem::new(&DeviceSpec::a100());
         let a = m.alloc_named(1024, "values");
         let c = m.local_counters();
-        m.read_contiguous(a, 256, &c); // 8 sectors
+        m.read_contiguous(&m.l2.shared(), a, 256, &c); // 8 sectors
         assert_eq!(m.traffic_report()[0].read_sectors, 0, "not yet flushed");
         m.flush_region_counts(&c);
         let r = &m.traffic_report()[0];
@@ -566,8 +630,8 @@ mod attribution_tests {
         let c = m.local_counters();
         let b = m.alloc_named(1024, "late");
         let c2 = m.local_counters();
-        m.read_contiguous(a, 32, &c);
-        m.read_contiguous(b, 32, &c2);
+        m.read_contiguous(&m.l2.shared(), a, 32, &c);
+        m.read_contiguous(&m.l2.shared(), b, 32, &c2);
         m.flush_region_counts(&c);
         m.flush_region_counts(&c2);
         let report = m.traffic_report();
