@@ -78,19 +78,19 @@ use rand::{Rng, SeedableRng};
 use rt_core::{
     choose_shard_count, modeled_pool_throughput, modeled_whole_seconds, profile_baseline,
     profile_half_double, rs_baseline_gpu_spmv, vector_csr_spmv, vector_csr_spmv_bucketed,
-    vector_csr_spmv_sharded, vector_csr_spmv_tiled, BucketWidths, GpuCsrMatrix, GpuRowPlan,
-    GpuRsMatrix, KernelChoice, KernelSelect, PartitionStrategy, ShardBreakEven, ShardDispatch,
-    ShardedCsr, TILE_WIDTHS,
+    vector_csr_spmv_sharded, vector_csr_spmv_tiled, GpuCsrMatrix, GpuRowPlan, GpuRsMatrix,
+    KernelChoice, KernelSelect, PartitionStrategy, ShardBreakEven, ShardDispatch, ShardedCsr,
+    TILE_WIDTHS,
 };
 use rt_dose::cases::{prostate_case, ScaleConfig};
 use rt_f16::F16;
+use rt_gpusim::json::Json;
 use rt_gpusim::{
     snake_partition, snake_partition_subset, timing, BucketReport, DeviceGroup, DeviceSpec, Gpu,
     GroupStats, KernelProfile, KernelStats, LaunchReport, ShardReport, ShardedReport,
 };
 use rt_sparse::stats::RowStats;
 use rt_sparse::{Csr, RowPlan, RsCompressed, ShardPlan};
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -102,10 +102,9 @@ const BASELINE_NS: &[(&str, f64)] = &[
 ];
 
 struct Measurement {
-    name: &'static str,
+    name: String,
     ns_per_iter: f64,
     nnz: u64,
-    sectors_per_launch: u64,
     /// Short-row suite only: the tile width this entry ran at.
     tile_width: Option<u32>,
     /// Short-row suites only: fraction of *scheduled* lane slots carrying
@@ -172,7 +171,7 @@ fn median_ns(mut samples: Vec<f64>) -> f64 {
 }
 
 fn time_kernel(
-    name: &'static str,
+    name: &str,
     nnz: u64,
     device: &DeviceSpec,
     profile: &KernelProfile,
@@ -193,10 +192,9 @@ fn time_kernel(
         .collect();
     let estimate = timing::estimate(device, profile, &stats);
     Measurement {
-        name,
+        name: name.to_string(),
         ns_per_iter: median_ns(samples),
         nnz,
-        sectors_per_launch: sectors(&stats),
         tile_width: None,
         lanes_active_frac: None,
         speedup_vs_warp32: None,
@@ -241,7 +239,7 @@ fn short_row_matrix() -> Csr<F16, u32> {
 /// otherwise the tiled kernel runs at `width`.
 #[allow(clippy::too_many_arguments)]
 fn time_shortrow(
-    name: &'static str,
+    name: &str,
     csr: &Csr<F16, u32>,
     row_stats: &RowStats,
     width: u32,
@@ -276,28 +274,6 @@ fn time_shortrow(
     // count against this figure (they are never *occupied*).
     meas.lanes_active_frac = Some(row_stats.scheduled_lanes_active_frac(width));
     meas
-}
-
-fn width_entry_name(w: u32) -> &'static str {
-    match w {
-        2 => "shortrow_tiled_w2",
-        4 => "shortrow_tiled_w4",
-        8 => "shortrow_tiled_w8",
-        16 => "shortrow_tiled_w16",
-        32 => "shortrow_tiled_w32",
-        _ => unreachable!("width {w} is not in TILE_WIDTHS"),
-    }
-}
-
-fn liver_width_entry_name(w: u32) -> &'static str {
-    match w {
-        2 => "liverb1_tiled_w2",
-        4 => "liverb1_tiled_w4",
-        8 => "liverb1_tiled_w8",
-        16 => "liverb1_tiled_w16",
-        32 => "liverb1_tiled_w32",
-        _ => unreachable!("width {w} is not in TILE_WIDTHS"),
-    }
 }
 
 /// Deterministic "liver beam 1" serving shape: a large dose grid where
@@ -337,17 +313,6 @@ fn liver_beam1_matrix() -> Csr<F16, u32> {
         .collect();
     let m: Csr<f64, u32> = Csr::from_rows(ncols, &rows).unwrap();
     m.convert_values()
-}
-
-fn livergrad_width_entry_name(w: u32) -> &'static str {
-    match w {
-        2 => "livergrad_grad_w2",
-        4 => "livergrad_grad_w4",
-        8 => "livergrad_grad_w8",
-        16 => "livergrad_grad_w16",
-        32 => "livergrad_grad_w32",
-        _ => unreachable!("width {w} is not in TILE_WIDTHS"),
-    }
 }
 
 /// Deterministic "liver gradient" optimizer shape: one beam's dose
@@ -402,19 +367,16 @@ fn liver_grad_matrix() -> Csr<F16, u32> {
 /// per-bucket widths; attaches the per-bucket breakdown of the last
 /// (warm-cache) launch.
 fn time_partitioned(
-    name: &'static str,
+    name: &str,
     csr: &Csr<F16, u32>,
     device: &DeviceSpec,
     warmup: usize,
     samples: usize,
 ) -> Measurement {
-    let choice = KernelSelect::Partitioned(PartitionStrategy::MeasuredProbe)
+    let widths = KernelSelect::Partitioned(PartitionStrategy::MeasuredProbe)
         .choose(device, csr, 512)
-        .expect("partitioned probe cannot fail on a valid matrix");
-    let mut widths = BucketWidths::natural();
-    for bc in &choice.buckets {
-        widths.0[bc.bucket] = bc.tile_width;
-    }
+        .expect("partitioned probe cannot fail on a valid matrix")
+        .bucket_widths();
     let plan = Arc::new(RowPlan::from_csr(csr));
     let gpu = Gpu::new(device.clone());
     let m = GpuCsrMatrix::upload(&gpu, csr);
@@ -451,74 +413,54 @@ fn time_partitioned(
 /// gather of the shard's rows — i.e. what one cooperative request
 /// finishes in.
 fn time_sharded(
-    name: &'static str,
+    name: &str,
     csr: &Csr<F16, u32>,
     device: &DeviceSpec,
     pool: usize,
     warmup: usize,
     samples: usize,
 ) -> Measurement {
-    let choice = KernelSelect::Partitioned(PartitionStrategy::MeasuredProbe)
+    let widths = KernelSelect::Partitioned(PartitionStrategy::MeasuredProbe)
         .choose(device, csr, 512)
-        .expect("partitioned probe cannot fail on a valid matrix");
-    let mut widths = BucketWidths::natural();
-    for bc in &choice.buckets {
-        widths.0[bc.bucket] = bc.tile_width;
-    }
+        .expect("partitioned probe cannot fail on a valid matrix")
+        .bucket_widths();
     let dispatch = ShardDispatch::Bucketed(widths);
     let plan = ShardPlan::build(csr, pool);
     let group = DeviceGroup::new(vec![device.clone(); pool]);
     let sm = ShardedCsr::upload(&group, &plan);
     let x = vec![1.0f64; csr.ncols()];
     let profile = profile_half_double();
-    let run = || {
-        vector_csr_spmv_sharded(&group, &sm, &x, 512, dispatch, &profile)
-            .expect("sharded dispatch cannot fail on validated widths")
-            .1
-    };
-    let mut last: ShardedReport = run();
-    for _ in 1..warmup {
-        last = run();
-    }
-    let samples_ns: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            last = run();
-            t.elapsed().as_nanos() as f64
-        })
-        .collect();
+    let mut last: Option<ShardedReport> = None;
+    let mut meas = time_kernel(
+        name,
+        csr.nnz() as u64,
+        device,
+        &profile,
+        warmup,
+        samples,
+        || {
+            let r = vector_csr_spmv_sharded(&group, &sm, &x, 512, dispatch, &profile)
+                .expect("sharded dispatch cannot fail on validated widths")
+                .1;
+            let stats = r.stats.clone();
+            last = Some(r);
+            stats
+        },
+    );
+    let last = last.expect("at least one timed launch");
 
     // Pool-level record: merged counters; seconds and the derived rates
     // rebuilt around the critical path (the per-device estimator has no
     // notion of concurrent shards or the gather hop).
-    let mut estimate = timing::estimate(device, &profile, &last.stats);
+    let estimate = &mut meas.report.estimate;
     estimate.seconds = last.modeled_seconds;
     estimate.gflops = last.stats.flops as f64 / last.modeled_seconds / 1e9;
     let dram = (last.stats.dram_read_bytes + last.stats.dram_write_bytes) as f64;
     estimate.dram_bw_gbps = dram / last.modeled_seconds / 1e9;
     estimate.frac_peak_bw = dram / last.modeled_seconds / (device.dram_bw * pool as f64);
-    Measurement {
-        name,
-        ns_per_iter: median_ns(samples_ns),
-        nnz: csr.nnz() as u64,
-        sectors_per_launch: sectors(&last.stats),
-        tile_width: None,
-        lanes_active_frac: None,
-        speedup_vs_warp32: None,
-        sim_speedup_vs_warp32: None,
-        speedup_vs_autotuned_w: None,
-        sim_speedup_vs_best_fixed: None,
-        grad_speedup_vs_whole: None,
-        buckets: None,
-        sim_speedup_vs_one_device: None,
-        shards: Some(last.shards.clone()),
-        report: LaunchReport::new(
-            profile.name.clone(),
-            format!("{} x{}", device.name, pool),
-            last.stats.clone(),
-            estimate,
-        ),
-    }
+    meas.report.device = format!("{} x{}", device.name, pool);
+    meas.shards = Some(last.shards);
+    meas
 }
 
 /// Modeled placement verdict for one plan on the mixed 4-device demo
@@ -648,238 +590,136 @@ fn rebalance_verdict(whole_seconds: f64, nonempty_rows: usize) -> RebalanceVerdi
     }
 }
 
-fn render_rebalance(v: &RebalanceVerdict) -> String {
-    let us = |xs: &[f64]| {
-        xs.iter()
-            .map(|s| format!("{:.3}", s * 1e6))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let mut out = String::new();
-    out.push_str("  \"rebalance\": {\n");
-    writeln!(out, "    \"drained_device\": \"{}\",", v.drained_name).unwrap();
-    writeln!(out, "    \"pre_group_us\": [{}],", us(&v.pre_group_seconds)).unwrap();
-    writeln!(
-        out,
-        "    \"pre_throughput_per_s\": {:.1},",
-        v.pre_throughput
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "    \"naive_throughput_per_s\": {:.1},",
-        v.naive_throughput
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "    \"redealt_group_us\": [{}],",
-        us(&v.redealt_group_seconds)
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "    \"redealt_throughput_per_s\": {:.1},",
-        v.redealt_throughput
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "    \"recovery_ratio\": {:.3},",
-        v.redealt_throughput / v.pre_throughput
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "    \"naive_ratio\": {:.3}",
-        v.naive_throughput / v.pre_throughput
-    )
-    .unwrap();
-    out.push_str("  },\n");
-    out
+/// Modeled seconds as a JSON array of microseconds (`{:.3}`).
+fn us_array(seconds: &[f64]) -> Json {
+    Json::arr(seconds.iter().map(|s| Json::fixed(s * 1e6, 3)))
 }
 
-fn render_placement(liver: &PlacementVerdict, prostate: &PlacementVerdict) -> String {
-    let mut out = String::new();
-    out.push_str("  \"placement\": {\n");
-    out.push_str("    \"pool\": [\"A100\", \"A100\", \"V100\", \"P100\"],\n");
-    writeln!(out, "    \"liver_auto_k\": {},", liver.breakeven.k).unwrap();
-    out.push_str("    \"liver_breakeven_us\": [");
-    for (i, p) in liver.breakeven.candidates.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        write!(
-            out,
-            "{{\"k\": {}, \"modeled_us\": {:.3}}}",
-            p.k,
-            p.modeled_seconds * 1e6
+fn rebalance_json(v: &RebalanceVerdict) -> Json {
+    let per_s = |throughput: f64| Json::fixed(throughput, 1);
+    let ratio = |throughput: f64| Json::fixed(throughput / v.pre_throughput, 3);
+    Json::obj()
+        .field("drained_device", v.drained_name)
+        .field("pre_group_us", us_array(&v.pre_group_seconds))
+        .field("pre_throughput_per_s", per_s(v.pre_throughput))
+        .field("naive_throughput_per_s", per_s(v.naive_throughput))
+        .field("redealt_group_us", us_array(&v.redealt_group_seconds))
+        .field("redealt_throughput_per_s", per_s(v.redealt_throughput))
+        .field("recovery_ratio", ratio(v.redealt_throughput))
+        .field("naive_ratio", ratio(v.naive_throughput))
+}
+
+fn placement_json(liver: &PlacementVerdict, prostate: &PlacementVerdict) -> Json {
+    let speedup = |seconds: f64| Json::fixed(seconds / liver.t_auto, 2);
+    let breakeven = liver.breakeven.candidates.iter().map(|p| {
+        Json::obj()
+            .field("k", p.k)
+            .field("modeled_us", Json::fixed(p.modeled_seconds * 1e6, 3))
+    });
+    Json::obj()
+        .field("pool", Json::arr(placement_pool().iter().map(|d| d.name)))
+        .field("liver_auto_k", liver.breakeven.k)
+        .field("liver_breakeven_us", Json::arr(breakeven))
+        .field("liver_auto_speedup_vs_k1", speedup(liver.t_k1))
+        .field("liver_auto_speedup_vs_kpool", speedup(liver.t_kpool))
+        .field("liver_r2_group_us", us_array(&liver.group_seconds))
+        .field(
+            "liver_r2_throughput_ratio_vs_r1",
+            Json::fixed(liver.r2_throughput_ratio, 2),
         )
-        .unwrap();
+        .field("prostate_auto_k", prostate.breakeven.k)
+}
+
+fn kernel_json(m: &Measurement) -> Json {
+    let per_sec = 1e9 / m.ns_per_iter;
+    let n_sectors = sectors(&m.report.stats);
+    let mut k = Json::obj()
+        .field("name", &m.name)
+        .field("suite", suite_id(&m.name))
+        .field("ns_per_iter", Json::fixed(m.ns_per_iter, 1))
+        .field("nnz", m.nnz)
+        .field("nnz_per_sec", Json::sci(m.nnz as f64 * per_sec, 4))
+        .field("sectors_per_launch", n_sectors)
+        .field("sectors_per_sec", Json::sci(n_sectors as f64 * per_sec, 4));
+    if let Some(w) = m.tile_width {
+        k = k.field("tile_width", w);
     }
-    out.push_str("],\n");
-    writeln!(
-        out,
-        "    \"liver_auto_speedup_vs_k1\": {:.2},",
-        liver.t_k1 / liver.t_auto
-    )
-    .unwrap();
-    writeln!(
-        out,
-        "    \"liver_auto_speedup_vs_kpool\": {:.2},",
-        liver.t_kpool / liver.t_auto
-    )
-    .unwrap();
-    out.push_str("    \"liver_r2_group_us\": [");
-    for (i, s) in liver.group_seconds.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
+    if let Some(f) = m.lanes_active_frac {
+        k = k.field("lanes_active_frac", Json::fixed(f, 4));
+    }
+    for (key, ratio) in [
+        ("speedup_vs_warp32", m.speedup_vs_warp32),
+        ("sim_speedup_vs_warp32", m.sim_speedup_vs_warp32),
+        ("speedup_vs_autotuned_w", m.speedup_vs_autotuned_w),
+        ("sim_speedup_vs_best_fixed", m.sim_speedup_vs_best_fixed),
+        ("grad_speedup_vs_whole", m.grad_speedup_vs_whole),
+        ("sim_speedup_vs_one_device", m.sim_speedup_vs_one_device),
+    ] {
+        if let Some(r) = ratio {
+            k = k.field(key, Json::fixed(r, 2));
         }
-        write!(out, "{:.3}", s * 1e6).unwrap();
     }
-    out.push_str("],\n");
-    writeln!(
-        out,
-        "    \"liver_r2_throughput_ratio_vs_r1\": {:.2},",
-        liver.r2_throughput_ratio
-    )
-    .unwrap();
-    writeln!(out, "    \"prostate_auto_k\": {}", prostate.breakeven.k).unwrap();
-    out.push_str("  },\n");
-    out
+    if let Some(shards) = &m.shards {
+        let shards = shards.iter().map(|s| {
+            Json::obj()
+                .field("shard", s.shard)
+                .field("device", &s.device)
+                .field("row_start", s.row_start)
+                .field("rows", s.rows)
+                .field("nnz", s.nnz)
+                .field("modeled_us", Json::fixed(s.estimate.seconds * 1e6, 3))
+                .field("gather_us", Json::fixed(s.gather_seconds * 1e6, 3))
+        });
+        k = k.field("shards", Json::arr(shards));
+    }
+    if let Some(buckets) = &m.buckets {
+        let buckets = buckets.iter().map(|b| {
+            Json::obj()
+                .field("label", &b.label)
+                .field("tile_width", b.tile_width)
+                .field("rows", b.rows)
+                .field("lanes_active_frac", Json::fixed(b.lanes_active_frac, 4))
+        });
+        k = k.field("buckets", Json::arr(buckets));
+    }
+    let baseline = BASELINE_NS
+        .iter()
+        .find(|(n, _)| *n == m.name)
+        .map(|(_, ns)| *ns);
+    k = k.field(
+        "baseline_ns_per_iter",
+        baseline.map(|ns| Json::fixed(ns, 1)),
+    );
+    if let Some(ns) = baseline {
+        k = k.field("speedup_vs_baseline", Json::fixed(ns / m.ns_per_iter, 2));
+    }
+    // The unified LaunchReport shape (same as the serving engine's
+    // per-response reports and DoseCalculator results).
+    k.field("report", &m.report)
 }
 
 fn render_json(
     measurements: &[Measurement],
     workers: usize,
     auto: &KernelChoice,
-    placement: &str,
+    placement: Json,
+    rebalance: Json,
 ) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    writeln!(out, "  \"bench\": \"sim_kernels\",").unwrap();
-    writeln!(out, "  \"schema_version\": 2,").unwrap();
-    writeln!(out, "  \"mode\": \"parallel\",").unwrap();
-    writeln!(out, "  \"workers\": {workers},").unwrap();
-    writeln!(
-        out,
-        "  \"shortrow_autotune\": {{\"mode\": \"{}\", \"tile_width\": {}, \"avg_nnz_nonempty\": {:.2}}},",
-        auto.mode, auto.tile_width, auto.avg_nnz_nonempty
-    )
-    .unwrap();
-    out.push_str(placement);
-    out.push_str("  \"kernels\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        let per_sec = 1e9 / m.ns_per_iter;
-        let baseline = BASELINE_NS
-            .iter()
-            .find(|(n, _)| *n == m.name)
-            .map(|(_, ns)| *ns);
-        out.push_str("    {\n");
-        writeln!(out, "      \"name\": \"{}\",", m.name).unwrap();
-        writeln!(out, "      \"suite\": \"{}\",", suite_id(m.name)).unwrap();
-        writeln!(out, "      \"ns_per_iter\": {:.1},", m.ns_per_iter).unwrap();
-        writeln!(out, "      \"nnz\": {},", m.nnz).unwrap();
-        writeln!(
-            out,
-            "      \"nnz_per_sec\": {:.4e},",
-            m.nnz as f64 * per_sec
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "      \"sectors_per_launch\": {},",
-            m.sectors_per_launch
-        )
-        .unwrap();
-        writeln!(
-            out,
-            "      \"sectors_per_sec\": {:.4e},",
-            m.sectors_per_launch as f64 * per_sec
-        )
-        .unwrap();
-        if let Some(w) = m.tile_width {
-            writeln!(out, "      \"tile_width\": {w},").unwrap();
-        }
-        if let Some(f) = m.lanes_active_frac {
-            writeln!(out, "      \"lanes_active_frac\": {f:.4},").unwrap();
-        }
-        if let Some(s) = m.speedup_vs_warp32 {
-            writeln!(out, "      \"speedup_vs_warp32\": {s:.2},").unwrap();
-        }
-        if let Some(s) = m.sim_speedup_vs_warp32 {
-            writeln!(out, "      \"sim_speedup_vs_warp32\": {s:.2},").unwrap();
-        }
-        if let Some(s) = m.speedup_vs_autotuned_w {
-            writeln!(out, "      \"speedup_vs_autotuned_w\": {s:.2},").unwrap();
-        }
-        if let Some(s) = m.sim_speedup_vs_best_fixed {
-            writeln!(out, "      \"sim_speedup_vs_best_fixed\": {s:.2},").unwrap();
-        }
-        if let Some(s) = m.grad_speedup_vs_whole {
-            writeln!(out, "      \"grad_speedup_vs_whole\": {s:.2},").unwrap();
-        }
-        if let Some(s) = m.sim_speedup_vs_one_device {
-            writeln!(out, "      \"sim_speedup_vs_one_device\": {s:.2},").unwrap();
-        }
-        if let Some(shards) = &m.shards {
-            out.push_str("      \"shards\": [");
-            for (j, s) in shards.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                write!(
-                    out,
-                    "{{\"shard\": {}, \"device\": \"{}\", \"row_start\": {}, \"rows\": {}, \"nnz\": {}, \"modeled_us\": {:.3}, \"gather_us\": {:.3}}}",
-                    s.shard,
-                    s.device,
-                    s.row_start,
-                    s.rows,
-                    s.nnz,
-                    s.estimate.seconds * 1e6,
-                    s.gather_seconds * 1e6
-                )
-                .unwrap();
-            }
-            out.push_str("],\n");
-        }
-        if let Some(buckets) = &m.buckets {
-            out.push_str("      \"buckets\": [");
-            for (j, b) in buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                write!(
-                    out,
-                    "{{\"label\": \"{}\", \"tile_width\": {}, \"rows\": {}, \"lanes_active_frac\": {:.4}}}",
-                    b.label, b.tile_width, b.rows, b.lanes_active_frac
-                )
-                .unwrap();
-            }
-            out.push_str("],\n");
-        }
-        match baseline {
-            Some(ns) => {
-                writeln!(out, "      \"baseline_ns_per_iter\": {ns:.1},").unwrap();
-                writeln!(
-                    out,
-                    "      \"speedup_vs_baseline\": {:.2},",
-                    ns / m.ns_per_iter
-                )
-                .unwrap();
-            }
-            None => writeln!(out, "      \"baseline_ns_per_iter\": null,").unwrap(),
-        }
-        // The unified LaunchReport shape (same as the serving engine's
-        // per-response reports and DoseCalculator results).
-        writeln!(out, "      \"report\": {}", m.report.to_json_indented(6)).unwrap();
-        out.push_str(if i + 1 == measurements.len() {
-            "    }\n"
-        } else {
-            "    },\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
+    let autotune = Json::obj()
+        .field("mode", auto.mode)
+        .field("tile_width", auto.tile_width)
+        .field("avg_nnz_nonempty", Json::fixed(auto.avg_nnz_nonempty, 2));
+    let mut out = Json::obj()
+        .field("bench", "sim_kernels")
+        .field("schema_version", 2u32)
+        .field("mode", "parallel")
+        .field("workers", workers)
+        .field("shortrow_autotune", autotune)
+        .field("placement", placement)
+        .field("rebalance", rebalance)
+        .field("kernels", Json::arr(measurements.iter().map(kernel_json)))
+        .render();
+    out.push('\n');
     out
 }
 
@@ -933,7 +773,7 @@ fn quick_smoke() -> ! {
         .iter()
         .map(|&w| {
             time_shortrow(
-                liver_width_entry_name(w),
+                &format!("liverb1_tiled_w{w}"),
                 &liver,
                 &liver_stats,
                 w,
@@ -1038,7 +878,7 @@ fn quick_smoke() -> ! {
         .iter()
         .map(|&w| {
             time_shortrow(
-                livergrad_width_entry_name(w),
+                &format!("livergrad_grad_w{w}"),
                 &grad_t,
                 &bwd_stats,
                 w,
@@ -1160,7 +1000,7 @@ fn main() {
         .iter()
         .map(|&w| {
             time_shortrow(
-                width_entry_name(w),
+                &format!("shortrow_tiled_w{w}"),
                 &short,
                 &short_stats,
                 w,
@@ -1198,7 +1038,7 @@ fn main() {
         .iter()
         .map(|&w| {
             time_shortrow(
-                liver_width_entry_name(w),
+                &format!("liverb1_tiled_w{w}"),
                 &liver,
                 &liver_stats,
                 w,
@@ -1277,7 +1117,7 @@ fn main() {
         .iter()
         .map(|&w| {
             time_shortrow(
-                livergrad_width_entry_name(w),
+                &format!("livergrad_grad_w{w}"),
                 &grad_t,
                 &bwd_stats,
                 w,
@@ -1321,11 +1161,6 @@ fn main() {
     // models when the P100 leaves mid-session and every placed plan is
     // re-dealt over the survivors (the `rebalance` JSON object).
     let liver_rebalance = rebalance_verdict(liver_part_s, liver.nrows() - liver_stats.empty_rows);
-    let placement_json = format!(
-        "{}{}",
-        render_placement(&liver_place, &prostate_place),
-        render_rebalance(&liver_rebalance)
-    );
 
     let mut measurements = vec![vector, baseline, warp32];
     measurements.extend(tiled);
@@ -1335,11 +1170,105 @@ fn main() {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let json = render_json(&measurements, workers, &choice, &placement_json);
+    let json = render_json(
+        &measurements,
+        workers,
+        &choice,
+        placement_json(&liver_place, &prostate_place),
+        rebalance_json(&liver_rebalance),
+    );
     print!("{json}");
     let path = "BENCH_simspeed.json";
     match std::fs::write(path, &json) {
         Ok(()) => eprintln!("[saved {path}]"),
         Err(e) => eprintln!("[could not save {path}: {e}]"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rt_gpusim::json::minify;
+
+    /// A one-kernel document with every optional field present, pinned to
+    /// the rendering `BENCH_simspeed.json` has always had.
+    #[test]
+    fn one_kernel_document_is_pinned() {
+        let stats = KernelStats {
+            flops: 2000,
+            warps: 16,
+            blocks: 2,
+            threads_per_block: 512,
+            requested_bytes: 8192,
+            l2_read_hits: 40,
+            l2_read_misses: 200,
+            l2_write_sectors: 16,
+            dram_writeback_sectors: 16,
+            dram_read_bytes: 6400,
+            dram_write_bytes: 512,
+            atomic_ops: 0,
+        };
+        let mut m = time_kernel(
+            "vector_csr_half_double",
+            1000,
+            &DeviceSpec::a100(),
+            &profile_half_double(),
+            0,
+            1,
+            || stats.clone(),
+        );
+        // Host timing differs run to run; pin a fixed figure.
+        m.ns_per_iter = 1.25e6;
+        m.report.tile_width = 4;
+        m.tile_width = Some(4);
+        m.lanes_active_frac = Some(0.5625);
+        m.speedup_vs_warp32 = Some(1.5);
+        m.sim_speedup_vs_warp32 = Some(2.25);
+        m.speedup_vs_autotuned_w = Some(1.125);
+        m.sim_speedup_vs_best_fixed = Some(1.75);
+        m.grad_speedup_vs_whole = Some(3.0);
+        m.sim_speedup_vs_one_device = Some(2.5);
+        let estimate = m.report.estimate.clone();
+        m.buckets = Some(vec![BucketReport {
+            label: "rows 1-2".into(),
+            tile_width: 2,
+            rows: 300,
+            lanes_active_frac: 0.75,
+            stats: stats.clone(),
+            estimate: estimate.clone(),
+        }]);
+        m.shards = Some(vec![ShardReport {
+            shard: 0,
+            device: "A100".into(),
+            row_start: 0,
+            rows: 600,
+            nnz: 1000,
+            dispatch: "w=8".into(),
+            stats,
+            estimate,
+            gather_bytes: 4800,
+            gather_seconds: 2.0e-6,
+        }]);
+        let auto = KernelChoice {
+            tile_width: 2,
+            mode: "probe",
+            avg_nnz_nonempty: 4.5,
+            candidates: Vec::new(),
+            buckets: Vec::new(),
+        };
+        let j = render_json(
+            &[m],
+            2,
+            &auto,
+            placement_json(
+                &placement_verdict(1e-5, 5000),
+                &placement_verdict(2e-6, 500),
+            ),
+            rebalance_json(&rebalance_verdict(1e-5, 5000)),
+        );
+        assert_eq!(
+            minify(&j),
+            r#"{"bench":"sim_kernels","schema_version":2,"mode":"parallel","workers":2,"shortrow_autotune":{"mode":"probe","tile_width":2,"avg_nnz_nonempty":4.50},"placement":{"pool":["A100","A100","V100","P100"],"liver_auto_k":2,"liver_breakeven_us":[{"k":1,"modeled_us":10.067},{"k":2,"modeled_us":9.533},{"k":3,"modeled_us":12.246},{"k":4,"modeled_us":16.506}],"liver_auto_speedup_vs_k1":1.06,"liver_auto_speedup_vs_kpool":1.73,"liver_r2_group_us":[10.067,10.067],"liver_r2_throughput_ratio_vs_r1":3.28,"prostate_auto_k":1},"rebalance":{"drained_device":"P100","pre_group_us":[10.067,10.067],"pre_throughput_per_s":198675.5,"naive_throughput_per_s":99337.7,"redealt_group_us":[10.067,10.067],"redealt_throughput_per_s":198675.5,"recovery_ratio":1.000,"naive_ratio":0.500},"kernels":[{"name":"vector_csr_half_double","suite":"prostate-paper","ns_per_iter":1250000.0,"nnz":1000,"nnz_per_sec":8.0000e5,"sectors_per_launch":256,"sectors_per_sec":2.0480e5,"tile_width":4,"lanes_active_frac":0.5625,"speedup_vs_warp32":1.50,"sim_speedup_vs_warp32":2.25,"speedup_vs_autotuned_w":1.12,"sim_speedup_vs_best_fixed":1.75,"grad_speedup_vs_whole":3.00,"sim_speedup_vs_one_device":2.50,"shards":[{"shard":0,"device":"A100","row_start":0,"rows":600,"nnz":1000,"modeled_us":3.527,"gather_us":2.000}],"buckets":[{"label":"rows 1-2","tile_width":2,"rows":300,"lanes_active_frac":0.7500}],"baseline_ns_per_iter":8936737.0,"speedup_vs_baseline":7.15,"report":{"kernel":"Half/double","device":"A100","tile_width":4,"stats":{"flops":2000,"warps":16,"blocks":2,"threads_per_block":512,"requested_bytes":8192,"l2_read_hits":40,"l2_read_misses":200,"l2_write_sectors":16,"atomic_ops":0,"dram_read_bytes":6400,"dram_write_bytes":512,"l2_hit_rate":0.1667,"operational_intensity":0.2894},"estimate":{"seconds":3.526951e-6,"gflops":0.57,"dram_bw_gbps":1.96,"frac_peak_bw":0.0013,"bound":"overhead"},"buffers":[]}}]}"#
+        );
     }
 }

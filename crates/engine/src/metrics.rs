@@ -2,11 +2,11 @@
 //!
 //! Workers and clients record into a shared [`Metrics`] (one mutex, one
 //! batched update per launch — not per request); [`Metrics::report`]
-//! snapshots it into the public [`EngineReport`], whose hand-rolled
-//! [`EngineReport::to_json`] matches the `LaunchReport` house style
-//! (stable keys, two-space indent).
+//! snapshots it into the public [`EngineReport`], which
+//! [`EngineReport::to_json`] renders through the same
+//! [`rt_gpusim::json::Json`] writer as `LaunchReport` (stable keys).
 
-use rt_gpusim::report::json_string;
+use rt_gpusim::json::Json;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -220,149 +220,109 @@ impl EngineReport {
         }
     }
 
-    /// Stable JSON encoding (same house style as
+    /// Stable JSON encoding (same writer as
     /// [`rt_gpusim::LaunchReport::to_json`]).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"elapsed_ms\": {:.3},\n", self.elapsed_ms));
-        out.push_str(&format!(
-            "  \"throughput_rps\": {:.2},\n",
-            self.throughput_rps()
-        ));
-        out.push_str(&format!("  \"submitted\": {},\n", self.submitted));
-        out.push_str(&format!("  \"completed\": {},\n", self.completed));
-        out.push_str(&format!(
-            "  \"rejected_queue_full\": {},\n",
-            self.rejected_queue_full
-        ));
-        out.push_str(&format!("  \"shed_deadline\": {},\n", self.shed_deadline));
-        out.push_str(&format!("  \"failed\": {},\n", self.failed));
-        out.push_str(&format!("  \"launches\": {},\n", self.launches));
-        out.push_str(&format!("  \"batches\": {},\n", self.batches));
-        out.push_str(&format!("  \"avg_batch\": {:.2},\n", self.avg_batch()));
-        out.push_str(&format!("  \"max_batch\": {},\n", self.max_batch));
-        out.push_str(&format!(
-            "  \"queue\": {{\"capacity\": {}, \"max_depth\": {}}},\n",
-            self.queue_capacity, self.queue_max_depth
-        ));
-        out.push_str(&format!(
-            "  \"wait_ms\": {{\"mean\": {:.3}, \"max\": {:.3}}},\n",
-            self.wait_ms_mean, self.wait_ms_max
-        ));
-        out.push_str(&format!(
-            "  \"latency_ms\": {{\"mean\": {:.3}, \"max\": {:.3}}},\n",
-            self.latency_ms_mean, self.latency_ms_max
-        ));
-        out.push_str(&format!(
-            "  \"modeled_gpu_seconds\": {:.6e},\n",
-            self.modeled_gpu_seconds
-        ));
-        out.push_str("  \"devices\": [");
-        for (i, d) in self.devices.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"name\": {}, \"requests\": {}, \"launches\": {}, \"modeled_seconds\": {:.6e}, \"resident_bytes\": {}, \"drained\": {}}}",
-                json_string(&d.name),
-                d.requests,
-                d.launches,
-                d.modeled_seconds,
-                d.resident_bytes,
-                d.drained
-            ));
-        }
-        if !self.devices.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n");
-        out.push_str("  \"plans\": [");
-        for (i, p) in self.plans.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"name\": {}, \"tile_width\": {}, \"grad_tile_width\": {}, \"mode\": {}, \"avg_nnz_nonempty\": {:.2}, \"buckets\": [",
-                json_string(&p.name),
-                p.tile_width,
-                p.grad_tile_width,
-                json_string(&p.mode),
-                p.avg_nnz_nonempty
-            ));
-            for (j, b) in p.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"min_len\": {}, \"max_len\": {}, \"rows\": {}, \"tile_width\": {}, \"lanes_active_frac\": {:.4}}}",
-                    b.min_len, b.max_len, b.rows, b.tile_width, b.lanes_active_frac
-                ));
-            }
-            out.push_str("], \"grad_buckets\": [");
-            for (j, b) in p.grad_buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"min_len\": {}, \"max_len\": {}, \"rows\": {}, \"tile_width\": {}, \"lanes_active_frac\": {:.4}}}",
-                    b.min_len, b.max_len, b.rows, b.tile_width, b.lanes_active_frac
-                ));
-            }
-            out.push_str("], \"shards\": [");
-            for (j, sh) in p.shards.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"shard\": {}, \"device\": {}, \"row_start\": {}, \"rows\": {}, \"nnz\": {}, \"resident_bytes\": {}}}",
-                    sh.shard,
-                    json_string(&sh.device),
-                    sh.row_start,
-                    sh.rows,
-                    sh.nnz,
-                    sh.resident_bytes
-                ));
-            }
-            out.push_str("], \"placement\": ");
-            match &p.placement {
-                None => out.push_str("null"),
-                Some(pl) => {
-                    out.push_str(&format!(
-                        "{{\"replicas\": {}, \"shards_per_replica\": {}, \"auto_shards\": {}, \"rebalances\": {}, \"groups\": [",
-                        pl.replicas, pl.shards_per_replica, pl.auto_shards, pl.rebalances
-                    ));
-                    for (j, g) in pl.groups.iter().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
-                        }
-                        let members = g
-                            .devices
-                            .iter()
-                            .map(|d| json_string(d))
-                            .collect::<Vec<_>>()
-                            .join(", ");
-                        out.push_str(&format!(
-                            "{{\"group\": {}, \"devices\": [{}], \"shards\": {}, \"served\": {}}}",
-                            g.group, members, g.shards, g.served
-                        ));
-                    }
-                    out.push_str("], \"breakeven\": [");
-                    for (j, b) in pl.breakeven.iter().enumerate() {
-                        if j > 0 {
-                            out.push_str(", ");
-                        }
-                        out.push_str(&format!(
-                            "{{\"k\": {}, \"modeled_seconds\": {:.6e}}}",
-                            b.k, b.modeled_seconds
-                        ));
-                    }
-                    out.push_str("]}");
-                }
-            }
-            out.push('}');
-        }
-        if !self.plans.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}");
-        out
+        let ms = |mean: f64, max: f64| {
+            Json::obj()
+                .field("mean", Json::fixed(mean, 3))
+                .field("max", Json::fixed(max, 3))
+        };
+        let devices = self.devices.iter().map(|d| {
+            Json::obj()
+                .field("name", &d.name)
+                .field("requests", d.requests)
+                .field("launches", d.launches)
+                .field("modeled_seconds", Json::sci(d.modeled_seconds, 6))
+                .field("resident_bytes", d.resident_bytes)
+                .field("drained", d.drained)
+        });
+        Json::obj()
+            .field("elapsed_ms", Json::fixed(self.elapsed_ms, 3))
+            .field("throughput_rps", Json::fixed(self.throughput_rps(), 2))
+            .field("submitted", self.submitted)
+            .field("completed", self.completed)
+            .field("rejected_queue_full", self.rejected_queue_full)
+            .field("shed_deadline", self.shed_deadline)
+            .field("failed", self.failed)
+            .field("launches", self.launches)
+            .field("batches", self.batches)
+            .field("avg_batch", Json::fixed(self.avg_batch(), 2))
+            .field("max_batch", self.max_batch)
+            .field(
+                "queue",
+                Json::obj()
+                    .field("capacity", self.queue_capacity)
+                    .field("max_depth", self.queue_max_depth),
+            )
+            .field("wait_ms", ms(self.wait_ms_mean, self.wait_ms_max))
+            .field("latency_ms", ms(self.latency_ms_mean, self.latency_ms_max))
+            .field(
+                "modeled_gpu_seconds",
+                Json::sci(self.modeled_gpu_seconds, 6),
+            )
+            .field("devices", Json::arr(devices))
+            .field("plans", Json::arr(&self.plans))
+            .render()
+    }
+}
+
+impl From<&PlanSelection> for Json {
+    fn from(p: &PlanSelection) -> Json {
+        let shards = p.shards.iter().map(|sh| {
+            Json::obj()
+                .field("shard", sh.shard)
+                .field("device", &sh.device)
+                .field("row_start", sh.row_start)
+                .field("rows", sh.rows)
+                .field("nnz", sh.nnz)
+                .field("resident_bytes", sh.resident_bytes)
+        });
+        Json::obj()
+            .field("name", &p.name)
+            .field("tile_width", p.tile_width)
+            .field("grad_tile_width", p.grad_tile_width)
+            .field("mode", &p.mode)
+            .field("avg_nnz_nonempty", Json::fixed(p.avg_nnz_nonempty, 2))
+            .field("buckets", Json::arr(&p.buckets))
+            .field("grad_buckets", Json::arr(&p.grad_buckets))
+            .field("shards", Json::arr(shards))
+            .field("placement", p.placement.as_ref())
+    }
+}
+
+impl From<&PlacementSelection> for Json {
+    fn from(pl: &PlacementSelection) -> Json {
+        let groups = pl.groups.iter().map(|g| {
+            Json::obj()
+                .field("group", g.group)
+                .field("devices", Json::arr(&g.devices))
+                .field("shards", g.shards)
+                .field("served", g.served)
+        });
+        let breakeven = pl.breakeven.iter().map(|b| {
+            Json::obj()
+                .field("k", b.k)
+                .field("modeled_seconds", Json::sci(b.modeled_seconds, 6))
+        });
+        Json::obj()
+            .field("replicas", pl.replicas)
+            .field("shards_per_replica", pl.shards_per_replica)
+            .field("auto_shards", pl.auto_shards)
+            .field("rebalances", pl.rebalances)
+            .field("groups", Json::arr(groups))
+            .field("breakeven", Json::arr(breakeven))
+    }
+}
+
+impl From<&BucketSelection> for Json {
+    fn from(b: &BucketSelection) -> Json {
+        Json::obj()
+            .field("min_len", b.min_len)
+            .field("max_len", b.max_len)
+            .field("rows", b.rows)
+            .field("tile_width", b.tile_width)
+            .field("lanes_active_frac", Json::fixed(b.lanes_active_frac, 4))
     }
 }
 
@@ -485,6 +445,13 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rt_gpusim::json::minify;
+
+    /// Whether `doc` contains `needle`, both compared with whitespace
+    /// outside string literals removed (layout-independent).
+    fn contains(doc: &str, needle: &str) -> bool {
+        minify(doc).contains(&minify(needle))
+    }
 
     #[test]
     fn report_aggregates_batches() {
@@ -647,7 +614,7 @@ mod tests {
         });
         let j = r.to_json();
         assert!(j.contains("\"resident_bytes\": 4096"));
-        assert!(j.contains(
+        assert!(contains(&j,
             "\"shards\": [{\"shard\": 0, \"device\": \"A100\", \"row_start\": 0, \"rows\": 500, \"nnz\": 9000, \"resident_bytes\": 2048}, "
         ));
         assert!(j.contains("{\"shard\": 1, \"device\": \"V100\""));
@@ -689,15 +656,20 @@ mod tests {
             shards: Vec::new(),
             placement: None,
         });
+        r.elapsed_ms = 2.5;
         let j = r.to_json();
         assert!(j.contains("\"partitioned-heuristic\""));
-        assert!(j.contains(
+        assert!(contains(&j,
             "\"buckets\": [{\"min_len\": 1, \"max_len\": 2, \"rows\": 1000, \"tile_width\": 2, \"lanes_active_frac\": 0.7500}, "
         ));
         assert!(j.contains("\"lanes_active_frac\": 0.9912"));
-        assert!(j.contains(
+        assert!(contains(&j,
             "\"grad_buckets\": [{\"min_len\": 9, \"max_len\": 16, \"rows\": 140, \"tile_width\": 16, \"lanes_active_frac\": 0.8125}]"
         ));
+        assert_eq!(
+            minify(&j),
+            r#"{"elapsed_ms":2.500,"throughput_rps":0.00,"submitted":0,"completed":0,"rejected_queue_full":0,"shed_deadline":0,"failed":0,"launches":0,"batches":0,"avg_batch":0.00,"max_batch":0,"queue":{"capacity":4,"max_depth":0},"wait_ms":{"mean":0.000,"max":0.000},"latency_ms":{"mean":0.000,"max":0.000},"modeled_gpu_seconds":0.000000e0,"devices":[{"name":"A100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"drained":false}],"plans":[{"name":"liver","tile_width":32,"grad_tile_width":16,"mode":"partitioned-heuristic","avg_nnz_nonempty":2.10,"buckets":[{"min_len":1,"max_len":2,"rows":1000,"tile_width":2,"lanes_active_frac":0.7500},{"min_len":33,"max_len":4294967295,"rows":8,"tile_width":32,"lanes_active_frac":0.9912}],"grad_buckets":[{"min_len":9,"max_len":16,"rows":140,"tile_width":16,"lanes_active_frac":0.8125}],"shards":[],"placement":null}]}"#
+        );
     }
 
     #[test]
@@ -744,13 +716,19 @@ mod tests {
                 ],
             }),
         });
+        r.elapsed_ms = 2.5;
         let j = r.to_json();
-        assert!(j.contains(
+        assert!(contains(&j,
             "\"placement\": {\"replicas\": 2, \"shards_per_replica\": 2, \"auto_shards\": true, \"rebalances\": 3, \"groups\": [{\"group\": 0, \"devices\": [\"A100\", \"P100\"], \"shards\": 2, \"served\": 3}, "
         ));
-        assert!(j.contains(
+        assert!(contains(
+            &j,
             "{\"group\": 1, \"devices\": [\"A100\", \"V100\"], \"shards\": 2, \"served\": 2}"
         ));
-        assert!(j.contains("\"breakeven\": [{\"k\": 1, \"modeled_seconds\": 3.300000e-5}, {\"k\": 2, \"modeled_seconds\": 2.100000e-5}]"));
+        assert!(contains(&j, "\"breakeven\": [{\"k\": 1, \"modeled_seconds\": 3.300000e-5}, {\"k\": 2, \"modeled_seconds\": 2.100000e-5}]"));
+        assert_eq!(
+            minify(&j),
+            r#"{"elapsed_ms":2.500,"throughput_rps":0.00,"submitted":0,"completed":0,"rejected_queue_full":0,"shed_deadline":0,"failed":0,"launches":0,"batches":0,"avg_batch":0.00,"max_batch":0,"queue":{"capacity":4,"max_depth":0},"wait_ms":{"mean":0.000,"max":0.000},"latency_ms":{"mean":0.000,"max":0.000},"modeled_gpu_seconds":0.000000e0,"devices":[{"name":"A100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"drained":false},{"name":"A100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"drained":false},{"name":"V100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"drained":false},{"name":"P100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"drained":false}],"plans":[{"name":"liver","tile_width":32,"grad_tile_width":32,"mode":"heuristic","avg_nnz_nonempty":12.00,"buckets":[],"grad_buckets":[],"shards":[],"placement":{"replicas":2,"shards_per_replica":2,"auto_shards":true,"rebalances":3,"groups":[{"group":0,"devices":["A100","P100"],"shards":2,"served":3},{"group":1,"devices":["A100","V100"],"shards":2,"served":2}],"breakeven":[{"k":1,"modeled_seconds":3.300000e-5},{"k":2,"modeled_seconds":2.100000e-5}]}}]}"#
+        );
     }
 }

@@ -51,6 +51,7 @@ pub mod counters;
 pub mod device;
 pub mod devicegroup;
 pub mod exec;
+pub mod json;
 pub mod mem;
 pub mod report;
 pub mod timing;

@@ -15,7 +15,7 @@
 //! ```
 
 use rtdose::dose::cases::{liver_case, prostate_case, DoseCase, ScaleConfig};
-use rtdose::engine::{Engine, ExecPolicy, ReplicaSpec, RequestKind, ShardSpec};
+use rtdose::engine::{Engine, EngineReport, ExecPolicy, ReplicaSpec, RequestKind, ShardSpec};
 use rtdose::f16::{DoseScalar, F16};
 use rtdose::gpusim::{
     DeviceBuffer, DeviceGroup, DeviceOutBuffer, DeviceSpec, Gpu, GroupReport, KernelProfile,
@@ -24,9 +24,9 @@ use rtdose::gpusim::{
 use rtdose::kernels::{
     bucketed_group_report, heuristic_width, profile_baseline, profile_half_double, profile_single,
     rs_baseline_gpu_spmv, select_per_shard, vector_csr_spmv, vector_csr_spmv_bucketed,
-    vector_csr_spmv_sharded, vector_csr_spmv_tiled, BucketWidths, GpuCsrMatrix, GpuRowPlan,
-    GpuRsMatrix, KernelChoice, KernelSelect, PartitionStrategy, ShardDispatch, VecScalar,
-    TILE_WIDTHS,
+    vector_csr_spmv_sharded, vector_csr_spmv_tiled, BucketChoice, BucketWidths, GpuCsrMatrix,
+    GpuRowPlan, GpuRsMatrix, KernelChoice, KernelSelect, PartitionStrategy, ShardDispatch,
+    VecScalar, TILE_WIDTHS,
 };
 use rtdose::optim::{optimize, GpuDoseEngine, Objective, ObjectiveTerm, OptimizerConfig};
 use rtdose::sparse::stats::{MatrixSummary, RowStats};
@@ -36,6 +36,7 @@ use rtdose::sparse::{
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::str::FromStr;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn usage() -> ! {
@@ -342,10 +343,7 @@ fn run_partitioned_spmv<V: DoseScalar, X: VecScalar>(
     let choice = KernelSelect::Partitioned(strategy)
         .choose(dev, m, tpb)
         .expect("partitioned selection cannot fail on a loaded snapshot");
-    let mut widths = BucketWidths::natural();
-    for bc in &choice.buckets {
-        widths.0[bc.bucket] = bc.tile_width;
-    }
+    let widths = choice.bucket_widths();
     let plan = Arc::new(RowPlan::from_csr(m));
     let gplan = GpuRowPlan::upload(gpu, plan.clone());
     let mut g = vector_csr_spmv_bucketed(gpu, gm, x, y, tpb, &gplan, widths);
@@ -470,16 +468,12 @@ fn cmd_spmv(flags: HashMap<String, String>) {
 
     if let Some(k) = parse_shards(&flags) {
         let dispatch = match partition {
-            Some(strategy) => {
-                let choice = KernelSelect::Partitioned(strategy)
+            Some(strategy) => ShardDispatch::Bucketed(
+                KernelSelect::Partitioned(strategy)
                     .choose(&dev, &m, tpb)
-                    .expect("partitioned selection cannot fail on a loaded snapshot");
-                let mut widths = BucketWidths::natural();
-                for bc in &choice.buckets {
-                    widths.0[bc.bucket] = bc.tile_width;
-                }
-                ShardDispatch::Bucketed(widths)
-            }
+                    .expect("partitioned selection cannot fail on a loaded snapshot")
+                    .bucket_widths(),
+            ),
             None => ShardDispatch::Fixed(tile),
         };
         run_sharded_spmv(&m, &dev, tpb, k.unwrap_or(3), kernel, dispatch);
@@ -635,6 +629,16 @@ fn cmd_spmv(flags: HashMap<String, String>) {
     }
 }
 
+/// A bucket's inclusive row-length range: `min-max`, or `min+` when
+/// open-ended.
+fn bucket_range(bc: &BucketChoice) -> String {
+    if bc.max_len == u32::MAX {
+        format!("{}+", bc.min_len)
+    } else {
+        format!("{}-{}", bc.min_len, bc.max_len)
+    }
+}
+
 /// Prints a partitioned choice's populated buckets: row-length range,
 /// rows, nnz, the natural width, the probe's pick, and true lane
 /// occupancy. Shared by the dose and gradient (transpose) tables.
@@ -645,14 +649,9 @@ fn print_bucket_table(choice: &KernelChoice) {
         if bc.rows == 0 {
             continue;
         }
-        let range = if bc.max_len == u32::MAX {
-            format!("{}+", bc.min_len)
-        } else {
-            format!("{}-{}", bc.min_len, bc.max_len)
-        };
         println!(
             "  rows {:<8} {:>9} {:>12} {:>9} {:>7} {:>13.1}%",
-            range,
+            bucket_range(bc),
             bc.rows,
             bc.nnz,
             format!("w{}", natural.0[bc.bucket]),
@@ -872,10 +871,39 @@ fn cmd_optimize(flags: HashMap<String, String>) {
     );
 }
 
+/// Prints one serve-demo bucket row per populated bucket of `choice`,
+/// each labelled `{prefix}bucket`.
+fn print_plan_buckets(prefix: &str, choice: &KernelChoice) {
+    for bc in choice.buckets.iter().filter(|b| b.rows > 0) {
+        println!(
+            "      {prefix}bucket rows {:<6} -> w{:<2} ({} rows, {:.1}% lanes active)",
+            bucket_range(bc),
+            bc.tile_width,
+            bc.rows,
+            bc.lanes_active_frac * 100.0
+        );
+    }
+}
+
+/// Whether a serve-demo session failed: fewer than `requests` were
+/// served, the engine shed or failed any request, or the mid-traffic
+/// drain returned an error.
+fn serve_demo_failed(
+    requests: usize,
+    served: usize,
+    report: &EngineReport,
+    drain_failed: bool,
+) -> bool {
+    served < requests
+        || report.failed + report.shed_deadline + report.rejected_queue_full > 0
+        || drain_failed
+}
+
 /// A mixed-clinic serving demo: many concurrent dose and gradient
 /// requests for two plans (one liver beam, one prostate beam) served by
-/// a 2×A100 + 1×V100 pool, ending with the engine's JSON report.
-fn cmd_serve_demo(flags: HashMap<String, String>) {
+/// a 2×A100 + 1×V100 pool, ending with the engine's JSON report. Exits
+/// non-zero when [`serve_demo_failed`].
+fn cmd_serve_demo(flags: HashMap<String, String>) -> ExitCode {
     let requests: usize = num_flag(&flags, "requests").unwrap_or(120);
     let shrink: f64 = num_flag(&flags, "shrink").unwrap_or(24.0);
     let submitters: usize = num_flag(&flags, "submitters").unwrap_or(4).max(1);
@@ -962,39 +990,12 @@ fn cmd_serve_demo(flags: HashMap<String, String>) {
                 println!("      break-even model picked K={k}: {}", picks.join(", "));
             }
         }
-        let choice = engine.plan_choice(name).unwrap();
-        for bc in choice.buckets.iter().filter(|b| b.rows > 0) {
-            let range = if bc.max_len == u32::MAX {
-                format!("{}+", bc.min_len)
-            } else {
-                format!("{}-{}", bc.min_len, bc.max_len)
-            };
-            println!(
-                "      bucket rows {:<6} -> w{:<2} ({} rows, {:.1}% lanes active)",
-                range,
-                bc.tile_width,
-                bc.rows,
-                bc.lanes_active_frac * 100.0
-            );
-        }
+        print_plan_buckets("", engine.plan_choice(name).unwrap());
         // The gradient direction's own table: chosen on the whole
         // transpose at registration, pinned before any shard split.
         let grad = engine.plan_grad_choice(name).unwrap();
         println!("      gradient (transpose) tile width {}", grad.tile_width);
-        for bc in grad.buckets.iter().filter(|b| b.rows > 0) {
-            let range = if bc.max_len == u32::MAX {
-                format!("{}+", bc.min_len)
-            } else {
-                format!("{}-{}", bc.min_len, bc.max_len)
-            };
-            println!(
-                "      grad bucket rows {:<6} -> w{:<2} ({} rows, {:.1}% lanes active)",
-                range,
-                bc.tile_width,
-                bc.rows,
-                bc.lanes_active_frac * 100.0
-            );
-        }
+        print_plan_buckets("grad ", grad);
     }
     println!(
         "pool: {}  |  {} requests from {} submitter threads",
@@ -1011,13 +1012,15 @@ fn cmd_serve_demo(flags: HashMap<String, String>) {
     let liver_dims = (liver.nrows(), liver.ncols());
     let prostate_dims = (prostate.nrows(), prostate.ncols());
     let drain_target = pool_size - 1;
+    let drain_failed = AtomicBool::new(false);
     let (ok, report) = engine.serve(|client| {
-        let done = std::sync::atomic::AtomicUsize::new(0);
-        let drained = std::sync::atomic::AtomicBool::new(false);
+        let done = AtomicUsize::new(0);
+        let drained = AtomicBool::new(false);
         std::thread::scope(|s| {
             for t in 0..submitters {
                 let done = &done;
                 let drained = &drained;
+                let drain_failed = &drain_failed;
                 s.spawn(move || {
                     let mut i = t;
                     while i < requests {
@@ -1035,25 +1038,22 @@ fn cmd_serve_demo(flags: HashMap<String, String>) {
                             .map(|j| ((i * 37 + j) as f64 * 0.01).sin().abs())
                             .collect();
                         if client.call(plan, kind, payload).is_ok() {
-                            let served =
-                                done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+                            let served = done.fetch_add(1, Ordering::Relaxed) + 1;
                             // Mid-traffic maintenance drain: first
                             // submitter past the threshold wins the
                             // flag; in-flight fan-outs finish on their
                             // old placement epoch, doses unchanged.
-                            if let Some(after) = drain_after {
-                                if served >= after
-                                    && !drained.swap(true, std::sync::atomic::Ordering::SeqCst)
-                                {
-                                    match client.drain_device(drain_target) {
-                                        Ok(()) => println!(
-                                            "  drained device {drain_target} after {served} requests; \
-                                             every plan re-dealt over the live pool"
-                                        ),
-                                        Err(e) => eprintln!(
-                                            "  drain of device {drain_target} failed: {e}"
-                                        ),
-                                    }
+                            if drain_after.is_some_and(|after| served >= after)
+                                && !drained.swap(true, Ordering::SeqCst)
+                            {
+                                if let Err(e) = client.drain_device(drain_target) {
+                                    eprintln!("  drain of device {drain_target} failed: {e}");
+                                    drain_failed.store(true, Ordering::SeqCst);
+                                } else {
+                                    println!(
+                                        "  drained device {drain_target} after {served} requests; \
+                                         every plan re-dealt over the live pool"
+                                    );
                                 }
                             }
                         }
@@ -1062,11 +1062,16 @@ fn cmd_serve_demo(flags: HashMap<String, String>) {
                 });
             }
         });
-        done.load(std::sync::atomic::Ordering::Relaxed)
+        done.load(Ordering::Relaxed)
     });
 
     println!("\n{} of {} requests served; engine report:", ok, requests);
     println!("{}", report.to_json());
+    if serve_demo_failed(requests, ok, &report, drain_failed.into_inner()) {
+        eprintln!("serve-demo FAILED: not every request was served cleanly");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
@@ -1079,7 +1084,7 @@ fn main() -> ExitCode {
         "spmv" => cmd_spmv(parse_flags(&args[1..])),
         "kernels" => cmd_kernels(&args[1..]),
         "optimize" => cmd_optimize(parse_flags(&args[1..])),
-        "serve-demo" => cmd_serve_demo(parse_flags(&args[1..])),
+        "serve-demo" => return cmd_serve_demo(parse_flags(&args[1..])),
         "--help" | "-h" | "help" => usage(),
         other => {
             eprintln!("unknown command: {other}");
@@ -1111,5 +1116,20 @@ mod tests {
         assert!(err.contains("\"abc\""), "{err}");
         // A negative count is a bad value, not a wrap-around.
         assert!(parse_num::<usize>(&flags(&[("requests", "-3")]), "requests").is_err());
+    }
+
+    #[test]
+    fn serve_demo_fails_on_any_unserved_request_or_drain_error() {
+        let clean = EngineReport::default();
+        assert!(!serve_demo_failed(10, 10, &clean, false));
+        assert!(serve_demo_failed(10, 9, &clean, false));
+        assert!(serve_demo_failed(10, 10, &clean, true));
+        let (mut failed, mut shed, mut rejected) = (clean.clone(), clean.clone(), clean);
+        failed.failed = 1;
+        shed.shed_deadline = 1;
+        rejected.rejected_queue_full = 1;
+        for lost in [failed, shed, rejected] {
+            assert!(serve_demo_failed(10, 10, &lost, false));
+        }
     }
 }
