@@ -28,6 +28,14 @@
 //! is cleared on its next probe, which behaves exactly like physically
 //! clearing the arrays.
 //!
+//! Each set also remembers its newest way (the one `probe` last stamped).
+//! A probe that re-hits that way answers after one tag compare, without
+//! the way scan or a stamp bump. This is exact: victims are chosen only by
+//! comparing stamps within one set, the newest way already holds the
+//! set's largest stamp, so skipping the bump leaves every within-set order
+//! — and therefore every hit, miss, victim, write-back and flush count —
+//! unchanged. A write re-hit still marks the way dirty.
+//!
 //! The model intentionally omits the L1/SMEM level: for streaming SpMV
 //! kernels L1 hit rates are negligible for the matrix (each element is
 //! touched once) and the input-vector reuse the paper discusses is an L2
@@ -52,6 +60,8 @@ struct Shard {
     /// Shard generation each set was last probed in; a set behind `gen`
     /// was invalidated wholesale and is cleared on its next probe.
     set_gen: Vec<u64>,
+    /// Way index `probe` last stamped, per set: the set's newest way.
+    mru: Vec<u8>,
     stamp: u64,
     /// Current generation; bumped by [`L2Cache::invalidate`].
     gen: u64,
@@ -69,6 +79,7 @@ impl Shard {
             stamps: vec![0; sets * ways],
             dirty: vec![false; sets * ways],
             set_gen: vec![0; sets],
+            mru: vec![0; sets],
             stamp: 0,
             gen: 0,
             dirty_ways: 0,
@@ -103,11 +114,30 @@ impl Shard {
 /// way, else the least-recently stamped one; write-allocate — GPU L2
 /// write misses do not read DRAM, so the caller should count DRAM read
 /// traffic only for read misses).
+///
+/// A re-hit on the set's newest way takes a fast path: one tag compare,
+/// no way scan and no stamp bump. The newest way's stamp is already the
+/// largest in its set and victims are chosen by comparing stamps within a
+/// set only, so skipping the bump changes no later result. A stale set
+/// (generation behind) never takes the fast path.
 #[inline]
 fn probe(shard: &mut Shard, set: usize, ways: usize, sector: u64, write: bool) -> AccessResult {
+    let key = sector + 1;
+    let base = set * ways;
+    let newest = base + shard.mru[set] as usize;
+    if shard.set_gen[set] == shard.gen && shard.tags[newest] == key {
+        if write && !shard.dirty[newest] {
+            shard.dirty[newest] = true;
+            shard.dirty_ways += 1;
+        }
+        return AccessResult {
+            hit: true,
+            writeback: false,
+        };
+    }
+
     shard.stamp += 1;
     let stamp = shard.stamp;
-    let base = set * ways;
     let tags = &mut shard.tags[base..base + ways];
     let stamps = &mut shard.stamps[base..base + ways];
     let dirty = &mut shard.dirty[base..base + ways];
@@ -119,9 +149,9 @@ fn probe(shard: &mut Shard, set: usize, ways: usize, sector: u64, write: bool) -
         dirty.fill(false);
     }
 
-    let key = sector + 1;
     if let Some(w) = tags.iter().position(|&t| t == key) {
         stamps[w] = stamp;
+        shard.mru[set] = w as u8;
         if write && !dirty[w] {
             dirty[w] = true;
             shard.dirty_ways += 1;
@@ -141,6 +171,7 @@ fn probe(shard: &mut Shard, set: usize, ways: usize, sector: u64, write: bool) -
     tags[victim] = key;
     stamps[victim] = stamp;
     dirty[victim] = write;
+    shard.mru[set] = victim as u8;
     shard.dirty_ways += write as u64;
     shard.dirty_ways -= writeback as u64;
     AccessResult {
@@ -175,8 +206,16 @@ pub struct L2Cache {
 
 impl L2Cache {
     /// Builds a cache of `capacity_bytes` with `ways`-way sets.
+    ///
+    /// # Panics
+    ///
+    /// If `ways` is 0 or above 256: each set keeps its newest way as a
+    /// `u8` index.
     pub fn new(capacity_bytes: usize, ways: usize) -> Self {
-        assert!(ways > 0);
+        assert!(
+            (1..=256).contains(&ways),
+            "L2 associativity must be 1..=256 ways, got {ways}"
+        );
         let nsets =
             ((capacity_bytes as u64 / SECTOR_BYTES / ways as u64).max(1)).next_power_of_two();
         let sets_per_shard = (nsets / SHARDS as u64).max(1);
@@ -333,6 +372,206 @@ impl L2Port<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `probe` without the newest-way fast path: a full way scan and a
+    /// stamp bump on every access. The differential tests check the
+    /// production `probe` against it.
+    fn reference_probe(
+        shard: &mut Shard,
+        set: usize,
+        ways: usize,
+        sector: u64,
+        write: bool,
+    ) -> AccessResult {
+        shard.stamp += 1;
+        let stamp = shard.stamp;
+        let base = set * ways;
+        let tags = &mut shard.tags[base..base + ways];
+        let stamps = &mut shard.stamps[base..base + ways];
+        let dirty = &mut shard.dirty[base..base + ways];
+        if shard.set_gen[set] != shard.gen {
+            shard.set_gen[set] = shard.gen;
+            tags.fill(0);
+            dirty.fill(false);
+        }
+
+        let key = sector + 1;
+        if let Some(w) = tags.iter().position(|&t| t == key) {
+            stamps[w] = stamp;
+            if write && !dirty[w] {
+                dirty[w] = true;
+                shard.dirty_ways += 1;
+            }
+            return AccessResult {
+                hit: true,
+                writeback: false,
+            };
+        }
+        let victim = tags.iter().position(|&t| t == 0).unwrap_or_else(|| {
+            (0..ways)
+                .min_by_key(|&w| stamps[w])
+                .expect("a set has at least one way")
+        });
+        let writeback = tags[victim] != 0 && dirty[victim];
+        tags[victim] = key;
+        stamps[victim] = stamp;
+        dirty[victim] = write;
+        shard.dirty_ways += write as u64;
+        shard.dirty_ways -= writeback as u64;
+        AccessResult {
+            hit: false,
+            writeback,
+        }
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Access(u64, bool),
+        Invalidate,
+        Flush,
+    }
+
+    #[derive(Debug, PartialEq, Eq)]
+    enum Outcome {
+        Access(AccessResult),
+        Flushed(u64),
+    }
+
+    /// Seeded op sequence over a few times the cache's sectors: about one
+    /// write in three, an invalidate every ~97 ops and a flush every ~53.
+    /// Sectors often repeat the previous one or come from a small recent
+    /// window, so both fast-path re-hits and older-way hits occur.
+    fn ops(seed: u64, sectors: u64, len: usize) -> Vec<Op> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut last = 0u64;
+        (0..len)
+            .map(|_| {
+                if rng.gen_range(0..97u32) == 0 {
+                    return Op::Invalidate;
+                }
+                if rng.gen_range(0..53u32) == 0 {
+                    return Op::Flush;
+                }
+                last = match rng.gen_range(0..4u32) {
+                    0 => last,
+                    1 => last.saturating_sub(rng.gen_range(0..8u64)),
+                    _ => rng.gen_range(0..sectors),
+                };
+                Op::Access(last, rng.gen_range(0..3u32) == 0)
+            })
+            .collect()
+    }
+
+    /// Runs `ops` through `reference_probe` on a cache's own shards.
+    fn run_reference(c: &L2Cache, ops: &[Op]) -> Vec<Outcome> {
+        ops.iter()
+            .filter_map(|&op| match op {
+                Op::Access(sector, write) => {
+                    let (shard, set) = c.shard_of(sector);
+                    let mut shards = c.shards.write();
+                    let shard = shards[shard].get_mut();
+                    Some(Outcome::Access(reference_probe(
+                        shard, set, c.ways, sector, write,
+                    )))
+                }
+                Op::Invalidate => {
+                    c.invalidate();
+                    None
+                }
+                Op::Flush => Some(Outcome::Flushed(c.owned().flush_dirty())),
+            })
+            .collect()
+    }
+
+    /// Runs `ops` through an owned or a shared port.
+    fn run_port(c: &L2Cache, ops: &[Op], owned: bool) -> Vec<Outcome> {
+        let port = || if owned { c.owned() } else { c.shared() };
+        ops.iter()
+            .filter_map(|&op| match op {
+                Op::Access(sector, write) => {
+                    Some(Outcome::Access(port().access(sector * SECTOR_BYTES, write)))
+                }
+                Op::Invalidate => {
+                    c.invalidate();
+                    None
+                }
+                Op::Flush => Some(Outcome::Flushed(port().flush_dirty())),
+            })
+            .collect()
+    }
+
+    fn stamps_issued(c: &L2Cache) -> u64 {
+        c.shards.write().iter_mut().map(|s| s.get_mut().stamp).sum()
+    }
+
+    #[test]
+    fn newest_way_fast_path_matches_the_reference_probe() {
+        for ways in [1usize, 2, 4, 16] {
+            for sets in [1usize, 2, 4, 8] {
+                let capacity = sets * ways * SECTOR_BYTES as usize;
+                let sectors = 3 * (sets * ways) as u64 + 1;
+                let mut all = Vec::new();
+                for seed in 0..8u64 {
+                    let ops = ops(seed * 1000 + (ways * 10 + sets) as u64, sectors, 2000);
+                    let reference = L2Cache::new(capacity, ways);
+                    let want = run_reference(&reference, &ops);
+                    let accesses =
+                        ops.iter().filter(|op| matches!(op, Op::Access(..))).count() as u64;
+                    assert_eq!(stamps_issued(&reference), accesses);
+                    for owned in [true, false] {
+                        let c = L2Cache::new(capacity, ways);
+                        let got = run_port(&c, &ops, owned);
+                        assert_eq!(
+                            got, want,
+                            "ways {ways}, sets {sets}, seed {seed}, owned {owned}"
+                        );
+                        assert!(
+                            stamps_issued(&c) < accesses,
+                            "the fast path fired (ways {ways}, sets {sets})"
+                        );
+                    }
+                    all.extend(want);
+                }
+                // Every config exercises hits, misses, write-backs and
+                // non-empty flushes.
+                let seen = |f: fn(&Outcome) -> bool| all.iter().any(f);
+                assert!(seen(|o| matches!(o, Outcome::Access(r) if r.hit)));
+                assert!(seen(|o| matches!(o, Outcome::Access(r) if !r.hit)));
+                assert!(
+                    seen(|o| matches!(o, Outcome::Access(r) if r.writeback)),
+                    "no write-back with ways {ways}, sets {sets}"
+                );
+                assert!(seen(|o| matches!(o, Outcome::Flushed(n) if *n > 0)));
+            }
+        }
+    }
+
+    #[test]
+    fn fast_path_rehit_leaves_the_other_way_as_victim() {
+        // One set of 2 ways.
+        let c = L2Cache::new(2 * SECTOR_BYTES as usize, 2);
+        let (a, b, x) = (0, SECTOR_BYTES, 2 * SECTOR_BYTES);
+        let port = c.owned();
+        assert!(!port.access(a, false).hit); // way 0
+        assert!(!port.access(b, false).hit); // way 1, newest
+        assert!(port.access(b, false).hit); // fast path
+        assert!(port.access(a, false).hit); // scan hit: way 0 newest
+        assert!(port.access(a, true).hit); // fast path, marks a dirty
+        let r = port.access(x, false);
+        assert!(!r.hit && !r.writeback, "x evicts clean b, not a");
+        assert!(port.access(a, false).hit);
+        let r = port.access(b, false);
+        assert!(!r.hit && !r.writeback, "b evicts x, the least recent");
+        assert_eq!(port.flush_dirty(), 1, "a's fast-path write is flushed");
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=256 ways")]
+    fn more_than_256_ways_is_rejected() {
+        L2Cache::new(1 << 20, 257);
+    }
 
     #[test]
     fn repeated_access_hits() {

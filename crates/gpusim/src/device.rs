@@ -38,7 +38,9 @@ pub struct DeviceSpec {
     pub warp_schedulers: u32,
     /// L2 cache size in bytes.
     pub l2_bytes: usize,
-    /// L2 associativity used by the cache model.
+    /// L2 associativity used by the cache model: 1 to 256 ways
+    /// ([`L2Cache::new`](crate::cache::L2Cache::new) panics otherwise).
+    /// Every shipped spec uses 16.
     pub l2_ways: usize,
     /// Peak DRAM bandwidth in bytes/s (datasheet).
     pub dram_bw: f64,
