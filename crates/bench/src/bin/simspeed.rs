@@ -15,12 +15,15 @@
 //!   whole-matrix autotuned pick, and the bucketed row-partition
 //!   dispatch — the shape empty-row elimination and per-bucket width
 //!   dispatch exist for, and
-//! * the same liver shape **row-sharded across a 3×A100 pool**: one
-//!   request executed cooperatively, 3 nnz-balanced row shards running
-//!   concurrently, the interconnect gather of each shard's rows charged
-//!   to the critical path. Its `sim_speedup_vs_one_device` compares the
-//!   pool's modeled critical path against the same bucketed dispatch
-//!   fully resident on one device, and
+//! * the same liver shape **row-sharded across a 3×A100 pool**, served
+//!   through the engine's placement (`rt_engine::Engine`, one replica
+//!   group of 3 throughput-weighted row shards, probe-pinned bucket
+//!   widths) — the path the pool serves traffic through: one dose
+//!   `call` per timed launch, the shards running concurrently, the
+//!   interconnect gather of each shard's rows charged to the critical
+//!   path. Its `sim_speedup_vs_one_device` compares the pool's modeled
+//!   critical path against the same bucketed dispatch fully resident on
+//!   one device, and
 //! * a deterministic "liver gradient" optimizer shape (a wide beamlet
 //!   axis where ~98% of beamlets never touch the dose shell, so the
 //!   **transpose** is empty-row heavy) timing the backward pass `Aᵀ r`
@@ -78,19 +81,19 @@ use rand::{Rng, SeedableRng};
 use rt_core::{
     choose_shard_count, modeled_pool_throughput, modeled_whole_seconds, profile_baseline,
     profile_half_double, rs_baseline_gpu_spmv, vector_csr_spmv, vector_csr_spmv_bucketed,
-    vector_csr_spmv_sharded, vector_csr_spmv_tiled, GpuCsrMatrix, GpuRowPlan, GpuRsMatrix,
-    KernelChoice, KernelSelect, PartitionStrategy, ShardBreakEven, ShardDispatch, ShardedCsr,
-    TILE_WIDTHS,
+    vector_csr_spmv_tiled, GpuCsrMatrix, GpuRowPlan, GpuRsMatrix, KernelChoice, KernelSelect,
+    PartitionStrategy, ShardBreakEven, TILE_WIDTHS,
 };
 use rt_dose::cases::{prostate_case, ScaleConfig};
+use rt_engine::{Engine, ExecPolicy, ReplicaSpec, RequestKind, ShardSpec};
 use rt_f16::F16;
 use rt_gpusim::json::Json;
 use rt_gpusim::{
-    snake_partition, snake_partition_subset, timing, BucketReport, DeviceGroup, DeviceSpec, Gpu,
-    GroupStats, KernelProfile, KernelStats, LaunchReport, ShardReport, ShardedReport,
+    snake_partition, snake_partition_subset, timing, BucketReport, DeviceSpec, Gpu, GroupStats,
+    KernelProfile, KernelStats, LaunchReport, ShardReport, ShardedReport,
 };
 use rt_sparse::stats::RowStats;
-use rt_sparse::{Csr, RowPlan, RsCompressed, ShardPlan};
+use rt_sparse::{Csr, RowPlan, RsCompressed};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -405,13 +408,14 @@ fn time_partitioned(
     meas
 }
 
-/// Times the row-sharded multi-device dispatch: `pool` nnz-balanced row
-/// shards, one resident per device of a `pool`-wide group of identical
-/// devices, every shard running the bucketed dispatch at the globally
-/// pinned (probe-autotuned) widths. The modeled figure is the pool's
-/// critical path — `max` over shards of compute plus the interconnect
-/// gather of the shard's rows — i.e. what one cooperative request
-/// finishes in.
+/// Times one request row-sharded across `pool` identical devices,
+/// served through the engine's placement: one replica group, `pool`
+/// throughput-weighted row shards (one resident per device), every
+/// shard running the bucketed dispatch at the widths the probe pinned
+/// from the whole matrix. Each timed launch is one dose `call`; the
+/// modeled figure is the fan-out's critical path — `max` over shards of
+/// compute plus the interconnect gather of the shard's rows — i.e.
+/// what one cooperative request finishes in.
 fn time_sharded(
     name: &str,
     csr: &Csr<F16, u32>,
@@ -420,34 +424,44 @@ fn time_sharded(
     warmup: usize,
     samples: usize,
 ) -> Measurement {
-    let widths = KernelSelect::Partitioned(PartitionStrategy::MeasuredProbe)
-        .choose(device, csr, 512)
-        .expect("partitioned probe cannot fail on a valid matrix")
-        .bucket_widths();
-    let dispatch = ShardDispatch::Bucketed(widths);
-    let plan = ShardPlan::build(csr, pool);
-    let group = DeviceGroup::new(vec![device.clone(); pool]);
-    let sm = ShardedCsr::upload(&group, &plan);
+    let policy = ExecPolicy::builder()
+        .kernel_select(KernelSelect::Partitioned(PartitionStrategy::MeasuredProbe))
+        .shards(ShardSpec::Fixed(pool))
+        .replicas(ReplicaSpec::Fixed(1))
+        .build()
+        .expect("a fixed shard and replica count is a valid policy");
+    let mut engine = Engine::builder()
+        .devices(vec![device.clone(); pool])
+        .default_policy(policy)
+        .build()
+        .expect("a non-empty pool builds");
+    engine
+        .register_plan(name, &csr.convert_values())
+        .expect("a valid matrix registers");
     let x = vec![1.0f64; csr.ncols()];
     let profile = profile_half_double();
-    let mut last: Option<ShardedReport> = None;
-    let mut meas = time_kernel(
-        name,
-        csr.nnz() as u64,
-        device,
-        &profile,
-        warmup,
-        samples,
-        || {
-            let r = vector_csr_spmv_sharded(&group, &sm, &x, 512, dispatch, &profile)
-                .expect("sharded dispatch cannot fail on validated widths")
-                .1;
-            let stats = r.stats.clone();
-            last = Some(r);
-            stats
-        },
-    );
-    let last = last.expect("at least one timed launch");
+    let ((mut meas, last), _) = engine.serve(|client| {
+        let mut last: Option<ShardedReport> = None;
+        let meas = time_kernel(
+            name,
+            csr.nnz() as u64,
+            device,
+            &profile,
+            warmup,
+            samples,
+            || {
+                let r = client
+                    .call(name, RequestKind::Dose, x.clone())
+                    .expect("a registered plan serves")
+                    .shards
+                    .expect("every response carries its shards");
+                let stats = r.stats.clone();
+                last = Some(r);
+                stats
+            },
+        );
+        (meas, last.expect("at least one timed launch"))
+    });
 
     // Pool-level record: merged counters; seconds and the derived rates
     // rebuilt around the critical path (the per-device estimator has no

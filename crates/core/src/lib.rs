@@ -27,7 +27,6 @@ pub mod placement;
 pub mod scalar_csr;
 pub mod select;
 pub mod sell_kernel;
-pub mod sharded;
 pub mod tiled;
 pub mod vector_csr;
 
@@ -52,10 +51,6 @@ pub use select::{
     TileCandidate,
 };
 pub use sell_kernel::{sell_spmv, GpuSellMatrix};
-pub use sharded::{
-    select_per_shard, vector_csr_spmm_sharded, vector_csr_spmv_sharded, ShardDispatch,
-    ShardSelection, ShardedCsr,
-};
 pub use tiled::{vector_csr_spmm_tiled, vector_csr_spmv_tiled, vector_csr_tiled_reference};
 pub use vector_csr::{vector_csr_spmm, vector_csr_spmv, GpuCsrMatrix, VecScalar, MAX_SPMM_BATCH};
 

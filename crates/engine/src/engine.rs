@@ -3,9 +3,10 @@
 //! # Architecture
 //!
 //! One worker thread per simulated device, all popping from one bounded
-//! FIFO ([`BoundedQueue`]). A worker that pops a request immediately
-//! gathers up to `max_batch - 1` queued *compatible* requests (same plan,
-//! same operation) and executes them as one multi-vector launch sequence
+//! FIFO ([`BoundedQueue`]). A worker pops a request together with up to
+//! `max_batch - 1` queued *compatible* requests (same plan, same
+//! operation) in one locked queue operation, and executes them as one
+//! multi-vector launch sequence
 //! ([`DoseCalculator::compute_dose_batch`]), so concurrent traffic for
 //! the same matrix shares its bytes.
 //!
@@ -202,6 +203,26 @@ struct FanOut {
     /// is ever shed earlier than its *own* deadline: a mate's tighter
     /// budget binds only from that mate's later submission time.
     deadline: Option<(Instant, f64)>,
+}
+
+impl FanOut {
+    /// Cancels the fan-out: the caller that flips `cancelled` fails every
+    /// member's slot with `error(member)` and gets `true`; every later
+    /// caller gets `false` and leaves the slots alone, so each slot is
+    /// completed exactly once.
+    fn cancel(&self, error: impl Fn(&EngineRequest) -> RtError) -> bool {
+        if self
+            .cancelled
+            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+            .is_err()
+        {
+            return false;
+        }
+        for (req, _) in &self.requests {
+            req.slot.complete(Err(error(req)));
+        }
+        true
+    }
 }
 
 /// Worker start gate: an engine built with `start_paused` holds its
@@ -1198,47 +1219,54 @@ impl Engine {
         (out, report)
     }
 
-    /// One device's worker loop: pop a request (any, unless this device
-    /// is drained) or a shard sub-task pinned to this device, then
-    /// dispatch it. A drained worker still serves its pinned shard
-    /// sub-tasks — older placement epochs may have homed shards here,
-    /// and their in-flight fan-outs must finish where they started.
+    /// One device's worker loop: pop a batch — compatible requests (any,
+    /// unless this device is drained) or a lone shard sub-task pinned to
+    /// this device — then dispatch it. A drained worker still serves its
+    /// pinned shard sub-tasks — older placement epochs may have homed
+    /// shards here, and their in-flight fan-outs must finish where they
+    /// started.
     fn worker(&self, dev: usize, state: &ServeState) {
         loop {
             state.gate.wait_open();
-            let Some(item) = state.queue.pop_matching(|it| match it {
-                WorkItem::Request(_) => !self.drained[dev].load(Ordering::SeqCst),
-                WorkItem::Shard(t) => t.device == dev,
-            }) else {
+            // The head and its batch mates (same plan, same operation)
+            // leave the queue under one lock, so no other worker can take
+            // a mate in between; a shard sub-task has no mates.
+            let Some(batch) = state.queue.pop_batch(
+                self.max_batch,
+                |it| match it {
+                    WorkItem::Request(_) => !self.drained[dev].load(Ordering::SeqCst),
+                    WorkItem::Shard(t) => t.device == dev,
+                },
+                |head, it| match (head, it) {
+                    (WorkItem::Request(h), WorkItem::Request(r)) => {
+                        r.plan == h.plan && r.kind == h.kind
+                    }
+                    _ => false,
+                },
+            ) else {
                 return;
             };
-            match item {
-                WorkItem::Request(first) => self.dispatch_request(dev, first, state),
-                WorkItem::Shard(task) => self.run_shard(dev, task, state),
+            let mut requests = Vec::with_capacity(batch.len());
+            for item in batch {
+                match item {
+                    WorkItem::Request(req) => requests.push(req),
+                    WorkItem::Shard(task) => self.run_shard(dev, task, state),
+                }
+            }
+            if !requests.is_empty() {
+                self.dispatch_batch(dev, requests, state);
             }
         }
     }
 
-    /// Gathers batch mates, sheds expired requests, picks a replica
-    /// group and fans the batch out over its shards: the other devices'
-    /// shard sub-tasks are queued first, then this worker runs the shards
+    /// Sheds expired requests of a popped batch, picks a replica group
+    /// and fans the batch out over its shards: the other devices' shard
+    /// sub-tasks are queued first, then this worker runs the shards
     /// homed on its own device in place. Under the default placement
     /// (`R` = pool, `K = 1`) the group picked is this device's own, so
     /// the whole batch runs here with no queue hop.
-    fn dispatch_request(&self, dev: usize, first: EngineRequest, state: &ServeState) {
-        let (plan_idx, kind) = (first.plan, first.kind);
-        let mut batch = vec![first];
-        if self.max_batch > 1 {
-            let mates = state.queue.drain_matching(
-                self.max_batch - 1,
-                |it| matches!(it, WorkItem::Request(r) if r.plan == plan_idx && r.kind == kind),
-            );
-            batch.extend(mates.into_iter().map(|it| match it {
-                WorkItem::Request(r) => r,
-                WorkItem::Shard(_) => unreachable!("predicate admits requests only"),
-            }));
-        }
-
+    fn dispatch_batch(&self, dev: usize, batch: Vec<EngineRequest>, state: &ServeState) {
+        let (plan_idx, kind) = (batch[0].plan, batch[0].kind);
         let dispatch = Instant::now();
         let mut sample = empty_sample(dev);
         let mut live = Vec::with_capacity(batch.len());
@@ -1346,6 +1374,42 @@ impl Engine {
         }
         let fan = &task.fan;
         let plan = &self.plans[fan.plan];
+        let mut sample = empty_sample(dev);
+
+        // A deadline that expired while sub-tasks sat behind a slow
+        // device sheds the *whole* fan-out. Each member reports *its own*
+        // budget; a mate that carried none inherits the binding member's.
+        if let Some((deadline, binding_budget)) = fan.deadline {
+            if Instant::now() > deadline
+                && fan.cancel(|req| RtError::DeadlineExceeded {
+                    budget_ms: req.budget_ms.unwrap_or(binding_budget),
+                    waited_ms: ms(req.submitted.elapsed()),
+                })
+            {
+                sample.shed_deadline = fan.requests.len() as u64;
+            }
+        }
+        if !fan.cancelled.load(Ordering::SeqCst) {
+            if let Err(e) = self.compute_shard(&task, &mut sample) {
+                if fan.cancel(|_| e.clone()) {
+                    sample.failed = fan.requests.len() as u64;
+                }
+            }
+        }
+        if fan.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+            let completed = !fan.cancelled.load(Ordering::SeqCst);
+            self.retire_fan(fan, state, completed);
+            if completed {
+                self.complete_fan(plan, fan, &mut sample);
+            }
+        }
+        state.metrics.record_batch(sample);
+    }
+
+    /// Runs one shard's batched sub-SpMV, scatters its disjoint row
+    /// range into the fan-out's outputs and files its shard report.
+    fn compute_shard(&self, task: &ShardTask, sample: &mut BatchSample) -> Result<(), RtError> {
+        let fan = &task.fan;
         // Resolve the shard against the epoch this fan-out was dealt
         // under, not the plan's current placement — a re-deal may have
         // swapped it while this sub-task sat in the queue.
@@ -1353,107 +1417,46 @@ impl Engine {
         let rows = unit
             .rows(fan.kind)
             .expect("fan-outs task only units holding their direction");
-        let mut sample = empty_sample(dev);
-
-        // A deadline that expired while sub-tasks sat behind a slow
-        // device sheds the *whole* fan-out: the CAS winner fails every
-        // slot, everyone else (including shards already computed) just
-        // retires. A partially-merged dose can never be returned.
-        if !fan.cancelled.load(Ordering::SeqCst) {
-            if let Some((deadline, binding_budget)) = fan.deadline {
-                if Instant::now() > deadline
-                    && fan
-                        .cancelled
-                        .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
-                {
-                    sample.shed_deadline = fan.requests.len() as u64;
-                    for (req, _) in &fan.requests {
-                        // Each member reports *its own* budget; a mate
-                        // that carried none inherits the binding
-                        // member's.
-                        req.slot.complete(Err(RtError::DeadlineExceeded {
-                            budget_ms: req.budget_ms.unwrap_or(binding_budget),
-                            waited_ms: ms(req.submitted.elapsed()),
-                        }));
-                    }
-                }
-            }
-        }
-        if fan.cancelled.load(Ordering::SeqCst) {
-            if fan.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-                self.retire_fan(fan, state, false);
-            }
-            state.metrics.record_batch(sample);
-            return;
-        }
-
         let inputs: Vec<&[f64]> = fan
             .requests
             .iter()
             .map(|(r, _)| r.payload.as_slice())
             .collect();
-        let result = match fan.kind {
+        let br = match fan.kind {
             RequestKind::Dose => unit.calc.compute_dose_batch(&inputs),
             RequestKind::Gradient => unit.calc.compute_gradient_batch(&inputs),
-        };
-        match result {
-            Ok(br) => {
-                {
-                    let mut out = fan.outputs.lock().unwrap();
-                    for (v, part) in br.outputs.iter().enumerate() {
-                        out[v][rows.row_start..rows.row_end].copy_from_slice(part);
-                    }
-                }
-                // One *physical* launch sequence on this device; the
-                // fan-out's request batch is counted once, at merge
-                // time, so sharding never inflates the batch metrics.
-                sample.launches = 1;
-                sample.modeled_seconds = br.report.estimate.seconds;
-                let spec = &self.devices[unit.device];
-                let gather_bytes = rows.gather_bytes * inputs.len() as u64;
-                let direction = plan.direction(fan.kind);
-                fan.reports.lock().unwrap().push(ShardReport {
-                    shard: task.shard,
-                    device: spec.name.to_string(),
-                    row_start: rows.row_start as u64,
-                    rows: (rows.row_end - rows.row_start) as u64,
-                    nnz: rows.nnz,
-                    dispatch: if direction.row_plan.is_some() {
-                        "bucketed".to_string()
-                    } else {
-                        format!("w={}", direction.choice.tile_width)
-                    },
-                    stats: br.report.stats.clone(),
-                    estimate: br.report.estimate.clone(),
-                    gather_bytes,
-                    gather_seconds: gather_estimate(spec, gather_bytes),
-                });
-                if fan.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    let completed = !fan.cancelled.load(Ordering::SeqCst);
-                    self.retire_fan(fan, state, completed);
-                    if completed {
-                        self.complete_fan(plan, fan, &mut sample);
-                    }
-                }
-            }
-            Err(e) => {
-                if fan
-                    .cancelled
-                    .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-                {
-                    sample.failed = fan.requests.len() as u64;
-                    for (req, _) in &fan.requests {
-                        req.slot.complete(Err(e.clone()));
-                    }
-                }
-                if fan.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-                    self.retire_fan(fan, state, false);
-                }
+        }?;
+        {
+            let mut out = fan.outputs.lock().unwrap();
+            for (v, part) in br.outputs.iter().enumerate() {
+                out[v][rows.row_start..rows.row_end].copy_from_slice(part);
             }
         }
-        state.metrics.record_batch(sample);
+        // One *physical* launch sequence on this device; the fan-out's
+        // request batch is counted once, at merge time, so sharding never
+        // inflates the batch metrics.
+        sample.launches = 1;
+        sample.modeled_seconds = br.report.estimate.seconds;
+        let spec = &self.devices[unit.device];
+        let gather_bytes = rows.gather_bytes * inputs.len() as u64;
+        let direction = self.plans[fan.plan].direction(fan.kind);
+        fan.reports.lock().unwrap().push(ShardReport {
+            shard: task.shard,
+            device: spec.name.to_string(),
+            row_start: rows.row_start as u64,
+            rows: (rows.row_end - rows.row_start) as u64,
+            nnz: rows.nnz,
+            dispatch: if direction.row_plan.is_some() {
+                "bucketed".to_string()
+            } else {
+                format!("w={}", direction.choice.tile_width)
+            },
+            stats: br.report.stats.clone(),
+            estimate: br.report.estimate.clone(),
+            gather_bytes,
+            gather_seconds: gather_estimate(spec, gather_bytes),
+        });
+        Ok(())
     }
 
     /// Last shard of a fan-out retired (completed, shed, or failed):

@@ -16,9 +16,10 @@
 //! Row-sharded dispatch adds two internal paths on top of admission:
 //! [`BoundedQueue::push_all_internal`] enqueues shard sub-tasks for an
 //! already-admitted request (exempt from capacity and close — see its
-//! doc), and [`BoundedQueue::pop_matching`] lets each worker pop only
-//! requests or sub-tasks pinned to its device, staying parked after
-//! close while a fan-out is still in flight.
+//! doc), and [`BoundedQueue::pop_batch`] lets each worker pop only
+//! requests or sub-tasks pinned to its device — together with the
+//! head's batch mates, under one lock — staying parked after close
+//! while a fan-out is still in flight.
 
 use rt_core::RtError;
 use std::collections::VecDeque;
@@ -75,7 +76,7 @@ impl<T> BoundedQueue<T> {
         g.max_depth = g.max_depth.max(g.items.len());
         drop(g);
         // notify_all, not notify_one: poppers are *selective*
-        // (`pop_matching`), so a single wakeup could land on a worker
+        // (`pop_batch`), so a single wakeup could land on a worker
         // whose predicate rejects the new item — e.g. a drained device
         // refusing requests — which would re-sleep and strand the item.
         self.not_empty.notify_all();
@@ -120,19 +121,37 @@ impl<T> BoundedQueue<T> {
         self.not_empty.notify_all();
     }
 
-    /// Dequeues the oldest item matching `pred` (FIFO among matches; the
-    /// rest keep their order), blocking while none matches. Returns
-    /// `None` once the queue is closed, no match remains, *and* no
-    /// fan-out is in flight — an in-flight fan-out may still enqueue
-    /// shard sub-tasks this popper is pinned to.
-    pub fn pop_matching(&self, pred: impl Fn(&T) -> bool) -> Option<T> {
+    /// Dequeues a batch in one critical section: the oldest item
+    /// matching `pred` (the head), then up to `max - 1` later items that
+    /// `mate(&head, item)` accepts, head first and FIFO among the mates;
+    /// everything else keeps its order. Blocks while nothing matches
+    /// `pred`. Returns `None` once the queue is closed, no match remains,
+    /// *and* no fan-out is in flight — an in-flight fan-out may still
+    /// enqueue shard sub-tasks this popper is pinned to.
+    ///
+    /// Taking the mates under the head's lock is what keeps a batch
+    /// whole: no other popper can take a mate between the two.
+    pub fn pop_batch(
+        &self,
+        max: usize,
+        pred: impl Fn(&T) -> bool,
+        mate: impl Fn(&T, &T) -> bool,
+    ) -> Option<Vec<T>> {
         let mut g = self.inner.lock().unwrap();
         loop {
             if let Some(i) = g.items.iter().position(&pred) {
-                let item = g.items.remove(i).unwrap();
+                let mut batch = vec![g.items.remove(i).unwrap()];
+                let mut j = i;
+                while j < g.items.len() && batch.len() < max {
+                    if mate(&batch[0], &g.items[j]) {
+                        batch.push(g.items.remove(j).unwrap());
+                    } else {
+                        j += 1;
+                    }
+                }
                 drop(g);
                 self.not_full.notify_all();
-                return Some(item);
+                return Some(batch);
             }
             if g.closed && g.inflight == 0 {
                 return None;
@@ -160,46 +179,6 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Dequeues the oldest item, blocking while the queue is empty.
-    /// Returns `None` once the queue is closed *and* drained.
-    #[cfg(test)]
-    pub fn pop(&self) -> Option<T> {
-        let mut g = self.inner.lock().unwrap();
-        loop {
-            if let Some(item) = g.items.pop_front() {
-                drop(g);
-                self.not_full.notify_all();
-                return Some(item);
-            }
-            if g.closed {
-                return None;
-            }
-            g = self.not_empty.wait(g).unwrap();
-        }
-    }
-
-    /// Removes up to `max` queued items matching `pred`, preserving FIFO
-    /// order among both the taken and the remaining items. Non-blocking —
-    /// this is how a worker gathers batch mates for the request it just
-    /// popped.
-    pub fn drain_matching(&self, max: usize, pred: impl Fn(&T) -> bool) -> Vec<T> {
-        let mut g = self.inner.lock().unwrap();
-        let mut taken = Vec::new();
-        let mut i = 0;
-        while i < g.items.len() && taken.len() < max {
-            if pred(&g.items[i]) {
-                taken.push(g.items.remove(i).unwrap());
-            } else {
-                i += 1;
-            }
-        }
-        drop(g);
-        if !taken.is_empty() {
-            self.not_full.notify_all();
-        }
-        taken
-    }
-
     /// Closes the queue: pending and future pushes fail, pops drain what
     /// remains and then return `None`.
     pub fn close(&self) {
@@ -224,6 +203,12 @@ mod tests {
     use std::thread;
     use std::time::Duration;
 
+    /// Pops the oldest item alone — the unfiltered pop the admission
+    /// tests need.
+    fn pop(q: &BoundedQueue<i32>) -> Option<i32> {
+        q.pop_batch(1, |_| true, |_, _| false).map(|b| b[0])
+    }
+
     #[test]
     fn try_push_sheds_at_capacity() {
         let q = BoundedQueue::new(2);
@@ -233,7 +218,7 @@ mod tests {
             q.try_push(3).unwrap_err(),
             RtError::QueueFull { capacity: 2 }
         );
-        assert_eq!(q.pop(), Some(1));
+        assert_eq!(pop(&q), Some(1));
         q.try_push(3).unwrap();
         assert_eq!(q.len(), 2);
         assert_eq!(q.max_depth(), 2);
@@ -247,9 +232,9 @@ mod tests {
         q.close();
         assert_eq!(q.push(12).unwrap_err(), RtError::EngineShutdown);
         assert_eq!(q.try_push(12).unwrap_err(), RtError::EngineShutdown);
-        assert_eq!(q.pop(), Some(10));
-        assert_eq!(q.pop(), Some(11));
-        assert_eq!(q.pop(), None);
+        assert_eq!(pop(&q), Some(10));
+        assert_eq!(pop(&q), Some(11));
+        assert_eq!(pop(&q), None);
     }
 
     #[test]
@@ -262,9 +247,9 @@ mod tests {
                 q.push(2).unwrap();
             });
             thread::sleep(Duration::from_millis(20));
-            assert_eq!(q.pop(), Some(1));
+            assert_eq!(pop(&q), Some(1));
             // The blocked push completes and the item arrives.
-            assert_eq!(q.pop(), Some(2));
+            assert_eq!(pop(&q), Some(2));
         });
     }
 
@@ -272,11 +257,11 @@ mod tests {
     fn pop_blocks_until_item_or_close() {
         let q = BoundedQueue::new(4);
         thread::scope(|s| {
-            let h = s.spawn(|| q.pop());
+            let h = s.spawn(|| pop(&q));
             thread::sleep(Duration::from_millis(20));
             q.push(7).unwrap();
             assert_eq!(h.join().unwrap(), Some(7));
-            let h = s.spawn(|| q.pop());
+            let h = s.spawn(|| pop(&q));
             thread::sleep(Duration::from_millis(20));
             q.close();
             assert_eq!(h.join().unwrap(), None);
@@ -284,26 +269,27 @@ mod tests {
     }
 
     #[test]
-    fn pop_matching_skips_non_matching_and_respects_inflight() {
+    fn pop_batch_skips_non_matching_and_respects_inflight() {
         let q = BoundedQueue::new(8);
         q.push(1).unwrap();
         q.push(2).unwrap();
         q.push(3).unwrap();
         // Takes the first even item, leaving the rest in order.
-        assert_eq!(q.pop_matching(|v| v % 2 == 0), Some(2));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(3));
+        assert_eq!(q.pop_batch(1, |v| v % 2 == 0, |_, _| true), Some(vec![2]));
+        assert_eq!(pop(&q), Some(1));
+        assert_eq!(pop(&q), Some(3));
 
         // Closed + empty + an in-flight fan-out: the popper must block
         // (sub-tasks may still arrive), then drain them after they land.
         q.inflight_inc();
         q.close();
+        let even = |v: &i32| v % 2 == 0;
         thread::scope(|s| {
-            let h = s.spawn(|| q.pop_matching(|v| v % 2 == 0));
+            let h = s.spawn(|| q.pop_batch(4, even, |_, _| false));
             thread::sleep(Duration::from_millis(20));
             q.push_all_internal([4]);
-            assert_eq!(h.join().unwrap(), Some(4));
-            let h = s.spawn(|| q.pop_matching(|v| v % 2 == 0));
+            assert_eq!(h.join().unwrap(), Some(vec![4]));
+            let h = s.spawn(|| q.pop_batch(4, even, |_, _| false));
             thread::sleep(Duration::from_millis(20));
             // Retiring the last fan-out releases the blocked popper.
             q.inflight_dec();
@@ -320,23 +306,57 @@ mod tests {
         q.push_all_internal([20, 21]);
         assert_eq!(q.len(), 3);
         assert_eq!(q.max_depth(), 3);
-        assert_eq!(q.pop(), Some(10));
-        assert_eq!(q.pop(), Some(20));
-        assert_eq!(q.pop(), Some(21));
-        assert_eq!(q.pop(), None);
+        assert_eq!(pop(&q), Some(10));
+        assert_eq!(pop(&q), Some(20));
+        assert_eq!(pop(&q), Some(21));
+        assert_eq!(pop(&q), None);
     }
 
     #[test]
-    fn drain_matching_preserves_order() {
+    fn pop_batch_takes_later_mates_in_order_up_to_max() {
         let q = BoundedQueue::new(8);
-        for v in [1, 2, 3, 4, 5, 6] {
+        for v in [1, 2, 3, 4, 5, 6, 7] {
             q.push(v).unwrap();
         }
-        let even = q.drain_matching(2, |v| v % 2 == 0);
-        assert_eq!(even, vec![2, 4]);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), Some(5));
-        assert_eq!(q.pop(), Some(6));
+        let same_parity = |h: &i32, v: &i32| h % 2 == v % 2;
+        // Head 3 (first >= 3), then odd mates after it, capped at 3.
+        assert_eq!(
+            q.pop_batch(3, |v| *v >= 3, same_parity),
+            Some(vec![3, 5, 7])
+        );
+        // Head 2, one mate allowed: 4; 6 stays queued.
+        assert_eq!(
+            q.pop_batch(2, |v| v % 2 == 0, same_parity),
+            Some(vec![2, 4])
+        );
+        assert_eq!(pop(&q), Some(1));
+        assert_eq!(pop(&q), Some(6));
+        assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn concurrent_poppers_never_split_a_batch() {
+        // Two poppers race for a queue of same-key items: each batch
+        // is taken whole under one lock, so one popper gets all of them
+        // and the other gets none.
+        for _ in 0..50 {
+            let q = BoundedQueue::new(8);
+            for v in [10, 11, 12, 13] {
+                q.push(v).unwrap();
+            }
+            q.close();
+            let batches: Vec<Option<Vec<i32>>> = thread::scope(|s| {
+                let hs: Vec<_> = (0..2)
+                    .map(|_| s.spawn(|| q.pop_batch(8, |_| true, |_, _| true)))
+                    .collect();
+                hs.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            let mut sizes: Vec<usize> = batches
+                .iter()
+                .map(|b| b.as_ref().map_or(0, Vec::len))
+                .collect();
+            sizes.sort_unstable();
+            assert_eq!(sizes, vec![0, 4]);
+        }
     }
 }

@@ -504,6 +504,30 @@ fn placed_serving_is_bitwise_identical_to_unsharded() {
     );
     assert_eq!(one_dev, baseline, "1-device placed pool changed bytes");
 
+    // Pinned fixed widths — the paper's warp-per-row kernel and a
+    // sub-warp tile — keep every K bitwise equal to one unplaced device.
+    for w in [32u32, 4] {
+        let fixed = |k: usize| {
+            ExecPolicy::builder()
+                .tile_width(w)
+                .shards(ShardSpec::Fixed(k))
+                .replicas(ReplicaSpec::Fixed(1))
+                .build()
+                .unwrap()
+        };
+        let one_dev = vec![DeviceSpec::a100()];
+        let in_order: Vec<usize> = (0..n).collect();
+        let (fixed_base, _) = run_pool_with(one_dev, &in_order, 1, &liver, &prostate, fixed(1));
+        for k in 1..=4usize {
+            let order = shuffled(200 + (w as usize * 10 + k) as u64, n);
+            let (out, _) = run_pool_with(mixed.clone(), &order, 4, &liver, &prostate, fixed(k));
+            assert_eq!(
+                out, fixed_base,
+                "w={w} k={k} placed pool changed dose bytes"
+            );
+        }
+    }
+
     // Partitioned (bucketed) selection: placed doses must match the
     // unplaced partitioned doses — the global bucket widths are pinned
     // before the split and applied to every shard's row plan.
@@ -560,6 +584,13 @@ fn sharded_report_exposes_shards_and_cuts_residency() {
     assert!(
         sharded_total * 2 < full_total,
         "sharding kept {sharded_total} of {full_total} resident bytes"
+    );
+    // Across the pool the shards hold about one upload: each shard only
+    // re-stores one rebased row pointer per direction.
+    let one_upload = full.devices[0].resident_bytes;
+    assert!(
+        (one_upload..one_upload + 2 * 3 * 8).contains(&sharded_total),
+        "sharded residency {sharded_total} is not about one upload ({one_upload})"
     );
     for (f, s) in full.devices.iter().zip(&sharded.devices) {
         assert!(
@@ -792,10 +823,13 @@ fn batching_composes_with_sharding() {
         report.launches, 3,
         "one launch per shard, shared by the batch"
     );
+    // The batched gather ships one result per vector per non-empty row.
+    let nonempty = liver.row_ptr().windows(2).filter(|w| w[1] > w[0]).count() as u64;
     for (r, golden) in responses.iter().zip(&goldens) {
         assert_eq!(r.batch_size, 6, "batch did not compose under fan-out");
         let sh = r.shards.as_ref().expect("sharded breakdown");
         assert_eq!(sh.shards.len(), 3);
+        assert_eq!(sh.gather_bytes, nonempty * 8 * 6);
         let bits: Vec<u64> = r.output.iter().map(|v| v.to_bits()).collect();
         assert_eq!(&bits, golden, "batched sharded dose diverged");
     }
@@ -1168,6 +1202,34 @@ fn partitioned_gradients_bitwise_across_replicas_and_shards() {
                 "R={r_groups} K={k}: partitioned plan reports grad buckets"
             );
         }
+    }
+
+    // A pinned fixed width shards the transpose by its own rows too:
+    // gradients at K=2 and K=3 match one unplaced device bit for bit.
+    let fixed = |k: usize| {
+        ExecPolicy::builder()
+            .tile_width(8)
+            .shards(ShardSpec::Fixed(k))
+            .replicas(ReplicaSpec::Fixed(1))
+            .build()
+            .unwrap()
+    };
+    let gradient = |devices: Vec<DeviceSpec>, policy: ExecPolicy| -> Vec<u64> {
+        let mut engine = Engine::builder().devices(devices).build().unwrap();
+        engine.register_plan_with("liver", &liver, policy).unwrap();
+        let (r, _) = engine.serve(|c| {
+            c.call("liver", RequestKind::Gradient, residual.clone())
+                .unwrap()
+        });
+        r.output.into_iter().map(f64::to_bits).collect()
+    };
+    let fixed_golden = gradient(vec![DeviceSpec::a100()], fixed(1));
+    for k in [2, 3] {
+        assert_eq!(
+            gradient(pool[1..].to_vec(), fixed(k)),
+            fixed_golden,
+            "fixed-width K={k} gradient diverged"
+        );
     }
 }
 

@@ -1,25 +1,16 @@
-//! A pool of simulated devices executing one launch cooperatively.
+//! Device groups: how a pool of simulated devices is dealt into
+//! disjoint groups of comparable strength.
 //!
-//! [`DeviceGroup`] owns N independent [`Gpu`] instances — each with its own
-//! L2 cache model and traffic counters, exactly as N physical cards have —
-//! and runs a set of shard tasks across them concurrently on real host
-//! threads. Task `i` is pinned to device `i % N` (round-robin), each
-//! device executes its tasks back-to-back on one thread, and results are
-//! returned in task order regardless of which device finished first.
-//!
-//! The group deliberately does *not* merge results or charge interconnect
-//! time itself: shard outputs are scattered into disjoint row ranges by
-//! the caller (`rt-core`'s sharded kernels), and the gather cost is an
-//! analytic term ([`crate::timing::gather_estimate`]) folded into the
-//! [`crate::report::ShardedReport`] — the simulation stays functional and
-//! bitwise deterministic while the timing model pays for the link.
-
-use crate::device::DeviceSpec;
-use crate::exec::{ExecMode, Gpu};
-
-/// A boxed shard task: runs on one device of the group, returns its
-/// per-shard result (typically partial doses plus [`crate::KernelStats`]).
-pub type DeviceTask<'e, R> = Box<dyn FnOnce(&Gpu) -> R + Send + 'e>;
+//! The serving engine places every plan as `R` replica groups, each a
+//! disjoint subset of the pool holding a full copy of the plan as row
+//! shards. [`snake_partition`] deals the pool into those groups by
+//! modeled bandwidth so no group is much weaker than another, and
+//! [`snake_partition_subset`] re-deals over the surviving members when
+//! a device is drained. Execution itself lives in the engine: each
+//! device keeps its own [`crate::Gpu`] (own L2 model and counters, as
+//! a physical card has), and the gather of shard results is an analytic
+//! term ([`crate::timing::gather_estimate`]) folded into the
+//! [`crate::report::ShardedReport`].
 
 /// Deals item indices into `r` disjoint groups by descending-weight
 /// "snake" order: indices are sorted by weight (descending, ties keep
@@ -78,182 +69,9 @@ pub fn snake_partition_subset(weights: &[f64], members: &[usize], r: usize) -> V
         .collect()
 }
 
-/// A fixed pool of simulated GPUs that cooperatively execute the shards
-/// of one kernel launch.
-pub struct DeviceGroup {
-    devices: Vec<Gpu>,
-}
-
-impl DeviceGroup {
-    /// Creates a group with one cold-cache [`Gpu`] per spec, defaulting
-    /// to each device's parallel executor.
-    ///
-    /// # Panics
-    /// Panics if `specs` is empty — a sharded launch needs somewhere to
-    /// run.
-    pub fn new(specs: Vec<DeviceSpec>) -> Self {
-        assert!(!specs.is_empty(), "DeviceGroup needs at least one device");
-        DeviceGroup {
-            devices: specs.into_iter().map(Gpu::new).collect(),
-        }
-    }
-
-    /// Creates a group with an explicit executor mode per device
-    /// (`Sequential` gives exactly reproducible traffic counters).
-    pub fn with_mode(specs: Vec<DeviceSpec>, mode: ExecMode) -> Self {
-        assert!(!specs.is_empty(), "DeviceGroup needs at least one device");
-        DeviceGroup {
-            devices: specs.into_iter().map(|s| Gpu::with_mode(s, mode)).collect(),
-        }
-    }
-
-    /// Wraps pre-built devices (e.g. ones that already hold uploaded
-    /// shard matrices) into a group.
-    pub fn from_gpus(devices: Vec<Gpu>) -> Self {
-        assert!(!devices.is_empty(), "DeviceGroup needs at least one device");
-        DeviceGroup { devices }
-    }
-
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
-    }
-
-    pub fn device(&self, i: usize) -> &Gpu {
-        &self.devices[i]
-    }
-
-    pub fn devices(&self) -> &[Gpu] {
-        &self.devices
-    }
-
-    /// The device that task/shard `i` is pinned to (`i % len`), so
-    /// callers can pick per-shard kernel widths against the right spec
-    /// before launching.
-    pub fn device_for(&self, task: usize) -> &Gpu {
-        &self.devices[task % self.devices.len()]
-    }
-
-    /// Runs `tasks` across the pool: task `i` on device `i % len`, one
-    /// host thread per device, tasks on the same device back-to-back in
-    /// index order. Returns results in task order.
-    ///
-    /// Determinism: each task sees only its own device's cache/counter
-    /// state and the disjoint data it was given, so results are
-    /// independent of which device thread finishes first.
-    pub fn run<'e, R: Send>(&self, tasks: Vec<DeviceTask<'e, R>>) -> Vec<R> {
-        let n = tasks.len();
-        let d = self.devices.len();
-        let mut per_device: Vec<Vec<(usize, DeviceTask<'e, R>)>> =
-            (0..d).map(|_| Vec::new()).collect();
-        for (i, task) in tasks.into_iter().enumerate() {
-            per_device[i % d].push((i, task));
-        }
-        let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = per_device
-                .into_iter()
-                .enumerate()
-                .filter(|(_, chunk)| !chunk.is_empty())
-                .map(|(dev, chunk)| {
-                    let gpu = &self.devices[dev];
-                    s.spawn(move || {
-                        chunk
-                            .into_iter()
-                            .map(|(i, task)| (i, task(gpu)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for h in handles {
-                for (i, r) in h.join().expect("device thread panicked") {
-                    results[i] = Some(r);
-                }
-            }
-        });
-        results.into_iter().map(|r| r.unwrap()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Grid;
-
-    fn pool() -> DeviceGroup {
-        DeviceGroup::with_mode(
-            vec![DeviceSpec::a100(), DeviceSpec::v100()],
-            ExecMode::Sequential,
-        )
-    }
-
-    #[test]
-    fn tasks_round_robin_and_results_stay_in_task_order() {
-        let g = pool();
-        let tasks: Vec<DeviceTask<(usize, &'static str)>> = (0..5usize)
-            .map(|i| Box::new(move |gpu: &Gpu| (i, gpu.spec().name)) as DeviceTask<_>)
-            .collect();
-        let out = g.run(tasks);
-        assert_eq!(
-            out,
-            vec![
-                (0, "A100"),
-                (1, "V100"),
-                (2, "A100"),
-                (3, "V100"),
-                (4, "A100"),
-            ]
-        );
-        assert_eq!(g.device_for(3).spec().name, "V100");
-    }
-
-    #[test]
-    fn devices_keep_independent_cache_state() {
-        let g = DeviceGroup::with_mode(
-            vec![DeviceSpec::a100(), DeviceSpec::a100()],
-            ExecMode::Sequential,
-        );
-        let data: Vec<f64> = (0..4096).map(|i| i as f64).collect();
-        let tasks: Vec<DeviceTask<u64>> = (0..2)
-            .map(|_| {
-                let data = &data;
-                Box::new(move |gpu: &Gpu| {
-                    let buf = gpu.upload(data);
-                    let out = gpu.alloc_out::<f64>(128);
-                    let stats = gpu.launch(Grid::warp_per_item(128, 128), |w| {
-                        let i = w.warp_id();
-                        let v = w.load_scalar(&buf, i * 32);
-                        w.store_scalar(&out, i, v);
-                    });
-                    stats.dram_read_bytes
-                }) as DeviceTask<u64>
-            })
-            .collect();
-        let reads = g.run(tasks);
-        // Both devices start cold: if they shared one cache, the second
-        // task's reads would all hit and its DRAM traffic would drop.
-        assert!(reads[0] > 0);
-        assert_eq!(reads[0], reads[1]);
-    }
-
-    #[test]
-    fn more_tasks_than_devices_all_complete() {
-        let g = pool();
-        let tasks: Vec<DeviceTask<usize>> = (0..17usize)
-            .map(|i| Box::new(move |_: &Gpu| i * i) as DeviceTask<usize>)
-            .collect();
-        let out = g.run(tasks);
-        assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one device")]
-    fn empty_group_rejected() {
-        let _ = DeviceGroup::new(vec![]);
-    }
 
     #[test]
     fn snake_partition_deals_by_descending_weight() {

@@ -59,7 +59,7 @@ pub mod timing;
 pub use buffer::{DeviceBuffer, DeviceOutBuffer};
 pub use counters::KernelStats;
 pub use device::DeviceSpec;
-pub use devicegroup::{snake_partition, snake_partition_subset, DeviceGroup, DeviceTask};
+pub use devicegroup::{snake_partition, snake_partition_subset};
 pub use exec::{
     ExecMode, Gpu, Grid, GroupMember, GroupStats, MemberStats, WarpCtx, TILE_WIDTHS, WARP_SIZE,
 };

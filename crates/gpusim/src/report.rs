@@ -222,8 +222,8 @@ pub struct ShardReport {
     pub gather_seconds: f64,
 }
 
-/// The merged record of one row-sharded launch across a
-/// [`crate::DeviceGroup`]: per-shard breakdown plus the pool-level model.
+/// The merged record of one row-sharded request: per-shard breakdown
+/// plus the pool-level model.
 ///
 /// `modeled_seconds` is the critical path: shards run concurrently on
 /// distinct devices, and each shard's result is usable once its compute

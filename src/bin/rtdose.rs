@@ -15,18 +15,19 @@
 //! ```
 
 use rtdose::dose::cases::{liver_case, prostate_case, DoseCase, ScaleConfig};
-use rtdose::engine::{Engine, EngineReport, ExecPolicy, ReplicaSpec, RequestKind, ShardSpec};
+use rtdose::engine::{
+    Engine, EngineReport, ExecPolicy, ReplicaSpec, RequestKind, RtError, ShardSpec,
+};
 use rtdose::f16::{DoseScalar, F16};
 use rtdose::gpusim::{
-    DeviceBuffer, DeviceGroup, DeviceOutBuffer, DeviceSpec, Gpu, GroupReport, KernelProfile,
-    KernelStats, ShardedReport,
+    gather_estimate, DeviceBuffer, DeviceOutBuffer, DeviceSpec, Gpu, GroupReport, KernelProfile,
+    KernelStats,
 };
 use rtdose::kernels::{
     bucketed_group_report, heuristic_width, profile_baseline, profile_half_double, profile_single,
-    rs_baseline_gpu_spmv, select_per_shard, vector_csr_spmv, vector_csr_spmv_bucketed,
-    vector_csr_spmv_sharded, vector_csr_spmv_tiled, BucketChoice, BucketWidths, GpuCsrMatrix,
-    GpuRowPlan, GpuRsMatrix, KernelChoice, KernelSelect, PartitionStrategy, ShardDispatch,
-    VecScalar, TILE_WIDTHS,
+    rs_baseline_gpu_spmv, vector_csr_spmv, vector_csr_spmv_bucketed, vector_csr_spmv_tiled,
+    BucketChoice, BucketWidths, GpuCsrMatrix, GpuRowPlan, GpuRsMatrix, KernelChoice, KernelSelect,
+    PartitionStrategy, VecScalar, TILE_WIDTHS,
 };
 use rtdose::optim::{optimize, GpuDoseEngine, Objective, ObjectiveTerm, OptimizerConfig};
 use rtdose::sparse::stats::{MatrixSummary, RowStats};
@@ -51,7 +52,8 @@ fn usage() -> ! {
            rtdose spmv     --matrix FILE [--device a100|v100|p100]\n\
                            [--kernel half-double|single|baseline] [--tpb N] [--repeat N]\n\
                            [--tile auto|2|4|8|16|32] [--partition heuristic|probe]\n\
-                           [--shards auto|K]   (K-device pool, one row shard each; auto = 3)\n\
+                           [--shards auto|K]   (K-device pool, one row shard each; auto = 3;\n\
+                           \u{20}                   half-double kernel only)\n\
            rtdose kernels  FILE [--device a100|v100|p100] [--tpb N]\n\
            rtdose optimize --case <liver|prostate> [--shrink S] [--iters N]\n\
            rtdose serve-demo [--requests N] [--shrink S] [--submitters N] [--devices N]\n\
@@ -147,6 +149,17 @@ fn parse_partition(flags: &HashMap<String, String>) -> Option<PartitionStrategy>
         usage();
     }
     Some(strategy)
+}
+
+/// `--partition` / `--tile` as the engine's [`KernelSelect`]: a
+/// partition strategy, a pinned width, or the statistics heuristic on
+/// auto.
+fn parse_select(flags: &HashMap<String, String>) -> KernelSelect {
+    match (parse_partition(flags), parse_tile(flags)) {
+        (Some(strategy), _) => KernelSelect::Partitioned(strategy),
+        (None, Some(w)) => KernelSelect::Fixed(w),
+        (None, None) => KernelSelect::Heuristic,
+    }
 }
 
 /// `--shards`: `None` disables sharding, `Some(None)` means auto (match
@@ -355,48 +368,52 @@ fn run_partitioned_spmv<V: DoseScalar, X: VecScalar>(
     (g.merged, report, choice.mode, plan)
 }
 
-/// `--shards K`: the snapshot is split into K nnz-balanced row ranges
-/// and executed cooperatively on a pool of K identical devices, one
-/// shard resident per device. Widths are pinned from the *whole* matrix
-/// before the split, so the merged dose is bitwise identical to the
-/// unsharded kernel — the table shows where the pool's modeled time goes
-/// (per-shard compute plus the interconnect gather of its rows).
+/// `--shards K`: the snapshot is served as one dose request through an
+/// engine over K identical devices, placed as one replica group of K
+/// throughput-weighted row shards (one resident per device). Widths are
+/// pinned from the *whole* matrix before the split, so the merged dose
+/// is bitwise identical to the unsharded kernel — the table shows where
+/// the pool's modeled time goes (per-shard compute plus the
+/// interconnect gather of its rows). The engine runs the half-double
+/// kernel only.
 fn run_sharded_spmv(
     m: &Csr<F16, u32>,
     dev: &DeviceSpec,
     tpb: u32,
     k: usize,
     kernel: &str,
-    dispatch: ShardDispatch,
+    select: KernelSelect,
 ) {
+    if kernel != "half-double" {
+        eprintln!("--shards runs the half-double kernel only (got --kernel {kernel})");
+        usage();
+    }
     let t0 = std::time::Instant::now();
-    let report: ShardedReport = match kernel {
-        "half-double" => {
-            let plan = ShardPlan::build(m, k);
-            let group = DeviceGroup::new(vec![dev.clone(); plan.num_shards()]);
-            let sm = rtdose::kernels::ShardedCsr::upload(&group, &plan);
-            let x = vec![1.0f64; m.ncols()];
-            let (_, rep) =
-                vector_csr_spmv_sharded(&group, &sm, &x, tpb, dispatch, &profile_half_double())
-                    .expect("sharded dispatch cannot fail on a validated width");
-            rep
-        }
-        "single" => {
-            let m32: Csr<f32, u32> = m.convert_values();
-            let plan = ShardPlan::build(&m32, k);
-            let group = DeviceGroup::new(vec![dev.clone(); plan.num_shards()]);
-            let sm = rtdose::kernels::ShardedCsr::upload(&group, &plan);
-            let x = vec![1.0f32; m.ncols()];
-            let (_, rep) =
-                vector_csr_spmv_sharded(&group, &sm, &x, tpb, dispatch, &profile_single())
-                    .expect("sharded dispatch cannot fail on a validated width");
-            rep
-        }
-        other => {
-            eprintln!("--shards applies to the vector kernels only (got --kernel {other})");
-            usage();
-        }
+    let fail = |what: &str, e: RtError| -> ! {
+        eprintln!("{what}: {e}");
+        std::process::exit(1);
     };
+    let policy = ExecPolicy::builder()
+        .kernel_select(select)
+        .shards(ShardSpec::Fixed(k))
+        .replicas(ReplicaSpec::Fixed(1))
+        .build()
+        .expect("--shards and --tile are validated when parsed");
+    let mut engine = Engine::builder()
+        .devices(vec![dev.clone(); k.min(m.nrows()).max(1)])
+        .threads_per_block(tpb)
+        .default_policy(policy)
+        .build()
+        .unwrap_or_else(|e| fail("cannot build engine", e));
+    engine
+        .register_plan("snapshot", &m.convert_values())
+        .unwrap_or_else(|e| fail("cannot register the snapshot", e));
+    let (response, _) =
+        engine.serve(|c| c.call("snapshot", RequestKind::Dose, vec![1.0; m.ncols()]));
+    let report = response
+        .unwrap_or_else(|e| fail("sharded request failed", e))
+        .shards
+        .expect("every response carries its shards");
 
     println!(
         "kernel {kernel} sharded {}x on {} x{} ({} threads/block), sim wall time {:.2?}",
@@ -447,6 +464,10 @@ fn cmd_spmv(flags: HashMap<String, String>) {
         .get("kernel")
         .map(String::as_str)
         .unwrap_or("half-double");
+    if let Some(k) = parse_shards(&flags) {
+        run_sharded_spmv(&m, &dev, tpb, k.unwrap_or(3), kernel, parse_select(&flags));
+        return;
+    }
     let partition = parse_partition(&flags);
     // Resolve the tile width for the whole-matrix vector kernels: a
     // pinned --tile value, or the statistics heuristic on auto (the same
@@ -465,20 +486,6 @@ fn cmd_spmv(flags: HashMap<String, String>) {
             }
         }
     };
-
-    if let Some(k) = parse_shards(&flags) {
-        let dispatch = match partition {
-            Some(strategy) => ShardDispatch::Bucketed(
-                KernelSelect::Partitioned(strategy)
-                    .choose(&dev, &m, tpb)
-                    .expect("partitioned selection cannot fail on a loaded snapshot")
-                    .bucket_widths(),
-            ),
-            None => ShardDispatch::Fixed(tile),
-        };
-        run_sharded_spmv(&m, &dev, tpb, k.unwrap_or(3), kernel, dispatch);
-        return;
-    }
 
     let weights = vec![1.0f64; m.ncols()];
     let gpu = Gpu::new(dev.clone());
@@ -771,14 +778,7 @@ fn cmd_kernels(args: &[String]) {
     let pool = [DeviceSpec::a100(), DeviceSpec::v100(), DeviceSpec::p100()];
     let weights: Vec<f64> = pool.iter().map(|d| d.effective_dram_bw()).collect();
     let plan = ShardPlan::build_weighted(&m, &weights);
-    let group = DeviceGroup::new(pool.to_vec());
-    let shard_sel = select_per_shard(
-        &KernelSelect::Partitioned(PartitionStrategy::Heuristic),
-        &group,
-        &plan,
-        tpb,
-    )
-    .expect("per-shard selection cannot fail on a loaded snapshot");
+    let select = KernelSelect::Partitioned(PartitionStrategy::Heuristic);
     println!(
         "\nrow-sharded dispatch (--shards 3 on {}): throughput-weighted row ranges",
         pool.iter().map(|d| d.name).collect::<Vec<_>>().join("+")
@@ -789,9 +789,12 @@ fn cmd_kernels(args: &[String]) {
         plan.balance_factor()
     );
     println!("  shard    rows [start..)          nnz   solo pick   solo buckets      gather us");
-    for s in &shard_sel {
-        let buckets: Vec<String> = s
-            .choice
+    for s in plan.shards() {
+        let spec = &pool[s.index % pool.len()];
+        let choice = select
+            .choose(spec, &s.matrix, tpb)
+            .expect("per-shard selection cannot fail on a loaded snapshot");
+        let buckets: Vec<String> = choice
             .buckets
             .iter()
             .filter(|b| b.rows > 0)
@@ -799,16 +802,16 @@ fn cmd_kernels(args: &[String]) {
             .collect();
         println!(
             "  {:>5} {:>9}..{:<9} {:>12}   {:<9} {:<17} {:>9.3}",
-            s.shard,
+            s.index,
             s.row_start,
-            s.row_start + s.rows,
-            s.nnz,
-            format!("w{}", s.choice.tile_width),
+            s.row_end,
+            s.nnz(),
+            format!("w{}", choice.tile_width),
             buckets.join(" "),
-            s.gather_seconds * 1e6
+            gather_estimate(spec, s.gather_bytes()) * 1e6
         );
     }
-    let gather: u64 = shard_sel.iter().map(|s| s.gather_bytes).sum();
+    let gather: u64 = plan.shards().iter().map(|s| s.gather_bytes()).sum();
     println!("modeled gather traffic: {gather} bytes (non-empty rows x 8, per result vector)");
 }
 
@@ -911,11 +914,7 @@ fn cmd_serve_demo(flags: HashMap<String, String>) -> ExitCode {
     // at registration; a pinned width applies to all plans, and
     // --partition routes every plan through the bucketed row partition
     // (parse_partition rejects the combination with a pinned --tile).
-    let select = match (parse_partition(&flags), parse_tile(&flags)) {
-        (Some(strategy), _) => KernelSelect::Partitioned(strategy),
-        (None, Some(w)) => KernelSelect::Fixed(w),
-        (None, None) => KernelSelect::Heuristic,
-    };
+    let select = parse_select(&flags);
     // --shards / --replicas map 1:1 onto the per-plan ExecPolicy; the
     // demo applies one policy to both plans via the builder default.
     let policy = ExecPolicy::builder()
