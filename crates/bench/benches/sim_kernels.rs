@@ -3,7 +3,7 @@
 //! non-zero). Useful for sizing experiment scales.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use rt_core::{rs_baseline_gpu_spmv, vector_csr_spmv, GpuCsrMatrix, GpuRsMatrix};
+use rt_core::{rs_baseline_gpu_spmv, vector_csr_spmm, GpuCsrMatrix, GpuRsMatrix};
 use rt_dose::cases::{prostate_case, ScaleConfig};
 use rt_f16::F16;
 use rt_gpusim::{DeviceSpec, Gpu};
@@ -23,7 +23,7 @@ fn bench_sim(c: &mut Criterion) {
         let m = GpuCsrMatrix::upload(&gpu, &csr);
         let x = gpu.upload(&weights);
         let y = gpu.alloc_out::<f64>(csr.nrows());
-        b.iter(|| vector_csr_spmv(&gpu, &m, &x, &y, 512).flops)
+        b.iter(|| vector_csr_spmm(&gpu, &m, &[&x], &[&y], 512, 32).flops)
     });
 
     g.bench_function("baseline_segment_atomic", |b| {

@@ -80,9 +80,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rt_core::{
     choose_shard_count, modeled_pool_throughput, modeled_whole_seconds, profile_baseline,
-    profile_half_double, rs_baseline_gpu_spmv, vector_csr_spmv, vector_csr_spmv_bucketed,
-    vector_csr_spmv_tiled, GpuCsrMatrix, GpuRowPlan, GpuRsMatrix, KernelChoice, KernelSelect,
-    PartitionStrategy, ShardBreakEven, TILE_WIDTHS,
+    profile_half_double, rs_baseline_gpu_spmv, vector_csr_spmm, vector_csr_spmm_bucketed,
+    GpuCsrMatrix, GpuRowPlan, GpuRsMatrix, KernelChoice, KernelSelect, PartitionStrategy,
+    ShardBreakEven, TILE_WIDTHS,
 };
 use rt_dose::cases::{prostate_case, ScaleConfig};
 use rt_engine::{Engine, ExecPolicy, ReplicaSpec, RequestKind, ShardSpec};
@@ -237,16 +237,13 @@ fn short_row_matrix() -> Csr<F16, u32> {
     m.convert_values()
 }
 
-/// Times one short-row entry. `classic` dispatches the paper's
-/// warp-per-row kernel (what width 32 resolves to in the calculator);
-/// otherwise the tiled kernel runs at `width`.
+/// Times one short-row entry: a whole-matrix launch at `width`.
 #[allow(clippy::too_many_arguments)]
 fn time_shortrow(
     name: &str,
     csr: &Csr<F16, u32>,
     row_stats: &RowStats,
     width: u32,
-    classic: bool,
     device: &DeviceSpec,
     warmup: usize,
     samples: usize,
@@ -262,13 +259,7 @@ fn time_shortrow(
         &profile_half_double(),
         warmup,
         samples,
-        || {
-            if classic {
-                vector_csr_spmv(&gpu, &m, &x, &y, 512)
-            } else {
-                vector_csr_spmv_tiled(&gpu, &m, &x, &y, 512, width)
-            }
-        },
+        || vector_csr_spmm(&gpu, &m, &[&x], &[&y], 512, width),
     );
     meas.report.tile_width = width;
     meas.tile_width = Some(width);
@@ -396,7 +387,7 @@ fn time_partitioned(
         warmup,
         samples,
         || {
-            let g = vector_csr_spmv_bucketed(&gpu, &m, &x, &y, 512, &gplan, widths);
+            let g = vector_csr_spmm_bucketed(&gpu, &m, &[&x], &[&y], 512, &gplan, widths);
             let merged = g.merged.clone();
             last = Some(g);
             merged
@@ -751,13 +742,12 @@ fn quick_smoke() -> ! {
     let choice = KernelSelect::MeasuredProbe
         .choose(&device, &csr, 512)
         .expect("probe cannot fail on a valid matrix");
-    let warp32 = time_shortrow("shortrow_warp32", &csr, &row_stats, 32, true, &device, 1, 5);
+    let warp32 = time_shortrow("shortrow_warp32", &csr, &row_stats, 32, &device, 1, 5);
     let auto = time_shortrow(
         "shortrow_tiled_auto",
         &csr,
         &row_stats,
         choice.tile_width,
-        choice.tile_width == 32,
         &device,
         1,
         5,
@@ -791,7 +781,6 @@ fn quick_smoke() -> ! {
                 &liver,
                 &liver_stats,
                 w,
-                w == 32,
                 &device,
                 1,
                 2,
@@ -896,7 +885,6 @@ fn quick_smoke() -> ! {
                 &grad_t,
                 &bwd_stats,
                 w,
-                w == 32,
                 &device,
                 1,
                 2,
@@ -970,7 +958,7 @@ fn main() {
             &profile_half_double(),
             WARMUP,
             SAMPLES,
-            || vector_csr_spmv(&gpu, &m, &x, &y, 512),
+            || vector_csr_spmm(&gpu, &m, &[&x], &[&y], 512, 32),
         )
     };
     let baseline = {
@@ -1005,7 +993,6 @@ fn main() {
         &short,
         &short_stats,
         32,
-        true,
         &device,
         WARMUP,
         SAMPLES,
@@ -1018,7 +1005,6 @@ fn main() {
                 &short,
                 &short_stats,
                 w,
-                false,
                 &device,
                 WARMUP,
                 SAMPLES,
@@ -1030,7 +1016,6 @@ fn main() {
         &short,
         &short_stats,
         choice.tile_width,
-        choice.tile_width == 32,
         &device,
         WARMUP,
         SAMPLES,
@@ -1056,7 +1041,6 @@ fn main() {
                 &liver,
                 &liver_stats,
                 w,
-                w == 32,
                 &device,
                 2,
                 7,
@@ -1068,7 +1052,6 @@ fn main() {
         &liver,
         &liver_stats,
         liver_choice.tile_width,
-        liver_choice.tile_width == 32,
         &device,
         2,
         7,
@@ -1107,8 +1090,8 @@ fn main() {
 
     // Suite 6: the liver gradient shape — the backward pass `Aᵀ r` as
     // every fixed-width whole-transpose kernel and as the bucketed
-    // partition of the transpose (what `gradient_csr_spmv_bucketed`
-    // runs), with one forward entry alongside so the report carries
+    // partition of the transpose (`vector_csr_spmm_bucketed` over the
+    // transpose's row plan), with one forward entry alongside so the report carries
     // forward vs backward lane occupancy for the same plan.
     let grad_case = liver_grad_matrix();
     let grad_t: Csr<F16, u32> = grad_case.transpose();
@@ -1122,7 +1105,6 @@ fn main() {
         &grad_case,
         &fwd_stats,
         fwd_choice.tile_width,
-        fwd_choice.tile_width == 32,
         &device,
         2,
         7,
@@ -1135,7 +1117,6 @@ fn main() {
                 &grad_t,
                 &bwd_stats,
                 w,
-                w == 32,
                 &device,
                 2,
                 7,

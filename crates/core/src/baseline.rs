@@ -255,7 +255,7 @@ mod tests {
         let gm2 = crate::vector_csr::GpuCsrMatrix::upload(&gpu2, &csr);
         let dx2 = gpu2.upload(&weights);
         let dy2 = gpu2.alloc_out::<f64>(4000);
-        let vector = crate::vector_csr::vector_csr_spmv(&gpu2, &gm2, &dx2, &dy2, 512);
+        let vector = crate::vector_csr::vector_csr_spmm(&gpu2, &gm2, &[&dx2], &[&dy2], 512, 32);
 
         assert!(
             baseline.dram_read_bytes > vector.dram_read_bytes,

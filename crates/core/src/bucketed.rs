@@ -1,39 +1,40 @@
 //! Bucketed row-partition SpMV: empty-row elimination and per-bucket
 //! tile-width dispatch.
 //!
-//! The tiled kernels of [`crate::tiled`] still schedule a tile for every
-//! row — ~70% of which are empty in the paper's matrices — and pick one
-//! tile width for the whole matrix. This module drives the sub-warp
-//! kernels through a [`rt_sparse::RowPlan`] instead: empty rows
-//! are never scheduled (the output is zero-filled by a dedicated streaming
-//! member), and each length bucket launches at its own width through
-//! [`Gpu::launch_group`], back-to-back on the same sim state.
+//! A whole-matrix [`vector_csr_spmm`](crate::vector_csr_spmm) launch
+//! still schedules a tile for every row — ~70% of which are empty in the
+//! paper's matrices — and picks one tile width for the whole matrix. This
+//! module drives the sub-warp kernels through a [`rt_sparse::RowPlan`]
+//! instead: empty rows are never scheduled (the output is zero-filled by
+//! a dedicated streaming member), and each length bucket launches at its
+//! own width through [`Gpu::launch_group`], back-to-back on the same sim
+//! state. The partition is direction-agnostic: over the transpose's row
+//! plan the same members compute the gradient back-projection.
 //!
 //! **Reproducibility contract.** For a row of length `l` processed at
 //! width `w`, the lane partitioning (`k % w` accumulation order) and the
 //! truncated halving reduction tree are pure functions of `(l, w)` — the
-//! bucketed kernel executes the *byte-identical* per-row arithmetic of
-//! [`vector_csr_spmv_tiled`](crate::vector_csr_spmv_tiled) at the same
-//! width; only *which* tile visits the row changes. So for any
+//! bucket members run the same row loop as a whole-matrix launch at the
+//! same width; only *which* tile visits the row changes. So for any
 //! [`BucketWidths`] assignment, bucketed results are bitwise identical to
-//! a whole-matrix tiled launch whose width matches each row's bucket —
-//! and a uniform assignment is bitwise identical to the fixed-width
-//! kernel at that width (width 32: to the classic kernel). Empty rows are
-//! zero-filled exactly as the fixed-width kernels store their empty-row
-//! sums (`+0.0`).
+//! a whole-matrix launch whose width matches each row's bucket — and a
+//! uniform assignment is bitwise identical to the whole-matrix launch at
+//! that width. Empty rows are zero-filled exactly as the whole-matrix
+//! kernels store their empty-row sums (`+0.0`). The host reference of
+//! both is [`vector_csr_reference`](crate::vector_csr_reference).
 //!
 //! Empty-row elimination is traffic-free by construction: an empty row in
-//! the fixed-width kernel loads two row pointers and stores one zero; the
-//! bucketed dispatch never touches its pointers and the zero-fill member
-//! writes the same zero in a fully coalesced stream.
+//! the whole-matrix kernel loads two row pointers and stores one zero;
+//! the bucketed dispatch never touches its pointers and the zero-fill
+//! member writes the same zero in a fully coalesced stream.
 
-use crate::vector_csr::{GpuCsrMatrix, VecScalar, MAX_SPMM_BATCH};
+use crate::vector_csr::{assert_batch, GpuCsrMatrix, RowAccumulator, VecScalar, MAX_SPMM_BATCH};
 use rt_f16::DoseScalar;
 use rt_gpusim::{
     BucketReport, DeviceBuffer, DeviceOutBuffer, DeviceSpec, Gpu, Grid, GroupMember, GroupReport,
     GroupStats, KernelProfile, WarpCtx, TILE_WIDTHS, WARP_SIZE,
 };
-use rt_sparse::{bucket_index_for_len, ColIndex, Csr, RowPlan, NUM_ROW_BUCKETS};
+use rt_sparse::{ColIndex, RowPlan, NUM_ROW_BUCKETS};
 use std::sync::Arc;
 
 /// Output elements each warp of the zero-fill member clears: large enough
@@ -54,8 +55,8 @@ impl BucketWidths {
         BucketWidths([2, 4, 8, 16, 32, 32])
     }
 
-    /// Same width for every bucket (for bitwise comparison against the
-    /// fixed-width kernels).
+    /// Same width for every bucket: the row widths of a whole-matrix
+    /// launch at `width`.
     pub fn uniform(width: u32) -> Self {
         BucketWidths([width; NUM_ROW_BUCKETS])
     }
@@ -65,7 +66,7 @@ impl BucketWidths {
         self.0.iter().all(|w| TILE_WIDTHS.contains(w))
     }
 
-    fn assert_valid(&self) {
+    pub(crate) fn assert_valid(&self) {
         assert!(
             self.is_valid(),
             "bucket widths must each be one of {TILE_WIDTHS:?}, got {:?}",
@@ -158,13 +159,12 @@ fn zero_fill_member<'a, X: VecScalar>(
     })
 }
 
-/// The per-bucket kernel body: identical per-row arithmetic to
-/// [`vector_csr_spmv_tiled`](crate::vector_csr_spmv_tiled) (same chunked
-/// span loads, same gather, same truncated reduction tree), except rows
-/// are taken from the bucket's row-index array and sums scatter to their
-/// original positions.
+/// The per-bucket kernel body: the row loop of a whole-matrix launch at
+/// width `tw` (same chunked span loads, same gather, same truncated
+/// reduction tree), except rows are taken from the bucket's row-index
+/// array and sums scatter to their original positions.
 fn bucket_body<V: DoseScalar, I: ColIndex, X: VecScalar>(
-    w: &mut WarpCtx,
+    w: &WarpCtx,
     m: &GpuCsrMatrix<V, I>,
     rows_buf: &DeviceBuffer<u32>,
     n_bucket_rows: usize,
@@ -172,7 +172,6 @@ fn bucket_body<V: DoseScalar, I: ColIndex, X: VecScalar>(
     xs: &[&DeviceBuffer<X>],
     ys: &[&DeviceOutBuffer<X>],
 ) {
-    let k = xs.len();
     let base = w.tile_base();
     if base >= n_bucket_rows {
         return;
@@ -181,7 +180,7 @@ fn bucket_body<V: DoseScalar, I: ColIndex, X: VecScalar>(
     // One coalesced read of the warp's row indices, then two warp-wide
     // gathers for the row-pointer pairs (the indices are not contiguous,
     // so span loads cannot be used — this is the partition's only extra
-    // traffic, and it replaces the fixed-width kernel's pointer span).
+    // traffic, and it replaces the whole-matrix kernel's pointer span).
     let rids = w.load_span(rows_buf, base..base + rows_here);
     let rids: [u32; WARP_SIZE] = {
         let mut a = [0u32; WARP_SIZE];
@@ -200,44 +199,20 @@ fn bucket_body<V: DoseScalar, I: ColIndex, X: VecScalar>(
     }
     w.load_gather(m.row_ptr(), &idxs[..rows_here], &mut ends);
 
-    let mut lanes = [[X::default(); WARP_SIZE]; MAX_SPMM_BATCH];
-    let mut gathered = [X::default(); WARP_SIZE];
+    let mut acc = RowAccumulator::new();
     let mut sums = [[X::default(); WARP_SIZE]; MAX_SPMM_BATCH];
 
     for t in 0..rows_here {
-        let start = starts[t] as usize;
-        let end = ends[t] as usize;
-        for l in lanes.iter_mut().take(k) {
-            l[..tw].fill(X::default());
-        }
-
-        let mut j = start;
-        while j < end {
-            let n = (end - j).min(tw);
-            let cols = w.load_span(m.col_idx(), j..j + n);
-            let vals = w.load_span(m.values(), j..j + n);
-            for kk in 0..n {
-                idxs[kk] = cols[kk].to_usize();
-            }
-            for (v, x) in xs.iter().enumerate() {
-                w.load_gather(x, &idxs[..n], &mut gathered);
-                for kk in 0..n {
-                    lanes[v][kk] = lanes[v][kk] + X::from_f64(vals[kk].to_f64()) * gathered[kk];
-                }
-            }
-            w.add_flops(2 * n as u64 * k as u64);
-            j += n;
-        }
-
-        for v in 0..k {
-            sums[v][t] = w.reduce_sum_tile(&mut lanes[v][..tw]);
+        acc.accumulate(w, m, starts[t] as usize, ends[t] as usize, tw, xs);
+        for (l, s) in acc.lanes[..xs.len()].iter_mut().zip(&mut sums) {
+            s[t] = w.reduce_sum_tile(&mut l[..tw]);
         }
     }
 
     // Scatter each row sum back to its original position.
     for t in 0..rows_here {
-        for (v, y) in ys.iter().enumerate() {
-            w.store_scalar(y, rids[t] as usize, sums[v][t]);
+        for (s, y) in sums.iter().zip(ys) {
+            w.store_scalar(y, rids[t] as usize, s[t]);
         }
     }
 }
@@ -261,14 +236,7 @@ fn bucketed_members<'a, V: DoseScalar, I: ColIndex, X: VecScalar>(
         m.row_ptr().as_slice().last().map_or(0, |&e| e as usize),
         "row plan was built for a different matrix"
     );
-    assert!(!xs.is_empty() && xs.len() <= MAX_SPMM_BATCH, "batch size");
-    assert_eq!(xs.len(), ys.len(), "one output per input vector");
-    for x in &xs {
-        assert_eq!(x.len(), m.ncols(), "input vector length mismatch");
-    }
-    for y in &ys {
-        assert_eq!(y.len(), m.nrows(), "output vector length mismatch");
-    }
+    assert_batch(m, &xs, &ys);
 
     let mut members = Vec::with_capacity(gplan.member_count());
     members.push(zero_fill_member(ys.clone(), m.nrows(), threads_per_block));
@@ -291,31 +259,18 @@ fn bucketed_members<'a, V: DoseScalar, I: ColIndex, X: VecScalar>(
     members
 }
 
-/// Bucketed `y = A x`: zero-fills `y` deterministically, then launches
-/// one width-matched tiled kernel per non-empty row bucket through
-/// [`Gpu::launch_group`]. Returns the merged group counters with the
-/// per-bucket breakdown.
+/// Bucketed `ys[v] = A xs[v]` for every `v`: zero-fills every output
+/// deterministically, then launches one width-matched tiled member per
+/// non-empty row bucket through [`Gpu::launch_group`], sharing the matrix
+/// spans across vectors within each member exactly like
+/// [`vector_csr_spmm`](crate::vector_csr_spmm). Returns the merged group
+/// counters with the per-bucket breakdown.
 ///
-/// Bitwise identical to [`vector_csr_spmv_tiled`](crate::vector_csr_spmv_tiled)
-/// row-for-row at each row's bucket width (see the module docs).
-pub fn vector_csr_spmv_bucketed<V: DoseScalar, I: ColIndex, X: VecScalar>(
-    gpu: &Gpu,
-    m: &GpuCsrMatrix<V, I>,
-    x: &DeviceBuffer<X>,
-    y: &DeviceOutBuffer<X>,
-    threads_per_block: u32,
-    gplan: &GpuRowPlan,
-    widths: BucketWidths,
-) -> GroupStats {
-    let members = bucketed_members(m, vec![x], vec![y], threads_per_block, gplan, widths);
-    gpu.launch_group(members)
-}
-
-/// Multi-vector (SpMM-style) bucketed dispatch: `ys[v] = A xs[v]` for
-/// every `v`, sharing the matrix spans across vectors within each bucket
-/// member exactly like [`vector_csr_spmm_tiled`](crate::vector_csr_spmm_tiled).
-/// Per-vector arithmetic is identical to an unbatched
-/// [`vector_csr_spmv_bucketed`] launch with the same widths.
+/// Bitwise identical to [`vector_csr_spmm`](crate::vector_csr_spmm)
+/// row-for-row at each row's bucket width (see the module docs), and
+/// per vector to a one-vector launch with the same widths. Over the
+/// uploaded transpose and its row plan this is the gradient
+/// back-projection `g = A^T r`.
 pub fn vector_csr_spmm_bucketed<V: DoseScalar, I: ColIndex, X: VecScalar>(
     gpu: &Gpu,
     m: &GpuCsrMatrix<V, I>,
@@ -334,63 +289,6 @@ pub fn vector_csr_spmm_bucketed<V: DoseScalar, I: ColIndex, X: VecScalar>(
         widths,
     );
     gpu.launch_group(members)
-}
-
-/// Bucketed back-projection `g = A^T r`, dispatched over a [`RowPlan`]
-/// of the **transpose** (beamlet rows: empty beamlets dropped,
-/// length-bucketed, width-matched per bucket). The kernels are the same
-/// direction-agnostic bucket members as [`vector_csr_spmv_bucketed`] —
-/// `t` must be the uploaded transpose and `gplan` its row plan, so the
-/// name records which direction the partition describes.
-///
-/// Bitwise identical per beamlet-row to the fixed-width tiled kernel at
-/// the row's bucket width, for any worker count or execution mode.
-pub fn gradient_csr_spmv_bucketed<V: DoseScalar, I: ColIndex, X: VecScalar>(
-    gpu: &Gpu,
-    t: &GpuCsrMatrix<V, I>,
-    r: &DeviceBuffer<X>,
-    g: &DeviceOutBuffer<X>,
-    threads_per_block: u32,
-    gplan: &GpuRowPlan,
-    widths: BucketWidths,
-) -> GroupStats {
-    vector_csr_spmv_bucketed(gpu, t, r, g, threads_per_block, gplan, widths)
-}
-
-/// Host-side reference of the exact arithmetic the bucketed dispatch
-/// performs: each row is reduced with the truncated halving tree of its
-/// bucket's width, empty rows are zero. Mirrors
-/// [`vector_csr_tiled_reference`](crate::vector_csr_tiled_reference)
-/// per row.
-#[allow(clippy::needless_range_loop)] // mirrors the kernel's lane loop
-pub fn vector_csr_bucketed_reference<V: DoseScalar, I: ColIndex, X: VecScalar>(
-    m: &Csr<V, I>,
-    x: &[X],
-    widths: BucketWidths,
-) -> Vec<X> {
-    widths.assert_valid();
-    let mut y = vec![X::default(); m.nrows()];
-    for row in 0..m.nrows() {
-        let (cols, vals) = m.row(row);
-        if cols.is_empty() {
-            continue; // zero-filled
-        }
-        let tw = widths.0[bucket_index_for_len(cols.len() as u32)] as usize;
-        let mut lanes = vec![X::default(); tw];
-        for (k, (c, v)) in cols.iter().zip(vals.iter()).enumerate() {
-            let lane = k % tw;
-            lanes[lane] = lanes[lane] + X::from_f64(v.to_f64()) * x[c.to_usize()];
-        }
-        let mut offset = tw / 2;
-        while offset > 0 {
-            for i in 0..offset {
-                lanes[i] = lanes[i] + lanes[i + offset];
-            }
-            offset /= 2;
-        }
-        y[row] = lanes[0];
-    }
-    y
 }
 
 /// Assembles the fused [`GroupReport`] of a bucketed dispatch: merged
@@ -443,12 +341,12 @@ pub fn bucketed_group_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tiled::{vector_csr_spmv_tiled, vector_csr_tiled_reference};
-    use crate::vector_csr::vector_csr_spmv;
+    use crate::vector_csr::{vector_csr_reference, vector_csr_spmm};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rt_f16::F16;
     use rt_gpusim::{DeviceSpec, ExecMode};
+    use rt_sparse::{bucket_index_for_len, Csr};
 
     fn random_csr(nrows: usize, ncols: usize, max_row: usize, seed: u64) -> Csr<f64, u32> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -473,6 +371,19 @@ mod tests {
         v.into_iter().map(|x| x.to_bits()).collect()
     }
 
+    /// One-vector bucketed launch `y = A x`.
+    fn spmv_bucketed(
+        gpu: &Gpu,
+        m: &GpuCsrMatrix<F16>,
+        x: &DeviceBuffer<f64>,
+        y: &DeviceOutBuffer<f64>,
+        tpb: u32,
+        gplan: &GpuRowPlan,
+        widths: BucketWidths,
+    ) -> GroupStats {
+        vector_csr_spmm_bucketed(gpu, m, &[x], &[y], tpb, gplan, widths)
+    }
+
     #[test]
     fn natural_widths_match_bucketed_reference_bitwise() {
         let m64 = random_csr(500, 96, 60, 21);
@@ -485,15 +396,10 @@ mod tests {
         let gplan = GpuRowPlan::upload(&gpu, plan);
         let dx = gpu.upload(&x);
         let dy = gpu.alloc_out::<f64>(500);
-        let group =
-            vector_csr_spmv_bucketed(&gpu, &gm, &dx, &dy, 256, &gplan, BucketWidths::natural());
+        let group = spmv_bucketed(&gpu, &gm, &dx, &dy, 256, &gplan, BucketWidths::natural());
         assert_eq!(
             bits(dy.to_vec()),
-            bits(vector_csr_bucketed_reference(
-                &m,
-                &x,
-                BucketWidths::natural()
-            ))
+            bits(vector_csr_reference(&m, &x, BucketWidths::natural()))
         );
         // Flops: 2 per nnz (zero-fill adds none).
         assert_eq!(group.merged.flops, 2 * m.nnz() as u64);
@@ -513,33 +419,20 @@ mod tests {
             let dx = gpu.upload(&x);
             let fixed = gpu.alloc_out::<f64>(300);
             let bucketed = gpu.alloc_out::<f64>(300);
-            vector_csr_spmv_tiled(&gpu, &gm, &dx, &fixed, 256, w);
-            vector_csr_spmv_bucketed(
-                &gpu,
-                &gm,
-                &dx,
-                &bucketed,
-                256,
-                &gplan,
-                BucketWidths::uniform(w),
-            );
+            vector_csr_spmm(&gpu, &gm, &[&dx], &[&fixed], 256, w);
+            let widths = BucketWidths::uniform(w);
+            spmv_bucketed(&gpu, &gm, &dx, &bucketed, 256, &gplan, widths);
             assert_eq!(bits(fixed.to_vec()), bits(bucketed.to_vec()), "width {w}");
-            // Width 32 uniform == classic kernel too.
-            if w == 32 {
-                let classic = gpu.alloc_out::<f64>(300);
-                vector_csr_spmv(&gpu, &gm, &dx, &classic, 256);
-                assert_eq!(bits(classic.to_vec()), bits(bucketed.to_vec()));
-            }
         }
     }
 
     #[test]
-    fn reference_rows_match_tiled_reference_per_bucket_width() {
+    fn reference_rows_match_uniform_reference_per_bucket_width() {
         let m64 = random_csr(200, 64, 40, 23);
         let m: Csr<F16, u32> = m64.convert_values();
         let x: Vec<f64> = (0..64).map(|i| (i as f64 * 0.7).cos()).collect();
         let widths = BucketWidths::natural();
-        let want = vector_csr_bucketed_reference(&m, &x, widths);
+        let want = vector_csr_reference(&m, &x, widths);
         for row in 0..m.nrows() {
             let len = m.row_len(row);
             if len == 0 {
@@ -547,8 +440,8 @@ mod tests {
                 continue;
             }
             let w = widths.0[bucket_index_for_len(len as u32)];
-            let tiled = vector_csr_tiled_reference(&m, &x, w);
-            assert_eq!(want[row].to_bits(), tiled[row].to_bits(), "row {row}");
+            let uniform = vector_csr_reference(&m, &x, BucketWidths::uniform(w));
+            assert_eq!(want[row].to_bits(), uniform[row].to_bits(), "row {row}");
         }
     }
 
@@ -579,14 +472,13 @@ mod tests {
         let gplan = GpuRowPlan::upload(&gpu, plan);
         let dx = gpu.upload(&x);
         let dy = gpu.alloc_out::<f64>(4096);
-        let group =
-            vector_csr_spmv_bucketed(&gpu, &gm, &dx, &dy, 256, &gplan, BucketWidths::natural());
+        let group = spmv_bucketed(&gpu, &gm, &dx, &dy, 256, &gplan, BucketWidths::natural());
 
         let gpu2 = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Sequential);
         let gm2 = GpuCsrMatrix::upload(&gpu2, &m);
         let dx2 = gpu2.upload(&x);
         let dy2 = gpu2.alloc_out::<f64>(4096);
-        let fixed = vector_csr_spmv_tiled(&gpu2, &gm2, &dx2, &dy2, 256, 2);
+        let fixed = vector_csr_spmm(&gpu2, &gm2, &[&dx2], &[&dy2], 256, 2);
         assert!(
             group.merged.warps < fixed.warps / 2,
             "bucketed {} vs fixed-w2 {}",
@@ -597,7 +489,7 @@ mod tests {
     }
 
     #[test]
-    fn spmm_bucketed_matches_spmv_bucketed_per_vector() {
+    fn batch_matches_reference_per_vector() {
         let m64 = random_csr(180, 64, 20, 25);
         let m: Csr<F16, u32> = m64.convert_values();
         let plan = Arc::new(RowPlan::from_csr(&m));
@@ -623,7 +515,7 @@ mod tests {
         for (v, x) in vectors.iter().enumerate() {
             assert_eq!(
                 bits(dys[v].to_vec()),
-                bits(vector_csr_bucketed_reference(&m, x, widths)),
+                bits(vector_csr_reference(&m, x, widths)),
                 "vector {v}"
             );
         }
@@ -642,8 +534,7 @@ mod tests {
         let dy = gpu.alloc_out::<f64>(3);
         dy.set(0, 99.0);
         dy.set(2, 99.0);
-        let group =
-            vector_csr_spmv_bucketed(&gpu, &gm, &dx, &dy, 128, &gplan, BucketWidths::natural());
+        let group = spmv_bucketed(&gpu, &gm, &dx, &dy, 128, &gplan, BucketWidths::natural());
         assert_eq!(dy.to_vec(), vec![0.0, 0.0, 0.0]);
         assert_eq!(group.members.len(), 1); // zero_fill only
         assert_eq!(group.merged.flops, 0);
@@ -661,7 +552,7 @@ mod tests {
         let dx = gpu.upload(&x);
         let dy = gpu.alloc_out::<f64>(400);
         let widths = BucketWidths::natural();
-        let group = vector_csr_spmv_bucketed(&gpu, &gm, &dx, &dy, 256, &gplan, widths);
+        let group = spmv_bucketed(&gpu, &gm, &dx, &dy, 256, &gplan, widths);
         let report =
             bucketed_group_report(gpu.spec(), &crate::profile_half_double(), &plan, &group);
         assert_eq!(report.buckets.len(), group.members.len());
@@ -694,6 +585,6 @@ mod tests {
         let gplan = GpuRowPlan::upload(&gpu, plan);
         let dx = gpu.upload(&[1.0f64; 2]);
         let dy = gpu.alloc_out::<f64>(1);
-        vector_csr_spmv_bucketed(&gpu, &gm, &dx, &dy, 128, &gplan, BucketWidths([7; 6]));
+        spmv_bucketed(&gpu, &gm, &dx, &dy, 128, &gplan, BucketWidths([7; 6]));
     }
 }

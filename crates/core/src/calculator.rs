@@ -6,13 +6,9 @@
 //! of panicking, so untrusted inputs (a serving engine's requests, a
 //! CLI-loaded snapshot) surface as typed errors.
 
-use crate::bucketed::{
-    bucketed_group_report, vector_csr_spmm_bucketed, vector_csr_spmv_bucketed, BucketWidths,
-    GpuRowPlan,
-};
+use crate::bucketed::{bucketed_group_report, vector_csr_spmm_bucketed, BucketWidths, GpuRowPlan};
 use crate::error::RtError;
-use crate::tiled::{vector_csr_spmm_tiled, vector_csr_spmv_tiled};
-use crate::vector_csr::{vector_csr_spmm, vector_csr_spmv, GpuCsrMatrix, MAX_SPMM_BATCH};
+use crate::vector_csr::{vector_csr_spmm, GpuCsrMatrix, MAX_SPMM_BATCH};
 use crate::{profile_half_double, profile_single};
 use rt_f16::F16;
 use rt_gpusim::{
@@ -165,8 +161,8 @@ impl<'m> DoseCalculatorBuilder<'m> {
     }
 
     /// Cooperative-group tile width for the SpMV kernels (default 32,
-    /// the paper's warp-per-row kernel). Narrower widths dispatch to the
-    /// [sub-warp tiled family](crate::tiled); use
+    /// the paper's warp-per-row kernel). Narrower widths run
+    /// [`vector_csr_spmm`]'s sub-warp tiles; use
     /// [`KernelSelect`](crate::KernelSelect) to pick one automatically.
     pub fn tile_width(mut self, tile_width: u32) -> Self {
         self.tile_width = tile_width;
@@ -310,11 +306,10 @@ struct Operator {
     matrix: GpuCsrMatrix<F16, u32>,
     /// Uploaded row plan plus per-bucket widths. When present, SpMV
     /// dispatches through the bucketed partition
-    /// ([`vector_csr_spmv_bucketed`]).
+    /// ([`vector_csr_spmm_bucketed`]).
     partition: Option<(GpuRowPlan, BucketWidths)>,
-    /// Cooperative-group tile width of whole-matrix dispatch: 32 runs
-    /// the classic warp-per-row kernels, narrower widths the tiled
-    /// family.
+    /// Cooperative-group tile width of whole-matrix dispatch
+    /// ([`vector_csr_spmm`]).
     width: u32,
 }
 
@@ -353,31 +348,10 @@ impl Operator {
         }
     }
 
-    /// One SpMV launch `y = M x`: bucketed when partitioned (returning
-    /// the per-bucket counters too), else the whole-matrix kernel at
-    /// `width` (32 keeps the warp-per-row kernel and its exact golden
-    /// counters).
-    fn spmv(
-        &self,
-        gpu: &Gpu,
-        tpb: u32,
-        x: &DeviceBuffer<f64>,
-        y: &DeviceOutBuffer<f64>,
-    ) -> (KernelStats, Option<GroupStats>) {
-        let m = &self.matrix;
-        match &self.partition {
-            Some((gplan, widths)) => {
-                let g = vector_csr_spmv_bucketed(gpu, m, x, y, tpb, gplan, *widths);
-                (g.merged.clone(), Some(g))
-            }
-            None if self.width == 32 => (vector_csr_spmv(gpu, m, x, y, tpb), None),
-            None => (vector_csr_spmv_tiled(gpu, m, x, y, tpb, self.width), None),
-        }
-    }
-
-    /// The multi-vector counterpart of [`Operator::spmv`]: `ys[v] = M
-    /// xs[v]` in one launch sequence sharing the matrix traffic.
-    fn spmm(
+    /// One launch sequence `ys[v] = M xs[v]` sharing the matrix traffic
+    /// across vectors: bucketed when partitioned (returning the
+    /// per-bucket counters too), else the whole-matrix kernel at `width`.
+    fn run(
         &self,
         gpu: &Gpu,
         tpb: u32,
@@ -390,8 +364,7 @@ impl Operator {
                 let g = vector_csr_spmm_bucketed(gpu, m, xs, ys, tpb, gplan, *widths);
                 (g.merged.clone(), Some(g))
             }
-            None if self.width == 32 => (vector_csr_spmm(gpu, m, xs, ys, tpb), None),
-            None => (vector_csr_spmm_tiled(gpu, m, xs, ys, tpb, self.width), None),
+            None => (vector_csr_spmm(gpu, m, xs, ys, tpb, self.width), None),
         }
     }
 }
@@ -550,7 +523,7 @@ impl DoseCalculator {
         let dx: DeviceBuffer<f64> = self.gpu.upload(weights);
         let (stats, group) = self
             .dose
-            .spmv(&self.gpu, self.threads_per_block, &dx, &self.y);
+            .run(&self.gpu, self.threads_per_block, &[&dx], &[&self.y]);
         Ok(DoseResult {
             dose: self.y.to_vec(),
             report: self.report_for(&stats, self.dose.width),
@@ -582,7 +555,7 @@ impl DoseCalculator {
         op.check("residual", residual.len())?;
         let dr: DeviceBuffer<f64> = self.gpu.upload(residual);
         let g = self.gpu.alloc_out::<f64>(op.matrix.nrows());
-        op.spmv(&self.gpu, self.threads_per_block, &dr, &g);
+        op.run(&self.gpu, self.threads_per_block, &[&dr], &[&g]);
         Ok(g.to_vec())
     }
 
@@ -617,7 +590,7 @@ impl DoseCalculator {
                 .collect();
             let xr: Vec<&DeviceBuffer<f64>> = dxs.iter().collect();
             let yr: Vec<&DeviceOutBuffer<f64>> = dys.iter().collect();
-            let (stats, group) = op.spmm(&self.gpu, self.threads_per_block, &xr, &yr);
+            let (stats, group) = op.run(&self.gpu, self.threads_per_block, &xr, &yr);
             if let Some(g) = group {
                 match &mut group_acc {
                     Some(acc) => acc.accumulate(&g),
@@ -894,7 +867,7 @@ mod tests {
         let r = calc.compute_dose(&w).unwrap();
 
         let m16: Csr<rt_f16::F16, u32> = m.convert_values();
-        let want = crate::bucketed::vector_csr_bucketed_reference(&m16, &w, widths);
+        let want = crate::vector_csr::vector_csr_reference(&m16, &w, widths);
         assert_eq!(
             r.dose.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -960,7 +933,7 @@ mod tests {
         // transpose == host bucketed reference on the transpose.
         let t = m.transpose();
         let t16: Csr<rt_f16::F16, u32> = t.convert_values();
-        let want = crate::bucketed::vector_csr_bucketed_reference(&t16, &residual, widths);
+        let want = crate::vector_csr::vector_csr_reference(&t16, &residual, widths);
         assert_eq!(
             g.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()

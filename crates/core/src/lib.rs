@@ -1,13 +1,26 @@
 //! The paper's contribution: mixed-precision CSR SpMV kernels for
 //! radiation dose calculation, running on the `rt-gpusim` simulator.
 //!
-//! Kernel inventory (all functionally executed, all traced through the
-//! simulated memory hierarchy):
+//! The paper's kernel (Listing 1, a warp per row with a fixed
+//! cooperative-groups `reduce`) has one launch entry point per row
+//! strategy. Both take slices of input and output vectors — a single
+//! SpMV is the one-vector call — and share one per-row accumulation
+//! loop, so every width, batch size and partition is bitwise
+//! reproducible against the one host reference [`vector_csr_reference`]:
+//!
+//! | Entry point | Rows | Strategy |
+//! |---|---|---|
+//! | [`vector_csr_spmm`]`(…, width)` | every row | `width` 32 is Listing 1: one warp per row, scalar row-pointer loads and stores. Narrower [`TILE_WIDTHS`] run `32 / width` rows per warp as cooperative sub-warp tiles with coalesced pointer loads and stores. |
+//! | [`vector_csr_spmm_bucketed`] | non-empty rows of a [`GpuRowPlan`] | a zero-fill member, then one sub-warp launch per row-length bucket at its own width ([`BucketWidths`]). |
+//!
+//! With `V = F16`, `X = f64` they are the paper's **Half/double** kernel
+//! (matrix in binary16, vectors in binary64); with `V = f32`, `X = f32`
+//! the **Single** kernel of the library comparison. The remaining
+//! kernels (all functionally executed, all traced through the simulated
+//! memory hierarchy) are the comparison points:
 //!
 //! | Kernel | Paper name | Strategy |
 //! |---|---|---|
-//! | [`vector_csr_spmv`] with `V = F16`, `X = f64` | **Half/double** | warp-per-row, cooperative-groups reduction, matrix in binary16, vectors in binary64. Bitwise reproducible. |
-//! | [`vector_csr_spmv`] with `V = f32`, `X = f32` | **Single** | same kernel in pure single precision (the library-comparison configuration) |
 //! | [`scalar_csr_spmv`] | (ablation) | Bell–Garland scalar kernel, one *thread* per row — the motivating counter-example of §III |
 //! | [`rs_baseline_gpu_spmv`] | **GPU Baseline** | the RayStation CPU algorithm ported with atomics: column-parallel over the compressed segment format. *Not* reproducible. |
 //! | [`RsCpu`] | RayStation CPU | column-parallel with per-thread scratch arrays and a deterministic merge (the clinical implementation) |
@@ -27,13 +40,11 @@ pub mod placement;
 pub mod scalar_csr;
 pub mod select;
 pub mod sell_kernel;
-pub mod tiled;
 pub mod vector_csr;
 
 pub use baseline::{rs_baseline_gpu_spmv, GpuRsMatrix};
 pub use bucketed::{
-    bucket_label, bucketed_group_report, gradient_csr_spmv_bucketed, vector_csr_bucketed_reference,
-    vector_csr_spmm_bucketed, vector_csr_spmv_bucketed, BucketWidths, GpuRowPlan,
+    bucket_label, bucketed_group_report, vector_csr_spmm_bucketed, BucketWidths, GpuRowPlan,
 };
 pub use calculator::{
     BatchDoseResult, DoseCalculator, DoseCalculatorBuilder, DoseResult, PrecisionProfile,
@@ -51,8 +62,9 @@ pub use select::{
     TileCandidate,
 };
 pub use sell_kernel::{sell_spmv, GpuSellMatrix};
-pub use tiled::{vector_csr_spmm_tiled, vector_csr_spmv_tiled, vector_csr_tiled_reference};
-pub use vector_csr::{vector_csr_spmm, vector_csr_spmv, GpuCsrMatrix, VecScalar, MAX_SPMM_BATCH};
+pub use vector_csr::{
+    vector_csr_reference, vector_csr_spmm, GpuCsrMatrix, VecScalar, MAX_SPMM_BATCH,
+};
 
 pub use rt_gpusim::TILE_WIDTHS;
 

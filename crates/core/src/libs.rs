@@ -16,7 +16,7 @@
 //!   fewer lanes on short rows (why it wins on prostate) at some
 //!   streaming efficiency cost (why it trails on liver).
 
-use crate::vector_csr::{vector_csr_spmv, GpuCsrMatrix, VecScalar};
+use crate::vector_csr::{vector_csr_spmm, GpuCsrMatrix, RowAccumulator, VecScalar};
 use rt_f16::DoseScalar;
 use rt_gpusim::{DeviceBuffer, DeviceOutBuffer, Gpu, Grid, KernelStats, WARP_SIZE};
 use rt_sparse::ColIndex;
@@ -29,7 +29,7 @@ pub fn cusparse_csr_spmv<V: DoseScalar, I: ColIndex, X: VecScalar>(
     x: &DeviceBuffer<X>,
     y: &DeviceOutBuffer<X>,
 ) -> KernelStats {
-    vector_csr_spmv(gpu, m, x, y, 256)
+    vector_csr_spmm(gpu, m, &[x], &[y], 256, WARP_SIZE as u32)
 }
 
 /// Ginkgo's subwarp-size heuristic: the smallest power of two covering
@@ -64,27 +64,12 @@ pub fn ginkgo_csr_spmv<V: DoseScalar, I: ColIndex, X: VecScalar>(
         if first_row >= nrows {
             return;
         }
-        let mut idxs = [0usize; WARP_SIZE];
-        let mut xs = [X::default(); WARP_SIZE];
+        let mut acc = RowAccumulator::new();
         for row in first_row..(first_row + rows_per_warp).min(nrows) {
             let start = w.load_scalar(m.row_ptr(), row) as usize;
             let end = w.load_scalar(m.row_ptr(), row + 1) as usize;
-            let mut lanes = [X::default(); WARP_SIZE];
-            let mut j = start;
-            while j < end {
-                let n = (end - j).min(sub);
-                let cols = w.load_span(m.col_idx(), j..j + n);
-                let vals = w.load_span(m.values(), j..j + n);
-                for k in 0..n {
-                    idxs[k] = cols[k].to_usize();
-                }
-                w.load_gather(x, &idxs[..n], &mut xs);
-                for k in 0..n {
-                    lanes[k] = lanes[k] + X::from_f64(vals[k].to_f64()) * xs[k];
-                }
-                w.add_flops(2 * n as u64);
-                j += n;
-            }
+            acc.accumulate(w, m, start, end, sub, &[x]);
+            let lanes = &mut acc.lanes[0];
             // Subwarp tree reduction (fixed order, `sub` wide).
             let mut offset = sub / 2;
             while offset > 0 {
@@ -175,7 +160,7 @@ mod tests {
         let gm2 = GpuCsrMatrix::upload(&gpu2, &m);
         let d2 = gpu2.upload(&x);
         let y2 = gpu2.alloc_out::<f32>(200);
-        vector_csr_spmv(&gpu2, &gm2, &d2, &y2, 256);
+        vector_csr_spmm(&gpu2, &gm2, &[&d2], &[&y2], 256, 32);
 
         assert_eq!(
             y1.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -198,7 +183,7 @@ mod tests {
         let gm2 = GpuCsrMatrix::upload(&gpu2, &m);
         let dx2 = gpu2.upload(&x);
         let dy2 = gpu2.alloc_out::<f32>(1000);
-        let v = vector_csr_spmv(&gpu2, &gm2, &dx2, &dy2, 512);
+        let v = vector_csr_spmm(&gpu2, &gm2, &[&dx2], &[&dy2], 512, 32);
         assert!(
             g.warps < v.warps,
             "ginkgo {} vs vector {}",

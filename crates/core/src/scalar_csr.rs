@@ -78,7 +78,7 @@ pub fn scalar_csr_spmv<V: DoseScalar, I: ColIndex, X: VecScalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vector_csr::vector_csr_spmv;
+    use crate::vector_csr::vector_csr_spmm;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rt_f16::F16;
@@ -158,7 +158,7 @@ mod tests {
         let gm2 = GpuCsrMatrix::upload(&gpu2, &m);
         let dx2 = gpu2.upload(&x);
         let dy2 = gpu2.alloc_out::<f64>(m.nrows());
-        let vector = vector_csr_spmv(&gpu2, &gm2, &dx2, &dy2, 256);
+        let vector = vector_csr_spmm(&gpu2, &gm2, &[&dx2], &[&dy2], 256, 32);
 
         assert!(
             scalar.dram_read_bytes as f64 > 1.5 * vector.dram_read_bytes as f64,

@@ -1,7 +1,7 @@
 //! `KernelSelect`: the per-matrix tile-width autotuner.
 //!
-//! Picking the tile width for the [sub-warp tiled kernels](crate::tiled)
-//! is a classic shape-matching problem: narrow tiles cut the per-warp
+//! Picking the tile width for [`vector_csr_spmm`]'s sub-warp tiles is a
+//! classic shape-matching problem: narrow tiles cut the per-warp
 //! fixed-overhead term (fewer warps launched) and waste fewer lanes on
 //! short rows, but long rows then issue more, smaller L2 sector
 //! transactions. Two strategies are offered:
@@ -20,11 +20,10 @@
 //! serving layers and the `rtdose kernels` CLI can show *why* a width
 //! was picked.
 
-use crate::bucketed::{bucket_label, vector_csr_spmv_bucketed, BucketWidths, GpuRowPlan};
+use crate::bucketed::{bucket_label, vector_csr_spmm_bucketed, BucketWidths, GpuRowPlan};
 use crate::error::RtError;
 use crate::profile_half_double;
-use crate::tiled::vector_csr_spmv_tiled;
-use crate::vector_csr::{vector_csr_spmv, GpuCsrMatrix};
+use crate::vector_csr::{vector_csr_spmm, GpuCsrMatrix};
 use rt_f16::DoseScalar;
 use rt_gpusim::{timing, DeviceSpec, ExecMode, Gpu, TILE_WIDTHS};
 use rt_sparse::stats::RowStats;
@@ -277,11 +276,11 @@ fn probe_bucket_choices<V: DoseScalar, I: ColIndex>(
         let x: Vec<f64> = vec![1.0; m.ncols()];
         let dx = gpu.upload(&x);
         let dy = gpu.alloc_out::<f64>(m.nrows());
-        let group = vector_csr_spmv_bucketed(
+        let group = vector_csr_spmm_bucketed(
             &gpu,
             &gm,
-            &dx,
-            &dy,
+            &[&dx],
+            &[&dy],
             threads_per_block,
             &gplan,
             BucketWidths::uniform(w),
@@ -344,8 +343,7 @@ pub fn heuristic_width(stats: &RowStats) -> u32 {
 
 /// Launches every candidate width once on a throwaway `Sequential`
 /// simulator (exact, deterministic counters) and returns the scored
-/// table. Width 32 probes the classic [`vector_csr_spmv`] — the kernel
-/// that width actually dispatches to.
+/// table: one single-vector [`vector_csr_spmm`] launch per width.
 pub fn probe_widths<V: DoseScalar, I: ColIndex>(
     spec: &DeviceSpec,
     m: &Csr<V, I>,
@@ -361,11 +359,7 @@ pub fn probe_widths<V: DoseScalar, I: ColIndex>(
             let x: Vec<f64> = vec![1.0; m.ncols()];
             let dx = gpu.upload(&x);
             let dy = gpu.alloc_out::<f64>(m.nrows());
-            let stats = if w == 32 {
-                vector_csr_spmv(&gpu, &gm, &dx, &dy, threads_per_block)
-            } else {
-                vector_csr_spmv_tiled(&gpu, &gm, &dx, &dy, threads_per_block, w)
-            };
+            let stats = vector_csr_spmm(&gpu, &gm, &[&dx], &[&dy], threads_per_block, w);
             let est = timing::estimate(spec, &profile, &stats);
             TileCandidate {
                 tile_width: w,

@@ -1,20 +1,61 @@
-//! The warp-per-row "vector" CSR kernel with cooperative-groups reduction
-//! — the paper's Listing 1, in its mixed-precision generic form.
+//! The vector CSR kernel — the paper's Listing 1, in its mixed-precision
+//! generic form — and its sub-warp tiled variant, behind one launch
+//! entry point, [`vector_csr_spmm`].
 //!
-//! One warp of 32 lanes processes each matrix row: lane `k` accumulates
-//! elements `start+k, start+32+k, ...` of the row (so consecutive lanes
-//! always read consecutive elements of the value and column-index arrays —
-//! the coalescing argument of §III), gathers the corresponding input
-//! vector entries, and a fixed-order shuffle-down tree (the cooperative
-//! groups `reduce`) folds the 32 partial sums. Because the per-lane
-//! accumulation order and the reduction tree are fixed, the result is
-//! **bitwise reproducible** — the RayStation requirement that rules out
-//! atomics (§II-D).
+//! **Width 32 (Listing 1).** One warp of 32 lanes processes each matrix
+//! row: lane `k` accumulates elements `start+k, start+32+k, ...` of the
+//! row (so consecutive lanes always read consecutive elements of the
+//! value and column-index arrays — the coalescing argument of §III),
+//! gathers the corresponding input vector entries, and a fixed-order
+//! shuffle-down tree (the cooperative groups `reduce`) folds the 32
+//! partial sums. Because the per-lane accumulation order and the
+//! reduction tree are fixed, the result is **bitwise reproducible** —
+//! the RayStation requirement that rules out atomics (§II-D).
+//!
+//! **Narrower widths (sub-warp tiles).** The paper's own Figure 2 shows
+//! dose-deposition rows are mostly *short* — the average non-empty row
+//! is well under 32 entries, so most lanes compute zeros and the gather
+//! is padded. CUDA cooperative groups support `tiled_partition<W>` for
+//! exactly this case: a warp is split into `32 / W` tiles of `W` lanes,
+//! each tile owning one row. A width-`W` launch therefore runs
+//!
+//! * **fewer warps** — `ceil(nrows * W / 32)` instead of `nrows`, which
+//!   cuts the per-warp fixed overhead term of the timing model (the term
+//!   that dominates short-row matrices);
+//! * **fewer padded lanes** — a row of length `l` costs
+//!   `ceil(l / W) * W` lane slots instead of `ceil(l / 32) * 32`
+//!   ([`RowStats::lanes_active_frac`](rt_sparse::stats::RowStats::lanes_active_frac));
+//! * **the same reproducibility contract** — per width, the per-lane
+//!   accumulation order and the [`reduce_sum_tile`](rt_gpusim::WarpCtx::reduce_sum_tile)
+//!   halving tree are fixed, so every width is bitwise reproducible
+//!   run-to-run and across `ExecMode` / worker counts. Results
+//!   legitimately differ *between* widths (a different tree folds the
+//!   partial sums in a different order).
+//!
+//! The cost of narrow tiles is memory-side: each tile's span loads touch
+//! at most `W` consecutive elements, so long rows issue more, smaller L2
+//! sector transactions than a full-warp pass would. The
+//! [`KernelSelect`](crate::KernelSelect) autotuner weighs exactly this
+//! trade via the traffic counters.
+//!
+//! **Batching.** Every launch takes `k <= MAX_SPMM_BATCH` input vectors;
+//! a single SpMV is the one-vector call. The matrix spans are loaded
+//! once per row and shared by every vector's gather, and each vector's
+//! arithmetic is the unbatched one, so batching never changes a dose.
+//!
+//! Every kernel of this crate whose lanes stride across a row's
+//! non-zeros — both bodies here, the bucketed members and the Ginkgo
+//! stand-in — runs the one row loop `RowAccumulator::accumulate`; they
+//! differ only in how they find their rows and reduce and store the
+//! sums.
 
+use crate::bucketed::BucketWidths;
 use rt_f16::DoseScalar;
 use rt_gpusim::buffer::OutScalar;
-use rt_gpusim::{DeviceBuffer, DeviceOutBuffer, Gpu, Grid, KernelStats, WARP_SIZE};
-use rt_sparse::{ColIndex, Csr};
+use rt_gpusim::{
+    DeviceBuffer, DeviceOutBuffer, Gpu, Grid, KernelStats, WarpCtx, TILE_WIDTHS, WARP_SIZE,
+};
+use rt_sparse::{bucket_index_for_len, ColIndex, Csr};
 
 /// Scalar type usable for the input/output vectors and the accumulator.
 pub trait VecScalar:
@@ -89,78 +130,39 @@ impl<V: DoseScalar, I: ColIndex> GpuCsrMatrix<V, I> {
     }
 }
 
-/// Launches the vector CSR kernel: `y = A x` with one warp per row.
-///
-/// `V` is the matrix storage scalar (`F16` for the paper's Half/double
-/// configuration, `f32` for Single), `X` the vector/accumulator scalar
-/// (`f64` / `f32` respectively). `threads_per_block` is the Figure 4
-/// sweep parameter (the paper settles on 512).
-pub fn vector_csr_spmv<V: DoseScalar, I: ColIndex, X: VecScalar>(
-    gpu: &Gpu,
-    m: &GpuCsrMatrix<V, I>,
-    x: &DeviceBuffer<X>,
-    y: &DeviceOutBuffer<X>,
-    threads_per_block: u32,
-) -> KernelStats {
-    assert_eq!(x.len(), m.ncols, "input vector length mismatch");
-    assert_eq!(y.len(), m.nrows, "output vector length mismatch");
-    let grid = Grid::warp_per_item(m.nrows, threads_per_block);
-    let nrows = m.nrows;
-
-    gpu.launch(grid, |w| {
-        let row = w.warp_id();
-        if row >= nrows {
-            return;
-        }
-        let start = w.load_scalar(&m.row_ptr, row) as usize;
-        let end = w.load_scalar(&m.row_ptr, row + 1) as usize;
-
-        let mut lanes = [X::default(); WARP_SIZE];
-        let mut idxs = [0usize; WARP_SIZE];
-        let mut xs = [X::default(); WARP_SIZE];
-
-        let mut j = start;
-        while j < end {
-            let n = (end - j).min(WARP_SIZE);
-            let cols = w.load_span(&m.col_idx, j..j + n);
-            let vals = w.load_span(&m.values, j..j + n);
-            for k in 0..n {
-                idxs[k] = cols[k].to_usize();
-            }
-            w.load_gather(x, &idxs[..n], &mut xs);
-            for k in 0..n {
-                lanes[k] = lanes[k] + X::from_f64(vals[k].to_f64()) * xs[k];
-            }
-            w.add_flops(2 * n as u64);
-            j += n;
-        }
-
-        let sum = w.reduce_sum(&mut lanes);
-        w.store_scalar(y, row, sum);
-    })
-}
-
 /// Maximum input vectors fused into one [`vector_csr_spmm`] launch (the
 /// per-warp accumulator state is `MAX_SPMM_BATCH * 32` scalars on the
 /// simulated register file, like a real multi-vector kernel's unroll
 /// factor).
 pub const MAX_SPMM_BATCH: usize = 8;
 
-/// Launches the multi-vector (SpMM-style) variant of the vector CSR
-/// kernel: `ys[v] = A xs[v]` for every `v`, one warp per matrix row,
-/// all vectors in a single launch.
+/// Launches the vector CSR kernel: `ys[v] = A xs[v]` for every `v`, one
+/// width-`width` cooperative tile per matrix row (`32 / width` rows per
+/// warp), all vectors in a single launch. A single SpMV passes one-element
+/// slices.
 ///
-/// The matrix arrays (`row_ptr`, `col_idx`, `values`) are loaded **once
-/// per row** and reused across the `k` vectors — the traffic saving that
-/// makes batching compatible requests worthwhile (the matrix dominates
-/// SpMV traffic at ~6 bytes/nnz, so a k-batch approaches a k-fold
-/// reduction of the dominant term).
+/// `V` is the matrix storage scalar (`F16` for the paper's Half/double
+/// configuration, `f32` for Single), `X` the vector/accumulator scalar
+/// (`f64` / `f32` respectively). `threads_per_block` is the Figure 4
+/// sweep parameter (the paper settles on 512). `width` must be one of
+/// [`TILE_WIDTHS`]:
 ///
-/// Per-vector arithmetic is **identical** to [`vector_csr_spmv`]: the
-/// same lane partitioning and the same fixed shuffle-down reduction tree
-/// per vector, so each output is bitwise identical to an unbatched
-/// launch — batching can never change a plan's dose (§II-D holds
-/// regardless of how a serving engine groups requests).
+/// * `32` runs Listing 1, one warp per row: two scalar row-pointer loads
+///   per row and one scalar store per row and vector;
+/// * narrower widths load the row pointers of all the warp's rows with
+///   one coalesced span and store each vector's row sums with one
+///   coalesced span per warp — on hardware the tiles of a warp execute
+///   the same instruction, so their same-PC accesses coalesce warp-wide.
+///
+/// The matrix arrays are loaded **once per row** and reused across the
+/// `k` vectors — the traffic saving that makes batching compatible
+/// requests worthwhile (the matrix dominates SpMV traffic at ~6
+/// bytes/nnz, so a k-batch approaches a k-fold reduction of the dominant
+/// term). Per-vector arithmetic is identical for every `k`: the same lane
+/// partitioning and the same fixed reduction tree per vector, so each
+/// output is bitwise identical to a one-vector launch at the same width
+/// — batching can never change a plan's dose (§II-D holds regardless of
+/// how a serving engine groups requests).
 ///
 /// Internal invariants (callers validate at the API boundary): at most
 /// [`MAX_SPMM_BATCH`] vectors, `xs.len() == ys.len()`, every `xs[v]` of
@@ -171,7 +173,28 @@ pub fn vector_csr_spmm<V: DoseScalar, I: ColIndex, X: VecScalar>(
     xs: &[&DeviceBuffer<X>],
     ys: &[&DeviceOutBuffer<X>],
     threads_per_block: u32,
+    width: u32,
 ) -> KernelStats {
+    assert!(
+        TILE_WIDTHS.contains(&width),
+        "tile width must be one of {TILE_WIDTHS:?}, got {width}"
+    );
+    assert_batch(m, xs, ys);
+    if width as usize == WARP_SIZE {
+        warp_per_row(gpu, m, xs, ys, threads_per_block)
+    } else {
+        tile_per_row(gpu, m, xs, ys, threads_per_block, width)
+    }
+}
+
+/// Asserts the batch invariants of a vector-CSR launch: one to
+/// [`MAX_SPMM_BATCH`] vectors, one output per input, and vector lengths
+/// matching the matrix.
+pub(crate) fn assert_batch<V, I, X: VecScalar>(
+    m: &GpuCsrMatrix<V, I>,
+    xs: &[&DeviceBuffer<X>],
+    ys: &[&DeviceOutBuffer<X>],
+) {
     assert!(!xs.is_empty() && xs.len() <= MAX_SPMM_BATCH, "batch size");
     assert_eq!(xs.len(), ys.len(), "one output per input vector");
     for x in xs {
@@ -180,7 +203,82 @@ pub fn vector_csr_spmm<V: DoseScalar, I: ColIndex, X: VecScalar>(
     for y in ys {
         assert_eq!(y.len(), m.nrows, "output vector length mismatch");
     }
-    let k = xs.len();
+}
+
+/// The per-row accumulation every vector-CSR kernel shares, with its
+/// per-warp state: one lane accumulator per input vector and the gather
+/// scratch, created once per warp and reused by each of its rows.
+pub(crate) struct RowAccumulator<X> {
+    /// `lanes[v][k]`: lane `k`'s partial sum for input vector `v`.
+    pub(crate) lanes: [[X; WARP_SIZE]; MAX_SPMM_BATCH],
+    idxs: [usize; WARP_SIZE],
+    gathered: [X; WARP_SIZE],
+    /// Whether an earlier row left sums in `lanes` (the first row finds
+    /// them zeroed by construction).
+    used: bool,
+}
+
+impl<X: VecScalar> RowAccumulator<X> {
+    pub(crate) fn new() -> Self {
+        RowAccumulator {
+            lanes: [[X::default(); WARP_SIZE]; MAX_SPMM_BATCH],
+            idxs: [0; WARP_SIZE],
+            gathered: [X::default(); WARP_SIZE],
+            used: false,
+        }
+    }
+
+    /// Starts the first `width` lanes of each vector's accumulator at
+    /// zero, then walks the row's non-zeros `start..end` in chunks of
+    /// `width` — one `col_idx` and one `values` span load per chunk, one
+    /// gather per vector, and lane `k` of vector `v` accumulates
+    /// `value * x_v[col]` for the chunk's `k`-th element.
+    #[inline]
+    pub(crate) fn accumulate<V: DoseScalar, I: ColIndex>(
+        &mut self,
+        w: &WarpCtx,
+        m: &GpuCsrMatrix<V, I>,
+        start: usize,
+        end: usize,
+        width: usize,
+        xs: &[&DeviceBuffer<X>],
+    ) {
+        let lanes = &mut self.lanes[..xs.len()];
+        if self.used {
+            for l in lanes.iter_mut() {
+                l[..width].fill(X::default());
+            }
+        }
+        self.used = true;
+        let mut j = start;
+        while j < end {
+            let n = (end - j).min(width);
+            let cols = w.load_span(&m.col_idx, j..j + n);
+            let vals = w.load_span(&m.values, j..j + n);
+            for (idx, c) in self.idxs.iter_mut().zip(cols) {
+                *idx = c.to_usize();
+            }
+            for (x, l) in xs.iter().zip(lanes.iter_mut()) {
+                w.load_gather(x, &self.idxs[..n], &mut self.gathered);
+                for k in 0..n {
+                    l[k] = l[k] + X::from_f64(vals[k].to_f64()) * self.gathered[k];
+                }
+            }
+            w.add_flops(2 * n as u64 * xs.len() as u64);
+            j += n;
+        }
+    }
+}
+
+/// Listing 1: one warp per row, scalar row-pointer loads, the full-warp
+/// shuffle-down reduction, one scalar store per vector.
+fn warp_per_row<V: DoseScalar, I: ColIndex, X: VecScalar>(
+    gpu: &Gpu,
+    m: &GpuCsrMatrix<V, I>,
+    xs: &[&DeviceBuffer<X>],
+    ys: &[&DeviceOutBuffer<X>],
+    threads_per_block: u32,
+) -> KernelStats {
     let grid = Grid::warp_per_item(m.nrows, threads_per_block);
     let nrows = m.nrows;
 
@@ -192,52 +290,81 @@ pub fn vector_csr_spmm<V: DoseScalar, I: ColIndex, X: VecScalar>(
         let start = w.load_scalar(&m.row_ptr, row) as usize;
         let end = w.load_scalar(&m.row_ptr, row + 1) as usize;
 
-        let mut lanes = [[X::default(); WARP_SIZE]; MAX_SPMM_BATCH];
-        let mut idxs = [0usize; WARP_SIZE];
-        let mut gathered = [X::default(); WARP_SIZE];
-
-        let mut j = start;
-        while j < end {
-            let n = (end - j).min(WARP_SIZE);
-            let cols = w.load_span(&m.col_idx, j..j + n);
-            let vals = w.load_span(&m.values, j..j + n);
-            for kk in 0..n {
-                idxs[kk] = cols[kk].to_usize();
-            }
-            for (v, x) in xs.iter().enumerate() {
-                w.load_gather(x, &idxs[..n], &mut gathered);
-                for kk in 0..n {
-                    lanes[v][kk] = lanes[v][kk] + X::from_f64(vals[kk].to_f64()) * gathered[kk];
-                }
-            }
-            w.add_flops(2 * n as u64 * k as u64);
-            j += n;
-        }
-
-        for (v, y) in ys.iter().enumerate() {
-            let sum = w.reduce_sum(&mut lanes[v]);
+        let mut acc = RowAccumulator::new();
+        acc.accumulate(w, m, start, end, WARP_SIZE, xs);
+        for (l, y) in acc.lanes.iter_mut().zip(ys) {
+            let sum = w.reduce_sum(l);
             w.store_scalar(y, row, sum);
         }
     })
 }
 
-/// Host-side reference of the exact arithmetic the kernel performs —
-/// same lane partitioning, same reduction tree — used by the
-/// bitwise-reproducibility tests.
+/// Sub-warp tiles: `32 / width` consecutive rows per warp, one coalesced
+/// row-pointer span and one coalesced store span per vector per warp.
+fn tile_per_row<V: DoseScalar, I: ColIndex, X: VecScalar>(
+    gpu: &Gpu,
+    m: &GpuCsrMatrix<V, I>,
+    xs: &[&DeviceBuffer<X>],
+    ys: &[&DeviceOutBuffer<X>],
+    threads_per_block: u32,
+    width: u32,
+) -> KernelStats {
+    let grid = Grid::tile_per_item(m.nrows, width, threads_per_block);
+    let nrows = m.nrows;
+    let tw = width as usize;
+
+    gpu.launch_tiled(grid, width, |w| {
+        let base = w.tile_base();
+        if base >= nrows {
+            return;
+        }
+        let rows_here = (w.tiles_per_warp() as usize).min(nrows - base);
+        // One coalesced row-pointer read for the whole warp's rows.
+        let ptrs = w.load_span(&m.row_ptr, base..base + rows_here + 1);
+
+        let mut acc = RowAccumulator::new();
+        let mut sums = [[X::default(); WARP_SIZE]; MAX_SPMM_BATCH];
+
+        for t in 0..rows_here {
+            acc.accumulate(w, m, ptrs[t] as usize, ptrs[t + 1] as usize, tw, xs);
+            for (l, s) in acc.lanes[..xs.len()].iter_mut().zip(&mut sums) {
+                s[t] = w.reduce_sum_tile(&mut l[..tw]);
+            }
+        }
+
+        // One coalesced store of all the warp's row sums per vector.
+        for (s, y) in sums.iter().zip(ys) {
+            w.store_span(y, base, &s[..rows_here]);
+        }
+    })
+}
+
+/// Host-side reference of the exact arithmetic every vector-CSR launch
+/// performs — same lane partitioning, same (truncated) halving tree —
+/// used by the bitwise-reproducibility tests. Each row is reduced at its
+/// bucket's width in `widths`; a whole-matrix launch at width `w` is
+/// [`BucketWidths::uniform`]`(w)`. Empty rows are `+0.0`, as every
+/// kernel stores them.
 #[allow(clippy::needless_range_loop)] // mirrors the kernel's lane loop
 pub fn vector_csr_reference<V: DoseScalar, I: ColIndex, X: VecScalar>(
     m: &Csr<V, I>,
     x: &[X],
+    widths: BucketWidths,
 ) -> Vec<X> {
+    widths.assert_valid();
     let mut y = vec![X::default(); m.nrows()];
     for row in 0..m.nrows() {
         let (cols, vals) = m.row(row);
+        if cols.is_empty() {
+            continue;
+        }
+        let tw = widths.0[bucket_index_for_len(cols.len() as u32)] as usize;
         let mut lanes = [X::default(); WARP_SIZE];
         for (k, (c, v)) in cols.iter().zip(vals.iter()).enumerate() {
-            let lane = k % WARP_SIZE;
+            let lane = k % tw;
             lanes[lane] = lanes[lane] + X::from_f64(v.to_f64()) * x[c.to_usize()];
         }
-        let mut offset = WARP_SIZE / 2;
+        let mut offset = tw / 2;
         while offset > 0 {
             for i in 0..offset {
                 lanes[i] = lanes[i] + lanes[i + offset];
@@ -257,14 +384,14 @@ mod tests {
     use rt_f16::F16;
     use rt_gpusim::{DeviceSpec, ExecMode};
 
-    fn random_csr(nrows: usize, ncols: usize, avg_row: usize, seed: u64) -> Csr<f64, u32> {
+    fn random_csr(nrows: usize, ncols: usize, max_row: usize, seed: u64) -> Csr<f64, u32> {
         let mut rng = StdRng::seed_from_u64(seed);
         let rows: Vec<Vec<(usize, f64)>> = (0..nrows)
             .map(|_| {
                 if rng.gen_bool(0.3) {
                     return Vec::new(); // empty rows, like the real matrices
                 }
-                let len = rng.gen_range(1..=2 * avg_row);
+                let len = rng.gen_range(1..=max_row);
                 let mut cols: Vec<usize> = (0..len).map(|_| rng.gen_range(0..ncols)).collect();
                 cols.sort_unstable();
                 cols.dedup();
@@ -276,9 +403,25 @@ mod tests {
         Csr::from_rows(ncols, &rows).unwrap()
     }
 
+    /// One-vector launch `y = A x` at `width`.
+    fn spmv<V: DoseScalar, X: VecScalar>(
+        gpu: &Gpu,
+        m: &GpuCsrMatrix<V>,
+        x: &DeviceBuffer<X>,
+        y: &DeviceOutBuffer<X>,
+        tpb: u32,
+        width: u32,
+    ) -> KernelStats {
+        vector_csr_spmm(gpu, m, &[x], &[y], tpb, width)
+    }
+
+    fn bits<X: DoseScalar>(v: &[X]) -> Vec<u64> {
+        v.iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
     #[test]
     fn matches_reference_spmv_half_double() {
-        let m64 = random_csr(300, 64, 40, 1);
+        let m64 = random_csr(300, 64, 80, 1);
         let m: Csr<F16, u32> = m64.convert_values();
         let x: Vec<f64> = (0..64).map(|i| (i as f64 * 0.37).sin() + 1.5).collect();
 
@@ -286,7 +429,7 @@ mod tests {
         let gm = GpuCsrMatrix::upload(&gpu, &m);
         let dx = gpu.upload(&x);
         let dy = gpu.alloc_out::<f64>(300);
-        let stats = vector_csr_spmv(&gpu, &gm, &dx, &dy, 512);
+        let stats = spmv(&gpu, &gm, &dx, &dy, 512, 32);
 
         let mut want = vec![0.0; 300];
         m.spmv_ref(&x, &mut want).unwrap();
@@ -300,7 +443,7 @@ mod tests {
 
     #[test]
     fn bitwise_reproducible_across_runs_and_modes() {
-        let m64 = random_csr(200, 128, 60, 2);
+        let m64 = random_csr(200, 128, 120, 2);
         let m: Csr<F16, u32> = m64.convert_values();
         let x: Vec<f64> = (0..128).map(|i| 1.0 / (i + 1) as f64).collect();
 
@@ -309,13 +452,12 @@ mod tests {
             let gm = GpuCsrMatrix::upload(&gpu, &m);
             let dx = gpu.upload(&x);
             let dy = gpu.alloc_out::<f64>(200);
-            vector_csr_spmv(&gpu, &gm, &dx, &dy, 512);
+            spmv(&gpu, &gm, &dx, &dy, 512, 32);
             dy.to_vec()
         };
         let a = run(ExecMode::Parallel);
         let b = run(ExecMode::Parallel);
         let c = run(ExecMode::Sequential);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a), bits(&b), "parallel runs must agree bitwise");
         assert_eq!(
             bits(&a),
@@ -324,13 +466,13 @@ mod tests {
         );
 
         // And they match the documented lane/tree arithmetic exactly.
-        let want = vector_csr_reference(&m, &x);
+        let want = vector_csr_reference(&m, &x, BucketWidths::uniform(32));
         assert_eq!(bits(&a), bits(&want));
     }
 
     #[test]
     fn single_precision_variant() {
-        let m64 = random_csr(150, 80, 30, 3);
+        let m64 = random_csr(150, 80, 60, 3);
         let m32: Csr<f32, u32> = m64.convert_values();
         let x: Vec<f32> = (0..80).map(|i| (i as f32 * 0.1).cos()).collect();
 
@@ -338,26 +480,22 @@ mod tests {
         let gm = GpuCsrMatrix::upload(&gpu, &m32);
         let dx = gpu.upload(&x);
         let dy = gpu.alloc_out::<f32>(150);
-        vector_csr_spmv(&gpu, &gm, &dx, &dy, 256);
+        spmv(&gpu, &gm, &dx, &dy, 256, 32);
 
-        let want = vector_csr_reference(&m32, &x);
-        let got = dy.to_vec();
-        assert_eq!(
-            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        let want = vector_csr_reference(&m32, &x, BucketWidths::uniform(32));
+        assert_eq!(bits(&dy.to_vec()), bits(&want));
     }
 
     #[test]
     fn u16_indices_work() {
-        let m64 = random_csr(100, 50, 20, 4);
+        let m64 = random_csr(100, 50, 40, 4);
         let m: Csr<F16, u16> = m64.convert_values().convert_indices().unwrap();
         let x: Vec<f64> = vec![1.0; 50];
         let gpu = Gpu::new(DeviceSpec::a100());
         let gm = GpuCsrMatrix::upload(&gpu, &m);
         let dx = gpu.upload(&x);
         let dy = gpu.alloc_out::<f64>(100);
-        let stats16 = vector_csr_spmv(&gpu, &gm, &dx, &dy, 512);
+        let stats16 = vector_csr_spmm(&gpu, &gm, &[&dx], &[&dy], 512, 32);
 
         // Compare traffic against u32 indices: strictly less.
         let m32: Csr<F16, u32> = m64.convert_values();
@@ -365,7 +503,7 @@ mod tests {
         let gm32 = GpuCsrMatrix::upload(&gpu2, &m32);
         let dx2 = gpu2.upload(&x);
         let dy2 = gpu2.alloc_out::<f64>(100);
-        let stats32 = vector_csr_spmv(&gpu2, &gm32, &dx2, &dy2, 512);
+        let stats32 = spmv(&gpu2, &gm32, &dx2, &dy2, 512, 32);
 
         assert!(stats16.dram_read_bytes < stats32.dram_read_bytes);
         // Same numeric results.
@@ -373,8 +511,71 @@ mod tests {
     }
 
     #[test]
-    fn spmm_batch_matches_single_vector_bitwise() {
-        let m64 = random_csr(250, 96, 50, 9);
+    fn every_width_matches_tiled_reference_bitwise() {
+        let m64 = random_csr(400, 96, 24, 11);
+        let m: Csr<F16, u32> = m64.convert_values();
+        let x: Vec<f64> = (0..96).map(|i| (i as f64 * 0.29).sin() + 1.2).collect();
+        for &w in &TILE_WIDTHS {
+            let gpu = Gpu::new(DeviceSpec::a100());
+            let gm = GpuCsrMatrix::upload(&gpu, &m);
+            let dx = gpu.upload(&x);
+            let dy = gpu.alloc_out::<f64>(400);
+            let stats = spmv(&gpu, &gm, &dx, &dy, 512, w);
+            assert_eq!(stats.flops, 2 * m.nnz() as u64, "width {w}");
+
+            let want = vector_csr_reference(&m, &x, BucketWidths::uniform(w));
+            assert_eq!(bits(&dy.to_vec()), bits(&want), "width {w}");
+        }
+    }
+
+    #[test]
+    fn tolerance_against_host_spmv() {
+        let m64 = random_csr(500, 64, 16, 13);
+        let m: Csr<F16, u32> = m64.convert_values();
+        let x: Vec<f64> = (0..64).map(|i| (i as f64 * 0.43).cos() + 1.5).collect();
+        let mut want = vec![0.0; 500];
+        m.spmv_ref(&x, &mut want).unwrap();
+        for &w in &TILE_WIDTHS {
+            let gpu = Gpu::new(DeviceSpec::a100());
+            let gm = GpuCsrMatrix::upload(&gpu, &m);
+            let dx = gpu.upload(&x);
+            let dy = gpu.alloc_out::<f64>(500);
+            spmv(&gpu, &gm, &dx, &dy, 512, w);
+            for (g, want) in dy.to_vec().iter().zip(want.iter()) {
+                assert!(
+                    (g - want).abs() <= 1e-9 * (1.0 + want.abs()),
+                    "width {w}: {g} vs {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_tiles_launch_fewer_warps_on_short_rows() {
+        let m64 = random_csr(2000, 256, 8, 14);
+        let m: Csr<F16, u32> = m64.convert_values();
+        let x: Vec<f64> = vec![1.0; 256];
+
+        let run = |w: u32| {
+            let gpu = Gpu::new(DeviceSpec::a100());
+            let gm = GpuCsrMatrix::upload(&gpu, &m);
+            let dx = gpu.upload(&x);
+            let dy = gpu.alloc_out::<f64>(2000);
+            spmv(&gpu, &gm, &dx, &dy, 512, w)
+        };
+        let narrow = run(4);
+        let wide = run(32);
+        assert!(
+            narrow.warps * 4 <= wide.warps,
+            "narrow {} vs wide {}",
+            narrow.warps,
+            wide.warps
+        );
+    }
+
+    #[test]
+    fn batch_matches_one_vector_launches_bitwise() {
+        let m64 = random_csr(250, 96, 100, 9);
         let m: Csr<F16, u32> = m64.convert_values();
         let vectors: Vec<Vec<f64>> = (0..5)
             .map(|v| {
@@ -384,30 +585,30 @@ mod tests {
             })
             .collect();
 
-        // Batched launch.
-        let gpu = Gpu::new(DeviceSpec::a100());
-        let gm = GpuCsrMatrix::upload(&gpu, &m);
-        let dxs: Vec<_> = vectors.iter().map(|x| gpu.upload(x)).collect();
-        let dys: Vec<_> = (0..5).map(|_| gpu.alloc_out::<f64>(250)).collect();
-        let xrefs: Vec<&DeviceBuffer<f64>> = dxs.iter().collect();
-        let yrefs: Vec<&DeviceOutBuffer<f64>> = dys.iter().collect();
-        let stats = vector_csr_spmm(&gpu, &gm, &xrefs, &yrefs, 512);
-        assert_eq!(stats.flops, 2 * m.nnz() as u64 * 5);
+        for &w in &[32u32, 16, 4] {
+            // Batched launch.
+            let gpu = Gpu::new(DeviceSpec::a100());
+            let gm = GpuCsrMatrix::upload(&gpu, &m);
+            let dxs: Vec<_> = vectors.iter().map(|x| gpu.upload(x)).collect();
+            let dys: Vec<_> = (0..5).map(|_| gpu.alloc_out::<f64>(250)).collect();
+            let xrefs: Vec<&DeviceBuffer<f64>> = dxs.iter().collect();
+            let yrefs: Vec<&DeviceOutBuffer<f64>> = dys.iter().collect();
+            let stats = vector_csr_spmm(&gpu, &gm, &xrefs, &yrefs, 512, w);
+            assert_eq!(stats.flops, 2 * m.nnz() as u64 * 5, "width {w}");
 
-        // Each output must be bitwise identical to an unbatched launch.
-        for (v, x) in vectors.iter().enumerate() {
-            let gpu1 = Gpu::new(DeviceSpec::a100());
-            let gm1 = GpuCsrMatrix::upload(&gpu1, &m);
-            let dx = gpu1.upload(x);
-            let dy = gpu1.alloc_out::<f64>(250);
-            vector_csr_spmv(&gpu1, &gm1, &dx, &dy, 512);
-            let single = dy.to_vec();
-            let batched = dys[v].to_vec();
-            assert_eq!(
-                batched.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                single.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                "vector {v} must not depend on batching"
-            );
+            // Each output must be bitwise identical to a one-vector launch.
+            for (v, x) in vectors.iter().enumerate() {
+                let gpu1 = Gpu::new(DeviceSpec::a100());
+                let gm1 = GpuCsrMatrix::upload(&gpu1, &m);
+                let dx = gpu1.upload(x);
+                let dy = gpu1.alloc_out::<f64>(250);
+                spmv(&gpu1, &gm1, &dx, &dy, 512, w);
+                assert_eq!(
+                    bits(&dys[v].to_vec()),
+                    bits(&dy.to_vec()),
+                    "width {w}: vector {v} must not depend on batching"
+                );
+            }
         }
     }
 
@@ -415,7 +616,7 @@ mod tests {
     fn spmm_saves_matrix_traffic() {
         // A batch of k vectors must move far fewer matrix bytes than k
         // single launches: the spans are loaded once per row.
-        let m64 = random_csr(2000, 200, 120, 10);
+        let m64 = random_csr(2000, 200, 240, 10);
         let m: Csr<F16, u32> = m64.convert_values();
         let x: Vec<f64> = vec![1.0; 200];
 
@@ -424,7 +625,7 @@ mod tests {
             let gm = GpuCsrMatrix::upload(&gpu, &m);
             let dx = gpu.upload(&x);
             let dy = gpu.alloc_out::<f64>(2000);
-            vector_csr_spmv(&gpu, &gm, &dx, &dy, 512)
+            spmv(&gpu, &gm, &dx, &dy, 512, 32)
         };
         let batched = {
             let gpu = Gpu::with_mode(DeviceSpec::a100().scaled_l2(1000.0), ExecMode::Sequential);
@@ -433,7 +634,7 @@ mod tests {
             let dys: Vec<_> = (0..4).map(|_| gpu.alloc_out::<f64>(2000)).collect();
             let xr: Vec<&DeviceBuffer<f64>> = dxs.iter().collect();
             let yr: Vec<&DeviceOutBuffer<f64>> = dys.iter().collect();
-            vector_csr_spmm(&gpu, &gm, &xr, &yr, 512)
+            vector_csr_spmm(&gpu, &gm, &xr, &yr, 512, 32)
         };
         // 4 single launches would read ~4x the matrix; the batch must
         // stay well under 2x one launch's DRAM reads.
@@ -446,33 +647,49 @@ mod tests {
     }
 
     #[test]
-    fn empty_rows_store_zero() {
-        let m: Csr<F16, u32> = Csr::from_rows(4, &[vec![], vec![(0, 1.0)], vec![]])
+    fn empty_rows_store_zero_at_every_width() {
+        let m: Csr<F16, u32> = Csr::from_rows(4, &[vec![], vec![(0, 1.0)], vec![], vec![]])
+            .map(|m: Csr<f64, u32>| m.convert_values())
+            .unwrap();
+        for &w in &TILE_WIDTHS {
+            let gpu = Gpu::new(DeviceSpec::a100());
+            let gm = GpuCsrMatrix::upload(&gpu, &m);
+            let dx = gpu.upload(&[2.0f64; 4]);
+            let dy = gpu.alloc_out::<f64>(4);
+            // Pre-fill with garbage to prove the kernel writes every row.
+            dy.set(0, 99.0);
+            dy.set(2, 99.0);
+            dy.set(3, 99.0);
+            spmv(&gpu, &gm, &dx, &dy, 128, w);
+            assert_eq!(dy.to_vec(), vec![0.0, 2.0, 0.0, 0.0], "width {w}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tile width")]
+    fn rejects_invalid_width() {
+        let m: Csr<F16, u32> = Csr::from_rows(2, &[vec![(0, 1.0)]])
             .map(|m: Csr<f64, u32>| m.convert_values())
             .unwrap();
         let gpu = Gpu::new(DeviceSpec::a100());
         let gm = GpuCsrMatrix::upload(&gpu, &m);
-        let dx = gpu.upload(&[2.0f64; 4]);
-        let dy = gpu.alloc_out::<f64>(3);
-        // Pre-fill with garbage to prove the kernel writes every row.
-        dy.set(0, 99.0);
-        dy.set(2, 99.0);
-        vector_csr_spmv(&gpu, &gm, &dx, &dy, 128);
-        assert_eq!(dy.to_vec(), vec![0.0, 2.0, 0.0]);
+        let dx = gpu.upload(&[1.0f64; 2]);
+        let dy = gpu.alloc_out::<f64>(1);
+        spmv(&gpu, &gm, &dx, &dy, 128, 7);
     }
 
     #[test]
     fn per_buffer_traffic_matches_paper_decomposition() {
         // The §V model, component by component: 2B/nnz values, 4B/nnz
         // indices, 4B/row pointers, 8B/row output write, 8B/col input.
-        let m64 = random_csr(3000, 400, 150, 6);
+        let m64 = random_csr(3000, 400, 300, 6);
         let m: Csr<F16, u32> = m64.convert_values();
         let x: Vec<f64> = vec![1.0; 400];
         let gpu = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Sequential);
         let gm = GpuCsrMatrix::upload_named(&gpu, &m);
         let dx = gpu.upload_named("x", &x);
         let dy = gpu.alloc_out_named::<f64>("y", 3000);
-        vector_csr_spmv(&gpu, &gm, &dx, &dy, 512);
+        spmv(&gpu, &gm, &dx, &dy, 512, 32);
 
         let report = gpu.traffic_report();
         let by = |name: &str| report.iter().find(|b| b.name == name).unwrap();
@@ -512,14 +729,14 @@ mod tests {
     fn dram_traffic_close_to_paper_model() {
         // The paper's Half/double traffic model: 6*nnz + 12*nr + 8*nc
         // (§V), assuming the input vector is L2-resident.
-        let m64 = random_csr(2000, 300, 200, 5);
+        let m64 = random_csr(2000, 300, 400, 5);
         let m: Csr<F16, u32> = m64.convert_values();
         let x: Vec<f64> = vec![1.0; 300];
         let gpu = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Sequential);
         let gm = GpuCsrMatrix::upload(&gpu, &m);
         let dx = gpu.upload(&x);
         let dy = gpu.alloc_out::<f64>(2000);
-        let stats = vector_csr_spmv(&gpu, &gm, &dx, &dy, 512);
+        let stats = spmv(&gpu, &gm, &dx, &dy, 512, 32);
 
         let model = (6 * m.nnz() + 12 * m.nrows() + 8 * m.ncols()) as u64;
         let measured = stats.dram_total_bytes();

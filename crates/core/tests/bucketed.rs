@@ -10,15 +10,15 @@
 //!   first bucket; each dose is the bitwise product of its one entry.
 //! * **Bitwise sweep** — with `BucketWidths::uniform(w)` every row is
 //!   reduced with the same truncated halving tree as the fixed-width
-//!   tiled kernel, so the bucketed dispatch must match
-//!   `vector_csr_spmv_tiled` bit-for-bit at every width, across
+//!   whole-matrix kernel, so the bucketed dispatch must match
+//!   `vector_csr_spmm` bit-for-bit at every width, across
 //!   `ExecMode` and worker counts (mirrors `tests/tiled.rs`).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rt_core::{
-    vector_csr_bucketed_reference, vector_csr_spmv_bucketed, vector_csr_spmv_tiled, BucketWidths,
-    GpuCsrMatrix, GpuRowPlan,
+    vector_csr_reference, vector_csr_spmm, vector_csr_spmm_bucketed, BucketWidths, GpuCsrMatrix,
+    GpuRowPlan,
 };
 use rt_f16::F16;
 use rt_gpusim::{DeviceSpec, ExecMode, Gpu, TILE_WIDTHS};
@@ -56,7 +56,7 @@ fn run_bucketed(m: &Csr<F16, u32>, x: &[f64], mode: ExecMode, widths: BucketWidt
     for i in 0..m.nrows() {
         dy.set(i, f64::from_bits(0xDEAD_BEEF_DEAD_BEEF));
     }
-    vector_csr_spmv_bucketed(&gpu, &gm, &dx, &dy, 512, &gplan, widths);
+    vector_csr_spmm_bucketed(&gpu, &gm, &[&dx], &[&dy], 512, &gplan, widths);
     dy.to_vec().iter().map(|v| v.to_bits()).collect()
 }
 
@@ -65,7 +65,7 @@ fn run_tiled(m: &Csr<F16, u32>, x: &[f64], mode: ExecMode, width: u32) -> Vec<u6
     let gm = GpuCsrMatrix::upload(&gpu, m);
     let dx = gpu.upload(x);
     let dy = gpu.alloc_out::<f64>(m.nrows());
-    vector_csr_spmv_tiled(&gpu, &gm, &dx, &dy, 512, width);
+    vector_csr_spmm(&gpu, &gm, &[&dx], &[&dy], 512, width);
     dy.to_vec().iter().map(|v| v.to_bits()).collect()
 }
 
@@ -97,7 +97,7 @@ fn single_nonempty_row_scatters_to_its_original_index() {
     assert_eq!(plan.nonempty_rows(), 1);
 
     let x: Vec<f64> = (0..32).map(|i| i as f64 * 0.125 + 0.5).collect();
-    let want: Vec<u64> = vector_csr_bucketed_reference(&m, &x, BucketWidths::natural())
+    let want: Vec<u64> = vector_csr_reference(&m, &x, BucketWidths::natural())
         .iter()
         .map(|v| v.to_bits())
         .collect();

@@ -16,7 +16,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rt_core::{vector_csr_spmv, GpuCsrMatrix};
+use rt_core::{vector_csr_spmm, GpuCsrMatrix};
 use rt_f16::F16;
 use rt_gpusim::{DeviceSpec, ExecMode, Gpu, KernelStats};
 use rt_sparse::Csr;
@@ -45,7 +45,7 @@ fn run(m: &Csr<F16, u32>, x: &[f64], mode: ExecMode) -> (Vec<u64>, KernelStats) 
     let gm = GpuCsrMatrix::upload(&gpu, m);
     let dx = gpu.upload(x);
     let dy = gpu.alloc_out::<f64>(m.nrows());
-    let stats = vector_csr_spmv(&gpu, &gm, &dx, &dy, 512);
+    let stats = vector_csr_spmm(&gpu, &gm, &[&dx], &[&dy], 512, 32);
     (dy.to_vec().iter().map(|v| v.to_bits()).collect(), stats)
 }
 

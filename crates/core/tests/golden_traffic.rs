@@ -35,8 +35,7 @@ use rand::{Rng, SeedableRng};
 use rt_core::libs::ginkgo_subwarp_size;
 use rt_core::{
     ginkgo_csr_spmv, rs_baseline_gpu_spmv, scalar_csr_spmv, sell_spmv, vector_csr_spmm,
-    vector_csr_spmm_bucketed, vector_csr_spmm_tiled, vector_csr_spmv, vector_csr_spmv_bucketed,
-    vector_csr_spmv_tiled, BucketWidths, GpuCsrMatrix, GpuRowPlan, GpuRsMatrix, GpuSellMatrix,
+    vector_csr_spmm_bucketed, BucketWidths, GpuCsrMatrix, GpuRowPlan, GpuRsMatrix, GpuSellMatrix,
 };
 use rt_f16::F16;
 use rt_gpusim::{DeviceBuffer, DeviceOutBuffer, DeviceSpec, ExecMode, Gpu, KernelStats};
@@ -108,7 +107,7 @@ fn transcript(spec: DeviceSpec, tag: &str) -> String {
         let gm = GpuCsrMatrix::upload_named(&gpu, &m);
         let dx = gpu.upload_named("x", &x);
         let dy = gpu.alloc_out_named::<f64>("y", 700);
-        let stats = vector_csr_spmv(&gpu, &gm, &dx, &dy, 512);
+        let stats = vector_csr_spmm(&gpu, &gm, &[&dx], &[&dy], 512, 32);
         record(&mut out, &format!("{tag}/vector"), &gpu, &stats);
     }
 
@@ -146,7 +145,7 @@ fn transcript(spec: DeviceSpec, tag: &str) -> String {
         let gm = GpuCsrMatrix::upload_named(&gpu, &m);
         let dx = gpu.upload_named("x", &x);
         let dy = gpu.alloc_out_named::<f64>("y", 600);
-        let stats = vector_csr_spmv_tiled(&gpu, &gm, &dx, &dy, 512, width);
+        let stats = vector_csr_spmm(&gpu, &gm, &[&dx], &[&dy], 512, width);
         record(&mut out, &format!("{tag}/tiled{width}"), &gpu, &stats);
     }
 
@@ -167,11 +166,7 @@ fn transcript(spec: DeviceSpec, tag: &str) -> String {
             .collect();
         let xr: Vec<&DeviceBuffer<f64>> = dxs.iter().collect();
         let yr: Vec<&DeviceOutBuffer<f64>> = dys.iter().collect();
-        let stats = if width == 32 {
-            vector_csr_spmm(&gpu, &gm, &xr, &yr, 512)
-        } else {
-            vector_csr_spmm_tiled(&gpu, &gm, &xr, &yr, 512, width)
-        };
+        let stats = vector_csr_spmm(&gpu, &gm, &xr, &yr, 512, width);
         record(&mut out, &format!("{tag}/spmm{width}x3"), &gpu, &stats);
     }
 
@@ -256,8 +251,8 @@ fn paths_transcript(spec: DeviceSpec, tag: &str) -> String {
         let gplan = GpuRowPlan::upload(&gpu, Arc::new(RowPlan::from_csr(&m)));
         let dx = gpu.upload_named("x", &x);
         let dy = gpu.alloc_out_named::<f64>("y", 800);
-        let group =
-            vector_csr_spmv_bucketed(&gpu, &gm, &dx, &dy, 256, &gplan, BucketWidths::natural());
+        let widths = BucketWidths::natural();
+        let group = vector_csr_spmm_bucketed(&gpu, &gm, &[&dx], &[&dy], 256, &gplan, widths);
         for member in &group.members {
             record_stats(
                 &mut out,
@@ -278,11 +273,11 @@ fn paths_transcript(spec: DeviceSpec, tag: &str) -> String {
         let dx = gpu.upload_named("x", &x);
         let dy = gpu.alloc_out_named::<f64>("y", 400);
         for step in ["cold", "warm"] {
-            let stats = vector_csr_spmv(&gpu, &gm, &dx, &dy, 256);
+            let stats = vector_csr_spmm(&gpu, &gm, &[&dx], &[&dy], 256, 32);
             record_stats(&mut out, &format!("{tag}/reset.{step}"), &stats);
         }
         gpu.reset_cache();
-        let stats = vector_csr_spmv(&gpu, &gm, &dx, &dy, 256);
+        let stats = vector_csr_spmm(&gpu, &gm, &[&dx], &[&dy], 256, 32);
         record(&mut out, &format!("{tag}/reset.after"), &gpu, &stats);
     }
 

@@ -10,7 +10,7 @@
 //!   index.
 //! * **Bitwise sweep** — with `BucketWidths::uniform(w)` every beamlet
 //!   row reduces with the same truncated halving tree as the
-//!   fixed-width tiled kernel on the transpose, so the partitioned
+//!   whole-matrix kernel on the transpose, so the partitioned
 //!   gradient must match the whole-matrix gradient bit-for-bit at every
 //!   width, across `ExecMode` and 1/4/8 workers — and the
 //!   `DoseCalculator` gradient entry points must agree with the raw
@@ -19,8 +19,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rt_core::{
-    gradient_csr_spmv_bucketed, vector_csr_bucketed_reference, vector_csr_spmv_tiled, BucketWidths,
-    DoseCalculator, GpuCsrMatrix, GpuRowPlan,
+    vector_csr_reference, vector_csr_spmm, vector_csr_spmm_bucketed, BucketWidths, DoseCalculator,
+    GpuCsrMatrix, GpuRowPlan,
 };
 use rt_f16::F16;
 use rt_gpusim::{DeviceSpec, ExecMode, Gpu, TILE_WIDTHS};
@@ -64,18 +64,18 @@ fn grad_bucketed(t: &Csr<F16, u32>, r: &[f64], mode: ExecMode, widths: BucketWid
     for i in 0..t.nrows() {
         dg.set(i, f64::from_bits(0xDEAD_BEEF_DEAD_BEEF));
     }
-    gradient_csr_spmv_bucketed(&gpu, &gt, &dr, &dg, 512, &gplan, widths);
+    vector_csr_spmm_bucketed(&gpu, &gt, &[&dr], &[&dg], 512, &gplan, widths);
     dg.to_vec().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Raw-kernel whole-matrix back-projection: the fixed-width tiled
-/// kernel run directly on the transpose.
+/// Raw-kernel whole-matrix back-projection: the fixed-width kernel run
+/// directly on the transpose.
 fn grad_whole(t: &Csr<F16, u32>, r: &[f64], mode: ExecMode, width: u32) -> Vec<u64> {
     let gpu = Gpu::with_mode(DeviceSpec::a100(), mode);
     let gt = GpuCsrMatrix::upload(&gpu, t);
     let dr = gpu.upload(r);
     let dg = gpu.alloc_out::<f64>(t.nrows());
-    vector_csr_spmv_tiled(&gpu, &gt, &dr, &dg, 512, width);
+    vector_csr_spmm(&gpu, &gt, &[&dr], &[&dg], 512, width);
     dg.to_vec().iter().map(|v| v.to_bits()).collect()
 }
 
@@ -113,7 +113,7 @@ fn single_active_beamlet_scatters_to_its_original_index() {
     assert_eq!(plan.nonempty_rows(), 1);
 
     let r: Vec<f64> = (0..100).map(|i| i as f64 * 0.125 + 0.5).collect();
-    let want: Vec<u64> = vector_csr_bucketed_reference(&t, &r, BucketWidths::natural())
+    let want: Vec<u64> = vector_csr_reference(&t, &r, BucketWidths::natural())
         .iter()
         .map(|v| v.to_bits())
         .collect();

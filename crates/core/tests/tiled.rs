@@ -13,7 +13,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rt_core::{vector_csr_spmv_tiled, vector_csr_tiled_reference, GpuCsrMatrix, KernelSelect};
+use rt_core::{vector_csr_reference, vector_csr_spmm, BucketWidths, GpuCsrMatrix, KernelSelect};
 use rt_f16::F16;
 use rt_gpusim::{DeviceSpec, ExecMode, Gpu, TILE_WIDTHS};
 use rt_sparse::Csr;
@@ -43,7 +43,7 @@ fn run(m: &Csr<F16, u32>, x: &[f64], mode: ExecMode, width: u32) -> Vec<u64> {
     let gm = GpuCsrMatrix::upload(&gpu, m);
     let dx = gpu.upload(x);
     let dy = gpu.alloc_out::<f64>(m.nrows());
-    vector_csr_spmv_tiled(&gpu, &gm, &dx, &dy, 512, width);
+    vector_csr_spmm(&gpu, &gm, &[&dx], &[&dy], 512, width);
     dy.to_vec().iter().map(|v| v.to_bits()).collect()
 }
 
@@ -62,7 +62,7 @@ fn every_width_is_bitwise_reproducible_across_modes_and_worker_counts() {
         let golden = run(&m, &x, ExecMode::Sequential, w);
         // Matches the documented per-width lane/tree arithmetic exactly.
         let x64 = x.clone();
-        let want: Vec<u64> = vector_csr_tiled_reference(&m, &x64, w)
+        let want: Vec<u64> = vector_csr_reference(&m, &x64, BucketWidths::uniform(w))
             .iter()
             .map(|v| v.to_bits())
             .collect();
@@ -97,7 +97,7 @@ fn every_width_matches_host_reference_within_tolerance() {
         let gm = GpuCsrMatrix::upload(&gpu, &m);
         let dx = gpu.upload(&x);
         let dy = gpu.alloc_out::<f64>(500);
-        vector_csr_spmv_tiled(&gpu, &gm, &dx, &dy, 512, w);
+        vector_csr_spmm(&gpu, &gm, &[&dx], &[&dy], 512, w);
         for (g, want) in dy.to_vec().iter().zip(want.iter()) {
             assert!(
                 (g - want).abs() <= 1e-9 * (1.0 + want.abs()),

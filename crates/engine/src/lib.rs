@@ -14,7 +14,8 @@
 //! * **Request batching** — a worker that dequeues a request gathers
 //!   queued compatible requests (same plan, same operation) into one
 //!   multi-vector launch, sharing the matrix bytes
-//!   ([`rt_core::vector_csr_spmm`]).
+//!   ([`rt_core::vector_csr_spmm`], or
+//!   [`rt_core::vector_csr_spmm_bucketed`] for a partitioned plan).
 //! * **Per-plan execution policy** — [`Engine::register_plan_with`]
 //!   takes an [`ExecPolicy`] (kernel selection × sharding × replication),
 //!   so plans on the same engine can run completely different layouts.

@@ -15,7 +15,7 @@
 use crate::context::{Context, PreparedCase};
 use crate::render::{f1, sci, TextTable};
 use crate::runner::{run_baseline, run_half_double, run_half_double_on, run_scalar_on, sim_device};
-use rt_core::{profile_sell, sell_spmv, vector_csr_spmv, GpuCsrMatrix, GpuSellMatrix};
+use rt_core::{profile_sell, sell_spmv, vector_csr_spmm, GpuCsrMatrix, GpuSellMatrix};
 use rt_f16::{Bf16, F16};
 use rt_gpusim::timing::estimate;
 use rt_gpusim::{DeviceSpec, ExecMode, Gpu};
@@ -43,8 +43,8 @@ pub fn index_width(ctx: &Context) -> Vec<IndexWidthRow> {
                 let gm = GpuCsrMatrix::upload(&gpu, &m);
                 let x = gpu.upload(&c.weights);
                 let y = gpu.alloc_out::<f64>(m.nrows());
-                vector_csr_spmv(&gpu, &gm, &x, &y, 512);
-                vector_csr_spmv(&gpu, &gm, &x, &y, 512)
+                vector_csr_spmm(&gpu, &gm, &[&x], &[&y], 512, 32);
+                vector_csr_spmm(&gpu, &gm, &[&x], &[&y], 512, 32)
             });
             IndexWidthRow {
                 case: c.name().to_string(),
@@ -405,7 +405,7 @@ pub fn reproducibility(ctx: &Context) -> Vec<ReproResult> {
                 let gm = GpuCsrMatrix::upload(&gpu, &c.f16);
                 let x = gpu.upload(&c.weights);
                 let y = gpu.alloc_out::<f64>(c.f16.nrows());
-                vector_csr_spmv(&gpu, &gm, &x, &y, 512);
+                vector_csr_spmm(&gpu, &gm, &[&x], &[&y], 512, 32);
                 y.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             };
             let deterministic_bitwise = run_once() == run_once();

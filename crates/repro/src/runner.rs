@@ -23,7 +23,7 @@ use crate::context::PreparedCase;
 use rt_core::{
     cusparse_csr_spmv, ginkgo_csr_spmv, profile_baseline, profile_cusparse, profile_ginkgo,
     profile_half_double, profile_scalar, profile_single, rs_baseline_gpu_spmv, scalar_csr_spmv,
-    vector_csr_spmv, GpuCsrMatrix, GpuRsMatrix, RsCpu,
+    vector_csr_spmm, GpuCsrMatrix, GpuRsMatrix, RsCpu,
 };
 use rt_gpusim::timing::estimate;
 use rt_gpusim::{CpuSpec, DeviceSpec, ExecMode, Gpu, KernelProfile, KernelStats, TimeEstimate};
@@ -127,8 +127,8 @@ pub fn run_half_double_on(
     let m = GpuCsrMatrix::upload(gpu, &case.f16);
     let x = gpu.upload(&case.weights);
     let y = gpu.alloc_out::<f64>(case.f16.nrows());
-    vector_csr_spmv(gpu, &m, &x, &y, tpb); // warm-up
-    let raw = vector_csr_spmv(gpu, &m, &x, &y, tpb);
+    vector_csr_spmm(gpu, &m, &[&x], &[&y], tpb, 32); // warm-up
+    let raw = vector_csr_spmm(gpu, &m, &[&x], &[&y], tpb, 32);
     Measured::build(
         "Half/double",
         case,
@@ -146,8 +146,8 @@ pub fn run_single(case: &PreparedCase, device: &DeviceSpec, tpb: u32) -> Measure
     let w32: Vec<f32> = case.weights.iter().map(|&w| w as f32).collect();
     let x = gpu.upload(&w32);
     let y = gpu.alloc_out::<f32>(case.f32.nrows());
-    vector_csr_spmv(&gpu, &m, &x, &y, tpb);
-    let raw = vector_csr_spmv(&gpu, &m, &x, &y, tpb);
+    vector_csr_spmm(&gpu, &m, &[&x], &[&y], tpb, 32);
+    let raw = vector_csr_spmm(&gpu, &m, &[&x], &[&y], tpb, 32);
     Measured::build(
         "Single",
         case,

@@ -8,7 +8,7 @@
 
 use crate::context::Context;
 use crate::render::{sci, TextTable};
-use rt_core::{vector_csr_spmv, GpuCsrMatrix};
+use rt_core::{vector_csr_spmm, GpuCsrMatrix};
 use rt_gpusim::{BufferTraffic, DeviceSpec};
 
 pub struct TrafficCase {
@@ -28,9 +28,9 @@ pub fn generate(ctx: &Context) -> Vec<TrafficCase> {
             let gm = GpuCsrMatrix::upload_named(&gpu, &c.f16);
             let x = gpu.upload_named("x (weights)", &c.weights);
             let y = gpu.alloc_out_named::<f64>("y (dose)", c.f16.nrows());
-            vector_csr_spmv(&gpu, &gm, &x, &y, 512); // warm-up
+            vector_csr_spmm(&gpu, &gm, &[&x], &[&y], 512, 32); // warm-up
             gpu.reset_traffic();
-            vector_csr_spmv(&gpu, &gm, &x, &y, 512);
+            vector_csr_spmm(&gpu, &gm, &[&x], &[&y], 512, 32);
             TrafficCase {
                 case: c.name().to_string(),
                 nnz: c.f16.nnz(),

@@ -279,22 +279,24 @@ where
     let ncols = read_u64(&mut pos)? as usize;
     let nnz = read_u64(&mut pos)? as usize;
 
-    let mut row_ptr = Vec::with_capacity(nrows + 1);
+    // Header counts are untrusted: each array must fit in the bytes left
+    // before anything is allocated for it.
+    let mut row_ptr = Vec::with_capacity(held(nrows.checked_add(1), 4, data.len() - pos)?);
     for _ in 0..=nrows {
         row_ptr.push(read_u32(&mut pos)?);
     }
-    let mut col_idx = Vec::with_capacity(nnz);
+    let mut col_idx = Vec::with_capacity(held(Some(nnz), I::SIZE, data.len() - pos)?);
     for _ in 0..nnz {
         col_idx.push(I::read_from(take(&mut pos, I::SIZE)?));
     }
-    let mut values = Vec::with_capacity(nnz);
+    let mut values = Vec::with_capacity(held(Some(nnz), V::SIZE, data.len() - pos)?);
     for _ in 0..nnz {
         values.push(V::read_from(take(&mut pos, V::SIZE)?));
     }
 
     let cuts = if version == VERSION_CUTS {
         let ncuts = read_u32(&mut pos)? as usize;
-        let mut cuts = Vec::with_capacity(ncuts);
+        let mut cuts = Vec::with_capacity(held(Some(ncuts), 8, data.len() - pos)?);
         for _ in 0..ncuts {
             cuts.push(read_u64(&mut pos)? as usize);
         }
@@ -309,6 +311,15 @@ where
     let m =
         Csr::try_new(nrows, ncols, row_ptr, col_idx, values).map_err(SnapshotError::Structure)?;
     Ok((m, cuts))
+}
+
+/// `count` (`None` when computing it overflowed) if `count` elements of
+/// `size` bytes fit in the `remaining` bytes of a snapshot, else
+/// [`SnapshotError::Truncated`].
+fn held(count: Option<usize>, size: usize, remaining: usize) -> Result<usize, SnapshotError> {
+    count
+        .filter(|&n| n.checked_mul(size).is_some_and(|bytes| bytes <= remaining))
+        .ok_or(SnapshotError::Truncated)
 }
 
 #[cfg(test)]
@@ -446,6 +457,46 @@ mod tests {
         let m = sample();
         let mut buf = Vec::new();
         let _ = save_csr_with_cuts(&m, &[3, 1], &mut buf);
+    }
+
+    /// A header-only snapshot (`magic`, version, tags, `nrows`, `ncols`,
+    /// `nnz`) for the `F16`/`u32` matrix type.
+    fn forged_header(version: u32, nrows: u64, nnz: u64) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        for word in [version, <F16 as Storable>::TAG, <u32 as Storable>::TAG] {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
+        for word in [nrows, 4, nnz] {
+            buf.extend_from_slice(&word.to_le_bytes());
+        }
+        buf
+    }
+
+    #[test]
+    fn forged_counts_are_truncation_not_allocations() {
+        let mut forged: Vec<Vec<u8>> = [1u64 << 36, 1 << 62, u64::MAX]
+            .into_iter()
+            .map(|nrows| forged_header(VERSION, nrows, 0))
+            .collect();
+        // One row of zero length, then 2^40 non-zeros that are not there.
+        let mut nnz = forged_header(VERSION, 1, 1 << 40);
+        nnz.extend_from_slice(&[0u8; 8]);
+        forged.push(nnz);
+        // A valid empty v2 matrix claiming u32::MAX cut points.
+        let mut cuts = forged_header(VERSION_CUTS, 0, 0);
+        cuts.extend_from_slice(&0u32.to_le_bytes());
+        cuts.extend_from_slice(&u32::MAX.to_le_bytes());
+        forged.push(cuts);
+
+        for (i, buf) in forged.iter().enumerate() {
+            assert!(
+                matches!(
+                    load_csr_with_cuts::<F16, u32, _>(&mut buf.as_slice()),
+                    Err(SnapshotError::Truncated)
+                ),
+                "forged snapshot {i}"
+            );
+        }
     }
 
     #[test]

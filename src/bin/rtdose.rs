@@ -19,15 +19,12 @@ use rtdose::engine::{
     Engine, EngineReport, ExecPolicy, ReplicaSpec, RequestKind, RtError, ShardSpec,
 };
 use rtdose::f16::{DoseScalar, F16};
-use rtdose::gpusim::{
-    gather_estimate, DeviceBuffer, DeviceOutBuffer, DeviceSpec, Gpu, GroupReport, KernelProfile,
-    KernelStats,
-};
+use rtdose::gpusim::{gather_estimate, DeviceSpec, Gpu, GroupReport, KernelProfile, KernelStats};
 use rtdose::kernels::{
     bucketed_group_report, heuristic_width, profile_baseline, profile_half_double, profile_single,
-    rs_baseline_gpu_spmv, vector_csr_spmv, vector_csr_spmv_bucketed, vector_csr_spmv_tiled,
-    BucketChoice, BucketWidths, GpuCsrMatrix, GpuRowPlan, GpuRsMatrix, KernelChoice, KernelSelect,
-    PartitionStrategy, VecScalar, TILE_WIDTHS,
+    rs_baseline_gpu_spmv, vector_csr_spmm, vector_csr_spmm_bucketed, BucketChoice, BucketWidths,
+    GpuCsrMatrix, GpuRowPlan, GpuRsMatrix, KernelChoice, KernelSelect, PartitionStrategy,
+    VecScalar, TILE_WIDTHS,
 };
 use rtdose::optim::{optimize, GpuDoseEngine, Objective, ObjectiveTerm, OptimizerConfig};
 use rtdose::sparse::stats::{MatrixSummary, RowStats};
@@ -337,35 +334,50 @@ fn cmd_stats(flags: HashMap<String, String>) {
     }
 }
 
-/// Autotunes the per-bucket widths, runs the bucketed dispatch `repeat`
-/// times (cold cache between repeats, like the whole-matrix path) and
-/// assembles the fused group report.
+/// A bucketed run's fused group report, partition mode and row plan.
+type PartitionRun = (GroupReport, &'static str, Arc<RowPlan>);
+
+/// Uploads `m` and `weights` in the kernel's precision, then runs the
+/// vector kernel `repeat` times with a cold cache between repeats: the
+/// whole-matrix kernel at `tile`, or under `--partition` the bucketed
+/// dispatch at autotuned per-bucket widths, whose fused group report is
+/// returned with the partition mode and the row plan.
 #[allow(clippy::too_many_arguments)]
-fn run_partitioned_spmv<V: DoseScalar, X: VecScalar>(
+fn run_vector_spmv<V: DoseScalar, X: VecScalar>(
     gpu: &Gpu,
     dev: &DeviceSpec,
     m: &Csr<V, u32>,
-    gm: &GpuCsrMatrix<V, u32>,
-    x: &DeviceBuffer<X>,
-    y: &DeviceOutBuffer<X>,
+    weights: &[X],
     tpb: u32,
     repeat: usize,
-    strategy: PartitionStrategy,
+    tile: u32,
+    partition: Option<PartitionStrategy>,
     profile: &KernelProfile,
-) -> (KernelStats, GroupReport, &'static str, Arc<RowPlan>) {
+) -> (KernelStats, Option<PartitionRun>) {
+    let gm = GpuCsrMatrix::upload(gpu, m);
+    let x = gpu.upload(weights);
+    let y = gpu.alloc_out::<X>(m.nrows());
+    let Some(strategy) = partition else {
+        let mut s = vector_csr_spmm(gpu, &gm, &[&x], &[&y], tpb, tile);
+        for _ in 1..repeat {
+            gpu.reset_cache();
+            s = vector_csr_spmm(gpu, &gm, &[&x], &[&y], tpb, tile);
+        }
+        return (s, None);
+    };
     let choice = KernelSelect::Partitioned(strategy)
         .choose(dev, m, tpb)
         .expect("partitioned selection cannot fail on a loaded snapshot");
     let widths = choice.bucket_widths();
     let plan = Arc::new(RowPlan::from_csr(m));
     let gplan = GpuRowPlan::upload(gpu, plan.clone());
-    let mut g = vector_csr_spmv_bucketed(gpu, gm, x, y, tpb, &gplan, widths);
+    let mut g = vector_csr_spmm_bucketed(gpu, &gm, &[&x], &[&y], tpb, &gplan, widths);
     for _ in 1..repeat {
         gpu.reset_cache();
-        g = vector_csr_spmv_bucketed(gpu, gm, x, y, tpb, &gplan, widths);
+        g = vector_csr_spmm_bucketed(gpu, &gm, &[&x], &[&y], tpb, &gplan, widths);
     }
     let report = bucketed_group_report(dev, profile, &plan, &g);
-    (g.merged, report, choice.mode, plan)
+    (g.merged, Some((report, choice.mode, plan)))
 }
 
 /// `--shards K`: the snapshot is served as one dose request through an
@@ -493,63 +505,22 @@ fn cmd_spmv(flags: HashMap<String, String>) {
     // full device L2, which a clinical matrix never would. Invalidate
     // between repeats so the matrix streams like the real workload.
     let t0 = std::time::Instant::now();
-    let mut group: Option<(GroupReport, &'static str, Arc<RowPlan>)> = None;
-    let (stats, profile) = match kernel {
+    let (stats, profile, group) = match kernel {
         "half-double" => {
-            let gm = GpuCsrMatrix::upload(&gpu, &m);
-            let x = gpu.upload(&weights);
-            let y = gpu.alloc_out::<f64>(m.nrows());
             let profile = profile_half_double();
-            if let Some(strategy) = partition {
-                let (s, rep, mode, plan) = run_partitioned_spmv(
-                    &gpu, &dev, &m, &gm, &x, &y, tpb, repeat, strategy, &profile,
-                );
-                group = Some((rep, mode, plan));
-                (s, profile)
-            } else {
-                let run = || {
-                    if tile == 32 {
-                        vector_csr_spmv(&gpu, &gm, &x, &y, tpb)
-                    } else {
-                        vector_csr_spmv_tiled(&gpu, &gm, &x, &y, tpb, tile)
-                    }
-                };
-                let mut s = run();
-                for _ in 1..repeat {
-                    gpu.reset_cache();
-                    s = run();
-                }
-                (s, profile)
-            }
+            let (s, g) = run_vector_spmv(
+                &gpu, &dev, &m, &weights, tpb, repeat, tile, partition, &profile,
+            );
+            (s, profile, g)
         }
         "single" => {
             let m32: Csr<f32, u32> = m.convert_values();
-            let gm = GpuCsrMatrix::upload(&gpu, &m32);
             let w32: Vec<f32> = weights.iter().map(|&w| w as f32).collect();
-            let x = gpu.upload(&w32);
-            let y = gpu.alloc_out::<f32>(m.nrows());
             let profile = profile_single();
-            if let Some(strategy) = partition {
-                let (s, rep, mode, plan) = run_partitioned_spmv(
-                    &gpu, &dev, &m32, &gm, &x, &y, tpb, repeat, strategy, &profile,
-                );
-                group = Some((rep, mode, plan));
-                (s, profile)
-            } else {
-                let run = || {
-                    if tile == 32 {
-                        vector_csr_spmv(&gpu, &gm, &x, &y, tpb)
-                    } else {
-                        vector_csr_spmv_tiled(&gpu, &gm, &x, &y, tpb, tile)
-                    }
-                };
-                let mut s = run();
-                for _ in 1..repeat {
-                    gpu.reset_cache();
-                    s = run();
-                }
-                (s, profile)
-            }
+            let (s, g) = run_vector_spmv(
+                &gpu, &dev, &m32, &w32, tpb, repeat, tile, partition, &profile,
+            );
+            (s, profile, g)
         }
         "baseline" => {
             if partition.is_some() {
@@ -566,7 +537,7 @@ fn cmd_spmv(flags: HashMap<String, String>) {
                 gpu.reset_cache();
                 s = rs_baseline_gpu_spmv(&gpu, &gm, &x, &y, tpb);
             }
-            (s, profile_baseline())
+            (s, profile_baseline(), None)
         }
         other => {
             eprintln!("unknown kernel: {other}");

@@ -5,7 +5,7 @@ use rtdose::dose::cases::{prostate_case, ScaleConfig};
 use rtdose::f16::F16;
 use rtdose::gpusim::{DeviceSpec, Gpu};
 use rtdose::kernels::{
-    cpu_csr_spmv, rs_baseline_gpu_spmv, vector_csr_spmv, DoseCalculator, GpuCsrMatrix, GpuRsMatrix,
+    cpu_csr_spmv, rs_baseline_gpu_spmv, vector_csr_spmm, DoseCalculator, GpuCsrMatrix, GpuRsMatrix,
     RsCpu,
 };
 use rtdose::optim::{optimize, GpuDoseEngine, Objective, ObjectiveTerm, OptimizerConfig};
@@ -42,7 +42,7 @@ fn every_implementation_computes_the_same_dose() {
     let gm = GpuCsrMatrix::upload(&gpu, &m16);
     let dx = gpu.upload(&weights);
     let dy = gpu.alloc_out::<f64>(m16.nrows());
-    vector_csr_spmv(&gpu, &gm, &dx, &dy, 512);
+    vector_csr_spmm(&gpu, &gm, &[&dx], &[&dy], 512, 32);
     close(&dy.to_vec(), "vector CSR kernel");
 
     // Simulated-GPU baseline (atomic, non-deterministic order).

@@ -8,7 +8,7 @@
 use rand::prelude::*;
 use rtdose::f16::{Bf16, DoseScalar, F16};
 use rtdose::gpusim::{DeviceSpec, Gpu};
-use rtdose::kernels::{vector_csr_spmv, GpuCsrMatrix, RsCpu};
+use rtdose::kernels::{vector_csr_spmm, GpuCsrMatrix, RsCpu};
 use rtdose::sparse::stats::RowStats;
 use rtdose::sparse::{Coo, Csr, Ell, RsCompressed, SellCSigma};
 
@@ -95,7 +95,7 @@ fn gpu_kernel_matches_reference_on_random_matrices() {
         let gm = GpuCsrMatrix::upload(&gpu, &m);
         let dx = gpu.upload(&x);
         let dy = gpu.alloc_out::<f64>(nrows);
-        let stats = vector_csr_spmv(&gpu, &gm, &dx, &dy, 128);
+        let stats = vector_csr_spmm(&gpu, &gm, &[&dx], &[&dy], 128, 32);
         assert_eq!(stats.flops, 2 * m.nnz() as u64);
 
         let mut want = vec![0.0; nrows];

@@ -5,7 +5,7 @@
 use rtdose::dose::cases::{prostate_case, ScaleConfig};
 use rtdose::f16::F16;
 use rtdose::gpusim::{DeviceSpec, ExecMode, Gpu};
-use rtdose::kernels::{rs_baseline_gpu_spmv, vector_csr_spmv, GpuCsrMatrix, GpuRsMatrix, RsCpu};
+use rtdose::kernels::{rs_baseline_gpu_spmv, vector_csr_spmm, GpuCsrMatrix, GpuRsMatrix, RsCpu};
 use rtdose::sparse::{Csr, RsCompressed};
 
 fn setup() -> (Csr<F16, u32>, RsCompressed<F16>, Vec<f64>) {
@@ -30,7 +30,7 @@ fn vector_kernel_is_bitwise_stable_across_ten_runs_and_modes() {
         let gm = GpuCsrMatrix::upload(&gpu, &m);
         let dx = gpu.upload(&w);
         let dy = gpu.alloc_out::<f64>(m.nrows());
-        vector_csr_spmv(&gpu, &gm, &dx, &dy, 512);
+        vector_csr_spmm(&gpu, &gm, &[&dx], &[&dy], 512, 32);
         bits(&dy.to_vec())
     };
     let reference = run(ExecMode::Sequential);
@@ -49,7 +49,7 @@ fn vector_kernel_is_bitwise_stable_across_launch_configurations() {
         let gm = GpuCsrMatrix::upload(&gpu, &m);
         let dx = gpu.upload(&w);
         let dy = gpu.alloc_out::<f64>(m.nrows());
-        vector_csr_spmv(&gpu, &gm, &dx, &dy, tpb);
+        vector_csr_spmm(&gpu, &gm, &[&dx], &[&dy], tpb, 32);
         bits(&dy.to_vec())
     };
     let reference = run(32);
