@@ -17,7 +17,7 @@ use rt_gpusim::{
 };
 use rt_sparse::{Csr, RowPlan};
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which calibrated report profile the timing model uses (the arithmetic
 /// is always the Half/double kernel's; see [`crate::profile_single`]).
@@ -280,12 +280,14 @@ impl<'m> DoseCalculatorBuilder<'m> {
         let grad_width = self.grad_tile_width.unwrap_or(self.tile_width);
         let grad =
             grad_matrix.map(|(gm, t)| Operator::new(&gpu, gm, t, self.grad_partition, grad_width));
-        let y = gpu.alloc_out::<f64>(m.nrows());
+        // The dose direction's first output slot is allocated here, after
+        // both operators, so a first `compute_dose` sees the same address
+        // layout as a calculator without staging slots.
+        dose.stage().ys.push(gpu.alloc_out::<f64>(m.nrows()));
         Ok(DoseCalculator {
             gpu,
             dose,
             grad,
-            y,
             profile: match self.profile {
                 PrecisionProfile::HalfDouble => profile_half_double(),
                 PrecisionProfile::Single => profile_single(),
@@ -298,10 +300,10 @@ impl<'m> DoseCalculatorBuilder<'m> {
 }
 
 /// One direction's resident SpMV operator: the uploaded matrix, its
-/// optional bucketed row partition, and the whole-matrix tile width.
-/// A [`DoseCalculator`] holds one for doses (`A`) and optionally one for
-/// gradients (`A^T`, or a row shard of it); both run the same forward
-/// kernels on the calculator's one device.
+/// optional bucketed row partition, the whole-matrix tile width and its
+/// staging slots. A [`DoseCalculator`] holds one for doses (`A`) and
+/// optionally one for gradients (`A^T`, or a row shard of it); both run
+/// the same forward kernels on the calculator's one device.
 struct Operator {
     matrix: GpuCsrMatrix<F16, u32>,
     /// Uploaded row plan plus per-bucket widths. When present, SpMV
@@ -311,6 +313,40 @@ struct Operator {
     /// Cooperative-group tile width of whole-matrix dispatch
     /// ([`vector_csr_spmm`]).
     width: u32,
+    /// Device vectors every launch of this operator reads and writes.
+    /// Locked from upload to read-back, so concurrent callers of one
+    /// calculator never see each other's outputs.
+    staging: Mutex<Staging>,
+}
+
+/// An operator's input and output device vectors, grown lazily to at
+/// most [`MAX_SPMM_BATCH`] slots: batch vector `v` always lives in slot
+/// `v`. Inputs are refilled in place, so every launch of one batch size
+/// reads and writes the same addresses. Only input payloads change
+/// between launches, and no address depends on them. Slots are staging
+/// space, not resident data: [`DoseCalculator::resident_bytes`] leaves
+/// them out.
+#[derive(Default)]
+struct Staging {
+    xs: Vec<DeviceBuffer<f64>>,
+    ys: Vec<DeviceOutBuffer<f64>>,
+}
+
+impl Staging {
+    /// Copies `inputs` into slots `0..inputs.len()`, first allocating
+    /// any missing input slots and then any missing output slots of
+    /// `out_len` elements.
+    fn fill(&mut self, gpu: &Gpu, inputs: &[&[f64]], out_len: usize) {
+        for (v, x) in inputs.iter().enumerate() {
+            match self.xs.get_mut(v) {
+                Some(slot) => slot.refill(x),
+                None => self.xs.push(gpu.upload(x)),
+            }
+        }
+        while self.ys.len() < inputs.len() {
+            self.ys.push(gpu.alloc_out(out_len));
+        }
+    }
 }
 
 impl Operator {
@@ -332,7 +368,14 @@ impl Operator {
             matrix,
             partition,
             width,
+            staging: Mutex::default(),
         }
+    }
+
+    /// The staging slots. A panic mid-launch leaves them valid (the next
+    /// launch refills every input it reads and overwrites every output).
+    fn stage(&self) -> std::sync::MutexGuard<'_, Staging> {
+        self.staging.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Rejects an input that is not `ncols` long.
@@ -348,24 +391,29 @@ impl Operator {
         }
     }
 
-    /// One launch sequence `ys[v] = M xs[v]` sharing the matrix traffic
-    /// across vectors: bucketed when partitioned (returning the
-    /// per-bucket counters too), else the whole-matrix kernel at `width`.
+    /// One launch sequence `outputs[v] = M inputs[v]` through the staging
+    /// slots, sharing the matrix traffic across vectors: bucketed when
+    /// partitioned (returning the per-bucket counters too), else the
+    /// whole-matrix kernel at `width`. At most [`MAX_SPMM_BATCH`] inputs.
     fn run(
         &self,
         gpu: &Gpu,
         tpb: u32,
-        xs: &[&DeviceBuffer<f64>],
-        ys: &[&DeviceOutBuffer<f64>],
-    ) -> (KernelStats, Option<GroupStats>) {
+        inputs: &[&[f64]],
+    ) -> (Vec<Vec<f64>>, KernelStats, Option<GroupStats>) {
+        let mut staging = self.stage();
+        staging.fill(gpu, inputs, self.matrix.nrows());
+        let xs: Vec<&DeviceBuffer<f64>> = staging.xs[..inputs.len()].iter().collect();
+        let ys: Vec<&DeviceOutBuffer<f64>> = staging.ys[..inputs.len()].iter().collect();
         let m = &self.matrix;
-        match &self.partition {
+        let (stats, group) = match &self.partition {
             Some((gplan, widths)) => {
-                let g = vector_csr_spmm_bucketed(gpu, m, xs, ys, tpb, gplan, *widths);
+                let g = vector_csr_spmm_bucketed(gpu, m, &xs, &ys, tpb, gplan, *widths);
                 (g.merged.clone(), Some(g))
             }
-            None => (vector_csr_spmm(gpu, m, xs, ys, tpb, self.width), None),
-        }
+            None => (vector_csr_spmm(gpu, m, &xs, &ys, tpb, self.width), None),
+        };
+        (ys.iter().map(|y| y.to_vec()).collect(), stats, group)
     }
 }
 
@@ -385,7 +433,6 @@ pub struct DoseCalculator {
     /// The gradient direction: `g = A^T r` as a forward SpMV over the
     /// gradient matrix (`None` without one).
     grad: Option<Operator>,
-    y: DeviceOutBuffer<f64>,
     profile: rt_gpusim::KernelProfile,
     threads_per_block: u32,
     /// Extrapolation factor applied to traffic/flop counters before
@@ -518,16 +565,14 @@ impl DoseCalculator {
     /// calculators dispatch through the bucketed row partition (bitwise
     /// identical per row to the fixed-width kernel at the row's bucket
     /// width) and attach the per-bucket [`GroupReport`].
+    ///
+    /// This is the one-vector [`DoseCalculator::compute_dose_batch`].
     pub fn compute_dose(&self, weights: &[f64]) -> Result<DoseResult, RtError> {
-        self.dose.check("weights", weights.len())?;
-        let dx: DeviceBuffer<f64> = self.gpu.upload(weights);
-        let (stats, group) = self
-            .dose
-            .run(&self.gpu, self.threads_per_block, &[&dx], &[&self.y]);
+        let mut r = self.compute_dose_batch(&[weights])?;
         Ok(DoseResult {
-            dose: self.y.to_vec(),
-            report: self.report_for(&stats, self.dose.width),
-            group: self.group_report(&self.dose, group),
+            dose: r.outputs.swap_remove(0),
+            report: r.report,
+            group: r.group,
         })
     }
 
@@ -549,14 +594,13 @@ impl DoseCalculator {
     /// ([`DoseCalculatorBuilder::with_transpose`]). Grad-partitioned
     /// calculators dispatch through the bucketed partition of the
     /// transpose (bitwise identical per beamlet-row to the fixed-width
-    /// kernel at the row's bucket width).
+    /// kernel at the row's bucket width). This is the one-vector
+    /// [`DoseCalculator::compute_gradient_batch`].
     pub fn compute_gradient_term(&self, residual: &[f64]) -> Result<Vec<f64>, RtError> {
-        let op = self.grad()?;
-        op.check("residual", residual.len())?;
-        let dr: DeviceBuffer<f64> = self.gpu.upload(residual);
-        let g = self.gpu.alloc_out::<f64>(op.matrix.nrows());
-        op.run(&self.gpu, self.threads_per_block, &[&dr], &[&g]);
-        Ok(g.to_vec())
+        Ok(self
+            .compute_gradient_batch(&[residual])?
+            .outputs
+            .swap_remove(0))
     }
 
     /// Computes `g_v = A^T r_v` for every residual in one batched launch
@@ -583,14 +627,7 @@ impl DoseCalculator {
         let mut merged = KernelStats::default();
         let mut group_acc: Option<GroupStats> = None;
         for chunk in inputs.chunks(MAX_SPMM_BATCH) {
-            let dxs: Vec<DeviceBuffer<f64>> = chunk.iter().map(|x| self.gpu.upload(x)).collect();
-            let dys: Vec<DeviceOutBuffer<f64>> = chunk
-                .iter()
-                .map(|_| self.gpu.alloc_out::<f64>(op.matrix.nrows()))
-                .collect();
-            let xr: Vec<&DeviceBuffer<f64>> = dxs.iter().collect();
-            let yr: Vec<&DeviceOutBuffer<f64>> = dys.iter().collect();
-            let (stats, group) = op.run(&self.gpu, self.threads_per_block, &xr, &yr);
+            let (outs, stats, group) = op.run(&self.gpu, self.threads_per_block, chunk);
             if let Some(g) = group {
                 match &mut group_acc {
                     Some(acc) => acc.accumulate(&g),
@@ -598,7 +635,7 @@ impl DoseCalculator {
                 }
             }
             merged.accumulate(&stats);
-            outputs.extend(dys.iter().map(|y| y.to_vec()));
+            outputs.extend(outs);
         }
         Ok(BatchDoseResult {
             outputs,

@@ -105,3 +105,49 @@ fn sequential_counters_reproduce_exactly_across_runs() {
     assert_eq!(bits1, bits2);
     assert_eq!(s1, s2, "sequential counters must be bit-reproducible");
 }
+
+/// Two threads share one calculator, each sending its own weight
+/// vectors: every returned dose must equal the dose a lone caller gets
+/// for the same weights, bit for bit. A calculator whose callers shared
+/// one output buffer returned the other caller's dose here.
+#[test]
+fn concurrent_compute_dose_returns_each_callers_own_dose() {
+    let case =
+        rt_dose::cases::liver_case(rt_dose::cases::ScaleConfig { shrink: 32.0 }).swap_remove(0);
+    let calc = rt_core::DoseCalculator::builder(&case.matrix)
+        .build()
+        .unwrap();
+    let ncols = case.matrix.ncols();
+    let weights: Vec<Vec<f64>> = (0..6)
+        .map(|v| {
+            (0..ncols)
+                .map(|i| ((i * 7 + v * 13) % 11) as f64 * 0.125 + v as f64)
+                .collect()
+        })
+        .collect();
+    let golden: Vec<Vec<u64>> = weights
+        .iter()
+        .map(|w| bits(&calc.compute_dose(w).unwrap().dose))
+        .collect();
+    let wrong: usize = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..2)
+            .map(|t| {
+                let (calc, weights, golden) = (&calc, &weights, &golden);
+                s.spawn(move || {
+                    (0..300)
+                        .filter(|i| {
+                            let v = 3 * t + i % 3;
+                            bits(&calc.compute_dose(&weights[v]).unwrap().dose) != golden[v]
+                        })
+                        .count()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).sum()
+    });
+    assert_eq!(wrong, 0, "{wrong} of 600 doses were another caller's");
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}

@@ -54,6 +54,17 @@ impl<T: Copy> DeviceBuffer<T> {
     pub fn size_bytes(&self) -> usize {
         self.data.len() * core::mem::size_of::<T>()
     }
+
+    /// Overwrites the payload in place ("cudaMemcpy H2D" into an existing
+    /// allocation): the buffer keeps its base address, so a launch that
+    /// reads it again touches the same sectors.
+    ///
+    /// # Panics
+    ///
+    /// If `data` is not exactly [`DeviceBuffer::len`] elements long.
+    pub fn refill(&mut self, data: &[T]) {
+        self.data.copy_from_slice(data);
+    }
 }
 
 /// A scalar type that can live in an output buffer: it round-trips
@@ -209,6 +220,14 @@ mod tests {
         assert_eq!(b.addr_of(0), 1024);
         assert_eq!(b.addr_of(3), 1024 + 24);
         assert_eq!(b.size_bytes(), 64);
+    }
+
+    #[test]
+    fn refill_keeps_the_address() {
+        let mut b = DeviceBuffer::new(4096, vec![1.0f64, 2.0]);
+        b.refill(&[3.0, 4.0]);
+        assert_eq!(b.as_slice(), &[3.0, 4.0]);
+        assert_eq!(b.base_addr(), 4096);
     }
 
     #[test]
