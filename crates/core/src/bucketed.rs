@@ -217,7 +217,10 @@ fn bucket_body<V: DoseScalar, I: ColIndex, X: VecScalar>(
     }
 }
 
-fn bucketed_members<'a, V: DoseScalar, I: ColIndex, X: VecScalar>(
+/// The members a [`vector_csr_spmm_bucketed`] call launches — the
+/// zero-fill member, then one per non-empty bucket — so a caller can run
+/// them through [`Gpu::launch_group`] with a key.
+pub fn vector_csr_bucketed_members<'a, V: DoseScalar, I: ColIndex, X: VecScalar>(
     m: &'a GpuCsrMatrix<V, I>,
     xs: Vec<&'a DeviceBuffer<X>>,
     ys: Vec<&'a DeviceOutBuffer<X>>,
@@ -280,7 +283,7 @@ pub fn vector_csr_spmm_bucketed<V: DoseScalar, I: ColIndex, X: VecScalar>(
     gplan: &GpuRowPlan,
     widths: BucketWidths,
 ) -> GroupStats {
-    let members = bucketed_members(
+    let members = vector_csr_bucketed_members(
         m,
         xs.to_vec(),
         ys.to_vec(),
@@ -288,7 +291,7 @@ pub fn vector_csr_spmm_bucketed<V: DoseScalar, I: ColIndex, X: VecScalar>(
         gplan,
         widths,
     );
-    gpu.launch_group(members)
+    gpu.launch_group(None, members)
 }
 
 /// Assembles the fused [`GroupReport`] of a bucketed dispatch: merged

@@ -6,9 +6,11 @@
 //! of panicking, so untrusted inputs (a serving engine's requests, a
 //! CLI-loaded snapshot) surface as typed errors.
 
-use crate::bucketed::{bucketed_group_report, vector_csr_spmm_bucketed, BucketWidths, GpuRowPlan};
+use crate::bucketed::{
+    bucketed_group_report, vector_csr_bucketed_members, BucketWidths, GpuRowPlan,
+};
 use crate::error::RtError;
-use crate::vector_csr::{vector_csr_spmm, GpuCsrMatrix, MAX_SPMM_BATCH};
+use crate::vector_csr::{vector_csr_member, GpuCsrMatrix, MAX_SPMM_BATCH};
 use crate::{profile_half_double, profile_single};
 use rt_f16::F16;
 use rt_gpusim::{
@@ -276,10 +278,10 @@ impl<'m> DoseCalculatorBuilder<'m> {
         // the L2 model sees.
         let dose_matrix = upload(m);
         let grad_matrix = self.grad_matrix.as_deref().map(|t| (upload(t), t));
-        let dose = Operator::new(&gpu, dose_matrix, m, self.partition, self.tile_width);
+        let dose = Operator::new(&gpu, dose_matrix, m, self.partition, self.tile_width, 0);
         let grad_width = self.grad_tile_width.unwrap_or(self.tile_width);
-        let grad =
-            grad_matrix.map(|(gm, t)| Operator::new(&gpu, gm, t, self.grad_partition, grad_width));
+        let grad = grad_matrix
+            .map(|(gm, t)| Operator::new(&gpu, gm, t, self.grad_partition, grad_width, 1));
         // The dose direction's first output slot is allocated here, after
         // both operators, so a first `compute_dose` sees the same address
         // layout as a calculator without staging slots.
@@ -308,11 +310,14 @@ struct Operator {
     matrix: GpuCsrMatrix<F16, u32>,
     /// Uploaded row plan plus per-bucket widths. When present, SpMV
     /// dispatches through the bucketed partition
-    /// ([`vector_csr_spmm_bucketed`]).
+    /// ([`crate::vector_csr_spmm_bucketed`]).
     partition: Option<(GpuRowPlan, BucketWidths)>,
     /// Cooperative-group tile width of whole-matrix dispatch
-    /// ([`vector_csr_spmm`]).
+    /// ([`crate::vector_csr_spmm`]).
     width: u32,
+    /// Which direction this is, 0 for doses and 1 for gradients: with the
+    /// batch size it names a launch's whole address stream.
+    direction: u64,
     /// Device vectors every launch of this operator reads and writes.
     /// Locked from upload to read-back, so concurrent callers of one
     /// calculator never see each other's outputs.
@@ -359,6 +364,7 @@ impl Operator {
         source: &Csr<f64, u32>,
         partition: Option<(Option<Arc<RowPlan>>, BucketWidths)>,
         width: u32,
+        direction: u64,
     ) -> Self {
         let partition = partition.map(|(plan, widths)| {
             let plan = plan.unwrap_or_else(|| Arc::new(RowPlan::from_csr(source)));
@@ -368,6 +374,7 @@ impl Operator {
             matrix,
             partition,
             width,
+            direction,
             staging: Mutex::default(),
         }
     }
@@ -391,29 +398,27 @@ impl Operator {
         }
     }
 
-    /// One launch sequence `outputs[v] = M inputs[v]` through the staging
-    /// slots, sharing the matrix traffic across vectors: bucketed when
-    /// partitioned (returning the per-bucket counters too), else the
-    /// whole-matrix kernel at `width`. At most [`MAX_SPMM_BATCH`] inputs.
-    fn run(
-        &self,
-        gpu: &Gpu,
-        tpb: u32,
-        inputs: &[&[f64]],
-    ) -> (Vec<Vec<f64>>, KernelStats, Option<GroupStats>) {
+    /// One launch group `outputs[v] = M inputs[v]` through the staging
+    /// slots, sharing the matrix traffic across vectors: the bucketed
+    /// members when partitioned, else the whole-matrix kernel at `width`.
+    /// At most [`MAX_SPMM_BATCH`] inputs. The group is keyed by
+    /// (direction, batch size), which fixes every address it touches, so
+    /// repeated launches can be answered from the device's launch memo.
+    fn run(&self, gpu: &Gpu, tpb: u32, inputs: &[&[f64]]) -> (Vec<Vec<f64>>, GroupStats) {
         let mut staging = self.stage();
         staging.fill(gpu, inputs, self.matrix.nrows());
         let xs: Vec<&DeviceBuffer<f64>> = staging.xs[..inputs.len()].iter().collect();
         let ys: Vec<&DeviceOutBuffer<f64>> = staging.ys[..inputs.len()].iter().collect();
         let m = &self.matrix;
-        let (stats, group) = match &self.partition {
+        let members = match &self.partition {
             Some((gplan, widths)) => {
-                let g = vector_csr_spmm_bucketed(gpu, m, &xs, &ys, tpb, gplan, *widths);
-                (g.merged.clone(), Some(g))
+                vector_csr_bucketed_members(m, xs, ys.clone(), tpb, gplan, *widths)
             }
-            None => (vector_csr_spmm(gpu, m, &xs, &ys, tpb, self.width), None),
+            None => vec![vector_csr_member(m, xs, ys.clone(), tpb, self.width)],
         };
-        (ys.iter().map(|y| y.to_vec()).collect(), stats, group)
+        let key = self.direction << 32 | inputs.len() as u64;
+        let group = gpu.launch_group(Some(key), members);
+        (ys.iter().map(|y| y.to_vec()).collect(), group)
     }
 }
 
@@ -627,14 +632,12 @@ impl DoseCalculator {
         let mut merged = KernelStats::default();
         let mut group_acc: Option<GroupStats> = None;
         for chunk in inputs.chunks(MAX_SPMM_BATCH) {
-            let (outs, stats, group) = op.run(&self.gpu, self.threads_per_block, chunk);
-            if let Some(g) = group {
-                match &mut group_acc {
-                    Some(acc) => acc.accumulate(&g),
-                    None => group_acc = Some(g),
-                }
+            let (outs, group) = op.run(&self.gpu, self.threads_per_block, chunk);
+            merged.accumulate(&group.merged);
+            match &mut group_acc {
+                Some(acc) => acc.accumulate(&group),
+                None => group_acc = Some(group),
             }
-            merged.accumulate(&stats);
             outputs.extend(outs);
         }
         Ok(BatchDoseResult {

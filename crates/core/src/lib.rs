@@ -44,7 +44,8 @@ pub mod vector_csr;
 
 pub use baseline::{rs_baseline_gpu_spmv, GpuRsMatrix};
 pub use bucketed::{
-    bucket_label, bucketed_group_report, vector_csr_spmm_bucketed, BucketWidths, GpuRowPlan,
+    bucket_label, bucketed_group_report, vector_csr_bucketed_members, vector_csr_spmm_bucketed,
+    BucketWidths, GpuRowPlan,
 };
 pub use calculator::{
     BatchDoseResult, DoseCalculator, DoseCalculatorBuilder, DoseResult, PrecisionProfile,
@@ -63,7 +64,8 @@ pub use select::{
 };
 pub use sell_kernel::{sell_spmv, GpuSellMatrix};
 pub use vector_csr::{
-    vector_csr_reference, vector_csr_spmm, GpuCsrMatrix, VecScalar, MAX_SPMM_BATCH,
+    vector_csr_member, vector_csr_reference, vector_csr_spmm, GpuCsrMatrix, VecScalar,
+    MAX_SPMM_BATCH,
 };
 
 pub use rt_gpusim::TILE_WIDTHS;

@@ -53,7 +53,8 @@ use crate::bucketed::BucketWidths;
 use rt_f16::DoseScalar;
 use rt_gpusim::buffer::OutScalar;
 use rt_gpusim::{
-    DeviceBuffer, DeviceOutBuffer, Gpu, Grid, KernelStats, WarpCtx, TILE_WIDTHS, WARP_SIZE,
+    DeviceBuffer, DeviceOutBuffer, Gpu, Grid, GroupMember, KernelStats, WarpCtx, TILE_WIDTHS,
+    WARP_SIZE,
 };
 use rt_sparse::{bucket_index_for_len, ColIndex, Csr};
 
@@ -175,15 +176,30 @@ pub fn vector_csr_spmm<V: DoseScalar, I: ColIndex, X: VecScalar>(
     threads_per_block: u32,
     width: u32,
 ) -> KernelStats {
+    let member = vector_csr_member(m, xs.to_vec(), ys.to_vec(), threads_per_block, width);
+    gpu.launch_group(None, vec![member]).merged
+}
+
+/// The one launch of a [`vector_csr_spmm`] call as a group member, so a
+/// caller can run it through [`Gpu::launch_group`] with a key.
+pub fn vector_csr_member<'a, V: DoseScalar, I: ColIndex, X: VecScalar>(
+    m: &'a GpuCsrMatrix<V, I>,
+    xs: Vec<&'a DeviceBuffer<X>>,
+    ys: Vec<&'a DeviceOutBuffer<X>>,
+    threads_per_block: u32,
+    width: u32,
+) -> GroupMember<'a> {
     assert!(
         TILE_WIDTHS.contains(&width),
         "tile width must be one of {TILE_WIDTHS:?}, got {width}"
     );
-    assert_batch(m, xs, ys);
+    assert_batch(m, &xs, &ys);
+    let grid = Grid::tile_per_item(m.nrows, width, threads_per_block);
+    let label = format!("width {width}");
     if width as usize == WARP_SIZE {
-        warp_per_row(gpu, m, xs, ys, threads_per_block)
+        GroupMember::new(label, grid, width, move |w| warp_per_row(w, m, &xs, &ys))
     } else {
-        tile_per_row(gpu, m, xs, ys, threads_per_block, width)
+        GroupMember::new(label, grid, width, move |w| tile_per_row(w, m, &xs, &ys))
     }
 }
 
@@ -273,70 +289,58 @@ impl<X: VecScalar> RowAccumulator<X> {
 /// Listing 1: one warp per row, scalar row-pointer loads, the full-warp
 /// shuffle-down reduction, one scalar store per vector.
 fn warp_per_row<V: DoseScalar, I: ColIndex, X: VecScalar>(
-    gpu: &Gpu,
+    w: &WarpCtx,
     m: &GpuCsrMatrix<V, I>,
     xs: &[&DeviceBuffer<X>],
     ys: &[&DeviceOutBuffer<X>],
-    threads_per_block: u32,
-) -> KernelStats {
-    let grid = Grid::warp_per_item(m.nrows, threads_per_block);
-    let nrows = m.nrows;
+) {
+    let row = w.warp_id();
+    if row >= m.nrows {
+        return;
+    }
+    let start = w.load_scalar(&m.row_ptr, row) as usize;
+    let end = w.load_scalar(&m.row_ptr, row + 1) as usize;
 
-    gpu.launch(grid, |w| {
-        let row = w.warp_id();
-        if row >= nrows {
-            return;
-        }
-        let start = w.load_scalar(&m.row_ptr, row) as usize;
-        let end = w.load_scalar(&m.row_ptr, row + 1) as usize;
-
-        let mut acc = RowAccumulator::new();
-        acc.accumulate(w, m, start, end, WARP_SIZE, xs);
-        for (l, y) in acc.lanes.iter_mut().zip(ys) {
-            let sum = w.reduce_sum(l);
-            w.store_scalar(y, row, sum);
-        }
-    })
+    let mut acc = RowAccumulator::new();
+    acc.accumulate(w, m, start, end, WARP_SIZE, xs);
+    for (l, y) in acc.lanes.iter_mut().zip(ys) {
+        let sum = w.reduce_sum(l);
+        w.store_scalar(y, row, sum);
+    }
 }
 
 /// Sub-warp tiles: `32 / width` consecutive rows per warp, one coalesced
 /// row-pointer span and one coalesced store span per vector per warp.
 fn tile_per_row<V: DoseScalar, I: ColIndex, X: VecScalar>(
-    gpu: &Gpu,
+    w: &WarpCtx,
     m: &GpuCsrMatrix<V, I>,
     xs: &[&DeviceBuffer<X>],
     ys: &[&DeviceOutBuffer<X>],
-    threads_per_block: u32,
-    width: u32,
-) -> KernelStats {
-    let grid = Grid::tile_per_item(m.nrows, width, threads_per_block);
+) {
     let nrows = m.nrows;
-    let tw = width as usize;
+    let tw = w.tile_width() as usize;
+    let base = w.tile_base();
+    if base >= nrows {
+        return;
+    }
+    let rows_here = (w.tiles_per_warp() as usize).min(nrows - base);
+    // One coalesced row-pointer read for the whole warp's rows.
+    let ptrs = w.load_span(&m.row_ptr, base..base + rows_here + 1);
 
-    gpu.launch_tiled(grid, width, |w| {
-        let base = w.tile_base();
-        if base >= nrows {
-            return;
+    let mut acc = RowAccumulator::new();
+    let mut sums = [[X::default(); WARP_SIZE]; MAX_SPMM_BATCH];
+
+    for t in 0..rows_here {
+        acc.accumulate(w, m, ptrs[t] as usize, ptrs[t + 1] as usize, tw, xs);
+        for (l, s) in acc.lanes[..xs.len()].iter_mut().zip(&mut sums) {
+            s[t] = w.reduce_sum_tile(&mut l[..tw]);
         }
-        let rows_here = (w.tiles_per_warp() as usize).min(nrows - base);
-        // One coalesced row-pointer read for the whole warp's rows.
-        let ptrs = w.load_span(&m.row_ptr, base..base + rows_here + 1);
+    }
 
-        let mut acc = RowAccumulator::new();
-        let mut sums = [[X::default(); WARP_SIZE]; MAX_SPMM_BATCH];
-
-        for t in 0..rows_here {
-            acc.accumulate(w, m, ptrs[t] as usize, ptrs[t + 1] as usize, tw, xs);
-            for (l, s) in acc.lanes[..xs.len()].iter_mut().zip(&mut sums) {
-                s[t] = w.reduce_sum_tile(&mut l[..tw]);
-            }
-        }
-
-        // One coalesced store of all the warp's row sums per vector.
-        for (s, y) in sums.iter().zip(ys) {
-            w.store_span(y, base, &s[..rows_here]);
-        }
-    })
+    // One coalesced store of all the warp's row sums per vector.
+    for (s, y) in sums.iter().zip(ys) {
+        w.store_span(y, base, &s[..rows_here]);
+    }
 }
 
 /// Host-side reference of the exact arithmetic every vector-CSR launch

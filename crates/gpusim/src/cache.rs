@@ -36,6 +36,38 @@
 //! — and therefore every hit, miss, victim, write-back and flush count —
 //! unchanged. A write re-hit still marks the way dirty.
 //!
+//! # Known states and the launch memo
+//!
+//! The executor's launch memo (see [`crate::exec`]) skips the probes of a
+//! keyed launch whose start state it knows. It rests on this argument:
+//!
+//! 1. A set's future behaviour depends only on its resident tags in LRU
+//!    order. Way positions and absolute stamps never decide a hit, a
+//!    victim or a write-back, and the end-of-kernel flush clears every
+//!    dirty bit, so every launch starts clean.
+//! 2. A launch *overwrites* a set when every way of that set holds a tag
+//!    stamped during the launch. The set then holds the last `ways`
+//!    distinct sectors the launch touched there, in last-touch order: a
+//!    function of the launch's sector stream alone. A newest-way
+//!    fast-path hit does not restamp, so a pre-launch tag re-hit that
+//!    way keeps its old stamp and the set does not count as overwritten;
+//!    the test is conservative, never wrong.
+//! 3. A launch is *saturating* when it overwrites every set
+//!    ([`L2Port::overwrote_every_set`]). Its end state then depends only
+//!    on its stream. That needs at least [`L2Cache::sectors`] probes, so
+//!    the executor checks that cheap bound before the O(sets × ways)
+//!    scan, which then costs no more than the probes did.
+//! 4. The cache tracks an [`L2State`]: `Cold` when new or invalidated,
+//!    `After(key)` once the executor installs it after a saturating keyed
+//!    launch, `Unknown` otherwise. Taking an owned port moves the state
+//!    to `Unknown` (the port remembers the state it started from), and so
+//!    does taking a shared port, so only an owned launch that declares
+//!    what it left behind ([`L2Port::set_state`]) leaves a known state.
+//! 5. A memo hit installs a [`L2Snapshot`] of the arrays a saturating run
+//!    of the same key left behind ([`L2Port::restore`]). Its tags and
+//!    within-set stamp order are what interpretation would leave, so every
+//!    later probe behaves identically.
+//!
 //! The model intentionally omits the L1/SMEM level: for streaming SpMV
 //! kernels L1 hit rates are negligible for the matrix (each element is
 //! touched once) and the input-vector reuse the paper discusses is an L2
@@ -51,6 +83,7 @@ const SHARDS: usize = 64;
 
 /// One shard's sets as parallel arrays: `sets_per_shard * ways` way
 /// entries, set-major, plus one generation per set.
+#[derive(Clone)]
 struct Shard {
     /// Sector tag + 1 per way; 0 marks an empty way.
     tags: Vec<u64>,
@@ -106,6 +139,29 @@ impl Shard {
         }
         debug_assert_eq!(remaining, 0, "dirty count out of sync");
         std::mem::take(&mut self.dirty_ways)
+    }
+
+    /// Whether every set is live and every way holds a tag stamped after
+    /// `since` (argument step 2 in the module docs).
+    fn overwritten_since(&self, since: u64) -> bool {
+        self.set_gen.iter().all(|&g| g == self.gen)
+            && self
+                .tags
+                .iter()
+                .zip(&self.stamps)
+                .all(|(&tag, &stamp)| tag != 0 && stamp > since)
+    }
+
+    /// Becomes a copy of `src`, reusing this shard's allocations.
+    fn copy_from(&mut self, src: &Shard) {
+        self.tags.copy_from_slice(&src.tags);
+        self.stamps.copy_from_slice(&src.stamps);
+        self.dirty.copy_from_slice(&src.dirty);
+        self.set_gen.copy_from_slice(&src.set_gen);
+        self.mru.copy_from_slice(&src.mru);
+        self.stamp = src.stamp;
+        self.gen = src.gen;
+        self.dirty_ways = src.dirty_ways;
     }
 }
 
@@ -188,10 +244,30 @@ pub struct AccessResult {
     pub writeback: bool,
 }
 
+/// What is known about a cache's contents between launches (module docs,
+/// step 4).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum L2State {
+    /// Empty: a new cache, or one just invalidated.
+    Cold,
+    /// Exactly what a saturating launch keyed `key` leaves behind.
+    After(u64),
+    /// Anything else.
+    Unknown,
+}
+
+/// A copy of every shard's arrays, taken after a saturating launch and
+/// installed in place of re-running it: `sets × (ways × 17 + 9)` bytes
+/// (tag, stamp and dirty bit per way; generation and newest way per set).
+pub struct L2Snapshot(Box<[Shard]>);
+
 /// The cache model. Cheap to probe, safe to share across threads.
 pub struct L2Cache {
     /// Read-locked by every shared port, write-locked by an owned one.
     shards: RwLock<Box<[Mutex<Shard>]>>,
+    /// Written only by a holder of a port or of the write lock, so an
+    /// owned port reads the state the previous holder left.
+    state: Mutex<L2State>,
     nsets: u64,
     ways: usize,
     /// `nsets - 1`; set count is a power of two, so set selection is a
@@ -225,6 +301,7 @@ impl L2Cache {
             .collect();
         L2Cache {
             shards: RwLock::new(shards),
+            state: Mutex::new(L2State::Cold),
             nsets,
             ways,
             set_mask: nsets - 1,
@@ -235,7 +312,13 @@ impl L2Cache {
 
     /// Capacity in bytes (rounded to the power-of-two set count).
     pub fn capacity_bytes(&self) -> u64 {
-        self.nsets * self.ways as u64 * SECTOR_BYTES
+        self.sectors() * SECTOR_BYTES
+    }
+
+    /// Capacity in sectors (`sets × ways`): the fewest probes that can
+    /// overwrite every set.
+    pub fn sectors(&self) -> u64 {
+        self.nsets * self.ways as u64
     }
 
     #[inline]
@@ -249,21 +332,30 @@ impl L2Cache {
 
     /// A port that shares the cache with other shared ports: each run of
     /// sectors in one shard is probed under that shard's lock. Blocks
-    /// while an owned port is live.
+    /// while an owned port is live. The cache's state becomes
+    /// [`L2State::Unknown`].
     pub fn shared(&self) -> L2Port<'_> {
+        let shards = self.shards.read();
+        *self.state.lock() = L2State::Unknown;
         L2Port {
             cache: self,
-            shards: Shards::Shared(self.shards.read()),
+            shards: Shards::Shared(shards),
+            start: L2State::Unknown,
         }
     }
 
     /// A port with sole use of the cache until it is dropped: probes take
     /// no lock. Blocks until every other port is dropped, so a thread
-    /// must not hold another port of the same cache.
+    /// must not hold another port of the same cache. The port remembers
+    /// the state the cache was in ([`L2Port::start_state`]) and leaves
+    /// [`L2State::Unknown`] unless told otherwise ([`L2Port::set_state`]).
     pub fn owned(&self) -> L2Port<'_> {
+        let shards = self.shards.write();
+        let start = std::mem::replace(&mut *self.state.lock(), L2State::Unknown);
         L2Port {
             cache: self,
-            shards: Shards::Owned(RefCell::new(self.shards.write())),
+            shards: Shards::Owned(RefCell::new(shards)),
+            start,
         }
     }
 
@@ -272,12 +364,14 @@ impl L2Cache {
     /// capacity. Stale sets are cleared on their next probe, so counters
     /// are unaffected by the representation. Waits for live ports.
     pub fn invalidate(&self) {
-        for shard in self.shards.write().iter_mut() {
+        let mut shards = self.shards.write();
+        for shard in shards.iter_mut() {
             let s = shard.get_mut();
             s.gen += 1;
             // Stale dirty data is discarded, never written back.
             s.dirty_ways = 0;
         }
+        *self.state.lock() = L2State::Cold;
     }
 }
 
@@ -295,9 +389,11 @@ enum Shards<'a> {
 pub struct L2Port<'a> {
     cache: &'a L2Cache,
     shards: Shards<'a>,
+    /// The cache's state when the port was taken.
+    start: L2State,
 }
 
-impl L2Port<'_> {
+impl<'a> L2Port<'a> {
     /// Accesses the sector containing byte address `addr`. `write` marks
     /// the sector dirty.
     pub fn access(&self, addr: u64, write: bool) -> AccessResult {
@@ -367,6 +463,81 @@ impl L2Port<'_> {
             Shards::Shared(shards) => shards.iter().map(|s| s.lock().flush(ways)).sum(),
         }
     }
+
+    /// The cache's state when this port was taken ([`L2State::Unknown`]
+    /// for a shared port).
+    pub fn start_state(&self) -> L2State {
+        self.start
+    }
+
+    /// Declares what the cache holds when this owned port is dropped.
+    ///
+    /// # Panics
+    ///
+    /// On a shared port.
+    pub fn set_state(&self, state: L2State) {
+        self.owned_shards();
+        *self.cache.state.lock() = state;
+    }
+
+    /// Each shard's stamp counter: pass it to
+    /// [`L2Port::overwrote_every_set`] after the launch.
+    ///
+    /// # Panics
+    ///
+    /// On a shared port.
+    pub fn stamps(&self) -> Vec<u64> {
+        self.owned_shards()
+            .iter_mut()
+            .map(|s| s.get_mut().stamp)
+            .collect()
+    }
+
+    /// Whether every way of every set holds a tag stamped since `stamps`
+    /// were read: the launch in between was saturating (module docs,
+    /// step 3). O(sets × ways).
+    ///
+    /// # Panics
+    ///
+    /// On a shared port.
+    pub fn overwrote_every_set(&self, stamps: &[u64]) -> bool {
+        self.owned_shards()
+            .iter_mut()
+            .zip(stamps)
+            .all(|(s, &since)| s.get_mut().overwritten_since(since))
+    }
+
+    /// A copy of the whole cache.
+    ///
+    /// # Panics
+    ///
+    /// On a shared port.
+    pub fn snapshot(&self) -> L2Snapshot {
+        L2Snapshot(
+            self.owned_shards()
+                .iter_mut()
+                .map(|s| s.get_mut().clone())
+                .collect(),
+        )
+    }
+
+    /// Makes the cache a copy of `snapshot`, taken from this cache.
+    ///
+    /// # Panics
+    ///
+    /// On a shared port.
+    pub fn restore(&self, snapshot: &L2Snapshot) {
+        for (s, src) in self.owned_shards().iter_mut().zip(snapshot.0.iter()) {
+            s.get_mut().copy_from(src);
+        }
+    }
+
+    fn owned_shards(&self) -> std::cell::RefMut<'_, RwLockWriteGuard<'a, Box<[Mutex<Shard>]>>> {
+        match &self.shards {
+            Shards::Owned(shards) => shards.borrow_mut(),
+            Shards::Shared(_) => panic!("needs an owned L2 port"),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -377,7 +548,8 @@ mod tests {
 
     /// `probe` without the newest-way fast path: a full way scan and a
     /// stamp bump on every access. The differential tests check the
-    /// production `probe` against it.
+    /// production `probe` against it. It keeps each set's newest way up
+    /// to date, so the production `probe` can continue from its state.
     fn reference_probe(
         shard: &mut Shard,
         set: usize,
@@ -400,6 +572,7 @@ mod tests {
         let key = sector + 1;
         if let Some(w) = tags.iter().position(|&t| t == key) {
             stamps[w] = stamp;
+            shard.mru[set] = w as u8;
             if write && !dirty[w] {
                 dirty[w] = true;
                 shard.dirty_ways += 1;
@@ -418,6 +591,7 @@ mod tests {
         tags[victim] = key;
         stamps[victim] = stamp;
         dirty[victim] = write;
+        shard.mru[set] = victim as u8;
         shard.dirty_ways += write as u64;
         shard.dirty_ways -= writeback as u64;
         AccessResult {
@@ -545,6 +719,130 @@ mod tests {
                 );
                 assert!(seen(|o| matches!(o, Outcome::Flushed(n) if *n > 0)));
             }
+        }
+    }
+
+    /// Each set's live tags, least recently used first, sets in index
+    /// order.
+    fn lru_order(c: &L2Cache) -> Vec<Vec<u64>> {
+        let ways = c.ways;
+        let mut out = Vec::new();
+        for shard in c.shards.write().iter_mut() {
+            let s = shard.get_mut();
+            for set in 0..s.set_gen.len() {
+                let mut live: Vec<(u64, u64)> = (set * ways..(set + 1) * ways)
+                    .filter(|&w| s.set_gen[set] == s.gen && s.tags[w] != 0)
+                    .map(|w| (s.stamps[w], s.tags[w]))
+                    .collect();
+                live.sort_unstable();
+                out.push(live.into_iter().map(|(_, tag)| tag).collect());
+            }
+        }
+        out
+    }
+
+    /// Two caches of `sets × ways` in different seeded start states: one
+    /// warmed through `reference_probe`, one through an owned port. Both
+    /// end clean, as every launch does, with `last` as the newest way of
+    /// its set.
+    fn twin_starts(sets: usize, ways: usize, last: u64) -> [L2Cache; 2] {
+        let capacity = sets * ways * SECTOR_BYTES as usize;
+        let sectors = 3 * (sets * ways) as u64;
+        let a = L2Cache::new(capacity, ways);
+        run_reference(&a, &ops(11, sectors, 900));
+        run_reference(&a, &[Op::Access(last, false)]);
+        let b = L2Cache::new(capacity, ways);
+        run_port(&b, &ops(12, sectors, 900), true);
+        run_port(&b, &[Op::Access(last, false)], true);
+        for c in [&a, &b] {
+            c.owned().flush_dirty();
+        }
+        [a, b]
+    }
+
+    /// Feeds `stream` through an owned port as one launch; returns whether
+    /// it overwrote every set, and the access results.
+    fn launch(c: &L2Cache, stream: &[(u64, bool)]) -> (bool, Vec<AccessResult>) {
+        let port = c.owned();
+        let stamps = port.stamps();
+        let results = stream
+            .iter()
+            .map(|&(sector, write)| port.access(sector * SECTOR_BYTES, write))
+            .collect();
+        port.flush_dirty();
+        (port.overwrote_every_set(&stamps), results)
+    }
+
+    /// A seeded stream over three times the cache's sectors, about one
+    /// write in three, with no access to `skip`.
+    fn stream(seed: u64, sets: usize, ways: usize, len: usize, skip: u64) -> Vec<(u64, bool)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let sectors = 3 * (sets * ways) as u64;
+        std::iter::repeat_with(|| (rng.gen_range(0..sectors), rng.gen_range(0..3u32) == 0))
+            .filter(|&(sector, _)| sector != skip)
+            .take(len)
+            .collect()
+    }
+
+    #[test]
+    fn a_saturating_launch_leaves_the_same_lru_order_from_any_start() {
+        for (sets, ways) in [(8usize, 4usize), (128, 16), (256, 2)] {
+            let caches = twin_starts(sets, ways, 0);
+            assert_ne!(
+                lru_order(&caches[0]),
+                lru_order(&caches[1]),
+                "starts differ"
+            );
+            let s = stream(7, sets, ways, 10 * sets * ways, u64::MAX);
+            for c in &caches {
+                assert!(launch(c, &s).0, "saturates ({sets} sets x {ways} ways)");
+            }
+            assert_eq!(lru_order(&caches[0]), lru_order(&caches[1]));
+
+            // A snapshot installed over a third start state behaves the
+            // same from here on.
+            let [a, b] = &caches;
+            let c = &twin_starts(sets, ways, 5)[1];
+            c.owned().restore(&a.owned().snapshot());
+            let next = stream(8, sets, ways, 4 * sets * ways, u64::MAX);
+            let want = launch(a, &next);
+            assert_eq!(launch(b, &next), want);
+            assert_eq!(launch(c, &next), want);
+        }
+    }
+
+    #[test]
+    fn a_short_set_or_an_old_tag_kept_by_the_fast_path_is_not_saturation() {
+        let (sets, ways) = (64usize, 8usize);
+        let in_set_0 = |sector: u64| sector.is_multiple_of(sets as u64);
+        let others = stream(9, sets, ways, 20 * sets * ways, u64::MAX);
+        let others = others.into_iter().filter(|&(s, _)| !in_set_0(s));
+
+        // Set 0 sees only `ways - 1` distinct sectors.
+        let short: Vec<(u64, bool)> = (1..ways as u64)
+            .map(|k| (k * sets as u64, false))
+            .chain(others.clone())
+            .collect();
+        for c in &twin_starts(sets, ways, 0) {
+            assert!(!launch(c, &short).0, "set 0 is short of {ways} sectors");
+        }
+
+        // Set 0 sees `ways` distinct sectors, but the first is sector 0,
+        // already its newest way: the fast-path re-hit keeps the
+        // pre-launch stamp.
+        let rehit: Vec<(u64, bool)> = std::iter::once((0, false))
+            .chain(short.iter().copied())
+            .collect();
+        for c in &twin_starts(sets, ways, 0) {
+            let (saturated, results) = launch(c, &rehit);
+            assert!(results[0].hit);
+            assert!(!saturated, "sector 0 kept its pre-launch stamp");
+        }
+
+        // The same stream saturates once sector 0 is not resident first.
+        for c in &twin_starts(sets, ways, 0) {
+            c.invalidate();
+            assert!(launch(c, &rehit).0);
         }
     }
 

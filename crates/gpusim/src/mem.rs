@@ -162,6 +162,11 @@ impl MemSystem {
         base
     }
 
+    /// Whether any buffer was registered for traffic attribution.
+    pub(crate) fn has_named_regions(&self) -> bool {
+        !self.snapshot.read().is_empty()
+    }
+
     /// Builds a worker's counter block: the usual zeroed tallies plus a
     /// snapshot of the current regions for lock-free attribution. Flush
     /// with [`MemSystem::flush_region_counts`] (the executor does, once
