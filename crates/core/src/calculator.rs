@@ -164,7 +164,7 @@ impl<'m> DoseCalculatorBuilder<'m> {
 
     /// Cooperative-group tile width for the SpMV kernels (default 32,
     /// the paper's warp-per-row kernel). Narrower widths run
-    /// [`vector_csr_spmm`]'s sub-warp tiles; use
+    /// [`crate::vector_csr_spmm`]'s sub-warp tiles; use
     /// [`KernelSelect`](crate::KernelSelect) to pick one automatically.
     pub fn tile_width(mut self, tile_width: u32) -> Self {
         self.tile_width = tile_width;
@@ -589,7 +589,7 @@ impl DoseCalculator {
     ///
     /// Every output is bitwise identical to the corresponding
     /// [`DoseCalculator::compute_dose`] call (see
-    /// [`vector_csr_spmm`]'s determinism contract).
+    /// [`crate::vector_csr_spmm`]'s determinism contract).
     pub fn compute_dose_batch(&self, weights: &[&[f64]]) -> Result<BatchDoseResult, RtError> {
         self.batched(&self.dose, "weights", weights)
     }

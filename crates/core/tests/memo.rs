@@ -98,10 +98,13 @@ impl Side {
         (group, outs)
     }
 
-    /// An un-keyed whole-matrix dose launch on slot 0.
-    fn unkeyed(&self) {
-        let d = &self.dirs[0];
-        vector_csr_spmm(&self.gpu, &d.matrix, &[&d.xs[0]], &[&d.ys[0]], 512, 16);
+    /// An un-keyed whole-matrix launch on slot 0: the dose direction at
+    /// width 16 or the gradient direction at width 8, leaving different
+    /// L2 contents behind.
+    fn unkeyed(&self, dir: usize) {
+        let d = &self.dirs[dir];
+        let width = [16, 8][dir];
+        vector_csr_spmm(&self.gpu, &d.matrix, &[&d.xs[0]], &[&d.ys[0]], 512, width);
     }
 }
 
@@ -135,8 +138,9 @@ fn run_twins(spec: DeviceSpec, steps: usize, seed: u64) -> rt_gpusim::MemoCounts
                 plain.gpu.reset_cache();
             }
             1 => {
-                keyed.unkeyed();
-                plain.unkeyed();
+                let dir = rng.gen_range(0..2);
+                keyed.unkeyed(dir);
+                plain.unkeyed(dir);
             }
             r => {
                 let (dir, dispatch, batch) = if r < 7 {

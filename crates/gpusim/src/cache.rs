@@ -53,18 +53,18 @@
 //!    way keeps its old stamp and the set does not count as overwritten;
 //!    the test is conservative, never wrong.
 //! 3. A launch is *saturating* when it overwrites every set
-//!    ([`L2Port::overwrote_every_set`]). Its end state then depends only
-//!    on its stream. That needs at least [`L2Cache::sectors`] probes, so
+//!    (`L2Port::overwrote_every_set`). Its end state then depends only
+//!    on its stream. That needs at least `L2Cache::sectors` probes, so
 //!    the executor checks that cheap bound before the O(sets × ways)
 //!    scan, which then costs no more than the probes did.
-//! 4. The cache tracks an [`L2State`]: `Cold` when new or invalidated,
+//! 4. The cache tracks an `L2State`: `Cold` when new or invalidated,
 //!    `After(key)` once the executor installs it after a saturating keyed
 //!    launch, `Unknown` otherwise. Taking an owned port moves the state
 //!    to `Unknown` (the port remembers the state it started from), and so
 //!    does taking a shared port, so only an owned launch that declares
-//!    what it left behind ([`L2Port::set_state`]) leaves a known state.
-//! 5. A memo hit installs a [`L2Snapshot`] of the arrays a saturating run
-//!    of the same key left behind ([`L2Port::restore`]). Its tags and
+//!    what it left behind (`L2Port::set_state`) leaves a known state.
+//! 5. A memo hit installs an `L2Snapshot` of the arrays a saturating run
+//!    of the same key left behind (`L2Port::restore`). Its tags and
 //!    within-set stamp order are what interpretation would leave, so every
 //!    later probe behaves identically.
 //!
@@ -247,7 +247,7 @@ pub struct AccessResult {
 /// What is known about a cache's contents between launches (module docs,
 /// step 4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum L2State {
+pub(crate) enum L2State {
     /// Empty: a new cache, or one just invalidated.
     Cold,
     /// Exactly what a saturating launch keyed `key` leaves behind.
@@ -259,7 +259,7 @@ pub enum L2State {
 /// A copy of every shard's arrays, taken after a saturating launch and
 /// installed in place of re-running it: `sets × (ways × 17 + 9)` bytes
 /// (tag, stamp and dirty bit per way; generation and newest way per set).
-pub struct L2Snapshot(Box<[Shard]>);
+pub(crate) struct L2Snapshot(Box<[Shard]>);
 
 /// The cache model. Cheap to probe, safe to share across threads.
 pub struct L2Cache {
@@ -317,7 +317,7 @@ impl L2Cache {
 
     /// Capacity in sectors (`sets × ways`): the fewest probes that can
     /// overwrite every set.
-    pub fn sectors(&self) -> u64 {
+    pub(crate) fn sectors(&self) -> u64 {
         self.nsets * self.ways as u64
     }
 
@@ -332,8 +332,8 @@ impl L2Cache {
 
     /// A port that shares the cache with other shared ports: each run of
     /// sectors in one shard is probed under that shard's lock. Blocks
-    /// while an owned port is live. The cache's state becomes
-    /// [`L2State::Unknown`].
+    /// while an owned port is live. The cache's state becomes unknown
+    /// (module docs, step 4).
     pub fn shared(&self) -> L2Port<'_> {
         let shards = self.shards.read();
         *self.state.lock() = L2State::Unknown;
@@ -347,8 +347,8 @@ impl L2Cache {
     /// A port with sole use of the cache until it is dropped: probes take
     /// no lock. Blocks until every other port is dropped, so a thread
     /// must not hold another port of the same cache. The port remembers
-    /// the state the cache was in ([`L2Port::start_state`]) and leaves
-    /// [`L2State::Unknown`] unless told otherwise ([`L2Port::set_state`]).
+    /// the state the cache was in and leaves it unknown unless told
+    /// otherwise (module docs, step 4).
     pub fn owned(&self) -> L2Port<'_> {
         let shards = self.shards.write();
         let start = std::mem::replace(&mut *self.state.lock(), L2State::Unknown);
@@ -466,7 +466,7 @@ impl<'a> L2Port<'a> {
 
     /// The cache's state when this port was taken ([`L2State::Unknown`]
     /// for a shared port).
-    pub fn start_state(&self) -> L2State {
+    pub(crate) fn start_state(&self) -> L2State {
         self.start
     }
 
@@ -475,7 +475,7 @@ impl<'a> L2Port<'a> {
     /// # Panics
     ///
     /// On a shared port.
-    pub fn set_state(&self, state: L2State) {
+    pub(crate) fn set_state(&self, state: L2State) {
         self.owned_shards();
         *self.cache.state.lock() = state;
     }
@@ -486,7 +486,7 @@ impl<'a> L2Port<'a> {
     /// # Panics
     ///
     /// On a shared port.
-    pub fn stamps(&self) -> Vec<u64> {
+    pub(crate) fn stamps(&self) -> Vec<u64> {
         self.owned_shards()
             .iter_mut()
             .map(|s| s.get_mut().stamp)
@@ -500,7 +500,7 @@ impl<'a> L2Port<'a> {
     /// # Panics
     ///
     /// On a shared port.
-    pub fn overwrote_every_set(&self, stamps: &[u64]) -> bool {
+    pub(crate) fn overwrote_every_set(&self, stamps: &[u64]) -> bool {
         self.owned_shards()
             .iter_mut()
             .zip(stamps)
@@ -512,7 +512,7 @@ impl<'a> L2Port<'a> {
     /// # Panics
     ///
     /// On a shared port.
-    pub fn snapshot(&self) -> L2Snapshot {
+    pub(crate) fn snapshot(&self) -> L2Snapshot {
         L2Snapshot(
             self.owned_shards()
                 .iter_mut()
@@ -526,7 +526,7 @@ impl<'a> L2Port<'a> {
     /// # Panics
     ///
     /// On a shared port.
-    pub fn restore(&self, snapshot: &L2Snapshot) {
+    pub(crate) fn restore(&self, snapshot: &L2Snapshot) {
         for (s, src) in self.owned_shards().iter_mut().zip(snapshot.0.iter()) {
             s.get_mut().copy_from(src);
         }

@@ -28,10 +28,10 @@
 //! group then holds the owned L2 port and the memo lock from its first
 //! member to its last, and the memo remembers
 //!
-//! * the counters of each (start [`L2State`], key) pair, recorded only
+//! * the counters of each (start L2 state, key) pair, recorded only
 //!   from `Cold` or `After(_)` and only for saturating groups (every L2
 //!   set overwritten, see [`crate::cache`]);
-//! * the L2 contents each key leaves behind ([`L2Snapshot`]).
+//! * the L2 contents each key leaves behind.
 //!
 //! When the start state is known and the pair has been seen, the group
 //! runs the same kernel closures on the calling thread with memory
@@ -413,17 +413,15 @@ impl Gpu {
     /// then be answered from the launch memo (module docs) with the same
     /// counters and outputs; elsewhere the key is ignored.
     pub fn launch_group(&self, key: Option<u64>, members: Vec<GroupMember<'_>>) -> GroupStats {
-        let Some(key) = key else {
+        let memoizable = self.workers() == 1 && !self.mem.has_named_regions();
+        let Some(key) = key.filter(|_| memoizable) else {
+            if key.is_some() {
+                self.memo.lock().counts.keyed += 1;
+            }
             return group_stats(members, |m| {
                 self.launch_tiled(m.grid, m.tile_width, &m.kernel)
             });
         };
-        if self.workers() > 1 || self.mem.has_named_regions() {
-            self.memo.lock().counts.keyed += 1;
-            return group_stats(members, |m| {
-                self.launch_tiled(m.grid, m.tile_width, &m.kernel)
-            });
-        }
         let l2 = self.mem.l2().owned();
         let mut memo = self.memo.lock();
         memo.counts.keyed += 1;
