@@ -10,8 +10,8 @@ use crate::bucketed::{
     bucketed_group_report, vector_csr_bucketed_members, BucketWidths, GpuRowPlan,
 };
 use crate::error::RtError;
+use crate::profile_half_double;
 use crate::vector_csr::{vector_csr_member, GpuCsrMatrix, MAX_SPMM_BATCH};
-use crate::{profile_half_double, profile_single};
 use rt_f16::F16;
 use rt_gpusim::{
     DeviceBuffer, DeviceOutBuffer, DeviceSpec, Gpu, GroupReport, GroupStats, KernelStats,
@@ -20,19 +20,6 @@ use rt_gpusim::{
 use rt_sparse::{Csr, RowPlan};
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex, PoisonError};
-
-/// Which calibrated report profile the timing model uses (the arithmetic
-/// is always the Half/double kernel's; see [`crate::profile_single`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum PrecisionProfile {
-    /// Matrix in binary16, vectors in binary64 — the paper's production
-    /// configuration.
-    #[default]
-    HalfDouble,
-    /// The Single report profile used by the library-comparison
-    /// experiments.
-    Single,
-}
 
 /// Result of one dose calculation.
 #[derive(Clone, Debug)]
@@ -86,7 +73,6 @@ pub struct DoseCalculatorBuilder<'m> {
     scale: f64,
     row_scale: Option<f64>,
     grad_matrix: Option<Cow<'m, Csr<f64, u32>>>,
-    profile: PrecisionProfile,
     tile_width: u32,
     grad_tile_width: Option<u32>,
     partition: Option<(Option<Arc<RowPlan>>, BucketWidths)>,
@@ -102,7 +88,6 @@ impl<'m> DoseCalculatorBuilder<'m> {
             scale: 1.0,
             row_scale: None,
             grad_matrix: None,
-            profile: PrecisionProfile::HalfDouble,
             tile_width: 32,
             grad_tile_width: None,
             partition: None,
@@ -153,12 +138,6 @@ impl<'m> DoseCalculatorBuilder<'m> {
     /// shard *s* and gradient shard *s* side by side.
     pub fn gradient_matrix(mut self, t: &'m Csr<f64, u32>) -> Self {
         self.grad_matrix = Some(Cow::Borrowed(t));
-        self
-    }
-
-    /// Report profile for the timing model (default Half/double).
-    pub fn profile(mut self, profile: PrecisionProfile) -> Self {
-        self.profile = profile;
         self
     }
 
@@ -290,10 +269,7 @@ impl<'m> DoseCalculatorBuilder<'m> {
             gpu,
             dose,
             grad,
-            profile: match self.profile {
-                PrecisionProfile::HalfDouble => profile_half_double(),
-                PrecisionProfile::Single => profile_single(),
-            },
+            profile: profile_half_double(),
             threads_per_block: tpb,
             scale: self.scale,
             row_scale: self.row_scale,

@@ -47,9 +47,7 @@ pub use bucketed::{
     bucket_label, bucketed_group_report, vector_csr_bucketed_members, vector_csr_spmm_bucketed,
     BucketWidths, GpuRowPlan,
 };
-pub use calculator::{
-    BatchDoseResult, DoseCalculator, DoseCalculatorBuilder, DoseResult, PrecisionProfile,
-};
+pub use calculator::{BatchDoseResult, DoseCalculator, DoseCalculatorBuilder, DoseResult};
 pub use cpu::{cpu_csr_spmv, RsCpu};
 pub use error::RtError;
 pub use libs::{cusparse_csr_spmv, ginkgo_csr_spmv};

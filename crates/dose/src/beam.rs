@@ -9,7 +9,7 @@ use crate::physics;
 /// directions, the prostate case the two opposed ±x ones) — sufficient
 /// for reproducing matrix structure, and it keeps water-equivalent depth
 /// integration exact.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BeamAxis {
     /// Travelling toward +x (enters at x = 0).
     XPlus,
@@ -35,7 +35,7 @@ impl BeamAxis {
 
 /// One pencil-beam spot: a lateral position in the beam's eye view plus a
 /// beam energy (equivalently, an energy-layer range).
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Spot {
     /// First lateral coordinate in mm (y for x-beams, x for y-beams).
     pub u_mm: f64,

@@ -28,7 +28,7 @@ use crate::phantom::{Ellipsoid, Material, Phantom};
 use rt_sparse::Csr;
 
 /// Reference row of the paper's Table I.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PaperRow {
     pub rows: f64,
     pub cols: f64,
@@ -150,13 +150,6 @@ impl DoseCase {
     /// nnz-dominated; see the paper's own operational-intensity model).
     pub fn extrapolation(&self) -> f64 {
         self.paper.nnz / self.matrix.nnz() as f64
-    }
-
-    /// L2-scale factor to pair with [`DoseCase::extrapolation`]: the
-    /// simulated device's cache is shrunk by the same ratio so capacity
-    /// relations (matrix >> L2 > input vector) are preserved.
-    pub fn l2_scale(&self) -> f64 {
-        self.extrapolation().max(1.0)
     }
 }
 

@@ -7,7 +7,7 @@
 /// fastest-varying axis, so a beam travelling along ±x deposits dose in
 /// runs of consecutive indices (which is what makes the RayStation-style
 /// segment format compact).
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DoseGrid {
     pub nx: usize,
     pub ny: usize,

@@ -3,7 +3,7 @@
 use crate::grid::DoseGrid;
 
 /// Tissue materials with relative (water = 1.0) stopping densities.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Material {
     Air,
     Lung,
@@ -31,7 +31,7 @@ impl Material {
 
 /// An axis-aligned ellipsoid in voxel coordinates, used both for anatomy
 /// and to delineate targets / organs-at-risk.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Ellipsoid {
     pub center: (f64, f64, f64),
     pub radii: (f64, f64, f64),

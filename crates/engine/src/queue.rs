@@ -1,8 +1,7 @@
 //! Bounded MPMC request queue with blocking and non-blocking admission.
 //!
-//! Built on `std::sync::{Mutex, Condvar}` (the workspace's `parking_lot`
-//! shim has no condvar). Two admission paths implement the engine's two
-//! load-control policies:
+//! Built on `std::sync::{Mutex, Condvar}`. Two admission paths implement
+//! the engine's two load-control policies:
 //!
 //! * [`BoundedQueue::push`] **blocks** the submitter while the queue is
 //!   full — backpressure propagates to the client.

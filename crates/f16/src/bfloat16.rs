@@ -144,20 +144,6 @@ impl fmt::Display for Bf16 {
     }
 }
 
-#[cfg(feature = "serde")]
-impl serde::Serialize for Bf16 {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        self.0.serialize(s)
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<'de> serde::Deserialize<'de> for Bf16 {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        u16::deserialize(d).map(Bf16)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -322,20 +322,6 @@ impl fmt::Display for F16 {
     }
 }
 
-#[cfg(feature = "serde")]
-impl serde::Serialize for F16 {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        self.0.serialize(s)
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<'de> serde::Deserialize<'de> for F16 {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        u16::deserialize(d).map(F16)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

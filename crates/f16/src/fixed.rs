@@ -20,20 +20,6 @@ impl fmt::Debug for Fixed16 {
     }
 }
 
-#[cfg(feature = "serde")]
-impl serde::Serialize for Fixed16 {
-    fn serialize<S: serde::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        self.0.serialize(s)
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<'de> serde::Deserialize<'de> for Fixed16 {
-    fn deserialize<D: serde::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        u16::deserialize(d).map(Fixed16)
-    }
-}
-
 /// Linear quantizer mapping `[0, max_value]` onto `0..=65535`.
 ///
 /// The scale is chosen once per matrix (RayStation-style: the format header

@@ -68,13 +68,25 @@
 //!    within-set stamp order are what interpretation would leave, so every
 //!    later probe behaves identically.
 //!
+//! # Lock poisoning
+//!
+//! Only the shard array (write-locked by an owned port for a whole
+//! one-worker launch or keyed group) and the executor's launch memo are
+//! held while kernel code runs, so only they can be poisoned by a
+//! panicking kernel, and every acquisition of them recovers with
+//! `PoisonError::into_inner`: `probe` and the flush never call kernel
+//! code, taking an owned port already leaves the state `Unknown`, and the
+//! memo records only after a group returns. Every other simulator lock
+//! (the L2 state, each shard's mutex, and `MemSystem`'s regions and
+//! snapshot) is held only inside simulator code and takes `.unwrap()`.
+//!
 //! The model intentionally omits the L1/SMEM level: for streaming SpMV
 //! kernels L1 hit rates are negligible for the matrix (each element is
 //! touched once) and the input-vector reuse the paper discusses is an L2
 //! capacity effect.
 
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::cell::RefCell;
+use std::sync::{Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Transfer granularity between L2 and DRAM, in bytes.
 pub const SECTOR_BYTES: u64 = 32;
@@ -335,8 +347,8 @@ impl L2Cache {
     /// while an owned port is live. The cache's state becomes unknown
     /// (module docs, step 4).
     pub fn shared(&self) -> L2Port<'_> {
-        let shards = self.shards.read();
-        *self.state.lock() = L2State::Unknown;
+        let shards = self.shards.read().unwrap_or_else(PoisonError::into_inner);
+        *self.state.lock().unwrap() = L2State::Unknown;
         L2Port {
             cache: self,
             shards: Shards::Shared(shards),
@@ -350,8 +362,8 @@ impl L2Cache {
     /// the state the cache was in and leaves it unknown unless told
     /// otherwise (module docs, step 4).
     pub fn owned(&self) -> L2Port<'_> {
-        let shards = self.shards.write();
-        let start = std::mem::replace(&mut *self.state.lock(), L2State::Unknown);
+        let shards = self.write_shards();
+        let start = std::mem::replace(&mut *self.state.lock().unwrap(), L2State::Unknown);
         L2Port {
             cache: self,
             shards: Shards::Owned(RefCell::new(shards)),
@@ -364,14 +376,20 @@ impl L2Cache {
     /// capacity. Stale sets are cleared on their next probe, so counters
     /// are unaffected by the representation. Waits for live ports.
     pub fn invalidate(&self) {
-        let mut shards = self.shards.write();
+        let mut shards = self.write_shards();
         for shard in shards.iter_mut() {
-            let s = shard.get_mut();
+            let s = shard.get_mut().unwrap();
             s.gen += 1;
             // Stale dirty data is discarded, never written back.
             s.dirty_ways = 0;
         }
-        *self.state.lock() = L2State::Cold;
+        *self.state.lock().unwrap() = L2State::Cold;
+    }
+
+    /// Write-locks the shard array, recovering from poisoning (module
+    /// docs, *Lock poisoning*).
+    fn write_shards(&self) -> RwLockWriteGuard<'_, Box<[Mutex<Shard>]>> {
+        self.shards.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -419,7 +437,7 @@ impl<'a> L2Port<'a> {
                 for sector in sectors {
                     let (shard, set) = cache.shard_of(sector);
                     sink(probe(
-                        shards[shard].get_mut(),
+                        shards[shard].get_mut().unwrap(),
                         set,
                         cache.ways,
                         sector,
@@ -432,7 +450,7 @@ impl<'a> L2Port<'a> {
                 let Some(mut sector) = it.next() else { return };
                 'runs: loop {
                     let (shard_idx, mut set) = cache.shard_of(sector);
-                    let mut shard = shards[shard_idx].lock();
+                    let mut shard = shards[shard_idx].lock().unwrap();
                     loop {
                         sink(probe(&mut shard, set, cache.ways, sector, write));
                         sector = match it.next() {
@@ -458,9 +476,9 @@ impl<'a> L2Port<'a> {
             Shards::Owned(shards) => shards
                 .borrow_mut()
                 .iter_mut()
-                .map(|s| s.get_mut().flush(ways))
+                .map(|s| s.get_mut().unwrap().flush(ways))
                 .sum(),
-            Shards::Shared(shards) => shards.iter().map(|s| s.lock().flush(ways)).sum(),
+            Shards::Shared(shards) => shards.iter().map(|s| s.lock().unwrap().flush(ways)).sum(),
         }
     }
 
@@ -477,7 +495,7 @@ impl<'a> L2Port<'a> {
     /// On a shared port.
     pub(crate) fn set_state(&self, state: L2State) {
         self.owned_shards();
-        *self.cache.state.lock() = state;
+        *self.cache.state.lock().unwrap() = state;
     }
 
     /// Each shard's stamp counter: pass it to
@@ -489,7 +507,7 @@ impl<'a> L2Port<'a> {
     pub(crate) fn stamps(&self) -> Vec<u64> {
         self.owned_shards()
             .iter_mut()
-            .map(|s| s.get_mut().stamp)
+            .map(|s| s.get_mut().unwrap().stamp)
             .collect()
     }
 
@@ -504,7 +522,7 @@ impl<'a> L2Port<'a> {
         self.owned_shards()
             .iter_mut()
             .zip(stamps)
-            .all(|(s, &since)| s.get_mut().overwritten_since(since))
+            .all(|(s, &since)| s.get_mut().unwrap().overwritten_since(since))
     }
 
     /// A copy of the whole cache.
@@ -516,7 +534,7 @@ impl<'a> L2Port<'a> {
         L2Snapshot(
             self.owned_shards()
                 .iter_mut()
-                .map(|s| s.get_mut().clone())
+                .map(|s| s.get_mut().unwrap().clone())
                 .collect(),
         )
     }
@@ -528,7 +546,7 @@ impl<'a> L2Port<'a> {
     /// On a shared port.
     pub(crate) fn restore(&self, snapshot: &L2Snapshot) {
         for (s, src) in self.owned_shards().iter_mut().zip(snapshot.0.iter()) {
-            s.get_mut().copy_from(src);
+            s.get_mut().unwrap().copy_from(src);
         }
     }
 
@@ -644,8 +662,8 @@ mod tests {
             .filter_map(|&op| match op {
                 Op::Access(sector, write) => {
                     let (shard, set) = c.shard_of(sector);
-                    let mut shards = c.shards.write();
-                    let shard = shards[shard].get_mut();
+                    let mut shards = c.write_shards();
+                    let shard = shards[shard].get_mut().unwrap();
                     Some(Outcome::Access(reference_probe(
                         shard, set, c.ways, sector, write,
                     )))
@@ -677,7 +695,10 @@ mod tests {
     }
 
     fn stamps_issued(c: &L2Cache) -> u64 {
-        c.shards.write().iter_mut().map(|s| s.get_mut().stamp).sum()
+        c.write_shards()
+            .iter_mut()
+            .map(|s| s.get_mut().unwrap().stamp)
+            .sum()
     }
 
     #[test]
@@ -727,8 +748,8 @@ mod tests {
     fn lru_order(c: &L2Cache) -> Vec<Vec<u64>> {
         let ways = c.ways;
         let mut out = Vec::new();
-        for shard in c.shards.write().iter_mut() {
-            let s = shard.get_mut();
+        for shard in c.write_shards().iter_mut() {
+            let s = shard.get_mut().unwrap();
             for set in 0..s.set_gen.len() {
                 let mut live: Vec<(u64, u64)> = (set * ways..(set + 1) * ways)
                     .filter(|&w| s.set_gen[set] == s.gen && s.tags[w] != 0)

@@ -77,7 +77,7 @@ impl LocalCounters {
 
 /// Merged, immutable counter snapshot of one kernel launch, with derived
 /// metrics. This is what the roofline and timing models consume.
-#[derive(Clone, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct KernelStats {
     pub flops: u64,
     pub requested_bytes: u64,

@@ -15,7 +15,7 @@
 
 /// Floating-point precision of a kernel's arithmetic, selecting the
 /// compute ceiling in the roofline/timing model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Precision {
     Half,
     Single,
@@ -23,7 +23,7 @@ pub enum Precision {
 }
 
 /// Static description of a simulated GPU.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DeviceSpec {
     pub name: &'static str,
     /// Number of streaming multiprocessors.

@@ -49,10 +49,9 @@ use crate::cache::{L2Port, L2Snapshot, L2State};
 use crate::counters::{KernelStats, LocalCounters};
 use crate::device::DeviceSpec;
 use crate::mem::MemSystem;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Lanes per warp on every modeled device.
 pub const WARP_SIZE: usize = 32;
@@ -62,7 +61,7 @@ pub const WARP_SIZE: usize = 32;
 pub const TILE_WIDTHS: [u32; 5] = [2, 4, 8, 16, 32];
 
 /// A launch grid: number of thread blocks and threads per block.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Grid {
     pub blocks: u64,
     pub threads_per_block: u32,
@@ -218,11 +217,18 @@ impl Gpu {
 
     /// How often keyed launch groups hit the launch memo.
     pub fn memo_counts(&self) -> MemoCounts {
-        let memo = self.memo.lock();
+        let memo = self.memo();
         MemoCounts {
             entries: memo.stats.len(),
             ..memo.counts
         }
+    }
+
+    /// Locks the launch memo, recovering from poisoning: a keyed group
+    /// holds it while kernel code runs (see [`crate::cache`], *Lock
+    /// poisoning*).
+    fn memo(&self) -> MutexGuard<'_, Memo> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     #[inline]
@@ -416,14 +422,14 @@ impl Gpu {
         let memoizable = self.workers() == 1 && !self.mem.has_named_regions();
         let Some(key) = key.filter(|_| memoizable) else {
             if key.is_some() {
-                self.memo.lock().counts.keyed += 1;
+                self.memo().counts.keyed += 1;
             }
             return group_stats(members, |m| {
                 self.launch_tiled(m.grid, m.tile_width, &m.kernel)
             });
         };
         let l2 = self.mem.l2().owned();
-        let mut memo = self.memo.lock();
+        let mut memo = self.memo();
         memo.counts.keyed += 1;
         let start = l2.start_state();
         if let (Some(stats), Some(after)) = (memo.stats.get(&(start, key)), memo.after.get(&key)) {
@@ -1084,6 +1090,46 @@ mod tests {
         }
         assert_eq!(named.memo_counts().hits, 0);
         assert_eq!(named.traffic_report()[0].read_sectors, 3 * 2048);
+    }
+
+    #[test]
+    fn a_panicking_kernel_leaves_the_gpu_usable_and_exact() {
+        let spec = DeviceSpec::a100().with_l2_bytes(16 << 10);
+        let data: Vec<f64> = (0..8192).map(|i| (i % 97) as f64).collect();
+        let want: Vec<f64> = data.chunks(32).map(|c| c.iter().sum()).collect();
+        let gpus = [0, 1].map(|_| Gpu::with_mode(spec.clone(), ExecMode::Sequential));
+        let bufs = gpus.each_ref().map(|g| (g.upload(&data), g.alloc_out(256)));
+        for (g, (b, o)) in gpus.iter().zip(&bufs) {
+            keyed_sum(g, Some(7), b, o);
+        }
+        // Panicking mid-launch with the owned L2 port and the memo lock
+        // held poisons both.
+        let b = &bufs[1].0;
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let member = GroupMember::new("panics", Grid::warp_per_item(256, 256), 32, |w| {
+                let i = w.warp_id();
+                w.load_span(b, i * 32..(i + 1) * 32);
+                assert!(i < 100, "kernel panic at warp {i}");
+            });
+            gpus[1].launch_group(Some(8), vec![member])
+        }));
+        assert!(panicked.is_err());
+        for g in &gpus {
+            g.reset_cache();
+        }
+        for run in 0..3 {
+            let [a, b] = [0, 1].map(|i| {
+                let (buf, out) = &bufs[i];
+                out.clear();
+                let stats = keyed_sum(&gpus[i], Some(7), buf, out);
+                assert_eq!(out.to_vec(), want, "gpu {i}, run {run}");
+                stats
+            });
+            assert_eq!(a, b, "run {run}");
+        }
+        // Cold and After(7) were answered from the memo on both.
+        let hits = gpus.each_ref().map(|g| g.memo_counts().hits);
+        assert_eq!(hits, [2, 2]);
     }
 
     #[test]

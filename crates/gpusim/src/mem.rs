@@ -18,15 +18,14 @@
 use crate::cache::{L2Cache, L2Port, SECTOR_BYTES};
 use crate::counters::LocalCounters;
 use crate::device::DeviceSpec;
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// Per-named-buffer traffic attribution (Nsight's per-array view): lets
 /// experiments decompose a kernel's traffic into its matrix-value,
 /// index, input-vector and output-vector components — the terms of the
 /// paper's `6*nnz + 12*nr + 8*nc` model.
-#[derive(Clone, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BufferTraffic {
     pub name: String,
     /// Sectors read (hits + misses).
@@ -147,7 +146,7 @@ impl MemSystem {
     /// traffic attribution under `name`.
     pub fn alloc_named(&self, bytes: usize, name: &str) -> u64 {
         let base = self.alloc(bytes);
-        let mut regions = self.regions.write();
+        let mut regions = self.regions.write().unwrap();
         regions.push(Region {
             meta: RegionMeta {
                 start: base,
@@ -158,13 +157,13 @@ impl MemSystem {
             dram_read_sectors: AtomicU64::new(0),
             write_sectors: AtomicU64::new(0),
         });
-        *self.snapshot.write() = Arc::new(regions.iter().map(|r| r.meta).collect());
+        *self.snapshot.write().unwrap() = Arc::new(regions.iter().map(|r| r.meta).collect());
         base
     }
 
     /// Whether any buffer was registered for traffic attribution.
     pub(crate) fn has_named_regions(&self) -> bool {
-        !self.snapshot.read().is_empty()
+        !self.snapshot.read().unwrap().is_empty()
     }
 
     /// Builds a worker's counter block: the usual zeroed tallies plus a
@@ -172,7 +171,7 @@ impl MemSystem {
     /// with [`MemSystem::flush_region_counts`] (the executor does, once
     /// per block).
     pub(crate) fn local_counters(&self) -> LocalCounters {
-        let meta = Arc::clone(&self.snapshot.read());
+        let meta = Arc::clone(&self.snapshot.read().unwrap());
         LocalCounters {
             attr: crate::counters::RegionAttr {
                 counts: (0..meta.len()).map(|_| Default::default()).collect(),
@@ -191,7 +190,7 @@ impl MemSystem {
         if meta.is_empty() {
             return;
         }
-        let regions = self.regions.read();
+        let regions = self.regions.read().unwrap();
         for (i, rc) in c.attr.counts.iter().enumerate() {
             let (r, d, w) = (
                 rc.read_sectors.take(),
@@ -228,7 +227,7 @@ impl MemSystem {
             }
         } else {
             // Detached counters: attribute straight into the totals.
-            let regions = self.regions.read();
+            let regions = self.regions.read().unwrap();
             let metas: Vec<RegionMeta> = regions.iter().map(|r| r.meta).collect();
             let last = std::cell::Cell::new(usize::MAX);
             if let Some(i) = locate(&metas, &last, addr) {
@@ -248,6 +247,7 @@ impl MemSystem {
     pub fn traffic_report(&self) -> Vec<BufferTraffic> {
         self.regions
             .read()
+            .unwrap()
             .iter()
             .map(|r| BufferTraffic {
                 name: r.name.clone(),
@@ -260,7 +260,7 @@ impl MemSystem {
 
     /// Zeroes the per-buffer attribution counters.
     pub fn reset_traffic(&self) {
-        for r in self.regions.read().iter() {
+        for r in self.regions.read().unwrap().iter() {
             r.read_sectors.store(0, Ordering::Relaxed);
             r.dram_read_sectors.store(0, Ordering::Relaxed);
             r.write_sectors.store(0, Ordering::Relaxed);

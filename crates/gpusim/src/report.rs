@@ -7,9 +7,9 @@
 //! every response, and the benchmark binaries emit it verbatim — so any
 //! tool that parses one source parses them all.
 //!
-//! Every report renders through the one [`Json`] writer: the workspace's
-//! `serde` is an offline shim without a real serializer, and a stable,
-//! diff-friendly shape matters more here than generality. Keys follow
+//! Every report renders through the one [`Json`] writer: the workspace
+//! has no serializer dependency, and a stable, diff-friendly shape
+//! matters more here than generality. Keys follow
 //! field declaration order; each number keeps the precision its field
 //! has always had.
 
@@ -20,7 +20,7 @@ use crate::timing::{Bound, TimeEstimate};
 
 /// Everything measured and modeled about one kernel launch (or one batch
 /// of launches accumulated with [`KernelStats::accumulate`]).
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LaunchReport {
     /// Kernel family name ("Half/double", "Single", ...).
     pub kernel: String,
@@ -129,7 +129,7 @@ impl From<&TimeEstimate> for Json {
 /// One row bucket's slice of a [`GroupReport`]: which rows it covered, at
 /// what width, with what occupancy, and the traffic/time attributable to
 /// its member launch alone.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BucketReport {
     /// Member label (e.g. `"rows 1-2"`, `"zero_fill"`).
     pub label: String,
@@ -154,7 +154,7 @@ pub struct BucketReport {
 /// breakdown retained.
 ///
 /// Like [`LaunchReport`], it renders through the one [`Json`] writer.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GroupReport {
     /// Kernel family name ("Half/double", ...).
     pub kernel: String,
@@ -194,7 +194,7 @@ impl GroupReport {
 /// owned, the device it ran on, its dispatch choice, its own counters and
 /// standalone time estimate, and the modeled cost of gathering its
 /// partial result over the inter-device link.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ShardReport {
     /// Shard index within the plan (also selects the device: `i % pool`).
     pub shard: usize,
@@ -231,7 +231,7 @@ pub struct ShardReport {
 /// `max_i(compute_i + gather_i)` — not the sum.
 ///
 /// Like [`LaunchReport`], it renders through the one [`Json`] writer.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ShardedReport {
     /// Kernel family name ("Half/double", ...).
     pub kernel: String,

@@ -31,7 +31,7 @@ use crate::device::DeviceSpec;
 pub use crate::device::Precision;
 
 /// Per-kernel-family calibration.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct KernelProfile {
     /// Display name ("Half/double", "GPU Baseline", ...).
     pub name: String,
@@ -68,7 +68,7 @@ impl KernelProfile {
 }
 
 /// What bound a kernel's estimated time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Bound {
     Dram,
     L2,
@@ -79,7 +79,7 @@ pub enum Bound {
 }
 
 /// Modeled execution time and derived rates.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TimeEstimate {
     pub seconds: f64,
     /// Useful GFLOP/s (`flops / seconds / 1e9`) — the bars of Figs. 4–7.
@@ -184,7 +184,7 @@ pub fn gather_estimate(spec: &DeviceSpec, bytes: u64) -> f64 {
 }
 
 /// Host CPU description for the RayStation clinical-baseline row.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CpuSpec {
     pub name: &'static str,
     pub cores: u32,

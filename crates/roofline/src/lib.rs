@@ -22,7 +22,7 @@
 use rt_gpusim::{DeviceSpec, KernelProfile, KernelStats, Precision, TimeEstimate};
 
 /// Byte cost per matrix element of a CSR SpMV configuration.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CsrTrafficModel {
     /// Bytes per non-zero for the stored value.
     pub value_bytes: usize,
@@ -85,7 +85,7 @@ impl CsrTrafficModel {
 }
 
 /// The roofline: a compute ceiling and a memory ceiling.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Roofline {
     pub peak_flops: f64,
     pub peak_bw: f64,
@@ -134,7 +134,7 @@ impl Roofline {
 }
 
 /// One kernel's position on the roofline plot.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct RooflinePoint {
     pub kernel: String,
     pub case: String,

@@ -9,7 +9,7 @@ use crate::{Csr, SparseError};
 use rt_f16::DoseScalar;
 
 /// A sparse matrix as a list of `(row, col, value)` triplets.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Coo<V> {
     nrows: usize,
     ncols: usize,

@@ -15,7 +15,7 @@ use rt_f16::DoseScalar;
 ///   `row_ptr[nrows] == nnz`.
 /// * `values.len() == col_idx.len() == nnz`.
 /// * Column indices within each row are strictly increasing and `< ncols`.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Csr<V, I = u32> {
     nrows: usize,
     ncols: usize,

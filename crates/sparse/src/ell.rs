@@ -12,7 +12,7 @@ use crate::{ColIndex, Csr, SparseError};
 use rt_f16::DoseScalar;
 
 /// An ELLPACK matrix: `nrows x width` dense slabs, column-major.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Ell<V, I = u32> {
     nrows: usize,
     ncols: usize,

@@ -16,7 +16,7 @@ pub struct QuantizedCsr<I = u32> {
 /// `DoseScalar`; raw codes have no intrinsic float meaning, so the scalar
 /// impl treats the code as an integer count — only `QuantizedCsr` methods
 /// apply the scale).
-#[derive(Clone, Copy, Debug, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct QuantCode(pub u16);
 
 impl rt_f16::DoseScalar for QuantCode {

@@ -19,7 +19,7 @@ use crate::{Csr, SparseError};
 use rt_f16::{DoseScalar, F16};
 
 /// One run of consecutive-row entries within a column.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Segment {
     /// First row (voxel) of the run.
     pub start_row: u32,
@@ -30,7 +30,7 @@ pub struct Segment {
 }
 
 /// Column-major run-length-segmented sparse storage with 16-bit values.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RsCompressed<V = F16> {
     nrows: usize,
     ncols: usize,

@@ -11,7 +11,7 @@ use crate::{ColIndex, Csr, SparseError};
 use rt_f16::DoseScalar;
 
 /// A SELL-C-σ matrix.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SellCSigma<V, I = u32> {
     nrows: usize,
     ncols: usize,

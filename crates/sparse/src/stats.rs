@@ -14,7 +14,7 @@ use rt_f16::DoseScalar;
 /// One length bucket of [`RowStats::bucket_histogram`]: how many rows and
 /// stored entries fall in the `[min_len, max_len]` range. Empty rows are
 /// excluded — they belong to no bucket.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BucketHistogramEntry {
     pub min_len: u32,
     pub max_len: u32,
@@ -23,7 +23,7 @@ pub struct BucketHistogramEntry {
 }
 
 /// Summary statistics over the stored row lengths of a matrix.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RowStats {
     pub nrows: usize,
     pub ncols: usize,
@@ -204,7 +204,7 @@ impl RowStats {
 }
 
 /// One row of Table I: the shape summary of a named beam's matrix.
-#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MatrixSummary {
     pub name: String,
     pub rows: usize,

@@ -100,16 +100,42 @@ where
         .transpose()
 }
 
-/// [`parse_num`] for command handlers: a bad value prints the error and
+/// A flag parse for command handlers: a bad value prints the error and
 /// the usage text instead of panicking.
+fn or_usage<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        usage();
+    })
+}
+
+/// [`parse_num`] through [`or_usage`].
 fn num_flag<T: FromStr>(flags: &HashMap<String, String>, name: &str) -> Option<T>
 where
     T::Err: std::fmt::Display,
 {
-    parse_num(flags, name).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        usage();
-    })
+    or_usage(parse_num(flags, name))
+}
+
+/// `--shrink` as a [`ScaleConfig`], `default` when absent. A value below
+/// 1 or not finite is an error, not the full-size case.
+fn parse_scale(flags: &HashMap<String, String>, default: f64) -> Result<ScaleConfig, String> {
+    let shrink = parse_num::<f64>(flags, "shrink")?.unwrap_or(default);
+    if shrink.is_finite() && shrink >= 1.0 {
+        Ok(ScaleConfig { shrink })
+    } else {
+        Err(format!(
+            "--shrink must be a finite number of at least 1, got {shrink}"
+        ))
+    }
+}
+
+/// serve-demo `--devices`: the pool size, 3 when absent; 0 is an error.
+fn parse_devices(flags: &HashMap<String, String>) -> Result<usize, String> {
+    match parse_num(flags, "devices")?.unwrap_or(3) {
+        0 => Err("--devices must be at least 1, got 0".to_string()),
+        n => Ok(n),
+    }
 }
 
 /// `--tile`: `None` means auto (let the autotuner pick), `Some(w)` pins
@@ -215,11 +241,8 @@ fn device(name: &str) -> DeviceSpec {
 }
 
 fn generate_case(flags: &HashMap<String, String>) -> DoseCase {
-    let shrink: f64 = num_flag(flags, "shrink").unwrap_or(8.0);
+    let scale = or_usage(parse_scale(flags, 8.0));
     let beam: usize = num_flag(flags, "beam").unwrap_or(0);
-    let scale = ScaleConfig {
-        shrink: shrink.max(1.0),
-    };
     let mut cases = match flags.get("case").map(String::as_str) {
         Some("liver") => liver_case(scale),
         Some("prostate") => prostate_case(scale),
@@ -879,7 +902,7 @@ fn serve_demo_failed(
 /// non-zero when [`serve_demo_failed`].
 fn cmd_serve_demo(flags: HashMap<String, String>) -> ExitCode {
     let requests: usize = num_flag(&flags, "requests").unwrap_or(120);
-    let shrink: f64 = num_flag(&flags, "shrink").unwrap_or(24.0);
+    let scale = or_usage(parse_scale(&flags, 24.0));
     let submitters: usize = num_flag(&flags, "submitters").unwrap_or(4).max(1);
     // --tile auto (the default) lets every plan autotune its own width
     // at registration; a pinned width applies to all plans, and
@@ -899,7 +922,7 @@ fn cmd_serve_demo(flags: HashMap<String, String>) -> ExitCode {
         });
     // --devices N sizes the pool by cycling the paper's device mix —
     // the default 3 keeps the classic 2xA100 + 1xV100 demo pool.
-    let pool_size: usize = num_flag(&flags, "devices").unwrap_or(3).max(1);
+    let pool_size = or_usage(parse_devices(&flags));
     // --drain-after N takes the last pool device out for maintenance
     // once N requests have completed, mid-traffic; requires a pool of
     // at least two (the engine refuses to drain the last live device).
@@ -916,10 +939,7 @@ fn cmd_serve_demo(flags: HashMap<String, String>) -> ExitCode {
     ];
     let pool: Vec<DeviceSpec> = (0..pool_size).map(|i| mix[i % mix.len()].clone()).collect();
 
-    println!("generating plans (shrink {shrink}) ...");
-    let scale = ScaleConfig {
-        shrink: shrink.max(1.0),
-    };
+    println!("generating plans (shrink {}) ...", scale.shrink);
     let liver = liver_case(scale).swap_remove(0).matrix;
     let prostate = prostate_case(scale).swap_remove(0).matrix;
 
@@ -1086,6 +1106,17 @@ mod tests {
         assert!(err.contains("\"abc\""), "{err}");
         // A negative count is a bad value, not a wrap-around.
         assert!(parse_num::<usize>(&flags(&[("requests", "-3")]), "requests").is_err());
+        // --shrink below 1 or not finite, and --devices 0, are bad values,
+        // not silently the full-size case or a one-device pool.
+        assert_eq!(parse_scale(&f, 8.0).map(|s| s.shrink), Ok(2.5));
+        assert_eq!(parse_scale(&flags(&[]), 8.0).map(|s| s.shrink), Ok(8.0));
+        for bad in ["-1", "0.5", "0", "NaN", "inf"] {
+            let err = parse_scale(&flags(&[("shrink", bad)]), 8.0).unwrap_err();
+            assert!(err.starts_with("--shrink must be"), "{bad}: {err}");
+        }
+        assert_eq!(parse_devices(&flags(&[])), Ok(3));
+        assert_eq!(parse_devices(&flags(&[("devices", "4")])), Ok(4));
+        assert!(parse_devices(&flags(&[("devices", "0")])).is_err());
     }
 
     #[test]
