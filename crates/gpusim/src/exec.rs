@@ -1104,11 +1104,11 @@ mod tests {
         }
         // Panicking mid-launch with the owned L2 port and the memo lock
         // held poisons both.
-        let b = &bufs[1].0;
+        let input = &bufs[1].0;
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let member = GroupMember::new("panics", Grid::warp_per_item(256, 256), 32, |w| {
                 let i = w.warp_id();
-                w.load_span(b, i * 32..(i + 1) * 32);
+                w.load_span(input, i * 32..(i + 1) * 32);
                 assert!(i < 100, "kernel panic at warp {i}");
             });
             gpus[1].launch_group(Some(8), vec![member])
