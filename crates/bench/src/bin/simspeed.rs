@@ -98,7 +98,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Medians recorded from the pre-batching pipeline (same workload, same
-/// harness, `ExecMode::Parallel`) immediately before the rework landed.
+/// harness, launches then spread over every host core) immediately
+/// before the rework landed.
 const BASELINE_NS: &[(&str, f64)] = &[
     ("vector_csr_half_double", 8_936_737.0),
     ("baseline_segment_atomic", 8_906_043.0),
@@ -705,7 +706,6 @@ fn kernel_json(m: &Measurement) -> Json {
 
 fn render_json(
     measurements: &[Measurement],
-    workers: usize,
     auto: &KernelChoice,
     placement: Json,
     rebalance: Json,
@@ -716,9 +716,7 @@ fn render_json(
         .field("avg_nnz_nonempty", Json::fixed(auto.avg_nnz_nonempty, 2));
     let mut out = Json::obj()
         .field("bench", "sim_kernels")
-        .field("schema_version", 2u32)
-        .field("mode", "parallel")
-        .field("workers", workers)
+        .field("schema_version", 3u32)
         .field("shortrow_autotune", autotune)
         .field("placement", placement)
         .field("rebalance", rebalance)
@@ -1162,12 +1160,8 @@ fn main() {
     measurements.extend(liver_entries);
     measurements.extend(grad_entries);
 
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let json = render_json(
         &measurements,
-        workers,
         &choice,
         placement_json(&liver_place, &prostate_place),
         rebalance_json(&liver_rebalance),
@@ -1253,7 +1247,6 @@ mod tests {
         };
         let j = render_json(
             &[m],
-            2,
             &auto,
             placement_json(
                 &placement_verdict(1e-5, 5000),
@@ -1263,7 +1256,7 @@ mod tests {
         );
         assert_eq!(
             minify(&j),
-            r#"{"bench":"sim_kernels","schema_version":2,"mode":"parallel","workers":2,"shortrow_autotune":{"mode":"probe","tile_width":2,"avg_nnz_nonempty":4.50},"placement":{"pool":["A100","A100","V100","P100"],"liver_auto_k":2,"liver_breakeven_us":[{"k":1,"modeled_us":10.067},{"k":2,"modeled_us":9.533},{"k":3,"modeled_us":12.246},{"k":4,"modeled_us":16.506}],"liver_auto_speedup_vs_k1":1.06,"liver_auto_speedup_vs_kpool":1.73,"liver_r2_group_us":[10.067,10.067],"liver_r2_throughput_ratio_vs_r1":3.28,"prostate_auto_k":1},"rebalance":{"drained_device":"P100","pre_group_us":[10.067,10.067],"pre_throughput_per_s":198675.5,"naive_throughput_per_s":99337.7,"redealt_group_us":[10.067,10.067],"redealt_throughput_per_s":198675.5,"recovery_ratio":1.000,"naive_ratio":0.500},"kernels":[{"name":"vector_csr_half_double","suite":"prostate-paper","ns_per_iter":1250000.0,"nnz":1000,"nnz_per_sec":8.0000e5,"sectors_per_launch":256,"sectors_per_sec":2.0480e5,"tile_width":4,"lanes_active_frac":0.5625,"speedup_vs_warp32":1.50,"sim_speedup_vs_warp32":2.25,"speedup_vs_autotuned_w":1.12,"sim_speedup_vs_best_fixed":1.75,"grad_speedup_vs_whole":3.00,"sim_speedup_vs_one_device":2.50,"shards":[{"shard":0,"device":"A100","row_start":0,"rows":600,"nnz":1000,"modeled_us":3.527,"gather_us":2.000}],"buckets":[{"label":"rows 1-2","tile_width":2,"rows":300,"lanes_active_frac":0.7500}],"baseline_ns_per_iter":8936737.0,"speedup_vs_baseline":7.15,"report":{"kernel":"Half/double","device":"A100","tile_width":4,"stats":{"flops":2000,"warps":16,"blocks":2,"threads_per_block":512,"requested_bytes":8192,"l2_read_hits":40,"l2_read_misses":200,"l2_write_sectors":16,"atomic_ops":0,"dram_read_bytes":6400,"dram_write_bytes":512,"l2_hit_rate":0.1667,"operational_intensity":0.2894},"estimate":{"seconds":3.526951e-6,"gflops":0.57,"dram_bw_gbps":1.96,"frac_peak_bw":0.0013,"bound":"overhead"},"buffers":[]}}]}"#
+            r#"{"bench":"sim_kernels","schema_version":3,"shortrow_autotune":{"mode":"probe","tile_width":2,"avg_nnz_nonempty":4.50},"placement":{"pool":["A100","A100","V100","P100"],"liver_auto_k":2,"liver_breakeven_us":[{"k":1,"modeled_us":10.067},{"k":2,"modeled_us":9.533},{"k":3,"modeled_us":12.246},{"k":4,"modeled_us":16.506}],"liver_auto_speedup_vs_k1":1.06,"liver_auto_speedup_vs_kpool":1.73,"liver_r2_group_us":[10.067,10.067],"liver_r2_throughput_ratio_vs_r1":3.28,"prostate_auto_k":1},"rebalance":{"drained_device":"P100","pre_group_us":[10.067,10.067],"pre_throughput_per_s":198675.5,"naive_throughput_per_s":99337.7,"redealt_group_us":[10.067,10.067],"redealt_throughput_per_s":198675.5,"recovery_ratio":1.000,"naive_ratio":0.500},"kernels":[{"name":"vector_csr_half_double","suite":"prostate-paper","ns_per_iter":1250000.0,"nnz":1000,"nnz_per_sec":8.0000e5,"sectors_per_launch":256,"sectors_per_sec":2.0480e5,"tile_width":4,"lanes_active_frac":0.5625,"speedup_vs_warp32":1.50,"sim_speedup_vs_warp32":2.25,"speedup_vs_autotuned_w":1.12,"sim_speedup_vs_best_fixed":1.75,"grad_speedup_vs_whole":3.00,"sim_speedup_vs_one_device":2.50,"shards":[{"shard":0,"device":"A100","row_start":0,"rows":600,"nnz":1000,"modeled_us":3.527,"gather_us":2.000}],"buckets":[{"label":"rows 1-2","tile_width":2,"rows":300,"lanes_active_frac":0.7500}],"baseline_ns_per_iter":8936737.0,"speedup_vs_baseline":7.15,"report":{"kernel":"Half/double","device":"A100","tile_width":4,"stats":{"flops":2000,"warps":16,"blocks":2,"threads_per_block":512,"requested_bytes":8192,"l2_read_hits":40,"l2_read_misses":200,"l2_write_sectors":16,"atomic_ops":0,"dram_read_bytes":6400,"dram_write_bytes":512,"l2_hit_rate":0.1667,"operational_intensity":0.2894},"estimate":{"seconds":3.526951e-6,"gflops":0.57,"dram_bw_gbps":1.96,"frac_peak_bw":0.0013,"bound":"overhead"},"buffers":[]}}]}"#
         );
     }
 }

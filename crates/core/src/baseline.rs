@@ -5,9 +5,11 @@
 //! dose array. On the CPU, race freedom comes from per-thread scratch
 //! dose arrays; the paper notes that is infeasible for tens of thousands
 //! of GPU threads, so the port uses `atomicAdd` instead (§IV) — which
-//! makes it *non-reproducible* (atomic ordering varies run to run) and,
-//! as the measurements show, several times slower than the vector CSR
-//! kernel:
+//! makes it *non-reproducible* on hardware (atomic ordering varies run to
+//! run) and, as the measurements show, several times slower than the
+//! vector CSR kernel. The simulator states that order dependence rather
+//! than simulating it: its launches add in launch order, and it models
+//! the atomics' L2 traffic and counts:
 //!
 //! * the port parallelizes over the format's *segments* (runs of
 //!   consecutive voxels within a column — the natural work unit of the
@@ -155,7 +157,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rt_f16::F16;
-    use rt_gpusim::{DeviceSpec, ExecMode};
+    use rt_gpusim::DeviceSpec;
     use rt_sparse::Csr;
 
     fn random_rs(seed: u64, nrows: usize, ncols: usize) -> (Csr<F16, u32>, RsCompressed<F16>) {
@@ -245,13 +247,13 @@ mod tests {
         assert!(rs.avg_segment_len() > 50.0, "want long runs");
         let weights = vec![1.0f64; 256];
         let spec = DeviceSpec::a100().scaled_l2(50_000.0); // tiny L2
-        let gpu = Gpu::with_mode(spec.clone(), ExecMode::Sequential);
+        let gpu = Gpu::new(spec.clone());
         let gm = GpuRsMatrix::upload(&gpu, &rs);
         let dw = gpu.upload(&weights);
         let dose = gpu.alloc_out::<f64>(4000);
         let baseline = rs_baseline_gpu_spmv(&gpu, &gm, &dw, &dose, 128);
 
-        let gpu2 = Gpu::with_mode(spec, ExecMode::Sequential);
+        let gpu2 = Gpu::new(spec);
         let gm2 = crate::vector_csr::GpuCsrMatrix::upload(&gpu2, &csr);
         let dx2 = gpu2.upload(&weights);
         let dy2 = gpu2.alloc_out::<f64>(4000);
@@ -271,7 +273,7 @@ mod tests {
         let (csr, rs) = random_rs(24, 2000, 128);
         let weights = vec![1.0f64; 128];
         // Default A100 L2 (40 MB) easily holds the 16 KB output.
-        let gpu = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Sequential);
+        let gpu = Gpu::new(DeviceSpec::a100());
         let gm = GpuRsMatrix::upload(&gpu, &rs);
         let dw = gpu.upload(&weights);
         let dose = gpu.alloc_out::<f64>(2000);

@@ -348,7 +348,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rt_f16::F16;
-    use rt_gpusim::{DeviceSpec, ExecMode};
+    use rt_gpusim::DeviceSpec;
     use rt_sparse::{bucket_index_for_len, Csr};
 
     fn random_csr(nrows: usize, ncols: usize, max_row: usize, seed: u64) -> Csr<f64, u32> {
@@ -394,7 +394,7 @@ mod tests {
         let x: Vec<f64> = (0..96).map(|i| (i as f64 * 0.31).sin() + 1.1).collect();
         let plan = Arc::new(RowPlan::from_csr(&m));
 
-        let gpu = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Sequential);
+        let gpu = Gpu::new(DeviceSpec::a100());
         let gm = GpuCsrMatrix::upload(&gpu, &m);
         let gplan = GpuRowPlan::upload(&gpu, plan);
         let dx = gpu.upload(&x);
@@ -416,7 +416,7 @@ mod tests {
         let x: Vec<f64> = (0..80).map(|i| 1.0 / (i + 2) as f64).collect();
         let plan = Arc::new(RowPlan::from_csr(&m));
         for &w in &TILE_WIDTHS {
-            let gpu = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Sequential);
+            let gpu = Gpu::new(DeviceSpec::a100());
             let gm = GpuCsrMatrix::upload(&gpu, &m);
             let gplan = GpuRowPlan::upload(&gpu, plan.clone());
             let dx = gpu.upload(&x);
@@ -470,14 +470,14 @@ mod tests {
         let plan = Arc::new(RowPlan::from_csr(&m));
         assert_eq!(plan.empty_rows(), 4096 - 512);
 
-        let gpu = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Sequential);
+        let gpu = Gpu::new(DeviceSpec::a100());
         let gm = GpuCsrMatrix::upload(&gpu, &m);
         let gplan = GpuRowPlan::upload(&gpu, plan);
         let dx = gpu.upload(&x);
         let dy = gpu.alloc_out::<f64>(4096);
         let group = spmv_bucketed(&gpu, &gm, &dx, &dy, 256, &gplan, BucketWidths::natural());
 
-        let gpu2 = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Sequential);
+        let gpu2 = Gpu::new(DeviceSpec::a100());
         let gm2 = GpuCsrMatrix::upload(&gpu2, &m);
         let dx2 = gpu2.upload(&x);
         let dy2 = gpu2.alloc_out::<f64>(4096);
@@ -505,7 +505,7 @@ mod tests {
             .collect();
         let widths = BucketWidths::natural();
 
-        let gpu = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Sequential);
+        let gpu = Gpu::new(DeviceSpec::a100());
         let gm = GpuCsrMatrix::upload(&gpu, &m);
         let gplan = GpuRowPlan::upload(&gpu, plan.clone());
         let dxs: Vec<_> = vectors.iter().map(|x| gpu.upload(x)).collect();
@@ -530,7 +530,7 @@ mod tests {
             .map(|m: Csr<f64, u32>| m.convert_values())
             .unwrap();
         let plan = Arc::new(RowPlan::from_csr(&m));
-        let gpu = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Sequential);
+        let gpu = Gpu::new(DeviceSpec::a100());
         let gm = GpuCsrMatrix::upload(&gpu, &m);
         let gplan = GpuRowPlan::upload(&gpu, plan);
         let dx = gpu.upload(&[1.0f64; 8]);
@@ -549,7 +549,7 @@ mod tests {
         let m: Csr<F16, u32> = m64.convert_values();
         let x = vec![1.0f64; 96];
         let plan = Arc::new(RowPlan::from_csr(&m));
-        let gpu = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Sequential);
+        let gpu = Gpu::new(DeviceSpec::a100());
         let gm = GpuCsrMatrix::upload(&gpu, &m);
         let gplan = GpuRowPlan::upload(&gpu, plan.clone());
         let dx = gpu.upload(&x);

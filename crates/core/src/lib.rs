@@ -22,7 +22,7 @@
 //! | Kernel | Paper name | Strategy |
 //! |---|---|---|
 //! | [`scalar_csr_spmv`] | (ablation) | Bell–Garland scalar kernel, one *thread* per row — the motivating counter-example of §III |
-//! | [`rs_baseline_gpu_spmv`] | **GPU Baseline** | the RayStation CPU algorithm ported with atomics: column-parallel over the compressed segment format. *Not* reproducible. |
+//! | [`rs_baseline_gpu_spmv`] | **GPU Baseline** | the RayStation CPU algorithm ported with atomics: column-parallel over the compressed segment format. *Not* reproducible on hardware (atomic order). |
 //! | [`RsCpu`] | RayStation CPU | column-parallel with per-thread scratch arrays and a deterministic merge (the clinical implementation) |
 //! | [`ginkgo_csr_spmv`] / [`cusparse_csr_spmv`] | Ginkgo / cuSPARSE | single-precision library stand-ins (see DESIGN.md) |
 //!

@@ -82,7 +82,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rt_f16::F16;
-    use rt_gpusim::{DeviceSpec, ExecMode};
+    use rt_gpusim::DeviceSpec;
     use rt_sparse::Csr;
 
     fn random_matrix(seed: u64) -> Csr<F16, u32> {
@@ -129,7 +129,7 @@ mod tests {
         let m = random_matrix(12);
         let x: Vec<f64> = vec![1.5; m.ncols()];
         let run = || {
-            let gpu = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Parallel);
+            let gpu = Gpu::new(DeviceSpec::a100());
             let gm = GpuCsrMatrix::upload(&gpu, &m);
             let dx = gpu.upload(&x);
             let dy = gpu.alloc_out::<f64>(m.nrows());
@@ -148,13 +148,13 @@ mod tests {
         let x: Vec<f64> = vec![1.0; m.ncols()];
         let spec = DeviceSpec::a100().scaled_l2(100_000.0);
 
-        let gpu1 = Gpu::with_mode(spec.clone(), ExecMode::Sequential);
+        let gpu1 = Gpu::new(spec.clone());
         let gm1 = GpuCsrMatrix::upload(&gpu1, &m);
         let dx1 = gpu1.upload(&x);
         let dy1 = gpu1.alloc_out::<f64>(m.nrows());
         let scalar = scalar_csr_spmv(&gpu1, &gm1, &dx1, &dy1, 256);
 
-        let gpu2 = Gpu::with_mode(spec, ExecMode::Sequential);
+        let gpu2 = Gpu::new(spec);
         let gm2 = GpuCsrMatrix::upload(&gpu2, &m);
         let dx2 = gpu2.upload(&x);
         let dy2 = gpu2.alloc_out::<f64>(m.nrows());

@@ -12,8 +12,8 @@
 //!   when the row-length distribution has a long tail (95th percentile
 //!   ≥ 4× the average) so the tail rows don't serialize.
 //! * **MeasuredProbe**: actually launch every candidate width once on a
-//!   throwaway `Sequential` simulator instance and keep the fastest
-//!   modeled time. Deterministic (Sequential counters are exact), more
+//!   throwaway simulator instance and keep the fastest modeled time.
+//!   Deterministic (the simulator's counters are exact), more
 //!   expensive, never wrong about the model.
 //!
 //! Both return a [`KernelChoice`] carrying the full candidate table so
@@ -25,7 +25,7 @@ use crate::error::RtError;
 use crate::profile_half_double;
 use crate::vector_csr::{vector_csr_spmm, GpuCsrMatrix};
 use rt_f16::DoseScalar;
-use rt_gpusim::{timing, DeviceSpec, ExecMode, Gpu, TILE_WIDTHS};
+use rt_gpusim::{timing, DeviceSpec, Gpu, TILE_WIDTHS};
 use rt_sparse::stats::RowStats;
 use rt_sparse::{ColIndex, Csr, RowPlan, NUM_ROW_BUCKETS};
 use std::sync::Arc;
@@ -38,7 +38,7 @@ pub enum KernelSelect {
     /// Pick from row statistics (no probe launches). The default.
     #[default]
     Heuristic,
-    /// Launch every candidate width once on a throwaway `Sequential`
+    /// Launch every candidate width once on a throwaway
     /// simulator and keep the fastest modeled estimate.
     MeasuredProbe,
     /// Bucketed row-partition dispatch ([`crate::bucketed`]): empty rows
@@ -56,7 +56,7 @@ pub enum PartitionStrategy {
     #[default]
     Heuristic,
     /// Launch the bucketed dispatch once per candidate width on a
-    /// throwaway `Sequential` simulator and keep, per bucket, the width
+    /// throwaway simulator and keep, per bucket, the width
     /// whose member launch modeled fastest.
     MeasuredProbe,
 }
@@ -256,7 +256,7 @@ fn heuristic_bucket_choices(plan: &RowPlan) -> Vec<BucketChoice> {
 }
 
 /// Probes every candidate width with one full bucketed dispatch per
-/// width on a throwaway `Sequential` simulator, attributes each member
+/// width on a throwaway simulator, attributes each member
 /// launch's counters back to its bucket, and picks per bucket the width
 /// whose member modeled fastest (same tie-break as the whole-matrix
 /// probe). One launch per width — 5 total — not widths × buckets.
@@ -270,7 +270,7 @@ fn probe_bucket_choices<V: DoseScalar, I: ColIndex>(
     let mut tables: Vec<Vec<TileCandidate>> = vec![Vec::new(); NUM_ROW_BUCKETS];
     let shared_plan = Arc::new(plan.clone());
     for &w in &TILE_WIDTHS {
-        let gpu = Gpu::with_mode(spec.clone(), ExecMode::Sequential);
+        let gpu = Gpu::new(spec.clone());
         let gm = GpuCsrMatrix::upload(&gpu, m);
         let gplan = GpuRowPlan::upload(&gpu, shared_plan.clone());
         let x: Vec<f64> = vec![1.0; m.ncols()];
@@ -341,7 +341,7 @@ pub fn heuristic_width(stats: &RowStats) -> u32 {
     w
 }
 
-/// Launches every candidate width once on a throwaway `Sequential`
+/// Launches every candidate width once on a throwaway
 /// simulator (exact, deterministic counters) and returns the scored
 /// table: one single-vector [`vector_csr_spmm`] launch per width.
 pub fn probe_widths<V: DoseScalar, I: ColIndex>(
@@ -354,7 +354,7 @@ pub fn probe_widths<V: DoseScalar, I: ColIndex>(
     TILE_WIDTHS
         .iter()
         .map(|&w| {
-            let gpu = Gpu::with_mode(spec.clone(), ExecMode::Sequential);
+            let gpu = Gpu::new(spec.clone());
             let gm = GpuCsrMatrix::upload(&gpu, m);
             let x: Vec<f64> = vec![1.0; m.ncols()];
             let dx = gpu.upload(&x);

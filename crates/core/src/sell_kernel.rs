@@ -129,7 +129,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rt_f16::F16;
-    use rt_gpusim::{DeviceSpec, ExecMode};
+    use rt_gpusim::DeviceSpec;
     use rt_sparse::Csr;
 
     fn random_matrix(seed: u64, nrows: usize, ncols: usize, max_len: usize) -> Csr<F16, u32> {
@@ -181,15 +181,15 @@ mod tests {
         let m = random_matrix(62, 300, 64, 40);
         let sell = SellCSigma::from_csr(&m, 32, 128);
         let x: Vec<f64> = vec![1.5; 64];
-        let run = |mode| {
-            let gpu = Gpu::with_mode(DeviceSpec::a100(), mode);
+        let run = || {
+            let gpu = Gpu::new(DeviceSpec::a100());
             let gm = GpuSellMatrix::upload(&gpu, &sell);
             let dx = gpu.upload(&x);
             let dy = gpu.alloc_out::<f64>(300);
             sell_spmv(&gpu, &gm, &dx, &dy, 256);
             dy.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         };
-        assert_eq!(run(ExecMode::Parallel), run(ExecMode::Sequential));
+        assert_eq!(run(), run());
     }
 
     #[test]
@@ -198,7 +198,7 @@ mod tests {
         let sell = SellCSigma::from_csr(&m, 32, 512);
         let x: Vec<f64> = vec![1.0; 128];
         let spec = DeviceSpec::a100().scaled_l2(50_000.0);
-        let gpu = Gpu::with_mode(spec, ExecMode::Sequential);
+        let gpu = Gpu::new(spec);
         let gm = GpuSellMatrix::upload(&gpu, &sell);
         let dx = gpu.upload(&x);
         let dy = gpu.alloc_out::<f64>(2000);

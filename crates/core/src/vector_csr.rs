@@ -28,7 +28,7 @@
 //! * **the same reproducibility contract** — per width, the per-lane
 //!   accumulation order and the [`reduce_sum_tile`](rt_gpusim::WarpCtx::reduce_sum_tile)
 //!   halving tree are fixed, so every width is bitwise reproducible
-//!   run-to-run and across `ExecMode` / worker counts. Results
+//!   run-to-run and across launch configurations. Results
 //!   legitimately differ *between* widths (a different tree folds the
 //!   partial sums in a different order).
 //!
@@ -386,7 +386,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rt_f16::F16;
-    use rt_gpusim::{DeviceSpec, ExecMode};
+    use rt_gpusim::DeviceSpec;
 
     fn random_csr(nrows: usize, ncols: usize, max_row: usize, seed: u64) -> Csr<f64, u32> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -446,28 +446,21 @@ mod tests {
     }
 
     #[test]
-    fn bitwise_reproducible_across_runs_and_modes() {
+    fn bitwise_reproducible_across_runs() {
         let m64 = random_csr(200, 128, 120, 2);
         let m: Csr<F16, u32> = m64.convert_values();
         let x: Vec<f64> = (0..128).map(|i| 1.0 / (i + 1) as f64).collect();
 
-        let run = |mode| {
-            let gpu = Gpu::with_mode(DeviceSpec::a100(), mode);
+        let run = || {
+            let gpu = Gpu::new(DeviceSpec::a100());
             let gm = GpuCsrMatrix::upload(&gpu, &m);
             let dx = gpu.upload(&x);
             let dy = gpu.alloc_out::<f64>(200);
             spmv(&gpu, &gm, &dx, &dy, 512, 32);
             dy.to_vec()
         };
-        let a = run(ExecMode::Parallel);
-        let b = run(ExecMode::Parallel);
-        let c = run(ExecMode::Sequential);
-        assert_eq!(bits(&a), bits(&b), "parallel runs must agree bitwise");
-        assert_eq!(
-            bits(&a),
-            bits(&c),
-            "parallel vs sequential must agree bitwise"
-        );
+        let a = run();
+        assert_eq!(bits(&a), bits(&run()), "runs must agree bitwise");
 
         // And they match the documented lane/tree arithmetic exactly.
         let want = vector_csr_reference(&m, &x, BucketWidths::uniform(32));
@@ -625,14 +618,14 @@ mod tests {
         let x: Vec<f64> = vec![1.0; 200];
 
         let single = {
-            let gpu = Gpu::with_mode(DeviceSpec::a100().scaled_l2(1000.0), ExecMode::Sequential);
+            let gpu = Gpu::new(DeviceSpec::a100().scaled_l2(1000.0));
             let gm = GpuCsrMatrix::upload(&gpu, &m);
             let dx = gpu.upload(&x);
             let dy = gpu.alloc_out::<f64>(2000);
             spmv(&gpu, &gm, &dx, &dy, 512, 32)
         };
         let batched = {
-            let gpu = Gpu::with_mode(DeviceSpec::a100().scaled_l2(1000.0), ExecMode::Sequential);
+            let gpu = Gpu::new(DeviceSpec::a100().scaled_l2(1000.0));
             let gm = GpuCsrMatrix::upload(&gpu, &m);
             let dxs: Vec<_> = (0..4).map(|_| gpu.upload(&x)).collect();
             let dys: Vec<_> = (0..4).map(|_| gpu.alloc_out::<f64>(2000)).collect();
@@ -689,7 +682,7 @@ mod tests {
         let m64 = random_csr(3000, 400, 300, 6);
         let m: Csr<F16, u32> = m64.convert_values();
         let x: Vec<f64> = vec![1.0; 400];
-        let gpu = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Sequential);
+        let gpu = Gpu::new(DeviceSpec::a100());
         let gm = GpuCsrMatrix::upload_named(&gpu, &m);
         let dx = gpu.upload_named("x", &x);
         let dy = gpu.alloc_out_named::<f64>("y", 3000);
@@ -736,7 +729,7 @@ mod tests {
         let m64 = random_csr(2000, 300, 400, 5);
         let m: Csr<F16, u32> = m64.convert_values();
         let x: Vec<f64> = vec![1.0; 300];
-        let gpu = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Sequential);
+        let gpu = Gpu::new(DeviceSpec::a100());
         let gm = GpuCsrMatrix::upload(&gpu, &m);
         let dx = gpu.upload(&x);
         let dy = gpu.alloc_out::<f64>(2000);

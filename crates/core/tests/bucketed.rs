@@ -11,8 +11,8 @@
 //! * **Bitwise sweep** — with `BucketWidths::uniform(w)` every row is
 //!   reduced with the same truncated halving tree as the fixed-width
 //!   whole-matrix kernel, so the bucketed dispatch must match
-//!   `vector_csr_spmm` bit-for-bit at every width, across
-//!   `ExecMode` and worker counts (mirrors `tests/tiled.rs`).
+//!   `vector_csr_spmm` bit-for-bit at every width, on every rerun
+//!   (mirrors `tests/tiled.rs`).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,7 +21,7 @@ use rt_core::{
     GpuRowPlan,
 };
 use rt_f16::F16;
-use rt_gpusim::{DeviceSpec, ExecMode, Gpu, TILE_WIDTHS};
+use rt_gpusim::{DeviceSpec, Gpu, TILE_WIDTHS};
 use rt_sparse::{Csr, RowPlan};
 use std::sync::Arc;
 
@@ -45,8 +45,8 @@ fn random_csr(nrows: usize, ncols: usize, max_row: usize, seed: u64) -> Csr<F16,
     m.convert_values()
 }
 
-fn run_bucketed(m: &Csr<F16, u32>, x: &[f64], mode: ExecMode, widths: BucketWidths) -> Vec<u64> {
-    let gpu = Gpu::with_mode(DeviceSpec::a100(), mode);
+fn run_bucketed(m: &Csr<F16, u32>, x: &[f64], widths: BucketWidths) -> Vec<u64> {
+    let gpu = Gpu::new(DeviceSpec::a100());
     let gm = GpuCsrMatrix::upload(&gpu, m);
     let gplan = GpuRowPlan::upload(&gpu, Arc::new(RowPlan::from_csr(m)));
     let dx = gpu.upload(x);
@@ -60,8 +60,8 @@ fn run_bucketed(m: &Csr<F16, u32>, x: &[f64], mode: ExecMode, widths: BucketWidt
     dy.to_vec().iter().map(|v| v.to_bits()).collect()
 }
 
-fn run_tiled(m: &Csr<F16, u32>, x: &[f64], mode: ExecMode, width: u32) -> Vec<u64> {
-    let gpu = Gpu::with_mode(DeviceSpec::a100(), mode);
+fn run_tiled(m: &Csr<F16, u32>, x: &[f64], width: u32) -> Vec<u64> {
+    let gpu = Gpu::new(DeviceSpec::a100());
     let gm = GpuCsrMatrix::upload(&gpu, m);
     let dx = gpu.upload(x);
     let dy = gpu.alloc_out::<f64>(m.nrows());
@@ -80,10 +80,8 @@ fn all_rows_empty_zero_fills_stale_output() {
     assert_eq!(plan.empty_rows(), 64);
 
     let x = vec![1.0f64; 16];
-    for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-        let y = run_bucketed(&m, &x, mode, BucketWidths::natural());
-        assert_eq!(y, vec![0.0f64.to_bits(); 64], "{mode:?}");
-    }
+    let y = run_bucketed(&m, &x, BucketWidths::natural());
+    assert_eq!(y, vec![0.0f64.to_bits(); 64]);
 }
 
 #[test]
@@ -101,7 +99,7 @@ fn single_nonempty_row_scatters_to_its_original_index() {
         .iter()
         .map(|v| v.to_bits())
         .collect();
-    let y = run_bucketed(&m, &x, ExecMode::Sequential, BucketWidths::natural());
+    let y = run_bucketed(&m, &x, BucketWidths::natural());
     assert_eq!(y, want);
     assert_ne!(y[37], 0.0f64.to_bits(), "row 37 carries the only dose");
     for (i, &bits) in y.iter().enumerate() {
@@ -125,7 +123,7 @@ fn every_row_length_one_collapses_into_first_bucket() {
     assert_eq!(plan.nonempty_rows(), 300);
 
     let x: Vec<f64> = (0..ncols).map(|i| (i as f64 * 0.17).sin() + 1.5).collect();
-    let y = run_bucketed(&m, &x, ExecMode::Sequential, BucketWidths::natural());
+    let y = run_bucketed(&m, &x, BucketWidths::natural());
     // One entry per row: the dose is exactly val * x[col], no tree.
     for (row, bits) in y.iter().enumerate() {
         let (cols, vals) = m.row(row);
@@ -134,35 +132,18 @@ fn every_row_length_one_collapses_into_first_bucket() {
     }
 }
 
-/// One test function mutates `RTDOSE_SIM_THREADS` for every width and
-/// worker count (env mutation must not race with other tests, so it all
-/// lives in a single `#[test]`), mirroring `tests/tiled.rs`.
 #[test]
-fn uniform_widths_match_tiled_bitwise_across_modes_and_worker_counts() {
+fn uniform_widths_match_tiled_bitwise_across_runs() {
     let m = random_csr(700, 160, 48, 21);
     let x: Vec<f64> = (0..160)
         .map(|i| ((i * 13 + 5) % 23) as f64 * 0.04 + 0.25)
         .collect();
 
-    let saved = std::env::var("RTDOSE_SIM_THREADS").ok();
     for &w in &TILE_WIDTHS {
-        let golden = run_tiled(&m, &x, ExecMode::Sequential, w);
-        let seq = run_bucketed(&m, &x, ExecMode::Sequential, BucketWidths::uniform(w));
-        assert_eq!(golden, seq, "width {w}: bucketed != tiled (sequential)");
-
-        for workers in ["1", "4", "8"] {
-            std::env::set_var("RTDOSE_SIM_THREADS", workers);
-            for round in 0..2 {
-                let par = run_bucketed(&m, &x, ExecMode::Parallel, BucketWidths::uniform(w));
-                assert_eq!(
-                    golden, par,
-                    "width {w}, {workers} workers, round {round} diverged from tiled"
-                );
-            }
+        let golden = run_tiled(&m, &x, w);
+        for round in 0..3 {
+            let got = run_bucketed(&m, &x, BucketWidths::uniform(w));
+            assert_eq!(golden, got, "width {w}, round {round}: bucketed != tiled");
         }
-    }
-    match saved {
-        Some(v) => std::env::set_var("RTDOSE_SIM_THREADS", v),
-        None => std::env::remove_var("RTDOSE_SIM_THREADS"),
     }
 }

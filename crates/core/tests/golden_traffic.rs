@@ -1,9 +1,9 @@
 //! Golden-value regression test for the simulated memory pipeline.
 //!
-//! Under `ExecMode::Sequential` the simulator's traffic counters are a
-//! pure function of the kernel and its inputs: sector sequences, L2
-//! hit/miss split, writebacks and per-buffer attribution must all be
-//! bit-identical run to run *and commit to commit*. The constants below
+//! The simulator's traffic counters are a pure function of the kernel
+//! and its inputs: sector sequences, L2 hit/miss split, writebacks and
+//! per-buffer attribution must all be bit-identical run to run *and
+//! commit to commit*. The constants below
 //! were recorded from the pre-batching scalar pipeline (one L2 probe
 //! and one region lookup per sector); the warp-granular batched
 //! pipeline must reproduce them exactly.
@@ -24,8 +24,8 @@
 //! not reach: atomic read-modify-writes (the GPU Baseline), a bucketed
 //! group launch (zero-fill plus one member per row bucket), and a
 //! cold-cache reset between launches. Its constants were recorded from
-//! the shard-locked cache, before one-worker launches took ownership of
-//! the L2; the owned path must reproduce them exactly.
+//! the shard-locked cache, before launches took sole ownership of the
+//! L2; the owned path must reproduce them exactly.
 //!
 //! To regenerate after an *intentional* traffic-model change:
 //! `GOLDEN_PRINT=1 cargo test -p rt-core --test golden_traffic -- --nocapture`
@@ -38,7 +38,7 @@ use rt_core::{
     vector_csr_spmm_bucketed, BucketWidths, GpuCsrMatrix, GpuRowPlan, GpuRsMatrix, GpuSellMatrix,
 };
 use rt_f16::F16;
-use rt_gpusim::{DeviceBuffer, DeviceOutBuffer, DeviceSpec, ExecMode, Gpu, KernelStats};
+use rt_gpusim::{DeviceBuffer, DeviceOutBuffer, DeviceSpec, Gpu, KernelStats};
 use rt_sparse::{Csr, RowPlan, RsCompressed, SellCSigma};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -103,7 +103,7 @@ fn transcript(spec: DeviceSpec, tag: &str) -> String {
         let x: Vec<f64> = (0..160)
             .map(|i| ((i * 13 + 5) % 23) as f64 * 0.125)
             .collect();
-        let gpu = Gpu::with_mode(spec.clone(), ExecMode::Sequential);
+        let gpu = Gpu::new(spec.clone());
         let gm = GpuCsrMatrix::upload_named(&gpu, &m);
         let dx = gpu.upload_named("x", &x);
         let dy = gpu.alloc_out_named::<f64>("y", 700);
@@ -115,7 +115,7 @@ fn transcript(spec: DeviceSpec, tag: &str) -> String {
     {
         let m: Csr<F16, u32> = random_csr(500, 120, 40, 22).convert_values();
         let x: Vec<f64> = (0..120).map(|i| 1.0 + (i % 7) as f64 * 0.5).collect();
-        let gpu = Gpu::with_mode(spec.clone(), ExecMode::Sequential);
+        let gpu = Gpu::new(spec.clone());
         let gm = GpuCsrMatrix::upload_named(&gpu, &m);
         let dx = gpu.upload_named("x", &x);
         let dy = gpu.alloc_out_named::<f64>("y", 500);
@@ -128,7 +128,7 @@ fn transcript(spec: DeviceSpec, tag: &str) -> String {
         let m: Csr<F16, u32> = random_csr(640, 140, 60, 33).convert_values();
         let sell = SellCSigma::from_csr(&m, 32, 256);
         let x: Vec<f64> = (0..140).map(|i| ((i * 7 + 3) % 11) as f64 * 0.25).collect();
-        let gpu = Gpu::with_mode(spec.clone(), ExecMode::Sequential);
+        let gpu = Gpu::new(spec.clone());
         let gm = GpuSellMatrix::upload(&gpu, &sell);
         let dx = gpu.upload_named("x", &x);
         let dy = gpu.alloc_out_named::<f64>("y", 640);
@@ -141,7 +141,7 @@ fn transcript(spec: DeviceSpec, tag: &str) -> String {
     for width in [4u32, 16] {
         let m: Csr<F16, u32> = random_csr(600, 128, 12, 77).convert_values();
         let x: Vec<f64> = (0..128).map(|i| ((i * 5 + 2) % 13) as f64 * 0.3).collect();
-        let gpu = Gpu::with_mode(spec.clone(), ExecMode::Sequential);
+        let gpu = Gpu::new(spec.clone());
         let gm = GpuCsrMatrix::upload_named(&gpu, &m);
         let dx = gpu.upload_named("x", &x);
         let dy = gpu.alloc_out_named::<f64>("y", 600);
@@ -153,7 +153,7 @@ fn transcript(spec: DeviceSpec, tag: &str) -> String {
     // shared by every vector's gather, at full-warp and sub-warp widths.
     for width in [32u32, 8] {
         let m: Csr<F16, u32> = random_csr(500, 140, 30, 88).convert_values();
-        let gpu = Gpu::with_mode(spec.clone(), ExecMode::Sequential);
+        let gpu = Gpu::new(spec.clone());
         let gm = GpuCsrMatrix::upload_named(&gpu, &m);
         let dxs: Vec<_> = (0..3)
             .map(|v| {
@@ -174,7 +174,7 @@ fn transcript(spec: DeviceSpec, tag: &str) -> String {
     // one member per non-empty bucket sharing spans across the vectors.
     {
         let m: Csr<F16, u32> = random_csr(600, 130, 40, 99).convert_values();
-        let gpu = Gpu::with_mode(spec.clone(), ExecMode::Sequential);
+        let gpu = Gpu::new(spec.clone());
         let gm = GpuCsrMatrix::upload_named(&gpu, &m);
         let gplan = GpuRowPlan::upload(&gpu, Arc::new(RowPlan::from_csr(&m)));
         let dxs: Vec<_> = (0..3)
@@ -211,7 +211,7 @@ fn transcript(spec: DeviceSpec, tag: &str) -> String {
         let m: Csr<f32, u32> = random_csr(700, 110, 3, 111).convert_values();
         assert!(ginkgo_subwarp_size(m.nnz(), m.nrows()) < 32);
         let x: Vec<f32> = (0..110).map(|i| ((i * 9 + 4) % 17) as f32 * 0.25).collect();
-        let gpu = Gpu::with_mode(spec, ExecMode::Sequential);
+        let gpu = Gpu::new(spec);
         let gm = GpuCsrMatrix::upload_named(&gpu, &m);
         let dx = gpu.upload_named("x", &x);
         let dy = gpu.alloc_out_named::<f32>("y", 700);
@@ -233,7 +233,7 @@ fn paths_transcript(spec: DeviceSpec, tag: &str) -> String {
         let m: Csr<F16, u32> = random_csr(600, 96, 30, 44).convert_values();
         let rs = RsCompressed::from_csr(&m);
         let w: Vec<f64> = (0..96).map(|i| 0.5 + (i % 5) as f64 * 0.25).collect();
-        let gpu = Gpu::with_mode(spec.clone(), ExecMode::Sequential);
+        let gpu = Gpu::new(spec.clone());
         let gm = GpuRsMatrix::upload(&gpu, &rs);
         let dw = gpu.upload_named("w", &w);
         let dose = gpu.alloc_out_named::<f64>("dose", 600);
@@ -246,7 +246,7 @@ fn paths_transcript(spec: DeviceSpec, tag: &str) -> String {
     {
         let m: Csr<F16, u32> = random_csr(800, 150, 50, 55).convert_values();
         let x: Vec<f64> = (0..150).map(|i| ((i * 11 + 1) % 17) as f64 * 0.2).collect();
-        let gpu = Gpu::with_mode(spec.clone(), ExecMode::Sequential);
+        let gpu = Gpu::new(spec.clone());
         let gm = GpuCsrMatrix::upload_named(&gpu, &m);
         let gplan = GpuRowPlan::upload(&gpu, Arc::new(RowPlan::from_csr(&m)));
         let dx = gpu.upload_named("x", &x);
@@ -268,7 +268,7 @@ fn paths_transcript(spec: DeviceSpec, tag: &str) -> String {
     {
         let m: Csr<F16, u32> = random_csr(400, 100, 40, 66).convert_values();
         let x: Vec<f64> = (0..100).map(|i| 1.0 + (i % 3) as f64).collect();
-        let gpu = Gpu::with_mode(spec, ExecMode::Sequential);
+        let gpu = Gpu::new(spec);
         let gm = GpuCsrMatrix::upload_named(&gpu, &m);
         let dx = gpu.upload_named("x", &x);
         let dy = gpu.alloc_out_named::<f64>("y", 400);
@@ -302,7 +302,7 @@ fn assert_golden(name: &str, got: String, want: &str) {
     }
     assert_eq!(
         got, want,
-        "Sequential traffic counters diverged from the recorded {name}; \
+        "Traffic counters diverged from the recorded {name}; \
          if the traffic model changed intentionally, regenerate with \
          GOLDEN_PRINT=1 (see module docs)"
     );

@@ -12,7 +12,7 @@
 //!   row reduces with the same truncated halving tree as the
 //!   whole-matrix kernel on the transpose, so the partitioned
 //!   gradient must match the whole-matrix gradient bit-for-bit at every
-//!   width, across `ExecMode` and 1/4/8 workers — and the
+//!   width, on every rerun — and the
 //!   `DoseCalculator` gradient entry points must agree with the raw
 //!   kernels.
 
@@ -23,7 +23,7 @@ use rt_core::{
     GpuCsrMatrix, GpuRowPlan,
 };
 use rt_f16::F16;
-use rt_gpusim::{DeviceSpec, ExecMode, Gpu, TILE_WIDTHS};
+use rt_gpusim::{DeviceSpec, Gpu, TILE_WIDTHS};
 use rt_sparse::{Csr, RowPlan};
 use std::sync::Arc;
 
@@ -55,8 +55,8 @@ fn random_csr(nrows: usize, ncols: usize, max_row: usize, seed: u64) -> Csr<f64,
 /// Raw-kernel partitioned back-projection on the transpose, with the
 /// output buffer pre-filled with stale garbage (the zero-fill member,
 /// not allocation, is what the contract relies on).
-fn grad_bucketed(t: &Csr<F16, u32>, r: &[f64], mode: ExecMode, widths: BucketWidths) -> Vec<u64> {
-    let gpu = Gpu::with_mode(DeviceSpec::a100(), mode);
+fn grad_bucketed(t: &Csr<F16, u32>, r: &[f64], widths: BucketWidths) -> Vec<u64> {
+    let gpu = Gpu::new(DeviceSpec::a100());
     let gt = GpuCsrMatrix::upload(&gpu, t);
     let gplan = GpuRowPlan::upload(&gpu, Arc::new(RowPlan::from_csr(t)));
     let dr = gpu.upload(r);
@@ -70,8 +70,8 @@ fn grad_bucketed(t: &Csr<F16, u32>, r: &[f64], mode: ExecMode, widths: BucketWid
 
 /// Raw-kernel whole-matrix back-projection: the fixed-width kernel run
 /// directly on the transpose.
-fn grad_whole(t: &Csr<F16, u32>, r: &[f64], mode: ExecMode, width: u32) -> Vec<u64> {
-    let gpu = Gpu::with_mode(DeviceSpec::a100(), mode);
+fn grad_whole(t: &Csr<F16, u32>, r: &[f64], width: u32) -> Vec<u64> {
+    let gpu = Gpu::new(DeviceSpec::a100());
     let gt = GpuCsrMatrix::upload(&gpu, t);
     let dr = gpu.upload(r);
     let dg = gpu.alloc_out::<f64>(t.nrows());
@@ -92,10 +92,8 @@ fn all_beamlet_rows_empty_zero_fills_stale_gradient() {
     assert_eq!(plan.empty_rows(), 16);
 
     let r = vec![1.0f64; 64];
-    for mode in [ExecMode::Sequential, ExecMode::Parallel] {
-        let g = grad_bucketed(&t, &r, mode, BucketWidths::natural());
-        assert_eq!(g, vec![0.0f64.to_bits(); 16], "{mode:?}");
-    }
+    let g = grad_bucketed(&t, &r, BucketWidths::natural());
+    assert_eq!(g, vec![0.0f64.to_bits(); 16]);
 }
 
 #[test]
@@ -117,7 +115,7 @@ fn single_active_beamlet_scatters_to_its_original_index() {
         .iter()
         .map(|v| v.to_bits())
         .collect();
-    let g = grad_bucketed(&t, &r, ExecMode::Sequential, BucketWidths::natural());
+    let g = grad_bucketed(&t, &r, BucketWidths::natural());
     assert_eq!(g, want);
     assert_ne!(g[37], 0.0f64.to_bits(), "beamlet 37 carries the gradient");
     for (i, &bits) in g.iter().enumerate() {
@@ -127,23 +125,19 @@ fn single_active_beamlet_scatters_to_its_original_index() {
     }
 }
 
-/// One test function mutates `RTDOSE_SIM_THREADS` for every width and
-/// worker count (env mutation must not race with other tests, so it all
-/// lives in a single `#[test]`), mirroring `tests/bucketed.rs`.
 #[test]
-fn partitioned_gradients_match_whole_matrix_bitwise_across_modes_and_worker_counts() {
+fn partitioned_gradients_match_whole_matrix_bitwise_across_runs() {
     let m64 = random_csr(700, 160, 48, 21);
     let t: Csr<F16, u32> = m64.transpose().convert_values();
     let r: Vec<f64> = (0..700)
         .map(|i| ((i * 13 + 5) % 23) as f64 * 0.04 + 0.25)
         .collect();
 
-    let saved = std::env::var("RTDOSE_SIM_THREADS").ok();
     for &w in &TILE_WIDTHS {
         // Whole-matrix gradient at width w is the golden value.
-        let golden = grad_whole(&t, &r, ExecMode::Sequential, w);
-        let seq = grad_bucketed(&t, &r, ExecMode::Sequential, BucketWidths::uniform(w));
-        assert_eq!(golden, seq, "width {w}: partitioned != whole (sequential)");
+        let golden = grad_whole(&t, &r, w);
+        let got = grad_bucketed(&t, &r, BucketWidths::uniform(w));
+        assert_eq!(golden, got, "width {w}: partitioned != whole");
 
         // The calculator-level entry points honour the same contract:
         // grad-partitioned compute_gradient_term == whole-matrix
@@ -177,19 +171,12 @@ fn partitioned_gradients_match_whole_matrix_bitwise_across_modes_and_worker_coun
             assert_eq!(bits, gp, "width {w}: batched gradient diverged");
         }
 
-        for workers in ["1", "4", "8"] {
-            std::env::set_var("RTDOSE_SIM_THREADS", workers);
-            for round in 0..2 {
-                let par = grad_bucketed(&t, &r, ExecMode::Parallel, BucketWidths::uniform(w));
-                assert_eq!(
-                    golden, par,
-                    "width {w}, {workers} workers, round {round} diverged from whole-matrix"
-                );
-            }
+        for round in 0..3 {
+            let got = grad_bucketed(&t, &r, BucketWidths::uniform(w));
+            assert_eq!(
+                golden, got,
+                "width {w}, round {round} diverged from whole-matrix"
+            );
         }
-    }
-    match saved {
-        Some(v) => std::env::set_var("RTDOSE_SIM_THREADS", v),
-        None => std::env::remove_var("RTDOSE_SIM_THREADS"),
     }
 }

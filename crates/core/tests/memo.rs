@@ -13,7 +13,7 @@ use rt_core::{
 };
 use rt_dose::cases::{liver_case, ScaleConfig};
 use rt_f16::F16;
-use rt_gpusim::{DeviceBuffer, DeviceOutBuffer, DeviceSpec, ExecMode, Gpu, GroupStats};
+use rt_gpusim::{DeviceBuffer, DeviceOutBuffer, DeviceSpec, Gpu, GroupStats};
 use rt_sparse::{Csr, RowPlan};
 use std::sync::Arc;
 
@@ -41,8 +41,8 @@ struct Side {
 }
 
 impl Side {
-    fn new(spec: DeviceSpec, mode: ExecMode, a: &Csr<f64, u32>, t: &Csr<f64, u32>) -> Self {
-        let gpu = Gpu::with_mode(spec, mode);
+    fn new(spec: DeviceSpec, a: &Csr<f64, u32>, t: &Csr<f64, u32>) -> Self {
+        let gpu = Gpu::new(spec);
         let dirs = [a, t].map(|m| {
             let matrix = GpuCsrMatrix::upload(&gpu, &m.convert_values::<F16>());
             let plan = GpuRowPlan::upload(&gpu, Arc::new(RowPlan::from_csr(m)));
@@ -126,8 +126,8 @@ fn liver() -> (Csr<f64, u32>, Csr<f64, u32>, DeviceSpec) {
 /// memo counts.
 fn run_twins(spec: DeviceSpec, steps: usize, seed: u64) -> rt_gpusim::MemoCounts {
     let (a, t, _) = liver();
-    let mut keyed = Side::new(spec.clone(), ExecMode::Sequential, &a, &t);
-    let mut plain = Side::new(spec, ExecMode::Sequential, &a, &t);
+    let mut keyed = Side::new(spec.clone(), &a, &t);
+    let mut plain = Side::new(spec, &a, &t);
     let mut rng = StdRng::seed_from_u64(seed);
     // A few hot launch shapes, so (start state, key) pairs repeat.
     let hot = [(0, 0, 1), (1, 0, 1), (0, 1, 2), (1, 2, 3)];
@@ -189,23 +189,5 @@ fn memo_hits_equal_interpretation_on_the_clamp_rule_l2() {
 fn a_stock_l2_never_saturates_so_nothing_is_remembered() {
     let counts = run_twins(DeviceSpec::a100(), 20, 3);
     assert!(counts.keyed > 0);
-    assert_eq!((counts.hits, counts.entries), (0, 0), "{counts:?}");
-}
-
-#[test]
-fn multi_worker_launches_remember_nothing() {
-    let (a, t, spec) = liver();
-    let mut side = Side::new(spec, ExecMode::Parallel, &a, &t);
-    if side.gpu.workers() == 1 {
-        // One worker owns the L2 and memoizes; the clamp-rule test above
-        // covers that case.
-        return;
-    }
-    let x = vec![vec![1.0; a.ncols()]];
-    for _ in 0..4 {
-        side.launch(0, 0, &x, true);
-    }
-    let counts = side.gpu.memo_counts();
-    assert_eq!(counts.keyed, 4);
     assert_eq!((counts.hits, counts.entries), (0, 0), "{counts:?}");
 }

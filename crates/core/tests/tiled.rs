@@ -1,9 +1,9 @@
 //! Reproducibility and correctness contract of the sub-warp tiled SpMV
 //! family (ISSUE 4):
 //!
-//! * each tile width is **bitwise reproducible** run-to-run, across
-//!   `ExecMode::Sequential` / `ExecMode::Parallel`, and across worker
-//!   counts (1 / 4 / 8);
+//! * each tile width is **bitwise reproducible** run-to-run, on a fresh
+//!   `Gpu` each time, and equal to the host reference's per-width
+//!   lane/tree arithmetic;
 //! * every width agrees with the host SpMV reference within f64
 //!   tolerance (widths legitimately differ *from each other* bitwise —
 //!   a different reduce tree folds the partial sums in a different
@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rt_core::{vector_csr_reference, vector_csr_spmm, BucketWidths, GpuCsrMatrix, KernelSelect};
 use rt_f16::F16;
-use rt_gpusim::{DeviceSpec, ExecMode, Gpu, TILE_WIDTHS};
+use rt_gpusim::{DeviceSpec, Gpu, TILE_WIDTHS};
 use rt_sparse::Csr;
 
 fn random_csr(nrows: usize, ncols: usize, max_row: usize, seed: u64) -> Csr<F16, u32> {
@@ -38,8 +38,8 @@ fn random_csr(nrows: usize, ncols: usize, max_row: usize, seed: u64) -> Csr<F16,
     m.convert_values()
 }
 
-fn run(m: &Csr<F16, u32>, x: &[f64], mode: ExecMode, width: u32) -> Vec<u64> {
-    let gpu = Gpu::with_mode(DeviceSpec::a100(), mode);
+fn run(m: &Csr<F16, u32>, x: &[f64], width: u32) -> Vec<u64> {
+    let gpu = Gpu::new(DeviceSpec::a100());
     let gm = GpuCsrMatrix::upload(&gpu, m);
     let dx = gpu.upload(x);
     let dy = gpu.alloc_out::<f64>(m.nrows());
@@ -47,19 +47,15 @@ fn run(m: &Csr<F16, u32>, x: &[f64], mode: ExecMode, width: u32) -> Vec<u64> {
     dy.to_vec().iter().map(|v| v.to_bits()).collect()
 }
 
-/// One test function mutates `RTDOSE_SIM_THREADS` for every width and
-/// worker count (env mutation must not race with other tests, so it all
-/// lives in a single `#[test]`).
 #[test]
-fn every_width_is_bitwise_reproducible_across_modes_and_worker_counts() {
+fn every_width_is_bitwise_reproducible_across_runs() {
     let m = random_csr(700, 160, 48, 21);
     let x: Vec<f64> = (0..160)
         .map(|i| ((i * 13 + 5) % 23) as f64 * 0.04 + 0.25)
         .collect();
 
-    let saved = std::env::var("RTDOSE_SIM_THREADS").ok();
     for &w in &TILE_WIDTHS {
-        let golden = run(&m, &x, ExecMode::Sequential, w);
+        let golden = run(&m, &x, w);
         // Matches the documented per-width lane/tree arithmetic exactly.
         let x64 = x.clone();
         let want: Vec<u64> = vector_csr_reference(&m, &x64, BucketWidths::uniform(w))
@@ -68,20 +64,9 @@ fn every_width_is_bitwise_reproducible_across_modes_and_worker_counts() {
             .collect();
         assert_eq!(golden, want, "width {w} reference mismatch");
 
-        for workers in ["1", "4", "8"] {
-            std::env::set_var("RTDOSE_SIM_THREADS", workers);
-            for round in 0..2 {
-                let par = run(&m, &x, ExecMode::Parallel, w);
-                assert_eq!(
-                    golden, par,
-                    "width {w}, {workers} workers, round {round} diverged"
-                );
-            }
+        for round in 0..3 {
+            assert_eq!(golden, run(&m, &x, w), "width {w}, round {round} diverged");
         }
-    }
-    match saved {
-        Some(v) => std::env::set_var("RTDOSE_SIM_THREADS", v),
-        None => std::env::remove_var("RTDOSE_SIM_THREADS"),
     }
 }
 

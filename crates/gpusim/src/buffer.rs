@@ -1,12 +1,15 @@
 //! Device buffers.
 //!
 //! [`DeviceBuffer`] is read-only input data (matrix arrays, input vector);
-//! [`DeviceOutBuffer`] is writable output storage backed by atomics so the
-//! parallel executor is data-race-free *by construction* — including the
-//! deliberately racy float `fetch_add` the GPU-baseline kernel uses, whose
-//! result order genuinely depends on thread interleaving, reproducing the
-//! paper's bitwise-non-reproducibility observation with real concurrency
-//! rather than injected randomness.
+//! [`DeviceOutBuffer`] is writable output storage backed by atomic cells,
+//! so a `Gpu` shared across threads stays data-race-free *by
+//! construction*. That includes the float `fetch_add` behind the
+//! GPU-baseline kernel's `atomicAdd`. On hardware that kernel's sum
+//! depends on the order the atomics land in — the paper's
+//! bitwise-non-reproducibility observation. That order dependence is
+//! stated, not simulated: a launch runs its warps in order, so the
+//! simulated sum follows launch order, and the simulator models the
+//! atomics' traffic and counts.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 

@@ -2,23 +2,14 @@
 //!
 //! The unit of transfer between L2 and DRAM on the modeled GPUs is the
 //! 32-byte sector, so the model tracks 32-byte sectors directly (a
-//! "line" here is one sector). Sets are LRU; the set array is sharded
-//! across mutexes so executor workers can probe concurrently — shard
-//! contention is low because consecutive sectors map to consecutive sets.
+//! "line" here is one sector). Sets are LRU and split into up to 64
+//! shards, so the end-of-kernel flush skips clean shards and invalidation
+//! costs O(shards).
 //!
-//! Launches reach the cache through an [`L2Port`], in one of two modes
-//! that share the single `probe` policy function:
-//!
-//! * **Shared** ([`L2Cache::shared`]): one port per executor worker of a
-//!   multi-worker launch. A warp access is a short ordered list of
-//!   sectors; consecutive sectors that land in the same shard are probed
-//!   under one shard-lock acquisition instead of one per sector.
-//! * **Owned** ([`L2Cache::owned`]): a one-worker launch takes the whole
-//!   cache once at launch start and probes with no per-access lock.
-//!
-//! Probe *order* is exactly the scalar order in both modes, so hit/miss
-//! and eviction sequences — and therefore all traffic counters — do not
-//! depend on the mode; only the locking granularity differs.
+//! A launch reaches the cache through one [`L2Port`] ([`L2Cache::owned`]):
+//! it takes the whole cache once at launch start and probes with no
+//! per-access lock, in exactly the order the warps issue their accesses,
+//! through the single `probe` policy function.
 //!
 //! Each shard stores its sets as a structure of arrays (tags, LRU stamps,
 //! dirty bits). Every array starts all-zero (a stored tag is `sector + 1`,
@@ -60,9 +51,9 @@
 //! 4. The cache tracks an `L2State`: `Cold` when new or invalidated,
 //!    `After(key)` once the executor installs it after a saturating keyed
 //!    launch, `Unknown` otherwise. Taking an owned port moves the state
-//!    to `Unknown` (the port remembers the state it started from), and so
-//!    does taking a shared port, so only an owned launch that declares
-//!    what it left behind (`L2Port::set_state`) leaves a known state.
+//!    to `Unknown` (the port remembers the state it started from), so
+//!    only a launch that declares what it left behind
+//!    (`L2Port::set_state`) leaves a known state.
 //! 5. A memo hit installs an `L2Snapshot` of the arrays a saturating run
 //!    of the same key left behind (`L2Port::restore`). Its tags and
 //!    within-set stamp order are what interpretation would leave, so every
@@ -70,15 +61,15 @@
 //!
 //! # Lock poisoning
 //!
-//! Only the shard array (write-locked by an owned port for a whole
-//! one-worker launch or keyed group) and the executor's launch memo are
-//! held while kernel code runs, so only they can be poisoned by a
-//! panicking kernel, and every acquisition of them recovers with
-//! `PoisonError::into_inner`: `probe` and the flush never call kernel
-//! code, taking an owned port already leaves the state `Unknown`, and the
-//! memo records only after a group returns. Every other simulator lock
-//! (the L2 state, each shard's mutex, and `MemSystem`'s regions and
-//! snapshot) is held only inside simulator code and takes `.unwrap()`.
+//! Only the shard array (locked by a port for a whole launch or keyed
+//! group) and the executor's launch memo are held while kernel code
+//! runs, so only they can be poisoned by a panicking kernel, and every
+//! acquisition of them recovers with `PoisonError::into_inner`: `probe`
+//! and the flush never call kernel code, taking a port already leaves the
+//! state `Unknown`, and the memo records only after a group returns.
+//! Every other simulator lock (the L2 state, and `MemSystem`'s regions
+//! and snapshot) is held only inside simulator code and takes
+//! `.unwrap()`.
 //!
 //! The model intentionally omits the L1/SMEM level: for streaming SpMV
 //! kernels L1 hit rates are negligible for the matrix (each element is
@@ -86,7 +77,7 @@
 //! capacity effect.
 
 use std::cell::RefCell;
-use std::sync::{Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Transfer granularity between L2 and DRAM, in bytes.
 pub const SECTOR_BYTES: u64 = 32;
@@ -273,12 +264,13 @@ pub(crate) enum L2State {
 /// (tag, stamp and dirty bit per way; generation and newest way per set).
 pub(crate) struct L2Snapshot(Box<[Shard]>);
 
-/// The cache model. Cheap to probe, safe to share across threads.
+/// The cache model. Safe to share across threads: each launch locks it
+/// whole through its [`L2Port`].
 pub struct L2Cache {
-    /// Read-locked by every shared port, write-locked by an owned one.
-    shards: RwLock<Box<[Mutex<Shard>]>>,
-    /// Written only by a holder of a port or of the write lock, so an
-    /// owned port reads the state the previous holder left.
+    /// Locked by a port for its whole life.
+    shards: Mutex<Box<[Shard]>>,
+    /// Written only by a holder of the shard lock, so a port reads the
+    /// state the previous holder left.
     state: Mutex<L2State>,
     nsets: u64,
     ways: usize,
@@ -309,10 +301,10 @@ impl L2Cache {
         let sets_per_shard = (nsets / SHARDS as u64).max(1);
         let shard_count = nsets.div_ceil(sets_per_shard) as usize;
         let shards = (0..shard_count)
-            .map(|_| Mutex::new(Shard::new(sets_per_shard as usize, ways)))
+            .map(|_| Shard::new(sets_per_shard as usize, ways))
             .collect();
         L2Cache {
-            shards: RwLock::new(shards),
+            shards: Mutex::new(shards),
             state: Mutex::new(L2State::Cold),
             nsets,
             ways,
@@ -342,31 +334,17 @@ impl L2Cache {
         )
     }
 
-    /// A port that shares the cache with other shared ports: each run of
-    /// sectors in one shard is probed under that shard's lock. Blocks
-    /// while an owned port is live. The cache's state becomes unknown
-    /// (module docs, step 4).
-    pub fn shared(&self) -> L2Port<'_> {
-        let shards = self.shards.read().unwrap_or_else(PoisonError::into_inner);
-        *self.state.lock().unwrap() = L2State::Unknown;
-        L2Port {
-            cache: self,
-            shards: Shards::Shared(shards),
-            start: L2State::Unknown,
-        }
-    }
-
     /// A port with sole use of the cache until it is dropped: probes take
-    /// no lock. Blocks until every other port is dropped, so a thread
+    /// no lock. Blocks until the previous port is dropped, so a thread
     /// must not hold another port of the same cache. The port remembers
     /// the state the cache was in and leaves it unknown unless told
     /// otherwise (module docs, step 4).
     pub fn owned(&self) -> L2Port<'_> {
-        let shards = self.write_shards();
+        let shards = self.lock_shards();
         let start = std::mem::replace(&mut *self.state.lock().unwrap(), L2State::Unknown);
         L2Port {
             cache: self,
-            shards: Shards::Owned(RefCell::new(shards)),
+            shards: RefCell::new(shards),
             start,
         }
     }
@@ -376,9 +354,8 @@ impl L2Cache {
     /// capacity. Stale sets are cleared on their next probe, so counters
     /// are unaffected by the representation. Waits for live ports.
     pub fn invalidate(&self) {
-        let mut shards = self.write_shards();
-        for shard in shards.iter_mut() {
-            let s = shard.get_mut().unwrap();
+        let mut shards = self.lock_shards();
+        for s in shards.iter_mut() {
             s.gen += 1;
             // Stale dirty data is discarded, never written back.
             s.dirty_ways = 0;
@@ -386,27 +363,20 @@ impl L2Cache {
         *self.state.lock().unwrap() = L2State::Cold;
     }
 
-    /// Write-locks the shard array, recovering from poisoning (module
-    /// docs, *Lock poisoning*).
-    fn write_shards(&self) -> RwLockWriteGuard<'_, Box<[Mutex<Shard>]>> {
-        self.shards.write().unwrap_or_else(PoisonError::into_inner)
+    /// Locks the shard array, recovering from poisoning (module docs,
+    /// *Lock poisoning*).
+    fn lock_shards(&self) -> MutexGuard<'_, Box<[Shard]>> {
+        self.shards.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-enum Shards<'a> {
-    Shared(RwLockReadGuard<'a, Box<[Mutex<Shard>]>>),
-    /// `RefCell` because ports are probed through `&self` from the warp
-    /// API; an owned port never leaves its thread.
-    Owned(RefCell<RwLockWriteGuard<'a, Box<[Mutex<Shard>]>>>),
-}
-
-/// A launch worker's access to an [`L2Cache`]: shared with other workers
-/// ([`L2Cache::shared`]) or owned for the whole launch
-/// ([`L2Cache::owned`]). Both modes probe in the same order with the same
-/// policy, so results do not depend on the mode.
+/// A launch's sole use of an [`L2Cache`] ([`L2Cache::owned`]), held from
+/// its first access to its end-of-kernel flush.
 pub struct L2Port<'a> {
     cache: &'a L2Cache,
-    shards: Shards<'a>,
+    /// `RefCell` because ports are probed through `&self` from the warp
+    /// API; a port never leaves its thread.
+    shards: RefCell<MutexGuard<'a, Box<[Shard]>>>,
     /// The cache's state when the port was taken.
     start: L2State,
 }
@@ -422,49 +392,17 @@ impl<'a> L2Port<'a> {
 
     /// Probes an ordered batch of sector indices (one warp access,
     /// already deduplicated by the coalescer), calling `sink` with each
-    /// result in order. On a shared port, runs of sectors mapping to the
-    /// same shard are probed under a single lock acquisition; for
-    /// coalesced warp accesses the whole batch is typically one run.
+    /// result in order.
     pub fn access_batch<I, F>(&self, sectors: I, write: bool, mut sink: F)
     where
         I: IntoIterator<Item = u64>,
         F: FnMut(AccessResult),
     {
         let cache = self.cache;
-        match &self.shards {
-            Shards::Owned(shards) => {
-                let mut shards = shards.borrow_mut();
-                for sector in sectors {
-                    let (shard, set) = cache.shard_of(sector);
-                    sink(probe(
-                        shards[shard].get_mut().unwrap(),
-                        set,
-                        cache.ways,
-                        sector,
-                        write,
-                    ));
-                }
-            }
-            Shards::Shared(shards) => {
-                let mut it = sectors.into_iter();
-                let Some(mut sector) = it.next() else { return };
-                'runs: loop {
-                    let (shard_idx, mut set) = cache.shard_of(sector);
-                    let mut shard = shards[shard_idx].lock().unwrap();
-                    loop {
-                        sink(probe(&mut shard, set, cache.ways, sector, write));
-                        sector = match it.next() {
-                            Some(s) => s,
-                            None => break 'runs,
-                        };
-                        let (next_shard, next_set) = cache.shard_of(sector);
-                        if next_shard != shard_idx {
-                            continue 'runs; // drop the lock, start the next run
-                        }
-                        set = next_set;
-                    }
-                }
-            }
+        let mut shards = self.shards.borrow_mut();
+        for sector in sectors {
+            let (shard, set) = cache.shard_of(sector);
+            sink(probe(&mut shards[shard], set, cache.ways, sector, write));
         }
     }
 
@@ -472,88 +410,49 @@ impl<'a> L2Port<'a> {
     /// the end-of-kernel write-back flush.
     pub fn flush_dirty(&self) -> u64 {
         let ways = self.cache.ways;
-        match &self.shards {
-            Shards::Owned(shards) => shards
-                .borrow_mut()
-                .iter_mut()
-                .map(|s| s.get_mut().unwrap().flush(ways))
-                .sum(),
-            Shards::Shared(shards) => shards.iter().map(|s| s.lock().unwrap().flush(ways)).sum(),
-        }
+        self.shards
+            .borrow_mut()
+            .iter_mut()
+            .map(|s| s.flush(ways))
+            .sum()
     }
 
-    /// The cache's state when this port was taken ([`L2State::Unknown`]
-    /// for a shared port).
+    /// The cache's state when this port was taken.
     pub(crate) fn start_state(&self) -> L2State {
         self.start
     }
 
-    /// Declares what the cache holds when this owned port is dropped.
-    ///
-    /// # Panics
-    ///
-    /// On a shared port.
+    /// Declares what the cache holds when this port is dropped.
     pub(crate) fn set_state(&self, state: L2State) {
-        self.owned_shards();
         *self.cache.state.lock().unwrap() = state;
     }
 
     /// Each shard's stamp counter: pass it to
     /// [`L2Port::overwrote_every_set`] after the launch.
-    ///
-    /// # Panics
-    ///
-    /// On a shared port.
     pub(crate) fn stamps(&self) -> Vec<u64> {
-        self.owned_shards()
-            .iter_mut()
-            .map(|s| s.get_mut().unwrap().stamp)
-            .collect()
+        self.shards.borrow().iter().map(|s| s.stamp).collect()
     }
 
     /// Whether every way of every set holds a tag stamped since `stamps`
     /// were read: the launch in between was saturating (module docs,
     /// step 3). O(sets × ways).
-    ///
-    /// # Panics
-    ///
-    /// On a shared port.
     pub(crate) fn overwrote_every_set(&self, stamps: &[u64]) -> bool {
-        self.owned_shards()
-            .iter_mut()
+        self.shards
+            .borrow()
+            .iter()
             .zip(stamps)
-            .all(|(s, &since)| s.get_mut().unwrap().overwritten_since(since))
+            .all(|(s, &since)| s.overwritten_since(since))
     }
 
     /// A copy of the whole cache.
-    ///
-    /// # Panics
-    ///
-    /// On a shared port.
     pub(crate) fn snapshot(&self) -> L2Snapshot {
-        L2Snapshot(
-            self.owned_shards()
-                .iter_mut()
-                .map(|s| s.get_mut().unwrap().clone())
-                .collect(),
-        )
+        L2Snapshot(self.shards.borrow().clone())
     }
 
     /// Makes the cache a copy of `snapshot`, taken from this cache.
-    ///
-    /// # Panics
-    ///
-    /// On a shared port.
     pub(crate) fn restore(&self, snapshot: &L2Snapshot) {
-        for (s, src) in self.owned_shards().iter_mut().zip(snapshot.0.iter()) {
-            s.get_mut().unwrap().copy_from(src);
-        }
-    }
-
-    fn owned_shards(&self) -> std::cell::RefMut<'_, RwLockWriteGuard<'a, Box<[Mutex<Shard>]>>> {
-        match &self.shards {
-            Shards::Owned(shards) => shards.borrow_mut(),
-            Shards::Shared(_) => panic!("needs an owned L2 port"),
+        for (s, src) in self.shards.borrow_mut().iter_mut().zip(snapshot.0.iter()) {
+            s.copy_from(src);
         }
     }
 }
@@ -662,10 +561,13 @@ mod tests {
             .filter_map(|&op| match op {
                 Op::Access(sector, write) => {
                     let (shard, set) = c.shard_of(sector);
-                    let mut shards = c.write_shards();
-                    let shard = shards[shard].get_mut().unwrap();
+                    let mut shards = c.lock_shards();
                     Some(Outcome::Access(reference_probe(
-                        shard, set, c.ways, sector, write,
+                        &mut shards[shard],
+                        set,
+                        c.ways,
+                        sector,
+                        write,
                     )))
                 }
                 Op::Invalidate => {
@@ -677,28 +579,24 @@ mod tests {
             .collect()
     }
 
-    /// Runs `ops` through an owned or a shared port.
-    fn run_port(c: &L2Cache, ops: &[Op], owned: bool) -> Vec<Outcome> {
-        let port = || if owned { c.owned() } else { c.shared() };
+    /// Runs `ops` through a port per op.
+    fn run_port(c: &L2Cache, ops: &[Op]) -> Vec<Outcome> {
         ops.iter()
             .filter_map(|&op| match op {
-                Op::Access(sector, write) => {
-                    Some(Outcome::Access(port().access(sector * SECTOR_BYTES, write)))
-                }
+                Op::Access(sector, write) => Some(Outcome::Access(
+                    c.owned().access(sector * SECTOR_BYTES, write),
+                )),
                 Op::Invalidate => {
                     c.invalidate();
                     None
                 }
-                Op::Flush => Some(Outcome::Flushed(port().flush_dirty())),
+                Op::Flush => Some(Outcome::Flushed(c.owned().flush_dirty())),
             })
             .collect()
     }
 
     fn stamps_issued(c: &L2Cache) -> u64 {
-        c.write_shards()
-            .iter_mut()
-            .map(|s| s.get_mut().unwrap().stamp)
-            .sum()
+        c.lock_shards().iter().map(|s| s.stamp).sum()
     }
 
     #[test]
@@ -715,18 +613,13 @@ mod tests {
                     let accesses =
                         ops.iter().filter(|op| matches!(op, Op::Access(..))).count() as u64;
                     assert_eq!(stamps_issued(&reference), accesses);
-                    for owned in [true, false] {
-                        let c = L2Cache::new(capacity, ways);
-                        let got = run_port(&c, &ops, owned);
-                        assert_eq!(
-                            got, want,
-                            "ways {ways}, sets {sets}, seed {seed}, owned {owned}"
-                        );
-                        assert!(
-                            stamps_issued(&c) < accesses,
-                            "the fast path fired (ways {ways}, sets {sets})"
-                        );
-                    }
+                    let c = L2Cache::new(capacity, ways);
+                    let got = run_port(&c, &ops);
+                    assert_eq!(got, want, "ways {ways}, sets {sets}, seed {seed}");
+                    assert!(
+                        stamps_issued(&c) < accesses,
+                        "the fast path fired (ways {ways}, sets {sets})"
+                    );
                     all.extend(want);
                 }
                 // Every config exercises hits, misses, write-backs and
@@ -748,8 +641,7 @@ mod tests {
     fn lru_order(c: &L2Cache) -> Vec<Vec<u64>> {
         let ways = c.ways;
         let mut out = Vec::new();
-        for shard in c.write_shards().iter_mut() {
-            let s = shard.get_mut().unwrap();
+        for s in c.lock_shards().iter() {
             for set in 0..s.set_gen.len() {
                 let mut live: Vec<(u64, u64)> = (set * ways..(set + 1) * ways)
                     .filter(|&w| s.set_gen[set] == s.gen && s.tags[w] != 0)
@@ -763,7 +655,7 @@ mod tests {
     }
 
     /// Two caches of `sets × ways` in different seeded start states: one
-    /// warmed through `reference_probe`, one through an owned port. Both
+    /// warmed through `reference_probe`, one through ports. Both
     /// end clean, as every launch does, with `last` as the newest way of
     /// its set.
     fn twin_starts(sets: usize, ways: usize, last: u64) -> [L2Cache; 2] {
@@ -773,15 +665,15 @@ mod tests {
         run_reference(&a, &ops(11, sectors, 900));
         run_reference(&a, &[Op::Access(last, false)]);
         let b = L2Cache::new(capacity, ways);
-        run_port(&b, &ops(12, sectors, 900), true);
-        run_port(&b, &[Op::Access(last, false)], true);
+        run_port(&b, &ops(12, sectors, 900));
+        run_port(&b, &[Op::Access(last, false)]);
         for c in [&a, &b] {
             c.owned().flush_dirty();
         }
         [a, b]
     }
 
-    /// Feeds `stream` through an owned port as one launch; returns whether
+    /// Feeds `stream` through one port as one launch; returns whether
     /// it overwrote every set, and the access results.
     fn launch(c: &L2Cache, stream: &[(u64, bool)]) -> (bool, Vec<AccessResult>) {
         let port = c.owned();
@@ -895,12 +787,12 @@ mod tests {
     #[test]
     fn repeated_access_hits() {
         let c = L2Cache::new(1 << 16, 8);
-        assert!(!c.shared().access(0x1000, false).hit);
-        assert!(c.shared().access(0x1000, false).hit);
+        assert!(!c.owned().access(0x1000, false).hit);
+        assert!(c.owned().access(0x1000, false).hit);
         // Same sector, different byte.
-        assert!(c.shared().access(0x101f, false).hit);
+        assert!(c.owned().access(0x101f, false).hit);
         // Next sector misses.
-        assert!(!c.shared().access(0x1020, false).hit);
+        assert!(!c.owned().access(0x1020, false).hit);
     }
 
     #[test]
@@ -910,63 +802,63 @@ mod tests {
         assert_eq!(c.capacity_bytes(), 256);
         // Fill one set (sectors mapping to set 0: multiples of nsets*32).
         let stride = c.capacity_bytes() / 2; // nsets * 32 = capacity / ways
-        assert!(!c.shared().access(0, false).hit);
-        assert!(!c.shared().access(stride, false).hit);
+        assert!(!c.owned().access(0, false).hit);
+        assert!(!c.owned().access(stride, false).hit);
         // Both resident.
-        assert!(c.shared().access(0, false).hit);
-        assert!(c.shared().access(stride, false).hit);
+        assert!(c.owned().access(0, false).hit);
+        assert!(c.owned().access(stride, false).hit);
         // Third distinct sector in the same set evicts the LRU (addr 0).
-        assert!(!c.shared().access(2 * stride, false).hit);
-        assert!(!c.shared().access(0, false).hit);
+        assert!(!c.owned().access(2 * stride, false).hit);
+        assert!(!c.owned().access(0, false).hit);
         // `stride` was more recently used than 0 at eviction time, but the
         // re-miss of 0 evicted 2*stride (LRU then). Just check the set
         // still functions.
-        assert!(c.shared().access(0, false).hit);
+        assert!(c.owned().access(0, false).hit);
     }
 
     #[test]
     fn dirty_eviction_reports_writeback() {
         let c = L2Cache::new(256, 2);
         let stride = c.capacity_bytes() / 2;
-        assert!(!c.shared().access(0, true).hit); // dirty
-        c.shared().access(stride, false);
-        let r = c.shared().access(2 * stride, false); // evicts addr 0 (dirty LRU)
+        assert!(!c.owned().access(0, true).hit); // dirty
+        c.owned().access(stride, false);
+        let r = c.owned().access(2 * stride, false); // evicts addr 0 (dirty LRU)
         assert!(r.writeback);
     }
 
     #[test]
     fn flush_counts_and_cleans() {
         let c = L2Cache::new(1 << 16, 8);
-        c.shared().access(0, true);
-        c.shared().access(64, true);
-        c.shared().access(128, false);
-        assert_eq!(c.shared().flush_dirty(), 2);
-        assert_eq!(c.shared().flush_dirty(), 0);
+        c.owned().access(0, true);
+        c.owned().access(64, true);
+        c.owned().access(128, false);
+        assert_eq!(c.owned().flush_dirty(), 2);
+        assert_eq!(c.owned().flush_dirty(), 0);
         // Still resident after flush.
-        assert!(c.shared().access(0, false).hit);
+        assert!(c.owned().access(0, false).hit);
     }
 
     #[test]
     fn invalidate_clears() {
         let c = L2Cache::new(1 << 16, 8);
-        c.shared().access(0, true);
+        c.owned().access(0, true);
         c.invalidate();
-        assert!(!c.shared().access(0, false).hit);
+        assert!(!c.owned().access(0, false).hit);
         // The dirty pre-invalidate fill must not write back or flush.
-        assert_eq!(c.shared().flush_dirty(), 0);
+        assert_eq!(c.owned().flush_dirty(), 0);
     }
 
     #[test]
     fn invalidate_discards_dirty_data_without_writeback() {
         let c = L2Cache::new(256, 2);
         let stride = c.capacity_bytes() / 2;
-        c.shared().access(0, true);
-        c.shared().access(stride, true);
+        c.owned().access(0, true);
+        c.owned().access(stride, true);
         c.invalidate();
         // Refilling the set evicts only stale ways: no writebacks.
-        assert!(!c.shared().access(0, false).writeback);
-        assert!(!c.shared().access(stride, false).writeback);
-        assert!(!c.shared().access(2 * stride, false).hit);
+        assert!(!c.owned().access(0, false).writeback);
+        assert!(!c.owned().access(stride, false).writeback);
+        assert!(!c.owned().access(2 * stride, false).hit);
     }
 
     #[test]
@@ -974,10 +866,10 @@ mod tests {
         let c = L2Cache::new(1 << 12, 4);
         for round in 0..5 {
             assert!(
-                !c.shared().access(0x40, true).hit,
+                !c.owned().access(0x40, true).hit,
                 "round {round}: must be cold"
             );
-            assert!(c.shared().access(0x40, false).hit);
+            assert!(c.owned().access(0x40, false).hit);
             c.invalidate();
         }
     }
@@ -993,65 +885,24 @@ mod tests {
         let scalar = L2Cache::new(1 << 12, 2);
         let want: Vec<AccessResult> = seq
             .iter()
-            .map(|&s| scalar.shared().access(s * SECTOR_BYTES, false))
+            .map(|&s| scalar.owned().access(s * SECTOR_BYTES, false))
             .collect();
         let batched = L2Cache::new(1 << 12, 2);
         let mut got = Vec::new();
         batched
-            .shared()
+            .owned()
             .access_batch(seq.iter().copied(), false, |r| got.push(r));
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn owned_port_matches_shared_port() {
-        // 4 sets x 2 ways per shard-sized cache: the sequence below
-        // revisits, dirties and evicts, then invalidates while sets hold
-        // dirty data and keeps going over the stale sets.
-        let sectors: Vec<(u64, bool)> = (0..400u64)
-            .map(|i| ((i * 7919 + i / 3) % 97, i % 3 == 0))
-            .collect();
-        let (before, after) = sectors.split_at(150);
-
-        let locked = L2Cache::new(1 << 10, 2);
-        let mut want = Vec::new();
-        for &(s, w) in before {
-            want.push(locked.shared().access(s * SECTOR_BYTES, w));
-        }
-        locked.invalidate();
-        for &(s, w) in after {
-            want.push(locked.shared().access(s * SECTOR_BYTES, w));
-        }
-        let want_flush = locked.shared().flush_dirty();
-
-        let owned = L2Cache::new(1 << 10, 2);
-        let mut got = Vec::new();
-        {
-            let port = owned.owned();
-            for &(s, w) in before {
-                port.access_batch([s], w, |r| got.push(r));
-            }
-        }
-        owned.invalidate();
-        let port = owned.owned();
-        for &(s, w) in after {
-            port.access_batch([s], w, |r| got.push(r));
-        }
-        assert_eq!(got, want);
-        assert!(want.iter().any(|r| r.writeback), "evictions exercised");
-        assert!(want_flush > 0, "dirty data left to flush");
-        assert_eq!(port.flush_dirty(), want_flush);
-        assert_eq!(port.flush_dirty(), 0);
     }
 
     #[test]
     fn empty_batch_is_a_noop() {
         let c = L2Cache::new(1 << 12, 2);
         let mut calls = 0;
-        c.shared()
+        c.owned()
             .access_batch(std::iter::empty(), true, |_| calls += 1);
         assert_eq!(calls, 0);
-        assert_eq!(c.shared().flush_dirty(), 0);
+        assert_eq!(c.owned().flush_dirty(), 0);
     }
 
     #[test]
@@ -1061,7 +912,7 @@ mod tests {
         let mut misses = 0;
         for pass in 0..2 {
             for addr in (0..n).step_by(32) {
-                if !c.shared().access(addr, false).hit {
+                if !c.owned().access(addr, false).hit {
                     misses += 1;
                 }
             }
@@ -1078,11 +929,11 @@ mod tests {
         let c = L2Cache::new(1 << 16, 16); // 64 KB
         let n = 1 << 12; // 4 KB working set
         for addr in (0..n).step_by(32) {
-            c.shared().access(addr, false);
+            c.owned().access(addr, false);
         }
         for addr in (0..n).step_by(32) {
             assert!(
-                c.shared().access(addr, false).hit,
+                c.owned().access(addr, false).hit,
                 "addr {addr} not resident"
             );
         }

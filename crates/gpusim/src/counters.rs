@@ -1,15 +1,15 @@
 //! Performance counters.
 //!
-//! Each executor worker accumulates into a private [`LocalCounters`]
-//! (plain `Cell`s — no atomic traffic on the hot path); the launch merges
-//! them into a [`KernelStats`] snapshot, the simulator's equivalent of an
-//! Nsight Compute section.
+//! Each launch accumulates into a private [`LocalCounters`] (plain
+//! `Cell`s — no atomic traffic on the hot path) and merges it into a
+//! [`KernelStats`] snapshot, the simulator's equivalent of an Nsight
+//! Compute section.
 
 use crate::mem::RegionMeta;
 use std::cell::Cell;
 use std::sync::Arc;
 
-/// Worker-local per-region traffic tallies: plain `Cell`s, no shared
+/// Launch-local per-region traffic tallies: plain `Cell`s, no shared
 /// atomics. Indices parallel the region snapshot in [`RegionAttr`].
 #[derive(Debug, Default)]
 pub(crate) struct RegionCounts {
@@ -18,19 +18,19 @@ pub(crate) struct RegionCounts {
     pub write_sectors: Cell<u64>,
 }
 
-/// Worker-local region-attribution state, populated by
+/// Launch-local region-attribution state, populated by
 /// `MemSystem::local_counters`. A `LocalCounters::default()` has no
 /// snapshot (`meta: None`): the memory system then falls back to
 /// attributing directly into the shared per-region atomics, which keeps
 /// detached counters (unit tests, ad-hoc probes) fully functional.
 #[derive(Debug, Default)]
 pub(crate) struct RegionAttr {
-    /// Immutable snapshot of the named regions at worker start, sorted
+    /// Immutable snapshot of the named regions at launch start, sorted
     /// by start address (the allocator is monotonic, the region list
     /// append-only).
     pub meta: Option<Arc<Vec<RegionMeta>>>,
-    /// One tally per snapshot entry; flushed to the shared totals once
-    /// per block by `MemSystem::flush_region_counts`.
+    /// One tally per snapshot entry; flushed to the shared totals at
+    /// launch end by `MemSystem::flush_region_counts`.
     pub counts: Vec<RegionCounts>,
     /// Index of the region that served the previous lookup — warp
     /// accesses stream through one buffer at a time, so this cache hits
@@ -38,7 +38,7 @@ pub(crate) struct RegionAttr {
     pub last: Cell<usize>,
 }
 
-/// Per-worker counter block. All fields are extensive (sum-mergeable).
+/// Per-launch counter block. All fields are extensive (sum-mergeable).
 #[derive(Debug, Default)]
 pub struct LocalCounters {
     /// Useful floating-point operations (the kernel's own accounting;
@@ -98,7 +98,7 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
-    /// Merges worker-local counters plus launch geometry into a snapshot.
+    /// Merges launch-local counters plus launch geometry into a snapshot.
     pub fn merge(locals: &[LocalCounters], blocks: u64, threads_per_block: u32) -> Self {
         let mut s = KernelStats {
             blocks,

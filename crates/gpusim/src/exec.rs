@@ -7,26 +7,21 @@
 //! performs the exact shuffle-down tree the hardware primitive does — in a
 //! fixed order, which is what makes the vector kernel bitwise reproducible.
 //!
-//! Blocks are distributed dynamically over host worker threads (like SMs
-//! picking up blocks); warps within a block run in a fixed order. A launch
-//! that resolves to one worker runs its blocks in order on the calling
-//! thread instead, owning the L2 model for the whole launch. All
-//! non-atomic result stores go to disjoint indices (the kernels' own
-//! invariant, same as on real hardware), so functional results are
-//! deterministic regardless of scheduling; traffic counters can vary
-//! slightly when a launch runs on more than one worker, because cache
-//! eviction order depends on interleaving — a launch that resolves to
-//! one worker ([`ExecMode::Sequential`], or [`ExecMode::Parallel`] with
-//! `RTDOSE_SIM_THREADS=1`) has exactly reproducible counters.
+//! A launch runs its blocks in order on the calling thread, and the warps
+//! of a block in order, owning the L2 model from its first access to its
+//! end-of-kernel flush. Functional results and traffic counters are
+//! therefore exactly reproducible. Host parallelism lives above the
+//! executor: a [`Gpu`] is `Sync`, so callers launch on different `Gpu`s
+//! from different threads (the engine runs one worker per simulated
+//! device), and concurrent launches on one `Gpu` take its L2 in turn.
 //!
 //! # Launch memo
 //!
 //! A caller that sends the same launch sequence again and again — the
 //! same matrix, the same staging addresses, new vector values — can name
 //! its whole address stream with a key: [`Gpu::launch_group`] with
-//! `Some(key)`. On a `Gpu` whose launches resolve to one worker, the
-//! group then holds the owned L2 port and the memo lock from its first
-//! member to its last, and the memo remembers
+//! `Some(key)`. The group then holds the L2 port and the memo lock from
+//! its first member to its last, and the memo remembers
 //!
 //! * the counters of each (start L2 state, key) pair, recorded only
 //!   from `Cold` or `After(_)` and only for saturating groups (every L2
@@ -38,11 +33,11 @@
 //! tracing off — the arithmetic, and so every output bit, is unchanged —
 //! then installs the key's snapshot and returns the remembered
 //! [`GroupStats`], equal to what interpretation would return. Otherwise
-//! it interprets and records. Un-keyed launches, multi-worker launches,
-//! non-saturating groups and [`Gpu::reset_cache`] move the state to
-//! `Unknown` (or `Cold`), so a later hit never assumes contents the cache
-//! does not hold. A `Gpu` with named buffers never memoizes, so
-//! per-buffer attribution ([`Gpu::traffic_report`]) stays interpreted.
+//! it interprets and records. Un-keyed launches, non-saturating groups
+//! and [`Gpu::reset_cache`] move the state to `Unknown` (or `Cold`), so a
+//! later hit never assumes contents the cache does not hold. A `Gpu` with
+//! named buffers never memoizes, so per-buffer attribution
+//! ([`Gpu::traffic_report`]) stays interpreted.
 
 use crate::buffer::{DeviceBuffer, DeviceOutBuffer, OutScalar};
 use crate::cache::{L2Port, L2Snapshot, L2State};
@@ -50,8 +45,7 @@ use crate::counters::{KernelStats, LocalCounters};
 use crate::device::DeviceSpec;
 use crate::mem::MemSystem;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Lanes per warp on every modeled device.
 pub const WARP_SIZE: usize = 32;
@@ -125,44 +119,10 @@ impl Grid {
     }
 }
 
-/// Worker-thread count for [`ExecMode::Parallel`]: the `RTDOSE_SIM_THREADS`
-/// environment variable if set to a positive integer (clamped to the
-/// machine's available parallelism), otherwise all available cores.
-/// Unparseable or zero values fall back to the default. The variable is
-/// read at every launch, so tests can vary it without process restarts;
-/// the available parallelism is queried once per process.
-fn parallel_workers() -> usize {
-    static AVAIL: OnceLock<usize> = OnceLock::new();
-    let avail = *AVAIL.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    });
-    match std::env::var("RTDOSE_SIM_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n.min(avail),
-            _ => avail,
-        },
-        Err(_) => avail,
-    }
-}
-
-/// How the executor schedules blocks onto host threads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// One host thread; exactly reproducible traffic counters.
-    Sequential,
-    /// All available cores; functional results still deterministic for
-    /// non-atomic kernels, traffic counters vary at the margin.
-    #[default]
-    Parallel,
-}
-
 /// A simulated GPU: device spec + memory system + executor.
 pub struct Gpu {
     spec: DeviceSpec,
     mem: MemSystem,
-    mode: ExecMode,
     memo: Mutex<Memo>,
 }
 
@@ -190,28 +150,13 @@ pub struct MemoCounts {
 }
 
 impl Gpu {
-    /// Creates a GPU with a cold cache, defaulting to parallel execution.
+    /// Creates a GPU with a cold cache.
     pub fn new(spec: DeviceSpec) -> Self {
-        Gpu::with_mode(spec, ExecMode::default())
-    }
-
-    pub fn with_mode(spec: DeviceSpec, mode: ExecMode) -> Self {
         let mem = MemSystem::new(&spec);
         Gpu {
             spec,
             mem,
-            mode,
             memo: Mutex::new(Memo::default()),
-        }
-    }
-
-    /// Host worker threads a launch on this GPU runs on now: 1 under
-    /// [`ExecMode::Sequential`], else `RTDOSE_SIM_THREADS` (see
-    /// [`ExecMode::Parallel`]).
-    pub fn workers(&self) -> usize {
-        match self.mode {
-            ExecMode::Sequential => 1,
-            ExecMode::Parallel => parallel_workers(),
         }
     }
 
@@ -287,7 +232,7 @@ impl Gpu {
     /// must only store to indices it owns (standard CUDA discipline).
     pub fn launch<F>(&self, grid: Grid, kernel: F) -> KernelStats
     where
-        F: Fn(&mut WarpCtx) + Sync,
+        F: Fn(&mut WarpCtx),
     {
         self.launch_tiled(grid, WARP_SIZE as u32, kernel)
     }
@@ -302,86 +247,18 @@ impl Gpu {
     /// folds `tile_width` partials in the fixed tree order.
     pub fn launch_tiled<F>(&self, grid: Grid, tile_width: u32, kernel: F) -> KernelStats
     where
-        F: Fn(&mut WarpCtx) + Sync,
+        F: Fn(&mut WarpCtx),
     {
         assert!(
             TILE_WIDTHS.contains(&tile_width),
             "tile width must be one of {TILE_WIDTHS:?}, got {tile_width}"
         );
-        let workers = self.workers();
-        if workers == 1 {
-            // The sole worker runs the blocks in order on the calling
-            // thread and owns the L2 for the whole launch: no thread spawn,
-            // no per-access lock.
-            return self.run_in_order(Some(&self.mem.l2().owned()), grid, tile_width, &kernel);
-        }
-        let next_block = AtomicU64::new(0);
-        let mut locals: Vec<LocalCounters> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let l2 = self.mem.l2().shared();
-                        let counters = self.mem.local_counters();
-                        loop {
-                            let b = next_block.fetch_add(1, Ordering::Relaxed);
-                            if b >= grid.blocks {
-                                break;
-                            }
-                            self.run_block(Some(&l2), grid, tile_width, &kernel, b, &counters);
-                        }
-                        counters
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
-        // Outstanding dirty data is accounted as written back at kernel end.
-        let flush = LocalCounters::default();
-        self.mem.flush_dirty(&self.mem.l2().shared(), &flush);
-        locals.push(flush);
-        KernelStats::merge(&locals, grid.blocks, grid.threads_per_block)
+        self.run_in_order(Some(&self.mem.l2().owned()), grid, tile_width, &kernel)
     }
 
-    /// Runs the warps of block `b` in order, traced through `l2`, or with
-    /// memory tracing off when `l2` is `None`.
-    fn run_block<F>(
-        &self,
-        l2: Option<&L2Port>,
-        grid: Grid,
-        tile_width: u32,
-        kernel: &F,
-        b: u64,
-        counters: &LocalCounters,
-    ) where
-        F: Fn(&mut WarpCtx) + Sync + ?Sized,
-    {
-        for w in 0..grid.warps_per_block() {
-            let mut ctx = WarpCtx {
-                warp_id: (b * grid.warps_per_block() as u64 + w as u64) as usize,
-                block_id: b,
-                warp_in_block: w,
-                tile_width,
-                grid,
-                mem: &self.mem,
-                l2,
-                counters,
-            };
-            counters.add(&counters.warps, 1);
-            kernel(&mut ctx);
-        }
-        if l2.is_some() {
-            // Publish per-region tallies once per block so traffic_report()
-            // converges promptly without per-access shared-memory traffic.
-            self.mem.flush_region_counts(counters);
-        }
-    }
-
-    /// Runs every block in order on the calling thread, through an owned
-    /// port (ending with the write-back flush) or untraced. An untraced
-    /// run counts no traffic.
+    /// Runs every block in order on the calling thread, and each block's
+    /// warps in order, through an owned port (ending with the write-back
+    /// flush) or untraced. An untraced run counts no traffic.
     fn run_in_order<F>(
         &self,
         l2: Option<&L2Port>,
@@ -390,17 +267,31 @@ impl Gpu {
         kernel: &F,
     ) -> KernelStats
     where
-        F: Fn(&mut WarpCtx) + Sync + ?Sized,
+        F: Fn(&mut WarpCtx) + ?Sized,
     {
         let counters = match l2 {
             Some(_) => self.mem.local_counters(),
             None => LocalCounters::default(),
         };
         for b in 0..grid.blocks {
-            self.run_block(l2, grid, tile_width, kernel, b, &counters);
+            for w in 0..grid.warps_per_block() {
+                let mut ctx = WarpCtx {
+                    warp_id: (b * grid.warps_per_block() as u64 + w as u64) as usize,
+                    block_id: b,
+                    warp_in_block: w,
+                    tile_width,
+                    grid,
+                    mem: &self.mem,
+                    l2,
+                    counters: &counters,
+                };
+                counters.add(&counters.warps, 1);
+                kernel(&mut ctx);
+            }
         }
         let flush = LocalCounters::default();
         if let Some(l2) = l2 {
+            self.mem.flush_region_counts(&counters);
             self.mem.flush_dirty(l2, &flush);
         }
         KernelStats::merge(&[counters, flush], grid.blocks, grid.threads_per_block)
@@ -415,11 +306,11 @@ impl Gpu {
     ///
     /// `key`, when given, must name the group's whole address stream:
     /// two groups with one key touch the same sectors in the same order.
-    /// On a GPU whose launches resolve to one worker, a keyed group may
-    /// then be answered from the launch memo (module docs) with the same
-    /// counters and outputs; elsewhere the key is ignored.
+    /// A keyed group may then be answered from the launch memo (module
+    /// docs) with the same counters and outputs; on a GPU with named
+    /// buffers the key is ignored.
     pub fn launch_group(&self, key: Option<u64>, members: Vec<GroupMember<'_>>) -> GroupStats {
-        let memoizable = self.workers() == 1 && !self.mem.has_named_regions();
+        let memoizable = !self.mem.has_named_regions();
         let Some(key) = key.filter(|_| memoizable) else {
             if key.is_some() {
                 self.memo().counts.keyed += 1;
@@ -488,13 +379,13 @@ pub struct GroupMember<'a> {
     pub label: String,
     pub grid: Grid,
     pub tile_width: u32,
-    kernel: Box<dyn Fn(&mut WarpCtx) + Sync + 'a>,
+    kernel: Box<dyn Fn(&mut WarpCtx) + 'a>,
 }
 
 impl<'a> GroupMember<'a> {
     pub fn new<F>(label: impl Into<String>, grid: Grid, tile_width: u32, kernel: F) -> Self
     where
-        F: Fn(&mut WarpCtx) + Sync + 'a,
+        F: Fn(&mut WarpCtx) + 'a,
     {
         GroupMember {
             label: label.into(),
@@ -691,8 +582,9 @@ impl WarpCtx<'_, '_> {
         }
     }
 
-    /// Atomic add, like CUDA `atomicAdd`: result value is order-dependent
-    /// under parallel execution — deliberately, see the module docs.
+    /// Atomic add, like CUDA `atomicAdd`. On hardware the result is
+    /// order-dependent; the simulator adds in launch order and models
+    /// the atomic's traffic and count (see [`crate::buffer`]).
     #[inline]
     pub fn atomic_add<T: OutScalar>(&self, buf: &DeviceOutBuffer<T>, idx: usize, v: T) {
         if let Some(l2) = self.l2 {
@@ -754,35 +646,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn worker_count_honors_env_var() {
-        // Serialized in this one test: nothing else reads the variable.
-        let avail = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        std::env::set_var("RTDOSE_SIM_THREADS", "1");
-        assert_eq!(parallel_workers(), 1);
-        // Clamped to available parallelism, never above.
-        std::env::set_var("RTDOSE_SIM_THREADS", "4096");
-        assert_eq!(parallel_workers(), avail);
-        // Garbage and zero fall back to the default.
-        std::env::set_var("RTDOSE_SIM_THREADS", "lots");
-        assert_eq!(parallel_workers(), avail);
-        std::env::set_var("RTDOSE_SIM_THREADS", "0");
-        assert_eq!(parallel_workers(), avail);
-        std::env::remove_var("RTDOSE_SIM_THREADS");
-        assert_eq!(parallel_workers(), avail);
-        // A launch with the variable set still works end to end.
-        std::env::set_var("RTDOSE_SIM_THREADS", "2");
-        let gpu = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Parallel);
-        let out = gpu.alloc_out::<f64>(64);
-        let stats = gpu.launch(Grid::new(4, 256), |w| {
-            w.store_scalar(&out, w.warp_id(), 1.0);
-        });
-        assert_eq!(stats.warps, 32);
-        std::env::remove_var("RTDOSE_SIM_THREADS");
-    }
-
-    #[test]
     fn grid_geometry() {
         let g = Grid::warp_per_item(1000, 512);
         assert_eq!(g.warps_per_block(), 16);
@@ -800,7 +663,7 @@ mod tests {
 
     #[test]
     fn launch_runs_every_warp_once() {
-        let gpu = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Parallel);
+        let gpu = Gpu::new(DeviceSpec::a100());
         let out = gpu.alloc_out::<f64>(4096);
         let grid = Grid::new(64, 256); // 64 * 8 = 512 warps
         let stats = gpu.launch(grid, |w| {
@@ -813,36 +676,9 @@ mod tests {
     }
 
     #[test]
-    fn functional_results_deterministic_across_modes() {
-        let data: Vec<f64> = (0..1024).map(|i| (i as f64).sin()).collect();
-        let run = |mode| {
-            let gpu = Gpu::with_mode(DeviceSpec::a100(), mode);
-            let buf = gpu.upload(&data);
-            let out = gpu.alloc_out::<f64>(32);
-            let grid = Grid::warp_per_item(32, 128);
-            gpu.launch(grid, |w| {
-                let row = w.warp_id();
-                if row >= 32 {
-                    return;
-                }
-                let mut lanes = [0.0f64; WARP_SIZE];
-                let span = w.load_span(&buf, row * 32..(row + 1) * 32);
-                lanes.copy_from_slice(span);
-                let sum = w.reduce_sum(&mut lanes);
-                w.store_scalar(&out, row, sum);
-            });
-            out.to_vec()
-        };
-        let a = run(ExecMode::Sequential);
-        let b = run(ExecMode::Parallel);
-        // Bitwise identical: fixed reduction order, disjoint stores.
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sequential_traffic_is_reproducible() {
+    fn traffic_is_reproducible() {
         let run = || {
-            let gpu = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Sequential);
+            let gpu = Gpu::new(DeviceSpec::a100());
             let data: Vec<f32> = vec![1.0; 100_000];
             let buf = gpu.upload(&data);
             let out = gpu.alloc_out::<f32>(100_000 / 32);
@@ -879,7 +715,7 @@ mod tests {
 
     #[test]
     fn store_span_is_coalesced_and_correct() {
-        let gpu = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Sequential);
+        let gpu = Gpu::new(DeviceSpec::a100());
         let out = gpu.alloc_out::<f64>(64);
         let grid = Grid::new(1, 64); // 2 warps
         let stats = gpu.launch(grid, |w| {
@@ -916,7 +752,7 @@ mod tests {
 
     #[test]
     fn tiled_launch_covers_every_tile_once() {
-        let gpu = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Parallel);
+        let gpu = Gpu::new(DeviceSpec::a100());
         let items = 1000usize;
         for &w in &TILE_WIDTHS {
             let grid = Grid::tile_per_item(items, w, 256);
@@ -977,24 +813,22 @@ mod tests {
     }
 
     #[test]
-    fn atomic_add_sums_under_parallelism() {
-        // Sequential owns the L2 for the launch: atomics must go through
-        // the owned port rather than lock the cache again.
-        for mode in [ExecMode::Parallel, ExecMode::Sequential] {
-            let gpu = Gpu::with_mode(DeviceSpec::a100(), mode);
-            let out = gpu.alloc_out::<f64>(1);
-            let grid = Grid::new(256, 256);
-            let stats = gpu.launch(grid, |w| {
-                w.atomic_add(&out, 0, 1.0);
-            });
-            assert_eq!(out.get(0), grid.total_warps() as f64, "{mode:?}");
-            assert_eq!(stats.atomic_ops, grid.total_warps(), "{mode:?}");
-        }
+    fn atomic_add_sums_every_warp() {
+        // A launch owns the L2: atomics go through its port rather than
+        // lock the cache again.
+        let gpu = Gpu::new(DeviceSpec::a100());
+        let out = gpu.alloc_out::<f64>(1);
+        let grid = Grid::new(256, 256);
+        let stats = gpu.launch(grid, |w| {
+            w.atomic_add(&out, 0, 1.0);
+        });
+        assert_eq!(out.get(0), grid.total_warps() as f64);
+        assert_eq!(stats.atomic_ops, grid.total_warps());
     }
 
     #[test]
     fn launch_group_merges_members_and_shares_cache() {
-        let gpu = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Sequential);
+        let gpu = Gpu::new(DeviceSpec::a100());
         let n = 1024usize;
         let data: Vec<f64> = (0..n).map(|i| i as f64).collect();
         let buf = gpu.upload(&data);
@@ -1059,7 +893,7 @@ mod tests {
         let spec = DeviceSpec::a100().with_l2_bytes(16 << 10);
         let data: Vec<f64> = (0..8192).map(|i| (i % 97) as f64).collect();
         let want: Vec<f64> = data.chunks(32).map(|c| c.iter().sum()).collect();
-        let gpus = [true, false].map(|_| Gpu::with_mode(spec.clone(), ExecMode::Sequential));
+        let gpus = [true, false].map(|_| Gpu::new(spec.clone()));
         let bufs = gpus.each_ref().map(|g| (g.upload(&data), g.alloc_out(256)));
         for reset in [true, false, true, false, false] {
             let mut runs = gpus
@@ -1083,7 +917,7 @@ mod tests {
         assert_eq!(gpus[1].memo_counts(), MemoCounts::default());
 
         // Named buffers keep per-buffer attribution interpreted.
-        let named = Gpu::with_mode(spec, ExecMode::Sequential);
+        let named = Gpu::new(spec);
         let (b, o) = (named.upload_named("x", &data), named.alloc_out(256));
         for _ in 0..3 {
             keyed_sum(&named, Some(7), &b, &o);
@@ -1097,7 +931,7 @@ mod tests {
         let spec = DeviceSpec::a100().with_l2_bytes(16 << 10);
         let data: Vec<f64> = (0..8192).map(|i| (i % 97) as f64).collect();
         let want: Vec<f64> = data.chunks(32).map(|c| c.iter().sum()).collect();
-        let gpus = [0, 1].map(|_| Gpu::with_mode(spec.clone(), ExecMode::Sequential));
+        let gpus = [0, 1].map(|_| Gpu::new(spec.clone()));
         let bufs = gpus.each_ref().map(|g| (g.upload(&data), g.alloc_out(256)));
         for (g, (b, o)) in gpus.iter().zip(&bufs) {
             keyed_sum(g, Some(7), b, o);
@@ -1134,7 +968,7 @@ mod tests {
 
     #[test]
     fn traffic_reflects_streamed_bytes() {
-        let gpu = Gpu::with_mode(DeviceSpec::a100().scaled_l2(100.0), ExecMode::Sequential);
+        let gpu = Gpu::new(DeviceSpec::a100().scaled_l2(100.0));
         let n = 1 << 18; // 256K f32 = 1 MB, larger than the 400 KB L2
         let data: Vec<f32> = vec![1.0; n];
         let buf = gpu.upload(&data);

@@ -61,8 +61,7 @@ pub use counters::KernelStats;
 pub use device::DeviceSpec;
 pub use devicegroup::{snake_partition, snake_partition_subset};
 pub use exec::{
-    ExecMode, Gpu, Grid, GroupMember, GroupStats, MemberStats, MemoCounts, WarpCtx, TILE_WIDTHS,
-    WARP_SIZE,
+    Gpu, Grid, GroupMember, GroupStats, MemberStats, MemoCounts, WarpCtx, TILE_WIDTHS, WARP_SIZE,
 };
 pub use mem::BufferTraffic;
 pub use report::{BucketReport, GroupReport, LaunchReport, ShardReport, ShardedReport};

@@ -2,14 +2,14 @@
 //! access paths that drive the L2 model and the counters.
 //!
 //! Traffic is accounted at **warp-access granularity**. Each access
-//! method models one warp-collective transaction list: the launch
-//! worker's L2 port is probed with the whole ordered sector batch
+//! method models one warp-collective transaction list: the launch's L2
+//! port is probed with the whole ordered sector batch
 //! ([`L2Port::access_batch`]) and region attribution is resolved **once
 //! per access**, not once per sector — every access targets a single
 //! buffer (the kernel API hands one buffer per load/store), and
 //! allocations are 128-byte aligned, so all touched sector bases fall
-//! inside the same region. Workers carry a
-//! region snapshot and worker-local tallies in their [`LocalCounters`]
+//! inside the same region. A launch carries a
+//! region snapshot and launch-local tallies in its [`LocalCounters`]
 //! (see `local_counters`/`flush_region_counts`); in steady state no
 //! shared lock or atomic is touched on the attribution path. Detached
 //! counters (`LocalCounters::default()`) fall back to attributing into
@@ -166,10 +166,10 @@ impl MemSystem {
         !self.snapshot.read().unwrap().is_empty()
     }
 
-    /// Builds a worker's counter block: the usual zeroed tallies plus a
+    /// Builds a launch's counter block: the usual zeroed tallies plus a
     /// snapshot of the current regions for lock-free attribution. Flush
-    /// with [`MemSystem::flush_region_counts`] (the executor does, once
-    /// per block).
+    /// with [`MemSystem::flush_region_counts`] (the executor does, at
+    /// launch end).
     pub(crate) fn local_counters(&self) -> LocalCounters {
         let meta = Arc::clone(&self.snapshot.read().unwrap());
         LocalCounters {
@@ -182,9 +182,10 @@ impl MemSystem {
         }
     }
 
-    /// Folds a worker's region tallies into the shared totals and zeroes
-    /// them. Cheap when nothing accumulated; commutative adds, so worker
-    /// interleaving cannot change the final totals.
+    /// Folds a launch's region tallies into the shared totals and zeroes
+    /// them. Cheap when nothing accumulated; commutative adds, so
+    /// concurrent launches on different threads cannot change the final
+    /// totals.
     pub(crate) fn flush_region_counts(&self, c: &LocalCounters) {
         let Some(meta) = &c.attr.meta else { return };
         if meta.is_empty() {
@@ -215,7 +216,7 @@ impl MemSystem {
             return;
         }
         if let Some(meta) = &c.attr.meta {
-            // Fast path: worker-local tallies, no shared state.
+            // Fast path: launch-local tallies, no shared state.
             if let Some(i) = locate(meta, &c.attr.last, addr) {
                 let rc = &c.attr.counts[i];
                 if write {
@@ -361,7 +362,7 @@ impl MemSystem {
         c.add(&c.dram_writeback_sectors, n);
     }
 
-    /// The L2 model, from which each launch worker takes its port.
+    /// The L2 model, from which each launch takes its port.
     pub(crate) fn l2(&self) -> &L2Cache {
         &self.l2
     }
@@ -401,7 +402,7 @@ mod tests {
         let c = LocalCounters::default();
         let base = m.alloc(1024);
         // 128 bytes from a sector-aligned base = 4 sectors, all cold.
-        m.read_contiguous(&m.l2.shared(), base, 128, &c);
+        m.read_contiguous(&m.l2.owned(), base, 128, &c);
         let s = stats(c);
         assert_eq!(s.l2_read_misses, 4);
         assert_eq!(s.l2_read_hits, 0);
@@ -414,9 +415,9 @@ mod tests {
         let m = mem();
         let base = m.alloc(1024);
         let c1 = LocalCounters::default();
-        m.read_contiguous(&m.l2.shared(), base, 128, &c1);
+        m.read_contiguous(&m.l2.owned(), base, 128, &c1);
         let c2 = LocalCounters::default();
-        m.read_contiguous(&m.l2.shared(), base, 128, &c2);
+        m.read_contiguous(&m.l2.owned(), base, 128, &c2);
         let s = stats(c2);
         assert_eq!(s.l2_read_hits, 4);
         assert_eq!(s.l2_read_misses, 0);
@@ -427,7 +428,7 @@ mod tests {
         let m = mem();
         let base = m.alloc(1024);
         let c = LocalCounters::default();
-        m.read_contiguous(&m.l2.shared(), base + 16, 32, &c); // straddles two sectors
+        m.read_contiguous(&m.l2.owned(), base + 16, 32, &c); // straddles two sectors
         let s = stats(c);
         assert_eq!(s.l2_read_misses + s.l2_read_hits, 2);
     }
@@ -439,7 +440,7 @@ mod tests {
         let c = LocalCounters::default();
         // 4 f64 lanes in the same 32-byte sector -> 1 transaction.
         let addrs: Vec<u64> = (0..4).map(|i| base + i * 8).collect();
-        m.read_gather(&m.l2.shared(), &addrs, 8, &c);
+        m.read_gather(&m.l2.owned(), &addrs, 8, &c);
         let s = stats(c);
         assert_eq!(s.l2_read_misses, 1);
         assert_eq!(s.requested_bytes, 32);
@@ -492,7 +493,7 @@ mod tests {
         let c = LocalCounters::default();
         // 32 f16 lanes, each 1 KB apart -> 32 sectors for 64 useful bytes.
         let addrs: Vec<u64> = (0..32).map(|i| base + i * 1024).collect();
-        m.read_gather(&m.l2.shared(), &addrs, 2, &c);
+        m.read_gather(&m.l2.owned(), &addrs, 2, &c);
         let s = stats(c);
         assert_eq!(s.l2_read_misses, 32);
         assert_eq!(s.requested_bytes, 64);
@@ -504,8 +505,8 @@ mod tests {
         let m = mem();
         let base = m.alloc(4096);
         let c = LocalCounters::default();
-        m.write_contiguous(&m.l2.shared(), base, 256, &c);
-        m.flush_dirty(&m.l2.shared(), &c);
+        m.write_contiguous(&m.l2.owned(), base, 256, &c);
+        m.flush_dirty(&m.l2.owned(), &c);
         let s = stats(c);
         assert_eq!(s.l2_write_sectors, 8);
         assert_eq!(s.dram_write_bytes, 256);
@@ -516,8 +517,8 @@ mod tests {
         let m = mem();
         let base = m.alloc(4096);
         let c = LocalCounters::default();
-        m.atomic_rmw(&m.l2.shared(), base, 8, &c);
-        m.atomic_rmw(&m.l2.shared(), base, 8, &c); // second op hits in L2
+        m.atomic_rmw(&m.l2.owned(), base, 8, &c);
+        m.atomic_rmw(&m.l2.owned(), base, 8, &c); // second op hits in L2
         let s = stats(c);
         assert_eq!(s.atomic_ops, 2);
         assert_eq!(s.l2_read_misses, 1);
@@ -530,9 +531,9 @@ mod tests {
         let m = MemSystem::new(&spec);
         let base = m.alloc(1 << 16); // 64 KB stream
         let c1 = LocalCounters::default();
-        m.read_contiguous(&m.l2.shared(), base, 1 << 16, &c1);
+        m.read_contiguous(&m.l2.owned(), base, 1 << 16, &c1);
         let c2 = LocalCounters::default();
-        m.read_contiguous(&m.l2.shared(), base, 1 << 16, &c2);
+        m.read_contiguous(&m.l2.owned(), base, 1 << 16, &c2);
         let s2 = stats(c2);
         // Second pass still mostly misses: the stream does not fit.
         assert!(s2.l2_hit_rate() < 0.2, "hit rate {}", s2.l2_hit_rate());
@@ -552,9 +553,9 @@ mod attribution_tests {
         let anon = m.alloc(1024);
         let c = LocalCounters::default();
 
-        m.read_contiguous(&m.l2.shared(), a, 256, &c); // 8 sectors
-        m.write_contiguous(&m.l2.shared(), b, 64, &c); // 2 sectors
-        m.read_contiguous(&m.l2.shared(), anon, 512, &c); // unattributed
+        m.read_contiguous(&m.l2.owned(), a, 256, &c); // 8 sectors
+        m.write_contiguous(&m.l2.owned(), b, 64, &c); // 2 sectors
+        m.read_contiguous(&m.l2.owned(), anon, 512, &c); // unattributed
 
         let report = m.traffic_report();
         assert_eq!(report.len(), 2);
@@ -572,8 +573,8 @@ mod attribution_tests {
         let m = MemSystem::new(&DeviceSpec::a100());
         let a = m.alloc_named(4096, "x");
         let c = LocalCounters::default();
-        m.read_contiguous(&m.l2.shared(), a, 128, &c);
-        m.read_contiguous(&m.l2.shared(), a, 128, &c); // warm: hits
+        m.read_contiguous(&m.l2.owned(), a, 128, &c);
+        m.read_contiguous(&m.l2.owned(), a, 128, &c); // warm: hits
         let r = &m.traffic_report()[0];
         assert_eq!(r.read_sectors, 8);
         assert_eq!(r.dram_read_sectors, 4);
@@ -585,14 +586,14 @@ mod attribution_tests {
         let m = MemSystem::new(&DeviceSpec::a100());
         let a = m.alloc_named(128, "buf");
         let c = LocalCounters::default();
-        m.read_contiguous(&m.l2.shared(), a, 64, &c);
+        m.read_contiguous(&m.l2.owned(), a, 64, &c);
         m.reset_traffic();
         let r = &m.traffic_report()[0];
         assert_eq!(
             (r.read_sectors, r.write_sectors, r.dram_read_sectors),
             (0, 0, 0)
         );
-        m.read_contiguous(&m.l2.shared(), a, 32, &c);
+        m.read_contiguous(&m.l2.owned(), a, 32, &c);
         assert_eq!(m.traffic_report()[0].read_sectors, 1);
     }
 
@@ -603,8 +604,8 @@ mod attribution_tests {
         let b = m.alloc_named(4096, "atomic");
         let c = LocalCounters::default();
         let addrs: Vec<u64> = (0..8).map(|i| a + i * 512).collect();
-        m.read_gather(&m.l2.shared(), &addrs, 8, &c);
-        m.atomic_rmw(&m.l2.shared(), b + 40, 8, &c);
+        m.read_gather(&m.l2.owned(), &addrs, 8, &c);
+        m.atomic_rmw(&m.l2.owned(), b + 40, 8, &c);
         let report = m.traffic_report();
         assert_eq!(report[0].read_sectors, 8);
         assert_eq!(report[1].write_sectors, 1);
@@ -612,12 +613,12 @@ mod attribution_tests {
 
     #[test]
     fn snapshot_counters_attribute_after_flush() {
-        // The worker path: counters built from the snapshot accumulate
+        // The launch path: counters built from the snapshot accumulate
         // locally and only reach the report after a flush.
         let m = MemSystem::new(&DeviceSpec::a100());
         let a = m.alloc_named(1024, "values");
         let c = m.local_counters();
-        m.read_contiguous(&m.l2.shared(), a, 256, &c); // 8 sectors
+        m.read_contiguous(&m.l2.owned(), a, 256, &c); // 8 sectors
         assert_eq!(m.traffic_report()[0].read_sectors, 0, "not yet flushed");
         m.flush_region_counts(&c);
         let r = &m.traffic_report()[0];
@@ -635,8 +636,8 @@ mod attribution_tests {
         let c = m.local_counters();
         let b = m.alloc_named(1024, "late");
         let c2 = m.local_counters();
-        m.read_contiguous(&m.l2.shared(), a, 32, &c);
-        m.read_contiguous(&m.l2.shared(), b, 32, &c2);
+        m.read_contiguous(&m.l2.owned(), a, 32, &c);
+        m.read_contiguous(&m.l2.owned(), b, 32, &c2);
         m.flush_region_counts(&c);
         m.flush_region_counts(&c2);
         let report = m.traffic_report();

@@ -26,7 +26,7 @@ use rt_core::{
     vector_csr_spmm, GpuCsrMatrix, GpuRsMatrix, RsCpu,
 };
 use rt_gpusim::timing::estimate;
-use rt_gpusim::{CpuSpec, DeviceSpec, ExecMode, Gpu, KernelProfile, KernelStats, TimeEstimate};
+use rt_gpusim::{CpuSpec, DeviceSpec, Gpu, KernelProfile, KernelStats, TimeEstimate};
 
 /// Which axis a kernel's warp count follows.
 #[derive(Clone, Copy, Debug)]
@@ -97,7 +97,7 @@ impl Measured {
 /// Builds a simulated GPU whose L2 preserves the clinical capacity
 /// relations for this case (see module docs).
 pub fn sim_gpu(case: &PreparedCase, device: &DeviceSpec) -> Gpu {
-    Gpu::with_mode(sim_device(case, device), ExecMode::Parallel)
+    Gpu::new(sim_device(case, device))
 }
 
 /// `device` with its L2 sized by the clamp rule of [`sim_gpu`].
@@ -114,21 +114,12 @@ pub fn sim_device(case: &PreparedCase, device: &DeviceSpec) -> DeviceSpec {
 
 /// The Half/double kernel (the paper's contribution).
 pub fn run_half_double(case: &PreparedCase, device: &DeviceSpec, tpb: u32) -> Measured {
-    run_half_double_on(&sim_gpu(case, device), case, device, tpb)
-}
-
-/// [`run_half_double`] on a caller-built `gpu` (e.g. a sequential one).
-pub fn run_half_double_on(
-    gpu: &Gpu,
-    case: &PreparedCase,
-    device: &DeviceSpec,
-    tpb: u32,
-) -> Measured {
-    let m = GpuCsrMatrix::upload(gpu, &case.f16);
+    let gpu = sim_gpu(case, device);
+    let m = GpuCsrMatrix::upload(&gpu, &case.f16);
     let x = gpu.upload(&case.weights);
     let y = gpu.alloc_out::<f64>(case.f16.nrows());
-    vector_csr_spmm(gpu, &m, &[&x], &[&y], tpb, 32); // warm-up
-    let raw = vector_csr_spmm(gpu, &m, &[&x], &[&y], tpb, 32);
+    vector_csr_spmm(&gpu, &m, &[&x], &[&y], tpb, 32); // warm-up
+    let raw = vector_csr_spmm(&gpu, &m, &[&x], &[&y], tpb, 32);
     Measured::build(
         "Half/double",
         case,
@@ -179,16 +170,12 @@ pub fn run_baseline(case: &PreparedCase, device: &DeviceSpec, tpb: u32) -> Measu
 
 /// The scalar (thread-per-row) ablation kernel.
 pub fn run_scalar(case: &PreparedCase, device: &DeviceSpec, tpb: u32) -> Measured {
-    run_scalar_on(&sim_gpu(case, device), case, device, tpb)
-}
-
-/// [`run_scalar`] on a caller-built `gpu`.
-pub fn run_scalar_on(gpu: &Gpu, case: &PreparedCase, device: &DeviceSpec, tpb: u32) -> Measured {
-    let m = GpuCsrMatrix::upload(gpu, &case.f16);
+    let gpu = sim_gpu(case, device);
+    let m = GpuCsrMatrix::upload(&gpu, &case.f16);
     let x = gpu.upload(&case.weights);
     let y = gpu.alloc_out::<f64>(case.f16.nrows());
-    scalar_csr_spmv(gpu, &m, &x, &y, tpb);
-    let raw = scalar_csr_spmv(gpu, &m, &x, &y, tpb);
+    scalar_csr_spmv(&gpu, &m, &x, &y, tpb);
+    let raw = scalar_csr_spmv(&gpu, &m, &x, &y, tpb);
     Measured::build(
         "Scalar CSR",
         case,

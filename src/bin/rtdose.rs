@@ -663,7 +663,7 @@ fn print_bucket_table(choice: &KernelChoice) {
 }
 
 /// Prints the autotuner's full decision table for one snapshot: every
-/// candidate width probed on a throwaway `Sequential` simulator, plus
+/// candidate width probed on a throwaway simulator, plus
 /// what the statistics heuristic and the measured probe each pick.
 fn cmd_kernels(args: &[String]) {
     // Accept the snapshot either positionally (`rtdose kernels beam.rtdm`)

@@ -45,7 +45,7 @@ fn every_implementation_computes_the_same_dose() {
     vector_csr_spmm(&gpu, &gm, &[&dx], &[&dy], 512, 32);
     close(&dy.to_vec(), "vector CSR kernel");
 
-    // Simulated-GPU baseline (atomic, non-deterministic order).
+    // Simulated-GPU baseline (atomics; order-dependent on hardware).
     let grs = GpuRsMatrix::upload(&gpu, &rs);
     let dose = gpu.alloc_out::<f64>(rs.nrows());
     rs_baseline_gpu_spmv(&gpu, &grs, &dx, &dose, 128);

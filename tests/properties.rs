@@ -10,7 +10,11 @@ use rtdose::f16::{Bf16, DoseScalar, F16};
 use rtdose::gpusim::{DeviceSpec, Gpu};
 use rtdose::kernels::{vector_csr_spmm, GpuCsrMatrix, RsCpu};
 use rtdose::sparse::stats::RowStats;
-use rtdose::sparse::{Coo, Csr, Ell, RsCompressed, SellCSigma};
+use rtdose::sparse::{
+    load_csr, load_csr_with_cuts, save_csr, save_csr_with_cuts, Coo, Csr, Ell, RsCompressed,
+    SellCSigma, ShardPlan,
+};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const CASES: u64 = 48;
 
@@ -19,7 +23,7 @@ const CASES: u64 = 48;
 fn for_each_case(property: &str, body: impl Fn(&mut StdRng)) {
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0x5eed_0000 + case);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut rng)));
+        let result = catch_unwind(AssertUnwindSafe(|| body(&mut rng)));
         if let Err(payload) = result {
             eprintln!("property `{property}` failed at case {case}");
             std::panic::resume_unwind(payload);
@@ -209,4 +213,131 @@ fn pruning_never_increases_anything() {
         assert_eq!(p.nrows(), m.nrows());
         assert_eq!(p.ncols(), m.ncols());
     });
+}
+
+/// Byte offsets of the snapshot header's count fields (`io` module docs):
+/// version, value tag and index tag (u32), then nrows, ncols, nnz (u64).
+const HEADER_U32S: [usize; 3] = [4, 8, 12];
+const HEADER_U64S: [usize; 3] = [16, 24, 32];
+
+/// A value worth splicing into a header field of `width` bytes: a
+/// boundary, a neighbour of the field's current value, or random.
+fn interesting(rng: &mut StdRng, current: u64, width: usize) -> u64 {
+    let max = if width == 4 {
+        u32::MAX as u64
+    } else {
+        u64::MAX
+    };
+    let v = match rng.gen_range(0..8u32) {
+        0 => 0,
+        1 => 1,
+        2 => current.wrapping_add(1),
+        3 => current.wrapping_sub(1),
+        4 => max,
+        5 => max / 2 + 1,
+        6 => rng.gen_range(0..64),
+        _ => rng.gen_range(0..u64::MAX),
+    };
+    v & max
+}
+
+fn splice(bytes: &mut [u8], at: usize, width: usize, rng: &mut StdRng) {
+    if at + width > bytes.len() {
+        return;
+    }
+    let mut cur = [0u8; 8];
+    cur[..width].copy_from_slice(&bytes[at..at + width]);
+    let v = interesting(rng, u64::from_le_bytes(cur), width);
+    bytes[at..at + width].copy_from_slice(&v.to_le_bytes()[..width]);
+}
+
+/// One to three seeded mutations of a valid snapshot: byte flips, a
+/// truncation, or a spliced header, row-pointer or cut field.
+fn mutate(rng: &mut StdRng, valid: &[u8], ncuts: usize) -> Vec<u8> {
+    let mut bytes = valid.to_vec();
+    for _ in 0..rng.gen_range(1..=3) {
+        if bytes.is_empty() {
+            break;
+        }
+        match rng.gen_range(0..6u32) {
+            0 => {
+                for _ in 0..rng.gen_range(1..=4) {
+                    let at = rng.gen_range(0..bytes.len());
+                    bytes[at] ^= rng.gen_range(1..=255u8);
+                }
+            }
+            1 => bytes.truncate(rng.gen_range(0..bytes.len())),
+            2 => {
+                let at = HEADER_U32S[rng.gen_range(0..3usize)];
+                splice(&mut bytes, at, 4, rng);
+            }
+            3 => {
+                let at = HEADER_U64S[rng.gen_range(0..3usize)];
+                splice(&mut bytes, at, 8, rng);
+            }
+            4 => {
+                // A row-pointer entry (they start right after the header).
+                let at = 40 + 4 * rng.gen_range(0..8usize);
+                splice(&mut bytes, at, 4, rng);
+            }
+            _ => {
+                // The version-2 tail: the cut count or one cut.
+                let Some(tail) = valid.len().checked_sub(4 + 8 * ncuts) else {
+                    continue;
+                };
+                if ncuts == 0 || rng.gen_bool(0.5) {
+                    splice(&mut bytes, tail, 4, rng);
+                } else {
+                    splice(&mut bytes, tail + 4 + 8 * rng.gen_range(0..ncuts), 8, rng);
+                }
+            }
+        }
+    }
+    bytes
+}
+
+/// Snapshots are untrusted input: every mutation of a valid version-1 or
+/// version-2 snapshot loads as a matrix or fails with a typed
+/// `SnapshotError`, and never panics. Persisted cuts that load are valid
+/// for `ShardPlan::from_cuts`.
+#[test]
+fn mutated_snapshots_load_or_fail_typed_and_never_panic() {
+    for_each_case(
+        "mutated_snapshots_load_or_fail_typed_and_never_panic",
+        |rng| {
+            let (nrows, ncols, triplets) = random_matrix(rng);
+            let m: Csr<F16, u32> = build(nrows, ncols, &triplets).convert_values();
+            let cuts: Vec<usize> = (1..nrows).filter(|_| rng.gen_bool(0.2)).collect();
+            let mut v1 = Vec::new();
+            save_csr(&m, &mut v1).unwrap();
+            let mut v2 = Vec::new();
+            save_csr_with_cuts(&m, &cuts, &mut v2).unwrap();
+            let mut failed = 0;
+            for (valid, ncuts) in [(&v1, 0), (&v2, cuts.len())] {
+                for k in 0..32 {
+                    let bytes = mutate(rng, valid, ncuts);
+                    let plain =
+                        catch_unwind(|| load_csr::<F16, u32, _>(&mut bytes.as_slice()).is_ok());
+                    let with_cuts = catch_unwind(|| {
+                        match load_csr_with_cuts::<F16, u32, _>(&mut bytes.as_slice()) {
+                            Ok((m, Some(cuts))) => {
+                                ShardPlan::from_cuts(&m, &cuts);
+                                true
+                            }
+                            Ok((_, None)) => true,
+                            Err(_) => false,
+                        }
+                    });
+                    match (plain, with_cuts) {
+                        (Ok(a), Ok(b)) => {
+                            assert_eq!(a, b, "mutation {k}: the loaders disagree");
+                            failed += usize::from(!a);
+                        }
+                        _ => panic!("mutation {k} ({} bytes) panicked", bytes.len()),
+                    }
+                }
+            }
+            assert!(failed > 0, "no mutation was rejected");
+        },
+    );
 }

@@ -1,10 +1,12 @@
 //! The §II-D requirement, verified end-to-end: the clinical kernels are
-//! bitwise reproducible; the atomic baseline is statistically correct
-//! but order-dependent by construction.
+//! bitwise reproducible; the atomic baseline is correct to tolerance.
+//! On hardware its atomics make the sum order-dependent; that order
+//! dependence is stated, not simulated — the simulator adds in launch
+//! order and models the atomics' traffic and counts.
 
 use rtdose::dose::cases::{prostate_case, ScaleConfig};
 use rtdose::f16::F16;
-use rtdose::gpusim::{DeviceSpec, ExecMode, Gpu};
+use rtdose::gpusim::{DeviceSpec, Gpu};
 use rtdose::kernels::{rs_baseline_gpu_spmv, vector_csr_spmm, GpuCsrMatrix, GpuRsMatrix, RsCpu};
 use rtdose::sparse::{Csr, RsCompressed};
 
@@ -23,19 +25,19 @@ fn bits(v: &[f64]) -> Vec<u64> {
 }
 
 #[test]
-fn vector_kernel_is_bitwise_stable_across_ten_runs_and_modes() {
+fn vector_kernel_is_bitwise_stable_across_ten_runs() {
     let (m, _, w) = setup();
-    let run = |mode| {
-        let gpu = Gpu::with_mode(DeviceSpec::a100(), mode);
+    let run = || {
+        let gpu = Gpu::new(DeviceSpec::a100());
         let gm = GpuCsrMatrix::upload(&gpu, &m);
         let dx = gpu.upload(&w);
         let dy = gpu.alloc_out::<f64>(m.nrows());
         vector_csr_spmm(&gpu, &gm, &[&dx], &[&dy], 512, 32);
         bits(&dy.to_vec())
     };
-    let reference = run(ExecMode::Sequential);
+    let reference = run();
     for _ in 0..10 {
-        assert_eq!(run(ExecMode::Parallel), reference);
+        assert_eq!(run(), reference);
     }
 }
 
@@ -74,15 +76,16 @@ fn rs_cpu_is_bitwise_stable_at_fixed_thread_count() {
 
 #[test]
 fn atomic_baseline_is_correct_but_only_to_tolerance() {
-    // The paper's §IV caveat, demonstrated: results agree with the
-    // deterministic kernel numerically, but the implementation gives no
-    // bitwise guarantee (accumulation order depends on scheduling).
+    // The paper's §IV caveat: results agree with the deterministic
+    // kernel numerically, but the implementation gives no bitwise
+    // guarantee (on hardware, accumulation order depends on scheduling),
+    // so the check is a tolerance.
     let (m, rs, w) = setup();
     let mut reference = vec![0.0; m.nrows()];
     m.spmv_ref(&w, &mut reference).unwrap();
 
     for _ in 0..3 {
-        let gpu = Gpu::with_mode(DeviceSpec::a100(), ExecMode::Parallel);
+        let gpu = Gpu::new(DeviceSpec::a100());
         let grs = GpuRsMatrix::upload(&gpu, &rs);
         let dx = gpu.upload(&w);
         let dose = gpu.alloc_out::<f64>(rs.nrows());
