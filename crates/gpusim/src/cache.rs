@@ -30,7 +30,8 @@
 //! # Known states and the launch memo
 //!
 //! The executor's launch memo (see [`crate::exec`]) skips the probes of a
-//! keyed launch whose start state it knows. It rests on this argument:
+//! keyed launch whose start state it knows (steps 1–5), or whose every
+//! sector is already resident (step 6). It rests on this argument:
 //!
 //! 1. A set's future behaviour depends only on its resident tags in LRU
 //!    order. Way positions and absolute stamps never decide a hit, a
@@ -58,6 +59,30 @@
 //!    of the same key left behind (`L2Port::restore`). Its tags and
 //!    within-set stamp order are what interpretation would leave, so every
 //!    later probe behaves identically.
+//! 6. The memo's second rule needs no known state. A launch whose
+//!    *footprint* (its distinct sectors) is all resident in live sets at
+//!    its start fills nothing, so it evicts nothing and every probe hits.
+//!    Its counters are then a function of its stream alone: every read
+//!    hits, nothing is written back in-launch, and each member's flush
+//!    writes back the distinct sectors it wrote (every launch starts
+//!    clean). Each set it touched ends with its untouched tags in their
+//!    old order, then its touched tags in last-touch order. A fast-path
+//!    re-hit skips the stamp bump only on the set's newest way, which is
+//!    then also the set's last-touched tag.
+//!    - `L2Port::holds_all` checks a footprint; a set whose generation is
+//!      behind holds nothing.
+//!    - `L2Port::restamp` stamps the footprint in last-touch order and
+//!      makes each set's last one its newest way. Like the fast path, it
+//!      leaves a sector that already is its set's newest way as it is, so
+//!      a key repeated back to back writes almost nothing. Dirty bits stay
+//!      as they are, all clean between launches.
+//!    - The footprint comes from one interpreted run:
+//!      `L2Port::record_stream` keeps every probed sector, and
+//!      `L2Port::take_footprint` reduces them to distinct sectors in
+//!      last-touch order. The recording is dropped once the raw stream
+//!      outgrows `L2Cache::sectors`. A key with a longer stream, as every
+//!      key the saturating rule serves has, is never answered by this
+//!      rule and costs at most that much memory, once.
 //!
 //! # Lock poisoning
 //!
@@ -77,6 +102,7 @@
 //! capacity effect.
 
 use std::cell::RefCell;
+use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Transfer granularity between L2 and DRAM, in bytes.
@@ -153,6 +179,22 @@ impl Shard {
                 .iter()
                 .zip(&self.stamps)
                 .all(|(&tag, &stamp)| tag != 0 && stamp > since)
+    }
+
+    /// The way of live set `set` holding `sector`, trying its newest way
+    /// first; a stale set (generation behind) holds nothing.
+    fn way_of(&self, set: usize, ways: usize, sector: u64) -> Option<usize> {
+        if self.set_gen[set] != self.gen {
+            return None;
+        }
+        let base = set * ways;
+        let newest = self.mru[set] as usize;
+        if self.tags[base + newest] == sector + 1 {
+            return Some(newest);
+        }
+        self.tags[base..base + ways]
+            .iter()
+            .position(|&t| t == sector + 1)
     }
 
     /// Becomes a copy of `src`, reusing this shard's allocations.
@@ -344,7 +386,10 @@ impl L2Cache {
         let start = std::mem::replace(&mut *self.state.lock().unwrap(), L2State::Unknown);
         L2Port {
             cache: self,
-            shards: RefCell::new(shards),
+            inner: RefCell::new(PortInner {
+                shards,
+                stream: None,
+            }),
             start,
         }
     }
@@ -376,9 +421,16 @@ pub struct L2Port<'a> {
     cache: &'a L2Cache,
     /// `RefCell` because ports are probed through `&self` from the warp
     /// API; a port never leaves its thread.
-    shards: RefCell<MutexGuard<'a, Box<[Shard]>>>,
+    inner: RefCell<PortInner<'a>>,
     /// The cache's state when the port was taken.
     start: L2State,
+}
+
+struct PortInner<'a> {
+    shards: MutexGuard<'a, Box<[Shard]>>,
+    /// Every probed sector in order, while [`L2Port::record_stream`] is
+    /// on and the stream fits in the cache's sectors.
+    stream: Option<Vec<u64>>,
 }
 
 impl<'a> L2Port<'a> {
@@ -399,10 +451,22 @@ impl<'a> L2Port<'a> {
         F: FnMut(AccessResult),
     {
         let cache = self.cache;
-        let mut shards = self.shards.borrow_mut();
+        let mut inner = self.inner.borrow_mut();
+        let PortInner { shards, stream } = &mut *inner;
+        let Some(recorded) = stream else {
+            for sector in sectors {
+                let (shard, set) = cache.shard_of(sector);
+                sink(probe(&mut shards[shard], set, cache.ways, sector, write));
+            }
+            return;
+        };
         for sector in sectors {
+            recorded.push(sector);
             let (shard, set) = cache.shard_of(sector);
             sink(probe(&mut shards[shard], set, cache.ways, sector, write));
+        }
+        if recorded.len() as u64 > cache.sectors() {
+            *stream = None; // the recording cutoff (module docs, step 6)
         }
     }
 
@@ -410,8 +474,9 @@ impl<'a> L2Port<'a> {
     /// the end-of-kernel write-back flush.
     pub fn flush_dirty(&self) -> u64 {
         let ways = self.cache.ways;
-        self.shards
+        self.inner
             .borrow_mut()
+            .shards
             .iter_mut()
             .map(|s| s.flush(ways))
             .sum()
@@ -430,15 +495,16 @@ impl<'a> L2Port<'a> {
     /// Each shard's stamp counter: pass it to
     /// [`L2Port::overwrote_every_set`] after the launch.
     pub(crate) fn stamps(&self) -> Vec<u64> {
-        self.shards.borrow().iter().map(|s| s.stamp).collect()
+        self.inner.borrow().shards.iter().map(|s| s.stamp).collect()
     }
 
     /// Whether every way of every set holds a tag stamped since `stamps`
     /// were read: the launch in between was saturating (module docs,
     /// step 3). O(sets × ways).
     pub(crate) fn overwrote_every_set(&self, stamps: &[u64]) -> bool {
-        self.shards
+        self.inner
             .borrow()
+            .shards
             .iter()
             .zip(stamps)
             .all(|(s, &since)| s.overwritten_since(since))
@@ -446,13 +512,75 @@ impl<'a> L2Port<'a> {
 
     /// A copy of the whole cache.
     pub(crate) fn snapshot(&self) -> L2Snapshot {
-        L2Snapshot(self.shards.borrow().clone())
+        L2Snapshot(self.inner.borrow().shards.clone())
     }
 
     /// Makes the cache a copy of `snapshot`, taken from this cache.
     pub(crate) fn restore(&self, snapshot: &L2Snapshot) {
-        for (s, src) in self.shards.borrow_mut().iter_mut().zip(snapshot.0.iter()) {
+        let mut inner = self.inner.borrow_mut();
+        for (s, src) in inner.shards.iter_mut().zip(snapshot.0.iter()) {
             s.copy_from(src);
+        }
+    }
+
+    /// Starts recording every probed sector, for
+    /// [`L2Port::take_footprint`]. The recording is dropped once it
+    /// outgrows the cache's sectors (module docs, step 6).
+    pub(crate) fn record_stream(&self) {
+        self.inner.borrow_mut().stream = Some(Vec::new());
+    }
+
+    /// The distinct sectors probed since [`L2Port::record_stream`], in
+    /// last-touch order, or `None` once the stream outgrew the cache.
+    pub(crate) fn take_footprint(&self) -> Option<Box<[u64]>> {
+        let mut stream = self.inner.borrow_mut().stream.take()?;
+        // Walk back from the end, moving each sector's last touch into
+        // place in the stream's own buffer.
+        let mut seen = HashSet::new();
+        let mut first = stream.len();
+        for i in (0..stream.len()).rev() {
+            let sector = stream[i];
+            if seen.insert(sector) {
+                first -= 1;
+                stream[first] = sector;
+            }
+        }
+        stream.drain(..first);
+        Some(stream.into_boxed_slice())
+    }
+
+    /// Whether every sector of `footprint` is resident in a live set
+    /// (module docs, step 6).
+    pub(crate) fn holds_all(&self, footprint: &[u64]) -> bool {
+        let cache = self.cache;
+        let inner = self.inner.borrow();
+        footprint.iter().all(|&sector| {
+            let (shard, set) = cache.shard_of(sector);
+            inner.shards[shard]
+                .way_of(set, cache.ways, sector)
+                .is_some()
+        })
+    }
+
+    /// Stamps each sector of `footprint`, all resident, in order, leaving
+    /// the last one of each set its newest way: the LRU order a launch
+    /// that only hits leaves behind (module docs, step 6). Like the probe
+    /// fast path, a sector that is already its set's newest way keeps its
+    /// stamp. Dirty bits are untouched.
+    pub(crate) fn restamp(&self, footprint: &[u64]) {
+        let cache = self.cache;
+        let mut inner = self.inner.borrow_mut();
+        for &sector in footprint {
+            let (shard, set) = cache.shard_of(sector);
+            let s = &mut inner.shards[shard];
+            let w = s
+                .way_of(set, cache.ways, sector)
+                .expect("a restamped sector is resident");
+            if s.mru[set] as usize != w {
+                s.stamp += 1;
+                s.stamps[set * cache.ways + w] = s.stamp;
+                s.mru[set] = w as u8;
+            }
         }
     }
 }
@@ -757,6 +885,82 @@ mod tests {
             c.invalidate();
             assert!(launch(c, &rehit).0);
         }
+    }
+
+    /// A seeded stream of `sets × ways` accesses (the longest stream the
+    /// recorder keeps) over a pool of at most `ways` distinct sectors per
+    /// set, so its whole footprint can be resident; about one write in
+    /// three.
+    fn fitting_stream(rng: &mut StdRng, sets: usize, ways: usize) -> Vec<(u64, bool)> {
+        let mut pool = Vec::new();
+        for set in 0..sets as u64 {
+            let mut tags: Vec<u64> = (0..3 * ways as u64).collect();
+            for _ in 0..rng.gen_range(0..=ways) {
+                let k = tags.swap_remove(rng.gen_range(0..tags.len()));
+                pool.push(set + k * sets as u64);
+            }
+        }
+        (0..sets * ways)
+            .map(|_| {
+                (
+                    pool[rng.gen_range(0..pool.len())],
+                    rng.gen_range(0..3u32) == 0,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn restamping_a_resident_footprint_leaves_what_interpretation_leaves() {
+        let (mut resident, mut not_resident) = (0, 0);
+        for (sets, ways) in [(8usize, 4usize), (64, 8), (16, 16), (32, 1)] {
+            let capacity = sets * ways * SECTOR_BYTES as usize;
+            let sectors = 3 * (sets * ways) as u64;
+            for seed in 0..40u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let key = fitting_stream(&mut rng, sets, ways);
+                // The key's first run, from a seeded start, records its
+                // footprint; other accesses may then evict parts of it,
+                // and every fourth case invalidates the cache.
+                let a = L2Cache::new(capacity, ways);
+                run_port(&a, &ops(seed, sectors, 300));
+                a.owned().flush_dirty();
+                let port = a.owned();
+                port.record_stream();
+                for &(sector, write) in &key {
+                    port.access(sector * SECTOR_BYTES, write);
+                }
+                port.flush_dirty();
+                let footprint = port.take_footprint().expect("fits in the cache");
+                drop(port);
+                run_port(&a, &ops(seed + 100, sectors, rng.gen_range(0..3 * ways)));
+                if seed % 4 == 0 {
+                    a.invalidate();
+                }
+                a.owned().flush_dirty();
+
+                // `b` copies `a`; `a` interprets the key, `b` restamps.
+                let b = L2Cache::new(capacity, ways);
+                b.owned().restore(&a.owned().snapshot());
+                let holds = b.owned().holds_all(&footprint);
+                let (_, results) = launch(&a, &key);
+                let all_hit = results.iter().all(|r| r.hit);
+                assert_eq!(holds, all_hit, "{sets}x{ways}, seed {seed}");
+                if !holds {
+                    not_resident += 1;
+                    continue;
+                }
+                resident += 1;
+                b.owned().restamp(&footprint);
+                assert_eq!(lru_order(&a), lru_order(&b), "{sets}x{ways}, seed {seed}");
+                let next = stream(seed + 200, sets, ways, 4 * sets * ways, u64::MAX);
+                assert_eq!(launch(&a, &next), launch(&b, &next));
+            }
+        }
+        assert!(
+            resident > 20 && not_resident > 20,
+            "{resident}, {not_resident}"
+        );
     }
 
     #[test]

@@ -21,23 +21,30 @@
 //! same matrix, the same staging addresses, new vector values — can name
 //! its whole address stream with a key: [`Gpu::launch_group`] with
 //! `Some(key)`. The group then holds the L2 port and the memo lock from
-//! its first member to its last, and the memo remembers
+//! its first member to its last, and the memo answers it by one of two
+//! exact rules (argument in [`crate::cache`]).
 //!
-//! * the counters of each (start L2 state, key) pair, recorded only
-//!   from `Cold` or `After(_)` and only for saturating groups (every L2
-//!   set overwritten, see [`crate::cache`]);
-//! * the L2 contents each key leaves behind.
+//! * **Saturating rule.** The memo remembers the counters of each (start
+//!   L2 state, key) pair, recorded only from `Cold` or `After(_)` and
+//!   only for saturating groups (every L2 set overwritten), and the L2
+//!   contents each key leaves behind. When the start state is known and
+//!   the pair has been seen, it installs the key's snapshot.
+//! * **Resident rule.** The first interpreted run of a key records its
+//!   footprint, the distinct sectors in last-touch order, unless the raw
+//!   stream outgrows the L2's sectors. A later run that finds the whole
+//!   footprint resident is interpreted once for its counters. From then
+//!   on, a group whose footprint is resident restamps it in last-touch
+//!   order instead of probing.
 //!
-//! When the start state is known and the pair has been seen, the group
-//! runs the same kernel closures on the calling thread with memory
-//! tracing off — the arithmetic, and so every output bit, is unchanged —
-//! then installs the key's snapshot and returns the remembered
-//! [`GroupStats`], equal to what interpretation would return. Otherwise
-//! it interprets and records. Un-keyed launches, non-saturating groups
-//! and [`Gpu::reset_cache`] move the state to `Unknown` (or `Cold`), so a
-//! later hit never assumes contents the cache does not hold. A `Gpu` with
-//! named buffers never memoizes, so per-buffer attribution
-//! ([`Gpu::traffic_report`]) stays interpreted.
+//! A hit by either rule runs the same kernel closures on the calling
+//! thread with memory tracing off — the arithmetic, and so every output
+//! bit, is unchanged — and returns the remembered [`GroupStats`], equal
+//! to what interpretation would return. Otherwise the group interprets
+//! and records. Un-keyed launches, non-saturating groups (resident hits
+//! included) and [`Gpu::reset_cache`] move the state to `Unknown` (or
+//! `Cold`), so a later saturating hit never assumes contents the cache
+//! does not hold. A `Gpu` with named buffers never memoizes, so
+//! per-buffer attribution ([`Gpu::traffic_report`]) stays interpreted.
 
 use crate::buffer::{DeviceBuffer, DeviceOutBuffer, OutScalar};
 use crate::cache::{L2Port, L2Snapshot, L2State};
@@ -134,7 +141,18 @@ struct Memo {
     stats: HashMap<(L2State, u64), GroupStats>,
     /// The L2 contents each key leaves behind.
     after: HashMap<u64, L2Snapshot>,
+    /// Each interpreted key's footprint, or `None` when its stream
+    /// outgrew the L2 and the resident rule never answers it.
+    resident: HashMap<u64, Option<Footprint>>,
     counts: MemoCounts,
+}
+
+/// What the resident rule knows of one key.
+struct Footprint {
+    /// The key's distinct sectors in last-touch order.
+    sectors: Box<[u64]>,
+    /// The counters of a run that found every sector resident.
+    stats: Option<GroupStats>,
 }
 
 /// How often a [`Gpu`]'s keyed launch groups were answered from its
@@ -143,10 +161,15 @@ struct Memo {
 pub struct MemoCounts {
     /// Keyed [`Gpu::launch_group`] calls.
     pub keyed: u64,
-    /// Keyed calls answered from the memo.
+    /// Keyed calls answered from the memo, by either rule.
     pub hits: u64,
-    /// Remembered (start state, key) pairs.
+    /// Those of `hits` answered because the key's whole footprint was
+    /// resident (the resident rule).
+    pub resident_hits: u64,
+    /// Remembered (start state, key) pairs of the saturating rule.
     pub entries: usize,
+    /// Keys whose footprint the resident rule recorded.
+    pub resident_entries: usize,
 }
 
 impl Gpu {
@@ -165,6 +188,7 @@ impl Gpu {
         let memo = self.memo();
         MemoCounts {
             entries: memo.stats.len(),
+            resident_entries: memo.resident.values().flatten().count(),
             ..memo.counts
         }
     }
@@ -320,23 +344,53 @@ impl Gpu {
             });
         };
         let l2 = self.mem.l2().owned();
-        let mut memo = self.memo();
+        let mut guard = self.memo();
+        let memo = &mut *guard;
         memo.counts.keyed += 1;
         let start = l2.start_state();
         if let (Some(stats), Some(after)) = (memo.stats.get(&(start, key)), memo.after.get(&key)) {
-            for m in &members {
-                self.run_in_order(None, m.grid, m.tile_width, &m.kernel);
-            }
+            self.run_untraced(&members);
             l2.restore(after);
             l2.set_state(L2State::After(key));
-            let stats = stats.clone();
             memo.counts.hits += 1;
-            return stats;
+            return stats.clone();
+        }
+        // The resident rule: a first run records the footprint; a run
+        // that finds it resident is interpreted once for its counters,
+        // and answered from them after that.
+        let mut all_resident = false;
+        match memo.resident.get(&key) {
+            None => l2.record_stream(),
+            Some(Some(fp)) if l2.holds_all(&fp.sectors) => {
+                if let Some(stats) = &fp.stats {
+                    self.run_untraced(&members);
+                    l2.restamp(&fp.sectors);
+                    memo.counts.hits += 1;
+                    memo.counts.resident_hits += 1;
+                    return stats.clone();
+                }
+                all_resident = true;
+            }
+            Some(_) => {}
         }
         let stamps = l2.stamps();
         let group = group_stats(members, |m| {
             self.run_in_order(Some(&l2), m.grid, m.tile_width, &m.kernel)
         });
+        match memo.resident.get_mut(&key) {
+            None => {
+                let fp = l2.take_footprint().map(|sectors| Footprint {
+                    sectors,
+                    stats: None,
+                });
+                memo.resident.insert(key, fp);
+            }
+            Some(Some(fp)) if all_resident => {
+                debug_assert_eq!(group.merged.l2_read_misses, 0, "a resident run only hits");
+                fp.stats = Some(group.clone());
+            }
+            Some(_) => {}
+        }
         let s = &group.merged;
         let probes = s.l2_read_hits + s.l2_read_misses + s.l2_write_sectors;
         if probes >= self.mem.l2().sectors() && l2.overwrote_every_set(&stamps) {
@@ -347,6 +401,13 @@ impl Gpu {
             }
         }
         group
+    }
+
+    /// Runs a memo hit's kernel closures with memory tracing off.
+    fn run_untraced(&self, members: &[GroupMember<'_>]) {
+        for m in members {
+            self.run_in_order(None, m.grid, m.tile_width, &m.kernel);
+        }
     }
 }
 
