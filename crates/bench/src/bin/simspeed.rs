@@ -1,80 +1,66 @@
-//! Simulator throughput tracker: times the `sim_kernels` workloads and
-//! emits machine-readable `BENCH_simspeed.json` so the perf trajectory is
-//! tracked across PRs.
+//! Simulator throughput tracker: launches every kernel suite below on one
+//! interleaved loop and emits machine-readable `BENCH_simspeed.json`, so
+//! modeled device time and host time are tracked across changes side by
+//! side, never mixed.
 //!
-//! Three suites:
+//! Seven suites:
 //!
-//! * the prostate case (paper workload) timing the warp-per-row vector
-//!   kernel against the recorded pre-batching baseline,
-//! * a deterministic short-row demo matrix (avg nnz per non-empty row
-//!   ≈ 4.5) timing every sub-warp tile width plus the autotuned pick
-//!   against fixed warp-per-row — the shape the row-adaptive tiles
-//!   exist for, and
-//! * a deterministic "liver beam 1" serving shape (85% empty rows, a
-//!   short-row shell plus a dense tail) timing every fixed width, the
-//!   whole-matrix autotuned pick, and the bucketed row-partition
-//!   dispatch — the shape empty-row elimination and per-bucket width
-//!   dispatch exist for, and
-//! * the same liver shape **row-sharded across a 3×A100 pool**, served
-//!   through the engine's placement (`rt_engine::Engine`, one replica
-//!   group of 3 throughput-weighted row shards, probe-pinned bucket
-//!   widths) — the path the pool serves traffic through: one dose
-//!   `call` per timed launch, the shards running concurrently, the
-//!   interconnect gather of each shard's rows charged to the critical
-//!   path. Its `sim_speedup_vs_one_device` compares the pool's modeled
-//!   critical path against the same bucketed dispatch fully resident on
-//!   one device, and
-//! * a deterministic "liver gradient" optimizer shape (a wide beamlet
-//!   axis where ~98% of beamlets never touch the dose shell, so the
-//!   **transpose** is empty-row heavy) timing the backward pass `Aᵀ r`
-//!   as every fixed-width whole-transpose kernel and as the bucketed
-//!   partition of the transpose — the gradient-direction counterpart of
-//!   the liver beam-1 suite, with the forward direction alongside so
-//!   the report carries forward vs backward lane occupancy, and
-//! * a **placement break-even sweep** on the mixed 4-device demo pool
-//!   (2×A100 + V100 + P100): the shard count `ExecPolicy`'s
-//!   `ShardSpec::Auto` resolves to for the liver and prostate plans,
-//!   the full K=1..=4 evidence table, and the modeled throughput of two
-//!   concurrent requests under R=2 replica groups vs R=1 serializing
-//!   pool-wide fan-outs (the `placement` JSON object), and
-//! * a **drain-recovery sweep** on the same pool: modeled R=2 group
-//!   times and pool throughput before the P100 is drained, after the
-//!   drain with the registration-time deal kept (the group that lost
-//!   its member stops serving), and after the engine's live re-deal
-//!   over the three survivors (the `rebalance` JSON object).
+//! 1. `prostate-paper`: the paper's prostate case, warp-per-row vector
+//!    kernel and the reduced-precision baseline pipeline;
+//! 2. `shortrow`: a deterministic short-row demo matrix (avg nnz per
+//!    non-empty row ≈ 4.5) at every tile width — the shape the
+//!    row-adaptive tiles exist for;
+//! 3. `liver-beam-1`: a deterministic "liver beam 1" serving shape (85%
+//!    empty rows, a short-row shell plus a dense tail) at every fixed
+//!    width and as the bucketed row-partition dispatch — the shape
+//!    empty-row elimination and per-bucket width dispatch exist for;
+//! 4. `liver-beam-1-sharded`: the same liver shape **row-sharded across a
+//!    3×A100 pool**, served through the engine's placement
+//!    (`rt_engine::Engine`, one replica group of 3 throughput-weighted row
+//!    shards, probe-pinned bucket widths): one dose `call` per launch, the
+//!    interconnect gather of each shard's rows charged to the critical
+//!    path. `sim_speedup_vs_one_device` compares it against the bucketed
+//!    dispatch fully resident on one device;
+//! 5. a **placement break-even sweep** on the mixed 4-device demo pool
+//!    (2×A100 + V100 + P100): the shard count `ShardSpec::Auto` resolves
+//!    to for the liver and prostate plans, the K=1..=4 evidence table, and
+//!    the modeled throughput of two concurrent requests under R=2 replica
+//!    groups vs R=1 serializing pool-wide fan-outs (the `placement` JSON
+//!    object);
+//! 6. `liver-grad`: a deterministic optimizer shape whose **transpose** is
+//!    empty-row heavy, timing the backward pass `Aᵀ r` at every fixed
+//!    whole-transpose width and as the bucketed partition of the
+//!    transpose, with the forward pass at its probed width alongside;
+//! 7. a **drain-recovery sweep** on the same pool: modeled R=2 group
+//!    times and pool throughput before the P100 is drained, after the
+//!    drain with the registration-time deal kept, and after the engine's
+//!    live re-deal over the three survivors (the `rebalance` JSON object).
 //!
-//! The JSON carries `schema_version` and a stable `suite` id per kernel
-//! entry (`prostate-paper`, `shortrow`, `liver-beam-1`,
-//! `liver-beam-1-sharded`, `liver-grad`) so trend tooling can group
-//! entries without parsing names.
+//! Each distinct launch is one entry, timed once. Every entry's device
+//! state is built first; then one warm-up round and [`ROUNDS`] timed
+//! rounds each launch every entry once, in order, so host drift hits every
+//! entry alike. Each entry reports its host p10/p50/p90 ns per launch
+//! (`host_ns_per_launch`); `nnz_per_sec`, `sectors_per_sec` and the host
+//! `speedup_*` ratios derive from p50. The modeled fields (`report`,
+//! `buckets`, `shards`, `sim_*` and `grad_*` ratios) come from each
+//! entry's last launch, on a warm simulated L2. The probe's whole-matrix
+//! width picks are recorded as `shortrow_autotune` and `liverb1_autotune`,
+//! and the host and modeled ratios against a pick read the fixed-width
+//! entry at that width. The speedups:
 //!
-//! Reported per kernel: median wall-clock per launch, simulated non-zeros
-//! per second, simulated L2 sector transactions per second, and (for the
-//! short-row suites) `tile_width`, `lanes_active_frac` (scheduled
-//! occupancy — empty rows still cost a whole-matrix kernel a tile), host
-//! `speedup_vs_warp32` and modeled `sim_speedup_vs_warp32`. The
-//! partitioned entry adds `speedup_vs_autotuned_w` (host wall-clock vs
-//! the whole-matrix autotuned pick), `sim_speedup_vs_best_fixed`
-//! (modeled vs the best fixed-width whole-matrix kernel) and a
-//! per-bucket `buckets` breakdown with each bucket's true
-//! `lanes_active_frac` (empty rows never count as occupied lane slots in
-//! a partitioned launch).
+//! * `speedup_vs_warp32`, `sim_speedup_vs_warp32`: against the suite's
+//!   width-32 entry on the same operand;
+//! * `speedup_vs_autotuned_w`: `liverb1_partitioned` against the
+//!   fixed-width entry at `liverb1_autotune`'s width;
+//! * `sim_speedup_vs_best_fixed`: `liverb1_partitioned` against the
+//!   suite's best fixed width;
+//! * `grad_speedup_vs_whole`: the same on the liver-grad transpose;
+//! * `sim_speedup_vs_one_device`: the sharded critical path against
+//!   `liverb1_partitioned`.
 //!
-//! `--quick` runs a trimmed smoke check (no file write) and exits
-//! non-zero if the autotuned pick is modeled slower than warp-per-row on
-//! the short-row suite, if the partitioned pick is modeled slower than
-//! the best fixed-width whole-matrix kernel on the liver beam-1 suite,
-//! if the 3-device sharded dispatch models less than 1.6× one device
-//! on the same suite, if the placement model's auto shard count fails
-//! to beat both forced K=1 and K=pool on the liver plan (or R=2 fails
-//! to model >1.5× R=1 serialized throughput), if the small prostate
-//! plan is not auto-placed at K=1, or if the partitioned transpose
-//! dispatch on the liver gradient suite models less than 1.4× the best
-//! fixed-width whole-transpose kernel, or if draining the P100 and
-//! re-dealing over the survivors recovers less than 80% of the
-//! pre-drain modeled throughput — the CI gates for the autotuners, the
-//! cooperative pool, the placement engine, live rebalancing, and the
-//! backward-pass partition.
+//! Both modes check the eight CI gates of [`gates`] on modeled time (host
+//! timing is too noisy to gate on) and exit 1 when any fails. `--quick` is
+//! the same run with [`QUICK_ROUNDS`] timed rounds, and writes no file.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -85,7 +71,7 @@ use rt_core::{
     ShardBreakEven, TILE_WIDTHS,
 };
 use rt_dose::cases::{prostate_case, ScaleConfig};
-use rt_engine::{Engine, ExecPolicy, ReplicaSpec, RequestKind, ShardSpec};
+use rt_engine::{Engine, EngineClient, ExecPolicy, ReplicaSpec, RequestKind, ShardSpec};
 use rt_f16::F16;
 use rt_gpusim::json::Json;
 use rt_gpusim::{
@@ -97,55 +83,169 @@ use rt_sparse::{Csr, RowPlan, RsCompressed};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Medians recorded from the pre-batching pipeline (same workload, same
-/// harness, launches then spread over every host core) immediately
-/// before the rework landed.
-const BASELINE_NS: &[(&str, f64)] = &[
-    ("vector_csr_half_double", 8_936_737.0),
-    ("baseline_segment_atomic", 8_906_043.0),
-];
+/// Untimed rounds before the timed ones: they warm each entry's simulated
+/// L2 and the host's caches and allocator.
+const WARMUP_ROUNDS: usize = 1;
+/// Timed rounds of a full run: one host sample per entry per round.
+const ROUNDS: usize = 15;
+/// Timed rounds of a `--quick` run.
+const QUICK_ROUNDS: usize = 3;
+
+/// Host nanoseconds per launch over the timed rounds, as nearest-rank
+/// percentiles (each is one of the samples).
+#[derive(Debug, PartialEq)]
+struct HostNs {
+    p10: u64,
+    p50: u64,
+    p90: u64,
+}
+
+impl HostNs {
+    fn from_samples(mut samples: Vec<u64>) -> Self {
+        assert!(!samples.is_empty(), "at least one timed sample");
+        samples.sort_unstable();
+        let rank = |pct: usize| samples[(pct * samples.len()).div_ceil(100) - 1];
+        HostNs {
+            p10: rank(10),
+            p50: rank(50),
+            p90: rank(90),
+        }
+    }
+}
+
+/// The one launch loop: `warmup` untimed rounds, then `rounds` timed
+/// rounds, each calling every launch once in slice order. Returns each
+/// launch's host percentiles and the output of its last call.
+fn run_rounds<T, F: FnMut() -> T>(
+    launches: &mut [F],
+    warmup: usize,
+    rounds: usize,
+) -> Vec<(HostNs, T)> {
+    for _ in 0..warmup {
+        for launch in launches.iter_mut() {
+            launch();
+        }
+    }
+    let mut samples = vec![Vec::with_capacity(rounds); launches.len()];
+    let mut last: Vec<Option<T>> = launches.iter().map(|_| None).collect();
+    for _ in 0..rounds {
+        for ((launch, samples), last) in launches.iter_mut().zip(&mut samples).zip(&mut last) {
+            let t = Instant::now();
+            let out = launch();
+            samples.push(t.elapsed().as_nanos() as u64);
+            *last = Some(out);
+        }
+    }
+    samples
+        .into_iter()
+        .zip(last)
+        .map(|(s, out)| (HostNs::from_samples(s), out.expect("a timed round ran")))
+        .collect()
+}
+
+/// What one launch returns: the merged counters, plus the breakdown the
+/// bucketed and sharded entries report.
+enum Outcome {
+    Whole(KernelStats),
+    Bucketed(Arc<RowPlan>, GroupStats),
+    Sharded(ShardedReport),
+}
+
+/// One timed launch: what the report says about it, and the closure that
+/// runs it on device state it owns (or, for the sharded entry, through
+/// the engine client it borrows).
+struct Entry<'a> {
+    name: String,
+    nnz: u64,
+    device: DeviceSpec,
+    profile: KernelProfile,
+    /// Whole-matrix width entries: the width and its scheduled lane
+    /// occupancy.
+    occupancy: Option<(u32, f64)>,
+    launch: Box<dyn FnMut() -> Outcome + 'a>,
+}
 
 struct Measurement {
     name: String,
-    ns_per_iter: f64,
+    host: HostNs,
     nnz: u64,
-    /// Short-row suite only: the tile width this entry ran at.
-    tile_width: Option<u32>,
-    /// Short-row suites only: fraction of *scheduled* lane slots carrying
-    /// a stored entry at this width
+    /// Whole-matrix width entries: the tile width this entry ran at and
+    /// the fraction of *scheduled* lane slots carrying a stored entry
     /// ([`RowStats::scheduled_lanes_active_frac`](rt_sparse::stats::RowStats::scheduled_lanes_active_frac)
     /// — a whole-matrix kernel schedules a tile for every row, so empty
     /// rows' padded lanes count against its occupancy; they are never
     /// counted as *occupied* slots anywhere).
-    lanes_active_frac: Option<f64>,
-    /// Host wall-clock speedup over the fixed warp-per-row entry.
-    speedup_vs_warp32: Option<f64>,
-    /// Modeled-time speedup over the fixed warp-per-row entry.
-    sim_speedup_vs_warp32: Option<f64>,
-    /// Partitioned entry only: host wall-clock speedup over the
-    /// whole-matrix autotuned pick.
-    speedup_vs_autotuned_w: Option<f64>,
-    /// Partitioned entry only: modeled-time speedup over the best
-    /// fixed-width whole-matrix kernel of the suite.
-    sim_speedup_vs_best_fixed: Option<f64>,
+    occupancy: Option<(u32, f64)>,
+    /// Speedups, rendered in push order (see the module docs for each
+    /// key): a host ratio of p50s, or a `sim_`/`grad_` ratio of modeled
+    /// seconds.
+    ratios: Vec<(&'static str, f64)>,
     /// Partitioned entry only: per-bucket breakdown of the fused
     /// dispatch (width, rows, true lane occupancy, standalone estimate).
     buckets: Option<Vec<BucketReport>>,
-    /// Liver-grad partitioned entry only: modeled speedup of the
-    /// bucketed transpose dispatch over the best fixed-width
-    /// whole-transpose kernel — the backward-pass counterpart of
-    /// `sim_speedup_vs_best_fixed`, under the name the gradient CI gate
-    /// keys on.
-    grad_speedup_vs_whole: Option<f64>,
-    /// Sharded entry only: modeled critical-path speedup of the pool
-    /// over the same dispatch fully resident on one device.
-    sim_speedup_vs_one_device: Option<f64>,
     /// Sharded entry only: per-shard breakdown (home device, row range,
     /// nnz, standalone compute estimate, gather cost).
     shards: Option<Vec<ShardReport>>,
     /// Unified per-launch record (counters + modeled time) in the same
     /// shape the serving engine and the calculator emit.
     report: LaunchReport,
+}
+
+impl Entry<'_> {
+    fn measure(self, host: HostNs, outcome: Outcome) -> Measurement {
+        let Entry {
+            name,
+            nnz,
+            device,
+            profile,
+            occupancy,
+            ..
+        } = self;
+        let launch_report = |stats: KernelStats| {
+            let estimate = timing::estimate(&device, &profile, &stats);
+            LaunchReport::new(profile.name.clone(), device.name, stats, estimate)
+        };
+        let (report, buckets, shards) = match outcome {
+            Outcome::Whole(stats) => {
+                let mut report = launch_report(stats);
+                if let Some((width, _)) = occupancy {
+                    report.tile_width = width;
+                }
+                (report, None, None)
+            }
+            Outcome::Bucketed(plan, group) => {
+                let buckets = rt_core::bucketed_group_report(&device, &profile, &plan, &group);
+                (launch_report(group.merged), Some(buckets.buckets), None)
+            }
+            Outcome::Sharded(r) => {
+                // Pool-level record: merged counters; seconds and the
+                // derived rates rebuilt around the critical path (the
+                // per-device estimator has no notion of concurrent shards
+                // or the gather hop).
+                let pool = r.shards.len();
+                let mut report = launch_report(r.stats);
+                let seconds = r.modeled_seconds;
+                let dram = (report.stats.dram_read_bytes + report.stats.dram_write_bytes) as f64;
+                let estimate = &mut report.estimate;
+                estimate.seconds = seconds;
+                estimate.gflops = report.stats.flops as f64 / seconds / 1e9;
+                estimate.dram_bw_gbps = dram / seconds / 1e9;
+                estimate.frac_peak_bw = dram / seconds / (device.dram_bw * pool as f64);
+                report.device = format!("{} x{pool}", device.name);
+                (report, None, Some(r.shards))
+            }
+        };
+        Measurement {
+            name,
+            host,
+            nnz,
+            occupancy,
+            ratios: Vec::new(),
+            buckets,
+            shards,
+            report,
+        }
+    }
 }
 
 /// Stable suite id for a kernel entry — the grouping key trend tooling
@@ -167,50 +267,6 @@ fn suite_id(name: &str) -> &'static str {
 /// Total simulated L2 sector transactions in one launch.
 fn sectors(s: &KernelStats) -> u64 {
     s.l2_read_hits + s.l2_read_misses + s.l2_write_sectors + s.atomic_ops
-}
-
-fn median_ns(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
-}
-
-fn time_kernel(
-    name: &str,
-    nnz: u64,
-    device: &DeviceSpec,
-    profile: &KernelProfile,
-    warmup: usize,
-    samples: usize,
-    mut launch: impl FnMut() -> KernelStats,
-) -> Measurement {
-    let mut stats = KernelStats::default();
-    for _ in 0..warmup {
-        stats = launch();
-    }
-    let samples: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            stats = launch();
-            t.elapsed().as_nanos() as f64
-        })
-        .collect();
-    let estimate = timing::estimate(device, profile, &stats);
-    Measurement {
-        name: name.to_string(),
-        ns_per_iter: median_ns(samples),
-        nnz,
-        tile_width: None,
-        lanes_active_frac: None,
-        speedup_vs_warp32: None,
-        sim_speedup_vs_warp32: None,
-        speedup_vs_autotuned_w: None,
-        sim_speedup_vs_best_fixed: None,
-        grad_speedup_vs_whole: None,
-        buckets: None,
-        sim_speedup_vs_one_device: None,
-        shards: None,
-        report: LaunchReport::new(profile.name.clone(), device.name, stats, estimate),
-    }
 }
 
 /// Deterministic short-row demo matrix: 60k voxel rows over 4096 spots,
@@ -236,39 +292,6 @@ fn short_row_matrix() -> Csr<F16, u32> {
         .collect();
     let m: Csr<f64, u32> = Csr::from_rows(ncols, &rows).unwrap();
     m.convert_values()
-}
-
-/// Times one short-row entry: a whole-matrix launch at `width`.
-#[allow(clippy::too_many_arguments)]
-fn time_shortrow(
-    name: &str,
-    csr: &Csr<F16, u32>,
-    row_stats: &RowStats,
-    width: u32,
-    device: &DeviceSpec,
-    warmup: usize,
-    samples: usize,
-) -> Measurement {
-    let gpu = Gpu::new(device.clone());
-    let m = GpuCsrMatrix::upload(&gpu, csr);
-    let x = gpu.upload(&vec![1.0f64; csr.ncols()]);
-    let y = gpu.alloc_out::<f64>(csr.nrows());
-    let mut meas = time_kernel(
-        name,
-        csr.nnz() as u64,
-        device,
-        &profile_half_double(),
-        warmup,
-        samples,
-        || vector_csr_spmm(&gpu, &m, &[&x], &[&y], 512, width),
-    );
-    meas.report.tile_width = width;
-    meas.tile_width = Some(width);
-    // Scheduled occupancy: a whole-matrix launch gives every row —
-    // including every empty row — a tile, so empty rows' padded lanes
-    // count against this figure (they are never *occupied*).
-    meas.lanes_active_frac = Some(row_stats.scheduled_lanes_active_frac(width));
-    meas
 }
 
 /// Deterministic "liver beam 1" serving shape: a large dose grid where
@@ -358,16 +381,71 @@ fn liver_grad_matrix() -> Csr<F16, u32> {
     t.transpose()
 }
 
-/// Times the bucketed row-partition dispatch with its probe-autotuned
-/// per-bucket widths; attaches the per-bucket breakdown of the last
-/// (warm-cache) launch.
-fn time_partitioned(
-    name: &str,
+/// A whole-matrix vector-CSR launch at `width` on its own device.
+/// `row_stats` adds the width and its scheduled lane occupancy to the
+/// entry: a whole-matrix launch gives every row — including every empty
+/// row — a tile, so empty rows' padded lanes count against this figure
+/// (they are never *occupied*).
+fn whole_entry<'a>(
+    name: impl Into<String>,
     csr: &Csr<F16, u32>,
+    width: u32,
+    row_stats: Option<&RowStats>,
     device: &DeviceSpec,
-    warmup: usize,
-    samples: usize,
-) -> Measurement {
+) -> Entry<'a> {
+    let gpu = Gpu::new(device.clone());
+    let m = GpuCsrMatrix::upload(&gpu, csr);
+    let x = gpu.upload(&vec![1.0f64; csr.ncols()]);
+    let y = gpu.alloc_out::<f64>(csr.nrows());
+    Entry {
+        name: name.into(),
+        nnz: csr.nnz() as u64,
+        device: device.clone(),
+        profile: profile_half_double(),
+        occupancy: row_stats.map(|s| (width, s.scheduled_lanes_active_frac(width))),
+        launch: Box::new(move || {
+            Outcome::Whole(vector_csr_spmm(&gpu, &m, &[&x], &[&y], 512, width))
+        }),
+    }
+}
+
+/// [`whole_entry`] at every tile width, named `{prefix}{w}`.
+fn width_entries<'a>(
+    prefix: &str,
+    csr: &Csr<F16, u32>,
+    row_stats: &RowStats,
+    device: &DeviceSpec,
+) -> Vec<Entry<'a>> {
+    TILE_WIDTHS
+        .iter()
+        .map(|&w| whole_entry(format!("{prefix}{w}"), csr, w, Some(row_stats), device))
+        .collect()
+}
+
+/// The paper's reduced-precision baseline pipeline on its own device. It
+/// accumulates into the output with atomics, so each launch clears it.
+fn baseline_entry<'a>(name: &str, csr: &Csr<F16, u32>, device: &DeviceSpec) -> Entry<'a> {
+    let rs = RsCompressed::from_csr(csr);
+    let gpu = Gpu::new(device.clone());
+    let m = GpuRsMatrix::upload(&gpu, &rs);
+    let x = gpu.upload(&vec![1.0f64; csr.ncols()]);
+    let y = gpu.alloc_out::<f64>(rs.nrows());
+    Entry {
+        name: name.into(),
+        nnz: csr.nnz() as u64,
+        device: device.clone(),
+        profile: profile_baseline(),
+        occupancy: None,
+        launch: Box::new(move || {
+            y.clear();
+            Outcome::Whole(rs_baseline_gpu_spmv(&gpu, &m, &x, &y, 128))
+        }),
+    }
+}
+
+/// The bucketed row-partition dispatch on its own device, at the
+/// per-bucket widths the measured probe picks.
+fn partitioned_entry<'a>(name: &str, csr: &Csr<F16, u32>, device: &DeviceSpec) -> Entry<'a> {
     let widths = KernelSelect::Partitioned(PartitionStrategy::MeasuredProbe)
         .choose(device, csr, 512)
         .expect("partitioned probe cannot fail on a valid matrix")
@@ -378,44 +456,24 @@ fn time_partitioned(
     let gplan = GpuRowPlan::upload(&gpu, plan.clone());
     let x = gpu.upload(&vec![1.0f64; csr.ncols()]);
     let y = gpu.alloc_out::<f64>(csr.nrows());
-    let profile = profile_half_double();
-    let mut last: Option<GroupStats> = None;
-    let mut meas = time_kernel(
-        name,
-        csr.nnz() as u64,
-        device,
-        &profile,
-        warmup,
-        samples,
-        || {
-            let g = vector_csr_spmm_bucketed(&gpu, &m, &[&x], &[&y], 512, &gplan, widths);
-            let merged = g.merged.clone();
-            last = Some(g);
-            merged
-        },
-    );
-    let group = last.expect("at least one timed launch");
-    let report = rt_core::bucketed_group_report(device, &profile, &plan, &group);
-    meas.buckets = Some(report.buckets);
-    meas
+    Entry {
+        name: name.into(),
+        nnz: csr.nnz() as u64,
+        device: device.clone(),
+        profile: profile_half_double(),
+        occupancy: None,
+        launch: Box::new(move || {
+            let group = vector_csr_spmm_bucketed(&gpu, &m, &[&x], &[&y], 512, &gplan, widths);
+            Outcome::Bucketed(plan.clone(), group)
+        }),
+    }
 }
 
-/// Times one request row-sharded across `pool` identical devices,
-/// served through the engine's placement: one replica group, `pool`
-/// throughput-weighted row shards (one resident per device), every
-/// shard running the bucketed dispatch at the widths the probe pinned
-/// from the whole matrix. Each timed launch is one dose `call`; the
-/// modeled figure is the fan-out's critical path — `max` over shards of
-/// compute plus the interconnect gather of the shard's rows — i.e.
-/// what one cooperative request finishes in.
-fn time_sharded(
-    name: &str,
-    csr: &Csr<F16, u32>,
-    device: &DeviceSpec,
-    pool: usize,
-    warmup: usize,
-    samples: usize,
-) -> Measurement {
+/// An engine over `pool` identical devices holding `csr` as plan `name`,
+/// placed as one replica group of `pool` throughput-weighted row shards
+/// (one resident per device), every shard running the bucketed dispatch
+/// at the widths the probe pinned from the whole matrix.
+fn sharded_engine(name: &str, csr: &Csr<F16, u32>, device: &DeviceSpec, pool: usize) -> Engine {
     let policy = ExecPolicy::builder()
         .kernel_select(KernelSelect::Partitioned(PartitionStrategy::MeasuredProbe))
         .shards(ShardSpec::Fixed(pool))
@@ -430,43 +488,34 @@ fn time_sharded(
     engine
         .register_plan(name, &csr.convert_values())
         .expect("a valid matrix registers");
-    let x = vec![1.0f64; csr.ncols()];
-    let profile = profile_half_double();
-    let ((mut meas, last), _) = engine.serve(|client| {
-        let mut last: Option<ShardedReport> = None;
-        let meas = time_kernel(
-            name,
-            csr.nnz() as u64,
-            device,
-            &profile,
-            warmup,
-            samples,
-            || {
-                let r = client
-                    .call(name, RequestKind::Dose, x.clone())
-                    .expect("a registered plan serves")
-                    .shards
-                    .expect("every response carries its shards");
-                let stats = r.stats.clone();
-                last = Some(r);
-                stats
-            },
-        );
-        (meas, last.expect("at least one timed launch"))
-    });
+    engine
+}
 
-    // Pool-level record: merged counters; seconds and the derived rates
-    // rebuilt around the critical path (the per-device estimator has no
-    // notion of concurrent shards or the gather hop).
-    let estimate = &mut meas.report.estimate;
-    estimate.seconds = last.modeled_seconds;
-    estimate.gflops = last.stats.flops as f64 / last.modeled_seconds / 1e9;
-    let dram = (last.stats.dram_read_bytes + last.stats.dram_write_bytes) as f64;
-    estimate.dram_bw_gbps = dram / last.modeled_seconds / 1e9;
-    estimate.frac_peak_bw = dram / last.modeled_seconds / (device.dram_bw * pool as f64);
-    meas.report.device = format!("{} x{}", device.name, pool);
-    meas.shards = Some(last.shards);
-    meas
+/// One dose request for plan `name` of [`sharded_engine`] per launch. Its
+/// modeled figure is the fan-out's critical path — `max` over shards of
+/// compute plus the interconnect gather of the shard's rows — i.e. what
+/// one cooperative request finishes in.
+fn sharded_entry<'a>(
+    name: &str,
+    csr: &Csr<F16, u32>,
+    device: &DeviceSpec,
+    client: &'a EngineClient<'_>,
+) -> Entry<'a> {
+    let plan = name.to_string();
+    let x = vec![1.0f64; csr.ncols()];
+    Entry {
+        name: name.into(),
+        nnz: csr.nnz() as u64,
+        device: device.clone(),
+        profile: profile_half_double(),
+        occupancy: None,
+        launch: Box::new(move || {
+            let response = client
+                .call(&plan, RequestKind::Dose, x.clone())
+                .expect("a registered plan serves");
+            Outcome::Sharded(response.shards.expect("every response carries its shards"))
+        }),
+    }
 }
 
 /// Modeled placement verdict for one plan on the mixed 4-device demo
@@ -637,33 +686,27 @@ fn placement_json(liver: &PlacementVerdict, prostate: &PlacementVerdict) -> Json
 }
 
 fn kernel_json(m: &Measurement) -> Json {
-    let per_sec = 1e9 / m.ns_per_iter;
+    let per_sec = 1e9 / m.host.p50 as f64;
     let n_sectors = sectors(&m.report.stats);
+    let host = Json::obj()
+        .field("p10", m.host.p10)
+        .field("p50", m.host.p50)
+        .field("p90", m.host.p90);
     let mut k = Json::obj()
         .field("name", &m.name)
         .field("suite", suite_id(&m.name))
-        .field("ns_per_iter", Json::fixed(m.ns_per_iter, 1))
+        .field("host_ns_per_launch", host)
         .field("nnz", m.nnz)
         .field("nnz_per_sec", Json::sci(m.nnz as f64 * per_sec, 4))
         .field("sectors_per_launch", n_sectors)
         .field("sectors_per_sec", Json::sci(n_sectors as f64 * per_sec, 4));
-    if let Some(w) = m.tile_width {
-        k = k.field("tile_width", w);
+    if let Some((width, lanes_active_frac)) = m.occupancy {
+        k = k
+            .field("tile_width", width)
+            .field("lanes_active_frac", Json::fixed(lanes_active_frac, 4));
     }
-    if let Some(f) = m.lanes_active_frac {
-        k = k.field("lanes_active_frac", Json::fixed(f, 4));
-    }
-    for (key, ratio) in [
-        ("speedup_vs_warp32", m.speedup_vs_warp32),
-        ("sim_speedup_vs_warp32", m.sim_speedup_vs_warp32),
-        ("speedup_vs_autotuned_w", m.speedup_vs_autotuned_w),
-        ("sim_speedup_vs_best_fixed", m.sim_speedup_vs_best_fixed),
-        ("grad_speedup_vs_whole", m.grad_speedup_vs_whole),
-        ("sim_speedup_vs_one_device", m.sim_speedup_vs_one_device),
-    ] {
-        if let Some(r) = ratio {
-            k = k.field(key, Json::fixed(r, 2));
-        }
+    for &(key, ratio) in &m.ratios {
+        k = k.field(key, Json::fixed(ratio, 2));
     }
     if let Some(shards) = &m.shards {
         let shards = shards.iter().map(|s| {
@@ -688,36 +731,33 @@ fn kernel_json(m: &Measurement) -> Json {
         });
         k = k.field("buckets", Json::arr(buckets));
     }
-    let baseline = BASELINE_NS
-        .iter()
-        .find(|(n, _)| *n == m.name)
-        .map(|(_, ns)| *ns);
-    k = k.field(
-        "baseline_ns_per_iter",
-        baseline.map(|ns| Json::fixed(ns, 1)),
-    );
-    if let Some(ns) = baseline {
-        k = k.field("speedup_vs_baseline", Json::fixed(ns / m.ns_per_iter, 2));
-    }
     // The unified LaunchReport shape (same as the serving engine's
     // per-response reports and DoseCalculator results).
     k.field("report", &m.report)
 }
 
+fn autotune_json(choice: &KernelChoice) -> Json {
+    Json::obj()
+        .field("mode", choice.mode)
+        .field("tile_width", choice.tile_width)
+        .field("avg_nnz_nonempty", Json::fixed(choice.avg_nnz_nonempty, 2))
+}
+
 fn render_json(
     measurements: &[Measurement],
-    auto: &KernelChoice,
+    rounds: usize,
+    short_choice: &KernelChoice,
+    liver_choice: &KernelChoice,
     placement: Json,
     rebalance: Json,
 ) -> String {
-    let autotune = Json::obj()
-        .field("mode", auto.mode)
-        .field("tile_width", auto.tile_width)
-        .field("avg_nnz_nonempty", Json::fixed(auto.avg_nnz_nonempty, 2));
     let mut out = Json::obj()
         .field("bench", "sim_kernels")
-        .field("schema_version", 3u32)
-        .field("shortrow_autotune", autotune)
+        .field("schema_version", 4u32)
+        .field("warmup_rounds", WARMUP_ROUNDS)
+        .field("rounds", rounds)
+        .field("shortrow_autotune", autotune_json(short_choice))
+        .field("liverb1_autotune", autotune_json(liver_choice))
         .field("placement", placement)
         .field("rebalance", rebalance)
         .field("kernels", Json::arr(measurements.iter().map(kernel_json)))
@@ -726,125 +766,228 @@ fn render_json(
     out
 }
 
-/// Trimmed CI gate. Two checks, both on warm-cache modeled time (host
-/// timing is too noisy to gate on):
-///
-/// 1. short-row suite: the whole-matrix autotuned pick must not be
-///    modeled slower than fixed warp-per-row;
-/// 2. liver beam-1 suite: the partitioned autotuned pick must not be
-///    modeled slower than the best fixed-width whole-matrix kernel.
-fn quick_smoke() -> ! {
+/// The modeled figures the CI gates read, all from one run.
+struct GateInputs {
+    /// The short-row whole-matrix probe's pick and how it was made.
+    short_auto_width: u32,
+    short_auto_mode: &'static str,
+    /// Short-row fixed-width entries at the pick and at width 32.
+    short_auto_s: f64,
+    short_w32_s: f64,
+    liver_part_s: f64,
+    liver_best_fixed_s: f64,
+    liver_sharded_s: f64,
+    liver_place: PlacementVerdict,
+    prostate_whole_s: f64,
+    prostate_place: PlacementVerdict,
+    grad_part_s: f64,
+    grad_best_fixed_s: f64,
+    rebalance: RebalanceVerdict,
+}
+
+/// One CI gate's verdict: a stable name and the modeled figures it read,
+/// with its bar.
+struct Gate {
+    name: &'static str,
+    passed: bool,
+    detail: String,
+}
+
+/// The eight CI gates, on warm-cache modeled time — for the autotuners,
+/// the cooperative pool, the placement engine, the backward-pass
+/// partition and live rebalancing.
+fn gates(g: &GateInputs) -> Vec<Gate> {
+    let gate = |name, passed, detail| Gate {
+        name,
+        passed,
+        detail,
+    };
+    let (liver, prostate, rebal) = (&g.liver_place, &g.prostate_place, &g.rebalance);
+    let us = 1e6;
+    let (sharded_bar, r2_bar, grad_bar, drain_bar) = (1.6, 1.5, 1.4, 0.8);
+    vec![
+        gate(
+            "autotune_vs_warp32",
+            g.short_auto_s <= g.short_w32_s,
+            format!(
+                "short-row autotuned w{} ({}): {:.3} us modeled vs warp32 {:.3} us ({:.2}x, bar >= 1x)",
+                g.short_auto_width,
+                g.short_auto_mode,
+                g.short_auto_s * us,
+                g.short_w32_s * us,
+                g.short_w32_s / g.short_auto_s,
+            ),
+        ),
+        gate(
+            "partitioned_vs_best_fixed",
+            g.liver_part_s <= g.liver_best_fixed_s,
+            format!(
+                "liver partitioned: {:.3} us modeled vs best fixed {:.3} us ({:.2}x, bar >= 1x)",
+                g.liver_part_s * us,
+                g.liver_best_fixed_s * us,
+                g.liver_best_fixed_s / g.liver_part_s,
+            ),
+        ),
+        gate(
+            "sharded_vs_one_device",
+            g.liver_part_s / g.liver_sharded_s >= sharded_bar,
+            format!(
+                "liver sharded x3: {:.3} us modeled critical path vs one device {:.3} us ({:.2}x, bar >= {sharded_bar}x)",
+                g.liver_sharded_s * us,
+                g.liver_part_s * us,
+                g.liver_part_s / g.liver_sharded_s,
+            ),
+        ),
+        gate(
+            "auto_k_interior",
+            liver.t_auto < liver.t_k1 && liver.t_auto < liver.t_kpool,
+            format!(
+                "liver auto K={} ({:.3} us) vs K=1 {:.3} us, K=pool {:.3} us (bar: below both)",
+                liver.breakeven.k,
+                liver.t_auto * us,
+                liver.t_k1 * us,
+                liver.t_kpool * us,
+            ),
+        ),
+        gate(
+            "r2_vs_r1_throughput",
+            liver.r2_throughput_ratio > r2_bar,
+            format!(
+                "liver R=2 vs R=1 serialized throughput {:.2}x (bar > {r2_bar}x)",
+                liver.r2_throughput_ratio,
+            ),
+        ),
+        gate(
+            "prostate_k1",
+            prostate.breakeven.k == 1,
+            format!(
+                "prostate auto K={} (whole {:.3} us, bar K=1)",
+                prostate.breakeven.k,
+                g.prostate_whole_s * us,
+            ),
+        ),
+        gate(
+            "grad_partitioned_vs_whole",
+            g.grad_best_fixed_s / g.grad_part_s >= grad_bar,
+            format!(
+                "gradient partitioned: {:.3} us modeled vs best fixed whole-transpose {:.3} us ({:.2}x, bar >= {grad_bar}x)",
+                g.grad_part_s * us,
+                g.grad_best_fixed_s * us,
+                g.grad_best_fixed_s / g.grad_part_s,
+            ),
+        ),
+        gate(
+            "drain_recovery",
+            rebal.redealt_throughput >= drain_bar * rebal.pre_throughput,
+            format!(
+                "drain {}: pre {:.0}/s -> naive {:.0}/s, re-dealt {:.0}/s (recovery {:.2}x, bar >= {drain_bar}x)",
+                rebal.drained_name,
+                rebal.pre_throughput,
+                rebal.naive_throughput,
+                rebal.redealt_throughput,
+                rebal.redealt_throughput / rebal.pre_throughput,
+            ),
+        ),
+    ]
+}
+
+fn probe(device: &DeviceSpec, csr: &Csr<F16, u32>) -> KernelChoice {
+    KernelSelect::MeasuredProbe
+        .choose(device, csr, 512)
+        .expect("probe cannot fail on a valid matrix")
+}
+
+fn at(ms: &[Measurement], name: &str) -> usize {
+    ms.iter()
+        .position(|m| m.name == name)
+        .unwrap_or_else(|| panic!("entry {name} is launched every run"))
+}
+
+fn main() {
+    let quick = std::env::args().any(|a| a == "--quick");
+    let rounds = if quick { QUICK_ROUNDS } else { ROUNDS };
     let device = DeviceSpec::a100();
-    let csr = short_row_matrix();
-    let row_stats = RowStats::from_csr(&csr);
-    let choice = KernelSelect::MeasuredProbe
-        .choose(&device, &csr, 512)
-        .expect("probe cannot fail on a valid matrix");
-    let warp32 = time_shortrow("shortrow_warp32", &csr, &row_stats, 32, &device, 1, 5);
-    let auto = time_shortrow(
-        "shortrow_tiled_auto",
-        &csr,
-        &row_stats,
-        choice.tile_width,
-        &device,
-        1,
-        5,
-    );
-    let (w32_s, auto_s) = (warp32.report.estimate.seconds, auto.report.estimate.seconds);
-    println!(
-        "quick: autotuned w{} ({}): {:.3} us modeled vs warp32 {:.3} us ({:.2}x), host {:.2}x",
-        choice.tile_width,
-        choice.mode,
-        auto_s * 1e6,
-        w32_s * 1e6,
-        w32_s / auto_s,
-        warp32.ns_per_iter / auto.ns_per_iter,
-    );
-    let mut failed = false;
-    if auto_s > w32_s {
-        eprintln!(
-            "FAIL: autotuned tile width {} is modeled slower than warp-per-row",
-            choice.tile_width
-        );
-        failed = true;
-    }
 
-    let liver = liver_beam1_matrix();
-    let liver_stats = RowStats::from_csr(&liver);
-    let best_fixed = TILE_WIDTHS
-        .iter()
-        .map(|&w| {
-            time_shortrow(
-                &format!("liverb1_tiled_w{w}"),
-                &liver,
-                &liver_stats,
-                w,
-                &device,
-                1,
-                2,
-            )
-            .report
-            .estimate
-            .seconds
-        })
-        .fold(f64::INFINITY, f64::min);
-    let part = time_partitioned("liverb1_partitioned", &liver, &device, 1, 2);
-    let part_s = part.report.estimate.seconds;
-    println!(
-        "quick: partitioned: {:.3} us modeled vs best fixed {:.3} us ({:.2}x)",
-        part_s * 1e6,
-        best_fixed * 1e6,
-        best_fixed / part_s,
-    );
-    if part_s > best_fixed {
-        eprintln!("FAIL: partitioned dispatch is modeled slower than the best fixed width");
-        failed = true;
-    }
-
-    // Gate 3: one request sharded across a 3-device pool must model a
-    // real cooperative win over the same dispatch on one device — gather
-    // cost and per-shard launch overhead included.
-    let sharded = time_sharded("liverb1_sharded_x3", &liver, &device, 3, 1, 2);
-    let shard_s = sharded.report.estimate.seconds;
-    println!(
-        "quick: sharded x3: {:.3} us modeled critical path vs one device {:.3} us ({:.2}x)",
-        shard_s * 1e6,
-        part_s * 1e6,
-        part_s / shard_s,
-    );
-    if part_s / shard_s < 1.6 {
-        eprintln!("FAIL: 3-device sharded dispatch models less than 1.6x one device");
-        failed = true;
-    }
-
-    // Gates 4-6: the placement break-even model on the mixed 4-device
-    // pool. The liver plan must find an interior optimum (auto-K strictly
-    // beats both K=1 and K=pool), two R=2 concurrent requests must model
-    // >1.5x the throughput of R=1 serializing pool-wide fan-outs, and
-    // the small prostate plan must stay at K=1 (break-even sanity).
-    let liver_place = placement_verdict(part_s, liver.nrows() - liver_stats.empty_rows);
-    println!(
-        "quick: placement: liver auto K={} ({:.3} us) vs K=1 {:.3} us, K=4 {:.3} us; R2/R1 throughput {:.2}x",
-        liver_place.breakeven.k,
-        liver_place.t_auto * 1e6,
-        liver_place.t_k1 * 1e6,
-        liver_place.t_kpool * 1e6,
-        liver_place.r2_throughput_ratio,
-    );
-    if liver_place.t_auto >= liver_place.t_k1 || liver_place.t_auto >= liver_place.t_kpool {
-        eprintln!("FAIL: liver auto shard count does not beat both forced K=1 and K=pool");
-        failed = true;
-    }
-    if liver_place.r2_throughput_ratio <= 1.5 {
-        eprintln!("FAIL: R=2 concurrent placement models <= 1.5x R=1 serialized fan-out");
-        failed = true;
-    }
     let prostate: Csr<F16, u32> = prostate_case(ScaleConfig { shrink: 12.0 })
         .remove(0)
         .matrix
         .convert_values();
-    let prostate_stats = RowStats::from_csr(&prostate);
-    let prostate_whole = modeled_whole_seconds(
+    let short = short_row_matrix();
+    let short_stats = RowStats::from_csr(&short);
+    let short_choice = probe(&device, &short);
+    let liver = liver_beam1_matrix();
+    let liver_stats = RowStats::from_csr(&liver);
+    let liver_choice = probe(&device, &liver);
+    let grad_fwd = liver_grad_matrix();
+    let grad_t: Csr<F16, u32> = grad_fwd.transpose();
+    let fwd_stats = RowStats::from_csr(&grad_fwd);
+    let bwd_stats = RowStats::from_csr(&grad_t);
+    let fwd_choice = probe(&device, &grad_fwd);
+
+    // Suite 4's pool serves for the whole loop; every other entry owns
+    // its device.
+    let sharded = "liverb1_sharded_x3";
+    let engine = sharded_engine(sharded, &liver, &device, 3);
+    let (mut ms, _) = engine.serve(|client| {
+        let mut entries = vec![
+            whole_entry("vector_csr_half_double", &prostate, 32, None, &device),
+            baseline_entry("baseline_segment_atomic", &prostate, &device),
+        ];
+        entries.extend(width_entries(
+            "shortrow_tiled_w",
+            &short,
+            &short_stats,
+            &device,
+        ));
+        entries.extend(width_entries(
+            "liverb1_tiled_w",
+            &liver,
+            &liver_stats,
+            &device,
+        ));
+        entries.push(partitioned_entry("liverb1_partitioned", &liver, &device));
+        entries.push(sharded_entry(sharded, &liver, &device, client));
+        entries.push(whole_entry(
+            "livergrad_forward_auto",
+            &grad_fwd,
+            fwd_choice.tile_width,
+            Some(&fwd_stats),
+            &device,
+        ));
+        entries.extend(width_entries(
+            "livergrad_grad_w",
+            &grad_t,
+            &bwd_stats,
+            &device,
+        ));
+        entries.push(partitioned_entry(
+            "livergrad_grad_partitioned",
+            &grad_t,
+            &device,
+        ));
+
+        let mut launches: Vec<_> = entries.iter_mut().map(|e| &mut e.launch).collect();
+        let runs = run_rounds(&mut launches, WARMUP_ROUNDS, rounds);
+        entries
+            .into_iter()
+            .zip(runs)
+            .map(|(e, (host, outcome))| e.measure(host, outcome))
+            .collect::<Vec<_>>()
+    });
+
+    let seconds = |name: &str| ms[at(&ms, name)].report.estimate.seconds;
+    let best_fixed_s = |prefix: &str| {
+        TILE_WIDTHS
+            .iter()
+            .map(|w| seconds(&format!("{prefix}{w}")))
+            .fold(f64::INFINITY, f64::min)
+    };
+    let liver_part_s = seconds("liverb1_partitioned");
+    let liver_nonempty = liver.nrows() - liver_stats.empty_rows;
+    // Suite 5: the placement model. Liver uses the measured partitioned
+    // time as its whole-matrix figure; prostate uses the analytic
+    // estimate (the engine's fallback when no probe ran).
+    let prostate_whole_s = modeled_whole_seconds(
         &device,
         prostate.nrows(),
         prostate.ncols(),
@@ -852,325 +995,93 @@ fn quick_smoke() -> ! {
         2,
         4,
     );
-    let prostate_place =
-        placement_verdict(prostate_whole, prostate.nrows() - prostate_stats.empty_rows);
-    println!(
-        "quick: placement: prostate auto K={} (whole {:.3} us)",
-        prostate_place.breakeven.k,
-        prostate_whole * 1e6,
-    );
-    if prostate_place.breakeven.k != 1 {
-        eprintln!(
-            "FAIL: small prostate plan auto-picked K={} instead of 1",
-            prostate_place.breakeven.k
-        );
-        failed = true;
-    }
-
-    // Gate 7: the backward-pass partition. On the liver gradient shape
-    // (the transpose is ~96% empty beamlet rows), the bucketed
-    // transpose dispatch must model at least 1.4x the best fixed-width
-    // whole-transpose kernel — the gradient-direction counterpart of
-    // gate 2, and the acceptance bar for the §4g gradient partition.
-    let grad_case = liver_grad_matrix();
-    let grad_t: Csr<F16, u32> = grad_case.transpose();
-    let bwd_stats = RowStats::from_csr(&grad_t);
-    let grad_best_fixed = TILE_WIDTHS
-        .iter()
-        .map(|&w| {
-            time_shortrow(
-                &format!("livergrad_grad_w{w}"),
-                &grad_t,
-                &bwd_stats,
-                w,
-                &device,
-                1,
-                2,
-            )
-            .report
-            .estimate
-            .seconds
-        })
-        .fold(f64::INFINITY, f64::min);
-    let grad_part = time_partitioned("livergrad_grad_partitioned", &grad_t, &device, 1, 2);
-    let grad_part_s = grad_part.report.estimate.seconds;
-    println!(
-        "quick: gradient partitioned: {:.3} us modeled vs best fixed whole-transpose {:.3} us ({:.2}x)",
-        grad_part_s * 1e6,
-        grad_best_fixed * 1e6,
-        grad_best_fixed / grad_part_s,
-    );
-    if grad_best_fixed / grad_part_s < 1.4 {
-        eprintln!(
-            "FAIL: partitioned transpose dispatch models less than 1.4x the best fixed width"
-        );
-        failed = true;
-    }
-    // Gate 8: drain recovery. Taking the P100 out of the mixed pool
-    // mid-session and re-dealing R=2 groups over the three survivors
-    // must recover at least 80% of the pre-drain modeled throughput on
-    // the liver plan (the naive no-re-deal figure is reported for
-    // contrast: the group that lost its member stops serving).
-    let rebal = rebalance_verdict(part_s, liver.nrows() - liver_stats.empty_rows);
-    println!(
-        "quick: rebalance: drain {}: pre {:.0}/s -> naive {:.0}/s, re-dealt {:.0}/s (recovery {:.2}x)",
-        rebal.drained_name,
-        rebal.pre_throughput,
-        rebal.naive_throughput,
-        rebal.redealt_throughput,
-        rebal.redealt_throughput / rebal.pre_throughput,
-    );
-    if rebal.redealt_throughput < 0.8 * rebal.pre_throughput {
-        eprintln!("FAIL: post-drain re-dealt throughput recovers less than 80% of pre-drain");
-        failed = true;
-    }
-    std::process::exit(if failed { 1 } else { 0 });
-}
-
-fn main() {
-    if std::env::args().any(|a| a == "--quick") {
-        quick_smoke();
-    }
-
-    const WARMUP: usize = 3;
-    const SAMPLES: usize = 15;
-    let device = DeviceSpec::a100();
-
-    // Suite 1: the paper's prostate case, warp-per-row vector kernel vs
-    // the reduced-precision baseline pipeline.
-    let case = prostate_case(ScaleConfig { shrink: 12.0 }).remove(0);
-    let csr: Csr<F16, u32> = case.matrix.convert_values();
-    let rs = RsCompressed::from_csr(&csr);
-    let weights = vec![1.0f64; csr.ncols()];
-    let nnz = csr.nnz() as u64;
-
-    let vector = {
-        let gpu = Gpu::new(device.clone());
-        let m = GpuCsrMatrix::upload(&gpu, &csr);
-        let x = gpu.upload(&weights);
-        let y = gpu.alloc_out::<f64>(csr.nrows());
-        time_kernel(
-            "vector_csr_half_double",
-            nnz,
-            &device,
-            &profile_half_double(),
-            WARMUP,
-            SAMPLES,
-            || vector_csr_spmm(&gpu, &m, &[&x], &[&y], 512, 32),
-        )
-    };
-    let baseline = {
-        let gpu = Gpu::new(device.clone());
-        let m = GpuRsMatrix::upload(&gpu, &rs);
-        let x = gpu.upload(&weights);
-        let y = gpu.alloc_out::<f64>(rs.nrows());
-        time_kernel(
-            "baseline_segment_atomic",
-            nnz,
-            &device,
-            &profile_baseline(),
-            WARMUP,
-            SAMPLES,
-            || {
-                y.clear();
-                rs_baseline_gpu_spmv(&gpu, &m, &x, &y, 128)
-            },
-        )
+    let prostate_nonempty = prostate.nrows() - RowStats::from_csr(&prostate).empty_rows;
+    let g = GateInputs {
+        short_auto_width: short_choice.tile_width,
+        short_auto_mode: short_choice.mode,
+        short_auto_s: seconds(&format!("shortrow_tiled_w{}", short_choice.tile_width)),
+        short_w32_s: seconds("shortrow_tiled_w32"),
+        liver_part_s,
+        liver_best_fixed_s: best_fixed_s("liverb1_tiled_w"),
+        liver_sharded_s: seconds(sharded),
+        liver_place: placement_verdict(liver_part_s, liver_nonempty),
+        prostate_whole_s,
+        prostate_place: placement_verdict(prostate_whole_s, prostate_nonempty),
+        grad_part_s: seconds("livergrad_grad_partitioned"),
+        grad_best_fixed_s: best_fixed_s("livergrad_grad_w"),
+        // Suite 7: what `drain_device` models when the P100 leaves
+        // mid-session and the liver plan is re-dealt over the survivors.
+        rebalance: rebalance_verdict(liver_part_s, liver_nonempty),
     };
 
-    // Suite 2: the short-row demo matrix across every tile width plus
-    // the autotuned pick, all against fixed warp-per-row.
-    let short = short_row_matrix();
-    let short_stats = RowStats::from_csr(&short);
-    let choice = KernelSelect::MeasuredProbe
-        .choose(&device, &short, 512)
-        .expect("probe cannot fail on a valid matrix");
-
-    let warp32 = time_shortrow(
-        "shortrow_warp32",
-        &short,
-        &short_stats,
-        32,
-        &device,
-        WARMUP,
-        SAMPLES,
-    );
-    let mut tiled: Vec<Measurement> = TILE_WIDTHS
-        .iter()
-        .map(|&w| {
-            time_shortrow(
-                &format!("shortrow_tiled_w{w}"),
-                &short,
-                &short_stats,
-                w,
-                &device,
-                WARMUP,
-                SAMPLES,
-            )
-        })
-        .collect();
-    tiled.push(time_shortrow(
-        "shortrow_tiled_auto",
-        &short,
-        &short_stats,
-        choice.tile_width,
-        &device,
-        WARMUP,
-        SAMPLES,
-    ));
-    let (w32_ns, w32_s) = (warp32.ns_per_iter, warp32.report.estimate.seconds);
-    for m in &mut tiled {
-        m.speedup_vs_warp32 = Some(w32_ns / m.ns_per_iter);
-        m.sim_speedup_vs_warp32 = Some(w32_s / m.report.estimate.seconds);
+    // Host and modeled speedups over each suite's warp-per-row entry, on
+    // every entry that runs the same operand.
+    for (prefix, w32) in [
+        ("shortrow_", "shortrow_tiled_w32"),
+        ("liverb1_", "liverb1_tiled_w32"),
+        ("livergrad_grad_", "livergrad_grad_w32"),
+    ] {
+        let base = &ms[at(&ms, w32)];
+        let (ns, s) = (base.host.p50 as f64, base.report.estimate.seconds);
+        for m in ms
+            .iter_mut()
+            .filter(|m| m.name.starts_with(prefix) && suite_id(&m.name) == suite_id(w32))
+        {
+            m.ratios.push(("speedup_vs_warp32", ns / m.host.p50 as f64));
+            m.ratios
+                .push(("sim_speedup_vs_warp32", s / m.report.estimate.seconds));
+        }
     }
-
-    // Suite 3: the liver beam-1 serving shape — every fixed width, the
-    // whole-matrix autotuned pick, and the bucketed row partition.
-    let liver = liver_beam1_matrix();
-    let liver_stats = RowStats::from_csr(&liver);
-    let liver_choice = KernelSelect::MeasuredProbe
-        .choose(&device, &liver, 512)
-        .expect("probe cannot fail on a valid matrix");
-    let liver_fixed: Vec<Measurement> = TILE_WIDTHS
-        .iter()
-        .map(|&w| {
-            time_shortrow(
-                &format!("liverb1_tiled_w{w}"),
-                &liver,
-                &liver_stats,
-                w,
-                &device,
-                2,
-                7,
-            )
-        })
-        .collect();
-    let liver_auto = time_shortrow(
-        "liverb1_tiled_auto",
-        &liver,
-        &liver_stats,
-        liver_choice.tile_width,
-        &device,
-        2,
-        7,
-    );
-    let mut liver_part = time_partitioned("liverb1_partitioned", &liver, &device, 2, 7);
-    let liver_w32 = liver_fixed
-        .iter()
-        .find(|m| m.tile_width == Some(32))
-        .expect("width 32 is always timed");
-    let (lw32_ns, lw32_s) = (liver_w32.ns_per_iter, liver_w32.report.estimate.seconds);
-    let best_fixed_s = liver_fixed
-        .iter()
-        .map(|m| m.report.estimate.seconds)
-        .fold(f64::INFINITY, f64::min);
-    liver_part.speedup_vs_warp32 = Some(lw32_ns / liver_part.ns_per_iter);
-    liver_part.sim_speedup_vs_warp32 = Some(lw32_s / liver_part.report.estimate.seconds);
-    liver_part.speedup_vs_autotuned_w = Some(liver_auto.ns_per_iter / liver_part.ns_per_iter);
-    liver_part.sim_speedup_vs_best_fixed = Some(best_fixed_s / liver_part.report.estimate.seconds);
-    let mut liver_entries = liver_fixed;
-    liver_entries.push(liver_auto);
-    for m in &mut liver_entries {
-        m.speedup_vs_warp32 = Some(lw32_ns / m.ns_per_iter);
-        m.sim_speedup_vs_warp32 = Some(lw32_s / m.report.estimate.seconds);
+    let p50 = |name: &str| ms[at(&ms, name)].host.p50 as f64;
+    let part = "liverb1_partitioned";
+    let auto = format!("liverb1_tiled_w{}", liver_choice.tile_width);
+    let ratios = [
+        (part, "speedup_vs_autotuned_w", p50(&auto) / p50(part)),
+        (
+            part,
+            "sim_speedup_vs_best_fixed",
+            g.liver_best_fixed_s / g.liver_part_s,
+        ),
+        (
+            sharded,
+            "sim_speedup_vs_one_device",
+            g.liver_part_s / g.liver_sharded_s,
+        ),
+        (
+            "livergrad_grad_partitioned",
+            "grad_speedup_vs_whole",
+            g.grad_best_fixed_s / g.grad_part_s,
+        ),
+    ];
+    for (name, key, ratio) in ratios {
+        let i = at(&ms, name);
+        ms[i].ratios.push((key, ratio));
     }
-    let liver_part_s = liver_part.report.estimate.seconds;
-    liver_entries.push(liver_part);
-
-    // Suite 4: the same liver shape row-sharded across a 3×A100 pool —
-    // one cooperative request, nnz-balanced shards, gather on the
-    // critical path. Compared against the same bucketed dispatch fully
-    // resident on one device.
-    let mut liver_sharded = time_sharded("liverb1_sharded_x3", &liver, &device, 3, 2, 7);
-    liver_sharded.sim_speedup_vs_one_device =
-        Some(liver_part_s / liver_sharded.report.estimate.seconds);
-    liver_entries.push(liver_sharded);
-
-    // Suite 6: the liver gradient shape — the backward pass `Aᵀ r` as
-    // every fixed-width whole-transpose kernel and as the bucketed
-    // partition of the transpose (`vector_csr_spmm_bucketed` over the
-    // transpose's row plan), with one forward entry alongside so the report carries
-    // forward vs backward lane occupancy for the same plan.
-    let grad_case = liver_grad_matrix();
-    let grad_t: Csr<F16, u32> = grad_case.transpose();
-    let fwd_stats = RowStats::from_csr(&grad_case);
-    let bwd_stats = RowStats::from_csr(&grad_t);
-    let fwd_choice = KernelSelect::MeasuredProbe
-        .choose(&device, &grad_case, 512)
-        .expect("probe cannot fail on a valid matrix");
-    let mut grad_entries = vec![time_shortrow(
-        "livergrad_forward_auto",
-        &grad_case,
-        &fwd_stats,
-        fwd_choice.tile_width,
-        &device,
-        2,
-        7,
-    )];
-    let grad_fixed: Vec<Measurement> = TILE_WIDTHS
-        .iter()
-        .map(|&w| {
-            time_shortrow(
-                &format!("livergrad_grad_w{w}"),
-                &grad_t,
-                &bwd_stats,
-                w,
-                &device,
-                2,
-                7,
-            )
-        })
-        .collect();
-    let grad_w32 = grad_fixed
-        .iter()
-        .find(|m| m.tile_width == Some(32))
-        .expect("width 32 is always timed");
-    let (gw32_ns, gw32_s) = (grad_w32.ns_per_iter, grad_w32.report.estimate.seconds);
-    let grad_best_fixed_s = grad_fixed
-        .iter()
-        .map(|m| m.report.estimate.seconds)
-        .fold(f64::INFINITY, f64::min);
-    let mut grad_part = time_partitioned("livergrad_grad_partitioned", &grad_t, &device, 2, 7);
-    grad_part.speedup_vs_warp32 = Some(gw32_ns / grad_part.ns_per_iter);
-    grad_part.sim_speedup_vs_warp32 = Some(gw32_s / grad_part.report.estimate.seconds);
-    grad_part.grad_speedup_vs_whole = Some(grad_best_fixed_s / grad_part.report.estimate.seconds);
-    grad_entries.extend(grad_fixed);
-    for m in &mut grad_entries[1..] {
-        m.speedup_vs_warp32 = Some(gw32_ns / m.ns_per_iter);
-        m.sim_speedup_vs_warp32 = Some(gw32_s / m.report.estimate.seconds);
-    }
-    grad_entries.push(grad_part);
-
-    // Suite 5: the placement break-even model on the mixed 4-device pool
-    // — what `ExecPolicy` with `ShardSpec::Auto` resolves to for each
-    // plan. Liver uses the measured partitioned time as its whole-matrix
-    // figure; prostate uses the analytic estimate (the engine's fallback
-    // when no probe ran).
-    let liver_place = placement_verdict(liver_part_s, liver.nrows() - liver_stats.empty_rows);
-    let prostate_stats = RowStats::from_csr(&csr);
-    let prostate_whole = modeled_whole_seconds(&device, csr.nrows(), csr.ncols(), csr.nnz(), 2, 4);
-    let prostate_place = placement_verdict(prostate_whole, csr.nrows() - prostate_stats.empty_rows);
-    // Suite 7: drain recovery on the same pool — what `drain_device`
-    // models when the P100 leaves mid-session and every placed plan is
-    // re-dealt over the survivors (the `rebalance` JSON object).
-    let liver_rebalance = rebalance_verdict(liver_part_s, liver.nrows() - liver_stats.empty_rows);
-
-    let mut measurements = vec![vector, baseline, warp32];
-    measurements.extend(tiled);
-    measurements.extend(liver_entries);
-    measurements.extend(grad_entries);
 
     let json = render_json(
-        &measurements,
-        &choice,
-        placement_json(&liver_place, &prostate_place),
-        rebalance_json(&liver_rebalance),
+        &ms,
+        rounds,
+        &short_choice,
+        &liver_choice,
+        placement_json(&g.liver_place, &g.prostate_place),
+        rebalance_json(&g.rebalance),
     );
     print!("{json}");
-    let path = "BENCH_simspeed.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("[saved {path}]"),
-        Err(e) => eprintln!("[could not save {path}: {e}]"),
+    if !quick {
+        let path = "BENCH_simspeed.json";
+        match std::fs::write(path, &json) {
+            Ok(()) => eprintln!("[saved {path}]"),
+            Err(e) => eprintln!("[could not save {path}: {e}]"),
+        }
+    }
+    let mut failed = false;
+    for gate in gates(&g) {
+        let verdict = if gate.passed { "pass" } else { "FAIL" };
+        eprintln!("{verdict} {}: {}", gate.name, gate.detail);
+        failed |= !gate.passed;
+    }
+    if failed {
+        std::process::exit(1);
     }
 }
 
@@ -1178,9 +1089,106 @@ fn main() {
 mod tests {
     use super::*;
     use rt_gpusim::json::minify;
+    use std::cell::RefCell;
+
+    #[test]
+    fn every_entry_runs_warmup_plus_rounds_interleaved() {
+        let log = RefCell::new(Vec::new());
+        let mut launches: Vec<_> = ["a", "b", "c"]
+            .into_iter()
+            .map(|name| {
+                let log = &log;
+                let mut calls = 0;
+                move || {
+                    log.borrow_mut().push(name);
+                    calls += 1;
+                    calls
+                }
+            })
+            .collect();
+        let runs = run_rounds(&mut launches, 2, 4);
+        let expected: Vec<&str> = (0..2 + 4).flat_map(|_| ["a", "b", "c"]).collect();
+        assert_eq!(*log.borrow(), expected);
+        // Each entry hands back the output of its sixth and last call.
+        assert!(runs.iter().all(|(_, last)| *last == 6));
+    }
+
+    #[test]
+    fn host_percentiles_are_nearest_rank_samples() {
+        // 15 samples, shuffled: ranks 2, 8 and 14 of 10, 20, ..., 150.
+        let samples = vec![
+            70, 150, 10, 120, 40, 90, 30, 140, 60, 110, 20, 130, 80, 50, 100,
+        ];
+        let host = HostNs::from_samples(samples);
+        assert_eq!(
+            host,
+            HostNs {
+                p10: 20,
+                p50: 80,
+                p90: 140
+            }
+        );
+        // Three samples (a --quick run): min, median, max.
+        let host = HostNs::from_samples(vec![9, 3, 5]);
+        assert_eq!((host.p10, host.p50, host.p90), (3, 5, 9));
+    }
+
+    fn passing_inputs() -> GateInputs {
+        GateInputs {
+            short_auto_width: 2,
+            short_auto_mode: "probe",
+            short_auto_s: 4.7e-6,
+            short_w32_s: 13.6e-6,
+            liver_part_s: 9.4e-6,
+            liver_best_fixed_s: 15.4e-6,
+            liver_sharded_s: 5.3e-6,
+            liver_place: placement_verdict(1e-5, 5000),
+            prostate_whole_s: 2e-6,
+            prostate_place: placement_verdict(2e-6, 500),
+            grad_part_s: 6.6e-6,
+            grad_best_fixed_s: 10.4e-6,
+            rebalance: rebalance_verdict(1e-5, 5000),
+        }
+    }
+
+    fn failed(g: &GateInputs) -> Vec<&'static str> {
+        let all = gates(g);
+        assert_eq!(all.len(), 8);
+        all.into_iter()
+            .filter(|gate| !gate.passed)
+            .map(|gate| gate.name)
+            .collect()
+    }
+
+    #[test]
+    fn each_gate_fails_alone_on_its_own_figure() {
+        assert!(failed(&passing_inputs()).is_empty());
+        type BreakGate = fn(&mut GateInputs);
+        let cases: [(&str, BreakGate); 8] = [
+            ("autotune_vs_warp32", |g| g.short_auto_s = 14e-6),
+            ("partitioned_vs_best_fixed", |g| g.liver_part_s = 16e-6),
+            ("sharded_vs_one_device", |g| g.liver_sharded_s = 6e-6),
+            ("auto_k_interior", |g| {
+                g.liver_place.t_auto = g.liver_place.t_k1
+            }),
+            ("r2_vs_r1_throughput", |g| {
+                g.liver_place.r2_throughput_ratio = 1.5
+            }),
+            ("prostate_k1", |g| g.prostate_place.breakeven.k = 2),
+            ("grad_partitioned_vs_whole", |g| g.grad_part_s = 7.5e-6),
+            ("drain_recovery", |g| {
+                g.rebalance.redealt_throughput = 0.79 * g.rebalance.pre_throughput
+            }),
+        ];
+        for (name, break_gate) in cases {
+            let mut g = passing_inputs();
+            break_gate(&mut g);
+            assert_eq!(failed(&g), [name], "only {name} should fail");
+        }
+    }
 
     /// A one-kernel document with every optional field present, pinned to
-    /// the rendering `BENCH_simspeed.json` has always had.
+    /// the schema-4 rendering of `BENCH_simspeed.json`.
     #[test]
     fn one_kernel_document_is_pinned() {
         let stats = KernelStats {
@@ -1197,26 +1205,29 @@ mod tests {
             dram_write_bytes: 512,
             atomic_ops: 0,
         };
-        let mut m = time_kernel(
-            "vector_csr_half_double",
-            1000,
-            &DeviceSpec::a100(),
-            &profile_half_double(),
-            0,
-            1,
-            || stats.clone(),
-        );
-        // Host timing differs run to run; pin a fixed figure.
-        m.ns_per_iter = 1.25e6;
-        m.report.tile_width = 4;
-        m.tile_width = Some(4);
-        m.lanes_active_frac = Some(0.5625);
-        m.speedup_vs_warp32 = Some(1.5);
-        m.sim_speedup_vs_warp32 = Some(2.25);
-        m.speedup_vs_autotuned_w = Some(1.125);
-        m.sim_speedup_vs_best_fixed = Some(1.75);
-        m.grad_speedup_vs_whole = Some(3.0);
-        m.sim_speedup_vs_one_device = Some(2.5);
+        let entry = Entry {
+            name: "vector_csr_half_double".into(),
+            nnz: 1000,
+            device: DeviceSpec::a100(),
+            profile: profile_half_double(),
+            occupancy: Some((4, 0.5625)),
+            launch: Box::new(|| unreachable!("the document is built from a given outcome")),
+        };
+        // Host timing differs run to run; pin fixed figures.
+        let host = HostNs {
+            p10: 1_000_000,
+            p50: 1_250_000,
+            p90: 2_000_000,
+        };
+        let mut m = entry.measure(host, Outcome::Whole(stats.clone()));
+        m.ratios = vec![
+            ("speedup_vs_warp32", 1.5),
+            ("sim_speedup_vs_warp32", 2.25),
+            ("speedup_vs_autotuned_w", 1.125),
+            ("sim_speedup_vs_best_fixed", 1.75),
+            ("grad_speedup_vs_whole", 3.0),
+            ("sim_speedup_vs_one_device", 2.5),
+        ];
         let estimate = m.report.estimate.clone();
         m.buckets = Some(vec![BucketReport {
             label: "rows 1-2".into(),
@@ -1238,16 +1249,18 @@ mod tests {
             gather_bytes: 4800,
             gather_seconds: 2.0e-6,
         }]);
-        let auto = KernelChoice {
-            tile_width: 2,
-            mode: "probe",
-            avg_nnz_nonempty: 4.5,
+        let choice = |mode, tile_width, avg_nnz_nonempty| KernelChoice {
+            tile_width,
+            mode,
+            avg_nnz_nonempty,
             candidates: Vec::new(),
             buckets: Vec::new(),
         };
         let j = render_json(
             &[m],
-            &auto,
+            15,
+            &choice("probe", 2, 4.5),
+            &choice("probe", 4, 1.8),
             placement_json(
                 &placement_verdict(1e-5, 5000),
                 &placement_verdict(2e-6, 500),
@@ -1256,7 +1269,7 @@ mod tests {
         );
         assert_eq!(
             minify(&j),
-            r#"{"bench":"sim_kernels","schema_version":3,"shortrow_autotune":{"mode":"probe","tile_width":2,"avg_nnz_nonempty":4.50},"placement":{"pool":["A100","A100","V100","P100"],"liver_auto_k":2,"liver_breakeven_us":[{"k":1,"modeled_us":10.067},{"k":2,"modeled_us":9.533},{"k":3,"modeled_us":12.246},{"k":4,"modeled_us":16.506}],"liver_auto_speedup_vs_k1":1.06,"liver_auto_speedup_vs_kpool":1.73,"liver_r2_group_us":[10.067,10.067],"liver_r2_throughput_ratio_vs_r1":3.28,"prostate_auto_k":1},"rebalance":{"drained_device":"P100","pre_group_us":[10.067,10.067],"pre_throughput_per_s":198675.5,"naive_throughput_per_s":99337.7,"redealt_group_us":[10.067,10.067],"redealt_throughput_per_s":198675.5,"recovery_ratio":1.000,"naive_ratio":0.500},"kernels":[{"name":"vector_csr_half_double","suite":"prostate-paper","ns_per_iter":1250000.0,"nnz":1000,"nnz_per_sec":8.0000e5,"sectors_per_launch":256,"sectors_per_sec":2.0480e5,"tile_width":4,"lanes_active_frac":0.5625,"speedup_vs_warp32":1.50,"sim_speedup_vs_warp32":2.25,"speedup_vs_autotuned_w":1.12,"sim_speedup_vs_best_fixed":1.75,"grad_speedup_vs_whole":3.00,"sim_speedup_vs_one_device":2.50,"shards":[{"shard":0,"device":"A100","row_start":0,"rows":600,"nnz":1000,"modeled_us":3.527,"gather_us":2.000}],"buckets":[{"label":"rows 1-2","tile_width":2,"rows":300,"lanes_active_frac":0.7500}],"baseline_ns_per_iter":8936737.0,"speedup_vs_baseline":7.15,"report":{"kernel":"Half/double","device":"A100","tile_width":4,"stats":{"flops":2000,"warps":16,"blocks":2,"threads_per_block":512,"requested_bytes":8192,"l2_read_hits":40,"l2_read_misses":200,"l2_write_sectors":16,"atomic_ops":0,"dram_read_bytes":6400,"dram_write_bytes":512,"l2_hit_rate":0.1667,"operational_intensity":0.2894},"estimate":{"seconds":3.526951e-6,"gflops":0.57,"dram_bw_gbps":1.96,"frac_peak_bw":0.0013,"bound":"overhead"},"buffers":[]}}]}"#
+            r#"{"bench":"sim_kernels","schema_version":4,"warmup_rounds":1,"rounds":15,"shortrow_autotune":{"mode":"probe","tile_width":2,"avg_nnz_nonempty":4.50},"liverb1_autotune":{"mode":"probe","tile_width":4,"avg_nnz_nonempty":1.80},"placement":{"pool":["A100","A100","V100","P100"],"liver_auto_k":2,"liver_breakeven_us":[{"k":1,"modeled_us":10.067},{"k":2,"modeled_us":9.533},{"k":3,"modeled_us":12.246},{"k":4,"modeled_us":16.506}],"liver_auto_speedup_vs_k1":1.06,"liver_auto_speedup_vs_kpool":1.73,"liver_r2_group_us":[10.067,10.067],"liver_r2_throughput_ratio_vs_r1":3.28,"prostate_auto_k":1},"rebalance":{"drained_device":"P100","pre_group_us":[10.067,10.067],"pre_throughput_per_s":198675.5,"naive_throughput_per_s":99337.7,"redealt_group_us":[10.067,10.067],"redealt_throughput_per_s":198675.5,"recovery_ratio":1.000,"naive_ratio":0.500},"kernels":[{"name":"vector_csr_half_double","suite":"prostate-paper","host_ns_per_launch":{"p10":1000000,"p50":1250000,"p90":2000000},"nnz":1000,"nnz_per_sec":8.0000e5,"sectors_per_launch":256,"sectors_per_sec":2.0480e5,"tile_width":4,"lanes_active_frac":0.5625,"speedup_vs_warp32":1.50,"sim_speedup_vs_warp32":2.25,"speedup_vs_autotuned_w":1.12,"sim_speedup_vs_best_fixed":1.75,"grad_speedup_vs_whole":3.00,"sim_speedup_vs_one_device":2.50,"shards":[{"shard":0,"device":"A100","row_start":0,"rows":600,"nnz":1000,"modeled_us":3.527,"gather_us":2.000}],"buckets":[{"label":"rows 1-2","tile_width":2,"rows":300,"lanes_active_frac":0.7500}],"report":{"kernel":"Half/double","device":"A100","tile_width":4,"stats":{"flops":2000,"warps":16,"blocks":2,"threads_per_block":512,"requested_bytes":8192,"l2_read_hits":40,"l2_read_misses":200,"l2_write_sectors":16,"atomic_ops":0,"dram_read_bytes":6400,"dram_write_bytes":512,"l2_hit_rate":0.1667,"operational_intensity":0.2894},"estimate":{"seconds":3.526951e-6,"gflops":0.57,"dram_bw_gbps":1.96,"frac_peak_bw":0.0013,"bound":"overhead"},"buffers":[]}}]}"#
         );
     }
 }
