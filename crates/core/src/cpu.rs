@@ -1,10 +1,11 @@
 //! Host CPU implementations: the clinical RayStation algorithm with
 //! per-thread scratch dose arrays, and a plain row-parallel CSR SpMV.
 //!
-//! These run for real on the host (Criterion wall-clock benches use
-//! them); [`RsCpu::traffic_model_bytes`] additionally provides the
-//! analytic DRAM-traffic estimate used to place the paper's i9-7940X
-//! reference row in Figure 5 via `rt_gpusim::CpuSpec::estimate`.
+//! These run for real on the host, as the references the end-to-end
+//! and reproducibility tests check the simulated kernels against;
+//! [`RsCpu::traffic_model_bytes`] additionally provides the analytic
+//! DRAM-traffic estimate used to place the paper's i9-7940X reference
+//! row in Figure 5 via `rt_gpusim::CpuSpec::estimate`.
 
 use rt_f16::DoseScalar;
 use rt_sparse::{ColIndex, Csr, RsCompressed, SparseError};
@@ -132,7 +133,7 @@ impl RsCpu {
 /// Plain row-parallel CSR SpMV on the host: each worker computes a
 /// contiguous block of rows (deterministic: row dot products have a
 /// fixed sequential order). This is the "convert to CSR first" CPU
-/// reference used by the Criterion benches.
+/// reference of the end-to-end tests.
 pub fn cpu_csr_spmv<V: DoseScalar, I: ColIndex>(
     m: &Csr<V, I>,
     x: &[f64],

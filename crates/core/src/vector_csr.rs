@@ -287,7 +287,9 @@ impl<X: VecScalar> RowAccumulator<X> {
 }
 
 /// Listing 1: one warp per row, scalar row-pointer loads, the full-warp
-/// shuffle-down reduction, one scalar store per vector.
+/// shuffle-down reduction, one scalar store per vector. An empty row
+/// stores `+0.0` (the sum of zeroed lanes) without setting up the
+/// accumulator; its memory operations are the same.
 fn warp_per_row<V: DoseScalar, I: ColIndex, X: VecScalar>(
     w: &WarpCtx,
     m: &GpuCsrMatrix<V, I>,
@@ -300,6 +302,12 @@ fn warp_per_row<V: DoseScalar, I: ColIndex, X: VecScalar>(
     }
     let start = w.load_scalar(&m.row_ptr, row) as usize;
     let end = w.load_scalar(&m.row_ptr, row + 1) as usize;
+    if start == end {
+        for y in ys {
+            w.store_scalar(y, row, X::default());
+        }
+        return;
+    }
 
     let mut acc = RowAccumulator::new();
     acc.accumulate(w, m, start, end, WARP_SIZE, xs);
@@ -310,7 +318,8 @@ fn warp_per_row<V: DoseScalar, I: ColIndex, X: VecScalar>(
 }
 
 /// Sub-warp tiles: `32 / width` consecutive rows per warp, one coalesced
-/// row-pointer span and one coalesced store span per vector per warp.
+/// row-pointer span and one coalesced store span per vector per warp. An
+/// empty row skips accumulation and reduction: its sums stay `+0.0`.
 fn tile_per_row<V: DoseScalar, I: ColIndex, X: VecScalar>(
     w: &WarpCtx,
     m: &GpuCsrMatrix<V, I>,
@@ -331,7 +340,11 @@ fn tile_per_row<V: DoseScalar, I: ColIndex, X: VecScalar>(
     let mut sums = [[X::default(); WARP_SIZE]; MAX_SPMM_BATCH];
 
     for t in 0..rows_here {
-        acc.accumulate(w, m, ptrs[t] as usize, ptrs[t + 1] as usize, tw, xs);
+        let (start, end) = (ptrs[t] as usize, ptrs[t + 1] as usize);
+        if start == end {
+            continue;
+        }
+        acc.accumulate(w, m, start, end, tw, xs);
         for (l, s) in acc.lanes[..xs.len()].iter_mut().zip(&mut sums) {
             s[t] = w.reduce_sum_tile(&mut l[..tw]);
         }
@@ -645,20 +658,81 @@ mod tests {
 
     #[test]
     fn empty_rows_store_zero_at_every_width() {
-        let m: Csr<F16, u32> = Csr::from_rows(4, &[vec![], vec![(0, 1.0)], vec![], vec![]])
-            .map(|m: Csr<f64, u32>| m.convert_values())
-            .unwrap();
         for &w in &TILE_WIDTHS {
-            let gpu = Gpu::new(DeviceSpec::a100());
-            let gm = GpuCsrMatrix::upload(&gpu, &m);
-            let dx = gpu.upload(&[2.0f64; 4]);
-            let dy = gpu.alloc_out::<f64>(4);
-            // Pre-fill with garbage to prove the kernel writes every row.
-            dy.set(0, 99.0);
-            dy.set(2, 99.0);
-            dy.set(3, 99.0);
-            spmv(&gpu, &gm, &dx, &dy, 128, w);
-            assert_eq!(dy.to_vec(), vec![0.0, 2.0, 0.0, 0.0], "width {w}");
+            // Five warps of `32 / w` rows: warp 0 starts with an empty
+            // row, warp 1 has one mid-warp, warp 2 ends with one, warp 3
+            // is all empty rows and warp 4 has none.
+            let per_warp = WARP_SIZE / w as usize;
+            let empty = |r: usize| {
+                let slot = r % per_warp;
+                match r / per_warp {
+                    0 => slot == 0,
+                    1 => slot == per_warp / 2,
+                    2 => slot == per_warp - 1,
+                    3 => true,
+                    _ => false,
+                }
+            };
+            let ncols = 40;
+            let rows: Vec<Vec<(usize, f64)>> = (0..5 * per_warp)
+                .map(|r| {
+                    let len = if empty(r) { 0 } else { 1 + r % 37 };
+                    let mut row: Vec<_> = (0..len)
+                        .map(|k| ((r + 3 * k) % ncols, 0.25 + k as f64))
+                        .collect();
+                    row.sort_unstable_by_key(|&(c, _)| c);
+                    row
+                })
+                .collect();
+            let m: Csr<F16, u32> = Csr::<f64, u32>::from_rows(ncols, &rows)
+                .unwrap()
+                .convert_values();
+            let xs: Vec<Vec<f64>> = (0..MAX_SPMM_BATCH)
+                .map(|v| {
+                    (0..ncols)
+                        .map(|i| ((v * ncols + i) as f64 * 0.37).sin())
+                        .collect()
+                })
+                .collect();
+
+            for batch in [1, MAX_SPMM_BATCH] {
+                let gpu = Gpu::new(DeviceSpec::a100());
+                let gm = GpuCsrMatrix::upload(&gpu, &m);
+                let dxs: Vec<_> = xs[..batch].iter().map(|x| gpu.upload(x)).collect();
+                let dys: Vec<_> = (0..batch)
+                    .map(|_| gpu.alloc_out::<f64>(m.nrows()))
+                    .collect();
+                let xr: Vec<&DeviceBuffer<f64>> = dxs.iter().collect();
+                let yr: Vec<&DeviceOutBuffer<f64>> = dys.iter().collect();
+                // Pre-fill with -0.0, which `==` cannot tell from the +0.0
+                // an empty row must store, so only a bit compare passes.
+                let launch = |run: &dyn Fn()| {
+                    for y in &dys {
+                        (0..y.len()).for_each(|r| y.set(r, -0.0));
+                    }
+                    run();
+                    for (v, y) in dys.iter().enumerate() {
+                        let got = y.to_vec();
+                        let want = vector_csr_reference(&m, &xs[v], BucketWidths::uniform(w));
+                        assert_eq!(bits(&got), bits(&want), "width {w} batch {batch}");
+                        for r in (0..got.len()).filter(|&r| empty(r)) {
+                            assert_eq!(got[r].to_bits(), 0, "width {w} batch {batch} row {r}");
+                        }
+                    }
+                };
+                launch(&|| {
+                    vector_csr_spmm(&gpu, &gm, &xr, &yr, 128, w);
+                });
+                // Keyed: recorded, then interpreted resident, then
+                // answered from the memo with the kernel run untraced.
+                for _ in 0..3 {
+                    launch(&|| {
+                        let member = vector_csr_member(&gm, xr.clone(), yr.clone(), 128, w);
+                        gpu.launch_group(Some(1), vec![member]);
+                    });
+                }
+                assert_eq!(gpu.memo_counts().hits, 1, "width {w} batch {batch}");
+            }
         }
     }
 

@@ -21,13 +21,52 @@ pub struct F16(u16);
 // IEEE equality, not bit equality: -0 == +0 and NaN != NaN.
 impl PartialEq for F16 {
     fn eq(&self, other: &Self) -> bool {
-        self.to_f32() == other.to_f32()
+        self.to_f64() == other.to_f64()
     }
 }
 
 const EXP_MASK: u16 = 0x7c00;
 const MAN_MASK: u16 = 0x03ff;
 const SIGN_MASK: u16 = 0x8000;
+
+/// The binary16 -> binary64 conversion by bit manipulation: the one
+/// definition of a binary16 value. Exact: every binary16 value is a
+/// binary64 value. Normals and non-finite values are re-encoded with the
+/// wider exponent bias and mantissa; a subnormal is `man * 2^-24`. A NaN
+/// keeps its sign and its payload (shifted into the top mantissa bits)
+/// because it is built from bits, never by a float operation, so the
+/// compile-time table and a run-time call give the same bits.
+const fn decode(bits: u16) -> f64 {
+    let sign = ((bits & SIGN_MASK) as u64) << 48;
+    let exp = ((bits & EXP_MASK) >> 10) as u64;
+    let man = (bits & MAN_MASK) as u64;
+    match exp {
+        0 => {
+            // Zero or subnormal: man * 2^-24, exact in f64.
+            let magnitude = man as f64 * f64::from_bits(0x3e70_0000_0000_0000); // 2^-24
+            if sign != 0 {
+                -magnitude
+            } else {
+                magnitude
+            }
+        }
+        0x1f => f64::from_bits(sign | 0x7ff0_0000_0000_0000 | (man << 42)),
+        _ => f64::from_bits(sign | ((exp + 1008) << 52) | (man << 42)),
+    }
+}
+
+/// Every binary16 value as an `f64`, indexed by its bit pattern, filled
+/// by [`decode`] at compile time: a decode without a branch to mispredict
+/// (see the crate documentation for why that matters).
+static DECODE: [f64; 1 << 16] = {
+    let mut table = [0.0; 1 << 16];
+    let mut bits = 0;
+    while bits < table.len() {
+        table[bits] = decode(bits as u16);
+        bits += 1;
+    }
+    table
+};
 
 impl F16 {
     pub const ZERO: F16 = F16(0x0000);
@@ -173,33 +212,18 @@ impl F16 {
     }
 
     /// Converts to `f32`. Exact: every binary16 value is representable.
+    /// Narrows the decode table's `f64`, which is exact for every non-NaN
+    /// value; a NaN stays a NaN of the same sign.
+    #[inline]
     pub fn to_f32(self) -> f32 {
-        let sign = ((self.0 & SIGN_MASK) as u32) << 16;
-        let exp = (self.0 & EXP_MASK) >> 10;
-        let man = (self.0 & MAN_MASK) as u32;
-        match exp {
-            0 => {
-                if man == 0 {
-                    f32::from_bits(sign)
-                } else {
-                    // Subnormal: man * 2^-24, exact in f32.
-                    let magnitude = man as f32 * f32::from_bits(0x3380_0000); // 2^-24
-                    if sign != 0 {
-                        -magnitude
-                    } else {
-                        magnitude
-                    }
-                }
-            }
-            0x1f => f32::from_bits(sign | 0x7f80_0000 | (man << 13)),
-            _ => f32::from_bits(sign | ((exp as u32 + 112) << 23) | (man << 13)),
-        }
+        self.to_f64() as f32
     }
 
-    /// Converts to `f64`. Exact.
+    /// Converts to `f64`. Exact: one load from a compile-time table of
+    /// all 65,536 values (see the crate documentation).
     #[inline]
     pub fn to_f64(self) -> f64 {
-        self.to_f32() as f64
+        DECODE[self.0 as usize]
     }
 
     #[inline]
@@ -271,7 +295,7 @@ impl From<F16> for f64 {
 
 impl PartialOrd for F16 {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        self.to_f32().partial_cmp(&other.to_f32())
+        self.to_f64().partial_cmp(&other.to_f64())
     }
 }
 
@@ -361,6 +385,66 @@ mod tests {
                 assert!(back.is_nan());
             } else {
                 assert_eq!(back.to_bits(), bits);
+            }
+        }
+    }
+
+    /// A binary16 value from its definition, `(-1)^s * 2^(e-15) * 1.m`
+    /// for normals and `(-1)^s * 2^-14 * 0.m` for subnormals, in plain
+    /// arithmetic (powers of two are exact): a check on [`decode`]'s bit
+    /// re-encoding that does not share its code.
+    fn by_definition(bits: u16) -> f64 {
+        let exp = ((bits & EXP_MASK) >> 10) as i32;
+        let man = (bits & MAN_MASK) as f64;
+        let magnitude = match exp {
+            0 => man * 2f64.powi(-24),
+            0x1f if man == 0.0 => f64::INFINITY,
+            0x1f => f64::NAN,
+            _ => (1024.0 + man) * 2f64.powi(exp - 25),
+        };
+        if bits & SIGN_MASK != 0 {
+            -magnitude
+        } else {
+            magnitude
+        }
+    }
+
+    #[test]
+    fn decode_table_is_exact_for_every_bit_pattern() {
+        use crate::DoseScalar;
+        for bits in 0..=u16::MAX {
+            let h = F16::from_bits(bits);
+            let want = by_definition(bits);
+            let widened = [
+                h.to_f64(),
+                h.to_f32() as f64,
+                DoseScalar::to_f64(h),
+                DoseScalar::to_f32(h) as f64,
+            ];
+            if h.is_nan() {
+                // Narrowing a NaN may quiet it, so only NaN-ness and the
+                // sign are pinned here; the table's own NaN bits are
+                // checked against `decode` below.
+                for v in widened {
+                    assert!(v.is_nan(), "{bits:#06x}");
+                    assert_eq!(v.is_sign_negative(), h.is_sign_negative(), "{bits:#06x}");
+                }
+            } else {
+                for v in widened {
+                    assert_eq!(v.to_bits(), want.to_bits(), "{bits:#06x}");
+                }
+            }
+            // The table holds what a run-time call of the conversion gives.
+            assert_eq!(h.to_f64().to_bits(), decode(bits).to_bits(), "{bits:#06x}");
+            // IEEE equality follows the values: against itself, its
+            // negation and its bit-pattern neighbour.
+            for other in [bits, bits ^ SIGN_MASK, bits.wrapping_add(1)] {
+                let eq = h == F16::from_bits(other);
+                assert_eq!(
+                    eq,
+                    want == by_definition(other),
+                    "{bits:#06x} vs {other:#06x}"
+                );
             }
         }
     }
