@@ -28,7 +28,7 @@
 //! the bucketed dispatch never touches its pointers and the zero-fill
 //! member writes the same zero in a fully coalesced stream.
 
-use crate::vector_csr::{assert_batch, GpuCsrMatrix, RowAccumulator, VecScalar, MAX_SPMM_BATCH};
+use crate::vector_csr::{assert_batch, row_sums, GpuCsrMatrix, VecScalar, MAX_SPMM_BATCH};
 use rt_f16::DoseScalar;
 use rt_gpusim::{
     BucketReport, DeviceBuffer, DeviceOutBuffer, DeviceSpec, Gpu, Grid, GroupMember, GroupReport,
@@ -160,9 +160,9 @@ fn zero_fill_member<'a, X: VecScalar>(
 }
 
 /// The per-bucket kernel body: the row loop of a whole-matrix launch at
-/// width `tw` (same chunked span loads, same gather, same truncated
-/// reduction tree), except rows are taken from the bucket's row-index
-/// array and sums scatter to their original positions.
+/// width `tw` (the same [`row_sums`] passes), except rows are taken from
+/// the bucket's row-index array and sums scatter to their original
+/// positions.
 fn bucket_body<V: DoseScalar, I: ColIndex, X: VecScalar>(
     w: &WarpCtx,
     m: &GpuCsrMatrix<V, I>,
@@ -199,20 +199,15 @@ fn bucket_body<V: DoseScalar, I: ColIndex, X: VecScalar>(
     }
     w.load_gather(m.row_ptr(), &idxs[..rows_here], &mut ends);
 
-    let mut acc = RowAccumulator::new();
-    let mut sums = [[X::default(); WARP_SIZE]; MAX_SPMM_BATCH];
-
+    let mut sums = [[X::default(); MAX_SPMM_BATCH]; WARP_SIZE];
     for t in 0..rows_here {
-        acc.accumulate(w, m, starts[t] as usize, ends[t] as usize, tw, xs);
-        for (l, s) in acc.lanes[..xs.len()].iter_mut().zip(&mut sums) {
-            s[t] = w.reduce_sum_tile(&mut l[..tw]);
-        }
+        sums[t] = row_sums(w, m, starts[t] as usize, ends[t] as usize, tw, xs);
     }
 
     // Scatter each row sum back to its original position.
-    for t in 0..rows_here {
-        for (s, y) in sums.iter().zip(ys) {
-            w.store_scalar(y, rids[t] as usize, s[t]);
+    for (row, &rid) in sums.iter().zip(&rids[..rows_here]) {
+        for (&sum, y) in row.iter().zip(ys) {
+            w.store_scalar(y, rid as usize, sum);
         }
     }
 }

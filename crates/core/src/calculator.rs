@@ -15,7 +15,7 @@ use crate::vector_csr::{vector_csr_member, GpuCsrMatrix, MAX_SPMM_BATCH};
 use rt_f16::F16;
 use rt_gpusim::{
     DeviceBuffer, DeviceOutBuffer, DeviceSpec, Gpu, GroupReport, GroupStats, KernelStats,
-    LaunchReport, TimeEstimate, TILE_WIDTHS,
+    LaunchReport, MemoCounts, TimeEstimate, TILE_WIDTHS,
 };
 use rt_sparse::{Csr, RowPlan};
 use std::borrow::Cow;
@@ -466,6 +466,13 @@ impl DoseCalculator {
         (self.dose.matrix.size_bytes() + grad) as u64
     }
 
+    /// How often this calculator's launches were answered from the launch
+    /// memo of its simulated device (every launch is keyed by direction
+    /// and batch size; the device is this calculator's own).
+    pub fn memo_counts(&self) -> MemoCounts {
+        self.gpu.memo_counts()
+    }
+
     /// Whether gradients are available (built with a gradient matrix).
     #[inline]
     pub fn has_transpose(&self) -> bool {
@@ -665,6 +672,22 @@ mod tests {
         for (g, wv) in r.dose.iter().zip(want.iter()) {
             assert!((g - wv).abs() <= 1e-9 * (1.0 + wv.abs()));
         }
+    }
+
+    #[test]
+    fn repeated_launches_are_answered_from_the_memo() {
+        let m = random_matrix(53, 400, 30);
+        let calc = DoseCalculator::builder(&m).build().unwrap();
+        let w = vec![0.75; 30];
+        let doses: Vec<Vec<u64>> = (0..3)
+            .map(|_| {
+                let dose = calc.compute_dose(&w).unwrap().dose;
+                dose.iter().map(|v| v.to_bits()).collect()
+            })
+            .collect();
+        assert!(doses.iter().all(|d| *d == doses[0]));
+        let counts = calc.memo_counts();
+        assert_eq!((counts.keyed, counts.hits), (3, 1));
     }
 
     #[test]

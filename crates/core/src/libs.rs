@@ -16,9 +16,9 @@
 //!   fewer lanes on short rows (why it wins on prostate) at some
 //!   streaming efficiency cost (why it trails on liver).
 
-use crate::vector_csr::{vector_csr_spmm, GpuCsrMatrix, RowAccumulator, VecScalar};
+use crate::vector_csr::{row_sums, vector_csr_spmm, GpuCsrMatrix, VecScalar};
 use rt_f16::DoseScalar;
-use rt_gpusim::{DeviceBuffer, DeviceOutBuffer, Gpu, Grid, KernelStats, WARP_SIZE};
+use rt_gpusim::{DeviceBuffer, DeviceOutBuffer, Gpu, Grid, GroupMember, KernelStats, WARP_SIZE};
 use rt_sparse::ColIndex;
 
 /// cuSPARSE-style CSR SpMV (single precision in the paper's comparison;
@@ -51,6 +51,17 @@ pub fn ginkgo_csr_spmv<V: DoseScalar, I: ColIndex, X: VecScalar>(
     x: &DeviceBuffer<X>,
     y: &DeviceOutBuffer<X>,
 ) -> KernelStats {
+    gpu.launch_group(None, vec![ginkgo_member(m, x, y)]).merged
+}
+
+/// The one launch of a [`ginkgo_csr_spmv`] call as a group member: each
+/// row's scalar row-pointer loads, the shared row loop at the subwarp
+/// width, and one scalar store.
+pub(crate) fn ginkgo_member<'a, V: DoseScalar, I: ColIndex, X: VecScalar>(
+    m: &'a GpuCsrMatrix<V, I>,
+    x: &'a DeviceBuffer<X>,
+    y: &'a DeviceOutBuffer<X>,
+) -> GroupMember<'a> {
     assert_eq!(x.len(), m.ncols(), "input vector length mismatch");
     assert_eq!(y.len(), m.nrows(), "output vector length mismatch");
     let nrows = m.nrows();
@@ -59,26 +70,13 @@ pub fn ginkgo_csr_spmv<V: DoseScalar, I: ColIndex, X: VecScalar>(
     let warps_needed = nrows.div_ceil(rows_per_warp);
     let grid = Grid::warp_per_item(warps_needed, 512);
 
-    gpu.launch(grid, |w| {
+    GroupMember::new("ginkgo", grid, WARP_SIZE as u32, move |w| {
         let first_row = w.warp_id() * rows_per_warp;
-        if first_row >= nrows {
-            return;
-        }
-        let mut acc = RowAccumulator::new();
         for row in first_row..(first_row + rows_per_warp).min(nrows) {
             let start = w.load_scalar(m.row_ptr(), row) as usize;
             let end = w.load_scalar(m.row_ptr(), row + 1) as usize;
-            acc.accumulate(w, m, start, end, sub, &[x]);
-            let lanes = &mut acc.lanes[0];
-            // Subwarp tree reduction (fixed order, `sub` wide).
-            let mut offset = sub / 2;
-            while offset > 0 {
-                for i in 0..offset {
-                    lanes[i] = lanes[i] + lanes[i + offset];
-                }
-                offset /= 2;
-            }
-            w.store_scalar(y, row, lanes[0]);
+            let [sum, ..] = row_sums(w, m, start, end, sub, &[x]);
+            w.store_scalar(y, row, sum);
         }
     })
 }

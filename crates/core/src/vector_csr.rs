@@ -26,9 +26,9 @@
 //!   `ceil(l / W) * W` lane slots instead of `ceil(l / 32) * 32`
 //!   ([`RowStats::lanes_active_frac`](rt_sparse::stats::RowStats::lanes_active_frac));
 //! * **the same reproducibility contract** — per width, the per-lane
-//!   accumulation order and the [`reduce_sum_tile`](rt_gpusim::WarpCtx::reduce_sum_tile)
-//!   halving tree are fixed, so every width is bitwise reproducible
-//!   run-to-run and across launch configurations. Results
+//!   accumulation order and the [`reduce_sum`] halving tree are fixed,
+//!   so every width is bitwise reproducible run-to-run and across launch
+//!   configurations. Results
 //!   legitimately differ *between* widths (a different tree folds the
 //!   partial sums in a different order).
 //!
@@ -45,16 +45,21 @@
 //!
 //! Every kernel of this crate whose lanes stride across a row's
 //! non-zeros — both bodies here, the bucketed members and the Ginkgo
-//! stand-in — runs the one row loop `RowAccumulator::accumulate`; they
-//! differ only in how they find their rows and reduce and store the
-//! sums.
+//! stand-in — gets its row sums from one call, `row_sums`: one compute
+//! loop plus an address pass. The address pass runs only when the warp
+//! is traced and issues the row's span loads and gathers in the order a
+//! warp does. The compute loop runs always and reads the arrays directly,
+//! so a launch-memo hit, which runs untraced, does only the arithmetic.
+//! One loop serves both, so an interpreted launch and a memo hit store
+//! the same bits. The kernels differ only in how they find their rows
+//! and store the sums.
 
 use crate::bucketed::BucketWidths;
 use rt_f16::DoseScalar;
 use rt_gpusim::buffer::OutScalar;
 use rt_gpusim::{
-    DeviceBuffer, DeviceOutBuffer, Gpu, Grid, GroupMember, KernelStats, WarpCtx, TILE_WIDTHS,
-    WARP_SIZE,
+    reduce_sum, DeviceBuffer, DeviceOutBuffer, Gpu, Grid, GroupMember, KernelStats, WarpCtx,
+    TILE_WIDTHS, WARP_SIZE,
 };
 use rt_sparse::{bucket_index_for_len, ColIndex, Csr};
 
@@ -221,75 +226,83 @@ pub(crate) fn assert_batch<V, I, X: VecScalar>(
     }
 }
 
-/// The per-row accumulation every vector-CSR kernel shares, with its
-/// per-warp state: one lane accumulator per input vector and the gather
-/// scratch, created once per warp and reused by each of its rows.
-pub(crate) struct RowAccumulator<X> {
-    /// `lanes[v][k]`: lane `k`'s partial sum for input vector `v`.
-    pub(crate) lanes: [[X; WARP_SIZE]; MAX_SPMM_BATCH],
-    idxs: [usize; WARP_SIZE],
-    gathered: [X; WARP_SIZE],
-    /// Whether an earlier row left sums in `lanes` (the first row finds
-    /// them zeroed by construction).
-    used: bool,
+/// The one row loop of every vector-CSR kernel: the sums of row
+/// `start..end` against each vector of `xs`, with `width` lanes striding
+/// the row. It runs in two passes.
+///
+/// * The **address pass**, run only when the warp is traced, issues the
+///   row's traffic: chunk by chunk of `width` elements, one `col_idx` and
+///   one `values` span, then one gather per vector.
+/// * The **compute pass** reads the arrays directly. For each vector, lane
+///   `k` accumulates `value * x[col]` over elements `k, k + width, ...` in
+///   order, and [`reduce_sum`] folds the `width` lanes.
+///
+/// The arithmetic is the same traced or not, so a launch-memo hit (run
+/// untraced) stores the bits an interpreted launch stores. Sums past
+/// `xs.len()` are zero, and an empty row sums to `+0.0`.
+#[inline]
+pub(crate) fn row_sums<V: DoseScalar, I: ColIndex, X: VecScalar>(
+    w: &WarpCtx,
+    m: &GpuCsrMatrix<V, I>,
+    start: usize,
+    end: usize,
+    width: usize,
+    xs: &[&DeviceBuffer<X>],
+) -> [X; MAX_SPMM_BATCH] {
+    let mut sums = [X::default(); MAX_SPMM_BATCH];
+    if start == end {
+        return sums;
+    }
+    let cols = &m.col_idx.as_slice()[start..end];
+    let vals = &m.values.as_slice()[start..end];
+    if w.traced() {
+        trace_row(w, m, start, cols, width, xs);
+    }
+    // Element `i` goes to lane `i % width`; widths are powers of two.
+    let lane_mask = (width - 1) & (WARP_SIZE - 1);
+    let mut lanes = [X::default(); WARP_SIZE];
+    for (x, sum) in xs.iter().zip(&mut sums) {
+        let x = x.as_slice();
+        lanes[..width].fill(X::default());
+        for (i, (c, v)) in cols.iter().zip(vals).enumerate() {
+            let l = &mut lanes[i & lane_mask];
+            *l = *l + X::from_f64(v.to_f64()) * x[c.to_usize()];
+        }
+        *sum = reduce_sum(&mut lanes[..width]);
+    }
+    sums
 }
 
-impl<X: VecScalar> RowAccumulator<X> {
-    pub(crate) fn new() -> Self {
-        RowAccumulator {
-            lanes: [[X::default(); WARP_SIZE]; MAX_SPMM_BATCH],
-            idxs: [0; WARP_SIZE],
-            gathered: [X::default(); WARP_SIZE],
-            used: false,
+/// The address pass of [`row_sums`]: the traffic and flops of the row
+/// whose column indices `cols` start at element `start`, in the order a
+/// warp issues them.
+fn trace_row<V: DoseScalar, I: ColIndex, X: VecScalar>(
+    w: &WarpCtx,
+    m: &GpuCsrMatrix<V, I>,
+    start: usize,
+    cols: &[I],
+    width: usize,
+    xs: &[&DeviceBuffer<X>],
+) {
+    let mut idxs = [0usize; WARP_SIZE];
+    let mut j = start;
+    for chunk in cols.chunks(width) {
+        let span = j..j + chunk.len();
+        w.trace_span(&m.col_idx, span.clone());
+        w.trace_span(&m.values, span);
+        for (idx, c) in idxs.iter_mut().zip(chunk) {
+            *idx = c.to_usize();
         }
+        for x in xs {
+            w.trace_gather(x, &idxs[..chunk.len()]);
+        }
+        j += chunk.len();
     }
-
-    /// Starts the first `width` lanes of each vector's accumulator at
-    /// zero, then walks the row's non-zeros `start..end` in chunks of
-    /// `width` — one `col_idx` and one `values` span load per chunk, one
-    /// gather per vector, and lane `k` of vector `v` accumulates
-    /// `value * x_v[col]` for the chunk's `k`-th element.
-    #[inline]
-    pub(crate) fn accumulate<V: DoseScalar, I: ColIndex>(
-        &mut self,
-        w: &WarpCtx,
-        m: &GpuCsrMatrix<V, I>,
-        start: usize,
-        end: usize,
-        width: usize,
-        xs: &[&DeviceBuffer<X>],
-    ) {
-        let lanes = &mut self.lanes[..xs.len()];
-        if self.used {
-            for l in lanes.iter_mut() {
-                l[..width].fill(X::default());
-            }
-        }
-        self.used = true;
-        let mut j = start;
-        while j < end {
-            let n = (end - j).min(width);
-            let cols = w.load_span(&m.col_idx, j..j + n);
-            let vals = w.load_span(&m.values, j..j + n);
-            for (idx, c) in self.idxs.iter_mut().zip(cols) {
-                *idx = c.to_usize();
-            }
-            for (x, l) in xs.iter().zip(lanes.iter_mut()) {
-                w.load_gather(x, &self.idxs[..n], &mut self.gathered);
-                for k in 0..n {
-                    l[k] = l[k] + X::from_f64(vals[k].to_f64()) * self.gathered[k];
-                }
-            }
-            w.add_flops(2 * n as u64 * xs.len() as u64);
-            j += n;
-        }
-    }
+    w.add_flops(2 * cols.len() as u64 * xs.len() as u64);
 }
 
 /// Listing 1: one warp per row, scalar row-pointer loads, the full-warp
-/// shuffle-down reduction, one scalar store per vector. An empty row
-/// stores `+0.0` (the sum of zeroed lanes) without setting up the
-/// accumulator; its memory operations are the same.
+/// shuffle-down reduction, one scalar store per vector.
 fn warp_per_row<V: DoseScalar, I: ColIndex, X: VecScalar>(
     w: &WarpCtx,
     m: &GpuCsrMatrix<V, I>,
@@ -302,24 +315,14 @@ fn warp_per_row<V: DoseScalar, I: ColIndex, X: VecScalar>(
     }
     let start = w.load_scalar(&m.row_ptr, row) as usize;
     let end = w.load_scalar(&m.row_ptr, row + 1) as usize;
-    if start == end {
-        for y in ys {
-            w.store_scalar(y, row, X::default());
-        }
-        return;
-    }
-
-    let mut acc = RowAccumulator::new();
-    acc.accumulate(w, m, start, end, WARP_SIZE, xs);
-    for (l, y) in acc.lanes.iter_mut().zip(ys) {
-        let sum = w.reduce_sum(l);
+    let sums = row_sums(w, m, start, end, WARP_SIZE, xs);
+    for (&sum, y) in sums.iter().zip(ys) {
         w.store_scalar(y, row, sum);
     }
 }
 
 /// Sub-warp tiles: `32 / width` consecutive rows per warp, one coalesced
-/// row-pointer span and one coalesced store span per vector per warp. An
-/// empty row skips accumulation and reduction: its sums stay `+0.0`.
+/// row-pointer span and one coalesced store span per vector per warp.
 fn tile_per_row<V: DoseScalar, I: ColIndex, X: VecScalar>(
     w: &WarpCtx,
     m: &GpuCsrMatrix<V, I>,
@@ -336,17 +339,12 @@ fn tile_per_row<V: DoseScalar, I: ColIndex, X: VecScalar>(
     // One coalesced row-pointer read for the whole warp's rows.
     let ptrs = w.load_span(&m.row_ptr, base..base + rows_here + 1);
 
-    let mut acc = RowAccumulator::new();
+    // `sums[v][t]`: tile `t`'s row sum against vector `v`.
     let mut sums = [[X::default(); WARP_SIZE]; MAX_SPMM_BATCH];
-
     for t in 0..rows_here {
-        let (start, end) = (ptrs[t] as usize, ptrs[t + 1] as usize);
-        if start == end {
-            continue;
-        }
-        acc.accumulate(w, m, start, end, tw, xs);
-        for (l, s) in acc.lanes[..xs.len()].iter_mut().zip(&mut sums) {
-            s[t] = w.reduce_sum_tile(&mut l[..tw]);
+        let row = row_sums(w, m, ptrs[t] as usize, ptrs[t + 1] as usize, tw, xs);
+        for (s, sum) in sums[..xs.len()].iter_mut().zip(row) {
+            s[t] = sum;
         }
     }
 
@@ -362,6 +360,11 @@ fn tile_per_row<V: DoseScalar, I: ColIndex, X: VecScalar>(
 /// bucket's width in `widths`; a whole-matrix launch at width `w` is
 /// [`BucketWidths::uniform`]`(w)`. Empty rows are `+0.0`, as every
 /// kernel stores them.
+///
+/// It spells out its own lane loop (`k % width`) and halving tree rather
+/// than calling the kernels' `row_sums` or [`reduce_sum`]: it is the
+/// independent oracle, so a fault in the shared loop or tree makes the
+/// kernels disagree with it instead of moving both.
 #[allow(clippy::needless_range_loop)] // mirrors the kernel's lane loop
 pub fn vector_csr_reference<V: DoseScalar, I: ColIndex, X: VecScalar>(
     m: &Csr<V, I>,
@@ -396,10 +399,14 @@ pub fn vector_csr_reference<V: DoseScalar, I: ColIndex, X: VecScalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bucketed::{vector_csr_bucketed_members, GpuRowPlan};
+    use crate::libs::{ginkgo_member, ginkgo_subwarp_size};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rt_f16::F16;
-    use rt_gpusim::DeviceSpec;
+    use rt_gpusim::{DeviceSpec, GroupStats};
+    use rt_sparse::RowPlan;
+    use std::sync::Arc;
 
     fn random_csr(nrows: usize, ncols: usize, max_row: usize, seed: u64) -> Csr<f64, u32> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -732,6 +739,114 @@ mod tests {
                     });
                 }
                 assert_eq!(gpu.memo_counts().hits, 1, "width {w} batch {batch}");
+            }
+        }
+    }
+
+    /// A vector-CSR family member under test.
+    #[derive(Clone, Copy, Debug)]
+    enum Member {
+        Whole(u32),
+        Bucketed(BucketWidths),
+        Ginkgo,
+    }
+
+    /// Uploads `m`, its row plan and `xs` on `gpu`, then launches
+    /// `member` three times with `key`, NaN-filling the outputs before
+    /// each launch. Returns each launch's output bits and counters.
+    fn three_launches(
+        gpu: &Gpu,
+        m: &Csr<F16, u32>,
+        xs: &[Vec<f64>],
+        member: Member,
+        key: Option<u64>,
+    ) -> Vec<(Vec<Vec<u64>>, GroupStats)> {
+        let gm = GpuCsrMatrix::upload(gpu, m);
+        let gplan = GpuRowPlan::upload(gpu, Arc::new(RowPlan::from_csr(m)));
+        let dxs: Vec<_> = xs.iter().map(|x| gpu.upload(x)).collect();
+        let dys: Vec<_> = xs.iter().map(|_| gpu.alloc_out::<f64>(m.nrows())).collect();
+        let xr: Vec<&DeviceBuffer<f64>> = dxs.iter().collect();
+        let yr: Vec<&DeviceOutBuffer<f64>> = dys.iter().collect();
+        (0..3)
+            .map(|_| {
+                for y in &dys {
+                    (0..y.len()).for_each(|r| y.set(r, f64::NAN));
+                }
+                let members = match member {
+                    Member::Whole(w) => {
+                        vec![vector_csr_member(&gm, xr.clone(), yr.clone(), 128, w)]
+                    }
+                    Member::Bucketed(widths) => vector_csr_bucketed_members(
+                        &gm,
+                        xr.clone(),
+                        yr.clone(),
+                        128,
+                        &gplan,
+                        widths,
+                    ),
+                    Member::Ginkgo => vec![ginkgo_member(&gm, xr[0], yr[0])],
+                };
+                let stats = gpu.launch_group(key, members);
+                (dys.iter().map(|y| bits(&y.to_vec())).collect(), stats)
+            })
+            .collect()
+    }
+
+    /// A matrix, its input vectors, the member that multiplies them and
+    /// the per-row widths of its reference.
+    type Case<'a> = (&'a Csr<F16, u32>, &'a [Vec<f64>], Member, BucketWidths);
+
+    /// Every kernel on the shared row loop, at batch 1 and 8 (the Ginkgo
+    /// stand-in takes one vector): the interpreted launches and the memo
+    /// hit that follows them store the reference's bits, and the keyed
+    /// launches' counters equal an un-keyed twin's, launch by launch.
+    #[test]
+    fn both_passes_match_the_reference_interpreted_and_from_the_memo() {
+        let mut rng = StdRng::seed_from_u64(24);
+        let mut vectors = |len: usize| -> Vec<Vec<f64>> {
+            (0..MAX_SPMM_BATCH)
+                .map(|_| (0..len).map(|_| rng.gen_range(-1.5..2.5)).collect())
+                .collect()
+        };
+        // Long rows (several chunks at every width) and short ones.
+        for (max_row, seed) in [(80, 31), (8, 32)] {
+            let m: Csr<F16, u32> = random_csr(300, 64, max_row, seed).convert_values();
+            let mt = m.transpose();
+            let (xs, rs) = (vectors(m.ncols()), vectors(m.nrows()));
+            let sub = ginkgo_subwarp_size(m.nnz(), m.nrows()) as u32;
+            assert!(TILE_WIDTHS.contains(&sub), "ginkgo subwarp {sub}");
+            let grad_widths = BucketWidths([4, 2, 16, 8, 32, 16]);
+            let mut cases: Vec<Case> = TILE_WIDTHS
+                .iter()
+                .map(|&w| (&m, &xs[..], Member::Whole(w), BucketWidths::uniform(w)))
+                .collect();
+            cases.push((
+                &m,
+                &xs,
+                Member::Bucketed(BucketWidths::natural()),
+                BucketWidths::natural(),
+            ));
+            cases.push((&mt, &rs, Member::Bucketed(grad_widths), grad_widths));
+            cases.push((&m, &xs[..1], Member::Ginkgo, BucketWidths::uniform(sub)));
+            for (a, inputs, member, widths) in cases {
+                for batch in [1, MAX_SPMM_BATCH]
+                    .into_iter()
+                    .filter(|&b| b <= inputs.len())
+                {
+                    let what = format!("{member:?}, max row {max_row}, batch {batch}");
+                    let inputs = &inputs[..batch];
+                    let gpu = Gpu::new(DeviceSpec::a100());
+                    let keyed = three_launches(&gpu, a, inputs, member, Some(1));
+                    let twin =
+                        three_launches(&Gpu::new(DeviceSpec::a100()), a, inputs, member, None);
+                    assert_eq!(gpu.memo_counts().hits, 1, "{what}: the third launch hits");
+                    assert!(keyed == twin, "{what}: outputs and counters match the twin");
+                    for (outs, _) in &keyed {
+                        for (got, x) in outs.iter().zip(inputs) {
+                            assert_eq!(got, &bits(&vector_csr_reference(a, x, widths)), "{what}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -432,15 +432,15 @@ impl Plan {
         Arc::clone(&self.placement.lock().unwrap())
     }
 
-    /// Device bytes this plan pins on pool device `dev` under its
-    /// current placement epoch.
-    fn resident_bytes_on(&self, dev: usize) -> u64 {
+    /// The sum of `f` over this plan's calculators on pool device `dev`
+    /// under its current placement epoch.
+    fn sum_on(&self, dev: usize, f: impl Fn(&DoseCalculator) -> u64) -> u64 {
         self.snapshot()
             .groups
             .iter()
             .flat_map(|g| &g.units)
             .filter(|u| u.device == dev)
-            .map(|u| u.calc.resident_bytes())
+            .map(|u| f(&u.calc))
             .sum()
     }
 }
@@ -1213,7 +1213,12 @@ impl Engine {
             })
             .collect();
         for (dev, d) in report.devices.iter_mut().enumerate() {
-            d.resident_bytes = self.plans.iter().map(|p| p.resident_bytes_on(dev)).sum();
+            let sum = |f: fn(&DoseCalculator) -> u64| -> u64 {
+                self.plans.iter().map(|p| p.sum_on(dev, f)).sum()
+            };
+            d.resident_bytes = sum(|c| c.resident_bytes());
+            d.keyed_groups = sum(|c| c.memo_counts().keyed);
+            d.memo_hits = sum(|c| c.memo_counts().hits);
             d.drained = self.drained[dev].load(Ordering::SeqCst);
         }
         (out, report)

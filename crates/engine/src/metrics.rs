@@ -26,6 +26,14 @@ pub struct DeviceReport {
     /// homed here (the whole matrix and transpose for a `K = 1` plan).
     /// Attached by the engine after the metrics snapshot.
     pub resident_bytes: u64,
+    /// Keyed launch groups run by this device's calculators (every
+    /// calculator launch is keyed), and how many of them the launch memo
+    /// answered without interpreting the address stream. Summed over the
+    /// calculators of the current placement epoch (a re-deal builds new
+    /// ones, which start at zero). Attached by the engine after the
+    /// metrics snapshot.
+    pub keyed_groups: u64,
+    pub memo_hits: u64,
     /// Whether the device was drained (out for maintenance) when the
     /// report was taken: no new requests or shard homes land on it,
     /// though in-flight fan-outs from older placement epochs may still
@@ -235,6 +243,8 @@ impl EngineReport {
                 .field("launches", d.launches)
                 .field("modeled_seconds", Json::sci(d.modeled_seconds, 6))
                 .field("resident_bytes", d.resident_bytes)
+                .field("keyed_groups", d.keyed_groups)
+                .field("memo_hits", d.memo_hits)
                 .field("drained", d.drained)
         });
         Json::obj()
@@ -668,7 +678,7 @@ mod tests {
         ));
         assert_eq!(
             minify(&j),
-            r#"{"elapsed_ms":2.500,"throughput_rps":0.00,"submitted":0,"completed":0,"rejected_queue_full":0,"shed_deadline":0,"failed":0,"launches":0,"batches":0,"avg_batch":0.00,"max_batch":0,"queue":{"capacity":4,"max_depth":0},"wait_ms":{"mean":0.000,"max":0.000},"latency_ms":{"mean":0.000,"max":0.000},"modeled_gpu_seconds":0.000000e0,"devices":[{"name":"A100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"drained":false}],"plans":[{"name":"liver","tile_width":32,"grad_tile_width":16,"mode":"partitioned-heuristic","avg_nnz_nonempty":2.10,"buckets":[{"min_len":1,"max_len":2,"rows":1000,"tile_width":2,"lanes_active_frac":0.7500},{"min_len":33,"max_len":4294967295,"rows":8,"tile_width":32,"lanes_active_frac":0.9912}],"grad_buckets":[{"min_len":9,"max_len":16,"rows":140,"tile_width":16,"lanes_active_frac":0.8125}],"shards":[],"placement":null}]}"#
+            r#"{"elapsed_ms":2.500,"throughput_rps":0.00,"submitted":0,"completed":0,"rejected_queue_full":0,"shed_deadline":0,"failed":0,"launches":0,"batches":0,"avg_batch":0.00,"max_batch":0,"queue":{"capacity":4,"max_depth":0},"wait_ms":{"mean":0.000,"max":0.000},"latency_ms":{"mean":0.000,"max":0.000},"modeled_gpu_seconds":0.000000e0,"devices":[{"name":"A100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"keyed_groups":0,"memo_hits":0,"drained":false}],"plans":[{"name":"liver","tile_width":32,"grad_tile_width":16,"mode":"partitioned-heuristic","avg_nnz_nonempty":2.10,"buckets":[{"min_len":1,"max_len":2,"rows":1000,"tile_width":2,"lanes_active_frac":0.7500},{"min_len":33,"max_len":4294967295,"rows":8,"tile_width":32,"lanes_active_frac":0.9912}],"grad_buckets":[{"min_len":9,"max_len":16,"rows":140,"tile_width":16,"lanes_active_frac":0.8125}],"shards":[],"placement":null}]}"#
         );
     }
 
@@ -728,7 +738,7 @@ mod tests {
         assert!(contains(&j, "\"breakeven\": [{\"k\": 1, \"modeled_seconds\": 3.300000e-5}, {\"k\": 2, \"modeled_seconds\": 2.100000e-5}]"));
         assert_eq!(
             minify(&j),
-            r#"{"elapsed_ms":2.500,"throughput_rps":0.00,"submitted":0,"completed":0,"rejected_queue_full":0,"shed_deadline":0,"failed":0,"launches":0,"batches":0,"avg_batch":0.00,"max_batch":0,"queue":{"capacity":4,"max_depth":0},"wait_ms":{"mean":0.000,"max":0.000},"latency_ms":{"mean":0.000,"max":0.000},"modeled_gpu_seconds":0.000000e0,"devices":[{"name":"A100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"drained":false},{"name":"A100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"drained":false},{"name":"V100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"drained":false},{"name":"P100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"drained":false}],"plans":[{"name":"liver","tile_width":32,"grad_tile_width":32,"mode":"heuristic","avg_nnz_nonempty":12.00,"buckets":[],"grad_buckets":[],"shards":[],"placement":{"replicas":2,"shards_per_replica":2,"auto_shards":true,"rebalances":3,"groups":[{"group":0,"devices":["A100","P100"],"shards":2,"served":3},{"group":1,"devices":["A100","V100"],"shards":2,"served":2}],"breakeven":[{"k":1,"modeled_seconds":3.300000e-5},{"k":2,"modeled_seconds":2.100000e-5}]}}]}"#
+            r#"{"elapsed_ms":2.500,"throughput_rps":0.00,"submitted":0,"completed":0,"rejected_queue_full":0,"shed_deadline":0,"failed":0,"launches":0,"batches":0,"avg_batch":0.00,"max_batch":0,"queue":{"capacity":4,"max_depth":0},"wait_ms":{"mean":0.000,"max":0.000},"latency_ms":{"mean":0.000,"max":0.000},"modeled_gpu_seconds":0.000000e0,"devices":[{"name":"A100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"keyed_groups":0,"memo_hits":0,"drained":false},{"name":"A100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"keyed_groups":0,"memo_hits":0,"drained":false},{"name":"V100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"keyed_groups":0,"memo_hits":0,"drained":false},{"name":"P100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"keyed_groups":0,"memo_hits":0,"drained":false}],"plans":[{"name":"liver","tile_width":32,"grad_tile_width":32,"mode":"heuristic","avg_nnz_nonempty":12.00,"buckets":[],"grad_buckets":[],"shards":[],"placement":{"replicas":2,"shards_per_replica":2,"auto_shards":true,"rebalances":3,"groups":[{"group":0,"devices":["A100","P100"],"shards":2,"served":3},{"group":1,"devices":["A100","V100"],"shards":2,"served":2}],"breakeven":[{"k":1,"modeled_seconds":3.300000e-5},{"k":2,"modeled_seconds":2.100000e-5}]}}]}"#
         );
     }
 }

@@ -186,3 +186,23 @@ fn responses_carry_launch_reports() {
     assert!(json.contains("\"throughput_rps\""));
     assert!(json.contains("\"modeled_gpu_seconds\""));
 }
+
+#[test]
+fn device_reports_count_keyed_groups_and_memo_hits() {
+    let mut e = Engine::builder()
+        .device(DeviceSpec::a100())
+        .build()
+        .unwrap();
+    e.register_plan("plan", &matrix()).unwrap();
+    let (_, report) = e.serve(|c| {
+        for _ in 0..3 {
+            c.call("plan", RequestKind::Dose, vec![1.5; 4]).unwrap();
+        }
+    });
+    // One keyed group per request: recorded, interpreted once resident,
+    // then answered from the memo.
+    let d = &report.devices[0];
+    assert_eq!((d.keyed_groups, d.memo_hits), (3, 1));
+    let json = report.to_json();
+    assert!(json.contains("\"keyed_groups\": 3, \"memo_hits\": 1"));
+}

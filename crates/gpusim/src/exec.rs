@@ -3,9 +3,9 @@
 //! Kernels are written per-warp, mirroring the cooperative-groups style of
 //! the paper's Listing 1: the CUDA `tiled_partition<32>` tile becomes one
 //! [`WarpCtx`]; per-lane loads become [`WarpCtx::load_gather`]; the
-//! cooperative-groups `reduce` becomes [`WarpCtx::reduce_sum`], which
-//! performs the exact shuffle-down tree the hardware primitive does — in a
-//! fixed order, which is what makes the vector kernel bitwise reproducible.
+//! cooperative-groups `reduce` becomes [`reduce_sum`], which performs the
+//! exact shuffle-down tree the hardware primitive does — in a fixed order,
+//! which is what makes the vector kernel bitwise reproducible.
 //!
 //! A launch runs its blocks in order on the calling thread, and the warps
 //! of a block in order, owning the L2 model from its first access to its
@@ -267,8 +267,8 @@ impl Gpu {
     /// [`WarpCtx::tiles_per_warp`] tiles itself, which lets row-pointer
     /// loads and result stores coalesce warp-wide exactly as they do on
     /// hardware (same PC across tiles), while per-tile gathers are issued
-    /// with at most `tile_width` lanes and [`WarpCtx::reduce_sum_tile`]
-    /// folds `tile_width` partials in the fixed tree order.
+    /// with at most `tile_width` lanes and [`reduce_sum`] folds
+    /// `tile_width` partials in the fixed tree order.
     pub fn launch_tiled<F>(&self, grid: Grid, tile_width: u32, kernel: F) -> KernelStats
     where
         F: Fn(&mut WarpCtx),
@@ -495,9 +495,9 @@ impl GroupStats {
     }
 }
 
-/// The per-warp execution context handed to kernels: lane-collective
-/// memory operations (each traced through the L2 model) plus the
-/// cooperative-groups-style reduction.
+/// The per-warp execution context handed to kernels: its place in the
+/// grid and the lane-collective memory operations, each traced through
+/// the L2 model unless the launch runs untraced ([`WarpCtx::traced`]).
 pub struct WarpCtx<'a, 'p> {
     warp_id: usize,
     block_id: u64,
@@ -571,6 +571,14 @@ impl WarpCtx<'_, '_> {
         buf.as_slice()[idx]
     }
 
+    /// Whether this warp's memory operations are traced through the L2
+    /// model. A launch-memo hit runs its kernels untraced: a kernel may
+    /// then skip work whose only product is the address stream.
+    #[inline]
+    pub fn traced(&self) -> bool {
+        self.l2.is_some()
+    }
+
     /// Coalesced vector load: consecutive lanes read the consecutive
     /// elements `range`. Spans longer than a warp are traced as multiple
     /// back-to-back fully-coalesced transactions. Returns the slice.
@@ -580,23 +588,37 @@ impl WarpCtx<'_, '_> {
         buf: &'b DeviceBuffer<T>,
         range: core::ops::Range<usize>,
     ) -> &'b [T] {
+        self.trace_span(buf, range.clone());
+        &buf.as_slice()[range]
+    }
+
+    /// The traffic of [`WarpCtx::load_span`] without its data: for a
+    /// kernel that reads the elements through [`DeviceBuffer::as_slice`]
+    /// in its own order. Does nothing when untraced.
+    #[inline]
+    pub fn trace_span<T: Copy>(&self, buf: &DeviceBuffer<T>, range: core::ops::Range<usize>) {
         if let Some(l2) = self.l2 {
             let bytes = (range.len() * core::mem::size_of::<T>()) as u64;
             self.mem
                 .read_contiguous(l2, buf.addr_of(range.start), bytes, self.counters);
         }
-        &buf.as_slice()[range]
     }
 
     /// Gather load: lane `k` reads element `idxs[k]`. Lanes landing in the
     /// same 32-byte sector are coalesced into one transaction. At most 32
     /// active lanes. Results are appended to `out`.
     pub fn load_gather<T: Copy>(&self, buf: &DeviceBuffer<T>, idxs: &[usize], out: &mut [T]) {
-        assert!(idxs.len() <= WARP_SIZE, "a warp has at most 32 lanes");
         assert!(out.len() >= idxs.len());
         for (o, &i) in out.iter_mut().zip(idxs) {
             *o = buf.as_slice()[i];
         }
+        self.trace_gather(buf, idxs);
+    }
+
+    /// The traffic of [`WarpCtx::load_gather`] without its data. Does
+    /// nothing when untraced.
+    pub fn trace_gather<T: Copy>(&self, buf: &DeviceBuffer<T>, idxs: &[usize]) {
+        assert!(idxs.len() <= WARP_SIZE, "a warp has at most 32 lanes");
         if let Some(l2) = self.l2 {
             let mut addrs = [0u64; WARP_SIZE];
             for (a, &i) in addrs.iter_mut().zip(idxs) {
@@ -658,15 +680,23 @@ impl WarpCtx<'_, '_> {
         }
         buf.raw_fetch_add(idx, v);
     }
+}
 
-    /// Warp-wide sum with the fixed shuffle-down tree order of the
-    /// cooperative-groups `reduce` primitive: offsets 16, 8, 4, 2, 1.
-    /// Inactive lanes must hold the additive identity.
-    pub fn reduce_sum<T>(&self, lanes: &mut [T; WARP_SIZE]) -> T
-    where
-        T: Copy + core::ops::Add<Output = T>,
-    {
-        let mut offset = WARP_SIZE / 2;
+/// Sum of `lanes` by the fixed shuffle-down tree of the cooperative-groups
+/// `reduce` over a `tiled_partition<lanes.len()>`: at offsets `len / 2`,
+/// `len / 4`, ..., 1, lane `i` adds lane `i + offset`. A full warp folds at
+/// offsets 16, 8, 4, 2, 1; a width-`w` tile runs the same tree truncated to
+/// `log2(w)` levels. `lanes.len()` must be a power of two no wider than a
+/// warp; inactive lanes must hold the additive identity. Every kernel's
+/// partial sums fold through this one function, so the order is fixed.
+pub fn reduce_sum<T>(lanes: &mut [T]) -> T
+where
+    T: Copy + core::ops::Add<Output = T>,
+{
+    // One fixed-size tree per width, which the compiler unrolls.
+    fn tree<T: Copy + core::ops::Add<Output = T>, const W: usize>(lanes: &mut [T]) -> T {
+        let lanes: &mut [T; W] = lanes.try_into().expect("the width matched W");
+        let mut offset = W / 2;
         while offset > 0 {
             for i in 0..offset {
                 lanes[i] = lanes[i] + lanes[i + offset];
@@ -675,30 +705,14 @@ impl WarpCtx<'_, '_> {
         }
         lanes[0]
     }
-
-    /// Tile-wide sum over this context's [`WarpCtx::tile_width`] lanes,
-    /// with the same fixed shuffle-down tree as [`WarpCtx::reduce_sum`]
-    /// truncated to `log2(tile_width)` levels (the cooperative-groups
-    /// `reduce` over a `tiled_partition<w>`). `lanes.len()` must equal
-    /// the tile width; at width 32 this is bitwise identical to
-    /// [`WarpCtx::reduce_sum`].
-    pub fn reduce_sum_tile<T>(&self, lanes: &mut [T]) -> T
-    where
-        T: Copy + core::ops::Add<Output = T>,
-    {
-        assert_eq!(
-            lanes.len(),
-            self.tile_width as usize,
-            "reduce_sum_tile expects one slot per tile lane"
-        );
-        let mut offset = lanes.len() / 2;
-        while offset > 0 {
-            for i in 0..offset {
-                lanes[i] = lanes[i] + lanes[i + offset];
-            }
-            offset /= 2;
-        }
-        lanes[0]
+    match lanes.len() {
+        32 => tree::<T, 32>(lanes),
+        16 => tree::<T, 16>(lanes),
+        8 => tree::<T, 8>(lanes),
+        4 => tree::<T, 4>(lanes),
+        2 => tree::<T, 2>(lanes),
+        1 => lanes[0],
+        n => panic!("reduce_sum takes a power of two up to {WARP_SIZE} lanes, got {n}"),
     }
 }
 
@@ -768,7 +782,7 @@ mod tests {
             for (i, l) in lanes.iter_mut().enumerate() {
                 *l = (i + 1) as f64;
             }
-            let s = w.reduce_sum(&mut lanes);
+            let s = reduce_sum(&mut lanes);
             w.store_scalar(&out, 0, s);
         });
         assert_eq!(out.get(0), (32 * 33 / 2) as f64);
@@ -838,31 +852,30 @@ mod tests {
     }
 
     #[test]
-    fn reduce_sum_tile_matches_full_reduce_at_width_32() {
-        let gpu = Gpu::new(DeviceSpec::a100());
-        let out = gpu.alloc_out::<f64>(2);
-        gpu.launch_tiled(Grid::new(1, 32), 32, |ctx| {
-            let vals: Vec<f64> = (0..32).map(|i| ((i * 37) as f64 * 0.013).sin()).collect();
-            let mut a = [0.0f64; WARP_SIZE];
-            a.copy_from_slice(&vals);
-            let mut b = a;
-            ctx.store_scalar(&out, 0, ctx.reduce_sum(&mut a));
-            ctx.store_scalar(&out, 1, ctx.reduce_sum_tile(&mut b));
-        });
-        assert_eq!(out.get(0).to_bits(), out.get(1).to_bits());
+    fn reduce_sum_at_width_32_folds_at_offsets_16_to_1() {
+        let vals: Vec<f64> = (0..32).map(|i| ((i * 37) as f64 * 0.013).sin()).collect();
+        let mut lanes = [0.0f64; WARP_SIZE];
+        lanes.copy_from_slice(&vals);
+        // The cooperative-groups order, spelled out level by level.
+        let mut want = vals.clone();
+        for offset in [16, 8, 4, 2, 1] {
+            for i in 0..offset {
+                want[i] += want[i + offset];
+            }
+        }
+        assert_eq!(reduce_sum(&mut lanes).to_bits(), want[0].to_bits());
     }
 
     #[test]
-    fn reduce_sum_tile_uses_fixed_tree_per_width() {
+    fn reduce_sum_uses_fixed_tree_per_width() {
         // At width 4, lanes [a,b,c,d] must fold as (a+c) + (b+d).
-        let gpu = Gpu::new(DeviceSpec::a100());
-        let out = gpu.alloc_out::<f64>(1);
         let (a, b, c, d) = (0.1f64, 0.2, 0.3, 0.4);
-        gpu.launch_tiled(Grid::new(1, 32), 4, |ctx| {
-            let mut lanes = [a, b, c, d];
-            ctx.store_scalar(&out, 0, ctx.reduce_sum_tile(&mut lanes));
-        });
-        assert_eq!(out.get(0).to_bits(), ((a + c) + (b + d)).to_bits());
+        assert_eq!(
+            reduce_sum(&mut [a, b, c, d]).to_bits(),
+            ((a + c) + (b + d)).to_bits()
+        );
+        // A one-lane tile is its lane.
+        assert_eq!(reduce_sum(&mut [a]).to_bits(), a.to_bits());
     }
 
     #[test]
@@ -942,7 +955,7 @@ mod tests {
             if i < rows {
                 let mut lanes = [0.0f64; WARP_SIZE];
                 lanes.copy_from_slice(w.load_span(buf, i * 32..(i + 1) * 32));
-                w.store_scalar(out, i, w.reduce_sum(&mut lanes));
+                w.store_scalar(out, i, reduce_sum(&mut lanes));
             }
         });
         gpu.launch_group(key, vec![member])
