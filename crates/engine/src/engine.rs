@@ -49,6 +49,7 @@ use rt_core::{
     choose_shard_count, modeled_whole_seconds, BreakEvenPoint, BucketWidths, DoseCalculator,
     KernelChoice, KernelSelect, RtError, MAX_SPMM_BATCH,
 };
+use rt_f16::F16;
 use rt_gpusim::{
     gather_estimate, snake_partition_subset, DeviceSpec, LaunchReport, ShardReport, ShardedReport,
 };
@@ -732,26 +733,11 @@ impl Engine {
             .map(|p| p.snapshot().groups[0].breakeven.clone())
     }
 
-    /// Interior shard cut points of a registered plan's first replica
-    /// group (`K - 1` row indices; empty for `K = 1`). These are what
-    /// [`rt_sparse::save_csr_with_cuts`] persists so a snapshot cold
-    /// start can skip re-sharding.
-    pub fn plan_shard_cuts(&self, name: &str) -> Option<Vec<usize>> {
-        self.plan(name).map(|p| {
-            p.snapshot().groups[0]
-                .units
-                .iter()
-                .skip(1)
-                .map(|u| u.dose.row_start)
-                .collect()
-        })
-    }
-
     /// Registers `matrix` under the plan name `name` with the engine's
     /// default policy ([`EngineBuilder::default_policy`]); see
     /// [`Engine::register_plan_with`].
     pub fn register_plan(&mut self, name: &str, matrix: &Csr<f64, u32>) -> Result<(), RtError> {
-        self.register_plan_inner(name, matrix, self.default_policy, None)
+        self.register_plan_with(name, matrix, self.default_policy)
     }
 
     /// Registers `matrix` under the plan name `name` with a per-plan
@@ -768,7 +754,7 @@ impl Engine {
     /// bandwidth into `R` disjoint replica groups, and each group holds
     /// the plan as `K` throughput-weighted row-range shards (`K` per the
     /// policy, or the break-even model under [`ShardSpec::Auto`]). The
-    /// default policy ([`ShardSpec::Off`] + [`ReplicaSpec::Auto`])
+    /// default policy (`ShardSpec::Fixed(1)` + [`ReplicaSpec::Auto`])
     /// resolves to `R` = the live pool and `K = 1`: every device holds
     /// the whole matrix and its transpose. Returns
     /// [`RtError::InvalidPlacement`] when a forced replica count exceeds
@@ -778,16 +764,6 @@ impl Engine {
         name: &str,
         matrix: &Csr<f64, u32>,
         policy: ExecPolicy,
-    ) -> Result<(), RtError> {
-        self.register_plan_inner(name, matrix, policy, None)
-    }
-
-    fn register_plan_inner(
-        &mut self,
-        name: &str,
-        matrix: &Csr<f64, u32>,
-        policy: ExecPolicy,
-        stored_cuts: Option<&[usize]>,
     ) -> Result<(), RtError> {
         if self.plan(name).is_some() {
             return Err(RtError::DuplicatePlan(name.to_string()));
@@ -799,7 +775,7 @@ impl Engine {
         let tpb = self.threads_per_block;
         let dose = Direction::new(reference, matrix.clone(), policy.kernel_select, tpb)?;
         let grad = Direction::new(reference, matrix.transpose(), policy.kernel_select, tpb)?;
-        let groups = self.place_groups(&dose, &grad, &policy, stored_cuts, &self.live_devices())?;
+        let groups = self.place_groups(&dose, &grad, &policy, &self.live_devices())?;
         self.plan_index.insert(name.to_string(), self.plans.len());
         self.plans.push(Plan {
             name: name.to_string(),
@@ -825,7 +801,6 @@ impl Engine {
         dose: &Direction,
         grad: &Direction,
         policy: &ExecPolicy,
-        stored_cuts: Option<&[usize]>,
         live: &[usize],
     ) -> Result<Vec<ReplicaGroup>, RtError> {
         let pool = self.devices.len();
@@ -849,7 +824,6 @@ impl Engine {
                 // the live pool: enough groups that each can hold a
                 // complete shard set.
                 let k_target = match policy.shards {
-                    ShardSpec::Off => 1,
                     ShardSpec::Fixed(k) => k,
                     ShardSpec::Auto => {
                         let sorted: Vec<DeviceSpec> = snake_partition_subset(&weights, live, 1)
@@ -871,7 +845,6 @@ impl Engine {
         let mut groups = Vec::with_capacity(memberships.len());
         for members in memberships {
             let (k, breakeven) = match policy.shards {
-                ShardSpec::Off => (1, Vec::new()),
                 ShardSpec::Fixed(k) => (k, Vec::new()),
                 ShardSpec::Auto => {
                     let specs: Vec<DeviceSpec> =
@@ -881,7 +854,7 @@ impl Engine {
                     (be.k, be.candidates)
                 }
             };
-            let units = self.build_group_units(dose, grad, &members, k, stored_cuts)?;
+            let units = self.build_group_units(dose, grad, &members, k)?;
             groups.push(ReplicaGroup {
                 devices: members,
                 units,
@@ -974,7 +947,7 @@ impl Engine {
     /// taken, so dispatchers are never blocked behind calculator
     /// construction; callers hold `rebalance_lock`.
     fn redeal_plan(&self, plan: &Plan, live: &[usize]) -> Result<(), RtError> {
-        let groups = self.place_groups(&plan.dose, &plan.grad, &plan.policy, None, live)?;
+        let groups = self.place_groups(&plan.dose, &plan.grad, &plan.policy, live)?;
         let mut cur = plan.placement.lock().unwrap();
         *cur = Arc::new(PlacementEpoch {
             epoch: cur.epoch + 1,
@@ -990,9 +963,8 @@ impl Engine {
     /// index holding dose shard `s` and gradient shard `s`. The
     /// transpose shards by its own rows, so gradient outputs stay
     /// disjoint; it gets at most as many shards as the matrix, so shard
-    /// `s` of both directions always has a home. Stored snapshot cuts
-    /// short-circuit the dose split when they match `k`. Each direction
-    /// runs at its own pinned decision — for partitioned plans, through
+    /// `s` of both directions always has a home. Each direction runs at
+    /// its own pinned decision — for partitioned plans, through
     /// the bucketed partition of its own sub-matrix at the whole
     /// matrix's per-bucket widths.
     fn build_group_units(
@@ -1001,16 +973,12 @@ impl Engine {
         grad: &Direction,
         members: &[usize],
         k: usize,
-        stored_cuts: Option<&[usize]>,
     ) -> Result<Vec<ShardUnit>, RtError> {
         let n = members.len();
         let weights: Vec<f64> = (0..k)
             .map(|i| self.devices[members[i % n]].effective_dram_bw())
             .collect();
-        let dose_plan = match stored_cuts {
-            Some(cuts) if cuts.len() + 1 == k => ShardPlan::from_cuts(&dose.matrix, cuts),
-            _ => ShardPlan::build_weighted(&dose.matrix, &weights),
-        };
+        let dose_plan = ShardPlan::build_weighted(&dose.matrix, &weights);
         let grad_plan = ShardPlan::build_weighted(&grad.matrix, &weights[..dose_plan.num_shards()]);
         dose_plan
             .shards()
@@ -1083,10 +1051,11 @@ impl Engine {
     }
 
     /// Loads an RTDM snapshot from disk and registers it with a
-    /// per-plan execution policy. A v2 snapshot written by
-    /// [`rt_sparse::save_csr_with_cuts`] carries its shard cut points;
-    /// when they match the shard count the policy resolves to, the cold
-    /// start reuses them and skips the nnz-prefix re-shard sweep.
+    /// per-plan execution policy. The snapshot holds binary16 values and
+    /// `u32` indices (what `rtdose generate` writes); the values widen
+    /// exactly to `f64`, so the plan serves the same bits as registering
+    /// the in-memory matrix. Any other scalar pair fails with
+    /// [`RtError::Snapshot`] (a type mismatch).
     pub fn register_plan_snapshot_with(
         &mut self,
         name: &str,
@@ -1096,8 +1065,8 @@ impl Engine {
         let path = path.as_ref();
         let mut file = std::fs::File::open(path)
             .map_err(|e| RtError::Snapshot(format!("{}: {e}", path.display())))?;
-        let (matrix, cuts): (Csr<f64, u32>, _) = rt_sparse::load_csr_with_cuts(&mut file)?;
-        self.register_plan_inner(name, &matrix, policy, cuts.as_deref())
+        let matrix: Csr<F16, u32> = rt_sparse::load_csr(&mut file)?;
+        self.register_plan_with(name, &matrix.convert_values(), policy)
     }
 
     /// Runs a serve session: spawns one worker per device, hands the

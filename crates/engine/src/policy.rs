@@ -30,20 +30,17 @@
 use rt_core::{KernelSelect, RtError};
 
 /// How (and whether) a plan is row-sharded within each replica group.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardSpec {
-    /// No sharding (`K = 1`): each replica group holds the whole plan
-    /// on its first device, and each request runs on one device. The
-    /// default.
-    #[default]
-    Off,
     /// Let the break-even model pick the shard count per replica group —
     /// small plans resolve to 1 shard, large plans split until the next
     /// shard's launch + gather overhead outweighs its bandwidth.
     Auto,
     /// Force exactly this many shards per replica group (clamped per
     /// plan to its row count). Counts above the group size stack shards
-    /// round-robin on the group's devices.
+    /// round-robin on the group's devices. `Fixed(1)`, the default, is
+    /// no sharding: each replica group holds the whole plan on its first
+    /// device, and each request runs on one device.
     Fixed(usize),
 }
 
@@ -52,7 +49,7 @@ pub enum ShardSpec {
 pub enum ReplicaSpec {
     /// Derive the group count from the resolved shard count: the pool is
     /// divided into `pool / K` groups so every group can hold a full
-    /// shard set. With [`ShardSpec::Off`] this is one whole-plan replica
+    /// shard set. With `ShardSpec::Fixed(1)` this is one whole-plan replica
     /// per live device (`R` = live pool, `K = 1`). The default.
     #[default]
     Auto,
@@ -77,7 +74,7 @@ impl Default for ExecPolicy {
     fn default() -> Self {
         ExecPolicy {
             kernel_select: KernelSelect::Heuristic,
-            shards: ShardSpec::Off,
+            shards: ShardSpec::Fixed(1),
             replicas: ReplicaSpec::Auto,
         }
     }
@@ -148,7 +145,7 @@ impl ExecPolicyBuilder {
         self.kernel_select(KernelSelect::Fixed(w))
     }
 
-    /// Sharding axis (default [`ShardSpec::Off`]).
+    /// Sharding axis (default `ShardSpec::Fixed(1)`, no sharding).
     pub fn shards(mut self, spec: ShardSpec) -> Self {
         self.policy.shards = spec;
         self
@@ -178,7 +175,7 @@ mod tests {
     fn default_policy_is_the_classic_engine() {
         let p = ExecPolicy::default();
         assert_eq!(p.kernel_select(), KernelSelect::Heuristic);
-        assert_eq!(p.shards(), ShardSpec::Off);
+        assert_eq!(p.shards(), ShardSpec::Fixed(1));
         assert_eq!(p.replicas(), ReplicaSpec::Auto);
         assert!(p.validate().is_ok());
     }

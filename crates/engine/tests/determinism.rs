@@ -1005,65 +1005,62 @@ fn deadline_shed_under_replica_fan_out_cancels_only_its_group() {
 }
 
 #[test]
-fn snapshot_cuts_skip_resharding_on_cold_start() {
-    use rt_sparse::ShardPlan;
-
+fn snapshots_place_and_serve_like_the_in_memory_matrix() {
     let liver = random_matrix(43, 900, 60, 24);
-    let payload: Vec<f64> = (0..liver.ncols())
-        .map(|j| (j as f64 * 0.011).cos().abs())
-        .collect();
-    // Persist the *uniform* nnz-balanced cuts alongside the matrix.
-    let stored_cuts = ShardPlan::build(&liver, 3).cut_points();
+    // Saved the way `rtdose generate` writes it: binary16 values, u32
+    // indices.
     let path = std::env::temp_dir().join(format!(
-        "rt_engine_snapshot_cuts_{}.rtdm",
+        "rt_engine_snapshot_placement_{}.rtdm",
         std::process::id()
     ));
     {
+        let m16: Csr<rt_f16::F16, u32> = liver.convert_values();
         let mut file = std::fs::File::create(&path).unwrap();
-        rt_sparse::save_csr_with_cuts(&liver, &stored_cuts, &mut file).unwrap();
+        rt_sparse::save_csr(&m16, &mut file).unwrap();
     }
+    let dose_in: Vec<f64> = (0..liver.ncols())
+        .map(|j| (j as f64 * 0.011).cos().abs())
+        .collect();
+    let grad_in: Vec<f64> = (0..liver.nrows())
+        .map(|i| (i as f64 * 0.007).sin().abs())
+        .collect();
 
     let pool = || vec![DeviceSpec::a100(), DeviceSpec::v100(), DeviceSpec::p100()];
-    // Cold start from the snapshot: the stored cuts are reused verbatim.
+    let serve = |engine: &Engine| {
+        let ((dose, grad), report) = engine.serve(|c| {
+            let bits = |kind, payload: &Vec<f64>| {
+                let r = c.call("liver", kind, payload.clone()).unwrap();
+                r.output.into_iter().map(f64::to_bits).collect::<Vec<u64>>()
+            };
+            (
+                bits(RequestKind::Dose, &dose_in),
+                bits(RequestKind::Gradient, &grad_in),
+            )
+        });
+        (dose, grad, report.plans[0].shards.clone())
+    };
+
     let mut from_snapshot = Engine::builder().devices(pool()).build().unwrap();
     from_snapshot
         .register_plan_snapshot_with("liver", &path, placed(3, 1))
         .unwrap();
-    assert_eq!(
-        from_snapshot.plan_shard_cuts("liver").unwrap(),
-        stored_cuts,
-        "snapshot cuts were re-derived instead of reused"
-    );
-
-    // Fresh registration on the same mixed pool weights its cuts by
-    // device bandwidth — a genuinely different split.
-    let mut fresh = Engine::builder().devices(pool()).build().unwrap();
-    fresh
+    std::fs::remove_file(&path).ok();
+    let mut in_memory = Engine::builder().devices(pool()).build().unwrap();
+    in_memory
         .register_plan_with("liver", &liver, placed(3, 1))
         .unwrap();
-    assert_ne!(
-        fresh.plan_shard_cuts("liver").unwrap(),
-        stored_cuts,
-        "weighted cuts should differ from uniform cuts on a mixed pool"
+
+    let (dose, grad, shards) = serve(&from_snapshot);
+    assert_eq!(shards.len(), 3);
+    let cut = |s: &rt_engine::PlanShard| (s.row_start, s.rows, s.nnz);
+    let (want_dose, want_grad, want_shards) = serve(&in_memory);
+    assert_eq!(
+        shards.iter().map(cut).collect::<Vec<_>>(),
+        want_shards.iter().map(cut).collect::<Vec<_>>(),
+        "a snapshot must cut like the in-memory matrix on the same pool"
     );
-
-    // A shard count the stored cuts cannot satisfy falls back to the
-    // weighted split.
-    let mut mismatched = Engine::builder().devices(pool()).build().unwrap();
-    mismatched
-        .register_plan_snapshot_with("liver", &path, placed(2, 1))
-        .unwrap();
-    assert_eq!(mismatched.plan_shard_count("liver"), Some(2));
-
-    // Cut provenance never changes a dose byte.
-    let dose = |engine: &Engine| {
-        let (r, _) = engine.serve(|c| c.call("liver", RequestKind::Dose, payload.clone()).unwrap());
-        r.output.into_iter().map(f64::to_bits).collect::<Vec<u64>>()
-    };
-    let a = dose(&from_snapshot);
-    assert_eq!(a, dose(&fresh));
-    assert_eq!(a, dose(&mismatched));
-    std::fs::remove_file(&path).ok();
+    assert_eq!(dose, want_dose);
+    assert_eq!(grad, want_grad);
 }
 
 #[test]

@@ -131,16 +131,25 @@ fn snapshot_registration_maps_errors() {
     let err = e.register_plan_snapshot("bad", &bad).unwrap_err();
     assert_eq!(err, RtError::Snapshot("not an RTDM snapshot".to_string()));
 
-    // A valid snapshot round-trips into a served plan.
-    let good = dir.join("good.rtdm");
+    // A binary64 snapshot is the wrong scalar type.
     let m = matrix();
-    let mut f = std::fs::File::create(&good).unwrap();
-    rt_sparse::io::save_csr(&m, &mut f).unwrap();
-    drop(f);
+    let wide = dir.join("binary64.rtdm");
+    rt_sparse::io::save_csr(&m, &mut std::fs::File::create(&wide).unwrap()).unwrap();
+    let err = e.register_plan_snapshot("wide", &wide).unwrap_err();
+    assert_eq!(
+        err,
+        RtError::Snapshot("scalar type mismatch: expected (6, 2), found (5, 2)".to_string())
+    );
+
+    // A binary16 snapshot, as `rtdose generate` writes it, round-trips
+    // into a served plan (every value of `matrix()` is exact in binary16).
+    let good = dir.join("good.rtdm");
+    let m16: Csr<rt_f16::F16, u32> = m.convert_values();
+    rt_sparse::io::save_csr(&m16, &mut std::fs::File::create(&good).unwrap()).unwrap();
     e.register_plan_snapshot("good", &good).unwrap();
     assert_eq!(e.plan_dims("good"), Some((3, 4)));
     let (out, _) = e.serve(|c| c.call("good", RequestKind::Dose, vec![1.0; 4]).unwrap());
-    assert_eq!(out.output.len(), 3);
+    assert_eq!(out.output, [1.5, 2.25, 1.625]);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! magic   "RTDM"            4 bytes
-//! version u32               1 (matrix only) or 2 (matrix + shard cuts)
+//! version u32               1
 //! vtag    u32               value scalar tag
 //! itag    u32               index scalar tag
 //! nrows   u64
@@ -15,20 +15,15 @@
 //! row_ptr (nrows + 1) x u32
 //! col_idx nnz x index
 //! values  nnz x value
-//! -- version 2 only --
-//! ncuts   u32               interior shard cut count (k - 1)
-//! cuts    ncuts x u64       strictly increasing row boundaries
 //! ```
 //!
-//! Version 2 appends the interior cut points of a
-//! [`crate::ShardPlan`] so a serving engine can cold-start a sharded
-//! plan from the persisted cuts ([`crate::ShardPlan::from_cuts`])
-//! instead of re-sweeping the nnz curve; [`load_csr`] accepts both
-//! versions and simply drops the cuts.
+//! A snapshot holds the matrix only: a serving engine derives its shard
+//! cuts from the matrix and its device pool at registration
+//! ([`crate::ShardPlan::build_weighted`]).
 //!
-//! Loading validates the full CSR structure via [`Csr::try_new`] and the
-//! cut points against the row count, so a corrupted or truncated
-//! snapshot cannot produce an inconsistent matrix or shard plan.
+//! Loading validates the full CSR structure via [`Csr::try_new`], so a
+//! corrupted or truncated snapshot cannot produce an inconsistent
+//! matrix.
 
 use crate::{ColIndex, Csr, SparseError};
 use rt_f16::{Bf16, DoseScalar, F16};
@@ -36,7 +31,6 @@ use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 4] = b"RTDM";
 const VERSION: u32 = 1;
-const VERSION_CUTS: u32 = 2;
 
 /// A scalar with a stable on-disk encoding.
 pub trait Storable: Sized + Copy {
@@ -103,9 +97,6 @@ pub enum SnapshotError {
     },
     Truncated,
     Structure(SparseError),
-    /// The version-2 shard cut points are not strictly increasing row
-    /// boundaries inside `(0, nrows)`.
-    BadCuts,
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -122,7 +113,6 @@ impl std::fmt::Display for SnapshotError {
             }
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
             SnapshotError::Structure(e) => write!(f, "invalid matrix structure: {e}"),
-            SnapshotError::BadCuts => write!(f, "invalid shard cut points"),
         }
     }
 }
@@ -135,49 +125,8 @@ impl From<io::Error> for SnapshotError {
     }
 }
 
-/// Writes a version-1 CSR snapshot (matrix only).
+/// Writes a CSR snapshot.
 pub fn save_csr<V, I, W>(m: &Csr<V, I>, out: &mut W) -> io::Result<()>
-where
-    V: DoseScalar + Storable,
-    I: ColIndex + Storable,
-    W: Write,
-{
-    save_csr_impl(m, None, out)
-}
-
-/// Writes a version-2 CSR snapshot carrying the interior shard cut
-/// points of a [`crate::ShardPlan`] (see
-/// [`crate::ShardPlan::cut_points`]), so a sharded plan can cold-start
-/// via [`crate::ShardPlan::from_cuts`] without re-sweeping the nnz
-/// curve. Pass an empty slice to persist an explicit "one shard" plan.
-///
-/// # Panics
-/// Panics if the cuts are not strictly increasing within
-/// `(0, m.nrows())` — a snapshot must never persist cuts that
-/// [`load_csr_with_cuts`] would reject.
-pub fn save_csr_with_cuts<V, I, W>(m: &Csr<V, I>, cuts: &[usize], out: &mut W) -> io::Result<()>
-where
-    V: DoseScalar + Storable,
-    I: ColIndex + Storable,
-    W: Write,
-{
-    assert!(
-        cuts_valid(cuts, m.nrows()),
-        "shard cut points must be strictly increasing within (0, nrows)"
-    );
-    save_csr_impl(m, Some(cuts), out)
-}
-
-fn cuts_valid(cuts: &[usize], nrows: usize) -> bool {
-    let mut prev = 0usize;
-    cuts.iter().all(|&c| {
-        let ok = c > prev && c < nrows;
-        prev = c;
-        ok
-    })
-}
-
-fn save_csr_impl<V, I, W>(m: &Csr<V, I>, cuts: Option<&[usize]>, out: &mut W) -> io::Result<()>
 where
     V: DoseScalar + Storable,
     I: ColIndex + Storable,
@@ -186,12 +135,7 @@ where
     let mut buf =
         Vec::with_capacity(4 + 4 * 3 + 8 * 3 + 4 * (m.nrows() + 1) + (V::SIZE + I::SIZE) * m.nnz());
     buf.extend_from_slice(MAGIC);
-    let version = if cuts.is_some() {
-        VERSION_CUTS
-    } else {
-        VERSION
-    };
-    buf.extend_from_slice(&version.to_le_bytes());
+    buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.extend_from_slice(&<V as Storable>::TAG.to_le_bytes());
     buf.extend_from_slice(&<I as Storable>::TAG.to_le_bytes());
     buf.extend_from_slice(&(m.nrows() as u64).to_le_bytes());
@@ -206,36 +150,11 @@ where
     for v in m.values() {
         v.write_to(&mut buf);
     }
-    if let Some(cuts) = cuts {
-        buf.extend_from_slice(&(cuts.len() as u32).to_le_bytes());
-        for &c in cuts {
-            buf.extend_from_slice(&(c as u64).to_le_bytes());
-        }
-    }
     out.write_all(&buf)
 }
 
-/// Reads and validates a CSR snapshot (version 1 or 2), dropping any
-/// persisted shard cuts.
+/// Reads and validates a CSR snapshot.
 pub fn load_csr<V, I, R>(input: &mut R) -> Result<Csr<V, I>, SnapshotError>
-where
-    V: DoseScalar + Storable,
-    I: ColIndex + Storable,
-    R: Read,
-{
-    load_csr_with_cuts(input).map(|(m, _)| m)
-}
-
-/// A loaded CSR plus the interior shard cut points persisted in a
-/// version-2 snapshot (`None` for plain version-1 snapshots).
-pub type CsrWithCuts<V, I> = (Csr<V, I>, Option<Vec<usize>>);
-
-/// Reads and validates a CSR snapshot, returning the persisted interior
-/// shard cut points when the snapshot is version 2 (`None` for plain
-/// version-1 snapshots). Cuts are validated to be strictly increasing
-/// within `(0, nrows)` so they can be fed straight to
-/// [`crate::ShardPlan::from_cuts`].
-pub fn load_csr_with_cuts<V, I, R>(input: &mut R) -> Result<CsrWithCuts<V, I>, SnapshotError>
 where
     V: DoseScalar + Storable,
     I: ColIndex + Storable,
@@ -264,7 +183,7 @@ where
     };
 
     let version = read_u32(&mut pos)?;
-    if version != VERSION && version != VERSION_CUTS {
+    if version != VERSION {
         return Err(SnapshotError::UnsupportedVersion(version));
     }
     let vtag = read_u32(&mut pos)?;
@@ -294,23 +213,7 @@ where
         values.push(V::read_from(take(&mut pos, V::SIZE)?));
     }
 
-    let cuts = if version == VERSION_CUTS {
-        let ncuts = read_u32(&mut pos)? as usize;
-        let mut cuts = Vec::with_capacity(held(Some(ncuts), 8, data.len() - pos)?);
-        for _ in 0..ncuts {
-            cuts.push(read_u64(&mut pos)? as usize);
-        }
-        if !cuts_valid(&cuts, nrows) {
-            return Err(SnapshotError::BadCuts);
-        }
-        Some(cuts)
-    } else {
-        None
-    };
-
-    let m =
-        Csr::try_new(nrows, ncols, row_ptr, col_idx, values).map_err(SnapshotError::Structure)?;
-    Ok((m, cuts))
+    Csr::try_new(nrows, ncols, row_ptr, col_idx, values).map_err(SnapshotError::Structure)
 }
 
 /// `count` (`None` when computing it overflowed) if `count` elements of
@@ -411,59 +314,28 @@ mod tests {
     }
 
     #[test]
-    fn cuts_round_trip_and_v1_reports_none() {
+    fn rejects_other_versions() {
         let m = sample();
         let mut buf = Vec::new();
-        save_csr_with_cuts(&m, &[1, 3], &mut buf).unwrap();
-        let (back, cuts) = load_csr_with_cuts::<F16, u32, _>(&mut buf.as_slice()).unwrap();
-        assert_eq!(m, back);
-        assert_eq!(cuts, Some(vec![1, 3]));
-        // A v2 snapshot also loads through the plain path.
-        let plain: Csr<F16, u32> = load_csr(&mut buf.as_slice()).unwrap();
-        assert_eq!(m, plain);
-
-        let mut v1 = Vec::new();
-        save_csr(&m, &mut v1).unwrap();
-        let (_, none) = load_csr_with_cuts::<F16, u32, _>(&mut v1.as_slice()).unwrap();
-        assert_eq!(none, None);
-    }
-
-    #[test]
-    fn empty_cut_list_round_trips() {
-        let m = sample();
-        let mut buf = Vec::new();
-        save_csr_with_cuts(&m, &[], &mut buf).unwrap();
-        let (_, cuts) = load_csr_with_cuts::<F16, u32, _>(&mut buf.as_slice()).unwrap();
-        assert_eq!(cuts, Some(vec![]));
-    }
-
-    #[test]
-    fn rejects_bad_cuts_on_load() {
-        let m = sample();
-        let mut buf = Vec::new();
-        save_csr_with_cuts(&m, &[1, 3], &mut buf).unwrap();
-        // Overwrite the second cut (last u64) with an out-of-range row.
-        let n = buf.len();
-        buf[n - 8..].copy_from_slice(&99u64.to_le_bytes());
-        assert!(matches!(
-            load_csr_with_cuts::<F16, u32, _>(&mut buf.as_slice()),
-            Err(SnapshotError::BadCuts)
-        ));
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn save_rejects_invalid_cuts() {
-        let m = sample();
-        let mut buf = Vec::new();
-        let _ = save_csr_with_cuts(&m, &[3, 1], &mut buf);
+        save_csr(&m, &mut buf).unwrap();
+        // Version 2 appended shard cut points; it is no longer read.
+        for version in [0u32, 2, 3] {
+            buf[4..8].copy_from_slice(&version.to_le_bytes());
+            assert!(
+                matches!(
+                    load_csr::<F16, u32, _>(&mut buf.as_slice()),
+                    Err(SnapshotError::UnsupportedVersion(v)) if v == version
+                ),
+                "version {version}"
+            );
+        }
     }
 
     /// A header-only snapshot (`magic`, version, tags, `nrows`, `ncols`,
     /// `nnz`) for the `F16`/`u32` matrix type.
-    fn forged_header(version: u32, nrows: u64, nnz: u64) -> Vec<u8> {
+    fn forged_header(nrows: u64, nnz: u64) -> Vec<u8> {
         let mut buf = MAGIC.to_vec();
-        for word in [version, <F16 as Storable>::TAG, <u32 as Storable>::TAG] {
+        for word in [VERSION, <F16 as Storable>::TAG, <u32 as Storable>::TAG] {
             buf.extend_from_slice(&word.to_le_bytes());
         }
         for word in [nrows, 4, nnz] {
@@ -476,39 +348,22 @@ mod tests {
     fn forged_counts_are_truncation_not_allocations() {
         let mut forged: Vec<Vec<u8>> = [1u64 << 36, 1 << 62, u64::MAX]
             .into_iter()
-            .map(|nrows| forged_header(VERSION, nrows, 0))
+            .map(|nrows| forged_header(nrows, 0))
             .collect();
         // One row of zero length, then 2^40 non-zeros that are not there.
-        let mut nnz = forged_header(VERSION, 1, 1 << 40);
+        let mut nnz = forged_header(1, 1 << 40);
         nnz.extend_from_slice(&[0u8; 8]);
         forged.push(nnz);
-        // A valid empty v2 matrix claiming u32::MAX cut points.
-        let mut cuts = forged_header(VERSION_CUTS, 0, 0);
-        cuts.extend_from_slice(&0u32.to_le_bytes());
-        cuts.extend_from_slice(&u32::MAX.to_le_bytes());
-        forged.push(cuts);
 
         for (i, buf) in forged.iter().enumerate() {
             assert!(
                 matches!(
-                    load_csr_with_cuts::<F16, u32, _>(&mut buf.as_slice()),
+                    load_csr::<F16, u32, _>(&mut buf.as_slice()),
                     Err(SnapshotError::Truncated)
                 ),
                 "forged snapshot {i}"
             );
         }
-    }
-
-    #[test]
-    fn rejects_truncated_cut_section() {
-        let m = sample();
-        let mut buf = Vec::new();
-        save_csr_with_cuts(&m, &[1, 3], &mut buf).unwrap();
-        buf.truncate(buf.len() - 3);
-        assert!(matches!(
-            load_csr_with_cuts::<F16, u32, _>(&mut buf.as_slice()),
-            Err(SnapshotError::Truncated)
-        ));
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub use csr::Csr;
 pub use ell::Ell;
 pub use error::SparseError;
 pub use index::ColIndex;
-pub use io::{load_csr, load_csr_with_cuts, save_csr, save_csr_with_cuts, SnapshotError, Storable};
+pub use io::{load_csr, save_csr, SnapshotError, Storable};
 pub use quantized::QuantizedCsr;
 pub use rowplan::{
     bucket_index_for_len, RowBucket, RowPlan, EMPTY_ROW_SLOT, NUM_ROW_BUCKETS, ROW_BUCKET_BOUNDS,

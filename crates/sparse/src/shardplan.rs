@@ -12,9 +12,10 @@
 //! * **Balance by nnz, not rows.** Beam matrices are ~70–95% empty rows;
 //!   splitting by row count would leave the shard holding the beam core
 //!   with nearly all the work. The split sweeps the cumulative nnz curve
-//!   and cuts at `ceil(s * nnz / K)`, so every shard's traffic — the
-//!   quantity the timing model divides by per-device bandwidth — is within
-//!   one row of even.
+//!   and cuts where it reaches each shard's weighted share of the nnz
+//!   (`ceil(s * nnz / K)` for equal weights), so every shard's traffic —
+//!   the quantity the timing model divides by per-device bandwidth — is
+//!   within one row of its share.
 //! * **Disjoint row ranges ⇒ bitwise-reproducible merge.** A row's dose
 //!   depends only on its own nnz traversal order and the reduction tree of
 //!   the tile width it runs at — never on which device ran it. Each output
@@ -91,52 +92,19 @@ pub struct ShardPlan<V, I = u32> {
 }
 
 impl<V: DoseScalar, I: ColIndex> ShardPlan<V, I> {
-    /// Splits `m` into `k` contiguous row-range shards balanced by
-    /// cumulative nnz. `k` is clamped to `[1, max(1, nrows)]`; trailing
-    /// shards may own zero rows only when the matrix has fewer rows than
-    /// shards (never otherwise — every shard gets at least one row).
-    ///
-    /// Deterministic: the cut points are a pure function of the row-length
-    /// profile and `k`.
-    pub fn build(m: &Csr<V, I>, k: usize) -> Self {
-        let nrows = m.nrows();
-        let nnz = m.nnz();
-        let k = k.clamp(1, nrows.max(1));
-        let row_ptr = m.row_ptr();
-
-        // Cut at the first row where cumulative nnz reaches s*nnz/k,
-        // while reserving enough rows for the remaining shards.
-        let mut bounds = Vec::with_capacity(k + 1);
-        bounds.push(0usize);
-        let mut row = 0usize;
-        for s in 1..k {
-            let target = (nnz as u64 * s as u64).div_ceil(k as u64) as u32;
-            while row < nrows && row_ptr[row + 1] < target {
-                row += 1;
-            }
-            // Leave at least one row per remaining shard, and advance at
-            // least one row past the previous cut.
-            let max_start = nrows - (k - s);
-            let start = (row + 1).max(bounds[s - 1] + 1).min(max_start);
-            bounds.push(start);
-            row = start;
-        }
-        bounds.push(nrows);
-
-        Self::from_bounds(m, bounds)
-    }
-
     /// Splits `m` into `weights.len()` contiguous shards whose nnz shares
     /// are proportional to `weights` — shard `i` targets
     /// `nnz * w_i / Σw` entries, so a shard homed on a device with twice
     /// the modeled bandwidth gets twice the traffic and every shard
-    /// *finishes* at the same modeled time on a heterogeneous pool.
-    /// `build(m, k)` is the uniform-weights special case.
+    /// *finishes* at the same modeled time on a heterogeneous pool. With
+    /// `k` equal weights every shard targets `ceil(s * nnz / k)`.
     ///
-    /// The shard count is clamped to `[1, max(1, nrows)]` like
-    /// [`ShardPlan::build`] (excess trailing weights are dropped).
-    /// Deterministic: cut points are a pure function of the row-length
-    /// profile and the weight vector.
+    /// The shard count is clamped to `[1, max(1, nrows)]` (excess
+    /// trailing weights are dropped); trailing shards may own zero rows
+    /// only when the matrix has fewer rows than shards (never otherwise
+    /// — every shard gets at least one row). Deterministic: cut points
+    /// are a pure function of the row-length profile and the weight
+    /// vector.
     ///
     /// # Panics
     /// Panics if `weights` is empty or contains a non-finite or
@@ -153,8 +121,9 @@ impl<V: DoseScalar, I: ColIndex> ShardPlan<V, I> {
         let row_ptr = m.row_ptr();
         let total: f64 = weights[..k].iter().sum();
 
-        // Same sweep as `build`, but the cut target for shard boundary s
-        // is the cumulative *weight* fraction of total nnz.
+        // Cut at the first row where cumulative nnz reaches the
+        // cumulative *weight* fraction of total nnz, while reserving
+        // enough rows for the remaining shards.
         let mut bounds = Vec::with_capacity(k + 1);
         bounds.push(0usize);
         let mut row = 0usize;
@@ -162,54 +131,26 @@ impl<V: DoseScalar, I: ColIndex> ShardPlan<V, I> {
         for s in 1..k {
             prefix += weights[s - 1];
             // Division last: for uniform weights this is exactly
-            // `ceil(nnz * s / k)`, so `build` and `build_weighted`
-            // produce identical cut points.
+            // `ceil(nnz * s / k)`.
             let target = (nnz as f64 * prefix / total).ceil() as u32;
             while row < nrows && row_ptr[row + 1] < target {
                 row += 1;
             }
+            // Leave at least one row per remaining shard, and advance at
+            // least one row past the previous cut.
             let max_start = nrows - (k - s);
             let start = (row + 1).max(bounds[s - 1] + 1).min(max_start);
             bounds.push(start);
             row = start;
         }
         bounds.push(nrows);
-        Self::from_bounds(m, bounds)
-    }
-
-    /// Rebuilds a plan from persisted interior cut points (the vector
-    /// returned by [`ShardPlan::cut_points`]), skipping the cut sweep —
-    /// the snapshot cold-start path. `cuts` holds the `k - 1` interior
-    /// row boundaries; the implied outer bounds `0` and `nrows` are added.
-    ///
-    /// # Panics
-    /// Panics if the cuts are not strictly increasing within
-    /// `(0, nrows)` — callers (the snapshot loader) validate before
-    /// handing cuts over.
-    pub fn from_cuts(m: &Csr<V, I>, cuts: &[usize]) -> Self {
-        let nrows = m.nrows();
-        let mut bounds = Vec::with_capacity(cuts.len() + 2);
-        bounds.push(0usize);
-        for &c in cuts {
-            assert!(
-                c > *bounds.last().unwrap() && c < nrows,
-                "shard cut points must be strictly increasing within (0, nrows)"
-            );
-            bounds.push(c);
-        }
-        bounds.push(nrows);
-        Self::from_bounds(m, bounds)
-    }
-
-    fn from_bounds(m: &Csr<V, I>, bounds: Vec<usize>) -> Self {
-        let k = bounds.len() - 1;
         let shards = (0..k)
             .map(|s| Self::materialize(m, s, bounds[s], bounds[s + 1]))
             .collect();
         ShardPlan {
-            nrows: m.nrows(),
+            nrows,
             ncols: m.ncols(),
-            nnz: m.nnz(),
+            nnz,
             shards,
         }
     }
@@ -282,14 +223,6 @@ impl<V: DoseScalar, I: ColIndex> ShardPlan<V, I> {
         max as f64 / ideal
     }
 
-    /// The `k - 1` interior cut points (each shard's `row_start` except
-    /// the first) — everything needed to rebuild this plan via
-    /// [`ShardPlan::from_cuts`] without re-sweeping the nnz curve, and
-    /// what the RTDM v2 snapshot persists alongside the matrix.
-    pub fn cut_points(&self) -> Vec<usize> {
-        self.shards.iter().skip(1).map(|s| s.row_start).collect()
-    }
-
     /// Balance factor against a *weighted* ideal: the largest ratio of a
     /// shard's nnz over its weighted share `nnz * w_i / Σw`. 1.0 is a
     /// perfect throughput-weighted split; the plain
@@ -349,11 +282,16 @@ mod tests {
         Csr::from_rows(ncols, &rows).unwrap()
     }
 
+    /// `k` equally weighted shards.
+    fn uniform(m: &Csr<f64, u32>, k: usize) -> ShardPlan<f64> {
+        ShardPlan::build_weighted(m, &vec![1.0; k])
+    }
+
     #[test]
     fn shards_cover_all_rows_disjointly() {
         let m = beamlike(500, 80);
         for k in [1, 2, 3, 4, 7] {
-            let plan = ShardPlan::build(&m, k);
+            let plan = uniform(&m, k);
             assert_eq!(plan.num_shards(), k);
             let mut next = 0;
             for (i, s) in plan.shards().iter().enumerate() {
@@ -373,7 +311,7 @@ mod tests {
     #[test]
     fn shards_are_nnz_balanced_not_row_balanced() {
         let m = beamlike(800, 100);
-        let plan = ShardPlan::build(&m, 3);
+        let plan = uniform(&m, 3);
         // Every shard within one max-row of the ideal share.
         let ideal = m.nnz() as f64 / 3.0;
         let max_row = (0..m.nrows()).map(|r| m.row_len(r)).max().unwrap() as f64;
@@ -391,7 +329,7 @@ mod tests {
     #[test]
     fn sub_csr_rows_match_source_rows() {
         let m = beamlike(300, 60);
-        let plan = ShardPlan::build(&m, 4);
+        let plan = uniform(&m, 4);
         for s in plan.shards() {
             for local in 0..s.nrows() {
                 let (sc, sv) = s.matrix.row(local);
@@ -409,7 +347,7 @@ mod tests {
         let mut want = vec![0.0; 400];
         m.spmv_ref(&x, &mut want).unwrap();
         for k in [1, 2, 3, 4] {
-            let plan = ShardPlan::build(&m, k);
+            let plan = uniform(&m, k);
             let mut got = vec![f64::NAN; 400];
             for s in plan.shards() {
                 let mut part = vec![0.0; s.nrows()];
@@ -427,7 +365,7 @@ mod tests {
     #[test]
     fn per_shard_row_plans_describe_the_sub_csrs() {
         let m = beamlike(500, 80);
-        let plan = ShardPlan::build(&m, 3);
+        let plan = uniform(&m, 3);
         for s in plan.shards() {
             assert_eq!(s.plan.nrows(), s.nrows());
             assert_eq!(s.plan.nnz(), s.nnz());
@@ -441,10 +379,10 @@ mod tests {
     #[test]
     fn k_clamps_to_row_count() {
         let m = beamlike(3, 10);
-        let plan = ShardPlan::build(&m, 8);
+        let plan = uniform(&m, 8);
         assert_eq!(plan.num_shards(), 3);
         assert!(plan.shards().iter().all(|s| s.nrows() == 1));
-        let one = ShardPlan::build(&m, 0);
+        let one = uniform(&m, 1);
         assert_eq!(one.num_shards(), 1);
         assert_eq!(one.shards()[0].nrows(), 3);
     }
@@ -467,38 +405,24 @@ mod tests {
     }
 
     #[test]
-    fn uniform_weights_match_build() {
+    fn uniform_weights_cut_at_the_integer_nnz_targets() {
         let m = beamlike(500, 80);
+        let row_ptr = m.row_ptr();
         for k in [1, 2, 3, 5] {
-            let uniform = ShardPlan::build(&m, k);
-            let weighted = ShardPlan::build_weighted(&m, &vec![1.0; k]);
-            let cuts_u: Vec<usize> = uniform.shards().iter().map(|s| s.row_start).collect();
-            let cuts_w: Vec<usize> = weighted.shards().iter().map(|s| s.row_start).collect();
-            assert_eq!(cuts_u, cuts_w, "k={k}");
+            // Boundary s sits at the first row where the cumulative nnz
+            // reaches `ceil(s * nnz / k)`.
+            let want: Vec<usize> = (1..k)
+                .map(|s| {
+                    let target = (m.nnz() * s).div_ceil(k) as u32;
+                    (1..=m.nrows()).find(|&j| row_ptr[j] >= target).unwrap()
+                })
+                .collect();
+            let got: Vec<usize> = uniform(&m, k).shards()[1..]
+                .iter()
+                .map(|s| s.row_start)
+                .collect();
+            assert_eq!(got, want, "k={k}");
         }
-    }
-
-    #[test]
-    fn cut_points_round_trip_through_from_cuts() {
-        let m = beamlike(500, 80);
-        let plan = ShardPlan::build_weighted(&m, &[3.0, 1.0, 2.0]);
-        let cuts = plan.cut_points();
-        assert_eq!(cuts.len(), 2);
-        let back = ShardPlan::from_cuts(&m, &cuts);
-        assert_eq!(back.num_shards(), plan.num_shards());
-        for (a, b) in plan.shards().iter().zip(back.shards()) {
-            assert_eq!(a.row_start, b.row_start);
-            assert_eq!(a.row_end, b.row_end);
-            assert_eq!(a.matrix, b.matrix);
-        }
-        assert_eq!(back.cut_points(), cuts);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn from_cuts_rejects_unsorted() {
-        let m = beamlike(100, 20);
-        let _ = ShardPlan::from_cuts(&m, &[40, 40]);
     }
 
     #[test]
@@ -515,7 +439,7 @@ mod tests {
         let mut rows = vec![vec![(0usize, 1.0f64), (1, 2.0), (2, 3.0)]; 4];
         rows.extend(std::iter::repeat_with(Vec::new).take(60));
         let m: Csr<f64, u32> = Csr::from_rows(8, &rows).unwrap();
-        let plan = ShardPlan::build(&m, 4);
+        let plan = uniform(&m, 4);
         assert_eq!(plan.num_shards(), 4);
         let covered: usize = plan.shards().iter().map(|s| s.nrows()).sum();
         assert_eq!(covered, 64);

@@ -28,9 +28,7 @@ use rtdose::kernels::{
 };
 use rtdose::optim::{optimize, GpuDoseEngine, Objective, ObjectiveTerm, OptimizerConfig};
 use rtdose::sparse::stats::{MatrixSummary, RowStats};
-use rtdose::sparse::{
-    load_csr, save_csr, save_csr_with_cuts, Csr, RowPlan, RsCompressed, ShardPlan,
-};
+use rtdose::sparse::{load_csr, save_csr, Csr, RowPlan, RsCompressed, ShardPlan};
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -44,7 +42,6 @@ fn usage() -> ! {
          USAGE:\n\
            rtdose info\n\
            rtdose generate --case <liver|prostate> [--beam N] [--shrink S] --out FILE\n\
-                           [--shards K]        (embed K nnz-balanced shard cuts in the snapshot)\n\
            rtdose stats    --matrix FILE\n\
            rtdose spmv     --matrix FILE [--device a100|v100|p100]\n\
                            [--kernel half-double|single|baseline] [--tpb N] [--repeat N]\n\
@@ -202,11 +199,11 @@ fn parse_shards(flags: &HashMap<String, String>) -> Option<Option<usize>> {
 }
 
 /// serve-demo `--shards`: maps 1:1 onto [`ShardSpec`] — absent means
-/// no sharding, `auto` defers to the break-even model at registration,
-/// an integer forces the per-group shard count.
+/// no sharding (`Fixed(1)`), `auto` defers to the break-even model at
+/// registration, an integer forces the per-group shard count.
 fn parse_shard_spec(flags: &HashMap<String, String>) -> ShardSpec {
     match parse_shards(flags) {
-        None => ShardSpec::Off,
+        None => ShardSpec::Fixed(1),
         Some(None) => ShardSpec::Auto,
         Some(Some(k)) => ShardSpec::Fixed(k),
     }
@@ -285,21 +282,7 @@ fn cmd_generate(flags: HashMap<String, String>) {
     let case = generate_case(&flags);
     let m16: Csr<F16, u32> = case.matrix.convert_values();
     let mut file = std::fs::File::create(out).expect("create output file");
-    // --shards K embeds the nnz-balanced cut points in the snapshot (v2
-    // container) so `register_plan_snapshot` cold starts reuse them
-    // instead of re-sharding the full CSR.
-    let cuts = match parse_shards(&flags) {
-        None => None,
-        Some(None) => {
-            eprintln!("generate needs an explicit shard count (got --shards auto)");
-            usage();
-        }
-        Some(Some(k)) => Some(ShardPlan::build(&m16, k).cut_points()),
-    };
-    match &cuts {
-        Some(c) => save_csr_with_cuts(&m16, c, &mut file).expect("write snapshot"),
-        None => save_csr(&m16, &mut file).expect("write snapshot"),
-    }
+    save_csr(&m16, &mut file).expect("write snapshot");
     println!(
         "{}: {} voxels x {} spots, {} non-zeros -> {} ({} bytes, {:.1?})",
         case.name,
@@ -310,9 +293,6 @@ fn cmd_generate(flags: HashMap<String, String>) {
         m16.size_bytes(),
         t0.elapsed()
     );
-    if let Some(c) = cuts {
-        println!("  embedded {} shard cut point(s) at rows {:?}", c.len(), c);
-    }
 }
 
 fn load_matrix(flags: &HashMap<String, String>) -> Csr<F16, u32> {
@@ -403,15 +383,16 @@ fn run_vector_spmv<V: DoseScalar, X: VecScalar>(
     (g.merged, Some((report, choice.mode, plan)))
 }
 
-/// `--shards K`: the snapshot is served as one dose request through an
-/// engine over K identical devices, placed as one replica group of K
-/// throughput-weighted row shards (one resident per device). Widths are
-/// pinned from the *whole* matrix before the split, so the merged dose
-/// is bitwise identical to the unsharded kernel — the table shows where
-/// the pool's modeled time goes (per-shard compute plus the
-/// interconnect gather of its rows). The engine runs the half-double
-/// kernel only.
+/// `--shards K`: the snapshot file at `path` (holding `m`) is registered
+/// with an engine over K identical devices and served as one dose
+/// request, placed as one replica group of K throughput-weighted row
+/// shards (one resident per device). Widths are pinned from the *whole*
+/// matrix before the split, so the merged dose is bitwise identical to
+/// the unsharded kernel — the table shows where the pool's modeled time
+/// goes (per-shard compute plus the interconnect gather of its rows).
+/// The engine runs the half-double kernel only.
 fn run_sharded_spmv(
+    path: &str,
     m: &Csr<F16, u32>,
     dev: &DeviceSpec,
     tpb: u32,
@@ -441,7 +422,7 @@ fn run_sharded_spmv(
         .build()
         .unwrap_or_else(|e| fail("cannot build engine", e));
     engine
-        .register_plan("snapshot", &m.convert_values())
+        .register_plan_snapshot("snapshot", path)
         .unwrap_or_else(|e| fail("cannot register the snapshot", e));
     let (response, _) =
         engine.serve(|c| c.call("snapshot", RequestKind::Dose, vec![1.0; m.ncols()]));
@@ -500,7 +481,15 @@ fn cmd_spmv(flags: HashMap<String, String>) {
         .map(String::as_str)
         .unwrap_or("half-double");
     if let Some(k) = parse_shards(&flags) {
-        run_sharded_spmv(&m, &dev, tpb, k.unwrap_or(3), kernel, parse_select(&flags));
+        run_sharded_spmv(
+            &flags["matrix"],
+            &m,
+            &dev,
+            tpb,
+            k.unwrap_or(3),
+            kernel,
+            parse_select(&flags),
+        );
         return;
     }
     let partition = parse_partition(&flags);

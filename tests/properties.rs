@@ -10,10 +10,7 @@ use rtdose::f16::{Bf16, DoseScalar, F16};
 use rtdose::gpusim::{DeviceSpec, Gpu};
 use rtdose::kernels::{vector_csr_spmm, GpuCsrMatrix, RsCpu};
 use rtdose::sparse::stats::RowStats;
-use rtdose::sparse::{
-    load_csr, load_csr_with_cuts, save_csr, save_csr_with_cuts, Coo, Csr, Ell, RsCompressed,
-    SellCSigma, ShardPlan,
-};
+use rtdose::sparse::{load_csr, save_csr, Coo, Csr, Ell, RsCompressed, SellCSigma, SnapshotError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 const CASES: u64 = 48;
@@ -252,14 +249,14 @@ fn splice(bytes: &mut [u8], at: usize, width: usize, rng: &mut StdRng) {
 }
 
 /// One to three seeded mutations of a valid snapshot: byte flips, a
-/// truncation, or a spliced header, row-pointer or cut field.
-fn mutate(rng: &mut StdRng, valid: &[u8], ncuts: usize) -> Vec<u8> {
+/// truncation, or a spliced header or row-pointer field.
+fn mutate(rng: &mut StdRng, valid: &[u8]) -> Vec<u8> {
     let mut bytes = valid.to_vec();
     for _ in 0..rng.gen_range(1..=3) {
         if bytes.is_empty() {
             break;
         }
-        match rng.gen_range(0..6u32) {
+        match rng.gen_range(0..5u32) {
             0 => {
                 for _ in 0..rng.gen_range(1..=4) {
                     let at = rng.gen_range(0..bytes.len());
@@ -275,31 +272,21 @@ fn mutate(rng: &mut StdRng, valid: &[u8], ncuts: usize) -> Vec<u8> {
                 let at = HEADER_U64S[rng.gen_range(0..3usize)];
                 splice(&mut bytes, at, 8, rng);
             }
-            4 => {
+            _ => {
                 // A row-pointer entry (they start right after the header).
                 let at = 40 + 4 * rng.gen_range(0..8usize);
                 splice(&mut bytes, at, 4, rng);
-            }
-            _ => {
-                // The version-2 tail: the cut count or one cut.
-                let Some(tail) = valid.len().checked_sub(4 + 8 * ncuts) else {
-                    continue;
-                };
-                if ncuts == 0 || rng.gen_bool(0.5) {
-                    splice(&mut bytes, tail, 4, rng);
-                } else {
-                    splice(&mut bytes, tail + 4 + 8 * rng.gen_range(0..ncuts), 8, rng);
-                }
             }
         }
     }
     bytes
 }
 
-/// Snapshots are untrusted input: every mutation of a valid version-1 or
-/// version-2 snapshot loads as a matrix or fails with a typed
-/// `SnapshotError`, and never panics. Persisted cuts that load are valid
-/// for `ShardPlan::from_cuts`.
+/// Snapshots are untrusted input: every mutation of a valid snapshot
+/// loads as a matrix or fails with a typed `SnapshotError`, and never
+/// panics. A well-formed version-2 file (the matrix followed by shard
+/// cut points, a format no longer read) fails with
+/// `UnsupportedVersion(2)`.
 #[test]
 fn mutated_snapshots_load_or_fail_typed_and_never_panic() {
     for_each_case(
@@ -307,37 +294,29 @@ fn mutated_snapshots_load_or_fail_typed_and_never_panic() {
         |rng| {
             let (nrows, ncols, triplets) = random_matrix(rng);
             let m: Csr<F16, u32> = build(nrows, ncols, &triplets).convert_values();
-            let cuts: Vec<usize> = (1..nrows).filter(|_| rng.gen_bool(0.2)).collect();
-            let mut v1 = Vec::new();
-            save_csr(&m, &mut v1).unwrap();
-            let mut v2 = Vec::new();
-            save_csr_with_cuts(&m, &cuts, &mut v2).unwrap();
+            let mut valid = Vec::new();
+            save_csr(&m, &mut valid).unwrap();
             let mut failed = 0;
-            for (valid, ncuts) in [(&v1, 0), (&v2, cuts.len())] {
-                for k in 0..32 {
-                    let bytes = mutate(rng, valid, ncuts);
-                    let plain =
-                        catch_unwind(|| load_csr::<F16, u32, _>(&mut bytes.as_slice()).is_ok());
-                    let with_cuts = catch_unwind(|| {
-                        match load_csr_with_cuts::<F16, u32, _>(&mut bytes.as_slice()) {
-                            Ok((m, Some(cuts))) => {
-                                ShardPlan::from_cuts(&m, &cuts);
-                                true
-                            }
-                            Ok((_, None)) => true,
-                            Err(_) => false,
-                        }
-                    });
-                    match (plain, with_cuts) {
-                        (Ok(a), Ok(b)) => {
-                            assert_eq!(a, b, "mutation {k}: the loaders disagree");
-                            failed += usize::from(!a);
-                        }
-                        _ => panic!("mutation {k} ({} bytes) panicked", bytes.len()),
-                    }
+            for k in 0..64 {
+                let bytes = mutate(rng, &valid);
+                match catch_unwind(|| load_csr::<F16, u32, _>(&mut bytes.as_slice()).is_ok()) {
+                    Ok(loaded) => failed += usize::from(!loaded),
+                    Err(_) => panic!("mutation {k} ({} bytes) panicked", bytes.len()),
                 }
             }
             assert!(failed > 0, "no mutation was rejected");
+
+            let cuts: Vec<u64> = (1..nrows as u64).filter(|_| rng.gen_bool(0.2)).collect();
+            let mut v2 = valid.clone();
+            v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+            v2.extend_from_slice(&(cuts.len() as u32).to_le_bytes());
+            for c in cuts {
+                v2.extend_from_slice(&c.to_le_bytes());
+            }
+            assert!(matches!(
+                load_csr::<F16, u32, _>(&mut v2.as_slice()),
+                Err(SnapshotError::UnsupportedVersion(2))
+            ));
         },
     );
 }
