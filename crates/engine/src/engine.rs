@@ -40,8 +40,8 @@
 //! [`DoseCalculator::compute_dose_batch`]: rt_core::DoseCalculator::compute_dose_batch
 
 use crate::metrics::{
-    BatchSample, BreakEvenSelection, BucketSelection, EngineReport, Metrics, PlacementSelection,
-    PlanSelection, PlanShard, ReplicaGroupSelection,
+    BatchSample, BucketSelection, EngineReport, Metrics, PlacementSelection, PlanSelection,
+    PlanShard, ReplicaGroupSelection,
 };
 use crate::policy::{ExecPolicy, ReplicaSpec, ShardSpec};
 use crate::queue::BoundedQueue;
@@ -1169,14 +1169,7 @@ impl Engine {
                                 served: served[g],
                             })
                             .collect(),
-                        breakeven: pl.groups[0]
-                            .breakeven
-                            .iter()
-                            .map(|b| BreakEvenSelection {
-                                k: b.k,
-                                modeled_seconds: b.modeled_seconds,
-                            })
-                            .collect(),
+                        breakeven: pl.groups[0].breakeven.clone(),
                     }),
                 }
             })

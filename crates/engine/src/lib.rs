@@ -61,8 +61,8 @@ mod queue;
 
 pub use engine::{Engine, EngineBuilder, EngineClient, EngineResponse, RequestKind, Ticket};
 pub use metrics::{
-    BreakEvenSelection, BucketSelection, DeviceReport, EngineReport, PlacementSelection,
-    PlanSelection, PlanShard, ReplicaGroupSelection,
+    BucketSelection, DeviceReport, EngineReport, PlacementSelection, PlanSelection, PlanShard,
+    ReplicaGroupSelection,
 };
 pub use optim::ServedDoseEngine;
 pub use policy::{ExecPolicy, ExecPolicyBuilder, ReplicaSpec, ShardSpec};

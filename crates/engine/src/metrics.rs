@@ -6,6 +6,7 @@
 //! [`EngineReport::to_json`] renders through the same
 //! [`rt_gpusim::json::Json`] writer as `LaunchReport` (stable keys).
 
+use rt_core::BreakEvenPoint;
 use rt_gpusim::json::Json;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -98,7 +99,7 @@ pub struct PlacementSelection {
     /// Break-even evidence table for group 0 (auto-sharded plans only):
     /// the modeled single-request seconds at every candidate shard
     /// count.
-    pub breakeven: Vec<BreakEvenSelection>,
+    pub breakeven: Vec<BreakEvenPoint>,
 }
 
 /// One replica group's membership and traffic share.
@@ -114,13 +115,6 @@ pub struct ReplicaGroupSelection {
     /// session (dispatch picks the least-loaded group, so these should
     /// stay balanced under concurrent load).
     pub served: u64,
-}
-
-/// One row of the break-even table ([`rt_core::BreakEvenPoint`]).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct BreakEvenSelection {
-    pub k: usize,
-    pub modeled_seconds: f64,
 }
 
 /// One row-range shard of a plan: where its rows live and what it costs
@@ -715,11 +709,11 @@ mod tests {
                     },
                 ],
                 breakeven: vec![
-                    BreakEvenSelection {
+                    BreakEvenPoint {
                         k: 1,
                         modeled_seconds: 3.3e-5,
                     },
-                    BreakEvenSelection {
+                    BreakEvenPoint {
                         k: 2,
                         modeled_seconds: 2.1e-5,
                     },

@@ -17,6 +17,9 @@
 //! values  nnz x value
 //! ```
 //!
+//! Nothing follows `values`: a snapshot with bytes after it fails to
+//! load with [`SnapshotError::TrailingBytes`].
+//!
 //! A snapshot holds the matrix only: a serving engine derives its shard
 //! cuts from the matrix and its device pool at registration
 //! ([`crate::ShardPlan::build_weighted`]).
@@ -96,6 +99,8 @@ pub enum SnapshotError {
         found: (u32, u32),
     },
     Truncated,
+    /// This many bytes follow the values array.
+    TrailingBytes(usize),
     Structure(SparseError),
 }
 
@@ -112,6 +117,7 @@ impl std::fmt::Display for SnapshotError {
                 )
             }
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
+            SnapshotError::TrailingBytes(n) => write!(f, "{n} bytes after the values array"),
             SnapshotError::Structure(e) => write!(f, "invalid matrix structure: {e}"),
         }
     }
@@ -212,6 +218,9 @@ where
     for _ in 0..nnz {
         values.push(V::read_from(take(&mut pos, V::SIZE)?));
     }
+    if pos != data.len() {
+        return Err(SnapshotError::TrailingBytes(data.len() - pos));
+    }
 
     Csr::try_new(nrows, ncols, row_ptr, col_idx, values).map_err(SnapshotError::Structure)
 }
@@ -297,6 +306,17 @@ mod tests {
         assert!(matches!(
             load_csr::<F16, u32, _>(&mut buf.as_slice()),
             Err(SnapshotError::Truncated)
+        ));
+    }
+
+    #[test]
+    fn rejects_trailing_bytes() {
+        let mut buf = Vec::new();
+        save_csr(&sample(), &mut buf).unwrap();
+        buf.extend_from_slice(&[0u8; 3]);
+        assert!(matches!(
+            load_csr::<F16, u32, _>(&mut buf.as_slice()),
+            Err(SnapshotError::TrailingBytes(3))
         ));
     }
 

@@ -1,8 +1,8 @@
 //! `rtdose` — command-line front end: generate dose deposition matrices,
 //! inspect their structure, run the SpMV kernels on a simulated GPU, and
-//! optimize a plan. A thin shell over the library crates; argument
-//! parsing is hand-rolled to keep the dependency set at the workspace
-//! baseline.
+//! optimize a plan. A thin shell over the library crates. Each command's
+//! flags are declared once, in `COMMANDS`: the parser, the value checks
+//! and the usage text all read that table.
 //!
 //! ```text
 //! rtdose info
@@ -15,109 +15,223 @@
 //! ```
 
 use rtdose::dose::cases::{liver_case, prostate_case, DoseCase, ScaleConfig};
-use rtdose::engine::{
-    Engine, EngineReport, ExecPolicy, ReplicaSpec, RequestKind, RtError, ShardSpec,
-};
+use rtdose::engine::{Engine, EngineReport, ExecPolicy, ReplicaSpec, RequestKind, ShardSpec};
 use rtdose::f16::{DoseScalar, F16};
 use rtdose::gpusim::{gather_estimate, DeviceSpec, Gpu, GroupReport, KernelProfile, KernelStats};
 use rtdose::kernels::{
     bucketed_group_report, heuristic_width, profile_baseline, profile_half_double, profile_single,
     rs_baseline_gpu_spmv, vector_csr_spmm, vector_csr_spmm_bucketed, BucketChoice, BucketWidths,
     GpuCsrMatrix, GpuRowPlan, GpuRsMatrix, KernelChoice, KernelSelect, PartitionStrategy,
-    VecScalar, TILE_WIDTHS,
+    VecScalar,
 };
 use rtdose::optim::{optimize, GpuDoseEngine, Objective, ObjectiveTerm, OptimizerConfig};
 use rtdose::sparse::stats::{MatrixSummary, RowStats};
 use rtdose::sparse::{load_csr, save_csr, Csr, RowPlan, RsCompressed, ShardPlan};
 use std::collections::HashMap;
-use std::process::ExitCode;
+use std::fmt::Display;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+/// How a command takes one of the arguments in its flag table.
+#[derive(PartialEq)]
+enum Kind {
+    /// `[--name VALUE]`.
+    Optional,
+    /// `--name VALUE`: the command does not run without it.
+    Required,
+    /// `[--name] VALUE`: required, and a bare argument fills it.
+    Positional,
+}
+use Kind::{Optional, Positional, Required};
+
+/// One row of a command's flag table: the flag `--name`, its value
+/// syntax and a one-line note (empty for none). A syntax with `|` lists
+/// every value the flag accepts; a capital letter among them (`K`, `R`)
+/// stands for any positive integer.
+struct Arg {
+    kind: Kind,
+    name: &'static str,
+    syntax: &'static str,
+    note: &'static str,
+}
+
+const fn arg(kind: Kind, name: &'static str, syntax: &'static str, note: &'static str) -> Arg {
+    Arg {
+        kind,
+        name,
+        syntax,
+        note,
+    }
+}
+
+impl Arg {
+    /// Whether `value` fits the row's syntax: any value does unless the
+    /// syntax lists choices.
+    fn accepts(&self, value: &str) -> bool {
+        let positive = value.parse::<usize>().is_ok_and(|n| n >= 1);
+        !self.syntax.contains('|')
+            || self.syntax.split('|').any(|choice| {
+                choice == value
+                    || (positive && choice.len() == 1 && choice != choice.to_lowercase())
+            })
+    }
+
+    /// The row as the usage text spells it.
+    fn spelled(&self) -> String {
+        match self.kind {
+            Optional => format!("[--{} {}]", self.name, self.syntax),
+            Required => format!("--{} {}", self.name, self.syntax),
+            Positional => format!("[--{}] {}", self.name, self.syntax),
+        }
+    }
+}
+
+/// A command: its name, its flag table and its handler. A handler's
+/// `Err` is a usage error, printed with the usage text (exit code 2).
+struct Command {
+    name: &'static str,
+    args: &'static [Arg],
+    run: fn(&Flags) -> Result<(), String>,
+}
+
+const MATRIX: Arg = arg(Required, "matrix", "FILE", "");
+const CASE: Arg = arg(Required, "case", "liver|prostate", "");
+const BEAM: Arg = arg(Optional, "beam", "N", "");
+const SHRINK: Arg = arg(Optional, "shrink", "S", "");
+const DEVICE: Arg = arg(Optional, "device", "a100|v100|p100", "");
+const TPB: Arg = arg(Optional, "tpb", "N", "");
+const TILE: Arg = arg(Optional, "tile", "auto|2|4|8|16|32", "");
+const PARTITION: Arg = arg(Optional, "partition", "heuristic|probe", "");
+
+#[rustfmt::skip]
+static COMMANDS: &[Command] = &[
+    Command { name: "info", run: cmd_info, args: &[] },
+    Command { name: "generate", run: cmd_generate, args: &[
+        CASE, BEAM, SHRINK, arg(Required, "out", "FILE", ""),
+    ] },
+    Command { name: "stats", run: cmd_stats, args: &[MATRIX] },
+    Command { name: "spmv", run: cmd_spmv, args: &[
+        MATRIX, DEVICE, arg(Optional, "kernel", "half-double|single|baseline", ""), TPB,
+        arg(Optional, "repeat", "N", ""), TILE, PARTITION,
+        arg(Optional, "shards", "auto|K",
+            "K-device pool, one row shard each; auto = 3; half-double kernel only"),
+    ] },
+    Command { name: "kernels", run: cmd_kernels, args: &[
+        arg(Positional, "matrix", "FILE", ""), DEVICE, TPB,
+    ] },
+    Command { name: "optimize", run: cmd_optimize, args: &[
+        CASE, BEAM, SHRINK, arg(Optional, "iters", "N", ""),
+    ] },
+    Command { name: "serve-demo", run: cmd_serve_demo, args: &[
+        arg(Optional, "requests", "N", ""), SHRINK, arg(Optional, "submitters", "N", ""),
+        arg(Optional, "devices", "N", ""), TILE, PARTITION,
+        arg(Optional, "shards", "auto|K", "K row shards per replica group; auto = break-even model"),
+        arg(Optional, "replicas", "auto|R", "R replica groups over the pool; auto = pool/K"),
+        arg(Optional, "drain-after", "N", "drain the last pool device once N requests completed"),
+    ] },
+];
+
+/// The usage text: every command with its flag table indented under it,
+/// one row a line.
+fn usage_text() -> String {
+    let width = COMMANDS
+        .iter()
+        .flat_map(|c| c.args)
+        .map(|a| a.spelled().len())
+        .max()
+        .unwrap_or(0);
+    let mut text = String::from("rtdose — radiation-therapy dose calculation toolbox\n\nUSAGE:\n");
+    for c in COMMANDS {
+        text += &format!("  rtdose {}\n", c.name);
+        for a in c.args {
+            text += format!("      {:<width$}  {}", a.spelled(), a.note).trim_end();
+            text.push('\n');
+        }
+    }
+    text + "\nK and R are positive integers. Matrices are stored as RTDM snapshots\n\
+            (binary16 values, u32 indices)."
+}
+
 fn usage() -> ! {
-    eprintln!(
-        "rtdose — radiation-therapy dose calculation toolbox\n\
-         \n\
-         USAGE:\n\
-           rtdose info\n\
-           rtdose generate --case <liver|prostate> [--beam N] [--shrink S] --out FILE\n\
-           rtdose stats    --matrix FILE\n\
-           rtdose spmv     --matrix FILE [--device a100|v100|p100]\n\
-                           [--kernel half-double|single|baseline] [--tpb N] [--repeat N]\n\
-                           [--tile auto|2|4|8|16|32] [--partition heuristic|probe]\n\
-                           [--shards auto|K]   (K-device pool, one row shard each; auto = 3;\n\
-                           \u{20}                   half-double kernel only)\n\
-           rtdose kernels  FILE [--device a100|v100|p100] [--tpb N]\n\
-           rtdose optimize --case <liver|prostate> [--shrink S] [--iters N]\n\
-           rtdose serve-demo [--requests N] [--shrink S] [--submitters N] [--devices N]\n\
-                           [--tile auto|2|4|8|16|32] [--partition heuristic|probe]\n\
-                           [--shards auto|K]   (K row shards per replica group; auto = break-even model)\n\
-                           [--replicas auto|R] (R replica groups over the pool; auto = pool/K)\n\
-                           [--drain-after N]   (drain the last pool device once N requests\n\
-                           \u{20}                   completed; every plan re-deals over the rest)\n\
-         \n\
-         Matrices are stored as RTDM snapshots (binary16 values, u32 indices)."
-    );
+    eprintln!("{}", usage_text());
     std::process::exit(2);
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            if i + 1 >= args.len() {
-                eprintln!("missing value for --{name}");
-                usage();
+/// Prints `what: e` and exits 1: the arguments were fine, but the run
+/// could not finish.
+fn fail(what: impl Display, e: impl Display) -> ! {
+    eprintln!("{what}: {e}");
+    std::process::exit(1);
+}
+
+/// A command's arguments, each checked against its flag table.
+struct Flags {
+    command: &'static Command,
+    values: HashMap<&'static str, String>,
+}
+
+impl Flags {
+    /// Parses `args` for `command`. An undeclared or repeated flag, a
+    /// flag without a value, a value outside its row's syntax, a stray
+    /// positional argument and a missing required one are errors.
+    fn parse(command: &'static Command, args: &[String]) -> Result<Flags, String> {
+        let mut values = HashMap::new();
+        let mut rest = args.iter();
+        while let Some(a) = rest.next() {
+            let (arg, value) = match a.strip_prefix("--") {
+                Some(name) => (command.args.iter().find(|f| f.name == name), rest.next()),
+                None => (command.args.iter().find(|f| f.kind == Positional), Some(a)),
+            };
+            let arg = arg.ok_or_else(|| format!("rtdose {} does not take {a}", command.name))?;
+            let value = value.ok_or_else(|| format!("missing value for {a}"))?;
+            if !arg.accepts(value) {
+                return Err(format!(
+                    "--{} must be {}, got {value:?}",
+                    arg.name, arg.syntax
+                ));
             }
-            flags.insert(name.to_string(), args[i + 1].clone());
-            i += 2;
-        } else {
-            eprintln!("unexpected argument: {a}");
-            usage();
+            if values.insert(arg.name, value.clone()).is_some() {
+                return Err(format!("--{} given more than once", arg.name));
+            }
+        }
+        let mut required = command.args.iter().filter(|f| f.kind != Optional);
+        match required.find(|f| !values.contains_key(f.name)) {
+            Some(f) => Err(format!("rtdose {} requires {}", command.name, f.spelled())),
+            None => Ok(Flags { command, values }),
         }
     }
-    flags
-}
 
-/// Parses the numeric flag `--name`: `Ok(None)` when it is absent, an
-/// error message when its value does not parse as a `T`.
-fn parse_num<T: FromStr>(flags: &HashMap<String, String>, name: &str) -> Result<Option<T>, String>
-where
-    T::Err: std::fmt::Display,
-{
-    flags
-        .get(name)
-        .map(|s| {
-            s.parse()
-                .map_err(|e| format!("--{name} expects a number, got {s:?} ({e})"))
-        })
-        .transpose()
-}
+    /// The value of `--name`, `None` when absent. Panics when `name` is
+    /// not in the command's flag table.
+    fn get(&self, name: &str) -> Option<&str> {
+        let declared = self.command.args.iter().any(|a| a.name == name);
+        assert!(declared, "flag read but not declared: --{name}");
+        self.values.get(name).map(String::as_str)
+    }
 
-/// A flag parse for command handlers: a bad value prints the error and
-/// the usage text instead of panicking.
-fn or_usage<T>(parsed: Result<T, String>) -> T {
-    parsed.unwrap_or_else(|e| {
-        eprintln!("{e}");
-        usage();
-    })
-}
+    /// The numeric flag `--name`: `Ok(None)` when it is absent, an error
+    /// message when its value does not parse as a `T`.
+    fn num<T: FromStr<Err: Display>>(&self, name: &str) -> Result<Option<T>, String> {
+        self.get(name)
+            .map(|s| {
+                s.parse()
+                    .map_err(|e| format!("--{name} expects a number, got {s:?} ({e})"))
+            })
+            .transpose()
+    }
 
-/// [`parse_num`] through [`or_usage`].
-fn num_flag<T: FromStr>(flags: &HashMap<String, String>, name: &str) -> Option<T>
-where
-    T::Err: std::fmt::Display,
-{
-    or_usage(parse_num(flags, name))
+    /// An `auto|K` flag: `None` when absent, `Some(None)` on auto and
+    /// `Some(Some(k))` for a count.
+    fn count(&self, name: &str) -> Option<Option<usize>> {
+        self.get(name).map(|s| s.parse().ok())
+    }
 }
 
 /// `--shrink` as a [`ScaleConfig`], `default` when absent. A value below
 /// 1 or not finite is an error, not the full-size case.
-fn parse_scale(flags: &HashMap<String, String>, default: f64) -> Result<ScaleConfig, String> {
-    let shrink = parse_num::<f64>(flags, "shrink")?.unwrap_or(default);
+fn parse_scale(flags: &Flags, default: f64) -> Result<ScaleConfig, String> {
+    let shrink = flags.num::<f64>("shrink")?.unwrap_or(default);
     if shrink.is_finite() && shrink >= 1.0 {
         Ok(ScaleConfig { shrink })
     } else {
@@ -128,134 +242,57 @@ fn parse_scale(flags: &HashMap<String, String>, default: f64) -> Result<ScaleCon
 }
 
 /// serve-demo `--devices`: the pool size, 3 when absent; 0 is an error.
-fn parse_devices(flags: &HashMap<String, String>) -> Result<usize, String> {
-    match parse_num(flags, "devices")?.unwrap_or(3) {
+fn parse_devices(flags: &Flags) -> Result<usize, String> {
+    match flags.num("devices")?.unwrap_or(3) {
         0 => Err("--devices must be at least 1, got 0".to_string()),
         n => Ok(n),
     }
 }
 
-/// `--tile`: `None` means auto (let the autotuner pick), `Some(w)` pins
-/// a validated width.
-fn parse_tile(flags: &HashMap<String, String>) -> Option<u32> {
-    match flags.get("tile").map(String::as_str) {
-        None | Some("auto") => None,
-        Some(s) => match s.parse::<u32>() {
-            Ok(w) if TILE_WIDTHS.contains(&w) => Some(w),
-            _ => {
-                eprintln!("--tile must be auto, 2, 4, 8, 16 or 32 (got {s})");
-                usage();
-            }
-        },
-    }
-}
-
-/// `--partition`: `None` means whole-matrix dispatch, `Some(strategy)`
-/// routes rows through the bucketed row-partition plan. Mutually
-/// exclusive with a pinned `--tile` width (the partition picks a width
-/// per bucket).
-fn parse_partition(flags: &HashMap<String, String>) -> Option<PartitionStrategy> {
-    let strategy = match flags.get("partition").map(String::as_str) {
-        None => return None,
-        Some("heuristic") => PartitionStrategy::Heuristic,
-        Some("probe") => PartitionStrategy::MeasuredProbe,
-        Some(s) => {
-            eprintln!("--partition must be heuristic or probe (got {s})");
-            usage();
-        }
-    };
-    if flags.contains_key("tile") {
-        eprintln!("--partition and --tile are mutually exclusive (the partition picks a width per bucket)");
-        usage();
-    }
-    Some(strategy)
-}
-
 /// `--partition` / `--tile` as the engine's [`KernelSelect`]: a
 /// partition strategy, a pinned width, or the statistics heuristic on
-/// auto.
-fn parse_select(flags: &HashMap<String, String>) -> KernelSelect {
-    match (parse_partition(flags), parse_tile(flags)) {
-        (Some(strategy), _) => KernelSelect::Partitioned(strategy),
-        (None, Some(w)) => KernelSelect::Fixed(w),
-        (None, None) => KernelSelect::Heuristic,
-    }
-}
-
-/// `--shards`: `None` disables sharding, `Some(None)` means auto (match
-/// the pool size), `Some(Some(k))` pins the shard count.
-fn parse_shards(flags: &HashMap<String, String>) -> Option<Option<usize>> {
-    match flags.get("shards").map(String::as_str) {
-        None => None,
-        Some("auto") => Some(None),
-        Some(s) => match s.parse::<usize>() {
-            Ok(k) if k >= 1 => Some(Some(k)),
-            _ => {
-                eprintln!("--shards must be auto or a positive integer (got {s})");
-                usage();
-            }
-        },
-    }
-}
-
-/// serve-demo `--shards`: maps 1:1 onto [`ShardSpec`] — absent means
-/// no sharding (`Fixed(1)`), `auto` defers to the break-even model at
-/// registration, an integer forces the per-group shard count.
-fn parse_shard_spec(flags: &HashMap<String, String>) -> ShardSpec {
-    match parse_shards(flags) {
-        None => ShardSpec::Fixed(1),
-        Some(None) => ShardSpec::Auto,
-        Some(Some(k)) => ShardSpec::Fixed(k),
-    }
-}
-
-/// serve-demo `--replicas`: maps 1:1 onto [`ReplicaSpec`] — absent or
-/// `auto` derives the group count from the resolved shard count, an
-/// integer forces it.
-fn parse_replicas(flags: &HashMap<String, String>) -> ReplicaSpec {
-    match flags.get("replicas").map(String::as_str) {
-        None | Some("auto") => ReplicaSpec::Auto,
-        Some(s) => match s.parse::<usize>() {
-            Ok(r) if r >= 1 => ReplicaSpec::Fixed(r),
-            _ => {
-                eprintln!("--replicas must be auto or a positive integer (got {s})");
-                usage();
-            }
-        },
-    }
-}
-
-fn device(name: &str) -> DeviceSpec {
-    match name {
-        "a100" => DeviceSpec::a100(),
-        "v100" => DeviceSpec::v100(),
-        "p100" => DeviceSpec::p100(),
-        other => {
-            eprintln!("unknown device: {other} (expected a100, v100 or p100)");
-            usage();
+/// auto (absent `--tile`, or `auto`, which does not parse as a width).
+/// `--partition` with any `--tile` is an error: the partition picks a
+/// width per bucket.
+fn parse_select(flags: &Flags) -> Result<KernelSelect, String> {
+    let tile = flags.get("tile");
+    Ok(match flags.get("partition") {
+        Some(_) if tile.is_some() => {
+            return Err("--partition and --tile are mutually exclusive (the partition picks a width per bucket)".to_string());
         }
+        Some("heuristic") => KernelSelect::Partitioned(PartitionStrategy::Heuristic),
+        Some(_) => KernelSelect::Partitioned(PartitionStrategy::MeasuredProbe),
+        None => match tile.and_then(|w| w.parse().ok()) {
+            Some(w) => KernelSelect::Fixed(w),
+            None => KernelSelect::Heuristic,
+        },
+    })
+}
+
+/// `--device` as its spec, a100 when absent.
+fn device(flags: &Flags) -> DeviceSpec {
+    match flags.get("device") {
+        Some("v100") => DeviceSpec::v100(),
+        Some("p100") => DeviceSpec::p100(),
+        _ => DeviceSpec::a100(),
     }
 }
 
-fn generate_case(flags: &HashMap<String, String>) -> DoseCase {
-    let scale = or_usage(parse_scale(flags, 8.0));
-    let beam: usize = num_flag(flags, "beam").unwrap_or(0);
-    let mut cases = match flags.get("case").map(String::as_str) {
+fn generate_case(flags: &Flags) -> Result<DoseCase, String> {
+    let scale = parse_scale(flags, 8.0)?;
+    let beam: usize = flags.num("beam")?.unwrap_or(0);
+    let mut cases = match flags.get("case") {
         Some("liver") => liver_case(scale),
-        Some("prostate") => prostate_case(scale),
-        _ => {
-            eprintln!("--case must be liver or prostate");
-            usage();
-        }
+        _ => prostate_case(scale),
     };
-    if beam >= cases.len() {
-        eprintln!("--beam {beam} out of range ({} beams)", cases.len());
-        std::process::exit(2);
+    let beams = cases.len();
+    if beam >= beams {
+        return Err(format!("--beam {beam} out of range ({beams} beams)"));
     }
-    cases.swap_remove(beam)
+    Ok(cases.swap_remove(beam))
 }
 
-fn cmd_info() {
+fn cmd_info(_: &Flags) -> Result<(), String> {
     println!("devices:");
     for d in [DeviceSpec::a100(), DeviceSpec::v100(), DeviceSpec::p100()] {
         println!(
@@ -271,18 +308,16 @@ fn cmd_info() {
     println!("  liver    — 4 beams (gantry 270/0/90/180), Table I rows 1-4");
     println!("  prostate — 2 parallel-opposed beams, Table I rows 5-6");
     println!("\npaper artifacts: cargo run --release -p rt-bench --bin repro_all");
+    Ok(())
 }
 
-fn cmd_generate(flags: HashMap<String, String>) {
-    let Some(out) = flags.get("out") else {
-        eprintln!("generate requires --out FILE");
-        usage();
-    };
+fn cmd_generate(flags: &Flags) -> Result<(), String> {
+    let out = flags.get("out").expect("--out is required");
     let t0 = std::time::Instant::now();
-    let case = generate_case(&flags);
+    let case = generate_case(flags)?;
     let m16: Csr<F16, u32> = case.matrix.convert_values();
-    let mut file = std::fs::File::create(out).expect("create output file");
-    save_csr(&m16, &mut file).expect("write snapshot");
+    let written = std::fs::File::create(out).and_then(|mut file| save_csr(&m16, &mut file));
+    written.unwrap_or_else(|e| fail(format!("cannot write {out}"), e));
     println!(
         "{}: {} voxels x {} spots, {} non-zeros -> {} ({} bytes, {:.1?})",
         case.name,
@@ -293,25 +328,18 @@ fn cmd_generate(flags: HashMap<String, String>) {
         m16.size_bytes(),
         t0.elapsed()
     );
+    Ok(())
 }
 
-fn load_matrix(flags: &HashMap<String, String>) -> Csr<F16, u32> {
-    let Some(path) = flags.get("matrix") else {
-        eprintln!("missing --matrix FILE");
-        usage();
-    };
-    let mut f = std::fs::File::open(path).unwrap_or_else(|e| {
-        eprintln!("cannot open {path}: {e}");
-        std::process::exit(1);
-    });
-    load_csr(&mut f).unwrap_or_else(|e| {
-        eprintln!("cannot load {path}: {e}");
-        std::process::exit(1);
-    })
+fn load_matrix(flags: &Flags) -> Csr<F16, u32> {
+    let path = flags.get("matrix").expect("--matrix is required");
+    let mut f =
+        std::fs::File::open(path).unwrap_or_else(|e| fail(format!("cannot open {path}"), e));
+    load_csr(&mut f).unwrap_or_else(|e| fail(format!("cannot load {path}"), e))
 }
 
-fn cmd_stats(flags: HashMap<String, String>) {
-    let m = load_matrix(&flags);
+fn cmd_stats(flags: &Flags) -> Result<(), String> {
+    let m = load_matrix(flags);
     let summary = MatrixSummary::from_csr("matrix", &m);
     let stats = RowStats::from_csr(&m);
     println!("rows        : {}", summary.rows);
@@ -335,6 +363,7 @@ fn cmd_stats(flags: HashMap<String, String>) {
             "#".repeat((frac * 40.0) as usize)
         );
     }
+    Ok(())
 }
 
 /// A bucketed run's fused group report, partition mode and row plan.
@@ -399,16 +428,13 @@ fn run_sharded_spmv(
     k: usize,
     kernel: &str,
     select: KernelSelect,
-) {
+) -> Result<(), String> {
     if kernel != "half-double" {
-        eprintln!("--shards runs the half-double kernel only (got --kernel {kernel})");
-        usage();
+        return Err(format!(
+            "--shards runs the half-double kernel only (got --kernel {kernel})"
+        ));
     }
     let t0 = std::time::Instant::now();
-    let fail = |what: &str, e: RtError| -> ! {
-        eprintln!("{what}: {e}");
-        std::process::exit(1);
-    };
     let policy = ExecPolicy::builder()
         .kernel_select(select)
         .shards(ShardSpec::Fixed(k))
@@ -469,45 +495,33 @@ fn run_sharded_spmv(
         "  speedup vs serialized: {:.2}x (sum of shard computes / critical path)",
         serial / report.modeled_seconds
     );
+    Ok(())
 }
 
-fn cmd_spmv(flags: HashMap<String, String>) {
-    let m = load_matrix(&flags);
-    let dev = device(flags.get("device").map(String::as_str).unwrap_or("a100"));
-    let tpb: u32 = num_flag(&flags, "tpb").unwrap_or(512);
-    let repeat: usize = num_flag(&flags, "repeat").unwrap_or(2);
-    let kernel = flags
-        .get("kernel")
-        .map(String::as_str)
-        .unwrap_or("half-double");
-    if let Some(k) = parse_shards(&flags) {
-        run_sharded_spmv(
-            &flags["matrix"],
-            &m,
-            &dev,
-            tpb,
-            k.unwrap_or(3),
-            kernel,
-            parse_select(&flags),
-        );
-        return;
+fn cmd_spmv(flags: &Flags) -> Result<(), String> {
+    let m = load_matrix(flags);
+    let dev = device(flags);
+    let tpb: u32 = flags.num("tpb")?.unwrap_or(512);
+    let repeat: usize = flags.num("repeat")?.unwrap_or(2);
+    let kernel = flags.get("kernel").unwrap_or("half-double");
+    let select = parse_select(flags)?;
+    if let Some(k) = flags.count("shards") {
+        let path = flags.get("matrix").expect("--matrix is required");
+        run_sharded_spmv(path, &m, &dev, tpb, k.unwrap_or(3), kernel, select)?;
+        return Ok(());
     }
-    let partition = parse_partition(&flags);
     // Resolve the tile width for the whole-matrix vector kernels: a
     // pinned --tile value, or the statistics heuristic on auto (the same
     // rule serving plans default to). The baseline kernel has no tiled
     // variant, and a --partition run picks its widths per bucket instead.
-    let (tile, tile_mode) = if partition.is_some() {
-        (32, "partitioned")
-    } else {
-        match parse_tile(&flags) {
-            Some(w) => (w, "fixed"),
-            None => {
-                let choice = KernelSelect::Heuristic
-                    .choose(&dev, &m, tpb)
-                    .expect("heuristic selection cannot fail");
-                (choice.tile_width, "auto/heuristic")
-            }
+    let (tile, tile_mode, partition) = match select {
+        KernelSelect::Partitioned(strategy) => (32, "partitioned", Some(strategy)),
+        KernelSelect::Fixed(w) => (w, "fixed", None),
+        heuristic => {
+            let choice = heuristic
+                .choose(&dev, &m, tpb)
+                .expect("heuristic selection cannot fail");
+            (choice.tile_width, "auto/heuristic", None)
         }
     };
 
@@ -536,8 +550,7 @@ fn cmd_spmv(flags: HashMap<String, String>) {
         }
         "baseline" => {
             if partition.is_some() {
-                eprintln!("--partition applies to the vector kernels only (baseline has no bucketed variant)");
-                usage();
+                return Err("--partition applies to the vector kernels only (baseline has no bucketed variant)".to_string());
             }
             let rs = RsCompressed::from_csr(&m);
             let gm = GpuRsMatrix::upload(&gpu, &rs);
@@ -551,10 +564,7 @@ fn cmd_spmv(flags: HashMap<String, String>) {
             }
             (s, profile_baseline(), None)
         }
-        other => {
-            eprintln!("unknown kernel: {other}");
-            usage();
-        }
+        other => unreachable!("the table admits no kernel {other}"),
     };
     let est = rtdose::gpusim::timing::estimate(&dev, &profile, &stats);
 
@@ -572,7 +582,7 @@ fn cmd_spmv(flags: HashMap<String, String>) {
         );
     } else if kernel != "baseline" {
         println!("  tile width           : {tile} ({tile_mode})");
-    } else if flags.contains_key("tile") {
+    } else if flags.get("tile").is_some() {
         println!("  tile width           : ignored (baseline kernel has no tiled variant)");
     }
     println!("  flops                : {}", stats.flops);
@@ -617,6 +627,7 @@ fn cmd_spmv(flags: HashMap<String, String>) {
             );
         }
     }
+    Ok(())
 }
 
 /// A bucket's inclusive row-length range: `min-max`, or `min+` when
@@ -654,20 +665,10 @@ fn print_bucket_table(choice: &KernelChoice) {
 /// Prints the autotuner's full decision table for one snapshot: every
 /// candidate width probed on a throwaway simulator, plus
 /// what the statistics heuristic and the measured probe each pick.
-fn cmd_kernels(args: &[String]) {
-    // Accept the snapshot either positionally (`rtdose kernels beam.rtdm`)
-    // or as --matrix FILE like the other subcommands.
-    let (path, rest) = match args.first() {
-        Some(a) if !a.starts_with("--") => (Some(a.clone()), &args[1..]),
-        _ => (None, args),
-    };
-    let mut flags = parse_flags(rest);
-    if let Some(p) = path {
-        flags.insert("matrix".to_string(), p);
-    }
-    let m = load_matrix(&flags);
-    let dev = device(flags.get("device").map(String::as_str).unwrap_or("a100"));
-    let tpb: u32 = num_flag(&flags, "tpb").unwrap_or(512);
+fn cmd_kernels(flags: &Flags) -> Result<(), String> {
+    let m = load_matrix(flags);
+    let dev = device(flags);
+    let tpb: u32 = flags.num("tpb")?.unwrap_or(512);
 
     let stats = RowStats::from_csr(&m);
     println!(
@@ -796,11 +797,12 @@ fn cmd_kernels(args: &[String]) {
     }
     let gather: u64 = plan.shards().iter().map(|s| s.gather_bytes()).sum();
     println!("modeled gather traffic: {gather} bytes (non-empty rows x 8, per result vector)");
+    Ok(())
 }
 
-fn cmd_optimize(flags: HashMap<String, String>) {
-    let iters: usize = num_flag(&flags, "iters").unwrap_or(30);
-    let case = generate_case(&flags);
+fn cmd_optimize(flags: &Flags) -> Result<(), String> {
+    let iters: usize = flags.num("iters")?.unwrap_or(30);
+    let case = generate_case(flags)?;
     let matrix = case.matrix.clone();
     let probe = {
         let mut d = vec![0.0; matrix.nrows()];
@@ -830,10 +832,7 @@ fn cmd_optimize(flags: HashMap<String, String>) {
         case.extrapolation(),
         case.paper.rows / matrix.nrows() as f64,
     )
-    .unwrap_or_else(|e| {
-        eprintln!("cannot build dose engine: {e}");
-        std::process::exit(1);
-    });
+    .unwrap_or_else(|e| fail("cannot build dose engine", e));
     let result = optimize(
         &engine,
         &objective,
@@ -855,6 +854,7 @@ fn cmd_optimize(flags: HashMap<String, String>) {
         result.dose_evals,
         result.modeled_dose_seconds * 1e3
     );
+    Ok(())
 }
 
 /// Prints one serve-demo bucket row per populated bucket of `choice`,
@@ -889,36 +889,41 @@ fn serve_demo_failed(
 /// requests for two plans (one liver beam, one prostate beam) served by
 /// a 2×A100 + 1×V100 pool, ending with the engine's JSON report. Exits
 /// non-zero when [`serve_demo_failed`].
-fn cmd_serve_demo(flags: HashMap<String, String>) -> ExitCode {
-    let requests: usize = num_flag(&flags, "requests").unwrap_or(120);
-    let scale = or_usage(parse_scale(&flags, 24.0));
-    let submitters: usize = num_flag(&flags, "submitters").unwrap_or(4).max(1);
+fn cmd_serve_demo(flags: &Flags) -> Result<(), String> {
+    let requests: usize = flags.num("requests")?.unwrap_or(120);
+    let scale = parse_scale(flags, 24.0)?;
+    let submitters: usize = flags.num("submitters")?.unwrap_or(4).max(1);
     // --tile auto (the default) lets every plan autotune its own width
     // at registration; a pinned width applies to all plans, and
     // --partition routes every plan through the bucketed row partition
-    // (parse_partition rejects the combination with a pinned --tile).
-    let select = parse_select(&flags);
+    // (parse_select rejects the combination with a pinned --tile).
+    let select = parse_select(flags)?;
     // --shards / --replicas map 1:1 onto the per-plan ExecPolicy; the
     // demo applies one policy to both plans via the builder default.
+    // Absent --shards means no sharding; auto defers to the break-even
+    // model at registration. Absent --replicas is auto.
+    let shards = flags.count("shards").map_or(ShardSpec::Fixed(1), |k| {
+        k.map_or(ShardSpec::Auto, ShardSpec::Fixed)
+    });
+    let replicas = flags
+        .count("replicas")
+        .flatten()
+        .map_or(ReplicaSpec::Auto, ReplicaSpec::Fixed);
     let policy = ExecPolicy::builder()
         .kernel_select(select)
-        .shards(parse_shard_spec(&flags))
-        .replicas(parse_replicas(&flags))
+        .shards(shards)
+        .replicas(replicas)
         .build()
-        .unwrap_or_else(|e| {
-            eprintln!("invalid execution policy: {e}");
-            std::process::exit(2);
-        });
+        .map_err(|e| format!("invalid execution policy: {e}"))?;
     // --devices N sizes the pool by cycling the paper's device mix —
     // the default 3 keeps the classic 2xA100 + 1xV100 demo pool.
-    let pool_size = or_usage(parse_devices(&flags));
+    let pool_size = parse_devices(flags)?;
     // --drain-after N takes the last pool device out for maintenance
     // once N requests have completed, mid-traffic; requires a pool of
     // at least two (the engine refuses to drain the last live device).
-    let drain_after: Option<usize> = num_flag(&flags, "drain-after");
+    let drain_after: Option<usize> = flags.num("drain-after")?;
     if drain_after.is_some() && pool_size < 2 {
-        eprintln!("--drain-after needs at least 2 devices");
-        std::process::exit(2);
+        return Err("--drain-after needs at least 2 devices".to_string());
     }
     let mix = [
         DeviceSpec::a100(),
@@ -937,15 +942,11 @@ fn cmd_serve_demo(flags: HashMap<String, String>) -> ExitCode {
         .queue_capacity(32)
         .default_policy(policy)
         .build()
-        .unwrap_or_else(|e| {
-            eprintln!("cannot build engine: {e}");
-            std::process::exit(1);
-        });
+        .unwrap_or_else(|e| fail("cannot build engine", e));
     for (name, m) in [("liver", &liver), ("prostate", &prostate)] {
-        engine.register_plan(name, m).unwrap_or_else(|e| {
-            eprintln!("cannot register plan {name}: {e}");
-            std::process::exit(1);
-        });
+        engine
+            .register_plan(name, m)
+            .unwrap_or_else(|e| fail(format!("cannot register plan {name}"), e));
         println!(
             "  registered {:<8} {} voxels x {} spots, {} non-zeros, tile width {}",
             name,
@@ -1047,65 +1048,153 @@ fn cmd_serve_demo(flags: HashMap<String, String>) -> ExitCode {
     println!("\n{} of {} requests served; engine report:", ok, requests);
     println!("{}", report.to_json());
     if serve_demo_failed(requests, ok, &report, drain_failed.into_inner()) {
-        eprintln!("serve-demo FAILED: not every request was served cleanly");
-        return ExitCode::FAILURE;
+        fail("serve-demo FAILED", "not every request was served cleanly");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn main() -> ExitCode {
+fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else { usage() };
-    match cmd.as_str() {
-        "info" => cmd_info(),
-        "generate" => cmd_generate(parse_flags(&args[1..])),
-        "stats" => cmd_stats(parse_flags(&args[1..])),
-        "spmv" => cmd_spmv(parse_flags(&args[1..])),
-        "kernels" => cmd_kernels(&args[1..]),
-        "optimize" => cmd_optimize(parse_flags(&args[1..])),
-        "serve-demo" => return cmd_serve_demo(parse_flags(&args[1..])),
-        "--help" | "-h" | "help" => usage(),
-        other => {
-            eprintln!("unknown command: {other}");
-            usage();
+    let Some((name, rest)) = args.split_first() else {
+        usage()
+    };
+    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+        if !["--help", "-h", "help"].contains(&name.as_str()) {
+            eprintln!("unknown command: {name}");
         }
+        usage();
+    };
+    if let Err(e) = Flags::parse(command, rest).and_then(|flags| (command.run)(&flags)) {
+        eprintln!("{e}");
+        usage();
     }
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtdose::kernels::TILE_WIDTHS;
 
-    fn flags(pairs: &[(&str, &str)]) -> HashMap<String, String> {
-        pairs
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect()
+    /// `rtdose <command> <args...>` parsed against the command's table.
+    fn parse(command: &str, args: &[&str]) -> Result<Flags, String> {
+        let command = COMMANDS.iter().find(|c| c.name == command).unwrap();
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Flags::parse(command, &args)
     }
 
     #[test]
     fn numeric_flags_parse_or_report_the_bad_value() {
-        let f = flags(&[("iters", "40"), ("shrink", "2.5"), ("tpb", "abc")]);
-        assert_eq!(parse_num::<usize>(&f, "iters"), Ok(Some(40)));
-        assert_eq!(parse_num::<f64>(&f, "shrink"), Ok(Some(2.5)));
-        assert_eq!(parse_num::<usize>(&f, "devices"), Ok(None));
-        let err = parse_num::<u32>(&f, "tpb").unwrap_err();
+        let f = parse(
+            "optimize",
+            &["--case", "liver", "--iters", "40", "--shrink", "2.5"],
+        )
+        .unwrap();
+        assert_eq!(f.num::<usize>("iters"), Ok(Some(40)));
+        assert_eq!(f.num::<f64>("shrink"), Ok(Some(2.5)));
+        assert_eq!(f.num::<usize>("beam"), Ok(None));
+        let f = parse("spmv", &["--matrix", "m.rtdm", "--tpb", "abc"]).unwrap();
+        let err = f.num::<u32>("tpb").unwrap_err();
         assert!(err.starts_with("--tpb expects a number"), "{err}");
         assert!(err.contains("\"abc\""), "{err}");
         // A negative count is a bad value, not a wrap-around.
-        assert!(parse_num::<usize>(&flags(&[("requests", "-3")]), "requests").is_err());
+        let f = parse("serve-demo", &["--requests", "-3"]).unwrap();
+        assert!(f.num::<usize>("requests").is_err());
         // --shrink below 1 or not finite, and --devices 0, are bad values,
         // not silently the full-size case or a one-device pool.
-        assert_eq!(parse_scale(&f, 8.0).map(|s| s.shrink), Ok(2.5));
-        assert_eq!(parse_scale(&flags(&[]), 8.0).map(|s| s.shrink), Ok(8.0));
+        let shrink = |args: &[&str]| parse_scale(&parse("serve-demo", args).unwrap(), 8.0);
+        assert_eq!(shrink(&["--shrink", "2.5"]).map(|s| s.shrink), Ok(2.5));
+        assert_eq!(shrink(&[]).map(|s| s.shrink), Ok(8.0));
         for bad in ["-1", "0.5", "0", "NaN", "inf"] {
-            let err = parse_scale(&flags(&[("shrink", bad)]), 8.0).unwrap_err();
+            let err = shrink(&["--shrink", bad]).unwrap_err();
             assert!(err.starts_with("--shrink must be"), "{bad}: {err}");
         }
-        assert_eq!(parse_devices(&flags(&[])), Ok(3));
-        assert_eq!(parse_devices(&flags(&[("devices", "4")])), Ok(4));
-        assert!(parse_devices(&flags(&[("devices", "0")])).is_err());
+        let devices = |args: &[&str]| parse_devices(&parse("serve-demo", args).unwrap());
+        assert_eq!(devices(&[]), Ok(3));
+        assert_eq!(devices(&["--devices", "4"]), Ok(4));
+        assert!(devices(&["--devices", "0"]).is_err());
+    }
+
+    #[test]
+    fn arguments_outside_the_flag_table_are_rejected() {
+        let m = "m.rtdm";
+        let rejected: [(&str, &[&str], &str); 10] = [
+            (
+                "stats",
+                &["--matrix", m, "--bogus", "1"],
+                "does not take --bogus",
+            ),
+            (
+                "generate",
+                &["--case", "liver", "--out", m, "--shards", "3"],
+                "does not take --shards",
+            ),
+            (
+                "spmv",
+                &["--matrix", m, "--tiles", "4"],
+                "does not take --tiles",
+            ),
+            (
+                "spmv",
+                &["--matrix", m, "--tpb", "256", "--tpb", "512"],
+                "--tpb given more than once",
+            ),
+            (
+                "kernels",
+                &[m, "--matrix", m],
+                "--matrix given more than once",
+            ),
+            ("spmv", &["--matrix"], "missing value for --matrix"),
+            ("info", &["extra"], "does not take extra"),
+            (
+                "spmv",
+                &["--matrix", m, "--device", "h100"],
+                "--device must be a100|v100|p100",
+            ),
+            ("serve-demo", &["--shards", "0"], "--shards must be auto|K"),
+            ("generate", &["--case", "liver"], "requires --out FILE"),
+        ];
+        for (command, args, expected) in rejected {
+            match parse(command, args) {
+                Ok(_) => panic!("rtdose {command} {args:?} parsed"),
+                Err(e) => assert!(e.contains(expected), "rtdose {command} {args:?}: {e}"),
+            }
+        }
+        let f = parse("kernels", &[m, "--device", "v100"]).unwrap();
+        assert_eq!((f.get("matrix"), f.get("device")), (Some(m), Some("v100")));
+        let f = parse("serve-demo", &["--shards", "auto", "--replicas", "2"]).unwrap();
+        assert_eq!(
+            (f.count("shards"), f.count("replicas")),
+            (Some(None), Some(Some(2)))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "flag read but not declared: --tile")]
+    fn reading_an_undeclared_flag_panics() {
+        parse("stats", &["--matrix", "m.rtdm"]).unwrap().get("tile");
+    }
+
+    #[test]
+    fn usage_lists_every_flag_indented_under_its_command() {
+        let usage = usage_text();
+        for c in COMMANDS {
+            let head = format!("\n  rtdose {}\n", c.name);
+            let at = usage.find(&head).unwrap_or_else(|| panic!("no {head:?}"));
+            let mut lines = usage[at + head.len()..].lines();
+            for a in c.args {
+                let line = lines.next().unwrap_or_default();
+                let row = line.strip_prefix("      ").unwrap_or_default();
+                assert!(row.starts_with(&a.spelled()), "{}: {line:?}", c.name);
+            }
+            let next = lines.next().unwrap_or_default();
+            assert!(
+                !next.starts_with("      "),
+                "{} lists an undeclared row {next:?}",
+                c.name
+            );
+        }
+        let widths: Vec<String> = TILE_WIDTHS.iter().map(|w| w.to_string()).collect();
+        assert_eq!(TILE.syntax, format!("auto|{}", widths.join("|")));
     }
 
     #[test]

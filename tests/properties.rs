@@ -306,6 +306,14 @@ fn mutated_snapshots_load_or_fail_typed_and_never_panic() {
             }
             assert!(failed > 0, "no mutation was rejected");
 
+            let mut appended = valid.clone();
+            let extra = rng.gen_range(1..=16usize);
+            appended.extend((0..extra).map(|_| rng.gen_range(0..=255u8)));
+            assert!(matches!(
+                load_csr::<F16, u32, _>(&mut appended.as_slice()),
+                Err(SnapshotError::TrailingBytes(n)) if n == extra
+            ));
+
             let cuts: Vec<u64> = (1..nrows as u64).filter(|_| rng.gen_bool(0.2)).collect();
             let mut v2 = valid.clone();
             v2[4..8].copy_from_slice(&2u32.to_le_bytes());
