@@ -64,7 +64,7 @@
 //!
 //! Both modes check the nine CI gates of [`gates`] and exit 1 when any
 //! fails: eight on modeled time (host timing is too noisy to gate on) and
-//! one on the memo entry's hit count. `--quick` is the same run with
+//! one on the memo entry's hit and footprint-scan counts. `--quick` is the same run with
 //! [`QUICK_ROUNDS`] timed rounds, and writes no file.
 
 use rand::rngs::StdRng;
@@ -836,10 +836,12 @@ struct GateInputs {
     grad_part_s: f64,
     grad_best_fixed_s: f64,
     rebalance: RebalanceVerdict,
-    /// The memo entry's launches over the warm-up and timed rounds, and
-    /// how many of them the launch memo answered.
+    /// The memo entry's launches over the warm-up and timed rounds, how
+    /// many of them the launch memo answered, and how many whole-footprint
+    /// residency scans they made.
     memo_launches: u64,
     memo_hits: u64,
+    memo_scans: u64,
 }
 
 /// One CI gate's verdict: a stable name and the modeled figures it read,
@@ -853,7 +855,8 @@ struct Gate {
 /// The nine CI gates: eight on warm-cache modeled time — for the
 /// autotuners, the cooperative pool, the placement engine, the
 /// backward-pass partition and live rebalancing — and one that the launch
-/// memo answered every loop launch of the memo entry.
+/// memo answered every loop launch of the memo entry without scanning its
+/// footprint.
 fn gates(g: &GateInputs) -> Vec<Gate> {
     let gate = |name, passed, detail| Gate {
         name,
@@ -948,10 +951,10 @@ fn gates(g: &GateInputs) -> Vec<Gate> {
         ),
         gate(
             "memo_engaged",
-            g.memo_hits == g.memo_launches,
+            g.memo_hits == g.memo_launches && g.memo_scans == 0,
             format!(
-                "liverb1_partitioned_memo: {} of {} loop launches answered from the launch memo (bar: all)",
-                g.memo_hits, g.memo_launches,
+                "liverb1_partitioned_memo: {} of {} loop launches answered from the launch memo, {} footprint scans (bar: all, 0 scans)",
+                g.memo_hits, g.memo_launches, g.memo_scans,
             ),
         ),
     ]
@@ -996,7 +999,7 @@ fn main() {
     let engine = sharded_engine(sharded, &liver, &device, 3);
     let memo_gpu = Gpu::new(device.clone());
     let liver_widths = probe_widths(&device, &liver);
-    let ((mut ms, primed_hits), _) = engine.serve(|client| {
+    let ((mut ms, primed), _) = engine.serve(|client| {
         let mut entries = vec![
             whole_entry("vector_csr_half_double", &prostate, 32, None, &device),
             baseline_entry("baseline_segment_atomic", &prostate, &device),
@@ -1046,7 +1049,7 @@ fn main() {
             &device,
         ));
 
-        let primed_hits = memo_gpu.memo_counts().hits;
+        let primed = memo_gpu.memo_counts();
         let mut launches: Vec<_> = entries.iter_mut().map(|e| &mut e.launch).collect();
         let runs = run_rounds(&mut launches, WARMUP_ROUNDS, rounds);
         let ms = entries
@@ -1054,7 +1057,7 @@ fn main() {
             .zip(runs)
             .map(|(e, (host, outcome))| e.measure(host, outcome))
             .collect::<Vec<_>>();
-        (ms, primed_hits)
+        (ms, primed)
     });
 
     let seconds = |name: &str| ms[at(&ms, name)].report.estimate.seconds;
@@ -1095,7 +1098,8 @@ fn main() {
         // mid-session and the liver plan is re-dealt over the survivors.
         rebalance: rebalance_verdict(liver_part_s, liver_nonempty),
         memo_launches: (WARMUP_ROUNDS + rounds) as u64,
-        memo_hits: memo_gpu.memo_counts().hits - primed_hits,
+        memo_hits: memo_gpu.memo_counts().hits - primed.hits,
+        memo_scans: memo_gpu.memo_counts().footprint_scans - primed.footprint_scans,
     };
 
     // Host and modeled speedups over each suite's warp-per-row entry, on
@@ -1234,6 +1238,7 @@ mod tests {
             rebalance: rebalance_verdict(1e-5, 5000),
             memo_launches: 16,
             memo_hits: 16,
+            memo_scans: 0,
         }
     }
 
@@ -1250,7 +1255,7 @@ mod tests {
     fn each_gate_fails_alone_on_its_own_figure() {
         assert!(failed(&passing_inputs()).is_empty());
         type BreakGate = fn(&mut GateInputs);
-        let cases: [(&str, BreakGate); 9] = [
+        let cases: [(&str, BreakGate); 10] = [
             ("autotune_vs_warp32", |g| g.short_auto_s = 14e-6),
             ("partitioned_vs_best_fixed", |g| g.liver_part_s = 16e-6),
             ("sharded_vs_one_device", |g| g.liver_sharded_s = 6e-6),
@@ -1266,6 +1271,7 @@ mod tests {
                 g.rebalance.redealt_throughput = 0.79 * g.rebalance.pre_throughput
             }),
             ("memo_engaged", |g| g.memo_hits = 15),
+            ("memo_engaged", |g| g.memo_scans = 1),
         ];
         for (name, break_gate) in cases {
             let mut g = passing_inputs();

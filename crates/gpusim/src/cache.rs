@@ -71,11 +71,33 @@
 //!    then also the set's last-touched tag.
 //!    - `L2Port::holds_all` checks a footprint; a set whose generation is
 //!      behind holds nothing.
-//!    - `L2Port::restamp` stamps the footprint in last-touch order and
-//!      makes each set's last one its newest way. Like the fast path, it
-//!      leaves a sector that already is its set's newest way as it is, so
-//!      a key repeated back to back writes almost nothing. Dirty bits stay
-//!      as they are, all clean between launches.
+//!    - The cache counts every event that can remove a resident tag
+//!      (`L2Port::removals`): each fill (every miss `probe` returns
+//!      fills), counted once per `L2Port::access_batch`, and each
+//!      `restore` and `invalidate`. The count only grows. A footprint
+//!      that `holds_all` confirmed at count `c` is still resident while
+//!      the count is `c`, so the executor scans it again only after the
+//!      count moves. Once every key of a serving loop has run, a loop
+//!      whose footprints fit fills nothing and scans nothing.
+//!    - A restamp stamps the footprint in last-touch order and makes each
+//!      set's last one its newest way. Like the fast path, it leaves a
+//!      sector that already is its set's newest way as it is. Dirty bits
+//!      stay as they are, all clean between launches.
+//!    - A hit does not restamp at once: `L2Port::defer_restamp` appends
+//!      `(key, footprint)` to a pending list, moving a key already there
+//!      to the end, so the list holds at most one entry per key. The list
+//!      is applied in order before anything that reads or changes stamps
+//!      or LRU order: any probe, `L2Port::stamps`,
+//!      `L2Port::overwrote_every_set` and `L2Port::snapshot`. `restore`
+//!      and `invalidate` replace or clear every set and drop it. This is
+//!      exact: restamps never fill, so they leave residency as it is, and
+//!      a set's within-set order depends only on each sector's last touch.
+//!      Restamping a key again moves the last touch of each of its
+//!      sectors past everything restamped before, so dropping the key's
+//!      earlier entry loses no last touch. Applying the list before
+//!      `stamps` keeps its restamps out of the next launch's overwrite
+//!      test (step 2), which would otherwise count them as stamped during
+//!      that launch.
 //!    - The footprint comes from one interpreted run:
 //!      `L2Port::record_stream` keeps every probed sector, and
 //!      `L2Port::take_footprint` reduces them to distinct sectors in
@@ -86,12 +108,13 @@
 //!
 //! # Lock poisoning
 //!
-//! Only the shard array (locked by a port for a whole launch or keyed
-//! group) and the executor's launch memo are held while kernel code
-//! runs, so only they can be poisoned by a panicking kernel, and every
-//! acquisition of them recovers with `PoisonError::into_inner`: `probe`
-//! and the flush never call kernel code, taking a port already leaves the
-//! state `Unknown`, and the memo records only after a group returns.
+//! Only the shard array with its pending restamps (locked by a port for
+//! a whole launch or keyed group) and the executor's launch memo are held
+//! while kernel code runs, so only they can be poisoned by a panicking
+//! kernel, and every acquisition of them recovers with
+//! `PoisonError::into_inner`: `probe`, the flush and the pending list
+//! never call kernel code, taking a port already leaves the state
+//! `Unknown`, and the memo records only after a group returns.
 //! Every other simulator lock (the L2 state, and `MemSystem`'s regions
 //! and snapshot) is held only inside simulator code and takes
 //! `.unwrap()`.
@@ -101,9 +124,9 @@
 //! touched once) and the input-vector reuse the paper discusses is an L2
 //! capacity effect.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::collections::HashSet;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Transfer granularity between L2 and DRAM, in bytes.
 pub const SECTOR_BYTES: u64 = 32;
@@ -306,11 +329,58 @@ pub(crate) enum L2State {
 /// (tag, stamp and dirty bit per way; generation and newest way per set).
 pub(crate) struct L2Snapshot(Box<[Shard]>);
 
+/// The shard array and what the launch memo keeps beside it (module
+/// docs, step 6).
+struct Sets {
+    shards: Box<[Shard]>,
+    /// Events that can remove a resident tag so far: fills, restores and
+    /// invalidations.
+    removals: u64,
+    /// Deferred restamps in the order they are due, at most one per key.
+    pending: Vec<(u64, Arc<[u64]>)>,
+}
+
+impl Sets {
+    /// Applies the deferred restamps in order.
+    fn settle(&mut self, cache: &L2Cache) {
+        for (_, footprint) in self.pending.drain(..) {
+            restamp(&mut self.shards, cache, &footprint);
+        }
+    }
+
+    /// Forgets the deferred restamps and counts a removal: the arrays are
+    /// about to be replaced or invalidated wholesale.
+    fn discard(&mut self) {
+        self.pending.clear();
+        self.removals += 1;
+    }
+}
+
+/// Stamps each sector of `footprint`, all resident, in order, leaving the
+/// last one of each set its newest way: the LRU order a launch that only
+/// hits leaves behind (module docs, step 6). Like the probe fast path, a
+/// sector that is already its set's newest way keeps its stamp. Dirty
+/// bits are untouched.
+fn restamp(shards: &mut [Shard], cache: &L2Cache, footprint: &[u64]) {
+    for &sector in footprint {
+        let (shard, set) = cache.shard_of(sector);
+        let s = &mut shards[shard];
+        let w = s
+            .way_of(set, cache.ways, sector)
+            .expect("a restamped sector is resident");
+        if s.mru[set] as usize != w {
+            s.stamp += 1;
+            s.stamps[set * cache.ways + w] = s.stamp;
+            s.mru[set] = w as u8;
+        }
+    }
+}
+
 /// The cache model. Safe to share across threads: each launch locks it
 /// whole through its [`L2Port`].
 pub struct L2Cache {
     /// Locked by a port for its whole life.
-    shards: Mutex<Box<[Shard]>>,
+    sets: Mutex<Sets>,
     /// Written only by a holder of the shard lock, so a port reads the
     /// state the previous holder left.
     state: Mutex<L2State>,
@@ -346,7 +416,11 @@ impl L2Cache {
             .map(|_| Shard::new(sets_per_shard as usize, ways))
             .collect();
         L2Cache {
-            shards: Mutex::new(shards),
+            sets: Mutex::new(Sets {
+                shards,
+                removals: 0,
+                pending: Vec::new(),
+            }),
             state: Mutex::new(L2State::Cold),
             nsets,
             ways,
@@ -382,14 +456,11 @@ impl L2Cache {
     /// the state the cache was in and leaves it unknown unless told
     /// otherwise (module docs, step 4).
     pub fn owned(&self) -> L2Port<'_> {
-        let shards = self.lock_shards();
+        let sets = self.lock_sets();
         let start = std::mem::replace(&mut *self.state.lock().unwrap(), L2State::Unknown);
         L2Port {
             cache: self,
-            inner: RefCell::new(PortInner {
-                shards,
-                stream: None,
-            }),
+            inner: RefCell::new(PortInner { sets, stream: None }),
             start,
         }
     }
@@ -399,8 +470,9 @@ impl L2Cache {
     /// capacity. Stale sets are cleared on their next probe, so counters
     /// are unaffected by the representation. Waits for live ports.
     pub fn invalidate(&self) {
-        let mut shards = self.lock_shards();
-        for s in shards.iter_mut() {
+        let mut sets = self.lock_sets();
+        sets.discard();
+        for s in sets.shards.iter_mut() {
             s.gen += 1;
             // Stale dirty data is discarded, never written back.
             s.dirty_ways = 0;
@@ -408,10 +480,11 @@ impl L2Cache {
         *self.state.lock().unwrap() = L2State::Cold;
     }
 
-    /// Locks the shard array, recovering from poisoning (module docs,
+    /// Locks the shard array and its bookkeeping, recovering from
+    /// poisoning (module docs,
     /// *Lock poisoning*).
-    fn lock_shards(&self) -> MutexGuard<'_, Box<[Shard]>> {
-        self.shards.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock_sets(&self) -> MutexGuard<'_, Sets> {
+        self.sets.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -427,7 +500,7 @@ pub struct L2Port<'a> {
 }
 
 struct PortInner<'a> {
-    shards: MutexGuard<'a, Box<[Shard]>>,
+    sets: MutexGuard<'a, Sets>,
     /// Every probed sector in order, while [`L2Port::record_stream`] is
     /// on and the stream fits in the cache's sectors.
     stream: Option<Vec<u64>>,
@@ -452,19 +525,33 @@ impl<'a> L2Port<'a> {
     {
         let cache = self.cache;
         let mut inner = self.inner.borrow_mut();
-        let PortInner { shards, stream } = &mut *inner;
+        let PortInner { sets, stream } = &mut *inner;
+        if !sets.pending.is_empty() {
+            sets.settle(cache);
+        }
+        let Sets {
+            shards, removals, ..
+        } = &mut **sets;
+        // Every miss fills a way (module docs, step 6).
+        let mut fills = 0;
         let Some(recorded) = stream else {
             for sector in sectors {
                 let (shard, set) = cache.shard_of(sector);
-                sink(probe(&mut shards[shard], set, cache.ways, sector, write));
+                let r = probe(&mut shards[shard], set, cache.ways, sector, write);
+                fills += !r.hit as u64;
+                sink(r);
             }
+            *removals += fills;
             return;
         };
         for sector in sectors {
             recorded.push(sector);
             let (shard, set) = cache.shard_of(sector);
-            sink(probe(&mut shards[shard], set, cache.ways, sector, write));
+            let r = probe(&mut shards[shard], set, cache.ways, sector, write);
+            fills += !r.hit as u64;
+            sink(r);
         }
+        *removals += fills;
         if recorded.len() as u64 > cache.sectors() {
             *stream = None; // the recording cutoff (module docs, step 6)
         }
@@ -476,6 +563,7 @@ impl<'a> L2Port<'a> {
         let ways = self.cache.ways;
         self.inner
             .borrow_mut()
+            .sets
             .shards
             .iter_mut()
             .map(|s| s.flush(ways))
@@ -492,18 +580,25 @@ impl<'a> L2Port<'a> {
         *self.cache.state.lock().unwrap() = state;
     }
 
+    /// The shard array with every deferred restamp applied.
+    fn settled(&self) -> RefMut<'_, Sets> {
+        let mut inner = self.inner.borrow_mut();
+        inner.sets.settle(self.cache);
+        RefMut::map(inner, |i| &mut *i.sets)
+    }
+
     /// Each shard's stamp counter: pass it to
-    /// [`L2Port::overwrote_every_set`] after the launch.
+    /// [`L2Port::overwrote_every_set`] after the launch. Applies the
+    /// deferred restamps first, so none of them counts as the launch's.
     pub(crate) fn stamps(&self) -> Vec<u64> {
-        self.inner.borrow().shards.iter().map(|s| s.stamp).collect()
+        self.settled().shards.iter().map(|s| s.stamp).collect()
     }
 
     /// Whether every way of every set holds a tag stamped since `stamps`
     /// were read: the launch in between was saturating (module docs,
     /// step 3). O(sets × ways).
     pub(crate) fn overwrote_every_set(&self, stamps: &[u64]) -> bool {
-        self.inner
-            .borrow()
+        self.settled()
             .shards
             .iter()
             .zip(stamps)
@@ -512,13 +607,14 @@ impl<'a> L2Port<'a> {
 
     /// A copy of the whole cache.
     pub(crate) fn snapshot(&self) -> L2Snapshot {
-        L2Snapshot(self.inner.borrow().shards.clone())
+        L2Snapshot(self.settled().shards.clone())
     }
 
     /// Makes the cache a copy of `snapshot`, taken from this cache.
     pub(crate) fn restore(&self, snapshot: &L2Snapshot) {
-        let mut inner = self.inner.borrow_mut();
-        for (s, src) in inner.shards.iter_mut().zip(snapshot.0.iter()) {
+        let sets = &mut self.inner.borrow_mut().sets;
+        sets.discard();
+        for (s, src) in sets.shards.iter_mut().zip(snapshot.0.iter()) {
             s.copy_from(src);
         }
     }
@@ -532,7 +628,7 @@ impl<'a> L2Port<'a> {
 
     /// The distinct sectors probed since [`L2Port::record_stream`], in
     /// last-touch order, or `None` once the stream outgrew the cache.
-    pub(crate) fn take_footprint(&self) -> Option<Box<[u64]>> {
+    pub(crate) fn take_footprint(&self) -> Option<Arc<[u64]>> {
         let mut stream = self.inner.borrow_mut().stream.take()?;
         // Walk back from the end, moving each sector's last touch into
         // place in the stream's own buffer.
@@ -546,7 +642,14 @@ impl<'a> L2Port<'a> {
             }
         }
         stream.drain(..first);
-        Some(stream.into_boxed_slice())
+        Some(stream.into())
+    }
+
+    /// Events so far that can have removed a resident tag: fills,
+    /// restores and invalidations. A footprint found resident stays
+    /// resident while this count is unchanged (module docs, step 6).
+    pub(crate) fn removals(&self) -> u64 {
+        self.inner.borrow().sets.removals
     }
 
     /// Whether every sector of `footprint` is resident in a live set
@@ -556,31 +659,21 @@ impl<'a> L2Port<'a> {
         let inner = self.inner.borrow();
         footprint.iter().all(|&sector| {
             let (shard, set) = cache.shard_of(sector);
-            inner.shards[shard]
+            inner.sets.shards[shard]
                 .way_of(set, cache.ways, sector)
                 .is_some()
         })
     }
 
-    /// Stamps each sector of `footprint`, all resident, in order, leaving
-    /// the last one of each set its newest way: the LRU order a launch
-    /// that only hits leaves behind (module docs, step 6). Like the probe
-    /// fast path, a sector that is already its set's newest way keeps its
-    /// stamp. Dirty bits are untouched.
-    pub(crate) fn restamp(&self, footprint: &[u64]) {
-        let cache = self.cache;
-        let mut inner = self.inner.borrow_mut();
-        for &sector in footprint {
-            let (shard, set) = cache.shard_of(sector);
-            let s = &mut inner.shards[shard];
-            let w = s
-                .way_of(set, cache.ways, sector)
-                .expect("a restamped sector is resident");
-            if s.mru[set] as usize != w {
-                s.stamp += 1;
-                s.stamps[set * cache.ways + w] = s.stamp;
-                s.mru[set] = w as u8;
-            }
+    /// Queues the restamp of `footprint`, all resident, under `key`: the
+    /// LRU order a launch that only hits leaves behind, applied before
+    /// anything reads or changes that order (module docs, step 6). A key
+    /// already queued moves to the end.
+    pub(crate) fn defer_restamp(&self, key: u64, footprint: &Arc<[u64]>) {
+        let pending = &mut self.inner.borrow_mut().sets.pending;
+        match pending.iter().position(|&(k, _)| k == key) {
+            Some(i) => pending[i..].rotate_left(1),
+            None => pending.push((key, footprint.clone())),
         }
     }
 }
@@ -689,9 +782,9 @@ mod tests {
             .filter_map(|&op| match op {
                 Op::Access(sector, write) => {
                     let (shard, set) = c.shard_of(sector);
-                    let mut shards = c.lock_shards();
+                    let mut sets = c.lock_sets();
                     Some(Outcome::Access(reference_probe(
-                        &mut shards[shard],
+                        &mut sets.shards[shard],
                         set,
                         c.ways,
                         sector,
@@ -724,7 +817,7 @@ mod tests {
     }
 
     fn stamps_issued(c: &L2Cache) -> u64 {
-        c.lock_shards().iter().map(|s| s.stamp).sum()
+        c.lock_sets().shards.iter().map(|s| s.stamp).sum()
     }
 
     #[test]
@@ -765,11 +858,13 @@ mod tests {
     }
 
     /// Each set's live tags, least recently used first, sets in index
-    /// order.
+    /// order, once the deferred restamps are applied.
     fn lru_order(c: &L2Cache) -> Vec<Vec<u64>> {
         let ways = c.ways;
         let mut out = Vec::new();
-        for s in c.lock_shards().iter() {
+        let mut sets = c.lock_sets();
+        sets.settle(c);
+        for s in sets.shards.iter() {
             for set in 0..s.set_gen.len() {
                 let mut live: Vec<(u64, u64)> = (set * ways..(set + 1) * ways)
                     .filter(|&w| s.set_gen[set] == s.gen && s.tags[w] != 0)
@@ -887,11 +982,15 @@ mod tests {
         }
     }
 
-    /// A seeded stream of `sets × ways` accesses (the longest stream the
-    /// recorder keeps) over a pool of at most `ways` distinct sectors per
-    /// set, so its whole footprint can be resident; about one write in
-    /// three.
-    fn fitting_stream(rng: &mut StdRng, sets: usize, ways: usize) -> Vec<(u64, bool)> {
+    /// `n` seeded streams of `sets × ways` accesses each (the longest
+    /// stream the recorder keeps), about one write in three, over random parts of one pool of at most `ways` distinct
+    /// sectors per set, so all their footprints can be resident at once.
+    fn fitting_streams(
+        rng: &mut StdRng,
+        sets: usize,
+        ways: usize,
+        n: usize,
+    ) -> Vec<Vec<(u64, bool)>> {
         let mut pool = Vec::new();
         for set in 0..sets as u64 {
             let mut tags: Vec<u64> = (0..3 * ways as u64).collect();
@@ -900,14 +999,31 @@ mod tests {
                 pool.push(set + k * sets as u64);
             }
         }
-        (0..sets * ways)
+        (0..n)
             .map(|_| {
-                (
-                    pool[rng.gen_range(0..pool.len())],
-                    rng.gen_range(0..3u32) == 0,
-                )
+                let part: Vec<u64> = pool
+                    .iter()
+                    .copied()
+                    .filter(|_| rng.gen_range(0..2u32) == 0)
+                    .collect();
+                let part = if part.is_empty() { &pool } else { &part };
+                (0..sets * ways)
+                    .map(|_| {
+                        (
+                            part[rng.gen_range(0..part.len())],
+                            rng.gen_range(0..3u32) == 0,
+                        )
+                    })
+                    .collect()
             })
             .collect()
+    }
+
+    /// A cache with the same arrays as `c` and nothing deferred.
+    fn copy_of(c: &L2Cache) -> L2Cache {
+        let copy = L2Cache::new(c.capacity_bytes() as usize, c.ways);
+        copy.owned().restore(&c.owned().snapshot());
+        copy
     }
 
     #[test]
@@ -918,49 +1034,130 @@ mod tests {
             let sectors = 3 * (sets * ways) as u64;
             for seed in 0..40u64 {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let key = fitting_stream(&mut rng, sets, ways);
-                // The key's first run, from a seeded start, records its
-                // footprint; other accesses may then evict parts of it,
+                let keys = fitting_streams(&mut rng, sets, ways, 3);
+                // Each key's first run, from a seeded start, records its
+                // footprint; other accesses may then evict parts of them,
                 // and every fourth case invalidates the cache.
                 let a = L2Cache::new(capacity, ways);
                 run_port(&a, &ops(seed, sectors, 300));
                 a.owned().flush_dirty();
-                let port = a.owned();
-                port.record_stream();
-                for &(sector, write) in &key {
-                    port.access(sector * SECTOR_BYTES, write);
-                }
-                port.flush_dirty();
-                let footprint = port.take_footprint().expect("fits in the cache");
-                drop(port);
+                let footprints: Vec<Arc<[u64]>> = keys
+                    .iter()
+                    .map(|key| {
+                        let port = a.owned();
+                        port.record_stream();
+                        for &(sector, write) in key {
+                            port.access(sector * SECTOR_BYTES, write);
+                        }
+                        port.flush_dirty();
+                        port.take_footprint().expect("fits in the cache")
+                    })
+                    .collect();
                 run_port(&a, &ops(seed + 100, sectors, rng.gen_range(0..3 * ways)));
                 if seed % 4 == 0 {
                     a.invalidate();
                 }
                 a.owned().flush_dirty();
 
-                // `b` copies `a`; `a` interprets the key, `b` restamps.
-                let b = L2Cache::new(capacity, ways);
-                b.owned().restore(&a.owned().snapshot());
-                let holds = b.owned().holds_all(&footprint);
-                let (_, results) = launch(&a, &key);
-                let all_hit = results.iter().all(|r| r.hit);
-                assert_eq!(holds, all_hit, "{sets}x{ways}, seed {seed}");
+                // The keys launch interleaved, with repeats. `a`
+                // interprets them; the copies restamp each key's
+                // footprint, `b` at once, `c`, `d` and `e` deferred.
+                let order: Vec<usize> = (0..6).map(|_| rng.gen_range(0..keys.len())).collect();
+                let [b, c, d, e] = [(); 4].map(|_| copy_of(&a));
+                let holds = order.iter().all(|&k| b.owned().holds_all(&footprints[k]));
+                let all_hit = order
+                    .iter()
+                    .all(|&k| launch(&a, &keys[k]).1.iter().all(|r| r.hit));
+                let what = format!("{sets}x{ways}, seed {seed}, keys {order:?}");
+                assert_eq!(holds, all_hit, "{what}");
                 if !holds {
                     not_resident += 1;
                     continue;
                 }
                 resident += 1;
-                b.owned().restamp(&footprint);
-                assert_eq!(lru_order(&a), lru_order(&b), "{sets}x{ways}, seed {seed}");
+                let mut due = Vec::new();
+                for &k in &order {
+                    restamp(&mut b.lock_sets().shards, &b, &footprints[k]);
+                    for deferred in [&c, &d, &e] {
+                        deferred.owned().defer_restamp(k as u64, &footprints[k]);
+                    }
+                    due.retain(|&q| q != k as u64);
+                    due.push(k as u64);
+                }
+                // One entry per key, in the order of last occurrence.
+                let pending: Vec<u64> = c.lock_sets().pending.iter().map(|p| p.0).collect();
+                assert_eq!(pending, due, "{what}");
+                assert_eq!(lru_order(&a), lru_order(&b), "{what}");
+                assert_eq!(lru_order(&a), lru_order(&c), "{what}: deferred");
+                // A later launch, with its overwrite verdict, on copies of
+                // `a` and `b`; `e` applies its list before `stamps`.
                 let next = stream(seed + 200, sets, ways, 4 * sets * ways, u64::MAX);
-                assert_eq!(launch(&a, &next), launch(&b, &next));
+                let want = launch(&copy_of(&a), &next);
+                assert_eq!(launch(&copy_of(&b), &next), want, "{what}");
+                assert_eq!(launch(&e, &next), want, "{what}: deferred");
+                // Later probes, with invalidations and flushes; `d`
+                // applies its list at its first probe.
+                let next = ops(seed + 200, sectors, 4 * sets * ways);
+                let want = run_port(&a, &next);
+                assert_eq!(run_port(&b, &next), want, "{what}");
+                assert_eq!(run_port(&d, &next), want, "{what}: deferred");
             }
         }
         assert!(
             resident > 20 && not_resident > 20,
             "{resident}, {not_resident}"
         );
+    }
+
+    #[test]
+    fn a_deferred_restamp_is_not_counted_as_the_next_groups_stamping() {
+        // Two sets of 4 ways, filled by one footprint in fill order, so
+        // its restamp stamps every way anew.
+        let (sets, ways) = (2usize, 4usize);
+        let c = L2Cache::new(sets * ways * SECTOR_BYTES as usize, ways);
+        let port = c.owned();
+        port.record_stream();
+        for sector in 0..(sets * ways) as u64 {
+            port.access(sector * SECTOR_BYTES, false);
+        }
+        let footprint = port.take_footprint().expect("fits in the cache");
+        drop(port);
+        assert!(c.owned().holds_all(&footprint));
+
+        // Stamped inside a group, the restamp alone overwrites every set.
+        let twin = copy_of(&c);
+        let port = twin.owned();
+        let stamps = port.stamps();
+        port.defer_restamp(1, &footprint);
+        assert!(port.overwrote_every_set(&stamps));
+        drop(port);
+
+        // A resident hit of key 1, then an interpreted group of another
+        // key that touches one sector: that group overwrote no set.
+        c.owned().defer_restamp(1, &footprint);
+        let (saturated, results) = launch(&c, &[(0, false)]);
+        assert!(results[0].hit);
+        assert!(!saturated, "the deferred restamp predates the group");
+    }
+
+    #[test]
+    fn fills_restores_and_invalidations_count_as_removals() {
+        let c = L2Cache::new(1 << 12, 4);
+        let removals = || c.owned().removals();
+        c.owned().access(0, true);
+        c.owned().access(32, false);
+        assert_eq!(removals(), 2, "two fills");
+        c.owned().access(0, false);
+        c.owned().flush_dirty();
+        assert_eq!(removals(), 2, "a hit and a flush remove nothing");
+        // A restore moves the count on: installing arrays from an
+        // earlier count never brings the count back to it.
+        let snapshot = c.owned().snapshot();
+        c.owned().access(64, false);
+        c.owned().restore(&snapshot);
+        assert_eq!(removals(), 4, "a third fill and a restore");
+        c.invalidate();
+        assert_eq!(removals(), 5);
     }
 
     #[test]

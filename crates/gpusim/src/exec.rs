@@ -33,8 +33,13 @@
 //!   footprint, the distinct sectors in last-touch order, unless the raw
 //!   stream outgrows the L2's sectors. A later run that finds the whole
 //!   footprint resident is interpreted once for its counters. From then
-//!   on, a group whose footprint is resident restamps it in last-touch
-//!   order instead of probing.
+//!   on, a group whose footprint is resident queues its restamp in
+//!   last-touch order instead of probing. Both steps of a hit cost O(1)
+//!   L2 work: the residency check scans the footprint only when the L2
+//!   has filled, restored or invalidated since the key's last scan found
+//!   it resident ([`MemoCounts::footprint_scans`] counts the scans), and
+//!   the queued restamps are applied only before the next probe or
+//!   stamp read, one per key however often it hit.
 //!
 //! A hit by either rule runs the same kernel closures on the calling
 //! thread with memory tracing off — the arithmetic, and so every output
@@ -52,7 +57,7 @@ use crate::counters::{KernelStats, LocalCounters};
 use crate::device::DeviceSpec;
 use crate::mem::MemSystem;
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Lanes per warp on every modeled device.
 pub const WARP_SIZE: usize = 32;
@@ -141,7 +146,7 @@ struct Memo {
     stats: HashMap<(L2State, u64), GroupStats>,
     /// The L2 contents each key leaves behind.
     after: HashMap<u64, L2Snapshot>,
-    /// Each interpreted key's footprint, or `None` when its stream
+    /// Each interpreted key's footprint, or `None` when its raw stream
     /// outgrew the L2 and the resident rule never answers it.
     resident: HashMap<u64, Option<Footprint>>,
     counts: MemoCounts,
@@ -150,9 +155,28 @@ struct Memo {
 /// What the resident rule knows of one key.
 struct Footprint {
     /// The key's distinct sectors in last-touch order.
-    sectors: Box<[u64]>,
+    sectors: Arc<[u64]>,
     /// The counters of a run that found every sector resident.
     stats: Option<GroupStats>,
+    /// The L2's [`L2Port::removals`] when a scan last found every sector
+    /// resident.
+    confirmed: Option<u64>,
+}
+
+impl Footprint {
+    /// Whether every sector is resident in `l2`. Free while the L2 has
+    /// removed nothing since a scan last said yes; otherwise one
+    /// [`L2Port::holds_all`] scan, counted in `scans`.
+    fn resident(&mut self, l2: &L2Port, scans: &mut u64) -> bool {
+        let removals = l2.removals();
+        if self.confirmed == Some(removals) {
+            return true;
+        }
+        *scans += 1;
+        let resident = l2.holds_all(&self.sectors);
+        self.confirmed = resident.then_some(removals);
+        resident
+    }
 }
 
 /// How often a [`Gpu`]'s keyed launch groups were answered from its
@@ -170,6 +194,9 @@ pub struct MemoCounts {
     pub entries: usize,
     /// Keys whose footprint the resident rule recorded.
     pub resident_entries: usize,
+    /// Scans of a whole footprint for residency: a check the L2's removal
+    /// count could not answer.
+    pub footprint_scans: u64,
 }
 
 impl Gpu {
@@ -359,19 +386,21 @@ impl Gpu {
         // that finds it resident is interpreted once for its counters,
         // and answered from them after that.
         let mut all_resident = false;
-        match memo.resident.get(&key) {
+        match memo.resident.get_mut(&key) {
             None => l2.record_stream(),
-            Some(Some(fp)) if l2.holds_all(&fp.sectors) => {
-                if let Some(stats) = &fp.stats {
-                    self.run_untraced(&members);
-                    l2.restamp(&fp.sectors);
-                    memo.counts.hits += 1;
-                    memo.counts.resident_hits += 1;
-                    return stats.clone();
+            Some(Some(fp)) => {
+                if fp.resident(&l2, &mut memo.counts.footprint_scans) {
+                    if let Some(stats) = &fp.stats {
+                        self.run_untraced(&members);
+                        l2.defer_restamp(key, &fp.sectors);
+                        memo.counts.hits += 1;
+                        memo.counts.resident_hits += 1;
+                        return stats.clone();
+                    }
+                    all_resident = true;
                 }
-                all_resident = true;
             }
-            Some(_) => {}
+            Some(None) => {}
         }
         let stamps = l2.stamps();
         let group = group_stats(members, |m| {
@@ -382,6 +411,7 @@ impl Gpu {
                 let fp = l2.take_footprint().map(|sectors| Footprint {
                     sectors,
                     stats: None,
+                    confirmed: None,
                 });
                 memo.resident.insert(key, fp);
             }
@@ -998,6 +1028,52 @@ mod tests {
         }
         assert_eq!(named.memo_counts().hits, 0);
         assert_eq!(named.traffic_report()[0].read_sectors, 3 * 2048);
+    }
+
+    #[test]
+    fn a_resident_footprint_is_scanned_again_only_after_a_removal() {
+        let data: Vec<f64> = (0..8192).map(|i| (i % 97) as f64).collect();
+        let want: Vec<f64> = data.chunks(32).map(|c| c.iter().sum()).collect();
+        let gpus = [0, 1].map(|_| Gpu::new(DeviceSpec::a100()));
+        let bufs = gpus.each_ref().map(|g| (g.upload(&data), g.alloc_out(256)));
+        let others = gpus.each_ref().map(|g| (g.upload(&data), g.alloc_out(256)));
+        // Runs key 7 on the first GPU and un-keyed on the second; returns
+        // the first's footprint scans and resident hits so far.
+        let step = || {
+            let [a, b] = [(Some(7), 0), (None, 1)].map(|(key, i)| {
+                let (buf, out) = &bufs[i];
+                out.clear();
+                let stats = keyed_sum(&gpus[i], key, buf, out);
+                assert_eq!(out.to_vec(), want);
+                stats
+            });
+            assert_eq!(a, b);
+            let counts = gpus[0].memo_counts();
+            (counts.footprint_scans, counts.resident_hits)
+        };
+        // The first run records the footprint; the second scans it,
+        // finds it resident and is interpreted for its counters; later
+        // runs hit without a scan.
+        assert_eq!(step(), (0, 0));
+        assert_eq!(step(), (1, 0));
+        for hits in 1..4 {
+            assert_eq!(step(), (1, hits));
+        }
+        // An un-keyed launch fills other sectors: the next check scans,
+        // still finds the footprint resident, and hits.
+        for (g, (buf, out)) in gpus.iter().zip(&others) {
+            keyed_sum(g, None, buf, out);
+        }
+        assert_eq!(step(), (2, 4));
+        assert_eq!(step(), (2, 5));
+        // A reset removes everything: the scan fails and the run is
+        // interpreted; its fills force the next scan, which hits.
+        for g in &gpus {
+            g.reset_cache();
+        }
+        assert_eq!(step(), (3, 5));
+        assert_eq!(step(), (4, 6));
+        assert_eq!(step(), (4, 7));
     }
 
     #[test]

@@ -100,7 +100,12 @@ const CASE: Arg = arg(Required, "case", "liver|prostate", "");
 const BEAM: Arg = arg(Optional, "beam", "N", "");
 const SHRINK: Arg = arg(Optional, "shrink", "S", "");
 const DEVICE: Arg = arg(Optional, "device", "a100|v100|p100", "");
-const TPB: Arg = arg(Optional, "tpb", "N", "");
+const TPB: Arg = arg(
+    Optional,
+    "tpb",
+    "N",
+    "threads per block: a multiple of 32 in 32..=1024",
+);
 const TILE: Arg = arg(Optional, "tile", "auto|2|4|8|16|32", "");
 const PARTITION: Arg = arg(Optional, "partition", "heuristic|probe", "");
 
@@ -246,6 +251,17 @@ fn parse_devices(flags: &Flags) -> Result<usize, String> {
     match flags.num("devices")?.unwrap_or(3) {
         0 => Err("--devices must be at least 1, got 0".to_string()),
         n => Ok(n),
+    }
+}
+
+/// `--tpb`, 512 when absent: a launchable block size, a multiple of the
+/// warp size in `32..=1024`.
+fn parse_tpb(flags: &Flags) -> Result<u32, String> {
+    match flags.num("tpb")?.unwrap_or(512) {
+        n @ 32..=1024 if n % 32 == 0 => Ok(n),
+        n => Err(format!(
+            "--tpb must be a multiple of 32 in 32..=1024, got {n}"
+        )),
     }
 }
 
@@ -499,9 +515,9 @@ fn run_sharded_spmv(
 }
 
 fn cmd_spmv(flags: &Flags) -> Result<(), String> {
+    let tpb = parse_tpb(flags)?;
     let m = load_matrix(flags);
     let dev = device(flags);
-    let tpb: u32 = flags.num("tpb")?.unwrap_or(512);
     let repeat: usize = flags.num("repeat")?.unwrap_or(2);
     let kernel = flags.get("kernel").unwrap_or("half-double");
     let select = parse_select(flags)?;
@@ -666,9 +682,9 @@ fn print_bucket_table(choice: &KernelChoice) {
 /// candidate width probed on a throwaway simulator, plus
 /// what the statistics heuristic and the measured probe each pick.
 fn cmd_kernels(flags: &Flags) -> Result<(), String> {
+    let tpb = parse_tpb(flags)?;
     let m = load_matrix(flags);
     let dev = device(flags);
-    let tpb: u32 = flags.num("tpb")?.unwrap_or(512);
 
     let stats = RowStats::from_csr(&m);
     println!(
@@ -1112,6 +1128,30 @@ mod tests {
         assert_eq!(devices(&[]), Ok(3));
         assert_eq!(devices(&["--devices", "4"]), Ok(4));
         assert!(devices(&["--devices", "0"]).is_err());
+        // --tpb is a block size the simulator can launch, for both
+        // commands that take it.
+        for command in ["spmv", "kernels"] {
+            let tpb = |value: &str| {
+                let f = parse(command, &["--matrix", "m.rtdm", "--tpb", value]).unwrap();
+                parse_tpb(&f)
+            };
+            assert_eq!(
+                parse_tpb(&parse(command, &["--matrix", "m.rtdm"]).unwrap()),
+                Ok(512)
+            );
+            assert_eq!(tpb("32"), Ok(32));
+            assert_eq!(tpb("1024"), Ok(1024));
+            for bad in ["0", "7", "48", "1056", "2048"] {
+                let err = tpb(bad).unwrap_err();
+                assert!(
+                    err.starts_with("--tpb must be a multiple of 32"),
+                    "{command} {bad}: {err}"
+                );
+            }
+            assert!(tpb("-32")
+                .unwrap_err()
+                .starts_with("--tpb expects a number"));
+        }
     }
 
     #[test]
