@@ -55,6 +55,7 @@ use rt_gpusim::{
 };
 use rt_sparse::{Csr, RowPlan, RowShard, ShardPlan};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -299,13 +300,20 @@ impl ShardRows {
             gather_bytes: shard.gather_bytes(),
         }
     }
+
+    fn range(&self) -> Range<usize> {
+        self.row_start..self.row_end
+    }
 }
 
 /// Shard `s` of a replica group in both directions: dose shard `s` (rows
 /// of the matrix) and gradient shard `s` (rows of the transpose), held
 /// by one calculator on one device. With `K = 1` this is a whole-plan
 /// calculator. A forced `K` above the transpose's row count leaves the
-/// trailing units with no gradient shard.
+/// trailing units with no gradient shard. Units sit behind an `Arc`: a
+/// re-deal that leaves a unit's home device and row ranges unchanged
+/// keeps it, so the unit's simulated device, L2 state and launch memo
+/// carry over into the new epoch.
 struct ShardUnit {
     /// Home device index into the *pool* (shard `s` of a replica group
     /// lives on the group's `s % group_size`-th member).
@@ -334,7 +342,7 @@ struct ReplicaGroup {
     /// break-even model.
     devices: Vec<usize>,
     /// Shard units in row order.
-    units: Vec<ShardUnit>,
+    units: Vec<Arc<ShardUnit>>,
     /// Break-even evidence table ([`ShardSpec::Auto`] only): the modeled
     /// single-request seconds at every candidate shard count.
     breakeven: Vec<BreakEvenPoint>,
@@ -342,7 +350,7 @@ struct ReplicaGroup {
 
 impl ReplicaGroup {
     /// The units holding a shard of `kind`, with their indices.
-    fn shards_for(&self, kind: RequestKind) -> impl Iterator<Item = (usize, &ShardUnit)> {
+    fn shards_for(&self, kind: RequestKind) -> impl Iterator<Item = (usize, &Arc<ShardUnit>)> {
         self.units
             .iter()
             .enumerate()
@@ -353,11 +361,35 @@ impl ReplicaGroup {
 /// One immutable generation of a plan's resolved placement: `R` disjoint
 /// replica groups, each serving whole requests independently. Fan-outs
 /// pin the epoch they were dispatched under (`Arc`), so a re-deal never
-/// pulls shard calculators out from under an in-flight batch.
+/// pulls shard calculators out from under an in-flight batch. A unit
+/// kept by a re-deal belongs to both epochs; its calculator's staging
+/// lock serializes the callers of either.
 struct PlacementEpoch {
     /// Monotone generation counter (0 = the registration-time deal).
     epoch: u64,
     groups: Vec<ReplicaGroup>,
+}
+
+impl PlacementEpoch {
+    fn units(&self) -> impl Iterator<Item = &Arc<ShardUnit>> {
+        self.groups.iter().flat_map(|g| &g.units)
+    }
+
+    /// This epoch's unit homed on `device` with exactly these dose and
+    /// gradient rows, if any. Widths are pinned per plan and threads per
+    /// block per engine, so such a unit is the one a rebuild would make.
+    fn unit_matching(
+        &self,
+        device: usize,
+        dose: &Range<usize>,
+        grad: Option<&Range<usize>>,
+    ) -> Option<&Arc<ShardUnit>> {
+        self.units().find(|u| {
+            u.device == device
+                && u.dose.range() == *dose
+                && u.grad.as_ref().map(ShardRows::range).as_ref() == grad
+        })
+    }
 }
 
 /// One direction of a registered plan: the host matrix a re-deal
@@ -419,6 +451,10 @@ struct Plan {
     placement: Mutex<Arc<PlacementEpoch>>,
     /// Re-deals (drain or undrain) this plan's placement has absorbed.
     rebalances: AtomicU64,
+    /// Shard units re-deals kept from the epoch they replaced, and units
+    /// built (registration's included).
+    kept_units: AtomicU64,
+    built_units: AtomicU64,
 }
 
 impl Plan {
@@ -434,12 +470,12 @@ impl Plan {
     }
 
     /// The sum of `f` over this plan's calculators on pool device `dev`
-    /// under its current placement epoch.
+    /// under its current placement epoch. A calculator's counts cover
+    /// its whole life: a unit a re-deal kept carries them over, and a
+    /// unit a re-deal built starts at zero.
     fn sum_on(&self, dev: usize, f: impl Fn(&DoseCalculator) -> u64) -> u64 {
         self.snapshot()
-            .groups
-            .iter()
-            .flat_map(|g| &g.units)
+            .units()
             .filter(|u| u.device == dev)
             .map(|u| f(&u.calc))
             .sum()
@@ -775,7 +811,9 @@ impl Engine {
         let tpb = self.threads_per_block;
         let dose = Direction::new(reference, matrix.clone(), policy.kernel_select, tpb)?;
         let grad = Direction::new(reference, matrix.transpose(), policy.kernel_select, tpb)?;
-        let groups = self.place_groups(&dose, &grad, &policy, &self.live_devices())?;
+        let groups = self.place_groups(&dose, &grad, &policy, &self.live_devices(), None)?;
+        let epoch = PlacementEpoch { epoch: 0, groups };
+        let built = epoch.units().count() as u64;
         self.plan_index.insert(name.to_string(), self.plans.len());
         self.plans.push(Plan {
             name: name.to_string(),
@@ -784,8 +822,10 @@ impl Engine {
             dose,
             grad,
             policy,
-            placement: Mutex::new(Arc::new(PlacementEpoch { epoch: 0, groups })),
+            placement: Mutex::new(Arc::new(epoch)),
             rebalances: AtomicU64::new(0),
+            kept_units: AtomicU64::new(0),
+            built_units: AtomicU64::new(built),
         });
         Ok(())
     }
@@ -795,13 +835,16 @@ impl Engine {
     /// registration; the surviving members during a drain re-deal).
     /// The break-even model re-runs against the live members, so a
     /// shrunken group may legitimately pick a smaller `K` than the full
-    /// pool would have.
+    /// pool would have. A re-deal passes the epoch it replaces as `old`,
+    /// and every unit of it that the new deal would rebuild unchanged is
+    /// kept ([`Engine::build_group_units`]).
     fn place_groups(
         &self,
         dose: &Direction,
         grad: &Direction,
         policy: &ExecPolicy,
         live: &[usize],
+        old: Option<&PlacementEpoch>,
     ) -> Result<Vec<ReplicaGroup>, RtError> {
         let pool = self.devices.len();
         let live_n = live.len();
@@ -854,7 +897,7 @@ impl Engine {
                     (be.k, be.candidates)
                 }
             };
-            let units = self.build_group_units(dose, grad, &members, k)?;
+            let units = self.build_group_units(dose, grad, &members, k, old)?;
             groups.push(ReplicaGroup {
                 devices: members,
                 units,
@@ -880,8 +923,11 @@ impl Engine {
 
     /// Marks pool device `d` ineligible for new work: its worker stops
     /// popping requests, no new placement epoch homes shards on it, and
-    /// every plan currently holding shards there is re-dealt over the
-    /// surviving devices. Shard sub-tasks already pinned by an older
+    /// every plan with a replica group that lists `d` as a member is
+    /// re-dealt over the surviving devices — including a group in which
+    /// `d` holds no shard (a `K = 1` group's later members). Units whose
+    /// home device and rows the re-deal leaves unchanged are kept, with
+    /// their launch memos. Shard sub-tasks already pinned by an older
     /// epoch still execute, so in-flight fan-outs finish where they
     /// started — and because every epoch's widths are pinned from the
     /// whole matrix, the dose bytes are identical either way.
@@ -922,7 +968,8 @@ impl Engine {
     }
 
     /// Returns a drained device to service and re-deals every plan over
-    /// the grown pool. Idempotent; fails with
+    /// the grown pool, keeping the units of each plan's current epoch
+    /// that did not move. Idempotent; fails with
     /// [`RtError::InvalidPlacement`] when `d` is out of range.
     pub fn undrain_device(&self, d: usize) -> Result<(), RtError> {
         if d >= self.devices.len() {
@@ -943,16 +990,26 @@ impl Engine {
     }
 
     /// Re-deals one plan's replica groups over `live` and swaps the new
-    /// epoch in. The shard build runs *before* the placement lock is
-    /// taken, so dispatchers are never blocked behind calculator
-    /// construction; callers hold `rebalance_lock`.
+    /// epoch in, keeping the units of the current epoch that did not
+    /// move. The shard build runs *before* the placement lock is taken,
+    /// so dispatchers are never blocked behind calculator construction;
+    /// callers hold `rebalance_lock`, so no other swap can land between
+    /// the snapshot and the swap.
     fn redeal_plan(&self, plan: &Plan, live: &[usize]) -> Result<(), RtError> {
-        let groups = self.place_groups(&plan.dose, &plan.grad, &plan.policy, live)?;
-        let mut cur = plan.placement.lock().unwrap();
-        *cur = Arc::new(PlacementEpoch {
-            epoch: cur.epoch + 1,
+        let old = plan.snapshot();
+        let groups = self.place_groups(&plan.dose, &plan.grad, &plan.policy, live, Some(&old))?;
+        let epoch = PlacementEpoch {
+            epoch: old.epoch + 1,
             groups,
-        });
+        };
+        let kept = epoch
+            .units()
+            .filter(|u| old.units().any(|o| Arc::ptr_eq(u, o)))
+            .count() as u64;
+        plan.kept_units.fetch_add(kept, Ordering::SeqCst);
+        plan.built_units
+            .fetch_add(epoch.units().count() as u64 - kept, Ordering::SeqCst);
+        *plan.placement.lock().unwrap() = Arc::new(epoch);
         plan.rebalances.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
@@ -967,25 +1024,38 @@ impl Engine {
     /// its own pinned decision — for partitioned plans, through
     /// the bucketed partition of its own sub-matrix at the whole
     /// matrix's per-bucket widths.
+    ///
+    /// The cuts are decided before any row is copied: a shard whose home
+    /// device, dose rows and gradient rows (or lack of them) equal a unit
+    /// of `old` reuses that unit, and only the other shards are
+    /// materialized and built.
     fn build_group_units(
         &self,
         dose: &Direction,
         grad: &Direction,
         members: &[usize],
         k: usize,
-    ) -> Result<Vec<ShardUnit>, RtError> {
+        old: Option<&PlacementEpoch>,
+    ) -> Result<Vec<Arc<ShardUnit>>, RtError> {
         let n = members.len();
         let weights: Vec<f64> = (0..k)
             .map(|i| self.devices[members[i % n]].effective_dram_bw())
             .collect();
-        let dose_plan = ShardPlan::build_weighted(&dose.matrix, &weights);
-        let grad_plan = ShardPlan::build_weighted(&grad.matrix, &weights[..dose_plan.num_shards()]);
-        dose_plan
-            .shards()
-            .iter()
-            .map(|ds| {
-                let device = members[ds.index % n];
-                let gs = grad_plan.shards().get(ds.index);
+        let dose_cuts = ShardPlan::cuts(&dose.matrix, &weights);
+        let grad_cuts = ShardPlan::cuts(&grad.matrix, &weights[..dose_cuts.len()]);
+        dose_cuts
+            .into_iter()
+            .enumerate()
+            .map(|(s, dose_rows)| {
+                let device = members[s % n];
+                let grad_rows = grad_cuts.get(s).cloned();
+                if let Some(unit) =
+                    old.and_then(|e| e.unit_matching(device, &dose_rows, grad_rows.as_ref()))
+                {
+                    return Ok(Arc::clone(unit));
+                }
+                let ds = RowShard::materialize(&dose.matrix, s, dose_rows);
+                let gs = grad_rows.map(|rows| RowShard::materialize(&grad.matrix, s, rows));
                 let mut b = DoseCalculator::builder(&ds.matrix)
                     .device(self.devices[device].clone())
                     .threads_per_block(self.threads_per_block)
@@ -994,18 +1064,18 @@ impl Engine {
                 if let Some(w) = dose.widths() {
                     b = b.partitioned_with_plan(ds.plan.clone(), w);
                 }
-                if let Some(gs) = gs {
+                if let Some(gs) = &gs {
                     b = b.gradient_matrix(&gs.matrix);
                     if let Some(w) = grad.widths() {
                         b = b.grad_partitioned_with_plan(gs.plan.clone(), w);
                     }
                 }
-                Ok(ShardUnit {
+                Ok(Arc::new(ShardUnit {
                     device,
-                    dose: ShardRows::of(ds),
-                    grad: gs.map(ShardRows::of),
+                    dose: ShardRows::of(&ds),
+                    grad: gs.as_ref().map(ShardRows::of),
                     calc: b.build()?,
-                })
+                }))
             })
             .collect()
     }
@@ -1154,6 +1224,8 @@ impl Engine {
                         shards_per_replica: pl.groups[0].units.len(),
                         auto_shards: p.policy.shards == ShardSpec::Auto,
                         rebalances: p.rebalances.load(Ordering::SeqCst),
+                        kept_units: p.kept_units.load(Ordering::SeqCst),
+                        built_units: p.built_units.load(Ordering::SeqCst),
                         groups: pl
                             .groups
                             .iter()

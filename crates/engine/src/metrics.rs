@@ -30,9 +30,10 @@ pub struct DeviceReport {
     /// Keyed launch groups run by this device's calculators (every
     /// calculator launch is keyed), and how many of them the launch memo
     /// answered without interpreting the address stream. Summed over the
-    /// calculators of the current placement epoch (a re-deal builds new
-    /// ones, which start at zero). Attached by the engine after the
-    /// metrics snapshot.
+    /// calculators of the current placement epoch, each over its whole
+    /// life: a unit a re-deal kept carries its counts across the
+    /// re-deal, and a unit a re-deal built starts at zero. Attached by
+    /// the engine after the metrics snapshot.
     pub keyed_groups: u64,
     pub memo_hits: u64,
     /// Whether the device was drained (out for maintenance) when the
@@ -93,6 +94,13 @@ pub struct PlacementSelection {
     /// Re-deals this plan's placement absorbed over its lifetime, one per
     /// drain or undrain that moved it, each an atomic epoch swap.
     pub rebalances: u64,
+    /// Shard units the re-deals kept from the epoch each replaced (same
+    /// home device, same dose and gradient rows, so the same simulated
+    /// device, L2 state and launch memo), over the plan's lifetime.
+    pub kept_units: u64,
+    /// Shard units built over the plan's lifetime: registration's, plus
+    /// every unit a re-deal could not keep.
+    pub built_units: u64,
     /// Per-group membership and served-request tallies (the current
     /// placement epoch's groups; served counts are per-epoch).
     pub groups: Vec<ReplicaGroupSelection>,
@@ -314,6 +322,8 @@ impl From<&PlacementSelection> for Json {
             .field("shards_per_replica", pl.shards_per_replica)
             .field("auto_shards", pl.auto_shards)
             .field("rebalances", pl.rebalances)
+            .field("kept_units", pl.kept_units)
+            .field("built_units", pl.built_units)
             .field("groups", Json::arr(groups))
             .field("breakeven", Json::arr(breakeven))
     }
@@ -694,6 +704,8 @@ mod tests {
                 shards_per_replica: 2,
                 auto_shards: true,
                 rebalances: 3,
+                kept_units: 5,
+                built_units: 8,
                 groups: vec![
                     ReplicaGroupSelection {
                         group: 0,
@@ -723,7 +735,7 @@ mod tests {
         r.elapsed_ms = 2.5;
         let j = r.to_json();
         assert!(contains(&j,
-            "\"placement\": {\"replicas\": 2, \"shards_per_replica\": 2, \"auto_shards\": true, \"rebalances\": 3, \"groups\": [{\"group\": 0, \"devices\": [\"A100\", \"P100\"], \"shards\": 2, \"served\": 3}, "
+            "\"placement\": {\"replicas\": 2, \"shards_per_replica\": 2, \"auto_shards\": true, \"rebalances\": 3, \"kept_units\": 5, \"built_units\": 8, \"groups\": [{\"group\": 0, \"devices\": [\"A100\", \"P100\"], \"shards\": 2, \"served\": 3}, "
         ));
         assert!(contains(
             &j,
@@ -732,7 +744,7 @@ mod tests {
         assert!(contains(&j, "\"breakeven\": [{\"k\": 1, \"modeled_seconds\": 3.300000e-5}, {\"k\": 2, \"modeled_seconds\": 2.100000e-5}]"));
         assert_eq!(
             minify(&j),
-            r#"{"elapsed_ms":2.500,"throughput_rps":0.00,"submitted":0,"completed":0,"rejected_queue_full":0,"shed_deadline":0,"failed":0,"launches":0,"batches":0,"avg_batch":0.00,"max_batch":0,"queue":{"capacity":4,"max_depth":0},"wait_ms":{"mean":0.000,"max":0.000},"latency_ms":{"mean":0.000,"max":0.000},"modeled_gpu_seconds":0.000000e0,"devices":[{"name":"A100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"keyed_groups":0,"memo_hits":0,"drained":false},{"name":"A100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"keyed_groups":0,"memo_hits":0,"drained":false},{"name":"V100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"keyed_groups":0,"memo_hits":0,"drained":false},{"name":"P100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"keyed_groups":0,"memo_hits":0,"drained":false}],"plans":[{"name":"liver","tile_width":32,"grad_tile_width":32,"mode":"heuristic","avg_nnz_nonempty":12.00,"buckets":[],"grad_buckets":[],"shards":[],"placement":{"replicas":2,"shards_per_replica":2,"auto_shards":true,"rebalances":3,"groups":[{"group":0,"devices":["A100","P100"],"shards":2,"served":3},{"group":1,"devices":["A100","V100"],"shards":2,"served":2}],"breakeven":[{"k":1,"modeled_seconds":3.300000e-5},{"k":2,"modeled_seconds":2.100000e-5}]}}]}"#
+            r#"{"elapsed_ms":2.500,"throughput_rps":0.00,"submitted":0,"completed":0,"rejected_queue_full":0,"shed_deadline":0,"failed":0,"launches":0,"batches":0,"avg_batch":0.00,"max_batch":0,"queue":{"capacity":4,"max_depth":0},"wait_ms":{"mean":0.000,"max":0.000},"latency_ms":{"mean":0.000,"max":0.000},"modeled_gpu_seconds":0.000000e0,"devices":[{"name":"A100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"keyed_groups":0,"memo_hits":0,"drained":false},{"name":"A100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"keyed_groups":0,"memo_hits":0,"drained":false},{"name":"V100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"keyed_groups":0,"memo_hits":0,"drained":false},{"name":"P100","requests":0,"launches":0,"modeled_seconds":0.000000e0,"resident_bytes":0,"keyed_groups":0,"memo_hits":0,"drained":false}],"plans":[{"name":"liver","tile_width":32,"grad_tile_width":32,"mode":"heuristic","avg_nnz_nonempty":12.00,"buckets":[],"grad_buckets":[],"shards":[],"placement":{"replicas":2,"shards_per_replica":2,"auto_shards":true,"rebalances":3,"kept_units":5,"built_units":8,"groups":[{"group":0,"devices":["A100","P100"],"shards":2,"served":3},{"group":1,"devices":["A100","V100"],"shards":2,"served":2}],"breakeven":[{"k":1,"modeled_seconds":3.300000e-5},{"k":2,"modeled_seconds":2.100000e-5}]}}]}"#
         );
     }
 }

@@ -26,6 +26,7 @@
 
 use crate::{ColIndex, Csr, RowPlan};
 use rt_f16::DoseScalar;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One contiguous row-range shard of a [`ShardPlan`]: rows
@@ -50,6 +51,34 @@ pub struct RowShard<V, I = u32> {
 }
 
 impl<V: DoseScalar, I: ColIndex> RowShard<V, I> {
+    /// Copies rows `rows` of `m` out as shard `index`: a sub-CSR built
+    /// through the public constructor (rebased `row_ptr`, re-validated
+    /// structure) plus its own [`RowPlan`].
+    pub fn materialize(m: &Csr<V, I>, index: usize, rows: Range<usize>) -> Self {
+        let (start, end) = (rows.start, rows.end);
+        let row_ptr = m.row_ptr();
+        let base = row_ptr[start];
+        let lo = base as usize;
+        let hi = row_ptr[end] as usize;
+        let sub_ptr: Vec<u32> = row_ptr[start..=end].iter().map(|&p| p - base).collect();
+        let matrix = Csr::try_new(
+            end - start,
+            m.ncols(),
+            sub_ptr,
+            m.col_idx()[lo..hi].to_vec(),
+            m.values()[lo..hi].to_vec(),
+        )
+        .expect("a row range of a valid CSR is a valid CSR");
+        let plan = Arc::new(RowPlan::from_csr(&matrix));
+        RowShard {
+            index,
+            row_start: start,
+            row_end: end,
+            matrix,
+            plan,
+        }
+    }
+
     /// Rows owned by this shard.
     #[inline]
     pub fn nrows(&self) -> usize {
@@ -93,7 +122,29 @@ pub struct ShardPlan<V, I = u32> {
 
 impl<V: DoseScalar, I: ColIndex> ShardPlan<V, I> {
     /// Splits `m` into `weights.len()` contiguous shards whose nnz shares
-    /// are proportional to `weights` — shard `i` targets
+    /// are proportional to `weights`: the row ranges of
+    /// [`ShardPlan::cuts`], each materialized by
+    /// [`RowShard::materialize`].
+    ///
+    /// # Panics
+    /// Panics if `weights` is empty or contains a non-finite or
+    /// non-positive weight.
+    pub fn build_weighted(m: &Csr<V, I>, weights: &[f64]) -> Self {
+        let shards = Self::cuts(m, weights)
+            .into_iter()
+            .enumerate()
+            .map(|(s, rows)| RowShard::materialize(m, s, rows))
+            .collect();
+        ShardPlan {
+            nrows: m.nrows(),
+            ncols: m.ncols(),
+            nnz: m.nnz(),
+            shards,
+        }
+    }
+
+    /// The row ranges [`ShardPlan::build_weighted`] cuts `m` into,
+    /// decided before any sub-CSR is copied: shard `i` targets
     /// `nnz * w_i / Σw` entries, so a shard homed on a device with twice
     /// the modeled bandwidth gets twice the traffic and every shard
     /// *finishes* at the same modeled time on a heterogeneous pool. With
@@ -109,8 +160,8 @@ impl<V: DoseScalar, I: ColIndex> ShardPlan<V, I> {
     /// # Panics
     /// Panics if `weights` is empty or contains a non-finite or
     /// non-positive weight.
-    pub fn build_weighted(m: &Csr<V, I>, weights: &[f64]) -> Self {
-        assert!(!weights.is_empty(), "build_weighted needs >= 1 weight");
+    pub fn cuts(m: &Csr<V, I>, weights: &[f64]) -> Vec<Range<usize>> {
+        assert!(!weights.is_empty(), "shard cuts need >= 1 weight");
         assert!(
             weights.iter().all(|w| w.is_finite() && *w > 0.0),
             "shard weights must be finite and positive"
@@ -144,41 +195,7 @@ impl<V: DoseScalar, I: ColIndex> ShardPlan<V, I> {
             row = start;
         }
         bounds.push(nrows);
-        let shards = (0..k)
-            .map(|s| Self::materialize(m, s, bounds[s], bounds[s + 1]))
-            .collect();
-        ShardPlan {
-            nrows,
-            ncols: m.ncols(),
-            nnz,
-            shards,
-        }
-    }
-
-    /// Builds the sub-CSR for rows `[start, end)` via the public
-    /// constructor (rebased `row_ptr`, re-validated structure).
-    fn materialize(m: &Csr<V, I>, index: usize, start: usize, end: usize) -> RowShard<V, I> {
-        let row_ptr = m.row_ptr();
-        let base = row_ptr[start];
-        let lo = base as usize;
-        let hi = row_ptr[end] as usize;
-        let sub_ptr: Vec<u32> = row_ptr[start..=end].iter().map(|&p| p - base).collect();
-        let matrix = Csr::try_new(
-            end - start,
-            m.ncols(),
-            sub_ptr,
-            m.col_idx()[lo..hi].to_vec(),
-            m.values()[lo..hi].to_vec(),
-        )
-        .expect("a row range of a valid CSR is a valid CSR");
-        let plan = Arc::new(RowPlan::from_csr(&matrix));
-        RowShard {
-            index,
-            row_start: start,
-            row_end: end,
-            matrix,
-            plan,
-        }
+        bounds.windows(2).map(|b| b[0]..b[1]).collect()
     }
 
     /// Rows of the source matrix.
@@ -422,6 +439,28 @@ mod tests {
                 .map(|s| s.row_start)
                 .collect();
             assert_eq!(got, want, "k={k}");
+        }
+    }
+
+    #[test]
+    fn cuts_are_the_row_ranges_build_weighted_materializes() {
+        let m = beamlike(600, 70);
+        for weights in [vec![1.0], vec![2.0, 1.0], vec![3.0, 1.0, 2.0, 1.0]] {
+            let cuts = ShardPlan::cuts(&m, &weights);
+            let plan = ShardPlan::build_weighted(&m, &weights);
+            let ranges: Vec<_> = plan
+                .shards()
+                .iter()
+                .map(|s| s.row_start..s.row_end)
+                .collect();
+            assert_eq!(cuts, ranges, "weights {weights:?}");
+            for (s, rows) in cuts.into_iter().enumerate() {
+                let one = RowShard::materialize(&m, s, rows);
+                let built = &plan.shards()[s];
+                assert_eq!(one.matrix.row_ptr(), built.matrix.row_ptr());
+                assert_eq!(one.matrix.col_idx(), built.matrix.col_idx());
+                assert_eq!(one.nonempty_rows(), built.nonempty_rows());
+            }
         }
     }
 
