@@ -57,7 +57,7 @@ use rt_sparse::{Csr, RowPlan, RowShard, ShardPlan};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Which operation a request asks for.
@@ -250,9 +250,23 @@ impl Gate {
         }
     }
 
+    /// Opens the gate. Recovers a poisoned lock, since a serve session
+    /// ends by opening it while unwinding, and a flag holds no invariant.
     fn open(&self) {
-        *self.paused.lock().unwrap() = false;
+        *self.paused.lock().unwrap_or_else(PoisonError::into_inner) = false;
         self.cv.notify_all();
+    }
+}
+
+/// Ends a serve session when dropped, whether the closure returned or
+/// panicked: no more submissions, and paused workers wake, so every
+/// worker drains what remains and exits and the scope can join them.
+struct EndSession<'a>(&'a ServeState);
+
+impl Drop for EndSession<'_> {
+    fn drop(&mut self) {
+        self.0.queue.close();
+        self.0.gate.open();
     }
 }
 
@@ -1155,16 +1169,12 @@ impl Engine {
                 let state = &state;
                 s.spawn(move || self.worker(dev, state));
             }
+            let _end = EndSession(&state);
             let client = EngineClient {
                 engine: self,
                 state: &state,
             };
-            let r = f(&client);
-            // End of session: no more submissions; wake paused workers so
-            // they drain what remains and exit.
-            state.queue.close();
-            state.gate.open();
-            r
+            f(&client)
         });
         let mut report = state
             .metrics
@@ -1253,6 +1263,7 @@ impl Engine {
             d.resident_bytes = sum(|c| c.resident_bytes());
             d.keyed_groups = sum(|c| c.memo_counts().keyed);
             d.memo_hits = sum(|c| c.memo_counts().hits);
+            d.split_hits = sum(|c| c.memo_counts().split_runs);
             d.drained = self.drained[dev].load(Ordering::SeqCst);
         }
         (out, report)

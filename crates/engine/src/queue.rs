@@ -22,7 +22,7 @@
 
 use rt_core::RtError;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 struct Inner<T> {
     items: VecDeque<T>,
@@ -179,9 +179,14 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Closes the queue: pending and future pushes fail, pops drain what
-    /// remains and then return `None`.
+    /// remains and then return `None`. Recovers a poisoned lock, since a
+    /// serve session ends by closing the queue while unwinding, and
+    /// setting the flag breaks no invariant.
     pub fn close(&self) {
-        self.inner.lock().unwrap().closed = true;
+        self.inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }

@@ -215,3 +215,28 @@ fn device_reports_count_keyed_groups_and_memo_hits() {
     let json = report.to_json();
     assert!(json.contains("\"keyed_groups\": 3, \"memo_hits\": 1"));
 }
+
+#[test]
+fn a_panicking_serve_closure_comes_back_out_of_serve() {
+    // Paused workers wait at the gate and running ones in the queue: the
+    // session must end on unwind too, or the scope waits for them forever.
+    for paused in [true, false] {
+        let mut e = Engine::builder().device(DeviceSpec::a100());
+        if paused {
+            e = e.start_paused();
+        }
+        let mut e = e.build().unwrap();
+        e.register_plan("plan", &matrix()).unwrap();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            e.serve(|c| {
+                c.submit("plan", RequestKind::Dose, vec![1.0; 4]).unwrap();
+                panic!("closure panic, paused {paused}");
+            })
+        }));
+        let payload = caught.expect_err("serve re-raises the closure's panic");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("a formatted message");
+        assert_eq!(*msg, format!("closure panic, paused {paused}"));
+    }
+}

@@ -7,13 +7,15 @@
 //! exact shuffle-down tree the hardware primitive does — in a fixed order,
 //! which is what makes the vector kernel bitwise reproducible.
 //!
-//! A launch runs its blocks in order on the calling thread, and the warps
-//! of a block in order, owning the L2 model from its first access to its
-//! end-of-kernel flush. Functional results and traffic counters are
-//! therefore exactly reproducible. Host parallelism lives above the
-//! executor: a [`Gpu`] is `Sync`, so callers launch on different `Gpu`s
-//! from different threads (the engine runs one worker per simulated
-//! device), and concurrent launches on one `Gpu` take its L2 in turn.
+//! A traced launch runs its blocks in order on the calling thread, and
+//! the warps of a block in order, owning the L2 model from its first
+//! access to its end-of-kernel flush. Functional results and traffic
+//! counters are therefore exactly reproducible. Host parallelism lives
+//! above the executor: a [`Gpu`] is `Sync`, so callers launch on
+//! different `Gpu`s from different threads (the engine runs one worker
+//! per simulated device), and concurrent launches on one `Gpu` take its
+//! L2 in turn. The one exception is a launch-memo hit (below), which may
+//! split its blocks over two threads.
 //!
 //! # Launch memo
 //!
@@ -41,15 +43,32 @@
 //!   the queued restamps are applied only before the next probe or
 //!   stamp read, one per key however often it hit.
 //!
-//! A hit by either rule runs the same kernel closures on the calling
-//! thread with memory tracing off — the arithmetic, and so every output
-//! bit, is unchanged — and returns the remembered [`GroupStats`], equal
-//! to what interpretation would return. Otherwise the group interprets
-//! and records. Un-keyed launches, non-saturating groups (resident hits
-//! included) and [`Gpu::reset_cache`] move the state to `Unknown` (or
-//! `Cold`), so a later saturating hit never assumes contents the cache
-//! does not hold. A `Gpu` with named buffers never memoizes, so
-//! per-buffer attribution ([`Gpu::traffic_report`]) stays interpreted.
+//! A hit by either rule runs the same kernel closures with memory tracing
+//! off — the arithmetic, and so every output bit, is unchanged — and
+//! returns the remembered [`GroupStats`], equal to what interpretation
+//! would return. Otherwise the group interprets and records. Un-keyed
+//! launches, non-saturating groups (resident hits included) and
+//! [`Gpu::reset_cache`] move the state to `Unknown` (or `Cold`), so a
+//! later saturating hit never assumes contents the cache does not hold.
+//! A `Gpu` with named buffers never memoizes, so per-buffer attribution
+//! ([`Gpu::traffic_report`]) stays interpreted.
+//!
+//! # Split memo hits
+//!
+//! A hit touches no L2 port and takes its counters from the memo, so its
+//! blocks may run on any thread. Each member runs as a claim loop: a
+//! thread takes a few blocks at a time from a shared counter.
+//! When the member's remembered flops exceed [`SPLIT_FLOPS`] and fewer
+//! threads run launches in the process than
+//! [`std::thread::available_parallelism`], one scoped helper thread
+//! claims blocks from the same counter ([`MemoCounts::split_runs`]).
+//! That is exact for the vector-CSR kernels, where one warp sums each
+//! output element in a fixed order and stores it once
+//! ([`WarpCtx::atomic_add`] refuses to run in a split run). Members stay
+//! ordered: the next starts only after both threads finish the current
+//! one, since the bucketed kernel's zero-fill member clears rows that
+//! later members write. With no helper the claim loop runs every block
+//! in order, as a traced launch does.
 
 use crate::buffer::{DeviceBuffer, DeviceOutBuffer, OutScalar};
 use crate::cache::{L2Port, L2Snapshot, L2State};
@@ -57,10 +76,69 @@ use crate::counters::{KernelStats, LocalCounters};
 use crate::device::DeviceSpec;
 use crate::mem::MemSystem;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Lanes per warp on every modeled device.
 pub const WARP_SIZE: usize = 32;
+
+/// Remembered flops above which a memo-hit member may take a helper
+/// thread (module docs, *Split memo hits*). The launch count cannot see
+/// CPU spent outside launches (clients, queue work), so a wrong guess
+/// that a CPU is free must be rare and well paid: at 300k, the serve
+/// benchmark's small-inline batch-6–8 launches (323k–431k flops) split
+/// and took CPU from its clients (DESIGN.md §4i, *Measured, split memo
+/// hits*).
+pub const SPLIT_FLOPS: u64 = 500_000;
+
+/// Blocks a thread takes per claim in [`Gpu::run_claims`].
+const CLAIM_BLOCKS: u64 = 4;
+
+/// Threads of this process running a launch: every launch that holds an
+/// L2 port, plus every helper of a split memo hit. The count publishes
+/// no data, so it is `Relaxed`.
+static RUNNING: AtomicUsize = AtomicUsize::new(0);
+
+/// One thread counted in [`RUNNING`] until dropped.
+struct Running;
+
+impl Running {
+    /// Counts the calling thread's launch.
+    fn enter() -> Self {
+        RUNNING.fetch_add(1, Ordering::Relaxed);
+        Running
+    }
+
+    /// Counts a helper thread for a memo-hit member with `flops`
+    /// remembered flops, if the member exceeds [`SPLIT_FLOPS`] and fewer
+    /// threads run launches than the process may use. Reserving the slot
+    /// and checking the count are one atomic step, so two launches never
+    /// both take the last free CPU.
+    fn helper(flops: u64) -> Option<Self> {
+        #[cfg(test)]
+        if tests::FORCE_SPLIT.get() {
+            return Some(Running::enter());
+        }
+        if flops <= SPLIT_FLOPS {
+            return None;
+        }
+        static CPUS: OnceLock<usize> = OnceLock::new();
+        let cpus =
+            *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        RUNNING
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < cpus).then_some(n + 1)
+            })
+            .ok()
+            .map(|_| Running)
+    }
+}
+
+impl Drop for Running {
+    fn drop(&mut self) {
+        RUNNING.fetch_sub(1, Ordering::Relaxed);
+    }
+}
 
 /// Cooperative-groups tile widths the executor supports
 /// (`tiled_partition<w>` with `w` a power of two dividing the warp).
@@ -197,6 +275,9 @@ pub struct MemoCounts {
     /// Scans of a whole footprint for residency: a check the L2's removal
     /// count could not answer.
     pub footprint_scans: u64,
+    /// Those of `hits` whose blocks ran on two threads: at least one
+    /// member took a helper (module docs, *Split memo hits*).
+    pub split_runs: u64,
 }
 
 impl Gpu {
@@ -304,19 +385,39 @@ impl Gpu {
             TILE_WIDTHS.contains(&tile_width),
             "tile width must be one of {TILE_WIDTHS:?}, got {tile_width}"
         );
-        self.run_in_order(Some(&self.mem.l2().owned()), grid, tile_width, &kernel)
+        let l2 = self.mem.l2().owned();
+        let _running = Running::enter();
+        self.run_traced(&l2, grid, tile_width, &kernel)
     }
 
-    /// Runs every block in order on the calling thread, and each block's
-    /// warps in order, through an owned port (ending with the write-back
-    /// flush) or untraced. An untraced run counts no traffic.
-    fn run_in_order<F>(
+    /// Runs every block in order on the calling thread through the owned
+    /// port `l2`, ending with the write-back flush.
+    fn run_traced<F>(&self, l2: &L2Port, grid: Grid, tile_width: u32, kernel: &F) -> KernelStats
+    where
+        F: Fn(&mut WarpCtx) + ?Sized,
+    {
+        let next = AtomicU64::new(0);
+        let counters = self.run_claims(Some(l2), grid, tile_width, kernel, &next, false);
+        let flush = LocalCounters::default();
+        self.mem.flush_region_counts(&counters);
+        self.mem.flush_dirty(l2, &flush);
+        KernelStats::merge(&[counters, flush], grid.blocks, grid.threads_per_block)
+    }
+
+    /// The block loop of every launch: claims [`CLAIM_BLOCKS`] blocks at a
+    /// time from `next` until none is left, and runs each claimed block's
+    /// warps in order. A lone claimant runs every block in order; `split`
+    /// says another thread claims from the same `next`. Returns this
+    /// thread's counters (an untraced run counts no traffic).
+    fn run_claims<F>(
         &self,
         l2: Option<&L2Port>,
         grid: Grid,
         tile_width: u32,
         kernel: &F,
-    ) -> KernelStats
+        next: &AtomicU64,
+        split: bool,
+    ) -> LocalCounters
     where
         F: Fn(&mut WarpCtx) + ?Sized,
     {
@@ -324,28 +425,31 @@ impl Gpu {
             Some(_) => self.mem.local_counters(),
             None => LocalCounters::default(),
         };
-        for b in 0..grid.blocks {
-            for w in 0..grid.warps_per_block() {
-                let mut ctx = WarpCtx {
-                    warp_id: (b * grid.warps_per_block() as u64 + w as u64) as usize,
-                    block_id: b,
-                    warp_in_block: w,
-                    tile_width,
-                    grid,
-                    mem: &self.mem,
-                    l2,
-                    counters: &counters,
-                };
-                counters.add(&counters.warps, 1);
-                kernel(&mut ctx);
+        // The claim only hands out block numbers; the scope join that ends
+        // a split member publishes the stores.
+        loop {
+            let first = next.fetch_add(CLAIM_BLOCKS, Ordering::Relaxed);
+            if first >= grid.blocks {
+                return counters;
+            }
+            for b in first..(first + CLAIM_BLOCKS).min(grid.blocks) {
+                for w in 0..grid.warps_per_block() {
+                    let mut ctx = WarpCtx {
+                        warp_id: (b * grid.warps_per_block() as u64 + w as u64) as usize,
+                        block_id: b,
+                        warp_in_block: w,
+                        tile_width,
+                        grid,
+                        mem: &self.mem,
+                        l2,
+                        counters: &counters,
+                        split,
+                    };
+                    counters.add(&counters.warps, 1);
+                    kernel(&mut ctx);
+                }
             }
         }
-        let flush = LocalCounters::default();
-        if let Some(l2) = l2 {
-            self.mem.flush_region_counts(&counters);
-            self.mem.flush_dirty(l2, &flush);
-        }
-        KernelStats::merge(&[counters, flush], grid.blocks, grid.threads_per_block)
     }
 
     /// Runs a group of tiled launches back-to-back on the *same* sim state
@@ -371,15 +475,17 @@ impl Gpu {
             });
         };
         let l2 = self.mem.l2().owned();
+        let _running = Running::enter();
         let mut guard = self.memo();
         let memo = &mut *guard;
         memo.counts.keyed += 1;
         let start = l2.start_state();
         if let (Some(stats), Some(after)) = (memo.stats.get(&(start, key)), memo.after.get(&key)) {
-            self.run_untraced(&members);
+            let split = self.run_untraced(&members, stats);
             l2.restore(after);
             l2.set_state(L2State::After(key));
             memo.counts.hits += 1;
+            memo.counts.split_runs += u64::from(split);
             return stats.clone();
         }
         // The resident rule: a first run records the footprint; a run
@@ -391,10 +497,11 @@ impl Gpu {
             Some(Some(fp)) => {
                 if fp.resident(&l2, &mut memo.counts.footprint_scans) {
                     if let Some(stats) = &fp.stats {
-                        self.run_untraced(&members);
+                        let split = self.run_untraced(&members, stats);
                         l2.defer_restamp(key, &fp.sectors);
                         memo.counts.hits += 1;
                         memo.counts.resident_hits += 1;
+                        memo.counts.split_runs += u64::from(split);
                         return stats.clone();
                     }
                     all_resident = true;
@@ -404,7 +511,7 @@ impl Gpu {
         }
         let stamps = l2.stamps();
         let group = group_stats(members, |m| {
-            self.run_in_order(Some(&l2), m.grid, m.tile_width, &m.kernel)
+            self.run_traced(&l2, m.grid, m.tile_width, &m.kernel)
         });
         match memo.resident.get_mut(&key) {
             None => {
@@ -433,11 +540,29 @@ impl Gpu {
         group
     }
 
-    /// Runs a memo hit's kernel closures with memory tracing off.
-    fn run_untraced(&self, members: &[GroupMember<'_>]) {
-        for m in members {
-            self.run_in_order(None, m.grid, m.tile_width, &m.kernel);
+    /// Runs a memo hit's kernel closures with memory tracing off, member
+    /// by member, with a helper thread on each member whose remembered
+    /// counters (`stats`) earn one (module docs, *Split memo hits*).
+    /// Returns whether any member ran on two threads.
+    fn run_untraced(&self, members: &[GroupMember<'_>], stats: &GroupStats) -> bool {
+        let mut split = false;
+        for (m, s) in members.iter().zip(&stats.members) {
+            let next = AtomicU64::new(0);
+            let claim = |split| {
+                self.run_claims(None, m.grid, m.tile_width, &m.kernel, &next, split);
+            };
+            match Running::helper(s.stats.flops) {
+                Some(_helper) => {
+                    std::thread::scope(|scope| {
+                        scope.spawn(|| claim(true));
+                        claim(true);
+                    });
+                    split = true;
+                }
+                None => claim(false),
+            }
         }
+        split
     }
 }
 
@@ -470,13 +595,15 @@ pub struct GroupMember<'a> {
     pub label: String,
     pub grid: Grid,
     pub tile_width: u32,
-    kernel: Box<dyn Fn(&mut WarpCtx) + 'a>,
+    kernel: Box<dyn Fn(&mut WarpCtx) + Sync + 'a>,
 }
 
 impl<'a> GroupMember<'a> {
+    /// A member running `kernel` once per warp of `grid`. The kernel is
+    /// `Sync` because a memo hit may run its blocks on two threads.
     pub fn new<F>(label: impl Into<String>, grid: Grid, tile_width: u32, kernel: F) -> Self
     where
-        F: Fn(&mut WarpCtx) + 'a,
+        F: Fn(&mut WarpCtx) + Sync + 'a,
     {
         GroupMember {
             label: label.into(),
@@ -538,6 +665,9 @@ pub struct WarpCtx<'a, 'p> {
     /// `None` when memory tracing is off (a launch-memo hit).
     l2: Option<&'a L2Port<'p>>,
     counters: &'a LocalCounters,
+    /// Whether another thread runs other blocks of this launch (a split
+    /// memo hit).
+    split: bool,
 }
 
 impl WarpCtx<'_, '_> {
@@ -698,8 +828,19 @@ impl WarpCtx<'_, '_> {
     /// Atomic add, like CUDA `atomicAdd`. On hardware the result is
     /// order-dependent; the simulator adds in launch order and models
     /// the atomic's traffic and count (see [`crate::buffer`]).
+    ///
+    /// # Panics
+    ///
+    /// In a memo hit split over two threads (module docs, *Split memo
+    /// hits*): the threads' adds would land in a schedule-dependent order.
     #[inline]
     pub fn atomic_add<T: OutScalar>(&self, buf: &DeviceOutBuffer<T>, idx: usize, v: T) {
+        assert!(
+            !self.split,
+            "atomic_add in a memo hit split over two threads: the sum would depend on \
+             the order the threads' adds land in, and a split run is exact only when one \
+             warp writes each output element"
+        );
         if let Some(l2) = self.l2 {
             self.mem.atomic_rmw(
                 l2,
@@ -749,6 +890,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Gives every memo-hit member launched from this thread a helper,
+        /// whatever its flops and however many CPUs are free.
+        pub(super) static FORCE_SPLIT: Cell<bool> = const { Cell::new(false) };
+    }
 
     #[test]
     fn grid_geometry() {
@@ -1114,6 +1262,83 @@ mod tests {
         // Cold and After(7) were answered from the memo on both.
         let hits = gpus.each_ref().map(|g| g.memo_counts().hits);
         assert_eq!(hits, [2, 2]);
+    }
+
+    /// Clears `out` to `+0.0`, then writes each row `i % 3 != 0` as the
+    /// sum of its 32-element span of `buf`, one warp per block so the
+    /// blocks outnumber the claims.
+    fn zero_then_sum<'a>(
+        buf: &'a DeviceBuffer<f64>,
+        out: &'a DeviceOutBuffer<f64>,
+    ) -> Vec<GroupMember<'a>> {
+        let rows = out.len();
+        let grid = Grid::warp_per_item(rows, 32);
+        let zero = GroupMember::new("zero_fill", grid, 32, move |w| {
+            if w.warp_id() < rows {
+                w.store_scalar(out, w.warp_id(), 0.0);
+            }
+        });
+        let sum = GroupMember::new("sum", grid, 32, move |w| {
+            let i = w.warp_id();
+            if i < rows && i % 3 != 0 {
+                let mut lanes = [0.0f64; WARP_SIZE];
+                lanes.copy_from_slice(w.load_span(buf, i * 32..(i + 1) * 32));
+                w.store_scalar(out, i, reduce_sum(&mut lanes));
+            }
+        });
+        vec![zero, sum]
+    }
+
+    #[test]
+    fn split_memo_hits_store_the_in_order_bits_member_after_member() {
+        // Rows of -0.0 sum to -0.0, which `==` cannot tell from the +0.0
+        // the zero-fill member leaves in every third row.
+        let data: Vec<f64> = (0..32 * 600)
+            .map(|i| {
+                if (i / 32) % 2 == 0 {
+                    -0.0
+                } else {
+                    ((i * 37) as f64 * 0.013).sin()
+                }
+            })
+            .collect();
+        let gpus = [0, 1].map(|_| Gpu::new(DeviceSpec::a100()));
+        let bufs = gpus
+            .each_ref()
+            .map(|g| (g.upload(&data), g.alloc_out::<f64>(600)));
+        let bits =
+            |o: &DeviceOutBuffer<f64>| o.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        FORCE_SPLIT.set(true);
+        for run in 0..5 {
+            let [(split, split_stats), (twin, twin_stats)] =
+                [(Some(7), 0), (None, 1)].map(|(key, i)| {
+                    let (buf, out) = &bufs[i];
+                    (0..out.len()).for_each(|r| out.set(r, f64::NAN));
+                    let stats = gpus[i].launch_group(key, zero_then_sum(buf, out));
+                    (bits(out), stats)
+                });
+            assert_eq!(split, twin, "run {run}");
+            assert_eq!(split_stats, twin_stats, "run {run}");
+        }
+        // Recorded, interpreted resident, then three hits, each split.
+        let counts = gpus[0].memo_counts();
+        assert_eq!((counts.hits, counts.split_runs), (3, 3));
+        assert_eq!(gpus[1].memo_counts().split_runs, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "atomic_add in a memo hit split over two threads")]
+    fn atomic_add_refuses_a_split_run() {
+        let gpu = Gpu::new(DeviceSpec::a100());
+        let out = gpu.alloc_out::<f64>(1);
+        FORCE_SPLIT.set(true);
+        // Recorded, interpreted resident, then a split hit that panics.
+        for _ in 0..3 {
+            let member = GroupMember::new("atomic", Grid::new(64, 32), 32, |w| {
+                w.atomic_add(&out, 0, 1.0);
+            });
+            gpu.launch_group(Some(1), vec![member]);
+        }
     }
 
     #[test]

@@ -61,8 +61,8 @@ pub use counters::KernelStats;
 pub use device::DeviceSpec;
 pub use devicegroup::{snake_partition, snake_partition_subset};
 pub use exec::{
-    reduce_sum, Gpu, Grid, GroupMember, GroupStats, MemberStats, MemoCounts, WarpCtx, TILE_WIDTHS,
-    WARP_SIZE,
+    reduce_sum, Gpu, Grid, GroupMember, GroupStats, MemberStats, MemoCounts, WarpCtx, SPLIT_FLOPS,
+    TILE_WIDTHS, WARP_SIZE,
 };
 pub use mem::BufferTraffic;
 pub use report::{BucketReport, GroupReport, LaunchReport, ShardReport, ShardedReport};
