@@ -1,11 +1,11 @@
-//! Shared plumbing for the figure-reproduction binaries.
+//! Shared plumbing for the reproduction binary.
 //!
-//! Every binary regenerates one paper artifact (`table1`, `fig2` … `fig7`,
-//! `speedups`, `ablation_*`) or all of them (`repro_all`). They honor the
-//! `RT_SHRINK` environment variable (default 1.0 = the full simulation
-//! scale documented in DESIGN.md; larger values shrink the matrices for
-//! quick runs) and write each artifact to stdout and to
-//! `results/<name>.txt`.
+//! `repro_all` regenerates every paper artifact (`table1`, `fig1` …
+//! `fig7`, `speedups`, `traffic`, `ablation_*`) or the ones named as
+//! arguments. It honors the `RT_SHRINK` environment variable (default
+//! 1.0 = the full simulation scale documented in DESIGN.md; larger
+//! values shrink the matrices for quick runs) and writes each artifact
+//! to stdout and to `results/<name>.txt`.
 
 use std::io::Write;
 use std::path::PathBuf;

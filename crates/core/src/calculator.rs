@@ -75,8 +75,8 @@ pub struct DoseCalculatorBuilder<'m> {
     grad_matrix: Option<Cow<'m, Csr<f64, u32>>>,
     tile_width: u32,
     grad_tile_width: Option<u32>,
-    partition: Option<(Option<Arc<RowPlan>>, BucketWidths)>,
-    grad_partition: Option<(Option<Arc<RowPlan>>, BucketWidths)>,
+    partition: Option<(Arc<RowPlan>, BucketWidths)>,
+    grad_partition: Option<(Arc<RowPlan>, BucketWidths)>,
 }
 
 impl<'m> DoseCalculatorBuilder<'m> {
@@ -162,45 +162,27 @@ impl<'m> DoseCalculatorBuilder<'m> {
 
     /// Dispatch dose SpMV through the bucketed row partition
     /// ([`crate::bucketed`]): empty rows are eliminated and each length
-    /// bucket launches at its `widths` entry. The [`RowPlan`] is built
-    /// from the matrix at [`DoseCalculatorBuilder::build`]; use
-    /// [`DoseCalculatorBuilder::partitioned_with_plan`] to reuse a cached
-    /// plan. The gradient direction is partitioned independently — see
-    /// [`DoseCalculatorBuilder::grad_partitioned`] — because the
+    /// bucket launches at its `widths` entry. `plan` is the matrix's
+    /// [`RowPlan`], built once elsewhere (the serving engine caches one
+    /// per registered matrix); it must describe this matrix. The gradient
+    /// direction is partitioned independently — see
+    /// [`DoseCalculatorBuilder::grad_partitioned_with_plan`] — because the
     /// transpose has its own shape; without it, back-projections run the
-    /// whole-matrix kernel at
-    /// [`DoseCalculatorBuilder::grad_tile_width`].
-    pub fn partitioned(mut self, widths: BucketWidths) -> Self {
-        self.partition = Some((None, widths));
-        self
-    }
-
-    /// Like [`DoseCalculatorBuilder::partitioned`], reusing a plan built
-    /// once elsewhere (the serving engine caches one per registered
-    /// matrix). The plan must describe this matrix.
+    /// whole-matrix kernel at [`DoseCalculatorBuilder::grad_tile_width`].
     pub fn partitioned_with_plan(mut self, plan: Arc<RowPlan>, widths: BucketWidths) -> Self {
-        self.partition = Some((Some(plan), widths));
+        self.partition = Some((plan, widths));
         self
     }
 
     /// Dispatch gradient back-projections through the bucketed row
     /// partition of the *transpose*: empty beamlet-rows are eliminated
-    /// and each length bucket launches at its `widths` entry. The
-    /// transpose [`RowPlan`] is built at
-    /// [`DoseCalculatorBuilder::build`]; requires a gradient matrix
+    /// and each length bucket launches at its `widths` entry. `plan` is
+    /// the gradient matrix's [`RowPlan`], built once elsewhere; it must
+    /// describe the gradient matrix, which this requires
     /// ([`DoseCalculatorBuilder::with_transpose`] or
     /// [`DoseCalculatorBuilder::gradient_matrix`]).
-    pub fn grad_partitioned(mut self, widths: BucketWidths) -> Self {
-        self.grad_partition = Some((None, widths));
-        self
-    }
-
-    /// Like [`DoseCalculatorBuilder::grad_partitioned`], reusing a
-    /// transpose row plan built once elsewhere (the serving engine caches
-    /// one per registered matrix). The plan must describe the gradient
-    /// matrix.
     pub fn grad_partitioned_with_plan(mut self, plan: Arc<RowPlan>, widths: BucketWidths) -> Self {
-        self.grad_partition = Some((Some(plan), widths));
+        self.grad_partition = Some((plan, widths));
         self
     }
 
@@ -256,11 +238,11 @@ impl<'m> DoseCalculatorBuilder<'m> {
         // allocator is monotone, so this order fixes the address layout
         // the L2 model sees.
         let dose_matrix = upload(m);
-        let grad_matrix = self.grad_matrix.as_deref().map(|t| (upload(t), t));
-        let dose = Operator::new(&gpu, dose_matrix, m, self.partition, self.tile_width, 0);
+        let grad_matrix = self.grad_matrix.as_deref().map(upload);
+        let dose = Operator::new(&gpu, dose_matrix, self.partition, self.tile_width, 0);
         let grad_width = self.grad_tile_width.unwrap_or(self.tile_width);
-        let grad = grad_matrix
-            .map(|(gm, t)| Operator::new(&gpu, gm, t, self.grad_partition, grad_width, 1));
+        let grad =
+            grad_matrix.map(|gm| Operator::new(&gpu, gm, self.grad_partition, grad_width, 1));
         // The dose direction's first output slot is allocated here, after
         // both operators, so a first `compute_dose` sees the same address
         // layout as a calculator without staging slots.
@@ -331,24 +313,19 @@ impl Staging {
 }
 
 impl Operator {
-    /// Wraps an uploaded matrix; a partition without a cached plan
-    /// builds one from `source` (value conversion preserves the sparsity
-    /// structure, so a plan of the f64 matrix serves the f16 upload).
+    /// Wraps an uploaded matrix and uploads its partition's row plan (a
+    /// plan of the f64 matrix serves the f16 upload: value conversion
+    /// preserves the sparsity structure).
     fn new(
         gpu: &Gpu,
         matrix: GpuCsrMatrix<F16, u32>,
-        source: &Csr<f64, u32>,
-        partition: Option<(Option<Arc<RowPlan>>, BucketWidths)>,
+        partition: Option<(Arc<RowPlan>, BucketWidths)>,
         width: u32,
         direction: u64,
     ) -> Self {
-        let partition = partition.map(|(plan, widths)| {
-            let plan = plan.unwrap_or_else(|| Arc::new(RowPlan::from_csr(source)));
-            (GpuRowPlan::upload(gpu, plan), widths)
-        });
         Operator {
             matrix,
-            partition,
+            partition: partition.map(|(plan, widths)| (GpuRowPlan::upload(gpu, plan), widths)),
             width,
             direction,
             staging: Mutex::default(),
@@ -479,47 +456,6 @@ impl DoseCalculator {
         self.grad.is_some()
     }
 
-    /// The cooperative-group tile width the whole-matrix dose SpMV
-    /// kernels run at.
-    #[inline]
-    pub fn tile_width(&self) -> u32 {
-        self.dose.width
-    }
-
-    /// The tile width the gradient kernels run at — selected
-    /// independently of the dose direction; equals
-    /// [`DoseCalculator::tile_width`] unless overridden at build (or
-    /// when there is no gradient matrix).
-    #[inline]
-    pub fn grad_tile_width(&self) -> u32 {
-        self.grad.as_ref().map_or(self.dose.width, |g| g.width)
-    }
-
-    /// Whether dose SpMV dispatches through the bucketed row partition.
-    #[inline]
-    pub fn is_partitioned(&self) -> bool {
-        self.dose.partition.is_some()
-    }
-
-    /// Whether gradient back-projections dispatch through the bucketed
-    /// partition of the gradient matrix.
-    #[inline]
-    pub fn is_grad_partitioned(&self) -> bool {
-        self.grad.as_ref().is_some_and(|g| g.partition.is_some())
-    }
-
-    /// The per-bucket widths of a partitioned calculator.
-    #[inline]
-    pub fn bucket_widths(&self) -> Option<BucketWidths> {
-        self.dose.partition.as_ref().map(|(_, w)| *w)
-    }
-
-    /// The per-bucket widths of the gradient partition.
-    #[inline]
-    pub fn grad_bucket_widths(&self) -> Option<BucketWidths> {
-        self.grad.as_ref()?.partition.as_ref().map(|(_, w)| *w)
-    }
-
     /// The gradient operator, or [`RtError::TransposeUnavailable`].
     fn grad(&self) -> Result<&Operator, RtError> {
         self.grad.as_ref().ok_or(RtError::TransposeUnavailable)
@@ -577,23 +513,14 @@ impl DoseCalculator {
         self.batched(&self.dose, "weights", weights)
     }
 
-    /// Computes `g = A^T r` (the optimizer's gradient back-projection).
-    /// Requires a gradient matrix
+    /// Computes `g_v = A^T r_v` for every residual in one batched launch
+    /// sequence, with a merged [`LaunchReport`] (the gradient counterpart
+    /// of [`DoseCalculator::compute_dose_batch`]; a batch of one is the
+    /// optimizer's gradient back-projection). Requires a gradient matrix
     /// ([`DoseCalculatorBuilder::with_transpose`]). Grad-partitioned
     /// calculators dispatch through the bucketed partition of the
     /// transpose (bitwise identical per beamlet-row to the fixed-width
-    /// kernel at the row's bucket width). This is the one-vector
-    /// [`DoseCalculator::compute_gradient_batch`].
-    pub fn compute_gradient_term(&self, residual: &[f64]) -> Result<Vec<f64>, RtError> {
-        Ok(self
-            .compute_gradient_batch(&[residual])?
-            .outputs
-            .swap_remove(0))
-    }
-
-    /// Computes `g_v = A^T r_v` for every residual in one batched launch
-    /// sequence, with a merged [`LaunchReport`] (the gradient counterpart
-    /// of [`DoseCalculator::compute_dose_batch`]).
+    /// kernel at the row's bucket width).
     pub fn compute_gradient_batch(&self, residuals: &[&[f64]]) -> Result<BatchDoseResult, RtError> {
         self.batched(self.grad()?, "residual", residuals)
     }
@@ -636,6 +563,23 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// `m`'s row plan, as the serving engine caches one per matrix.
+    fn plan_of(m: &Csr<f64, u32>) -> Arc<RowPlan> {
+        Arc::new(RowPlan::from_csr(m))
+    }
+
+    /// Asserts that every length bucket of `group` launched at its
+    /// `widths` entry.
+    fn assert_bucket_widths(group: &GroupReport, widths: BucketWidths) {
+        for b in group.buckets.iter().filter(|b| b.label != "zero_fill") {
+            let i = rt_sparse::ROW_BUCKET_BOUNDS
+                .iter()
+                .position(|&(lo, hi)| crate::bucketed::bucket_label(lo, hi) == b.label)
+                .expect("member label names a length bucket");
+            assert_eq!(b.tile_width, widths.0[i], "{}", b.label);
+        }
+    }
 
     fn random_matrix(seed: u64, nrows: usize, ncols: usize) -> Csr<f64, u32> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -736,7 +680,11 @@ mod tests {
             .build()
             .unwrap();
         let r: Vec<f64> = (0..300).map(|i| (i % 3) as f64).collect();
-        let g = calc.compute_gradient_term(&r).unwrap();
+        let g = calc
+            .compute_gradient_batch(&[&r])
+            .unwrap()
+            .outputs
+            .remove(0);
 
         let m16: Csr<rt_f16::F16, u32> = m.convert_values();
         let mut want = vec![0.0; 25];
@@ -745,26 +693,20 @@ mod tests {
             assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()));
         }
 
-        // The batched gradient path agrees bitwise with the single path's
-        // arithmetic contract.
-        let batch = calc.compute_gradient_batch(&[&r]).unwrap();
-        assert_eq!(
-            batch.outputs[0]
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>(),
-            g.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
+        // A larger batch agrees bitwise with the batch of one.
+        let batch = calc.compute_gradient_batch(&[&r, &r]).unwrap();
+        for out in &batch.outputs {
+            assert_eq!(
+                out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                g.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]
     fn gradient_requires_transpose() {
         let m = random_matrix(54, 50, 5);
         let calc = DoseCalculator::builder(&m).build().unwrap();
-        assert_eq!(
-            calc.compute_gradient_term(&vec![0.0; 50]).unwrap_err(),
-            RtError::TransposeUnavailable
-        );
         assert_eq!(
             calc.compute_gradient_batch(&[&vec![0.0; 50]]).unwrap_err(),
             RtError::TransposeUnavailable
@@ -787,7 +729,7 @@ mod tests {
             }
         );
         assert_eq!(
-            calc.compute_gradient_term(&vec![0.0; 61]).unwrap_err(),
+            calc.compute_gradient_batch(&[&vec![0.0; 61]]).unwrap_err(),
             RtError::DimensionMismatch {
                 what: "residual",
                 expected: 60,
@@ -841,7 +783,6 @@ mod tests {
             RtError::InvalidTileWidth(7)
         );
         let calc = DoseCalculator::builder(&m).tile_width(4).build().unwrap();
-        assert_eq!(calc.tile_width(), 4);
         let r = calc.compute_dose(&[1.0; 12]).unwrap();
         assert_eq!(r.report.tile_width, 4);
         assert_eq!(r.report.kernel, "Half/double");
@@ -896,12 +837,10 @@ mod tests {
         let m = random_matrix(59, 700, 30);
         let widths = BucketWidths::natural();
         let calc = DoseCalculator::builder(&m)
-            .partitioned(widths)
+            .partitioned_with_plan(plan_of(&m), widths)
             .with_transpose()
             .build()
             .unwrap();
-        assert!(calc.is_partitioned());
-        assert_eq!(calc.bucket_widths(), Some(widths));
         let w: Vec<f64> = (0..30).map(|i| (i as f64 * 0.23).sin().abs()).collect();
         let r = calc.compute_dose(&w).unwrap();
 
@@ -914,6 +853,7 @@ mod tests {
         let group = r.group.as_ref().expect("partitioned result carries group");
         assert_eq!(group.buckets[0].label, "zero_fill");
         assert!(group.buckets.len() > 1);
+        assert_bucket_widths(group, widths);
 
         // The batch path is bitwise identical and also carries the group.
         let batch = calc.compute_dose_batch(&[&w, &w]).unwrap();
@@ -927,14 +867,12 @@ mod tests {
 
         // Without a gradient partition, gradients keep the whole-matrix
         // path: no group report.
-        assert!(!calc.is_grad_partitioned());
         let residual: Vec<f64> = (0..700).map(|i| (i % 5) as f64).collect();
         let grad_batch = calc.compute_gradient_batch(&[&residual]).unwrap();
         assert!(grad_batch.group.is_none());
 
         // Unpartitioned results carry no group either.
         let plain = DoseCalculator::builder(&m).build().unwrap();
-        assert!(!plain.is_partitioned());
         assert!(plain.compute_dose(&w).unwrap().group.is_none());
     }
 
@@ -945,7 +883,7 @@ mod tests {
         widths.0[3] = 6;
         assert_eq!(
             DoseCalculator::builder(&m)
-                .partitioned(widths)
+                .partitioned_with_plan(plan_of(&m), widths)
                 .build()
                 .unwrap_err(),
             RtError::InvalidTileWidth(6)
@@ -955,22 +893,23 @@ mod tests {
     #[test]
     fn grad_partitioned_gradients_match_bucketed_reference_and_report_buckets() {
         let m = random_matrix(63, 500, 40);
+        let t = m.transpose();
         let widths = BucketWidths::natural();
         let calc = DoseCalculator::builder(&m)
             .with_transpose()
-            .grad_partitioned(widths)
+            .grad_partitioned_with_plan(plan_of(&t), widths)
             .build()
             .unwrap();
-        assert!(calc.is_grad_partitioned());
-        assert!(!calc.is_partitioned());
-        assert_eq!(calc.grad_bucket_widths(), Some(widths));
 
         let residual: Vec<f64> = (0..500).map(|i| ((i % 7) as f64 * 0.31).cos()).collect();
-        let g = calc.compute_gradient_term(&residual).unwrap();
+        let g = calc
+            .compute_gradient_batch(&[&residual])
+            .unwrap()
+            .outputs
+            .remove(0);
 
         // The exact arithmetic contract: bucketed dispatch over the
         // transpose == host bucketed reference on the transpose.
-        let t = m.transpose();
         let t16: Csr<rt_f16::F16, u32> = t.convert_values();
         let want = crate::vector_csr::vector_csr_reference(&t16, &residual, widths);
         assert_eq!(
@@ -991,6 +930,7 @@ mod tests {
         }
         let group = grad_batch.group.as_ref().expect("grad partition group");
         assert_eq!(group.buckets[0].label, "zero_fill");
+        assert_bucket_widths(group, widths);
 
         // The dose direction is untouched by the gradient partition.
         let w: Vec<f64> = (0..40).map(|i| (i as f64 * 0.13).sin().abs()).collect();
@@ -1006,8 +946,6 @@ mod tests {
             .grad_tile_width(4)
             .build()
             .unwrap();
-        assert_eq!(calc.tile_width(), 16);
-        assert_eq!(calc.grad_tile_width(), 4);
 
         let w = vec![1.0; 24];
         assert_eq!(calc.compute_dose(&w).unwrap().report.tile_width, 16);
@@ -1023,15 +961,17 @@ mod tests {
             .tile_width(8)
             .build()
             .unwrap();
-        assert_eq!(follows.grad_tile_width(), 8);
+        let grad_batch = follows.compute_gradient_batch(&[&residual]).unwrap();
+        assert_eq!(grad_batch.report.tile_width, 8);
     }
 
     #[test]
     fn grad_partition_validates_widths_and_requires_transpose() {
         let m = random_matrix(65, 60, 10);
+        let t_plan = plan_of(&m.transpose());
         assert_eq!(
             DoseCalculator::builder(&m)
-                .grad_partitioned(BucketWidths::natural())
+                .grad_partitioned_with_plan(t_plan.clone(), BucketWidths::natural())
                 .build()
                 .unwrap_err(),
             RtError::TransposeUnavailable
@@ -1041,7 +981,7 @@ mod tests {
         assert_eq!(
             DoseCalculator::builder(&m)
                 .with_transpose()
-                .grad_partitioned(widths)
+                .grad_partitioned_with_plan(t_plan, widths)
                 .build()
                 .unwrap_err(),
             RtError::InvalidTileWidth(5)

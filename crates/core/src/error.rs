@@ -53,8 +53,6 @@ pub enum RtError {
     QueueFull { capacity: usize },
     /// The request's deadline expired before a worker picked it up.
     DeadlineExceeded { budget_ms: f64, waited_ms: f64 },
-    /// The request payload exceeds the engine's configured limit.
-    RequestTooLarge { len: usize, max: usize },
     /// The engine is shutting down and no longer accepts requests.
     EngineShutdown,
     /// An execution policy asked for a replica/shard placement the
@@ -101,9 +99,6 @@ impl fmt::Display for RtError {
                 f,
                 "deadline exceeded: budget {budget_ms:.1} ms, waited {waited_ms:.1} ms"
             ),
-            RtError::RequestTooLarge { len, max } => {
-                write!(f, "request length {len} exceeds limit {max}")
-            }
             RtError::EngineShutdown => write!(f, "engine is shutting down"),
             RtError::InvalidPlacement(msg) => write!(f, "invalid placement: {msg}"),
         }
@@ -146,7 +141,6 @@ impl RtError {
             RtError::EmptyDevicePool => "empty_device_pool",
             RtError::QueueFull { .. } => "queue_full",
             RtError::DeadlineExceeded { .. } => "deadline_exceeded",
-            RtError::RequestTooLarge { .. } => "request_too_large",
             RtError::EngineShutdown => "engine_shutdown",
             RtError::InvalidPlacement(_) => "invalid_placement",
         }
@@ -206,7 +200,6 @@ mod tests {
                 waited_ms: 2.0,
             }
             .kind(),
-            RtError::RequestTooLarge { len: 9, max: 4 }.kind(),
             RtError::EngineShutdown.kind(),
             RtError::InvalidScale(-1.0).kind(),
             RtError::InvalidTileWidth(7).kind(),

@@ -129,6 +129,7 @@ fn single_active_beamlet_scatters_to_its_original_index() {
 fn partitioned_gradients_match_whole_matrix_bitwise_across_runs() {
     let m64 = random_csr(700, 160, 48, 21);
     let t: Csr<F16, u32> = m64.transpose().convert_values();
+    let t_plan = Arc::new(RowPlan::from_csr(&t));
     let r: Vec<f64> = (0..700)
         .map(|i| ((i * 13 + 5) % 23) as f64 * 0.04 + 0.25)
         .collect();
@@ -139,9 +140,9 @@ fn partitioned_gradients_match_whole_matrix_bitwise_across_runs() {
         let got = grad_bucketed(&t, &r, BucketWidths::uniform(w));
         assert_eq!(golden, got, "width {w}: partitioned != whole");
 
-        // The calculator-level entry points honour the same contract:
-        // grad-partitioned compute_gradient_term == whole-matrix
-        // compute_gradient_term at the uniform width, bit for bit.
+        // The calculator-level entry point honours the same contract: a
+        // grad-partitioned gradient == the whole-matrix gradient at the
+        // uniform width, bit for bit.
         let whole_calc = DoseCalculator::builder(&m64)
             .with_transpose()
             .grad_tile_width(w)
@@ -149,21 +150,15 @@ fn partitioned_gradients_match_whole_matrix_bitwise_across_runs() {
             .unwrap();
         let part_calc = DoseCalculator::builder(&m64)
             .with_transpose()
-            .grad_partitioned(BucketWidths::uniform(w))
+            .grad_partitioned_with_plan(t_plan.clone(), BucketWidths::uniform(w))
             .build()
             .unwrap();
-        let gw: Vec<u64> = whole_calc
-            .compute_gradient_term(&r)
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        let gp: Vec<u64> = part_calc
-            .compute_gradient_term(&r)
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
+        let bits_of = |calc: &DoseCalculator| -> Vec<u64> {
+            let g = calc.compute_gradient_batch(&[&r]).unwrap();
+            g.outputs[0].iter().map(|v| v.to_bits()).collect()
+        };
+        let gw = bits_of(&whole_calc);
+        let gp = bits_of(&part_calc);
         assert_eq!(gw, gp, "width {w}: calculator partitioned != whole");
         let gb = part_calc.compute_gradient_batch(&[&r, &r]).unwrap();
         for out in &gb.outputs {

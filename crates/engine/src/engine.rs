@@ -503,8 +503,6 @@ pub struct EngineBuilder {
     queue_capacity: usize,
     max_batch: usize,
     threads_per_block: u32,
-    default_deadline_ms: Option<f64>,
-    max_request_len: Option<usize>,
     start_paused: bool,
     default_policy: ExecPolicy,
     debug_delays: Vec<(usize, f64)>,
@@ -517,8 +515,6 @@ impl Default for EngineBuilder {
             queue_capacity: 64,
             max_batch: MAX_SPMM_BATCH,
             threads_per_block: 512,
-            default_deadline_ms: None,
-            max_request_len: None,
             start_paused: false,
             default_policy: ExecPolicy::default(),
             debug_delays: Vec::new(),
@@ -555,20 +551,6 @@ impl EngineBuilder {
     /// Execution configuration for every plan's kernels (default 512).
     pub fn threads_per_block(mut self, tpb: u32) -> Self {
         self.threads_per_block = tpb;
-        self
-    }
-
-    /// Queue-wait budget applied to requests submitted without an
-    /// explicit deadline.
-    pub fn default_deadline_ms(mut self, budget_ms: f64) -> Self {
-        self.default_deadline_ms = Some(budget_ms);
-        self
-    }
-
-    /// Rejects payloads longer than `max` at admission
-    /// ([`RtError::RequestTooLarge`]).
-    pub fn max_request_len(mut self, max: usize) -> Self {
-        self.max_request_len = Some(max);
         self
     }
 
@@ -617,8 +599,6 @@ impl EngineBuilder {
             queue_capacity: self.queue_capacity,
             max_batch: self.max_batch,
             threads_per_block: tpb,
-            default_deadline_ms: self.default_deadline_ms,
-            max_request_len: self.max_request_len,
             start_paused: self.start_paused,
             default_policy: self.default_policy,
             debug_delays: self.debug_delays,
@@ -667,8 +647,6 @@ pub struct Engine {
     queue_capacity: usize,
     max_batch: usize,
     threads_per_block: u32,
-    default_deadline_ms: Option<f64>,
-    max_request_len: Option<usize>,
     start_paused: bool,
     default_policy: ExecPolicy,
     debug_delays: Vec<(usize, f64)>,
@@ -712,11 +690,6 @@ impl Engine {
         self.plan_index.get(name).map(|&i| &self.plans[i])
     }
 
-    /// The tile width a registered plan's kernels run at.
-    pub fn plan_tile_width(&self, name: &str) -> Option<u32> {
-        self.plan(name).map(|p| p.dose.choice.tile_width)
-    }
-
     /// The full autotuner decision recorded for a registered plan.
     pub fn plan_choice(&self, name: &str) -> Option<&KernelChoice> {
         self.plan(name).map(|p| &p.dose.choice)
@@ -726,12 +699,6 @@ impl Engine {
     /// the engine was built with [`KernelSelect::Partitioned`].
     pub fn plan_row_plan(&self, name: &str) -> Option<&Arc<RowPlan>> {
         self.plan(name).and_then(|p| p.dose.row_plan.as_ref())
-    }
-
-    /// The tile width a registered plan's gradient (transpose) kernels
-    /// run at — selected independently of the dose direction.
-    pub fn plan_grad_tile_width(&self, name: &str) -> Option<u32> {
-        self.plan(name).map(|p| p.grad.choice.tile_width)
     }
 
     /// The autotuner decision recorded for a registered plan's gradient
@@ -744,17 +711,6 @@ impl Engine {
     /// dispatch through, if the policy selects [`KernelSelect::Partitioned`].
     pub fn plan_grad_row_plan(&self, name: &str) -> Option<&Arc<RowPlan>> {
         self.plan(name).and_then(|p| p.grad.row_plan.as_ref())
-    }
-
-    /// The default execution policy plans registered through
-    /// [`Engine::register_plan`] get.
-    pub fn default_policy(&self) -> ExecPolicy {
-        self.default_policy
-    }
-
-    /// The execution policy a registered plan was placed under.
-    pub fn plan_policy(&self, name: &str) -> Option<ExecPolicy> {
-        self.plan(name).map(|p| p.policy)
     }
 
     /// Dose-direction shards per replica group a registered plan
@@ -1610,7 +1566,7 @@ fn nonempty_rows(matrix: &Csr<f64, u32>) -> usize {
 /// Submission handle passed to the [`Engine::serve`] closure. Cheap to
 /// share by reference across submitter threads.
 pub struct EngineClient<'a> {
-    engine: &'a Engine,
+    pub(crate) engine: &'a Engine,
     state: &'a ServeState,
 }
 
@@ -1629,14 +1585,6 @@ impl EngineClient<'_> {
             .get(plan)
             .ok_or_else(|| RtError::UnknownPlan(plan.to_string()))?;
         let p = &self.engine.plans[idx];
-        if let Some(max) = self.engine.max_request_len {
-            if payload.len() > max {
-                return Err(RtError::RequestTooLarge {
-                    len: payload.len(),
-                    max,
-                });
-            }
-        }
         let (what, expected) = match kind {
             RequestKind::Dose => ("weights", p.ncols),
             RequestKind::Gradient => ("residual", p.nrows),
@@ -1653,7 +1601,7 @@ impl EngineClient<'_> {
             kind,
             payload,
             submitted: Instant::now(),
-            budget_ms: budget_ms.or(self.engine.default_deadline_ms),
+            budget_ms,
             slot: ReplySlot::new(),
         })
     }
@@ -1837,13 +1785,8 @@ mod tests {
     }
 
     #[test]
-    fn dimension_and_size_validation() {
-        let mut e = Engine::builder()
-            .device(DeviceSpec::a100())
-            .max_request_len(3)
-            .build()
-            .unwrap();
-        e.register_plan("demo", &small_matrix()).unwrap();
+    fn dimension_validation() {
+        let e = engine_one_device();
         let _ = e.serve(|c| {
             assert_eq!(
                 c.submit("demo", RequestKind::Dose, vec![0.0; 2])
@@ -1854,11 +1797,14 @@ mod tests {
                     actual: 2
                 }
             );
-            // The gradient payload is 4 long, over the 3-element limit.
             assert_eq!(
-                c.submit("demo", RequestKind::Gradient, vec![0.0; 4])
+                c.submit("demo", RequestKind::Gradient, vec![0.0; 3])
                     .unwrap_err(),
-                RtError::RequestTooLarge { len: 4, max: 3 }
+                RtError::DimensionMismatch {
+                    what: "residual",
+                    expected: 4,
+                    actual: 3
+                }
             );
         });
     }

@@ -25,18 +25,18 @@ pub struct ServedDoseEngine<'c, 'e> {
 
 impl<'c, 'e> ServedDoseEngine<'c, 'e> {
     /// Binds to a registered plan ([`RtError::UnknownPlan`] otherwise).
-    pub fn new(
-        client: &'c EngineClient<'e>,
-        plan: &str,
-        dims: (usize, usize),
-    ) -> ServedDoseEngine<'c, 'e> {
-        ServedDoseEngine {
+    pub fn new(client: &'c EngineClient<'e>, plan: &str) -> Result<Self, RtError> {
+        let (nrows, ncols) = client
+            .engine
+            .plan_dims(plan)
+            .ok_or_else(|| RtError::UnknownPlan(plan.to_string()))?;
+        Ok(ServedDoseEngine {
             client,
             plan: plan.to_string(),
-            nrows: dims.0,
-            ncols: dims.1,
+            nrows,
+            ncols,
             seconds: Cell::new(0.0),
-        }
+        })
     }
 
     fn call(&self, kind: RequestKind, payload: Vec<f64>) -> Result<Vec<f64>, RtError> {
@@ -99,7 +99,8 @@ mod tests {
         // The engine may have autotuned the plan off warp-per-row; the
         // direct calculator must run at the same width to match bitwise.
         let direct = rt_core::DoseCalculator::builder(&m)
-            .tile_width(e.plan_tile_width("p").unwrap())
+            .tile_width(e.plan_choice("p").unwrap().tile_width)
+            .grad_tile_width(e.plan_grad_choice("p").unwrap().tile_width)
             .with_transpose()
             .build()
             .unwrap();
@@ -107,7 +108,7 @@ mod tests {
         let r = [1.0, 0.0, 1.0, 0.0];
 
         let ((dose, grad, modeled), _) = e.serve(|c| {
-            let served = ServedDoseEngine::new(c, "p", e.plan_dims("p").unwrap());
+            let served = ServedDoseEngine::new(c, "p").unwrap();
             assert_eq!(served.nvoxels(), 4);
             assert_eq!(served.nspots(), 3);
             (
@@ -117,7 +118,21 @@ mod tests {
             )
         });
         assert_eq!(dose, direct.compute_dose(&w).unwrap().dose);
-        assert_eq!(grad, direct.compute_gradient_term(&r).unwrap());
+        let direct_grad = direct.compute_gradient_batch(&[&r]).unwrap().outputs;
+        assert_eq!(grad, direct_grad[0]);
         assert!(modeled > 0.0);
+    }
+
+    #[test]
+    fn an_unknown_plan_name_fails_construction() {
+        let m = Csr::from_rows(1, &[vec![(0, 1.0)]]).unwrap();
+        let mut e = Engine::builder()
+            .device(DeviceSpec::a100())
+            .build()
+            .unwrap();
+        e.register_plan("p", &m).unwrap();
+        let (err, report) = e.serve(|c| ServedDoseEngine::new(c, "nope").err());
+        assert_eq!(err, Some(RtError::UnknownPlan("nope".to_string())));
+        assert_eq!(report.submitted, 0);
     }
 }

@@ -213,8 +213,8 @@ fn two_plans_on_one_pool_run_different_tile_widths_deterministically() {
         .unwrap();
     engine.register_plan("liver", &liver).unwrap();
     engine.register_plan("prostate", &prostate).unwrap();
-    let liver_w = engine.plan_tile_width("liver").unwrap();
-    let prostate_w = engine.plan_tile_width("prostate").unwrap();
+    let liver_w = engine.plan_choice("liver").unwrap().tile_width;
+    let prostate_w = engine.plan_choice("prostate").unwrap().tile_width;
     assert_eq!(liver_w, 32, "long rows must keep the full warp");
     assert!(
         prostate_w < liver_w,
@@ -1191,7 +1191,7 @@ fn partitioned_gradients_bitwise_across_replicas_and_shards() {
             let plan = &report.plans[0];
             assert_eq!(
                 plan.grad_tile_width,
-                engine.plan_grad_tile_width("liver").unwrap(),
+                engine.plan_grad_choice("liver").unwrap().tile_width,
                 "R={r_groups} K={k}"
             );
             assert!(

@@ -89,25 +89,6 @@ fn expired_deadlines_are_shed_at_dispatch() {
 }
 
 #[test]
-fn default_deadline_applies_to_plain_submits() {
-    let mut e = Engine::builder()
-        .device(DeviceSpec::a100())
-        .default_deadline_ms(0.0)
-        .start_paused()
-        .build()
-        .unwrap();
-    e.register_plan("plan", &matrix()).unwrap();
-    let (outcome, report) = e.serve(|c| {
-        let t = c.submit("plan", RequestKind::Dose, vec![1.0; 4]).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(5));
-        c.resume();
-        t.wait()
-    });
-    assert!(matches!(outcome, Err(RtError::DeadlineExceeded { .. })));
-    assert_eq!(report.shed_deadline, 1);
-}
-
-#[test]
 fn snapshot_registration_maps_errors() {
     let mut e = Engine::builder()
         .device(DeviceSpec::a100())

@@ -77,46 +77,12 @@ pub struct GpuDoseEngine {
 }
 
 impl GpuDoseEngine {
-    /// Uploads the matrix (and its transpose, for gradients).
-    pub fn new(
-        device: rt_gpusim::DeviceSpec,
-        matrix: &Csr<f64, u32>,
-    ) -> Result<Self, rt_core::RtError> {
-        Ok(GpuDoseEngine {
-            calc: DoseCalculator::builder(matrix)
-                .device(device)
-                .with_transpose()
-                .build()?,
-            seconds: std::cell::Cell::new(0.0),
-            grad_seconds: std::cell::Cell::new(0.0),
-        })
-    }
-
-    /// Like [`GpuDoseEngine::new`] with counter extrapolation: traffic
-    /// scales by `nnz_scale`, warp counts by `row_scale` (see
-    /// `rt_repro::runner` for the per-axis rationale).
-    pub fn with_scales(
-        device: rt_gpusim::DeviceSpec,
-        matrix: &Csr<f64, u32>,
-        nnz_scale: f64,
-        row_scale: f64,
-    ) -> Result<Self, rt_core::RtError> {
-        Ok(GpuDoseEngine {
-            calc: DoseCalculator::builder(matrix)
-                .device(device)
-                .with_transpose()
-                .scale(nnz_scale)
-                .row_scale(row_scale)
-                .build()?,
-            seconds: std::cell::Cell::new(0.0),
-            grad_seconds: std::cell::Cell::new(0.0),
-        })
-    }
-
-    /// Wraps a pre-configured calculator (e.g. one with partitioned
-    /// dose and gradient dispatch) — the calculator must have been
-    /// built [`with_transpose`](rt_core::DoseCalculatorBuilder::with_transpose),
-    /// or every back-projection fails.
+    /// Wraps a calculator configured through
+    /// [`DoseCalculator::builder`] (device, counter extrapolation,
+    /// widths, partitions). It must have been built
+    /// [`with_transpose`](rt_core::DoseCalculatorBuilder::with_transpose)
+    /// ([`RtError::TransposeUnavailable`](rt_core::RtError::TransposeUnavailable)
+    /// otherwise).
     pub fn with_calculator(calc: DoseCalculator) -> Result<Self, rt_core::RtError> {
         if !calc.has_transpose() {
             return Err(rt_core::RtError::TransposeUnavailable);
@@ -176,7 +142,6 @@ impl DoseEngine for GpuDoseEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rt_gpusim::DeviceSpec;
 
     fn matrix() -> Csr<f64, u32> {
         Csr::from_rows(
@@ -206,7 +171,11 @@ mod tests {
     fn gpu_engine_matches_cpu_within_f16_rounding() {
         let m = matrix();
         let cpu = CpuDoseEngine::new(m.clone());
-        let gpu = GpuDoseEngine::new(DeviceSpec::a100(), &m).unwrap();
+        let calc = DoseCalculator::builder(&m)
+            .with_transpose()
+            .build()
+            .unwrap();
+        let gpu = GpuDoseEngine::with_calculator(calc).unwrap();
         let w = [0.7, 1.3, 0.4];
         let dc = cpu.dose(&w);
         let dg = gpu.dose(&w);

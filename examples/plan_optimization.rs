@@ -10,7 +10,7 @@
 //! ```
 
 use rtdose::dose::cases::{liver_case, ScaleConfig};
-use rtdose::gpusim::DeviceSpec;
+use rtdose::kernels::DoseCalculator;
 use rtdose::optim::{
     optimize, CpuDoseEngine, DoseEngine, GpuDoseEngine, Objective, ObjectiveTerm, OptimizerConfig,
 };
@@ -68,13 +68,13 @@ fn main() {
 
     // Optimize with the simulated-GPU Half/double engine.
     println!("\noptimizing with the Half/double GPU engine ...");
-    let gpu_engine = GpuDoseEngine::with_scales(
-        DeviceSpec::a100(),
-        &matrix,
-        case.extrapolation(),
-        case.paper.rows / matrix.nrows() as f64,
-    )
-    .expect("valid case matrix");
+    let calc = DoseCalculator::builder(&matrix)
+        .with_transpose()
+        .scale(case.extrapolation())
+        .row_scale(case.paper.rows / matrix.nrows() as f64)
+        .build()
+        .expect("valid case matrix");
+    let gpu_engine = GpuDoseEngine::with_calculator(calc).expect("built with the transpose");
     let gpu_result = optimize(&gpu_engine, &objective, &w0, &cfg);
     println!(
         "  objective {:.4} -> {:.4} in {} iterations ({} dose calculations)",

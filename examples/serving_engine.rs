@@ -61,8 +61,7 @@ fn main() {
             // 3b. Meanwhile, a plan optimization drives the liver plan
             //     through the same pool via the DoseEngine adapter.
             s.spawn(|| {
-                let served =
-                    ServedDoseEngine::new(client, "liver", engine.plan_dims("liver").unwrap());
+                let served = ServedDoseEngine::new(client, "liver").expect("liver is registered");
                 let objective = Objective::new(vec![ObjectiveTerm::UniformDose {
                     voxels: (0..liver.nrows() / 4).collect(),
                     prescribed: 1.0,

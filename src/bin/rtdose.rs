@@ -21,14 +21,15 @@ use rtdose::gpusim::{gather_estimate, DeviceSpec, Gpu, GroupReport, KernelProfil
 use rtdose::kernels::{
     bucketed_group_report, heuristic_width, profile_baseline, profile_half_double, profile_single,
     rs_baseline_gpu_spmv, vector_csr_spmm, vector_csr_spmm_bucketed, BucketChoice, BucketWidths,
-    GpuCsrMatrix, GpuRowPlan, GpuRsMatrix, KernelChoice, KernelSelect, PartitionStrategy,
-    VecScalar,
+    DoseCalculator, GpuCsrMatrix, GpuRowPlan, GpuRsMatrix, KernelChoice, KernelSelect,
+    PartitionStrategy, VecScalar,
 };
 use rtdose::optim::{optimize, GpuDoseEngine, Objective, ObjectiveTerm, OptimizerConfig};
 use rtdose::sparse::stats::{MatrixSummary, RowStats};
 use rtdose::sparse::{load_csr, save_csr, Csr, RowPlan, RsCompressed, ShardPlan};
 use std::collections::HashMap;
 use std::fmt::Display;
+use std::io::Write;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -170,6 +171,27 @@ fn fail(what: impl Display, e: impl Display) -> ! {
     std::process::exit(1);
 }
 
+/// Prints one line of a command's output: every command writes stdout
+/// through [`write_line`] and nothing else.
+macro_rules! out {
+    ($($fmt:tt)*) => {
+        write_line(format_args!($($fmt)*))
+    };
+}
+
+/// Writes `line` and a newline to stdout. A reader that closed the pipe
+/// early (`rtdose stats --matrix F | head -5`) wants no more output, so
+/// a broken pipe ends the process quietly with status 0; any other write
+/// error exits 1.
+fn write_line(line: std::fmt::Arguments) {
+    let mut stdout = std::io::stdout().lock();
+    match writeln!(stdout, "{line}") {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => fail("cannot write to stdout", e),
+    }
+}
+
 /// A command's arguments, each checked against its flag table.
 struct Flags {
     command: &'static Command,
@@ -309,9 +331,9 @@ fn generate_case(flags: &Flags) -> Result<DoseCase, String> {
 }
 
 fn cmd_info(_: &Flags) -> Result<(), String> {
-    println!("devices:");
+    out!("devices:");
     for d in [DeviceSpec::a100(), DeviceSpec::v100(), DeviceSpec::p100()] {
-        println!(
+        out!(
             "  {:<5} {:>3} SMs  {:>5.0} GB/s DRAM  {:>4.1} TF fp64  {:>3} MB L2",
             d.name,
             d.sm_count,
@@ -320,10 +342,10 @@ fn cmd_info(_: &Flags) -> Result<(), String> {
             d.l2_bytes >> 20,
         );
     }
-    println!("\ncases (at --shrink 1, the default experiment scale):");
-    println!("  liver    — 4 beams (gantry 270/0/90/180), Table I rows 1-4");
-    println!("  prostate — 2 parallel-opposed beams, Table I rows 5-6");
-    println!("\npaper artifacts: cargo run --release -p rt-bench --bin repro_all");
+    out!("\ncases (at --shrink 1, the default experiment scale):");
+    out!("  liver    — 4 beams (gantry 270/0/90/180), Table I rows 1-4");
+    out!("  prostate — 2 parallel-opposed beams, Table I rows 5-6");
+    out!("\npaper artifacts: cargo run --release -p rt-bench --bin repro_all");
     Ok(())
 }
 
@@ -334,7 +356,7 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
     let m16: Csr<F16, u32> = case.matrix.convert_values();
     let written = std::fs::File::create(out).and_then(|mut file| save_csr(&m16, &mut file));
     written.unwrap_or_else(|e| fail(format!("cannot write {out}"), e));
-    println!(
+    out!(
         "{}: {} voxels x {} spots, {} non-zeros -> {} ({} bytes, {:.1?})",
         case.name,
         m16.nrows(),
@@ -358,21 +380,21 @@ fn cmd_stats(flags: &Flags) -> Result<(), String> {
     let m = load_matrix(flags);
     let summary = MatrixSummary::from_csr("matrix", &m);
     let stats = RowStats::from_csr(&m);
-    println!("rows        : {}", summary.rows);
-    println!("cols        : {}", summary.cols);
-    println!("non-zeros   : {}", summary.nnz);
-    println!("density     : {:.3}%", summary.nonzero_ratio_pct);
-    println!("size (f16 + u32 CSR): {:.6} GB", summary.size_gb);
-    println!("empty rows  : {:.1}%", stats.empty_fraction() * 100.0);
-    println!("avg nnz per non-empty row: {:.1}", stats.avg_nnz_nonempty);
-    println!(
+    out!("rows        : {}", summary.rows);
+    out!("cols        : {}", summary.cols);
+    out!("non-zeros   : {}", summary.nnz);
+    out!("density     : {:.3}%", summary.nonzero_ratio_pct);
+    out!("size (f16 + u32 CSR): {:.6} GB", summary.size_gb);
+    out!("empty rows  : {:.1}%", stats.empty_fraction() * 100.0);
+    out!("avg nnz per non-empty row: {:.1}", stats.avg_nnz_nonempty);
+    out!(
         "non-empty rows < 32 nnz  : {:.1}%",
         stats.frac_nonempty_below_warp * 100.0
     );
-    println!("max row length           : {}", stats.max_row_len);
-    println!("\ncumulative row-length histogram (non-empty rows):");
+    out!("max row length           : {}", stats.max_row_len);
+    out!("\ncumulative row-length histogram (non-empty rows):");
     for (x, frac) in stats.cumulative_curve(12) {
-        println!(
+        out!(
             "  < {:>6}: {:>5.1}%  {}",
             x,
             frac * 100.0,
@@ -473,7 +495,7 @@ fn run_sharded_spmv(
         .shards
         .expect("every response carries its shards");
 
-    println!(
+    out!(
         "kernel {kernel} sharded {}x on {} x{} ({} threads/block), sim wall time {:.2?}",
         report.shards.len(),
         dev.name,
@@ -481,12 +503,18 @@ fn run_sharded_spmv(
         tpb,
         t0.elapsed()
     );
-    println!(
+    out!(
         "  {:<6} {:<7} {:>16} {:>12} {:>10} {:>12} {:>11}",
-        "shard", "device", "rows [start..)", "nnz", "dispatch", "modeled us", "gather us"
+        "shard",
+        "device",
+        "rows [start..)",
+        "nnz",
+        "dispatch",
+        "modeled us",
+        "gather us"
     );
     for s in &report.shards {
-        println!(
+        out!(
             "  {:<6} {:<7} {:>7}..{:<8} {:>12} {:>10} {:>12.3} {:>11.3}",
             s.shard,
             s.device,
@@ -499,15 +527,15 @@ fn run_sharded_spmv(
         );
     }
     let serial: f64 = report.shards.iter().map(|s| s.estimate.seconds).sum();
-    println!(
+    out!(
         "  critical path        : {:.3} ms (max over shards of compute + gather)",
         report.modeled_seconds * 1e3
     );
-    println!(
+    out!(
         "  gather traffic       : {} bytes over the pool interconnect",
         report.gather_bytes
     );
-    println!(
+    out!(
         "  speedup vs serialized: {:.2}x (sum of shard computes / critical path)",
         serial / report.modeled_seconds
     );
@@ -584,56 +612,61 @@ fn cmd_spmv(flags: &Flags) -> Result<(), String> {
     };
     let est = rtdose::gpusim::timing::estimate(&dev, &profile, &stats);
 
-    println!(
+    out!(
         "kernel {kernel} on {} ({} threads/block), sim wall time {:.2?}",
         dev.name,
         tpb,
         t0.elapsed()
     );
     if let Some((_, mode, plan)) = &group {
-        println!(
+        out!(
             "  partition            : {mode} ({} of {} rows empty, eliminated)",
             plan.empty_rows(),
             plan.nrows()
         );
     } else if kernel != "baseline" {
-        println!("  tile width           : {tile} ({tile_mode})");
+        out!("  tile width           : {tile} ({tile_mode})");
     } else if flags.get("tile").is_some() {
-        println!("  tile width           : ignored (baseline kernel has no tiled variant)");
+        out!("  tile width           : ignored (baseline kernel has no tiled variant)");
     }
-    println!("  flops                : {}", stats.flops);
-    println!(
+    out!("  flops                : {}", stats.flops);
+    out!(
         "  DRAM read / write    : {} / {} bytes",
-        stats.dram_read_bytes, stats.dram_write_bytes
+        stats.dram_read_bytes,
+        stats.dram_write_bytes
     );
-    println!(
+    out!(
         "  L2 hit rate          : {:.1}%",
         stats.l2_hit_rate() * 100.0
     );
-    println!("  atomics              : {}", stats.atomic_ops);
-    println!(
+    out!("  atomics              : {}", stats.atomic_ops);
+    out!(
         "  operational intensity: {:.3} flop/byte",
         stats.operational_intensity()
     );
-    println!("  modeled time         : {:.3} ms", est.seconds * 1e3);
-    println!("  modeled performance  : {:.1} GFLOP/s", est.gflops);
-    println!(
+    out!("  modeled time         : {:.3} ms", est.seconds * 1e3);
+    out!("  modeled performance  : {:.1} GFLOP/s", est.gflops);
+    out!(
         "  modeled bandwidth    : {:.0} GB/s ({:.0}% of {} peak)",
         est.dram_bw_gbps,
         est.frac_peak_bw * 100.0,
         dev.name
     );
     if let Some((rep, _, _)) = &group {
-        println!(
+        out!(
             "\n  fused dispatch ({} members, one launch overhead):",
             rep.buckets.len()
         );
-        println!(
+        out!(
             "  {:<12} {:>6} {:>10} {:>13} {:>12}",
-            "member", "width", "rows", "lanes active", "modeled us"
+            "member",
+            "width",
+            "rows",
+            "lanes active",
+            "modeled us"
         );
         for b in &rep.buckets {
-            println!(
+            out!(
                 "  {:<12} {:>6} {:>10} {:>12.1}% {:>12.3}",
                 b.label,
                 b.tile_width,
@@ -660,13 +693,13 @@ fn bucket_range(bc: &BucketChoice) -> String {
 /// rows, nnz, the natural width, the probe's pick, and true lane
 /// occupancy. Shared by the dose and gradient (transpose) tables.
 fn print_bucket_table(choice: &KernelChoice) {
-    println!("  bucket            rows          nnz   natural   probe   lanes active");
+    out!("  bucket            rows          nnz   natural   probe   lanes active");
     let natural = BucketWidths::natural();
     for bc in &choice.buckets {
         if bc.rows == 0 {
             continue;
         }
-        println!(
+        out!(
             "  rows {:<8} {:>9} {:>12} {:>9} {:>7} {:>13.1}%",
             bucket_range(bc),
             bc.rows,
@@ -687,7 +720,7 @@ fn cmd_kernels(flags: &Flags) -> Result<(), String> {
     let dev = device(flags);
 
     let stats = RowStats::from_csr(&m);
-    println!(
+    out!(
         "{} voxels x {} spots, {} non-zeros on {} ({} threads/block)",
         m.nrows(),
         m.ncols(),
@@ -695,7 +728,7 @@ fn cmd_kernels(flags: &Flags) -> Result<(), String> {
         dev.name,
         tpb
     );
-    println!(
+    out!(
         "avg nnz per non-empty row {:.1}, 95th percentile {}, {:.1}% empty rows\n",
         stats.avg_nnz_nonempty,
         stats.quantile(0.95),
@@ -706,7 +739,7 @@ fn cmd_kernels(flags: &Flags) -> Result<(), String> {
         .choose(&dev, &m, tpb)
         .expect("probe cannot fail on a loaded snapshot");
     let heuristic = heuristic_width(&stats);
-    println!("  width      warps   L2 sectors   modeled us   lanes active");
+    out!("  width      warps   L2 sectors   modeled us   lanes active");
     for c in &choice.candidates {
         let marks = match (c.tile_width == choice.tile_width, c.tile_width == heuristic) {
             (true, true) => "  <- probe + heuristic pick",
@@ -714,7 +747,7 @@ fn cmd_kernels(flags: &Flags) -> Result<(), String> {
             (false, true) => "  <- heuristic pick",
             (false, false) => "",
         };
-        println!(
+        out!(
             "  {:>5} {:>10} {:>12} {:>12.3} {:>13.1}%{}",
             c.tile_width,
             c.warps,
@@ -724,7 +757,7 @@ fn cmd_kernels(flags: &Flags) -> Result<(), String> {
             marks
         );
     }
-    println!(
+    out!(
         "\nheuristic (stats only) picks w{heuristic}; measured probe picks w{} — \
          serving plans default to the heuristic",
         choice.tile_width
@@ -736,7 +769,7 @@ fn cmd_kernels(flags: &Flags) -> Result<(), String> {
     let part = KernelSelect::Partitioned(PartitionStrategy::MeasuredProbe)
         .choose(&dev, &m, tpb)
         .expect("partitioned probe cannot fail on a loaded snapshot");
-    println!(
+    out!(
         "\nrow-partitioned dispatch (--partition probe): {} empty rows eliminated",
         stats.empty_rows
     );
@@ -752,14 +785,14 @@ fn cmd_kernels(flags: &Flags) -> Result<(), String> {
     let grad = KernelSelect::Partitioned(PartitionStrategy::MeasuredProbe)
         .choose(&dev, &t, tpb)
         .expect("partitioned probe cannot fail on a loaded snapshot");
-    println!(
+    out!(
         "\ngradient (transpose) dispatch: {} beamlet rows, {:.1}% empty — {} eliminated",
         t.nrows(),
         t_stats.empty_fraction() * 100.0,
         t_stats.empty_rows
     );
     print_bucket_table(&grad);
-    println!(
+    out!(
         "whole-transpose width (unpartitioned gradients): w{}",
         grad.tile_width
     );
@@ -779,16 +812,16 @@ fn cmd_kernels(flags: &Flags) -> Result<(), String> {
     let weights: Vec<f64> = pool.iter().map(|d| d.effective_dram_bw()).collect();
     let plan = ShardPlan::build_weighted(&m, &weights);
     let select = KernelSelect::Partitioned(PartitionStrategy::Heuristic);
-    println!(
+    out!(
         "\nrow-sharded dispatch (--shards 3 on {}): throughput-weighted row ranges",
         pool.iter().map(|d| d.name).collect::<Vec<_>>().join("+")
     );
-    println!(
+    out!(
         "  balance factor: {:.2} throughput-weighted ({:.2} by raw nnz share)",
         plan.balance_factor_weighted(&weights),
         plan.balance_factor()
     );
-    println!("  shard    rows [start..)          nnz   solo pick   solo buckets      gather us");
+    out!("  shard    rows [start..)          nnz   solo pick   solo buckets      gather us");
     for s in plan.shards() {
         let spec = &pool[s.index % pool.len()];
         let choice = select
@@ -800,7 +833,7 @@ fn cmd_kernels(flags: &Flags) -> Result<(), String> {
             .filter(|b| b.rows > 0)
             .map(|b| format!("w{}", b.tile_width))
             .collect();
-        println!(
+        out!(
             "  {:>5} {:>9}..{:<9} {:>12}   {:<9} {:<17} {:>9.3}",
             s.index,
             s.row_start,
@@ -812,7 +845,7 @@ fn cmd_kernels(flags: &Flags) -> Result<(), String> {
         );
     }
     let gather: u64 = plan.shards().iter().map(|s| s.gather_bytes()).sum();
-    println!("modeled gather traffic: {gather} bytes (non-empty rows x 8, per result vector)");
+    out!("modeled gather traffic: {gather} bytes (non-empty rows x 8, per result vector)");
     Ok(())
 }
 
@@ -829,7 +862,7 @@ fn cmd_optimize(flags: &Flags) -> Result<(), String> {
     let target: Vec<usize> = (0..probe.len())
         .filter(|&i| probe[i] > 0.5 * peak)
         .collect();
-    println!(
+    out!(
         "{}: {} voxels x {} spots, target {} voxels",
         case.name,
         matrix.nrows(),
@@ -842,13 +875,14 @@ fn cmd_optimize(flags: &Flags) -> Result<(), String> {
         prescribed: 0.7 * peak,
         weight: 1.0,
     }]);
-    let engine = GpuDoseEngine::with_scales(
-        DeviceSpec::a100(),
-        &matrix,
-        case.extrapolation(),
-        case.paper.rows / matrix.nrows() as f64,
-    )
-    .unwrap_or_else(|e| fail("cannot build dose engine", e));
+    let calc = DoseCalculator::builder(&matrix)
+        .with_transpose()
+        .scale(case.extrapolation())
+        .row_scale(case.paper.rows / matrix.nrows() as f64)
+        .build();
+    let engine = calc
+        .and_then(GpuDoseEngine::with_calculator)
+        .unwrap_or_else(|e| fail("cannot build dose engine", e));
     let result = optimize(
         &engine,
         &objective,
@@ -859,12 +893,14 @@ fn cmd_optimize(flags: &Flags) -> Result<(), String> {
         },
     );
     for log in result.history.iter().step_by((iters / 10).max(1)) {
-        println!(
+        out!(
             "  iter {:>3}  objective {:.6}  |pg| {:.2e}",
-            log.iter, log.objective, log.projected_grad_norm
+            log.iter,
+            log.objective,
+            log.projected_grad_norm
         );
     }
-    println!(
+    out!(
         "done: objective {:.6} after {} dose calculations; modeled GPU kernel time {:.1} ms",
         result.objective,
         result.dose_evals,
@@ -877,7 +913,7 @@ fn cmd_optimize(flags: &Flags) -> Result<(), String> {
 /// each labelled `{prefix}bucket`.
 fn print_plan_buckets(prefix: &str, choice: &KernelChoice) {
     for bc in choice.buckets.iter().filter(|b| b.rows > 0) {
-        println!(
+        out!(
             "      {prefix}bucket rows {:<6} -> w{:<2} ({} rows, {:.1}% lanes active)",
             bucket_range(bc),
             bc.tile_width,
@@ -949,7 +985,7 @@ fn cmd_serve_demo(flags: &Flags) -> Result<(), String> {
     ];
     let pool: Vec<DeviceSpec> = (0..pool_size).map(|i| mix[i % mix.len()].clone()).collect();
 
-    println!("generating plans (shrink {}) ...", scale.shrink);
+    out!("generating plans (shrink {}) ...", scale.shrink);
     let liver = liver_case(scale).swap_remove(0).matrix;
     let prostate = prostate_case(scale).swap_remove(0).matrix;
 
@@ -963,19 +999,19 @@ fn cmd_serve_demo(flags: &Flags) -> Result<(), String> {
         engine
             .register_plan(name, m)
             .unwrap_or_else(|e| fail(format!("cannot register plan {name}"), e));
-        println!(
+        out!(
             "  registered {:<8} {} voxels x {} spots, {} non-zeros, tile width {}",
             name,
             m.nrows(),
             m.ncols(),
             m.nnz(),
-            engine.plan_tile_width(name).unwrap()
+            engine.plan_choice(name).unwrap().tile_width
         );
         if let (Some(r), Some(k)) = (
             engine.plan_replica_count(name),
             engine.plan_shard_count(name),
         ) {
-            println!(
+            out!(
                 "      placed as {r} replica group(s) x {k} shard(s): throughput-weighted row ranges"
             );
             if let Some(table) = engine.plan_breakeven(name).filter(|t| !t.is_empty()) {
@@ -983,17 +1019,17 @@ fn cmd_serve_demo(flags: &Flags) -> Result<(), String> {
                     .iter()
                     .map(|p| format!("K={} {:.1}us", p.k, p.modeled_seconds * 1e6))
                     .collect();
-                println!("      break-even model picked K={k}: {}", picks.join(", "));
+                out!("      break-even model picked K={k}: {}", picks.join(", "));
             }
         }
         print_plan_buckets("", engine.plan_choice(name).unwrap());
         // The gradient direction's own table: chosen on the whole
         // transpose at registration, pinned before any shard split.
         let grad = engine.plan_grad_choice(name).unwrap();
-        println!("      gradient (transpose) tile width {}", grad.tile_width);
+        out!("      gradient (transpose) tile width {}", grad.tile_width);
         print_plan_buckets("grad ", grad);
     }
-    println!(
+    out!(
         "pool: {}  |  {} requests from {} submitter threads",
         engine
             .devices()
@@ -1046,7 +1082,7 @@ fn cmd_serve_demo(flags: &Flags) -> Result<(), String> {
                                     eprintln!("  drain of device {drain_target} failed: {e}");
                                     drain_failed.store(true, Ordering::SeqCst);
                                 } else {
-                                    println!(
+                                    out!(
                                         "  drained device {drain_target} after {served} requests; \
                                          every plan re-dealt over the live pool"
                                     );
@@ -1061,8 +1097,8 @@ fn cmd_serve_demo(flags: &Flags) -> Result<(), String> {
         done.load(Ordering::Relaxed)
     });
 
-    println!("\n{} of {} requests served; engine report:", ok, requests);
-    println!("{}", report.to_json());
+    out!("\n{} of {} requests served; engine report:", ok, requests);
+    out!("{}", report.to_json());
     if serve_demo_failed(requests, ok, &report, drain_failed.into_inner()) {
         fail("serve-demo FAILED", "not every request was served cleanly");
     }

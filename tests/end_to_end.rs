@@ -87,7 +87,11 @@ fn optimizer_improves_a_real_plan_on_the_gpu_engine() {
         prescribed: peak * 0.7,
         weight: 1.0,
     }]);
-    let engine = GpuDoseEngine::new(DeviceSpec::a100(), &m).unwrap();
+    let calc = DoseCalculator::builder(&m)
+        .with_transpose()
+        .build()
+        .unwrap();
+    let engine = GpuDoseEngine::with_calculator(calc).unwrap();
     let w0 = vec![0.1; m.ncols()];
     let result = optimize(
         &engine,
